@@ -11,10 +11,7 @@ the differences with epsilon is the expected signature.
 
 import argparse
 
-import numpy as np
-
-from schrobvp.cli import build_scenario
-from schrobvp.coefficients import norm_bundle, select_horizon
+from schrobvp.cli import build_scenario, resolve_horizon
 from schrobvp.presets import load_preset, preset_names
 from schrobvp.stepper import LinearProblem, StepperConfig, epsilon_study
 
@@ -29,11 +26,7 @@ def main() -> int:
     args = ap.parse_args()
 
     sc = build_scenario(load_preset(args.preset))
-    horizon = sc.horizon
-    if horizon is None:
-        probe = np.linspace(0.0, 0.25, 10001)
-        bundle = norm_bundle(sc.coeffs, sc.weight.sup_logderiv, probe, sc.grid)
-        horizon = select_horizon(bundle).horizon
+    horizon, _, _ = resolve_horizon(sc, None)
 
     schedule = tuple(float(tok) for tok in args.epsilons.split(","))
     datum = sc.f if args.direction == "forward" else sc.g

@@ -12,10 +12,7 @@ pipeline (fields, norms, estimates, report.json).
 import argparse
 import time
 
-import numpy as np
-
-from schrobvp.cli import build_scenario, run_monitors
-from schrobvp.coefficients import norm_bundle, select_horizon
+from schrobvp.cli import build_scenario, resolve_horizon, run_monitors
 from schrobvp.picard import BvpProblem, assemble_solution, picard_solve
 from schrobvp.presets import load_preset, merge_scenario, preset_names
 
@@ -32,18 +29,15 @@ def main() -> int:
         raw = merge_scenario(raw, {"grid": {"n": args.n}})
     sc = build_scenario(raw)
 
-    horizon = args.T if args.T is not None else sc.horizon
-    if horizon is None:
-        probe = np.linspace(0.0, 0.25, 10001)
-        bundle = norm_bundle(sc.coeffs, sc.weight.sup_logderiv, probe, sc.grid)
-        sel = select_horizon(bundle)
-        horizon = sel.horizon
+    horizon, override, trace = resolve_horizon(sc, args.T)
+    if trace["source"] == "selected":
         print(f"selected horizon T = {horizon:.6g} "
-              f"(coupling integral {sel.coupling_integral:.4f}, "
-              f"contraction product {sel.contraction_product:.4f})")
+              f"(coupling integral {trace['coupling_integral']:.4f}, "
+              f"contraction product {trace['contraction_product']:.4f})")
 
     problem = BvpProblem(f=sc.f, g=sc.g, coeffs=sc.coeffs, weight=sc.weight,
-                         horizon=horizon, stepper_cfg=sc.stepper)
+                         horizon=horizon, stepper_cfg=sc.stepper,
+                         override_horizon=override)
     t0 = time.perf_counter()
     vp, vm, report = picard_solve(problem, tol=sc.tol, m_max=sc.m_max)
     elapsed = time.perf_counter() - t0

@@ -60,7 +60,7 @@ from .fieldio import (
 from .free_bvp import FreeBvpData, solve_free, verify_free_estimate
 from .picard import BvpProblem, assemble_solution, coupling_stacks, picard_solve
 from .presets import build_datum, load_preset, preset_names, resolve_scenario
-from .spectral import Grid1D, SpaceTimeField, SpectralField, project
+from .spectral import Grid1D, SpaceTimeField, SpectralField
 from .stepper import LinearProblem, StepperConfig, epsilon_study, solve_linear
 from .weights import WeightProfile, build_weight
 
@@ -72,7 +72,7 @@ _GRID_KEYS = {"n", "L"}
 _WEIGHT_KEYS = {"beta", "mode", "margin"}
 _COEFF_KEYS = {"a", "W", "lambda", "beta"}
 _DATA_KEYS = {"f", "g"}
-_STEPPER_KEYS = {"epsilon", "dt", "n_steps", "scheme", "epsilon_schedule"}
+_STEPPER_KEYS = {"epsilon", "dt", "n_steps", "epsilon_schedule"}
 _ESTIMATE_KEYS = {"energy", "smoothing", "bootstrap", "chain", "q", "delta", "chain_constant", "slack"}
 
 _STORED_SLICE_CAP = 128   # carrier slices kept for verify-estimates, at most
@@ -172,10 +172,7 @@ def build_scenario(raw: dict) -> ScenarioConfig:
         horizon = float(horizon)
         if horizon <= 0:
             raise ConfigError(f"horizon must be positive, got {horizon:g}")
-    t_max = max(1.0, 2.0 * horizon if horizon is not None else 0.0)
-    coeffs = CoefficientField(
-        coeff_spec["a"], coeff_spec["W"], ellipticity=lam, t_max=t_max
-    )
+    coeffs = CoefficientField(coeff_spec["a"], coeff_spec["W"], ellipticity=lam)
 
     data_spec = resolved.get("data")
     if not isinstance(data_spec, dict):
@@ -193,7 +190,6 @@ def build_scenario(raw: dict) -> ScenarioConfig:
         epsilon=float(stepper_spec.get("epsilon", 1e-3)),
         dt=stepper_spec.get("dt"),
         n_steps=stepper_spec.get("n_steps"),
-        scheme=stepper_spec.get("scheme", "etd_rk4"),
         epsilon_schedule=tuple(stepper_spec.get("epsilon_schedule", ())),
     )
 
@@ -226,7 +222,7 @@ def build_scenario(raw: dict) -> ScenarioConfig:
     )
 
 
-def _resolve_horizon(sc: ScenarioConfig, flag_T: float | None) -> tuple[float, bool, dict]:
+def resolve_horizon(sc: ScenarioConfig, flag_T: float | None) -> tuple[float, bool, dict]:
     """Final horizon, override flag, and the selection trace for the report."""
     if flag_T is not None:
         return float(flag_T), True, {"source": "override-flag", "horizon": float(flag_T)}
@@ -360,16 +356,9 @@ def run_monitors(
             energy_monitor(vp, src_p, "+", sc.coeffs, sc.weight, slack=slack)
         )
     if cfg.get("smoothing"):
-        w_plus_rows = np.empty_like(w_stack.values)
-        w_minus_rows = np.empty_like(w_stack.values)
-        for i in range(len(w_stack.times)):
-            s = w_stack.slice(i)
-            w_plus_rows[i] = project(s, "+").values
-            w_minus_rows[i] = project(s, "-").values
         reports.append(
             weighted_smoothing_monitor(
-                SpaceTimeField(sc.grid, w_stack.times, w_plus_rows),
-                SpaceTimeField(sc.grid, w_stack.times, w_minus_rows),
+                *w_stack.split_sides(),
                 sc.coeffs,
                 sc.beta,
                 slack=slack,
@@ -468,7 +457,7 @@ def cmd_free_bvp(args: argparse.Namespace) -> int:
 def cmd_linear(args: argparse.Namespace) -> int:
     sc = build_scenario(load_scenario_source(args.scenario))
     out = _out_dir(args.out_dir, sc.out_dir)
-    horizon, _, trace = _resolve_horizon(sc, args.T)
+    horizon, _, trace = resolve_horizon(sc, args.T)
     datum = sc.f if args.direction == "forward" else sc.g
     problem = LinearProblem(
         direction=args.direction,
@@ -514,7 +503,7 @@ def run_picard_scenario(raw: dict, out_dir: str | None, flag_T: float | None = N
     """One full scenario run: solve, monitor, and write the run directory."""
     sc = build_scenario(raw)
     out = _out_dir(out_dir, sc.out_dir)
-    horizon, override, trace = _resolve_horizon(sc, flag_T)
+    horizon, override, trace = resolve_horizon(sc, flag_T)
     problem = BvpProblem(
         f=sc.f, g=sc.g, coeffs=sc.coeffs, weight=sc.weight,
         horizon=horizon, stepper_cfg=sc.stepper, beta=sc.beta,

@@ -27,7 +27,7 @@ import numpy as np
 import sympy
 
 from .errors import ConfigError, HorizonError, ValidationError
-from .spectral import Grid1D, SpectralField
+from .spectral import CHUNK_ROWS, Grid1D, SpectralField
 
 __all__ = [
     "CoefficientField",
@@ -66,52 +66,51 @@ def _lambdify(expr: sympy.Expr):
     return sympy.lambdify((_X, _T), expr, modules=[{"sech": lambda z: 1.0 / np.cosh(z)}, "numpy"])
 
 
-def _eval(fn, x: np.ndarray, t: float) -> np.ndarray:
+def _eval(fn, x: np.ndarray, t) -> np.ndarray:
+    """Samples on the broadcast of ``x`` and ``t`` (a column of times gives one row each)."""
+    t = np.asarray(t, dtype=np.float64)
     with np.errstate(all="ignore"):
-        out = fn(x, float(t))
-    arr = np.asarray(out)
-    if arr.shape != np.shape(x):
-        arr = np.full(np.shape(x), complex(arr) if np.iscomplexobj(arr) else float(arr))
-    return arr
+        out = fn(x, t)
+    return np.broadcast_to(out, np.broadcast_shapes(np.shape(x), t.shape))
 
 
 class CoefficientField:
     """Dispersive coefficient a and potential W with analytic x-derivatives.
 
-    ``ellipticity`` is the required pointwise floor for a (may be 0);
-    ``t_max`` records the bookkeeping window the evaluators must cover.
+    ``ellipticity`` is the required pointwise floor for a (may be 0).  The
+    evaluators take a scalar time or a column of times, ``t[:, None]``,
+    which gives one row per time.
     """
 
-    def __init__(self, a, W, ellipticity: float = 0.0, t_max: float = 1.0) -> None:
+    def __init__(self, a, W, ellipticity: float = 0.0) -> None:
         if ellipticity < 0:
             raise ConfigError(f"ellipticity floor must be >= 0, got {ellipticity}")
-        if not (t_max > 0):
-            raise ConfigError(f"t_max must be positive, got {t_max}")
         self.a_expr = _parse_expression(a, "dispersive coefficient")
         self.w_expr = _parse_expression(W, "potential")
         if self.a_expr.has(sympy.I):
             raise ValidationError("dispersive coefficient must be real-valued")
         self.ellipticity = float(ellipticity)
-        self.t_max = float(t_max)
+        self.time_dependent = self.a_expr.has(_T) or self.w_expr.has(_T)
         self._a = _lambdify(self.a_expr)
         self._a_x = _lambdify(sympy.diff(self.a_expr, _X))
         self._a_xx = _lambdify(sympy.diff(self.a_expr, _X, 2))
         self._w = _lambdify(self.w_expr)
 
-    def a_values(self, x: np.ndarray, t: float) -> np.ndarray:
-        return _eval(self._a, x, t).real.astype(np.float64)
+    def a_values(self, x: np.ndarray, t) -> np.ndarray:
+        arr = _eval(self._a, x, t)
+        scale = max(1.0, np.max(np.abs(arr)))
+        if np.iscomplexobj(arr) and np.max(np.abs(arr.imag)) > 1e-12 * scale:
+            raise ValidationError("dispersive coefficient is not real on the sampled grid")
+        return arr.real.astype(np.float64)
 
-    def a_x(self, x: np.ndarray, t: float) -> np.ndarray:
+    def a_x(self, x: np.ndarray, t) -> np.ndarray:
         return _eval(self._a_x, x, t).real.astype(np.float64)
 
-    def a_xx(self, x: np.ndarray, t: float) -> np.ndarray:
+    def a_xx(self, x: np.ndarray, t) -> np.ndarray:
         return _eval(self._a_xx, x, t).real.astype(np.float64)
 
-    def w_values(self, x: np.ndarray, t: float) -> np.ndarray:
+    def w_values(self, x: np.ndarray, t) -> np.ndarray:
         return _eval(self._w, x, t).astype(np.complex128)
-
-    def spatial_mean_a(self, grid: Grid1D, t: float) -> float:
-        return float(np.mean(self.a_values(grid.x, t)))
 
     def __repr__(self) -> str:
         return f"CoefficientField(a={self.a_expr}, W={self.w_expr}, ellipticity={self.ellipticity})"
@@ -154,35 +153,34 @@ def norm_bundle(coeffs: CoefficientField, beta: float, times: np.ndarray, grid: 
     if times.ndim != 1 or len(times) < 2 or np.any(np.diff(times) <= 0):
         raise ConfigError("time grid must be strictly increasing with at least two points")
     bracket = np.sqrt(1.0 + grid.x**2)
-    n_t = len(times)
-    K = np.empty(n_t)
-    c = np.empty(n_t)
-    a_sup = np.empty(n_t)
-    xa1_sup = np.empty(n_t)
-    xa2_sup = np.empty(n_t)
-    for i, t in enumerate(times):
-        a_raw = _eval(coeffs._a, grid.x, t)
-        if np.max(np.abs(a_raw.imag)) > 1e-12 * max(1.0, np.max(np.abs(a_raw))):
-            raise ValidationError(f"dispersive coefficient is not real at t={t:g}")
-        a = a_raw.real
-        a1 = coeffs.a_x(grid.x, t)
-        a2 = coeffs.a_xx(grid.x, t)
-        w = coeffs.w_values(grid.x, t)
+    a_sup, a1_sup, a2_sup, xa1_sup, xa2_sup, w_sup = np.empty((6, len(times)))
+    for lo in range(0, len(times), CHUNK_ROWS):
+        rows = slice(lo, lo + CHUNK_ROWS)
+        ts = times[rows, None]
+        a = coeffs.a_values(grid.x, ts)
+        a1 = coeffs.a_x(grid.x, ts)
+        a2 = coeffs.a_xx(grid.x, ts)
+        w = coeffs.w_values(grid.x, ts)
         for name, arr in (("a", a), ("a_x", a1), ("a_xx", a2), ("W", w)):
-            if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag if np.iscomplexobj(arr) else arr.real)):
-                raise ValidationError(f"{name} is not finite at t={t:g}")
-        if np.min(a) < coeffs.ellipticity - 1e-12:
+            bad = ~np.all(np.isfinite(arr), axis=1)
+            if np.any(bad):
+                raise ValidationError(f"{name} is not finite at t={ts[np.argmax(bad), 0]:g}")
+        a_min = np.min(a, axis=1)
+        low = a_min < coeffs.ellipticity - 1e-12
+        if np.any(low):
+            i = int(np.argmax(low))
             raise ValidationError(
-                f"dispersive coefficient dips to {np.min(a):.6g} below the floor {coeffs.ellipticity:g} at t={t:g}"
+                f"dispersive coefficient dips to {a_min[i]:.6g} below the floor "
+                f"{coeffs.ellipticity:g} at t={ts[i, 0]:g}"
             )
-        a_sup[i] = np.max(np.abs(a))
-        a1_sup = np.max(np.abs(a1))
-        a2_sup = np.max(np.abs(a2))
-        xa1_sup[i] = np.max(bracket * np.abs(a1))
-        xa2_sup[i] = np.max(bracket * np.abs(a2))
-        w_sup = np.max(np.abs(w))
-        K[i] = (a2_sup + beta * a1_sup + beta**2 * a_sup[i]) + a_sup[i] + w_sup
-        c[i] = a_sup[i] + (1.0 + beta) * xa1_sup[i] + beta * xa2_sup[i]
+        a_sup[rows] = np.max(np.abs(a), axis=1)
+        a1_sup[rows] = np.max(np.abs(a1), axis=1)
+        a2_sup[rows] = np.max(np.abs(a2), axis=1)
+        xa1_sup[rows] = np.max(bracket * np.abs(a1), axis=1)
+        xa2_sup[rows] = np.max(bracket * np.abs(a2), axis=1)
+        w_sup[rows] = np.max(np.abs(w), axis=1)
+    K = (a2_sup + beta * a1_sup + beta**2 * a_sup) + a_sup + w_sup
+    c = a_sup + (1.0 + beta) * xa1_sup + beta * xa2_sup
     triple = float(
         _running_trapezoid(times, a_sup)[-1]
         + _running_trapezoid(times, xa1_sup)[-1]
@@ -205,7 +203,6 @@ class HorizonSelection:
     coupling_integral: float      # int_0^T of the coupling rate
     energy_integral: float        # int_0^T of the energy rate
     contraction_product: float    # 3 exp(4 int c) * 2 int K, must be <= 1/2
-    growth_factor_leq_two_thirds: bool  # the literal exp(4 int c) <= 2/3 check; never true
     delta_data: float
 
 
@@ -215,9 +212,9 @@ def select_horizon(bundle: NormBundle, delta_data: float = 0.0) -> HorizonSelect
     The budget is 3 * exp(4 * int_0^T c) * 2 * int_0^T K <= 1/2 together
     with int_0^T K <= 1/8; the first factor is exactly what makes the
     fixed-point iteration close with ratio < 1 and solution bound 4 times
-    the data size.  The unsatisfiable literal form exp(4 int c) <= 2/3 is
-    evaluated and reported for transparency, never used for selection.
-    ``delta_data`` is echoed into the result for bookkeeping only.
+    the data size.  (The literal form exp(4 int c) <= 2/3 can never hold,
+    since int c >= 0, so it is not used.)  ``delta_data`` is echoed into
+    the result for bookkeeping only.
     """
     if abs(bundle.times[0]) > 1e-15:
         raise ConfigError("horizon selection needs a time grid starting at 0")
@@ -239,7 +236,6 @@ def select_horizon(bundle: NormBundle, delta_data: float = 0.0) -> HorizonSelect
         coupling_integral=float(IK[idx]),
         energy_integral=float(Ic[idx]),
         contraction_product=float(product[idx]),
-        growth_factor_leq_two_thirds=bool(np.exp(4.0 * Ic[idx]) <= 2.0 / 3.0),
         delta_data=float(delta_data),
     )
 

@@ -29,6 +29,7 @@ import numpy as np
 from .coefficients import CoefficientField, norm_bundle
 from .errors import ConfigError, ValidationError
 from .spectral import (
+    CHUNK_ROWS,
     Grid1D,
     SpaceTimeField,
     SpectralField,
@@ -43,8 +44,6 @@ __all__ = [
     "commutator_chain_check",
     "bootstrap_diagnostics",
 ]
-
-_CHUNK_ROWS = 256
 
 
 @dataclass
@@ -91,9 +90,9 @@ def _half_derivative_rows(grid: Grid1D, values: np.ndarray) -> np.ndarray:
     """|xi|^{1/2} multiplier applied to a stack of slices."""
     mult = np.sqrt(np.abs(grid.xi))
     out = np.empty_like(values, dtype=complex)
-    for lo in range(0, values.shape[0], _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, values.shape[0])
-        out[lo:hi] = np.fft.ifft(mult * np.fft.fft(values[lo:hi], axis=-1), axis=-1)
+    for lo in range(0, values.shape[0], CHUNK_ROWS):
+        rows = slice(lo, lo + CHUNK_ROWS)
+        out[rows] = np.fft.ifft(mult * np.fft.fft(values[rows], axis=-1), axis=-1)
     return out
 
 
@@ -104,12 +103,18 @@ def _weighted_halfderiv_integral(
 ) -> float:
     """Trapezoid in t of int a(x,t) * factor(x) * |D^{1/2}v|^2 dx."""
     grid = v.grid
-    half = _half_derivative_rows(grid, v.values)
     per_slice = np.empty(len(v.times))
-    for i, t in enumerate(v.times):
-        aval = coeffs.a_values(grid.x, t)
-        per_slice[i] = grid.dx * np.sum(aval * spatial_factor * np.abs(half[i]) ** 2)
+    for lo in range(0, len(v.times), CHUNK_ROWS):
+        rows = slice(lo, lo + CHUNK_ROWS)
+        half = _half_derivative_rows(grid, v.values[rows])
+        aval = coeffs.a_values(grid.x, v.times[rows, None])
+        per_slice[rows] = grid.dx * np.sum(aval * spatial_factor * np.abs(half) ** 2, axis=1)
     return float(np.trapezoid(per_slice, v.times))
+
+
+def _sampled_times(times: np.ndarray) -> np.ndarray:
+    """About eight evenly strided times, as a column for the coefficient evaluators."""
+    return times[:: max(1, len(times) // 8), None]
 
 
 def energy_monitor(
@@ -134,9 +139,7 @@ def energy_monitor(
     rate_beta = weight.sup_logderiv if beta is None else float(beta)
 
     factor = weight.logderiv
-    neg = np.inf
-    for t in v.times[:: max(1, len(v.times) // 8)]:
-        neg = min(neg, float(np.min(coeffs.a_values(grid.x, t) * factor)))
+    neg = float(np.min(coeffs.a_values(grid.x, _sampled_times(v.times)) * factor))
     if neg < -1e-12:
         raise ValidationError(
             f"coefficient times log-derivative dips to {neg:.3e}; "
@@ -386,9 +389,7 @@ def bootstrap_diagnostics(
         np.max(np.abs(direct - factored)) / max(np.max(np.abs(direct)), 1e-300)
     )
 
-    a_min = np.inf
-    for t in times[:: max(1, len(times) // 8)]:
-        a_min = min(a_min, float(np.min(coeffs.a_values(grid.x, t))))
+    a_min = float(np.min(coeffs.a_values(grid.x, _sampled_times(times))))
     if a_min < lam - 1e-12:
         raise ValidationError(
             f"coefficient dips to {a_min:.6g}, below the assumed floor {lam}"
@@ -405,14 +406,15 @@ def bootstrap_diagnostics(
 
     # pairing checks at three interior slices
     sample_idx = sorted({i0, mid, i1})
+    sample_t = times[sample_idx, None]
+    a_rows = coeffs.a_values(grid.x, sample_t)
+    grad_rows = coeffs.a_x(grid.x, sample_t)
     grad_sup = 0.0
     pair_ratio_20 = 0.0
     pair_ratio_21 = 0.0
     ident_err = fact_err
-    for i in sample_idx:
-        t = times[i]
-        a_here = coeffs.a_values(grid.x, t)
-        grad_hat = np.fft.fft(coeffs.a_x(grid.x, t))
+    for i, a_here, grad in zip(sample_idx, a_rows, grad_rows):
+        grad_hat = np.fft.fft(grad)
         bess = np.fft.ifft((1.0 + grid.xi**2) ** (delta / 2.0) * grad_hat)
         grad_q = lp_norm(SpectralField(grid, bess), q)
         grad_sup = max(grad_sup, grad_q)
@@ -496,16 +498,12 @@ def bootstrap_diagnostics(
 
     ratio = lhs_abs / mid_val if mid_val > 0 else (0.0 if lhs_abs == 0.0 else np.inf)
 
-    hyp_need = 0.0
     xw = np.sqrt(1.0 + grid.x**2)
-    for t in times[:: max(1, len(times) // 8)]:
-        hyp_need = max(
-            hyp_need,
-            float(
-                np.max(xw * np.abs(coeffs.a_x(grid.x, t)))
-                + np.max(xw * np.abs(coeffs.a_xx(grid.x, t)))
-            ),
-        )
+    hyp_t = _sampled_times(times)
+    hyp_need = float(np.max(
+        np.max(xw * np.abs(coeffs.a_x(grid.x, hyp_t)), axis=1)
+        + np.max(xw * np.abs(coeffs.a_xx(grid.x, hyp_t)), axis=1)
+    ))
     hypothesis_margin = beta * lam - chain_constant * hyp_need
 
     ok = (

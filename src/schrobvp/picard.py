@@ -37,15 +37,15 @@ from .errors import (
     ValidationError,
 )
 from .spectral import (
+    CHUNK_ROWS,
     Grid1D,
     SpaceTimeField,
     SpectralField,
     coeff_product,
     dealias_hat,
-    masked_samples,
     projection_multiplier,
 )
-from .stepper import LinearProblem, StepperConfig, solve_linear
+from .stepper import LinearProblem, OperatorTable, StepperConfig, solve_linear
 from .weights import WeightProfile
 
 __all__ = [
@@ -54,12 +54,11 @@ __all__ = [
     "AssembledSolution",
     "ResidualProfile",
     "coupling_lambda",
+    "coupling_stacks",
     "picard_solve",
     "assemble_solution",
     "pde_residual",
 ]
-
-_CHUNK_ROWS = 256
 
 
 def _require_one_sided(f: SpectralField, sign: str, label: str) -> None:
@@ -159,32 +158,15 @@ class PicardReport:
         return out
 
 
-def _coefficient_rows(
-    coeffs: CoefficientField, weight: WeightProfile, grid: Grid1D, ts: np.ndarray
-):
-    """Masked coefficient stacks (rows = times): a, a*q, and the zeroth-order lump."""
-    phi = weight.logderiv
-    dphi = weight.logderiv_derivs[0]
-    a = np.stack([coeffs.a_values(grid.x, t) for t in ts])
-    ax = np.stack([coeffs.a_x(grid.x, t) for t in ts])
-    w = np.stack([coeffs.w_values(grid.x, t) for t in ts])
-    zeroth = 1j * ((phi**2 - dphi) * a - phi * ax) + 1j * w
-    return (
-        masked_samples(grid, a),
-        masked_samples(grid, a * phi),
-        masked_samples(grid, zeroth),
-    )
-
-
 def _lambda_rows(
     grid: Grid1D,
     v_sum: np.ndarray,
-    ts: np.ndarray,
-    coeffs: CoefficientField,
-    weight: WeightProfile,
+    am: np.ndarray,
+    aqm: np.ndarray,
+    zwm: np.ndarray,
 ):
-    """Coupling source rows for both signs from the summed field rows."""
-    am, aqm, zwm = _coefficient_rows(coeffs, weight, grid, ts)
+    """Coupling source rows for both signs from the summed field rows and
+    the matching operator-table rows."""
     ixi = 1j * grid.xi
     v_hat = dealias_hat(grid, np.fft.fft(v_sum, axis=-1))
     hv_hat = ixi * v_hat
@@ -219,7 +201,8 @@ def coupling_lambda(
         raise GridMismatchError("coupling inputs must share one grid")
     grid = v_plus.grid
     v_sum = (v_plus.values + v_minus.values)[None, :]
-    lp, lm = _lambda_rows(grid, v_sum, np.array([t]), coeffs, weight)
+    table = OperatorTable(coeffs, weight, np.array([t]))
+    lp, lm = _lambda_rows(grid, v_sum, *table.rows(0, 1))
     return SpectralField(grid, lp[0]), SpectralField(grid, lm[0])
 
 
@@ -228,32 +211,31 @@ def coupling_stacks(
     vm: SpaceTimeField,
     coeffs: CoefficientField,
     weight: WeightProfile,
+    table: OperatorTable | None = None,
 ) -> tuple[SpaceTimeField, SpaceTimeField]:
-    """Both coupling-source stacks evaluated on the carriers' time grid."""
-    return _lambda_stacks(vp, vm, coeffs, weight)
+    """Both coupling-source stacks evaluated on the carriers' time grid.
 
-
-def _lambda_stacks(
-    vp: SpaceTimeField,
-    vm: SpaceTimeField,
-    coeffs: CoefficientField,
-    weight: WeightProfile,
-) -> tuple[SpaceTimeField, SpaceTimeField]:
+    ``table`` must have the carriers' times as its integer nodes; without
+    one, a table over those times is built here.
+    """
     grid = vp.grid
     times = vp.times
+    if table is None:
+        table = OperatorTable(coeffs, weight, times)
+    table.require(times)
     out_p = np.empty_like(vp.values)
     out_m = np.empty_like(vm.values)
-    for lo in range(0, len(times), _CHUNK_ROWS):
-        rows = slice(lo, min(lo + _CHUNK_ROWS, len(times)))
-        v_sum = vp.values[rows] + vm.values[rows]
-        out_p[rows], out_m[rows] = _lambda_rows(grid, v_sum, times[rows], coeffs, weight)
+    for lo in range(0, len(times), CHUNK_ROWS):
+        hi = min(lo + CHUNK_ROWS, len(times))
+        v_sum = vp.values[lo:hi] + vm.values[lo:hi]
+        out_p[lo:hi], out_m[lo:hi] = _lambda_rows(grid, v_sum, *table.rows(lo, hi))
     return SpaceTimeField(grid, times, out_p), SpaceTimeField(grid, times, out_m)
 
 
 def _sup_l2_diff(a: SpaceTimeField, b: SpaceTimeField) -> float:
     worst = 0.0
-    for lo in range(0, len(a.times), _CHUNK_ROWS):
-        rows = slice(lo, min(lo + _CHUNK_ROWS, len(a.times)))
+    for lo in range(0, len(a.times), CHUNK_ROWS):
+        rows = slice(lo, lo + CHUNK_ROWS)
         d = a.values[rows] - b.values[rows]
         worst = max(worst, float(np.max(np.sqrt(a.grid.dx * np.sum(np.abs(d) ** 2, axis=1)))))
     return worst
@@ -266,8 +248,8 @@ def _leakage(vp: SpaceTimeField, vm: SpaceTimeField) -> float:
     for stack, wrong in ((vp, "-"), (vm, "+")):
         sym = projection_multiplier(grid, wrong).symbol
         worst = 0.0
-        for lo in range(0, len(stack.times), _CHUNK_ROWS):
-            rows = slice(lo, min(lo + _CHUNK_ROWS, len(stack.times)))
+        for lo in range(0, len(stack.times), CHUNK_ROWS):
+            rows = slice(lo, lo + CHUNK_ROWS)
             hat = np.fft.fft(stack.values[rows], axis=1)
             mass = np.sqrt(grid.dx / grid.n * np.sum(np.abs(sym * hat) ** 2, axis=1))
             worst = max(worst, float(np.max(mass)))
@@ -331,6 +313,7 @@ def picard_solve(
     delta = p.data_norm()
     bundle = norm_bundle(p.coeffs, p.weight.sup_logderiv, times, grid)
     _check_horizon(p, bundle)
+    table = OperatorTable(p.coeffs, p.weight, times, half_steps=True)
 
     report = PicardReport(delta=delta, horizon=p.horizon)
     zeros = np.zeros((n_steps + 1, grid.n), dtype=np.complex128)
@@ -340,10 +323,10 @@ def picard_solve(
     prev_diff = None
     streak = 0
     for m in range(1, m_max + 1):
-        if m == 1:
-            src_p = src_m = None
-        else:
-            src_p, src_m = _lambda_stacks(vp, vm, p.coeffs, p.weight)
+        # release the previous sweep's sources before the next pair is built
+        src_p = src_m = prob_m = prob_p = None
+        if m > 1:
+            src_p, src_m = coupling_stacks(vp, vm, p.coeffs, p.weight, table)
             report.lambda_ratios.append(_lambda_ratio(src_p, src_m, vp, vm, bundle, delta))
         prob_m = LinearProblem(
             direction="forward",
@@ -363,8 +346,8 @@ def picard_solve(
             horizon=p.horizon,
             zero_mean=True,
         )
-        new_vm = solve_linear(prob_m, p.stepper_cfg)
-        new_vp = solve_linear(prob_p, p.stepper_cfg)
+        new_vm = solve_linear(prob_m, p.stepper_cfg, table)
+        new_vp = solve_linear(prob_p, p.stepper_cfg, table)
         if solve_hook is not None:
             solve_hook("-", prob_m, new_vm)
             solve_hook("+", prob_p, new_vp)
@@ -402,7 +385,7 @@ def picard_solve(
     report.final_leakage = report.leakages[-1] if report.leakages else 0.0
 
     total = SpaceTimeField(grid, times, vp.values + vm.values)
-    profile = pde_residual(total, p.coeffs, p.weight)
+    profile = pde_residual(total, p.coeffs, p.weight, table)
     report.residual_profile = profile.norms
     report.residual_sup = profile.sup
     return vp, vm, report
@@ -473,28 +456,35 @@ class ResidualProfile:
 
 
 def pde_residual(
-    v: SpaceTimeField, coeffs: CoefficientField, weight: WeightProfile
+    v: SpaceTimeField,
+    coeffs: CoefficientField,
+    weight: WeightProfile,
+    table: OperatorTable | None = None,
 ) -> ResidualProfile:
     """Centered-difference time derivative minus the realized spatial operator.
 
-    The spatial operator uses exactly the dealiased product primitive the
-    solver itself steps with, projected to the paired-mode class, so a
-    converged fixed point leaves only the time-discretization error and the
-    artificial-viscosity tail.  Norms are measured in the discrete H^{-2}
-    metric (symbol (1 + xi^2)^{-1}).
+    The spatial operator reads the same operator-table rows and dealiased
+    product primitive the solver itself steps with, projected to the
+    paired-mode class, so a converged fixed point leaves only the
+    time-discretization error and the artificial-viscosity tail.  Norms are
+    measured in the discrete H^{-2} metric (symbol (1 + xi^2)^{-1}).
+    ``table`` must have ``v.times`` as its integer nodes; without one, it
+    is built here.
     """
     if len(v.times) < 3:
         raise ConfigError("residual needs at least 3 time slices")
+    if table is None:
+        table = OperatorTable(coeffs, weight, v.times)
+    table.require(v.times)
     grid = v.grid
     dt = v.dt
     ixi = 1j * grid.xi
     jm2 = 1.0 / (1.0 + grid.xi**2)
     norms = np.empty(len(v.times) - 2)
-    for lo in range(1, len(v.times) - 1, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, len(v.times) - 1)
+    for lo in range(1, len(v.times) - 1, CHUNK_ROWS):
+        hi = min(lo + CHUNK_ROWS, len(v.times) - 1)
         rows = slice(lo, hi)
-        ts = v.times[rows]
-        am, aqm, zwm = _coefficient_rows(coeffs, weight, grid, ts)
+        am, aqm, zwm = table.rows(lo, hi)
         v_hat = dealias_hat(grid, np.fft.fft(v.values[rows], axis=1))
         vx = np.fft.ifft(ixi * v_hat, axis=1)
         v_band = np.fft.ifft(v_hat, axis=1)

@@ -40,7 +40,7 @@ _BENCHMARK = {
         "beta": 1.0,
     },
     "data": {"f": "gaussian:0,1.5", "g": "gaussian:1,2"},
-    "stepper": {"epsilon": 1e-7, "n_steps": 1024, "scheme": "etd_rk4"},
+    "stepper": {"epsilon": 1e-7, "n_steps": 1024},
     "estimates": {"energy": True, "smoothing": True, "bootstrap": True},
     "horizon": None,
     "seed": 0,
@@ -51,7 +51,7 @@ _FREE = {
     "weight": {"beta": 1.0, "mode": "truncated"},
     "coefficients": {"a": "1", "W": "0", "lambda": 1.0, "beta": 1.0},
     "data": {"f": "gaussian:0,1.5", "g": "gaussian:1,2"},
-    "stepper": {"epsilon": 1e-6, "n_steps": 512, "scheme": "etd_rk4"},
+    "stepper": {"epsilon": 1e-6, "n_steps": 512},
     "estimates": {"energy": True, "smoothing": True, "bootstrap": True},
     "horizon": None,
     "seed": 0,
@@ -62,7 +62,7 @@ _DECOUPLED = {
     "weight": {"beta": 1.0, "mode": "pure_exponential"},
     "coefficients": {"a": "1", "W": "0", "lambda": 1.0, "beta": 1.0},
     "data": {"f": "gaussian:0,1.5", "g": "gaussian:1,2"},
-    "stepper": {"epsilon": 1e-6, "n_steps": 512, "scheme": "etd_rk4"},
+    "stepper": {"epsilon": 1e-6, "n_steps": 512},
     "estimates": {"energy": True, "smoothing": True, "bootstrap": False},
     "horizon": 0.035,
     "seed": 0,

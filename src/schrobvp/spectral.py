@@ -33,18 +33,20 @@ import numpy as np
 
 from .errors import GridMismatchError, ResolvableRangeError, SingularOperatorError
 
+# Rows per block wherever a stack is transformed or coefficients are
+# evaluated in pieces: a few MiB per array at n = 2048, whatever the step count.
+CHUNK_ROWS = 256
+
 __all__ = [
     "Grid1D",
     "SpectralField",
     "SpaceTimeField",
     "Multiplier",
-    "apply_multiplier",
     "project",
     "hilbert",
     "fractional",
     "lp_block",
     "lp_norm",
-    "identity_multiplier",
     "derivative_multiplier",
     "projection_multiplier",
     "hilbert_multiplier",
@@ -217,15 +219,7 @@ class Multiplier:
         return f"Multiplier({self.label!r}, n={self.grid.n})"
 
 
-def apply_multiplier(f: SpectralField, m: Multiplier) -> SpectralField:
-    return m.apply(f)
-
-
 # --- symbol builders -------------------------------------------------------
-
-def identity_multiplier(grid: Grid1D) -> Multiplier:
-    return Multiplier(grid, np.ones(grid.n), "1")
-
 
 def derivative_multiplier(grid: Grid1D, order: int = 1) -> Multiplier:
     return Multiplier(grid, (1j * grid.xi) ** order, f"d/dx^{order}")
@@ -465,6 +459,22 @@ class SpaceTimeField:
 
     def sup_norm(self) -> float:
         return float(np.max(self.norm_series()))
+
+    def split_sides(self) -> tuple["SpaceTimeField", "SpaceTimeField"]:
+        """The P+ and P- parts of every slice, transformed CHUNK_ROWS slices at a time."""
+        plus = np.empty_like(self.values)
+        minus = np.empty_like(self.values)
+        sym_p = projection_multiplier(self.grid, "+").symbol
+        sym_m = projection_multiplier(self.grid, "-").symbol
+        for lo in range(0, len(self.times), CHUNK_ROWS):
+            rows = slice(lo, lo + CHUNK_ROWS)
+            hat = np.fft.fft(self.values[rows], axis=1)
+            plus[rows] = np.fft.ifft(sym_p * hat, axis=1)
+            minus[rows] = np.fft.ifft(sym_m * hat, axis=1)
+        return (
+            SpaceTimeField(self.grid, self.times, plus),
+            SpaceTimeField(self.grid, self.times, minus),
+        )
 
     def __repr__(self) -> str:
         return (

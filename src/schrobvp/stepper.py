@@ -11,17 +11,16 @@ the reversed variable s = horizon - t, which flips the sign of the
 dispersive, drift, and source terms while the viscosity stays
 dissipative.
 
-Default scheme: integrating-factor RK4.  The diagonal symbol
--eps xi^4 - i abar xi^2 (abar = spatial mean of a at the step midpoint)
-is integrated exactly; the remainder i d/dx((a - abar) dv/dx)
-- 2i a q dv/dx + F is treated explicitly with classical RK4 stages.  All
-coefficient products are 2/3-rule dealiased through the shared masked
-product primitive, so the stepper, the coupling source, and the residual
-monitor all realize the same discrete operator.
-
-An alternative `duhamel_picard` scheme iterates the integral form of the
-same regularized flow on short chunks; it exists for cross-validation at
-coarse tolerance, not production use.
+Scheme: integrating-factor (Lawson) RK4.  Over each step the diagonal
+symbol -eps xi^4 - i abar xi^2, with abar the spatial mean of a at the
+step midpoint, is integrated exactly; the remainder
+i d/dx((a(t_s) - abar) dv/dx) - 2i a(t_s) q dv/dx + F(t_s) is taken by the
+classical RK4 stages at their own times t_s.  Every stage splits off the
+same midpoint abar as the exponential, so the split is consistent and the
+scheme keeps fourth order for time-dependent a.  Coefficients come from
+one :class:`OperatorTable` of 2/3-rule masked rows, which the coupling
+source and the residual monitor read as well, so all three realize the
+same discrete operator.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ import numpy as np
 from .coefficients import CoefficientField
 from .errors import ConfigError, GridMismatchError, StabilityError
 from .spectral import (
+    CHUNK_ROWS,
     Grid1D,
     Multiplier,
     SpaceTimeField,
@@ -45,6 +45,7 @@ from .weights import WeightProfile
 __all__ = [
     "StepperConfig",
     "LinearProblem",
+    "OperatorTable",
     "EpsilonStudyReport",
     "heat_quartic",
     "solve_linear",
@@ -64,7 +65,7 @@ def heat_quartic(f: SpectralField, s: float) -> SpectralField:
 
 @dataclass
 class StepperConfig:
-    """Viscosity, step size, and scheme for one linear solve.
+    """Viscosity and step size for one linear solve.
 
     Exactly one of ``dt``/``n_steps`` may be given; with neither, the
     horizon is split into 2048 steps.  ``epsilon_schedule`` drives
@@ -74,14 +75,11 @@ class StepperConfig:
     epsilon: float = 1e-3
     dt: float | None = None
     n_steps: int | None = None
-    scheme: str = "etd_rk4"
     epsilon_schedule: tuple[float, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
         if self.epsilon < 0:
             raise ConfigError(f"viscosity must be >= 0, got {self.epsilon}")
-        if self.scheme not in ("etd_rk4", "duhamel_picard"):
-            raise ConfigError(f"unknown scheme {self.scheme!r}")
         if self.dt is not None and self.n_steps is not None:
             raise ConfigError("give either dt or n_steps, not both")
         if self.dt is not None and self.dt <= 0:
@@ -145,6 +143,83 @@ class LinearProblem:
         return self.datum.grid
 
 
+class OperatorTable:
+    """Masked coefficient rows of the discrete operator, built once per solve.
+
+    The operator is i d/dx(a d/dx) - 2i a q d/dx + Z, with q the weight's
+    log-derivative and Z = i((q^2 - q') a - q a_x) + iW the zeroth-order
+    lump.  The march, the coupling source and the residual monitor all read
+    their coefficients from here.  Row k of ``abar`` (spatial mean of a),
+    ``a`` and ``aq`` (masked a and a q, stored as float64: the 2/3 mask is
+    symmetric, so they are real up to round-off) belongs to ``nodes[k]``;
+    ``zeroth`` (masked Z) is kept at the integer nodes ``times`` only.
+    With ``half_steps`` the a rows also sit at every midpoint, the grid the
+    IF-RK4 stages read.  When neither a nor W depends on t, each array
+    holds one row that serves every node.
+    """
+
+    def __init__(
+        self,
+        coeffs: CoefficientField,
+        weight: WeightProfile,
+        times: np.ndarray,
+        half_steps: bool = False,
+    ) -> None:
+        grid = weight.grid
+        times = np.asarray(times, dtype=np.float64)
+        self.stride = 2 if half_steps else 1
+        self.nodes = np.linspace(times[0], times[-1], self.stride * (len(times) - 1) + 1)
+        self.constant = not coeffs.time_dependent
+        nodes = self.nodes[:1] if self.constant else self.nodes
+        s = self.stride
+        q, dq = weight.logderiv, weight.logderiv_derivs[0]
+        self.abar = np.empty(len(nodes))
+        self.a = np.empty((len(nodes), grid.n))
+        self.aq = np.empty((len(nodes), grid.n))
+        self.zeroth = np.empty(((len(nodes) - 1) // s + 1, grid.n), dtype=np.complex128)
+        # CHUNK_ROWS is even, so every block starts on an integer node
+        for lo in range(0, len(nodes), CHUNK_ROWS):
+            rows = slice(lo, lo + CHUNK_ROWS)
+            ts = nodes[rows, None]
+            a = coeffs.a_values(grid.x, ts)
+            self.abar[rows] = np.mean(a, axis=1)
+            self.a[rows] = masked_samples(grid, a).real
+            self.aq[rows] = masked_samples(grid, a * q).real
+            a, ts = a[::s], ts[::s]
+            ax = coeffs.a_x(grid.x, ts)
+            lump = 1j * ((q**2 - dq) * a - q * ax) + 1j * coeffs.w_values(grid.x, ts)
+            self.zeroth[lo // s : lo // s + len(ts)] = masked_samples(grid, lump)
+
+    def require(self, times: np.ndarray, half_steps: bool = False) -> None:
+        """Raise ConfigError unless the integer nodes are ``times`` (with midpoints if asked)."""
+        times = np.asarray(times, dtype=np.float64)
+        tol = 1e-12 * max(1.0, abs(times[-1]))
+        ok = (
+            (self.stride == 2 or not half_steps)
+            and len(self.nodes) == self.stride * (len(times) - 1) + 1
+            and np.allclose(self.nodes[:: self.stride], times, rtol=0.0, atol=tol)
+        )
+        if not ok:
+            what = "half-step grid" if half_steps else "time grid"
+            raise ConfigError(
+                f"operator table nodes are not the {what} of {len(times)} times "
+                f"on [{times[0]:g}, {times[-1]:g}]"
+            )
+
+    def at(self, k: int) -> tuple[float, np.ndarray, np.ndarray]:
+        """abar, masked a and masked a q at ``nodes[k]``."""
+        k = 0 if self.constant else k
+        return self.abar[k], self.a[k], self.aq[k]
+
+    def rows(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Masked a, a q and zeroth-order rows at integer nodes lo..hi-1."""
+        if self.constant:
+            return self.a, self.aq, self.zeroth
+        s = self.stride
+        ints = slice(s * lo, s * (hi - 1) + 1, s)
+        return self.a[ints], self.aq[ints], self.zeroth[lo:hi]
+
+
 class _SourceInterpolant:
     """Masked source coefficients, linearly interpolated in time."""
 
@@ -160,9 +235,9 @@ class _SourceInterpolant:
         self.hats = hats
         self.times = source.times
 
-    def at(self, t: float) -> np.ndarray | float:
+    def at(self, t: float) -> np.ndarray | None:
         if self.hats is None:
-            return 0.0
+            return None
         ts = self.times
         if t <= ts[0]:
             return self.hats[0]
@@ -173,67 +248,26 @@ class _SourceInterpolant:
         return (1.0 - w) * self.hats[j] + w * self.hats[j + 1]
 
 
-class _Operator:
-    """Dealiased evaluation of the non-diagonal remainder, in hat space."""
-
-    def __init__(self, p: LinearProblem, orientation: float) -> None:
-        self.grid = p.grid
-        self.coeffs = p.coeffs
-        self.logderiv = p.weight.logderiv
-        self.orientation = orientation  # +1 forward, -1 backward
-        self.zero_mean = p.zero_mean
-        self.ixi = 1j * p.grid.xi
-        self._cache_t = None
-        self._cache = None
-
-    def coefficients_at(self, t: float):
-        if self._cache_t is not None and abs(t - self._cache_t) < 1e-14:
-            return self._cache
-        a = self.coeffs.a_values(self.grid.x, t)
-        abar = float(np.mean(a))
-        a_dev = masked_samples(self.grid, a - abar)
-        drift = masked_samples(self.grid, a * self.logderiv)
-        self._cache_t = t
-        self._cache = (abar, a_dev, drift)
-        return self._cache
-
-    def remainder_hat(self, v_hat: np.ndarray, t: float, src_hat) -> np.ndarray:
-        """tau * [i d/dx((a-abar) v_x) - 2i a q v_x + F] as masked hat values."""
-        _, a_dev, drift = self.coefficients_at(t)
-        vx = np.fft.ifft(self.ixi * v_hat)
-        disp = 1j * self.ixi * coeff_product(self.grid, a_dev, vx)
-        drag = -2j * coeff_product(self.grid, drift, vx)
-        out = disp + drag
-        if src_hat is not None and not np.isscalar(src_hat):
-            out = out + src_hat
-        elif src_hat:
-            out = out + src_hat
-        if self.zero_mean:
-            out[0] = 0.0
-        return self.orientation * out
-
-
-def solve_linear(p: LinearProblem, cfg: StepperConfig) -> SpaceTimeField:
+def solve_linear(
+    p: LinearProblem, cfg: StepperConfig, table: OperatorTable | None = None
+) -> SpaceTimeField:
     """Integrate the sub-problem; returns slices on the ascending time grid.
 
     Backward problems are solved in reversed time and flipped back, so the
     returned field always has times[0] = 0, times[-1] = horizon, with the
-    datum reproduced at the appropriate end.
+    datum reproduced at the appropriate end.  ``table`` must be built with
+    ``half_steps`` on this march's time grid; without one it is built here.
     """
     cfg.check_stability(p.grid, p.horizon)
     n_steps = cfg.resolve_steps(p.horizon)
-    if cfg.scheme == "etd_rk4":
-        values = _march_etd_rk4(p, cfg, n_steps)
-    else:
-        values = _march_duhamel(p, cfg, n_steps)
     times = np.linspace(0.0, p.horizon, n_steps + 1)
+    if table is None:
+        table = OperatorTable(p.coeffs, p.weight, times, half_steps=True)
+    table.require(times, half_steps=True)
+    values = _march(p, cfg, n_steps, table)
     if p.direction == "backward":
         values = values[::-1]
     return SpaceTimeField(p.grid, times, values)
-
-
-def _physical_time(p: LinearProblem, sigma: float) -> float:
-    return sigma if p.direction == "forward" else p.horizon - sigma
 
 
 def _check_state(hat: np.ndarray, step: int, scale: float) -> None:
@@ -243,13 +277,30 @@ def _check_state(hat: np.ndarray, step: int, scale: float) -> None:
         raise StabilityError(f"state grew past {_BLOWUP_FACTOR:g} x datum at step {step}")
 
 
-def _march_etd_rk4(p: LinearProblem, cfg: StepperConfig, n_steps: int) -> np.ndarray:
+def _march(p: LinearProblem, cfg: StepperConfig, n_steps: int, table: OperatorTable) -> np.ndarray:
+    """Lawson RK4 in the march variable; half-step i reads table node i (mirrored backward)."""
     grid = p.grid
     orientation = 1.0 if p.direction == "forward" else -1.0
-    op = _Operator(p, orientation)
     src = _SourceInterpolant(p.source, grid, p.zero_mean)
     dt = p.horizon / n_steps
-    xi = grid.xi
+    ixi = 1j * grid.xi
+    visc = -cfg.epsilon * grid.xi**4
+
+    def node(i: int) -> int:
+        return i if p.direction == "forward" else 2 * n_steps - i
+
+    def remainder(v_hat: np.ndarray, i: int, abar: float) -> np.ndarray:
+        """tau * [i d/dx((a - abar) v_x) - 2i a q v_x + F] at half-step i, as masked hat values."""
+        k = node(i)
+        _, a, aq = table.at(k)
+        vx = np.fft.ifft(ixi * v_hat)
+        out = 1j * ixi * coeff_product(grid, a - abar, vx) - 2j * coeff_product(grid, aq, vx)
+        f = src.at(table.nodes[k])
+        if f is not None:
+            out += f
+        if p.zero_mean:
+            out[0] = 0.0
+        return orientation * out
 
     out = np.empty((n_steps + 1, grid.n), dtype=np.complex128)
     v_hat = np.where(grid.dealias_mask, p.datum.hat, 0.0)
@@ -261,96 +312,21 @@ def _march_etd_rk4(p: LinearProblem, cfg: StepperConfig, n_steps: int) -> np.nda
         scale = max(scale, float(np.max(np.abs(p.source.values))) * grid.n)
 
     for step in range(n_steps):
-        sigma = step * dt
-        t0 = _physical_time(p, sigma)
-        t_half = _physical_time(p, sigma + dt / 2)
-        t1 = _physical_time(p, sigma + dt)
-
-        abar = op.coefficients_at(t_half)[0]
-        ell = -cfg.epsilon * xi**4 - orientation * 1j * abar * xi**2
-        E = np.exp(0.5 * dt * ell)
+        i = 2 * step
+        # the exponential and every stage split off the same midpoint mean,
+        # which keeps the scheme fourth order for time-dependent a
+        abar = table.at(node(i + 1))[0]
+        E = np.exp(0.5 * dt * (visc - orientation * 1j * abar * grid.xi**2))
         E2 = E * E
 
-        f0 = src.at(t0)
-        f_half = src.at(t_half)
-        f1 = src.at(t1)
-
-        a1 = op.remainder_hat(v_hat, t0, f0)
-        ua = E * (v_hat + 0.5 * dt * a1)
-        a2 = op.remainder_hat(ua, t_half, f_half)
-        ub = E * v_hat + 0.5 * dt * a2
-        a3 = op.remainder_hat(ub, t_half, f_half)
-        uc = E2 * v_hat + dt * E * a3
-        a4 = op.remainder_hat(uc, t1, f1)
+        a1 = remainder(v_hat, i, abar)
+        a2 = remainder(E * (v_hat + 0.5 * dt * a1), i + 1, abar)
+        a3 = remainder(E * v_hat + 0.5 * dt * a2, i + 1, abar)
+        a4 = remainder(E2 * v_hat + dt * E * a3, i + 2, abar)
 
         v_hat = E2 * v_hat + (dt / 6.0) * (E2 * a1 + 2.0 * E * (a2 + a3) + a4)
         _check_state(v_hat, step + 1, scale)
         out[step + 1] = np.fft.ifft(v_hat)
-    return out
-
-
-def _march_duhamel(p: LinearProblem, cfg: StepperConfig, n_steps: int) -> np.ndarray:
-    """Chunked fixed-point iteration on the integral form of the same flow."""
-    grid = p.grid
-    orientation = 1.0 if p.direction == "forward" else -1.0
-    src = _SourceInterpolant(p.source, grid, p.zero_mean)
-    dt = p.horizon / n_steps
-    xi = grid.xi
-    q = np.exp(-cfg.epsilon * dt * xi**4)
-
-    # the full spatial operator (no abar split) evaluated with masked products
-    logderiv = p.weight.logderiv
-    ixi = 1j * xi
-
-    def full_hat(v_hat: np.ndarray, t: float) -> np.ndarray:
-        a = p.coeffs.a_values(grid.x, t)
-        a_m = masked_samples(grid, a)
-        drift_m = masked_samples(grid, a * logderiv)
-        vx = np.fft.ifft(ixi * v_hat)
-        out = 1j * ixi * coeff_product(grid, a_m, vx) - 2j * coeff_product(grid, drift_m, vx)
-        s = src.at(t)
-        if not np.isscalar(s):
-            out = out + s
-        if p.zero_mean:
-            out[0] = 0.0
-        return orientation * out
-
-    a_sup = float(np.max(np.abs(p.coeffs.a_values(grid.x, 0.0)))) + 1e-30
-    band_edge = grid.xi_max * 2.0 / 3.0
-    chunk = max(1, min(64, int(0.4 / (dt * band_edge**2 * a_sup))))
-
-    out = np.empty((n_steps + 1, grid.n), dtype=np.complex128)
-    v_hat = np.where(grid.dealias_mask, p.datum.hat, 0.0)
-    if p.zero_mean:
-        v_hat[0] = 0.0
-    out[0] = np.fft.ifft(v_hat)
-    scale = max(float(np.max(np.abs(v_hat))), 1e-30)
-
-    step = 0
-    while step < n_steps:
-        width = min(chunk, n_steps - step)
-        sigmas = (step + np.arange(width + 1)) * dt
-        t_phys = [_physical_time(p, s) for s in sigmas]
-        # initial guess: pure semigroup propagation of the chunk datum
-        states = [v_hat * q**j for j in range(width + 1)]
-        for iteration in range(60):
-            phis = [full_hat(states[j], t_phys[j]) for j in range(width + 1)]
-            worst = 0.0
-            integral = np.zeros(grid.n, dtype=np.complex128)
-            for j in range(1, width + 1):
-                integral = q * integral + 0.5 * dt * (q * phis[j - 1] + phis[j])
-                new = v_hat * q**j + integral
-                worst = max(worst, float(np.max(np.abs(new - states[j]))))
-                states[j] = new
-            if worst <= 1e-10 * scale:
-                break
-        else:
-            raise StabilityError(f"integral-form iteration stalled at step {step}")
-        for j in range(1, width + 1):
-            _check_state(states[j], step + j, scale)
-            out[step + j] = np.fft.ifft(states[j])
-        v_hat = states[width]
-        step += width
     return out
 
 
@@ -369,12 +345,12 @@ def epsilon_study(p: LinearProblem, cfg: StepperConfig) -> EpsilonStudyReport:
         raise ConfigError("viscosity schedule needs at least 3 entries")
     if any(e2 >= e1 for e1, e2 in zip(sched, sched[1:])) or any(e <= 0 for e in sched):
         raise ConfigError("viscosity schedule must be positive and strictly decreasing")
+    times = np.linspace(0.0, p.horizon, cfg.resolve_steps(p.horizon) + 1)
+    table = OperatorTable(p.coeffs, p.weight, times, half_steps=True)
     solutions = []
     for eps in sched:
-        sub = StepperConfig(
-            epsilon=eps, dt=cfg.dt, n_steps=cfg.n_steps, scheme=cfg.scheme
-        )
-        solutions.append(solve_linear(p, sub))
+        sub = StepperConfig(epsilon=eps, dt=cfg.dt, n_steps=cfg.n_steps)
+        solutions.append(solve_linear(p, sub, table))
     diffs = []
     for s1, s2 in zip(solutions, solutions[1:]):
         delta = s1.values - s2.values

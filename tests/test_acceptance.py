@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from schrobvp.coefficients import mizohata_index, norm_bundle, select_horizon
+from schrobvp.coefficients import mizohata_index
 from schrobvp.commutators import (
     CommutatorTrial,
     commutator_apply,
@@ -26,7 +26,7 @@ from schrobvp.estimates import (
     energy_monitor,
     weighted_smoothing_monitor,
 )
-from schrobvp.cli import build_scenario
+from schrobvp.cli import build_scenario, resolve_horizon
 from schrobvp.free_bvp import FreeBvpData, forward_growth_demo, solve_free, verify_free_estimate
 from schrobvp.picard import BvpProblem, assemble_solution, picard_solve
 from schrobvp.presets import load_preset, merge_scenario
@@ -51,29 +51,13 @@ def _line(num: int, name: str, ok: bool, detail: str = "") -> None:
     print(f"criterion {num:02d} {name}: {'PASS' if ok else 'FAIL'}{tail}", flush=True)
 
 
-def _split_sides(stf: SpaceTimeField) -> tuple[SpaceTimeField, SpaceTimeField]:
-    plus = np.empty_like(stf.values)
-    minus = np.empty_like(stf.values)
-    for i in range(len(stf.times)):
-        s = stf.slice(i)
-        plus[i] = project(s, "+").values
-        minus[i] = project(s, "-").values
-    return (
-        SpaceTimeField(stf.grid, stf.times, plus),
-        SpaceTimeField(stf.grid, stf.times, minus),
-    )
-
-
 def _run_benchmark(grid_n: int, horizon: float | None):
     raw = load_preset("benchmark")
     raw = merge_scenario(raw, {"grid": {"n": grid_n}})
     if horizon is not None:
         raw["horizon"] = horizon
     sc = build_scenario(raw)
-    if horizon is None:
-        probe = np.linspace(0.0, 0.25, 10001)
-        bundle = norm_bundle(sc.coeffs, sc.weight.sup_logderiv, probe, sc.grid)
-        horizon = select_horizon(bundle).horizon
+    horizon, _, _ = resolve_horizon(sc, None)
     problem = BvpProblem(
         f=sc.f, g=sc.g, coeffs=sc.coeffs, weight=sc.weight,
         horizon=horizon, stepper_cfg=sc.stepper,
@@ -379,7 +363,7 @@ def test_criterion_11_decay_persistence_and_smoothing(bench, bench_fine):
     decay_ok = bool(np.all(np.isfinite(asm.w_norms)) and np.max(jumps) <= 0.05)
 
     def implied_c(run):
-        w_plus, w_minus = _split_sides(run["asm"].w)
+        w_plus, w_minus = run["asm"].w.split_sides()
         rep = weighted_smoothing_monitor(
             w_plus, w_minus, run["sc"].coeffs, run["sc"].beta
         )

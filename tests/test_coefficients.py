@@ -63,7 +63,7 @@ class TestParsing:
 class TestNormBundle:
     def test_constant_coefficient_oracle(self):
         # a = 1, W = 0, beta = 1: K = beta^2 + 1 = 2, c = 1, triple norm = 1
-        c = CoefficientField("1", "0", t_max=1.0)
+        c = CoefficientField("1", "0")
         times = np.linspace(0.0, 1.0, 101)
         b = norm_bundle(c, 1.0, times, grid(256))
         assert np.allclose(b.coupling_rate, 2.0)
@@ -138,7 +138,6 @@ class TestHorizon:
         assert sel.horizon <= 0.0625
         assert sel.contraction_product <= 0.5
         assert sel.coupling_integral <= 0.125
-        assert not sel.growth_factor_leq_two_thirds
         assert sel.delta_data == 1.0
 
     def test_zero_coefficients_full_window(self):
