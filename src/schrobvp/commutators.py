@@ -28,7 +28,7 @@ removing the mean, and are asserted that way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -29,10 +29,10 @@ import numpy as np
 from .coefficients import CoefficientField, norm_bundle
 from .errors import ConfigError, ValidationError
 from .spectral import (
-    CHUNK_ROWS,
     Grid1D,
     SpaceTimeField,
     SpectralField,
+    chunk_rows,
     lp_norm,
 )
 from .weights import WeightProfile
@@ -90,8 +90,9 @@ def _half_derivative_rows(grid: Grid1D, values: np.ndarray) -> np.ndarray:
     """|xi|^{1/2} multiplier applied to a stack of slices."""
     mult = np.sqrt(np.abs(grid.xi))
     out = np.empty_like(values, dtype=complex)
-    for lo in range(0, values.shape[0], CHUNK_ROWS):
-        rows = slice(lo, lo + CHUNK_ROWS)
+    step = chunk_rows(grid.n)
+    for lo in range(0, values.shape[0], step):
+        rows = slice(lo, lo + step)
         out[rows] = np.fft.ifft(mult * np.fft.fft(values[rows], axis=-1), axis=-1)
     return out
 
@@ -104,8 +105,9 @@ def _weighted_halfderiv_integral(
     """Trapezoid in t of int a(x,t) * factor(x) * |D^{1/2}v|^2 dx."""
     grid = v.grid
     per_slice = np.empty(len(v.times))
-    for lo in range(0, len(v.times), CHUNK_ROWS):
-        rows = slice(lo, lo + CHUNK_ROWS)
+    step = chunk_rows(grid.n)
+    for lo in range(0, len(v.times), step):
+        rows = slice(lo, lo + step)
         half = _half_derivative_rows(grid, v.values[rows])
         aval = coeffs.a_values(grid.x, v.times[rows, None])
         per_slice[rows] = grid.dx * np.sum(aval * spatial_factor * np.abs(half) ** 2, axis=1)

@@ -18,6 +18,14 @@ content): the half-line projections resolve the identity only there, so
 data, coupling outputs, and the evolution itself are kept in that class.
 The assembled sum then satisfies the projected equation exactly at the
 fixed point, which is what `pde_residual` measures.
+
+One sweep is one batched computation.  `coupling_stacks` evaluates the P+
+branch of the coupling source only and takes lambda- = (Z v)_paired -
+lambda+: on that class P+ + P- = I, and on dealiased input the commutator
+terms of the two signs cancel except at the zero mode.  The sources stay
+Fourier coefficients, written straight into one march-ordered (2, N+1, n)
+buffer, and reach the stepper as hat-backed fields; both carriers are then
+marched together through `solve_linear(..., partner=...)`.
 """
 
 from __future__ import annotations
@@ -37,10 +45,10 @@ from .errors import (
     ValidationError,
 )
 from .spectral import (
-    CHUNK_ROWS,
     Grid1D,
     SpaceTimeField,
     SpectralField,
+    chunk_rows,
     coeff_product,
     dealias_hat,
     projection_multiplier,
@@ -164,29 +172,47 @@ def _lambda_rows(
     am: np.ndarray,
     aqm: np.ndarray,
     zwm: np.ndarray,
-):
-    """Coupling source rows for both signs from the summed field rows and
-    the matching operator-table rows."""
+    out_p: np.ndarray,
+    out_m: np.ndarray,
+) -> None:
+    """Coupling-source hats of both signs for the summed field rows and the
+    matching operator-table rows, written to ``out_p`` and ``out_m``.
+
+    Only the P+ branch is evaluated: lambda- = (Z v)_paired - lambda+.  On
+    dealiased input v_hat has no Nyquist mode and v_x no mean mode, so the
+    commutator terms of the two signs cancel except at k = 0, which the
+    paired-mode class zeroes anyway.
+    """
     ixi = 1j * grid.xi
-    v_hat = dealias_hat(grid, np.fft.fft(v_sum, axis=-1))
-    hv_hat = ixi * v_hat
-    hv = np.fft.ifft(hv_hat, axis=-1)
-    v_band = np.fft.ifft(v_hat, axis=-1)
-
-    zw_v = coeff_product(grid, zwm, v_band)   # zeroth-order and potential terms
-    a_hv = coeff_product(grid, am, hv)        # a * v_x
-    q_hv = coeff_product(grid, aqm, hv)       # a q * v_x
-
-    out = {}
-    for sign in ("+", "-"):
-        sym = projection_multiplier(grid, sign).symbol
-        proj_hv = np.fft.ifft(sym * hv_hat, axis=-1)
-        comm_a = sym * a_hv - coeff_product(grid, am, proj_hv)
-        comm_q = sym * q_hv - coeff_product(grid, aqm, proj_hv)
-        lam = sym * zw_v + 1j * ixi * comm_a - 2j * comm_q
-        lam[..., 0] = 0.0  # paired-mode class
-        out[sign] = np.fft.ifft(lam, axis=-1)
-    return out["+"], out["-"]
+    mask = grid.dealias_mask.astype(np.float64)
+    sym = projection_multiplier(grid, "+").symbol.real * mask
+    fields = np.empty((3,) + v_sum.shape, dtype=np.complex128)
+    np.multiply(np.fft.fft(v_sum, axis=-1), mask, out=fields[0])   # v_hat, dealiased
+    np.multiply(ixi, fields[0], out=fields[1])                     # v_x
+    np.multiply(sym, fields[1], out=fields[2])                     # (P+ v)_x
+    v_band, hv, proj_hv = np.fft.ifft(fields, axis=-1)
+    products = np.empty((5,) + v_sum.shape, dtype=np.complex128)
+    np.multiply(zwm, v_band, out=products[0])     # zeroth-order and potential terms
+    np.multiply(am, hv, out=products[1])          # a * v_x
+    np.multiply(aqm, hv, out=products[2])         # a q * v_x
+    np.multiply(am, proj_hv, out=products[3])     # a * (P+ v)_x
+    np.multiply(aqm, proj_hv, out=products[4])    # a q * (P+ v)_x
+    zw_v, a_hv, q_hv, a_phv, q_phv = np.fft.fft(products, axis=-1)
+    # lambda+ = P+(Z v + i d/dx(a v_x) - 2i a q v_x) - i d/dx(a (P+ v)_x) + 2i a q (P+ v)_x,
+    # with the 2/3 mask of every product folded into sym and mask
+    dxx = 1j * ixi
+    full = dxx * a_hv
+    full -= 2j * q_hv
+    full += zw_v
+    full *= sym
+    half = dxx * a_phv
+    half -= 2j * q_phv
+    half *= mask
+    np.subtract(full, half, out=out_p)
+    out_p[..., 0] = 0.0  # paired-mode class
+    zw_v *= mask
+    zw_v[..., 0] = 0.0
+    np.subtract(zw_v, out_p, out=out_m)
 
 
 def coupling_lambda(
@@ -202,8 +228,9 @@ def coupling_lambda(
     grid = v_plus.grid
     v_sum = (v_plus.values + v_minus.values)[None, :]
     table = OperatorTable(coeffs, weight, np.array([t]))
-    lp, lm = _lambda_rows(grid, v_sum, *table.rows(0, 1))
-    return SpectralField(grid, lp[0]), SpectralField(grid, lm[0])
+    hats = np.empty((2, 1, grid.n), dtype=np.complex128)
+    _lambda_rows(grid, v_sum, *table.rows(0, 1), hats[0], hats[1])
+    return SpectralField.from_hat(grid, hats[0, 0]), SpectralField.from_hat(grid, hats[1, 0])
 
 
 def coupling_stacks(
@@ -213,29 +240,34 @@ def coupling_stacks(
     weight: WeightProfile,
     table: OperatorTable | None = None,
 ) -> tuple[SpaceTimeField, SpaceTimeField]:
-    """Both coupling-source stacks evaluated on the carriers' time grid.
+    """Both coupling-source stacks on the carriers' time grid, as hat-backed fields.
 
-    ``table`` must have the carriers' times as its integer nodes; without
-    one, a table over those times is built here.
+    The hats live in one (2, slices, n) buffer in march order: row 0 is
+    lambda- on ascending times (the forward carrier's source), row 1 is
+    lambda+ on descending times (the backward carrier's).  ``table`` must
+    have the carriers' times as its integer nodes; without one, a table
+    over those times is built here.
     """
     grid = vp.grid
     times = vp.times
     if table is None:
         table = OperatorTable(coeffs, weight, times)
     table.require(times)
-    out_p = np.empty_like(vp.values)
-    out_m = np.empty_like(vm.values)
-    for lo in range(0, len(times), CHUNK_ROWS):
-        hi = min(lo + CHUNK_ROWS, len(times))
+    hats = np.empty((2, len(times), grid.n), dtype=np.complex128)
+    lam_m, lam_p = hats[0], hats[1, ::-1]
+    step = chunk_rows(grid.n)
+    for lo in range(0, len(times), step):
+        hi = min(lo + step, len(times))
         v_sum = vp.values[lo:hi] + vm.values[lo:hi]
-        out_p[lo:hi], out_m[lo:hi] = _lambda_rows(grid, v_sum, *table.rows(lo, hi))
-    return SpaceTimeField(grid, times, out_p), SpaceTimeField(grid, times, out_m)
+        _lambda_rows(grid, v_sum, *table.rows(lo, hi), lam_p[lo:hi], lam_m[lo:hi])
+    return SpaceTimeField(grid, times, hats=lam_p), SpaceTimeField(grid, times, hats=lam_m)
 
 
 def _sup_l2_diff(a: SpaceTimeField, b: SpaceTimeField) -> float:
     worst = 0.0
-    for lo in range(0, len(a.times), CHUNK_ROWS):
-        rows = slice(lo, lo + CHUNK_ROWS)
+    step = chunk_rows(a.grid.n)
+    for lo in range(0, len(a.times), step):
+        rows = slice(lo, lo + step)
         d = a.values[rows] - b.values[rows]
         worst = max(worst, float(np.max(np.sqrt(a.grid.dx * np.sum(np.abs(d) ** 2, axis=1)))))
     return worst
@@ -245,11 +277,12 @@ def _leakage(vp: SpaceTimeField, vm: SpaceTimeField) -> float:
     """sup_t of the wrong-side mass: P- on the plus carrier, P+ on the minus."""
     grid = vp.grid
     total = 0.0
+    step = chunk_rows(grid.n)
     for stack, wrong in ((vp, "-"), (vm, "+")):
         sym = projection_multiplier(grid, wrong).symbol
         worst = 0.0
-        for lo in range(0, len(stack.times), CHUNK_ROWS):
-            rows = slice(lo, lo + CHUNK_ROWS)
+        for lo in range(0, len(stack.times), step):
+            rows = slice(lo, lo + step)
             hat = np.fft.fft(stack.values[rows], axis=1)
             mass = np.sqrt(grid.dx / grid.n * np.sum(np.abs(sym * hat) ** 2, axis=1))
             worst = max(worst, float(np.max(mass)))
@@ -346,8 +379,7 @@ def picard_solve(
             horizon=p.horizon,
             zero_mean=True,
         )
-        new_vm = solve_linear(prob_m, p.stepper_cfg, table)
-        new_vp = solve_linear(prob_p, p.stepper_cfg, table)
+        new_vm, new_vp = solve_linear(prob_m, p.stepper_cfg, table, partner=prob_p)
         if solve_hook is not None:
             solve_hook("-", prob_m, new_vm)
             solve_hook("+", prob_p, new_vp)
@@ -481,8 +513,9 @@ def pde_residual(
     ixi = 1j * grid.xi
     jm2 = 1.0 / (1.0 + grid.xi**2)
     norms = np.empty(len(v.times) - 2)
-    for lo in range(1, len(v.times) - 1, CHUNK_ROWS):
-        hi = min(lo + CHUNK_ROWS, len(v.times) - 1)
+    step = chunk_rows(grid.n)
+    for lo in range(1, len(v.times) - 1, step):
+        hi = min(lo + step, len(v.times) - 1)
         rows = slice(lo, hi)
         am, aqm, zwm = table.rows(lo, hi)
         v_hat = dealias_hat(grid, np.fft.fft(v.values[rows], axis=1))

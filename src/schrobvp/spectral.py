@@ -27,15 +27,24 @@ multiplication and the product spectrum is masked again afterwards.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Literal
+from typing import Literal
 
 import numpy as np
 
 from .errors import GridMismatchError, ResolvableRangeError, SingularOperatorError
 
-# Rows per block wherever a stack is transformed or coefficients are
-# evaluated in pieces: a few MiB per array at n = 2048, whatever the step count.
-CHUNK_ROWS = 256
+# Bytes of one complex block wherever a stack is transformed or coefficients
+# are evaluated in pieces: small enough to stay in cache, whatever the step count.
+CHUNK_BYTES = 1 << 20
+
+
+def chunk_rows(n: int) -> int:
+    """Even number of length-``n`` complex rows that fills one CHUNK_BYTES block.
+
+    32 rows at n = 2048.  The count is even so that blocks over a half-step
+    time grid start on integer nodes.
+    """
+    return max(2, CHUNK_BYTES // (16 * n) // 2 * 2)
 
 __all__ = [
     "Grid1D",
@@ -427,48 +436,104 @@ def coeff_product(grid: Grid1D, masked_coeff: np.ndarray, field_values: np.ndarr
 # --- space-time stacks ------------------------------------------------------
 
 class SpaceTimeField:
-    """A field sampled on a uniform time grid: values[i] is the slice at times[i]."""
+    """A field sampled on a uniform time grid: slice i lives at times[i].
 
-    __slots__ = ("grid", "times", "values")
+    Backed by physical ``values`` or by Fourier coefficients ``hats`` (one
+    row per slice); the other form is computed on first use, chunk by
+    chunk, and cached, the way :class:`SpectralField` caches ``hat``.
+    Norms of a field that has only hats come from Parseval, so they never
+    build the physical stack.
+    """
 
-    def __init__(self, grid: Grid1D, times: np.ndarray, values: np.ndarray) -> None:
+    __slots__ = ("grid", "times", "_values", "_hats")
+
+    def __init__(
+        self,
+        grid: Grid1D,
+        times: np.ndarray,
+        values: np.ndarray | None = None,
+        *,
+        hats: np.ndarray | None = None,
+    ) -> None:
         times = np.asarray(times, dtype=np.float64)
-        values = np.asarray(values, dtype=np.complex128)
         if times.ndim != 1 or len(times) < 2:
             raise ValueError("need at least two time nodes")
         steps = np.diff(times)
         if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-14):
             raise ValueError("time nodes must be uniformly spaced and increasing")
-        if values.shape != (len(times), grid.n):
-            raise GridMismatchError(
-                f"expected slice stack of shape {(len(times), grid.n)}, got {values.shape}"
-            )
+        if values is None and hats is None:
+            raise ValueError("give values or hats")
+        stacks = []
+        for stack in (values, hats):
+            if stack is not None:
+                stack = np.asarray(stack, dtype=np.complex128)
+                if stack.shape != (len(times), grid.n):
+                    raise GridMismatchError(
+                        f"expected slice stack of shape {(len(times), grid.n)}, got {stack.shape}"
+                    )
+            stacks.append(stack)
         self.grid = grid
         self.times = times
-        self.values = values
+        self._values, self._hats = stacks
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values = _transform_rows(np.fft.ifft, self._hats)
+        return self._values
+
+    @property
+    def hats(self) -> np.ndarray:
+        if self._hats is None:
+            self._hats = _transform_rows(np.fft.fft, self._values)
+        return self._hats
 
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
     def slice(self, i: int) -> SpectralField:
-        return SpectralField(self.grid, self.values[i])
+        hat = None if self._hats is None else self._hats[i]
+        if self._values is None:
+            return SpectralField.from_hat(self.grid, hat)
+        return SpectralField(self.grid, self._values[i], hat=hat)
 
     def norm_series(self) -> np.ndarray:
-        return np.sqrt(self.grid.dx * np.sum(np.abs(self.values) ** 2, axis=1))
+        """Quadrature L^2 norm of every slice (by Parseval when only hats exist)."""
+        grid = self.grid
+        if self._values is None:
+            stack, weight = self._hats, grid.dx / grid.n
+        else:
+            stack, weight = self._values, grid.dx
+        out = np.empty(len(self.times))
+        step = chunk_rows(grid.n)
+        for lo in range(0, len(self.times), step):
+            rows = slice(lo, lo + step)
+            out[rows] = np.sqrt(weight * np.sum(np.abs(stack[rows]) ** 2, axis=1))
+        return out
 
     def sup_norm(self) -> float:
         return float(np.max(self.norm_series()))
 
     def split_sides(self) -> tuple["SpaceTimeField", "SpaceTimeField"]:
-        """The P+ and P- parts of every slice, transformed CHUNK_ROWS slices at a time."""
-        plus = np.empty_like(self.values)
-        minus = np.empty_like(self.values)
+        """The P+ and P- parts of every slice.
+
+        A hat-backed field splits by masking its hats; a value-backed one
+        is transformed chunk by chunk and gives value-backed parts.
+        """
         sym_p = projection_multiplier(self.grid, "+").symbol
         sym_m = projection_multiplier(self.grid, "-").symbol
-        for lo in range(0, len(self.times), CHUNK_ROWS):
-            rows = slice(lo, lo + CHUNK_ROWS)
-            hat = np.fft.fft(self.values[rows], axis=1)
+        if self._hats is not None:
+            return (
+                SpaceTimeField(self.grid, self.times, hats=sym_p * self._hats),
+                SpaceTimeField(self.grid, self.times, hats=sym_m * self._hats),
+            )
+        plus = np.empty_like(self._values)
+        minus = np.empty_like(self._values)
+        step = chunk_rows(self.grid.n)
+        for lo in range(0, len(self.times), step):
+            rows = slice(lo, lo + step)
+            hat = np.fft.fft(self._values[rows], axis=1)
             plus[rows] = np.fft.ifft(sym_p * hat, axis=1)
             minus[rows] = np.fft.ifft(sym_m * hat, axis=1)
         return (
@@ -481,6 +546,15 @@ class SpaceTimeField:
             f"SpaceTimeField(n={self.grid.n}, slices={len(self.times)}, "
             f"t in [{self.times[0]:g}, {self.times[-1]:g}])"
         )
+
+
+def _transform_rows(transform, stack: np.ndarray) -> np.ndarray:
+    """``transform`` along the last axis of a (slices, n) stack, one block at a time."""
+    out = np.empty_like(stack)
+    step = chunk_rows(stack.shape[-1])
+    for lo in range(0, len(stack), step):
+        out[lo : lo + step] = transform(stack[lo : lo + step], axis=-1)
+    return out
 
 
 # --- diagnostics and data helpers -----------------------------------------

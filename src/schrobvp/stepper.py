@@ -21,6 +21,18 @@ scheme keeps fourth order for time-dependent a.  Coefficients come from
 one :class:`OperatorTable` of 2/3-rule masked rows, which the coupling
 source and the residual monitor read as well, so all three realize the
 same discrete operator.
+
+Batched march: :func:`solve_linear` advances a stacked (rows, n) state of
+Fourier coefficients, one row per sub-problem; a ``partner`` problem (the
+coupled solver passes the backward carrier next to the forward one) rides
+in the same state, its row reading the mirrored table node 2N - i.  Each
+RK stage makes one batched ifft of v_x and one batched fft of the stacked
+products [(a - abar) v_x, a q v_x]; the step hats go straight into the
+output buffer, which one chunked ifft turns into physical slices at the
+end.  Sources are read as hats (a hat-backed :class:`SpaceTimeField` needs
+no transform), masked row by row, with the midpoint row formed once per
+step.  Every row is checked for blow-up after every step against its own
+datum and source coefficient scale.
 """
 
 from __future__ import annotations
@@ -32,12 +44,11 @@ import numpy as np
 from .coefficients import CoefficientField
 from .errors import ConfigError, GridMismatchError, StabilityError
 from .spectral import (
-    CHUNK_ROWS,
     Grid1D,
     Multiplier,
     SpaceTimeField,
     SpectralField,
-    coeff_product,
+    chunk_rows,
     masked_samples,
 )
 from .weights import WeightProfile
@@ -177,9 +188,10 @@ class OperatorTable:
         self.a = np.empty((len(nodes), grid.n))
         self.aq = np.empty((len(nodes), grid.n))
         self.zeroth = np.empty(((len(nodes) - 1) // s + 1, grid.n), dtype=np.complex128)
-        # CHUNK_ROWS is even, so every block starts on an integer node
-        for lo in range(0, len(nodes), CHUNK_ROWS):
-            rows = slice(lo, lo + CHUNK_ROWS)
+        # the block row count is even, so every block starts on an integer node
+        step = chunk_rows(grid.n)
+        for lo in range(0, len(nodes), step):
+            rows = slice(lo, lo + step)
             ts = nodes[rows, None]
             a = coeffs.a_values(grid.x, ts)
             self.abar[rows] = np.mean(a, axis=1)
@@ -206,9 +218,9 @@ class OperatorTable:
                 f"on [{times[0]:g}, {times[-1]:g}]"
             )
 
-    def at(self, k: int) -> tuple[float, np.ndarray, np.ndarray]:
-        """abar, masked a and masked a q at ``nodes[k]``."""
-        k = 0 if self.constant else k
+    def at(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """abar, masked a and masked a q at the nodes ``k`` (an index array)."""
+        k = np.zeros_like(k) if self.constant else k
         return self.abar[k], self.a[k], self.aq[k]
 
     def rows(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -220,113 +232,198 @@ class OperatorTable:
         return self.a[ints], self.aq[ints], self.zeroth[lo:hi]
 
 
-class _SourceInterpolant:
-    """Masked source coefficients, linearly interpolated in time."""
-
-    def __init__(self, source: SpaceTimeField | None, grid: Grid1D, zero_mean: bool = False) -> None:
-        self.grid = grid
-        if source is None:
-            self.hats = None
-            return
-        hats = np.fft.fft(source.values, axis=1)
-        hats[:, ~grid.dealias_mask] = 0.0
-        if zero_mean:
-            hats[:, 0] = 0.0
-        self.hats = hats
-        self.times = source.times
-
-    def at(self, t: float) -> np.ndarray | None:
-        if self.hats is None:
-            return None
-        ts = self.times
-        if t <= ts[0]:
-            return self.hats[0]
-        if t >= ts[-1]:
-            return self.hats[-1]
-        j = int(np.searchsorted(ts, t) - 1)
-        w = (t - ts[j]) / (ts[j + 1] - ts[j])
-        return (1.0 - w) * self.hats[j] + w * self.hats[j + 1]
-
-
 def solve_linear(
-    p: LinearProblem, cfg: StepperConfig, table: OperatorTable | None = None
-) -> SpaceTimeField:
+    p: LinearProblem,
+    cfg: StepperConfig,
+    table: OperatorTable | None = None,
+    *,
+    partner: LinearProblem | None = None,
+) -> SpaceTimeField | tuple[SpaceTimeField, SpaceTimeField]:
     """Integrate the sub-problem; returns slices on the ascending time grid.
 
     Backward problems are solved in reversed time and flipped back, so the
     returned field always has times[0] = 0, times[-1] = horizon, with the
     datum reproduced at the appropriate end.  ``table`` must be built with
     ``half_steps`` on this march's time grid; without one it is built here.
+
+    ``partner``, a second sub-problem on the same grid, horizon,
+    coefficients and weight (either direction), is marched in the same
+    batched state; the pair (field of ``p``, field of ``partner``) is then
+    returned.  Each row equals its own one-row solve up to round-off.
     """
+    problems = [p] if partner is None else [p, partner]
+    if partner is not None and not (
+        partner.grid == p.grid
+        and partner.horizon == p.horizon
+        and partner.coeffs is p.coeffs
+        and partner.weight is p.weight
+    ):
+        raise ConfigError("a partner sub-problem must share grid, horizon, coefficients and weight")
     cfg.check_stability(p.grid, p.horizon)
     n_steps = cfg.resolve_steps(p.horizon)
     times = np.linspace(0.0, p.horizon, n_steps + 1)
     if table is None:
         table = OperatorTable(p.coeffs, p.weight, times, half_steps=True)
     table.require(times, half_steps=True)
-    values = _march(p, cfg, n_steps, table)
-    if p.direction == "backward":
-        values = values[::-1]
-    return SpaceTimeField(p.grid, times, values)
+    values = _march(problems, cfg, n_steps, table)
+    fields = tuple(
+        SpaceTimeField(p.grid, times, rows if q.direction == "forward" else rows[::-1])
+        for q, rows in zip(problems, values)
+    )
+    return fields[0] if partner is None else fields
 
 
-def _check_state(hat: np.ndarray, step: int, scale: float) -> None:
-    if not np.all(np.isfinite(hat)):
+def _check_state(hat: np.ndarray, step: int, scale: np.ndarray) -> None:
+    """Every row finite and below the blow-up cap of its own datum/source scale."""
+    peak = np.max(np.abs(hat), axis=-1)   # NaN and inf propagate into the peak
+    if not np.all(np.isfinite(peak)):
         raise StabilityError(f"non-finite state at step {step}")
-    if np.max(np.abs(hat)) > _BLOWUP_FACTOR * scale:
+    if np.any(peak > _BLOWUP_FACTOR * scale):
         raise StabilityError(f"state grew past {_BLOWUP_FACTOR:g} x datum at step {step}")
 
 
-def _march(p: LinearProblem, cfg: StepperConfig, n_steps: int, table: OperatorTable) -> np.ndarray:
-    """Lawson RK4 in the march variable; half-step i reads table node i (mirrored backward)."""
-    grid = p.grid
-    orientation = 1.0 if p.direction == "forward" else -1.0
-    src = _SourceInterpolant(p.source, grid, p.zero_mean)
-    dt = p.horizon / n_steps
+class _SourceRows:
+    """Masked, oriented source hats of every row at the march's half-step nodes.
+
+    A source on its own uniform time grid is interpolated linearly in time;
+    on the march's own grid that reads integer nodes exactly and averages
+    neighbours at the midpoints.  Row r of the result already carries the
+    row's 2/3 mask, zero-mean cut and orientation.
+    """
+
+    def __init__(self, problems, node_times: np.ndarray, factor: np.ndarray) -> None:
+        self.factor = factor
+        self.plans = []
+        for q, t in zip(problems, node_times):
+            if q.source is None:
+                self.plans.append(None)
+                continue
+            ts = q.source.times
+            u = np.interp(t, ts, np.arange(len(ts), dtype=np.float64))
+            snap = np.rint(u)
+            u = np.where(np.abs(u - snap) < 1e-9, snap, u)
+            j = np.minimum(np.floor(u).astype(np.int64), len(ts) - 2)
+            self.plans.append((q.source.hats, j, u - j))
+        self.active = any(plan is not None for plan in self.plans)
+
+    def scale(self) -> np.ndarray:
+        """Per row, the largest source coefficient (0 without a source)."""
+        out = np.zeros(len(self.plans))
+        for r, plan in enumerate(self.plans):
+            if plan is not None:
+                hats = plan[0]
+                step = chunk_rows(hats.shape[-1])
+                out[r] = max(np.max(np.abs(hats[lo : lo + step])) for lo in range(0, len(hats), step))
+        return out
+
+    def at(self, i: int) -> np.ndarray | None:
+        if not self.active:
+            return None
+        out = np.zeros(self.factor.shape, dtype=np.complex128)
+        for r, plan in enumerate(self.plans):
+            if plan is not None:
+                hats, j, w = plan[0], plan[1][i], plan[2][i]
+                out[r] = hats[j] if w == 0.0 else (1.0 - w) * hats[j] + w * hats[j + 1]
+        out *= self.factor
+        return out
+
+
+def _march(
+    problems: list[LinearProblem], cfg: StepperConfig, n_steps: int, table: OperatorTable
+) -> np.ndarray:
+    """Lawson RK4 on a (rows, n) hat-space state, one row per sub-problem.
+
+    Half-step i of a forward row reads table node i, of a backward row the
+    mirrored node 2 n_steps - i.  Each RK stage costs one batched ifft of
+    v_x and one batched fft of the stacked products [(a - abar) v_x, a q v_x].
+    Returns the (rows, n_steps + 1, n) physical slices in march order.
+    """
+    grid = problems[0].grid
+    n = grid.n
+    rows = len(problems)
+    dt = problems[0].horizon / n_steps
+    forward = np.array([q.direction == "forward" for q in problems])
+    orientation = np.where(forward, 1.0, -1.0)[:, None]
+    first = np.where(forward, 0, 2 * n_steps)
+    stride = np.where(forward, 1, -1)
+    stage_offsets = np.arange(3)[:, None]
+
     ixi = 1j * grid.xi
-    visc = -cfg.epsilon * grid.xi**4
+    keep = np.tile(grid.dealias_mask.astype(np.float64), (rows, 1))
+    keep[[q.zero_mean for q in problems], 0] = 0.0
+    # the 2/3 mask, the zero-mean cut and the orientation fold into the
+    # factors that multiply the product hats
+    div_factor = 1j * ixi * keep * orientation
+    drift_factor = -2j * keep * orientation
+    node_times = table.nodes[first[:, None] + stride[:, None] * np.arange(2 * n_steps + 1)]
+    sources = _SourceRows(problems, node_times, keep * orientation)
+    products = np.empty((2, rows, n), dtype=np.complex128)
 
-    def node(i: int) -> int:
-        return i if p.direction == "forward" else 2 * n_steps - i
+    # The state is zero outside the 2/3 band, so E is needed only there; it
+    # is even in xi, so it is evaluated on the non-negative band and mirrored
+    # (slot kmax + 1 stays zero for the dropped modes).
+    kmax = int(np.max(grid.k_index[grid.dealias_mask]))
+    xi2 = grid.xi[: kmax + 1] ** 2
+    visc = -cfg.epsilon * grid.xi[: kmax + 1] ** 4
+    mirror = np.minimum(np.abs(grid.k_index), kmax + 1)
+    band = np.zeros((rows, kmax + 2), dtype=np.complex128)
 
-    def remainder(v_hat: np.ndarray, i: int, abar: float) -> np.ndarray:
-        """tau * [i d/dx((a - abar) v_x) - 2i a q v_x + F] at half-step i, as masked hat values."""
-        k = node(i)
-        _, a, aq = table.at(k)
-        vx = np.fft.ifft(ixi * v_hat)
-        out = 1j * ixi * coeff_product(grid, a - abar, vx) - 2j * coeff_product(grid, aq, vx)
-        f = src.at(table.nodes[k])
+    def exponential(abar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        band[:, : kmax + 1] = np.exp(0.5 * dt * (visc - orientation * 1j * abar[:, None] * xi2))
+        E = np.take(band, mirror, axis=1)
+        return E, E * E
+
+    def remainder(v_hat: np.ndarray, a_rel: np.ndarray, aq: np.ndarray, f: np.ndarray | None) -> np.ndarray:
+        """tau * [i d/dx((a - abar) v_x) - 2i a q v_x + F] of every row, as masked hats."""
+        vx = np.fft.ifft(ixi * v_hat, axis=-1)
+        np.multiply(a_rel, vx, out=products[0])
+        np.multiply(aq, vx, out=products[1])
+        prod_hat = np.fft.fft(products, axis=-1)
+        out = div_factor * prod_hat[0] + drift_factor * prod_hat[1]
         if f is not None:
             out += f
-        if p.zero_mean:
-            out[0] = 0.0
-        return orientation * out
+        return out
 
-    out = np.empty((n_steps + 1, grid.n), dtype=np.complex128)
-    v_hat = np.where(grid.dealias_mask, p.datum.hat, 0.0)
-    if p.zero_mean:
-        v_hat[0] = 0.0
-    out[0] = np.fft.ifft(v_hat)
-    scale = max(float(np.max(np.abs(v_hat))), 1e-30)
-    if p.source is not None:
-        scale = max(scale, float(np.max(np.abs(p.source.values))) * grid.n)
+    out = np.empty((rows, n_steps + 1, n), dtype=np.complex128)
+    v_hat = np.stack([q.datum.hat for q in problems]) * keep
+    out[:, 0] = v_hat
+    scale = np.maximum(np.maximum(np.max(np.abs(v_hat), axis=1), sources.scale()), 1e-30)
 
+    if table.constant:
+        abar, a, aq = table.at(first)
+        E, E2 = exponential(abar)
+        a = a - abar[:, None]
+        a0 = a1 = a2 = a
+        aq0 = aq1 = aq2 = aq
+    f0 = sources.at(0)
     for step in range(n_steps):
         i = 2 * step
-        # the exponential and every stage split off the same midpoint mean,
-        # which keeps the scheme fourth order for time-dependent a
-        abar = table.at(node(i + 1))[0]
-        E = np.exp(0.5 * dt * (visc - orientation * 1j * abar * grid.xi**2))
-        E2 = E * E
+        f1 = sources.at(i + 1)
+        f2 = sources.at(i + 2)
+        if not table.constant:
+            # the exponential and every stage split off the same midpoint
+            # mean, which keeps the scheme fourth order for time-dependent a
+            abar3, a, aq = table.at(first + stride * (i + stage_offsets))
+            abar = abar3[1]
+            E, E2 = exponential(abar)
+            a0, a1, a2 = a - abar[:, None]
+            aq0, aq1, aq2 = aq
 
-        a1 = remainder(v_hat, i, abar)
-        a2 = remainder(E * (v_hat + 0.5 * dt * a1), i + 1, abar)
-        a3 = remainder(E * v_hat + 0.5 * dt * a2, i + 1, abar)
-        a4 = remainder(E2 * v_hat + dt * E * a3, i + 2, abar)
+        Ev, E2v = E * v_hat, E2 * v_hat
+        k1 = remainder(v_hat, a0, aq0, f0)
+        k2 = remainder(Ev + (0.5 * dt) * (E * k1), a1, aq1, f1)
+        k3 = remainder(Ev + (0.5 * dt) * k2, a1, aq1, f1)
+        k4 = remainder(E2v + dt * (E * k3), a2, aq2, f2)
 
-        v_hat = E2 * v_hat + (dt / 6.0) * (E2 * a1 + 2.0 * E * (a2 + a3) + a4)
+        v_hat = E2v + (dt / 6.0) * (E2 * k1 + 2.0 * E * (k2 + k3) + k4)
         _check_state(v_hat, step + 1, scale)
-        out[step + 1] = np.fft.ifft(v_hat)
+        out[:, step + 1] = v_hat
+        f0 = f2
+
+    flat = out.reshape(-1, n)
+    block = chunk_rows(n)
+    for lo in range(0, len(flat), block):
+        flat[lo : lo + block] = np.fft.ifft(flat[lo : lo + block], axis=-1)
     return out
 
 

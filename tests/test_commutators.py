@@ -22,7 +22,6 @@ from schrobvp.spectral import (
     SpectralField,
     lp_norm,
     mode_field,
-    random_band_field,
 )
 
 GRID = Grid1D(1024, 8 * np.pi)

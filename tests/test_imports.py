@@ -1,0 +1,66 @@
+"""Every module imports only names it uses.
+
+An AST scan of the package modules and the test files: a name bound by an
+import statement must appear somewhere else in the module, as a bare name
+or the root of an attribute chain, or be re-exported through ``__all__``.
+The package ``__init__`` is skipped, because its imports are the public API.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(
+    p
+    for p in [*(ROOT / "src" / "schrobvp").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    if p.name != "__init__.py"
+)
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Name bound by each import statement of the module -> its line."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+def unused_imports(source: str) -> list[tuple[str, int]]:
+    tree = ast.parse(source)
+    used = _used_names(tree)
+    return sorted((name, line) for name, line in _imported_names(tree).items() if name not in used)
+
+
+def test_scan_flags_an_unused_name_and_keeps_used_ones():
+    source = (
+        "import numpy as np\n"
+        "from typing import Iterable, Literal\n"
+        "import os.path\n"
+        "from .x import exported\n"
+        "__all__ = ['exported']\n"
+        "def f(k: Literal['a']):\n"
+        "    return np.zeros(3), os.path.sep\n"
+    )
+    assert unused_imports(source) == [("Iterable", 2)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

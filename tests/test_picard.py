@@ -10,6 +10,7 @@ from schrobvp.picard import (
     BvpProblem,
     assemble_solution,
     coupling_lambda,
+    coupling_stacks,
     pde_residual,
     picard_solve,
 )
@@ -17,11 +18,14 @@ from schrobvp.spectral import (
     Grid1D,
     SpaceTimeField,
     SpectralField,
+    coeff_product,
+    dealias_hat,
     gaussian_field,
     project,
+    projection_multiplier,
     random_band_field,
 )
-from schrobvp.stepper import StepperConfig
+from schrobvp.stepper import OperatorTable, StepperConfig
 from schrobvp.weights import build_weight
 
 CONST = CoefficientField("1", "0")
@@ -95,6 +99,69 @@ class TestCouplingLambda:
             ratios.append(max(lp.norm_l2(), lm.norm_l2()) / (vp.norm_l2() + vm.norm_l2()))
         assert ratios[1] < 1.10 * ratios[0]
         assert ratios[2] < 1.10 * ratios[1]
+
+
+def two_sided_lambda(vp, vm, coeffs, weight):
+    """Both coupling stacks by the explicit formula, each sign with its own
+    projection and commutators (the oracle for the P+ + P- identity)."""
+    grid = vp.grid
+    am, aqm, zwm = OperatorTable(coeffs, weight, vp.times).rows(0, len(vp.times))
+    ixi = 1j * grid.xi
+    v_hat = dealias_hat(grid, np.fft.fft(vp.values + vm.values, axis=-1))
+    hv_hat = ixi * v_hat
+    hv = np.fft.ifft(hv_hat, axis=-1)
+    zw_v = coeff_product(grid, zwm, np.fft.ifft(v_hat, axis=-1))
+    a_hv = coeff_product(grid, am, hv)
+    q_hv = coeff_product(grid, aqm, hv)
+    out = {}
+    for sign in ("+", "-"):
+        sym = projection_multiplier(grid, sign).symbol
+        proj_hv = np.fft.ifft(sym * hv_hat, axis=-1)
+        comm_a = sym * a_hv - coeff_product(grid, am, proj_hv)
+        comm_q = sym * q_hv - coeff_product(grid, aqm, proj_hv)
+        lam = sym * zw_v + 1j * ixi * comm_a - 2j * comm_q
+        lam[:, 0] = 0.0
+        out[sign] = np.fft.ifft(lam, axis=-1)
+    return out["+"], out["-"]
+
+
+class TestCouplingIdentity:
+    # coupling_stacks evaluates the P+ branch only and takes lambda- from
+    # P+ + P- = I on the paired-mode class
+    def test_minus_branch_matches_the_two_sided_formula(self):
+        grid = Grid1D(512, 20.0)
+        w = build_weight(1.0, grid, mode="truncated")
+        times = np.linspace(0.0, 0.5, 5)
+        ramp = (1.0 + times)[:, None]
+        vp = SpaceTimeField(grid, times, ramp * project(random_band_field(grid, 60, 21), "+").values)
+        vm = SpaceTimeField(grid, times, ramp[::-1] * project(random_band_field(grid, 60, 22), "-").values)
+        lam_p, lam_m = coupling_stacks(vp, vm, BENCH, w)
+        ref_p, ref_m = two_sided_lambda(vp, vm, BENCH, w)
+        for got, ref in ((lam_p, ref_p), (lam_m, ref_m)):
+            assert np.max(np.abs(got.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+            err = np.sqrt(np.sum(np.abs(got.values - ref) ** 2, axis=1))
+            assert np.all(err <= 1e-12 * np.sqrt(np.sum(np.abs(ref) ** 2, axis=1)))
+
+    def test_sweeps_see_both_carriers_and_the_physical_sources(self):
+        grid = Grid1D(256, 20.0)
+        w = build_weight(1.0, grid, mode="truncated")
+        f, g = split_data(grid, seed=41, band=24)
+        p = BvpProblem(
+            f=f, g=g, coeffs=BENCH, weight=w, horizon=admissible_horizon(BENCH, w, grid),
+            stepper_cfg=StepperConfig(epsilon=1e-5, n_steps=32),
+        )
+        calls = []
+        _, _, report = picard_solve(p, solve_hook=lambda *args: calls.append(args))
+        assert report.iterations >= 3
+        assert [sign for sign, _, _ in calls] == ["-", "+"] * report.iterations
+        assert calls[0][1].source is None and calls[1][1].source is None
+        # sweep m freezes the source on sweep m - 1's carriers
+        for m in range(1, report.iterations):
+            (_, prob_m, _), (_, prob_p, _) = calls[2 * m], calls[2 * m + 1]
+            vm, vp = calls[2 * m - 2][2], calls[2 * m - 1][2]
+            ref_p, ref_m = two_sided_lambda(vp, vm, BENCH, w)
+            for source, ref in ((prob_p.source, ref_p), (prob_m.source, ref_m)):
+                assert np.max(np.abs(source.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestProblemValidation:

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from schrobvp.errors import GridMismatchError, ResolvableRangeError, SingularOperatorError
 from schrobvp.spectral import (
     Grid1D,
+    SpaceTimeField,
     SpectralField,
     boundary_mass,
     block_symbol,
+    chunk_rows,
     dealiased_product,
     derivative,
     derivative_multiplier,
@@ -306,6 +308,56 @@ class TestGenerators:
         edge = gaussian_field(g, center=g.half_length * 0.95, width=1.0)
         assert boundary_mass(centered) < 1e-12
         assert boundary_mass(edge) > 0.5 * edge.norm_l2()
+
+
+class TestHatBackedStack:
+    # more slices than one transform block, so the chunked paths are used
+    def _stack(self):
+        g = grid256()
+        assert chunk_rows(g.n) < 300
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal((300, g.n)) + 1j * rng.standard_normal((300, g.n))
+        times = np.linspace(0.0, 1.0, 300)
+        return g, times, values
+
+    def test_chunk_rows_fill_a_fixed_budget(self):
+        assert chunk_rows(2048) == 32
+        assert all(chunk_rows(n) % 2 == 0 and chunk_rows(n) >= 2 for n in (16, 256, 2048, 1 << 20))
+
+    def test_values_round_trip(self):
+        g, times, values = self._stack()
+        field = SpaceTimeField(g, times, hats=np.fft.fft(values, axis=1))
+        assert np.max(np.abs(field.values - values)) < 1e-12 * np.max(np.abs(values))
+        back = SpaceTimeField(g, times, values)
+        assert np.max(np.abs(back.hats - field.hats)) < 1e-12 * np.max(np.abs(field.hats))
+
+    def test_norms_by_parseval_without_values(self):
+        g, times, values = self._stack()
+        field = SpaceTimeField(g, times, hats=np.fft.fft(values, axis=1))
+        physical = SpaceTimeField(g, times, values).norm_series()
+        norms = field.norm_series()
+        assert field._values is None  # Parseval needed no physical stack
+        assert np.max(np.abs(norms - physical)) <= 1e-12 * np.max(physical)
+        assert field.sup_norm() == pytest.approx(np.max(physical), rel=1e-12)
+        assert field._values is None
+
+    def test_slice_and_split_sides(self):
+        g, times, values = self._stack()
+        field = SpaceTimeField(g, times, hats=np.fft.fft(values, axis=1))
+        ref = SpaceTimeField(g, times, values)
+        s = field.slice(123)
+        assert np.max(np.abs(s.values - values[123])) < 1e-12 * np.max(np.abs(values[123]))
+        for got, want in zip(field.split_sides(), ref.split_sides()):
+            assert np.max(np.abs(got.values - want.values)) < 1e-12 * np.max(np.abs(want.values))
+        plus, minus = field.split_sides()
+        assert plus._values is None and minus._values is None
+
+    def test_needs_a_backing_stack_of_the_right_shape(self):
+        g, times, values = self._stack()
+        with pytest.raises(ValueError, match="values or hats"):
+            SpaceTimeField(g, times)
+        with pytest.raises(GridMismatchError):
+            SpaceTimeField(g, times, hats=values[:, :10])
 
 
 @settings(max_examples=25, deadline=None)

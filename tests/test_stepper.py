@@ -447,3 +447,96 @@ class TestOperatorTable:
         assert moving.a.shape == (65, grid.n) and moving.zeroth.shape == (33, grid.n)
         a, aq, zeroth = moving.rows(3, 7)
         assert np.array_equal(a, moving.a[6:13:2]) and np.array_equal(zeroth, moving.zeroth[3:7])
+
+
+class TestBatchedMarch:
+    # A partner sub-problem rides in the same (2, n) state; each row must
+    # equal its own one-row solve up to round-off.
+    def _pair(self, coeffs, zero_mean_partner):
+        grid = Grid1D(128, 8 * np.pi)
+        w = build_weight(1.0, grid, mode="truncated", margin=5.0)
+        horizon = 0.02
+        times = np.linspace(0.0, horizon, 33)
+        ramp = 1.0 + 20.0 * times[:, None]
+        src_m = SpaceTimeField(grid, times, ramp * random_band_field(grid, 20, 5).values)
+        wave = np.cos(50.0 * times)[:, None]
+        src_p = SpaceTimeField(grid, times, wave * random_band_field(grid, 20, 6).values)
+        common = dict(coeffs=coeffs, weight=w, horizon=horizon)
+        fwd = LinearProblem(
+            direction="forward", source=src_m, zero_mean=True,
+            datum=project(random_band_field(grid, 20, 7), "-"), **common,
+        )
+        bwd = LinearProblem(
+            direction="backward", source=src_p, zero_mean=zero_mean_partner,
+            datum=project(random_band_field(grid, 20, 8), "+"), **common,
+        )
+        cfg = StepperConfig(epsilon=1e-4, n_steps=32)
+        return fwd, bwd, cfg, OperatorTable(coeffs, w, times, half_steps=True)
+
+    @pytest.mark.parametrize(
+        "coeffs, constant",
+        [
+            (CoefficientField("1 + 0.1*exp(-t)*sech(x) + 0.2*sin(40*t)", "0.05*sech(x)"), False),
+            (CoefficientField("1 + 0.1*sech(x)", "0.05*sech(x)"), True),
+        ],
+        ids=["time-dependent", "constant-table"],
+    )
+    @pytest.mark.parametrize("partner_zero_mean", [True, False])
+    def test_pair_matches_one_row_solves(self, coeffs, constant, partner_zero_mean):
+        fwd, bwd, cfg, table = self._pair(coeffs, partner_zero_mean)
+        assert table.constant is constant
+        for first, second in ((fwd, bwd), (bwd, fwd)):
+            pair = solve_linear(first, cfg, table, partner=second)
+            for got, problem in zip(pair, (first, second)):
+                alone = solve_linear(problem, cfg, table)
+                assert got.times.shape == alone.times.shape
+                scale = np.max(np.abs(alone.values))
+                assert np.max(np.abs(got.values - alone.values)) <= 1e-12 * scale
+
+    def test_backward_row_reads_mirrored_coefficients(self):
+        # unweighted, real a: the conjugate of a backward solve, read in
+        # reversed time, solves the forward problem with a(x, T - t)
+        grid = Grid1D(128, 8 * np.pi)
+        T = 0.02
+        a = "1 + 0.1*exp(-30*{t})*sech(x) + 0.2*sin(40*{t})"
+        coeffs = CoefficientField(a.format(t="t"), "0")
+        reversed_coeffs = CoefficientField(a.format(t=f"({T} - t)"), "0")
+        g = project(random_band_field(grid, 20, 8), "+")
+        common = dict(weight=unit_weight(grid), source=None, horizon=T)
+        bwd = LinearProblem(direction="backward", coeffs=coeffs, datum=g, **common)
+        partner = LinearProblem(direction="forward", coeffs=coeffs, datum=g, **common)
+        fwd = LinearProblem(
+            direction="forward", coeffs=reversed_coeffs,
+            datum=SpectralField(grid, np.conj(g.values)), **common,
+        )
+        cfg = StepperConfig(epsilon=1e-4, n_steps=32)
+        back, _ = solve_linear(bwd, cfg, partner=partner)
+        ref = solve_linear(fwd, cfg)
+        diff = np.conj(back.values[::-1]) - ref.values
+        assert np.max(np.abs(diff)) <= 1e-12 * np.max(np.abs(ref.values))
+
+    def test_partner_must_share_the_operator(self):
+        fwd, bwd, cfg, table = self._pair(CONST, True)
+        other = LinearProblem(
+            direction="backward", coeffs=CONST, weight=bwd.weight, source=None,
+            datum=bwd.datum, horizon=2 * bwd.horizon,
+        )
+        with pytest.raises(ConfigError, match="partner"):
+            solve_linear(fwd, cfg, table, partner=other)
+
+    def test_source_off_the_march_grid_is_interpolated(self):
+        # a source on a coarser uniform grid is read by linear interpolation,
+        # so a source linear in t is reproduced exactly at every half step
+        grid = Grid1D(64, np.pi)
+        fine = np.linspace(0.0, 0.25, 65)
+        coarse = np.linspace(0.0, 0.25, 5)
+        shape = random_band_field(grid, 8, 3).values
+        sols = []
+        for ts in (fine, coarse):
+            src = SpaceTimeField(grid, ts, (1.0 + 4.0 * ts[:, None]) * shape)
+            p = LinearProblem(
+                direction="forward", coeffs=CONST, weight=unit_weight(grid), source=src,
+                datum=SpectralField(grid, np.zeros(grid.n, dtype=complex)), horizon=0.25,
+            )
+            sols.append(solve_linear(p, StepperConfig(epsilon=0.0, n_steps=32)))
+        assert np.max(np.abs(sols[0].values - sols[1].values)) <= 1e-12 * np.max(np.abs(sols[0].values))
