@@ -355,6 +355,7 @@ def run_monitors(
         reports.append(
             energy_monitor(vp, src_p, "+", sc.coeffs, sc.weight, slack=slack)
         )
+        del src_p, src_m   # free their buffer before the monitors where the run peaks
     if cfg.get("smoothing"):
         reports.append(
             weighted_smoothing_monitor(

@@ -27,7 +27,7 @@ import numpy as np
 import sympy
 
 from .errors import ConfigError, HorizonError, ValidationError
-from .spectral import Grid1D, SpectralField, chunk_rows
+from .spectral import Grid1D, SpectralField, row_blocks
 
 __all__ = [
     "CoefficientField",
@@ -154,9 +154,7 @@ def norm_bundle(coeffs: CoefficientField, beta: float, times: np.ndarray, grid: 
         raise ConfigError("time grid must be strictly increasing with at least two points")
     bracket = np.sqrt(1.0 + grid.x**2)
     a_sup, a1_sup, a2_sup, xa1_sup, xa2_sup, w_sup = np.empty((6, len(times)))
-    step = chunk_rows(grid.n)
-    for lo in range(0, len(times), step):
-        rows = slice(lo, lo + step)
+    for rows in row_blocks(len(times), grid.n):
         ts = times[rows, None]
         a = coeffs.a_values(grid.x, ts)
         a1 = coeffs.a_x(grid.x, ts)

@@ -32,8 +32,8 @@ from .spectral import (
     Grid1D,
     SpaceTimeField,
     SpectralField,
-    chunk_rows,
     lp_norm,
+    row_blocks,
 )
 from .weights import WeightProfile
 
@@ -86,29 +86,17 @@ def _verdict(ratio: float, slack: float) -> str:
     return "pass" if ratio <= 1.0 + slack else "fail"
 
 
-def _half_derivative_rows(grid: Grid1D, values: np.ndarray) -> np.ndarray:
-    """|xi|^{1/2} multiplier applied to a stack of slices."""
-    mult = np.sqrt(np.abs(grid.xi))
-    out = np.empty_like(values, dtype=complex)
-    step = chunk_rows(grid.n)
-    for lo in range(0, values.shape[0], step):
-        rows = slice(lo, lo + step)
-        out[rows] = np.fft.ifft(mult * np.fft.fft(values[rows], axis=-1), axis=-1)
-    return out
-
-
 def _weighted_halfderiv_integral(
     v: SpaceTimeField,
     coeffs: CoefficientField,
     spatial_factor: np.ndarray,
 ) -> float:
-    """Trapezoid in t of int a(x,t) * factor(x) * |D^{1/2}v|^2 dx."""
+    """Trapezoid in t of int a(x,t) * factor(x) * |D^{1/2}v|^2 dx, read in hat blocks."""
     grid = v.grid
+    mult = np.sqrt(np.abs(grid.xi))
     per_slice = np.empty(len(v.times))
-    step = chunk_rows(grid.n)
-    for lo in range(0, len(v.times), step):
-        rows = slice(lo, lo + step)
-        half = _half_derivative_rows(grid, v.values[rows])
+    for rows in row_blocks(len(v.times), grid.n):
+        half = np.fft.ifft(mult * v.block(rows), axis=-1)
         aval = coeffs.a_values(grid.x, v.times[rows, None])
         per_slice[rows] = grid.dx * np.sum(aval * spatial_factor * np.abs(half) ** 2, axis=1)
     return float(np.trapezoid(per_slice, v.times))
@@ -365,8 +353,11 @@ def bootstrap_diagnostics(
     pos[grid.n // 2] = 0.0
     neg = (grid.xi < 0).astype(float)
 
-    z_vals = _half_derivative_rows(grid, w.values)
-    z_norms = np.sqrt(grid.dx * np.sum(np.abs(z_vals) ** 2, axis=1))
+    z_vals = np.empty((len(times), grid.n), dtype=np.complex128)
+    z_norms = np.empty(len(times))
+    for rows in row_blocks(len(times), grid.n):
+        z_vals[rows] = np.fft.ifft(mult * w.block(rows), axis=-1)
+        z_norms[rows] = np.sqrt(grid.dx * np.sum(np.abs(z_vals[rows]) ** 2, axis=1))
 
     scale = float(np.max(z_norms))
     if scale == 0.0:
@@ -479,20 +470,12 @@ def bootstrap_diagnostics(
     # absorbed smoothing inequality on the interior interval
     keep = slice(i0, i1 + 1)
     ones = np.ones(grid.n)
-    half_z = _half_derivative_rows(grid, z_vals[keep])
-    per_slice_total = grid.dx * np.sum(np.abs(half_z) ** 2, axis=1)
+    z_hats = np.fft.fft(z_vals[keep], axis=-1)
+    per_slice_total = SpaceTimeField(grid, times[keep], hats=z_hats).norm_series(mult) ** 2
     lhs_abs = beta * lam * float(np.trapezoid(per_slice_total, times[keep]))
 
-    plus_vals = np.fft.ifft(pos * np.fft.fft(z_vals[keep], axis=-1), axis=-1)
-    minus_vals = np.fft.ifft(neg * np.fft.fft(z_vals[keep], axis=-1), axis=-1)
-    mid_val = beta * (
-        _weighted_halfderiv_integral(
-            SpaceTimeField(grid, times[keep], plus_vals), coeffs, ones
-        )
-        + _weighted_halfderiv_integral(
-            SpaceTimeField(grid, times[keep], minus_vals), coeffs, ones
-        )
-    )
+    sides = (SpaceTimeField(grid, times[keep], hats=side * z_hats) for side in (pos, neg))
+    mid_val = beta * sum(_weighted_halfderiv_integral(z, coeffs, ones) for z in sides)
     chain_term = chain_constant * grad_sup * float(
         np.trapezoid(per_slice_total, times[keep])
     )

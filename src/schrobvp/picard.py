@@ -26,6 +26,10 @@ terms of the two signs cancel except at the zero mode.  The sources stay
 Fourier coefficients, written straight into one march-ordered (2, N+1, n)
 buffer, and reach the stepper as hat-backed fields; both carriers are then
 marched together through `solve_linear(..., partner=...)`.
+
+The carriers are hat-backed as well, from the march to the residual: norms
+are Parseval sums, and physical values exist only inside `_operator_parts`,
+the one operator kernel of the coupling source and the residual monitor.
 """
 
 from __future__ import annotations
@@ -48,10 +52,9 @@ from .spectral import (
     Grid1D,
     SpaceTimeField,
     SpectralField,
-    chunk_rows,
-    coeff_product,
     dealias_hat,
     projection_multiplier,
+    row_blocks,
 )
 from .stepper import LinearProblem, OperatorTable, StepperConfig, solve_linear
 from .weights import WeightProfile
@@ -166,53 +169,72 @@ class PicardReport:
         return out
 
 
+def _operator_parts(
+    grid: Grid1D,
+    v_hat: np.ndarray,
+    am: np.ndarray,
+    aqm: np.ndarray,
+    zwm: np.ndarray,
+    sym: np.ndarray | None = None,
+) -> tuple[np.ndarray, ...]:
+    """Unmasked hats of (Z v, S v), and of S(sym v) given a real symbol ``sym``.
+
+    L = Z + S is the discrete operator, S u = i d/dx(a u_x) - 2i a q u_x,
+    on the operator-table rows ``am``, ``aqm``, ``zwm``; ``v_hat`` is
+    dealiased here.  One batched ifft of the stacked [v, v_x(, (sym v)_x)]
+    and one batched fft of the stacked products, written in place.
+    """
+    ixi = 1j * grid.xi
+    k = 2 if sym is None else 3
+    fields = np.empty((k,) + v_hat.shape, dtype=np.complex128)
+    np.multiply(v_hat, grid.dealias_mask, out=fields[0])
+    np.multiply(ixi, fields[0], out=fields[1])
+    if sym is not None:
+        np.multiply(sym, fields[1], out=fields[2])
+    fields = np.fft.ifft(fields, axis=-1)
+    products = np.empty((2 * k - 1,) + v_hat.shape, dtype=np.complex128)
+    np.multiply(zwm, fields[0], out=products[0])
+    for j in range(1, k):
+        np.multiply(am, fields[j], out=products[2 * j - 1])    # a u_x
+        np.multiply(aqm, fields[j], out=products[2 * j])       # a q u_x
+    products = np.fft.fft(products, axis=-1)
+    dxx = 1j * ixi
+    for j in range(1, k):
+        products[2 * j - 1] *= dxx
+        products[2 * j] *= -2j
+        products[2 * j - 1] += products[2 * j]
+    return (products[0], *products[1::2])
+
+
 def _lambda_rows(
     grid: Grid1D,
-    v_sum: np.ndarray,
+    v_hat: np.ndarray,
     am: np.ndarray,
     aqm: np.ndarray,
     zwm: np.ndarray,
     out_p: np.ndarray,
     out_m: np.ndarray,
 ) -> None:
-    """Coupling-source hats of both signs for the summed field rows and the
+    """Coupling-source hats of both signs for the summed carrier hats and the
     matching operator-table rows, written to ``out_p`` and ``out_m``.
 
-    Only the P+ branch is evaluated: lambda- = (Z v)_paired - lambda+.  On
-    dealiased input v_hat has no Nyquist mode and v_x no mean mode, so the
-    commutator terms of the two signs cancel except at k = 0, which the
-    paired-mode class zeroes anyway.
+    Only the P+ branch is evaluated: lambda+ = P+ L v - S(P+ v) and
+    lambda- = (Z v)_paired - lambda+.  On dealiased input v_hat has no
+    Nyquist mode and v_x no mean mode, so the commutator terms of the two
+    signs cancel except at k = 0, which the paired-mode class zeroes anyway.
     """
-    ixi = 1j * grid.xi
     mask = grid.dealias_mask.astype(np.float64)
     sym = projection_multiplier(grid, "+").symbol.real * mask
-    fields = np.empty((3,) + v_sum.shape, dtype=np.complex128)
-    np.multiply(np.fft.fft(v_sum, axis=-1), mask, out=fields[0])   # v_hat, dealiased
-    np.multiply(ixi, fields[0], out=fields[1])                     # v_x
-    np.multiply(sym, fields[1], out=fields[2])                     # (P+ v)_x
-    v_band, hv, proj_hv = np.fft.ifft(fields, axis=-1)
-    products = np.empty((5,) + v_sum.shape, dtype=np.complex128)
-    np.multiply(zwm, v_band, out=products[0])     # zeroth-order and potential terms
-    np.multiply(am, hv, out=products[1])          # a * v_x
-    np.multiply(aqm, hv, out=products[2])         # a q * v_x
-    np.multiply(am, proj_hv, out=products[3])     # a * (P+ v)_x
-    np.multiply(aqm, proj_hv, out=products[4])    # a q * (P+ v)_x
-    zw_v, a_hv, q_hv, a_phv, q_phv = np.fft.fft(products, axis=-1)
-    # lambda+ = P+(Z v + i d/dx(a v_x) - 2i a q v_x) - i d/dx(a (P+ v)_x) + 2i a q (P+ v)_x,
-    # with the 2/3 mask of every product folded into sym and mask
-    dxx = 1j * ixi
-    full = dxx * a_hv
-    full -= 2j * q_hv
-    full += zw_v
-    full *= sym
-    half = dxx * a_phv
-    half -= 2j * q_phv
-    half *= mask
-    np.subtract(full, half, out=out_p)
+    zv, lv, sp = _operator_parts(grid, v_hat, am, aqm, zwm, sym)
+    # the 2/3 mask of every product is folded into sym and mask
+    lv += zv
+    np.multiply(sym, lv, out=out_p)
+    sp *= mask
+    out_p -= sp
     out_p[..., 0] = 0.0  # paired-mode class
-    zw_v *= mask
-    zw_v[..., 0] = 0.0
-    np.subtract(zw_v, out_p, out=out_m)
+    zv *= mask
+    zv[..., 0] = 0.0
+    np.subtract(zv, out_p, out=out_m)
 
 
 def coupling_lambda(
@@ -226,10 +248,10 @@ def coupling_lambda(
     if v_plus.grid != v_minus.grid or v_plus.grid != weight.grid:
         raise GridMismatchError("coupling inputs must share one grid")
     grid = v_plus.grid
-    v_sum = (v_plus.values + v_minus.values)[None, :]
+    v_hat = (v_plus.hat + v_minus.hat)[None, :]
     table = OperatorTable(coeffs, weight, np.array([t]))
     hats = np.empty((2, 1, grid.n), dtype=np.complex128)
-    _lambda_rows(grid, v_sum, *table.rows(0, 1), hats[0], hats[1])
+    _lambda_rows(grid, v_hat, *table.rows(0, 1), hats[0], hats[1])
     return SpectralField.from_hat(grid, hats[0, 0]), SpectralField.from_hat(grid, hats[1, 0])
 
 
@@ -246,48 +268,41 @@ def coupling_stacks(
     lambda- on ascending times (the forward carrier's source), row 1 is
     lambda+ on descending times (the backward carrier's).  ``table`` must
     have the carriers' times as its integer nodes; without one, a table
-    over those times is built here.
+    over those times is built here.  Raises GridMismatchError unless both
+    carriers and the weight share one grid and the carriers one time grid.
     """
     grid = vp.grid
     times = vp.times
+    if vm.grid != grid or weight.grid != grid:
+        raise GridMismatchError("carriers and weight must share one grid")
+    if vm.times.shape != times.shape or not np.allclose(vm.times, times):
+        raise GridMismatchError("the two carriers must share one time grid")
     if table is None:
         table = OperatorTable(coeffs, weight, times)
     table.require(times)
     hats = np.empty((2, len(times), grid.n), dtype=np.complex128)
     lam_m, lam_p = hats[0], hats[1, ::-1]
-    step = chunk_rows(grid.n)
-    for lo in range(0, len(times), step):
-        hi = min(lo + step, len(times))
-        v_sum = vp.values[lo:hi] + vm.values[lo:hi]
-        _lambda_rows(grid, v_sum, *table.rows(lo, hi), lam_p[lo:hi], lam_m[lo:hi])
+    for rows in row_blocks(len(times), grid.n):
+        v_hat = vp.block(rows) + vm.block(rows)
+        _lambda_rows(grid, v_hat, *table.rows(rows.start, rows.stop), lam_p[rows], lam_m[rows])
     return SpaceTimeField(grid, times, hats=lam_p), SpaceTimeField(grid, times, hats=lam_m)
 
 
 def _sup_l2_diff(a: SpaceTimeField, b: SpaceTimeField) -> float:
+    grid = a.grid
     worst = 0.0
-    step = chunk_rows(a.grid.n)
-    for lo in range(0, len(a.times), step):
-        rows = slice(lo, lo + step)
-        d = a.values[rows] - b.values[rows]
-        worst = max(worst, float(np.max(np.sqrt(a.grid.dx * np.sum(np.abs(d) ** 2, axis=1)))))
-    return worst
+    for rows in row_blocks(len(a.times), grid.n):
+        mass = np.sum(np.abs(a.block(rows) - b.block(rows)) ** 2, axis=1)   # Parseval
+        worst = max(worst, float(np.max(mass)))
+    return float(np.sqrt(grid.dx / grid.n * worst))
 
 
 def _leakage(vp: SpaceTimeField, vm: SpaceTimeField) -> float:
     """sup_t of the wrong-side mass: P- on the plus carrier, P+ on the minus."""
     grid = vp.grid
-    total = 0.0
-    step = chunk_rows(grid.n)
-    for stack, wrong in ((vp, "-"), (vm, "+")):
-        sym = projection_multiplier(grid, wrong).symbol
-        worst = 0.0
-        for lo in range(0, len(stack.times), step):
-            rows = slice(lo, lo + step)
-            hat = np.fft.fft(stack.values[rows], axis=1)
-            mass = np.sqrt(grid.dx / grid.n * np.sum(np.abs(sym * hat) ** 2, axis=1))
-            worst = max(worst, float(np.max(mass)))
-        total += worst
-    return total
+    wrong_p = projection_multiplier(grid, "-").symbol
+    wrong_m = projection_multiplier(grid, "+").symbol
+    return float(np.max(vp.norm_series(wrong_p)) + np.max(vm.norm_series(wrong_m)))
 
 
 def _lambda_ratio(
@@ -350,8 +365,7 @@ def picard_solve(
 
     report = PicardReport(delta=delta, horizon=p.horizon)
     zeros = np.zeros((n_steps + 1, grid.n), dtype=np.complex128)
-    vp = SpaceTimeField(grid, times, zeros)
-    vm = SpaceTimeField(grid, times, zeros.copy())
+    vp = vm = SpaceTimeField(grid, times, hats=zeros)
 
     prev_diff = None
     streak = 0
@@ -410,22 +424,25 @@ def picard_solve(
             report.converged = True
             break
 
-    v0 = vp.values[0] + vm.values[0]
-    vT = vp.values[-1] + vm.values[-1]
-    report.boundary_residual_low = _projection_residual(grid, v0, p.f, "-")
-    report.boundary_residual_high = _projection_residual(grid, vT, p.g, "+")
+    report.boundary_residual_low = _projection_residual(vp, vm, 0, p.f, "-")
+    report.boundary_residual_high = _projection_residual(vp, vm, n_steps, p.g, "+")
     report.final_leakage = report.leakages[-1] if report.leakages else 0.0
 
-    total = SpaceTimeField(grid, times, vp.values + vm.values)
+    total = SpaceTimeField(grid, times, hats=vp.hats + vm.hats)
     profile = pde_residual(total, p.coeffs, p.weight, table)
     report.residual_profile = profile.norms
     report.residual_sup = profile.sup
     return vp, vm, report
 
 
-def _projection_residual(grid: Grid1D, v_slice: np.ndarray, datum: SpectralField, sign: str) -> float:
+def _projection_residual(
+    vp: SpaceTimeField, vm: SpaceTimeField, i: int, datum: SpectralField, sign: str
+) -> float:
+    """L^2 distance of P_sign of slice ``i`` of the summed carriers from the datum."""
+    grid = vp.grid
+    rows = slice(i, i + 1)
     sym = projection_multiplier(grid, sign).symbol
-    hat = sym * np.fft.fft(v_slice) - dealias_hat(grid, datum.hat)
+    hat = sym * (vp.block(rows)[0] + vm.block(rows)[0]) - dealias_hat(grid, datum.hat)
     return float(np.sqrt(grid.dx / grid.n * np.sum(np.abs(hat) ** 2)))
 
 
@@ -459,7 +476,9 @@ def assemble_solution(
         raise GridMismatchError("carriers and weight must share one grid")
     grid = v_plus.grid
     times = v_plus.times
-    v_vals = v_plus.values + v_minus.values
+    v_vals = np.empty((len(times), grid.n), dtype=np.complex128)
+    for rows in row_blocks(len(times), grid.n):
+        v_vals[rows] = v_plus.block(rows, physical=True) + v_minus.block(rows, physical=True)
     u_vals = v_vals / weight.values[None, :]
     window = np.abs(grid.x) <= 0.5 * grid.half_length
     ratio = np.exp(weight.beta * grid.x) / weight.values
@@ -467,8 +486,9 @@ def assemble_solution(
     v = SpaceTimeField(grid, times, v_vals)
     u = SpaceTimeField(grid, times, u_vals)
     w = SpaceTimeField(grid, times, w_vals)
-    res_low = None if f is None else _projection_residual(grid, v_vals[0], f, "-")
-    res_high = None if g is None else _projection_residual(grid, v_vals[-1], g, "+")
+    last = len(times) - 1
+    res_low = None if f is None else _projection_residual(v_plus, v_minus, 0, f, "-")
+    res_high = None if g is None else _projection_residual(v_plus, v_minus, last, g, "+")
     return AssembledSolution(
         v=v,
         u=u,
@@ -495,42 +515,34 @@ def pde_residual(
 ) -> ResidualProfile:
     """Centered-difference time derivative minus the realized spatial operator.
 
-    The spatial operator reads the same operator-table rows and dealiased
-    product primitive the solver itself steps with, projected to the
-    paired-mode class, so a converged fixed point leaves only the
-    time-discretization error and the artificial-viscosity tail.  Norms are
-    measured in the discrete H^{-2} metric (symbol (1 + xi^2)^{-1}).
-    ``table`` must have ``v.times`` as its integer nodes; without one, it
-    is built here.
+    The spatial operator is the coupling source's kernel on the operator-table
+    rows the solver steps with, projected to the paired-mode class, so a
+    converged fixed point leaves only the time-discretization error and the
+    artificial-viscosity tail.  Both are taken on hats.  Norms are measured in
+    the discrete H^{-2} metric (symbol (1 + xi^2)^{-1}).  ``table`` must have
+    ``v.times`` as its integer nodes; without one, it is built here.  Raises
+    GridMismatchError when the weight lives on another grid.
     """
     if len(v.times) < 3:
         raise ConfigError("residual needs at least 3 time slices")
+    grid = v.grid
+    if weight.grid != grid:
+        raise GridMismatchError("field and weight must share one grid")
     if table is None:
         table = OperatorTable(coeffs, weight, v.times)
     table.require(v.times)
-    grid = v.grid
-    dt = v.dt
-    ixi = 1j * grid.xi
+    mask = grid.dealias_mask
     jm2 = 1.0 / (1.0 + grid.xi**2)
     norms = np.empty(len(v.times) - 2)
-    step = chunk_rows(grid.n)
-    for lo in range(1, len(v.times) - 1, step):
-        hi = min(lo + step, len(v.times) - 1)
-        rows = slice(lo, hi)
-        am, aqm, zwm = table.rows(lo, hi)
-        v_hat = dealias_hat(grid, np.fft.fft(v.values[rows], axis=1))
-        vx = np.fft.ifft(ixi * v_hat, axis=1)
-        v_band = np.fft.ifft(v_hat, axis=1)
-        e_hat = (
-            1j * ixi * coeff_product(grid, am, vx)
-            - 2j * coeff_product(grid, aqm, vx)
-            + coeff_product(grid, zwm, v_band)
-        )
-        e_hat[:, 0] = 0.0
-        dt_hat = dealias_hat(
-            grid,
-            np.fft.fft((v.values[lo + 1 : hi + 1] - v.values[lo - 1 : hi - 1]) / (2 * dt), axis=1),
-        )
-        r = (dt_hat - e_hat) * jm2
-        norms[lo - 1 : hi - 1] = np.sqrt(grid.dx / grid.n * np.sum(np.abs(r) ** 2, axis=1))
+    for rows in row_blocks(len(norms), grid.n):
+        lo, hi = rows.start + 1, rows.stop + 1      # interior slices lo..hi-1
+        hats = v.block(slice(lo - 1, hi + 1))
+        zv, r = _operator_parts(grid, hats[1:-1], *table.rows(lo, hi))
+        r += zv
+        r *= mask
+        r[:, 0] = 0.0
+        # r = (dv/dt - L v) hat, with the time difference dealiased like L v
+        np.subtract((hats[2:] - hats[:-2]) * (mask / (2 * v.dt)), r, out=r)
+        r *= jm2
+        norms[rows] = np.sqrt(grid.dx / grid.n * np.sum(np.abs(r) ** 2, axis=1))
     return ResidualProfile(times=v.times[1:-1], norms=norms, sup=float(np.max(norms)))

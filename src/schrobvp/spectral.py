@@ -46,6 +46,12 @@ def chunk_rows(n: int) -> int:
     """
     return max(2, CHUNK_BYTES // (16 * n) // 2 * 2)
 
+
+def row_blocks(count: int, n: int) -> list[slice]:
+    """Slices that cut ``count`` rows of length ``n`` into ``chunk_rows(n)`` blocks."""
+    step = chunk_rows(n)
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
 __all__ = [
     "Grid1D",
     "SpectralField",
@@ -439,10 +445,11 @@ class SpaceTimeField:
     """A field sampled on a uniform time grid: slice i lives at times[i].
 
     Backed by physical ``values`` or by Fourier coefficients ``hats`` (one
-    row per slice); the other form is computed on first use, chunk by
-    chunk, and cached, the way :class:`SpectralField` caches ``hat``.
-    Norms of a field that has only hats come from Parseval, so they never
-    build the physical stack.
+    row per slice); the other form is built on first use and cached, the
+    way :class:`SpectralField` caches ``hat``.  Readers that go through the
+    stack one block at a time use :meth:`block`, which caches nothing and
+    transforms a block only when the field stores the other form; norms
+    come from Parseval whenever no values are stored.
     """
 
     __slots__ = ("grid", "times", "_values", "_hats")
@@ -479,18 +486,38 @@ class SpaceTimeField:
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            self._values = _transform_rows(np.fft.ifft, self._hats)
+            self._values = self._gather(physical=True)
         return self._values
 
     @property
     def hats(self) -> np.ndarray:
         if self._hats is None:
-            self._hats = _transform_rows(np.fft.fft, self._values)
+            self._hats = self._gather(physical=False)
         return self._hats
 
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
+
+    def block(self, rows: slice, *, physical: bool = False) -> np.ndarray:
+        """Slices ``rows`` as Fourier coefficients (physical values with ``physical``).
+
+        Nothing is cached: a stored form is returned as a view, the other
+        one is transformed from it for this block only.
+        """
+        if physical:
+            if self._values is not None:
+                return self._values[rows]
+            return np.fft.ifft(self._hats[rows], axis=-1)
+        if self._hats is not None:
+            return self._hats[rows]
+        return np.fft.fft(self._values[rows], axis=-1)
+
+    def _gather(self, physical: bool) -> np.ndarray:
+        out = np.empty((len(self.times), self.grid.n), dtype=np.complex128)
+        for rows in row_blocks(len(self.times), self.grid.n):
+            out[rows] = self.block(rows, physical=physical)
+        return out
 
     def slice(self, i: int) -> SpectralField:
         hat = None if self._hats is None else self._hats[i]
@@ -498,18 +525,20 @@ class SpaceTimeField:
             return SpectralField.from_hat(self.grid, hat)
         return SpectralField(self.grid, self._values[i], hat=hat)
 
-    def norm_series(self) -> np.ndarray:
-        """Quadrature L^2 norm of every slice (by Parseval when only hats exist)."""
+    def norm_series(self, symbol: np.ndarray | None = None) -> np.ndarray:
+        """Quadrature L^2 norm of every slice, of ``symbol`` applied to it if given.
+
+        By Parseval when a symbol is given or only hats are stored.
+        """
         grid = self.grid
-        if self._values is None:
-            stack, weight = self._hats, grid.dx / grid.n
-        else:
-            stack, weight = self._values, grid.dx
+        parseval = symbol is not None or self._values is None
+        weight = grid.dx / grid.n if parseval else grid.dx
         out = np.empty(len(self.times))
-        step = chunk_rows(grid.n)
-        for lo in range(0, len(self.times), step):
-            rows = slice(lo, lo + step)
-            out[rows] = np.sqrt(weight * np.sum(np.abs(stack[rows]) ** 2, axis=1))
+        for rows in row_blocks(len(self.times), grid.n):
+            stack = self.block(rows, physical=not parseval)
+            if symbol is not None:
+                stack = symbol * stack
+            out[rows] = np.sqrt(weight * np.sum(np.abs(stack) ** 2, axis=1))
         return out
 
     def sup_norm(self) -> float:
@@ -519,7 +548,7 @@ class SpaceTimeField:
         """The P+ and P- parts of every slice.
 
         A hat-backed field splits by masking its hats; a value-backed one
-        is transformed chunk by chunk and gives value-backed parts.
+        is transformed block by block and gives value-backed parts.
         """
         sym_p = projection_multiplier(self.grid, "+").symbol
         sym_m = projection_multiplier(self.grid, "-").symbol
@@ -530,10 +559,8 @@ class SpaceTimeField:
             )
         plus = np.empty_like(self._values)
         minus = np.empty_like(self._values)
-        step = chunk_rows(self.grid.n)
-        for lo in range(0, len(self.times), step):
-            rows = slice(lo, lo + step)
-            hat = np.fft.fft(self._values[rows], axis=1)
+        for rows in row_blocks(len(self.times), self.grid.n):
+            hat = self.block(rows)
             plus[rows] = np.fft.ifft(sym_p * hat, axis=1)
             minus[rows] = np.fft.ifft(sym_m * hat, axis=1)
         return (
@@ -546,15 +573,6 @@ class SpaceTimeField:
             f"SpaceTimeField(n={self.grid.n}, slices={len(self.times)}, "
             f"t in [{self.times[0]:g}, {self.times[-1]:g}])"
         )
-
-
-def _transform_rows(transform, stack: np.ndarray) -> np.ndarray:
-    """``transform`` along the last axis of a (slices, n) stack, one block at a time."""
-    out = np.empty_like(stack)
-    step = chunk_rows(stack.shape[-1])
-    for lo in range(0, len(stack), step):
-        out[lo : lo + step] = transform(stack[lo : lo + step], axis=-1)
-    return out
 
 
 # --- diagnostics and data helpers -----------------------------------------

@@ -28,11 +28,12 @@ coupled solver passes the backward carrier next to the forward one) rides
 in the same state, its row reading the mirrored table node 2N - i.  Each
 RK stage makes one batched ifft of v_x and one batched fft of the stacked
 products [(a - abar) v_x, a q v_x]; the step hats go straight into the
-output buffer, which one chunked ifft turns into physical slices at the
-end.  Sources are read as hats (a hat-backed :class:`SpaceTimeField` needs
-no transform), masked row by row, with the midpoint row formed once per
-step.  Every row is checked for blow-up after every step against its own
-datum and source coefficient scale.
+output buffer, which is returned as hat-backed fields (physical slices are
+built only if a caller asks for ``.values``).  Sources are read as hats (a
+hat-backed :class:`SpaceTimeField` needs no transform), masked row by row,
+with the midpoint row formed once per step.  Every row is checked for
+blow-up after every step against its own datum and source coefficient
+scale.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ from .spectral import (
     Multiplier,
     SpaceTimeField,
     SpectralField,
-    chunk_rows,
     masked_samples,
+    row_blocks,
 )
 from .weights import WeightProfile
 
@@ -189,9 +190,7 @@ class OperatorTable:
         self.aq = np.empty((len(nodes), grid.n))
         self.zeroth = np.empty(((len(nodes) - 1) // s + 1, grid.n), dtype=np.complex128)
         # the block row count is even, so every block starts on an integer node
-        step = chunk_rows(grid.n)
-        for lo in range(0, len(nodes), step):
-            rows = slice(lo, lo + step)
+        for rows in row_blocks(len(nodes), grid.n):
             ts = nodes[rows, None]
             a = coeffs.a_values(grid.x, ts)
             self.abar[rows] = np.mean(a, axis=1)
@@ -200,7 +199,7 @@ class OperatorTable:
             a, ts = a[::s], ts[::s]
             ax = coeffs.a_x(grid.x, ts)
             lump = 1j * ((q**2 - dq) * a - q * ax) + 1j * coeffs.w_values(grid.x, ts)
-            self.zeroth[lo // s : lo // s + len(ts)] = masked_samples(grid, lump)
+            self.zeroth[rows.start // s : rows.start // s + len(ts)] = masked_samples(grid, lump)
 
     def require(self, times: np.ndarray, half_steps: bool = False) -> None:
         """Raise ConfigError unless the integer nodes are ``times`` (with midpoints if asked)."""
@@ -239,7 +238,7 @@ def solve_linear(
     *,
     partner: LinearProblem | None = None,
 ) -> SpaceTimeField | tuple[SpaceTimeField, SpaceTimeField]:
-    """Integrate the sub-problem; returns slices on the ascending time grid.
+    """Integrate the sub-problem; returns hat-backed slices on the ascending time grid.
 
     Backward problems are solved in reversed time and flipped back, so the
     returned field always has times[0] = 0, times[-1] = horizon, with the
@@ -265,10 +264,10 @@ def solve_linear(
     if table is None:
         table = OperatorTable(p.coeffs, p.weight, times, half_steps=True)
     table.require(times, half_steps=True)
-    values = _march(problems, cfg, n_steps, table)
+    hats = _march(problems, cfg, n_steps, table)
     fields = tuple(
-        SpaceTimeField(p.grid, times, rows if q.direction == "forward" else rows[::-1])
-        for q, rows in zip(problems, values)
+        SpaceTimeField(p.grid, times, hats=rows if q.direction == "forward" else rows[::-1])
+        for q, rows in zip(problems, hats)
     )
     return fields[0] if partner is None else fields
 
@@ -312,8 +311,7 @@ class _SourceRows:
         for r, plan in enumerate(self.plans):
             if plan is not None:
                 hats = plan[0]
-                step = chunk_rows(hats.shape[-1])
-                out[r] = max(np.max(np.abs(hats[lo : lo + step])) for lo in range(0, len(hats), step))
+                out[r] = max(np.max(np.abs(hats[rows])) for rows in row_blocks(*hats.shape))
         return out
 
     def at(self, i: int) -> np.ndarray | None:
@@ -336,7 +334,7 @@ def _march(
     Half-step i of a forward row reads table node i, of a backward row the
     mirrored node 2 n_steps - i.  Each RK stage costs one batched ifft of
     v_x and one batched fft of the stacked products [(a - abar) v_x, a q v_x].
-    Returns the (rows, n_steps + 1, n) physical slices in march order.
+    Returns the (rows, n_steps + 1, n) step hats in march order.
     """
     grid = problems[0].grid
     n = grid.n
@@ -419,11 +417,6 @@ def _march(
         _check_state(v_hat, step + 1, scale)
         out[:, step + 1] = v_hat
         f0 = f2
-
-    flat = out.reshape(-1, n)
-    block = chunk_rows(n)
-    for lo in range(0, len(flat), block):
-        flat[lo : lo + block] = np.fft.ifft(flat[lo : lo + block], axis=-1)
     return out
 
 
@@ -450,8 +443,8 @@ def epsilon_study(p: LinearProblem, cfg: StepperConfig) -> EpsilonStudyReport:
         solutions.append(solve_linear(p, sub, table))
     diffs = []
     for s1, s2 in zip(solutions, solutions[1:]):
-        delta = s1.values - s2.values
-        diffs.append(float(np.max(np.sqrt(p.grid.dx * np.sum(np.abs(delta) ** 2, axis=1)))))
+        mass = np.sum(np.abs(s1.hats - s2.hats) ** 2, axis=1)   # Parseval
+        diffs.append(float(np.sqrt(p.grid.dx / p.grid.n * np.max(mass))))
     orders = []
     for i in range(len(diffs) - 1):
         if diffs[i + 1] > 0 and diffs[i] > 0:

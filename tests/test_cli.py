@@ -1,6 +1,8 @@
 """End-to-end checks of the scenario runner and its artifact contracts."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -310,3 +312,40 @@ class TestCommutatorBenchCommand:
         summary = json.loads((out / "bench-summary.json").read_text())
         assert len(summary["estimates"]) == 2
         assert all(np.isfinite(e["max_ratio"]) for e in summary["estimates"])
+
+
+class TestPicardMemory:
+    def test_carriers_stay_hats_through_the_run(self, tmp_path, monkeypatch):
+        seen = []
+        solve = cli.picard_solve
+
+        def spy(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            seen.append(out)
+            return out
+
+        monkeypatch.setattr(cli, "picard_solve", spy)
+        assert cli.run_picard_scenario(merge_scenario(SMALL, {}), str(tmp_path / "out")) == 0
+        (vp, vm, _), = seen
+        assert vp._values is None and vm._values is None
+
+    def test_monitor_sources_are_released_after_the_energy_monitors(self, tmp_path, monkeypatch):
+        buffers = []
+        checked = []
+        stacks, smoothing = cli.coupling_stacks, cli.weighted_smoothing_monitor
+
+        def keep_ref(*args, **kwargs):
+            src_p, src_m = stacks(*args, **kwargs)
+            assert src_p.hats.base is src_m.hats.base
+            buffers.append(weakref.ref(src_p.hats.base))
+            return src_p, src_m
+
+        def after_energy(*args, **kwargs):
+            gc.collect()
+            checked.append([ref() is None for ref in buffers])
+            return smoothing(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "coupling_stacks", keep_ref)
+        monkeypatch.setattr(cli, "weighted_smoothing_monitor", after_energy)
+        assert cli.run_picard_scenario(merge_scenario(SMALL, {}), str(tmp_path / "out")) == 0
+        assert checked == [[True]]

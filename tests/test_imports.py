@@ -1,8 +1,9 @@
 """Every module imports only names it uses.
 
-An AST scan of the package modules and the test files: a name bound by an
-import statement must appear somewhere else in the module, as a bare name
-or the root of an attribute chain, or be re-exported through ``__all__``.
+An AST scan of the package modules, the test files and the scripts: a name
+bound by an import statement must appear somewhere else in the module, as a
+bare name or the root of an attribute chain, or be re-exported through
+``__all__``.
 The package ``__init__`` is skipped, because its imports are the public API.
 """
 
@@ -14,7 +15,11 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(
     p
-    for p in [*(ROOT / "src" / "schrobvp").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    for p in [
+        *(ROOT / "src" / "schrobvp").glob("*.py"),
+        *(ROOT / "tests").glob("*.py"),
+        *(ROOT / "scripts").glob("*.py"),
+    ]
     if p.name != "__init__.py"
 )
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from schrobvp.coefficients import CoefficientField, norm_bundle, select_horizon
-from schrobvp.errors import DivergenceError, HorizonError, ValidationError
+from schrobvp.errors import DivergenceError, GridMismatchError, HorizonError, ValidationError
 from schrobvp.free_bvp import FreeBvpData, solve_free
 from schrobvp.picard import (
     BvpProblem,
@@ -363,3 +363,76 @@ class TestAssembleAndResidual:
         import json
 
         json.dumps(d)
+
+
+class TestHatCarriers:
+    # the carriers stay Fourier coefficients from the march to the residual
+    def test_solve_returns_hat_backed_carriers(self):
+        grid = Grid1D(256, 20.0)
+        w = build_weight(1.0, grid, mode="truncated")
+        f, g = split_data(grid, seed=43, band=24)
+        p = BvpProblem(
+            f=f, g=g, coeffs=BENCH, weight=w, horizon=admissible_horizon(BENCH, w, grid),
+            stepper_cfg=StepperConfig(epsilon=1e-5, n_steps=32),
+        )
+        vp, vm, report = picard_solve(p)
+        assert report.converged
+        assert vp._values is None and vm._values is None
+        asm = assemble_solution(vp, vm, w, f=f, g=g)
+        assert vp._values is None and vm._values is None
+        assert asm.boundary_residual_low == report.boundary_residual_low
+
+    def test_residual_of_hats_matches_residual_of_values(self):
+        grid = Grid1D(256, 20.0)
+        w = build_weight(1.0, grid, mode="truncated")
+        times = np.linspace(0.0, 0.05, 601)   # more slices than one block
+        phase = np.exp(-1j * times)[:, None]
+        plus = project(random_band_field(grid, 30, 51), "+").values
+        minus = project(random_band_field(grid, 30, 52), "-").values
+        values = phase * plus + np.conj(phase) * minus
+        hats = np.fft.fft(values, axis=1)
+        by_hats = pde_residual(SpaceTimeField(grid, times, hats=hats), BENCH, w)
+        by_values = pde_residual(SpaceTimeField(grid, times, values), BENCH, w)
+        assert by_values.sup > 0
+        assert np.max(np.abs(by_hats.norms - by_values.norms)) <= 1e-12 * by_values.sup
+
+
+class TestInputGrids:
+    # mismatched carriers or weights raise instead of giving a meaningless number
+    def _pair(self, grid, times, seed=61):
+        def carrier(sign, seed):
+            row = project(random_band_field(grid, 20, seed), sign).values
+            return SpaceTimeField(grid, times, np.tile(row, (len(times), 1)))
+
+        return carrier("+", seed), carrier("-", seed + 1)
+
+    def test_coupling_rejects_carriers_on_other_time_grids(self):
+        grid = Grid1D(128, 20.0)
+        w = build_weight(1.0, grid, mode="truncated")
+        vp, _ = self._pair(grid, np.linspace(0.0, 0.1, 5))
+        _, vm = self._pair(grid, np.linspace(0.0, 0.2, 9))
+        with pytest.raises(GridMismatchError):
+            coupling_stacks(vp, vm, BENCH, w)
+
+    def test_coupling_rejects_carriers_on_other_grids(self):
+        times = np.linspace(0.0, 0.1, 5)
+        grid = Grid1D(128, 20.0)
+        w = build_weight(1.0, grid, mode="truncated")
+        vp, _ = self._pair(grid, times)
+        _, vm = self._pair(Grid1D(128, 30.0), times)
+        with pytest.raises(GridMismatchError):
+            coupling_stacks(vp, vm, BENCH, w)
+
+    def test_coupling_rejects_a_weight_on_another_grid(self):
+        times = np.linspace(0.0, 0.1, 5)
+        vp, vm = self._pair(Grid1D(128, 20.0), times)
+        w = build_weight(1.0, Grid1D(128, 30.0), mode="truncated")
+        with pytest.raises(GridMismatchError):
+            coupling_stacks(vp, vm, BENCH, w)
+
+    def test_residual_rejects_a_weight_on_another_grid(self):
+        times = np.linspace(0.0, 0.1, 5)
+        vp, _ = self._pair(Grid1D(128, 20.0), times)
+        w = build_weight(1.0, Grid1D(128, 30.0), mode="truncated")
+        with pytest.raises(GridMismatchError):
+            pde_residual(vp, BENCH, w)

@@ -352,6 +352,31 @@ class TestHatBackedStack:
         plus, minus = field.split_sides()
         assert plus._values is None and minus._values is None
 
+    def test_norm_series_of_a_symbol(self):
+        g, times, values = self._stack()
+        sym = projection_multiplier(g, "-").symbol
+        want = np.array([project(SpectralField(g, row), "-").norm_l2() for row in values])
+        for field in (
+            SpaceTimeField(g, times, values),
+            SpaceTimeField(g, times, hats=np.fft.fft(values, axis=1)),
+        ):
+            got = field.norm_series(sym)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+    def test_block_reads_either_form_without_caching(self):
+        g, times, values = self._stack()
+        rows = slice(40, 77)
+        for field in (
+            SpaceTimeField(g, times, values),
+            SpaceTimeField(g, times, hats=np.fft.fft(values, axis=1)),
+        ):
+            hats = field.block(rows)
+            back = field.block(rows, physical=True)
+            scale = 1e-12 * np.max(np.abs(values))
+            assert np.max(np.abs(np.fft.ifft(hats, axis=1) - values[rows])) < scale
+            assert np.max(np.abs(back - values[rows])) < scale
+            assert (field._values is None) != (field._hats is None)
+
     def test_needs_a_backing_stack_of_the_right_shape(self):
         g, times, values = self._stack()
         with pytest.raises(ValueError, match="values or hats"):
