@@ -5,8 +5,7 @@ Usage:
 
 Solves the two-endpoint problem for the chosen preset, prints the sweep
 history, the boundary and equation residuals, and the estimate-monitor
-verdicts.  Pass --out-dir to also write the full report via the CLI
-pipeline (fields, norms, estimates, report.json).
+verdicts.
 """
 
 import argparse

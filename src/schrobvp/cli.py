@@ -27,16 +27,15 @@ import os
 import platform
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-import sympy
 
 from . import __version__
 from .coefficients import (
     CoefficientField,
+    drift_samples,
     mizohata_index,
     norm_bundle,
     select_horizon,
@@ -560,7 +559,7 @@ def _run_batch_entry(payload: tuple[int, dict, str]) -> dict:
     try:
         code = run_picard_scenario(raw, out_dir)
         return {"index": index, "out_dir": out_dir, "exit": code, "error": None}
-    except Exception as exc:  # worker boundary: report, let the parent aggregate
+    except Exception as exc:  # entry boundary: report, let the batch aggregate
         return {"index": index, "out_dir": out_dir, "exit": 1, "error": str(exc)}
 
 
@@ -583,12 +582,7 @@ def _cmd_picard_batch(args: argparse.Namespace) -> int:
             raise ConfigError(f"{args.batch}: entry {i} is not a JSON object")
         sub = raw.get("out_dir") or str(base / f"run_{i:03d}")
         payloads.append((i, raw, sub))
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_run_batch_entry, payloads))
-    else:
-        results = [_run_batch_entry(p) for p in payloads]
-    results.sort(key=lambda r: r["index"])
+    results = [_run_batch_entry(p) for p in payloads]
     _write_json(base / "batch-summary.json", results)
     for r in results:
         note = r["error"] or f"exit {r['exit']}"
@@ -706,13 +700,7 @@ def _mizohata_field(args: argparse.Namespace, grid: Grid1D) -> tuple[np.ndarray,
         )
     if args.b is None:
         raise ConfigError("mizohata needs --b EXPR or --preset NAME")
-    x = sympy.Symbol("x", real=True)
-    expr = sympy.sympify(args.b, locals={"x": x, "sech": sympy.sech, "I": sympy.I})
-    fn = sympy.lambdify(x, expr, modules="numpy")
-    vals = np.asarray(fn(grid.x), dtype=np.complex128)
-    if vals.shape != (grid.n,):
-        vals = np.full(grid.n, complex(expr))
-    return vals, args.b
+    return drift_samples(args.b, grid.x), args.b
 
 
 def cmd_mizohata(args: argparse.Namespace) -> int:
@@ -771,7 +759,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pic.add_argument("--T", type=float, default=None,
                        help="horizon override (bypasses the admissibility check, with a warning)")
     p_pic.add_argument("--batch", default=None, help="JSON array of scenarios")
-    p_pic.add_argument("--jobs", type=int, default=1)
     p_pic.add_argument("--field-format", choices=("binary", "csv"), default="binary")
     p_pic.add_argument("--out-dir", default=None)
     p_pic.set_defaults(func=cmd_picard)

@@ -37,6 +37,7 @@ __all__ = [
     "norm_bundle",
     "select_horizon",
     "mizohata_index",
+    "drift_samples",
 ]
 
 _X, _T = sympy.symbols("x t", real=True)
@@ -262,6 +263,17 @@ def _window_maxima(vals: np.ndarray, segments: int, dx: float) -> np.ndarray:
         trap[:, 0] = 0.0
         np.maximum(best, np.max(np.abs(trap), axis=0), out=best)
     return best
+
+
+def drift_samples(text: str, x: np.ndarray) -> np.ndarray:
+    """Complex samples on ``x`` of a drift expression in x alone (I is the imaginary unit)."""
+    expr = _parse_expression(text, "drift")
+    if expr.has(_T):
+        raise ConfigError(f"drift expression {text!r} must not depend on t")
+    vals = np.array(_eval(_lambdify(expr), x, 0.0), dtype=np.complex128)
+    if not np.all(np.isfinite(vals)):
+        raise ConfigError(f"drift expression {text!r} is not finite on the grid")
+    return vals
 
 
 def mizohata_index(b: SpectralField | np.ndarray, grid: Grid1D, R_max: float) -> MizohataReport:

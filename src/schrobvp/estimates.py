@@ -1,7 +1,11 @@
 """Numerical monitors for the solver's a-priori inequalities.
 
 Each monitor computes both sides of one estimate on stored space-time
-fields and reports the measured ratio.  Constants that the theory leaves
+fields and reports the measured ratio.  The monitors read the fields as
+hat blocks (Fourier coefficients) through the multipliers of
+:mod:`spectral`; physical values are built only where a product with
+a(x, t) needs them, one block or one sampled slice at a time, and norms
+and pairings of hats come from Parseval.  Constants that the theory leaves
 implicit are reported as measured values, never assumed; pass verdicts
 use a small configured slack on the ratio.
 
@@ -32,7 +36,13 @@ from .spectral import (
     Grid1D,
     SpaceTimeField,
     SpectralField,
+    derivative,
+    derivative_multiplier,
+    fractional,
+    fractional_multiplier,
+    hilbert_multiplier,
     lp_norm,
+    projection_multiplier,
     row_blocks,
 )
 from .weights import WeightProfile
@@ -90,10 +100,14 @@ def _weighted_halfderiv_integral(
     v: SpaceTimeField,
     coeffs: CoefficientField,
     spatial_factor: np.ndarray,
+    side: np.ndarray | float = 1.0,
 ) -> float:
-    """Trapezoid in t of int a(x,t) * factor(x) * |D^{1/2}v|^2 dx, read in hat blocks."""
+    """Trapezoid in t of int a(x,t) * factor(x) * |D^{1/2} side v|^2 dx, read in hat blocks.
+
+    ``side`` is a frequency mask applied together with D^{1/2}.
+    """
     grid = v.grid
-    mult = np.sqrt(np.abs(grid.xi))
+    mult = side * fractional_multiplier(grid, 0.5).symbol.real
     per_slice = np.empty(len(v.times))
     for rows in row_blocks(len(v.times), grid.n):
         half = np.fft.ifft(mult * v.block(rows), axis=-1)
@@ -175,10 +189,16 @@ def energy_monitor(
     )
 
 
-def _support_check(w_total: np.ndarray, grid: Grid1D) -> None:
+def _support_check(w_plus: SpaceTimeField, w_minus: SpaceTimeField) -> None:
+    """Reject a pair whose sum carries over 1% of its mass in the outer decade."""
+    grid = w_plus.grid
     shell = np.abs(grid.x) > 0.9 * grid.half_length
-    total = np.sum(np.abs(w_total) ** 2)
-    outer = np.sum(np.abs(w_total[:, shell]) ** 2)
+    total = outer = 0.0
+    for rows in row_blocks(len(w_plus.times), grid.n):
+        w_total = w_plus.block(rows, physical=True) + w_minus.block(rows, physical=True)
+        mass = np.abs(w_total) ** 2
+        total += np.sum(mass)
+        outer += np.sum(mass[:, shell])
     if total > 0 and outer > 1e-2 * total:
         raise ValidationError(
             "support window violated: the weighted field carries "
@@ -209,7 +229,7 @@ def weighted_smoothing_monitor(
         raise ValidationError("the two carriers have different time grids")
     if beta <= 0:
         raise ValidationError("beta must be positive")
-    _support_check(w_plus.values + w_minus.values, grid)
+    _support_check(w_plus, w_minus)
 
     ones = np.ones(grid.n)
     lhs = beta * (
@@ -243,11 +263,23 @@ def _check_chain_exponents(q: float, delta: float) -> None:
         )
 
 
-def _half_comm(grid: Grid1D, b: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """[D^{1/2}; b] g with plain grid products."""
-    mult = np.sqrt(np.abs(grid.xi))
-    half_of_product = np.fft.ifft(mult * np.fft.fft(b * g))
-    return half_of_product - b * np.fft.ifft(mult * np.fft.fft(g))
+def _hat_norm(grid: Grid1D, hat: np.ndarray) -> float:
+    """Quadrature L^2 norm of a slice given by its hat (Parseval)."""
+    return float(np.sqrt(grid.dx / grid.n * np.sum(np.abs(hat) ** 2)))
+
+
+def _hat_pairing(grid: Grid1D, f_hat: np.ndarray, g_hat: np.ndarray) -> float:
+    """|sum f conj(g) dx| of two slices given by their hats (Parseval)."""
+    return abs(grid.dx / grid.n * np.sum(f_hat * np.conj(g_hat)))
+
+
+def _half_comm(half: np.ndarray, b: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """[D^{1/2}; b] g with plain grid products; ``half`` is the |xi|^{1/2} symbol.
+
+    Both terms are computed the same way, so a constant b gives exactly 0.
+    """
+    half_of_product = np.fft.ifft(half * np.fft.fft(b * g))
+    return half_of_product - b * np.fft.ifft(half * np.fft.fft(g))
 
 
 def commutator_chain_check(
@@ -268,14 +300,11 @@ def commutator_chain_check(
     if b.shape != (grid.n,):
         raise ValidationError("coefficient sample shape does not match the grid")
 
-    mult = np.sqrt(np.abs(grid.xi))
-    inner = _half_comm(grid, b, v.values)
-    lhs = SpectralField(grid, np.fft.ifft(mult * np.fft.fft(inner))).norm_l2()
+    half = fractional_multiplier(grid, 0.5).symbol.real
+    lhs = _hat_norm(grid, half * np.fft.fft(_half_comm(half, b, v.values)))
 
-    b_hat = np.fft.fft(b)
-    grad = np.fft.ifft(1j * grid.xi * b_hat)
-    bessel = np.fft.ifft((1.0 + grid.xi**2) ** (delta / 2.0) * np.fft.fft(grad))
-    grad_norm = lp_norm(SpectralField(grid, bessel), q)
+    grad = derivative(SpectralField(grid, b))
+    grad_norm = lp_norm(fractional(grad, delta, kind="J"), q)
     rhs = grad_norm * v.norm_l2()
 
     if rhs > 0:
@@ -346,18 +375,18 @@ def bootstrap_diagnostics(
     grid = w.grid
     times = w.times
     horizon = float(times[-1])
-    mult = np.sqrt(np.abs(grid.xi))
-    sgn = np.where(grid.xi > 0, 1.0, np.where(grid.xi < 0, -1.0, 0.0))
-    sgn[grid.n // 2] = 0.0
-    pos = (grid.xi > 0).astype(float)
-    pos[grid.n // 2] = 0.0
+    half = fractional_multiplier(grid, 0.5).symbol.real
+    hil = hilbert_multiplier(grid).symbol
+    deriv = derivative_multiplier(grid).symbol * (hil != 0)   # d/dx on the paired modes
+    pos = projection_multiplier(grid, "+").symbol.real
+    # The negative side keeps the Nyquist mode that P- drops: |D^{1/2} z|^2 on
+    # the left counts that mode, so the two sides must cover it too.
     neg = (grid.xi < 0).astype(float)
 
-    z_vals = np.empty((len(times), grid.n), dtype=np.complex128)
-    z_norms = np.empty(len(times))
+    z_hats = np.empty((len(times), grid.n), dtype=np.complex128)
     for rows in row_blocks(len(times), grid.n):
-        z_vals[rows] = np.fft.ifft(mult * w.block(rows), axis=-1)
-        z_norms[rows] = np.sqrt(grid.dx * np.sum(np.abs(z_vals[rows]) ** 2, axis=1))
+        z_hats[rows] = half * w.block(rows)
+    z_norms = SpaceTimeField(grid, times, hats=z_hats).norm_series()
 
     scale = float(np.max(z_norms))
     if scale == 0.0:
@@ -372,12 +401,13 @@ def bootstrap_diagnostics(
             notes="zero field",
         )
 
+    def w_hat(i: int) -> np.ndarray:
+        return w.block(slice(i, i + 1))[0]
+
     # derivative factorization d/dx = D^{1/2} H D^{1/2} on the middle slice
     mid = len(times) // 2
-    w_hat = np.fft.fft(w.values[mid])
-    direct = 1j * grid.xi * w_hat
-    direct[grid.n // 2] = 0.0
-    factored = mult * (1j * sgn) * (mult * w_hat)
+    direct = deriv * w_hat(mid)
+    factored = half * hil * z_hats[mid]
     fact_err = float(
         np.max(np.abs(direct - factored)) / max(np.max(np.abs(direct)), 1e-300)
     )
@@ -407,37 +437,24 @@ def bootstrap_diagnostics(
     pair_ratio_21 = 0.0
     ident_err = fact_err
     for i, a_here, grad in zip(sample_idx, a_rows, grad_rows):
-        grad_hat = np.fft.fft(grad)
-        bess = np.fft.ifft((1.0 + grid.xi**2) ** (delta / 2.0) * grad_hat)
-        grad_q = lp_norm(SpectralField(grid, bess), q)
+        grad_q = lp_norm(fractional(SpectralField(grid, grad), delta, kind="J"), q)
         grad_sup = max(grad_sup, grad_q)
 
-        z_hat = np.fft.fft(z_vals[i])
-        dz = np.fft.ifft(mult * z_hat)
-        dz_norm = np.sqrt(grid.dx * np.sum(np.abs(dz) ** 2))
-        hz = np.fft.ifft(1j * sgn * z_hat)
-        half_hz = np.fft.ifft(mult * np.fft.fft(hz))
-        core = _half_comm(grid, a_here, half_hz)
-        core_hat = np.fft.fft(core)
-
-        w_hat_i = np.fft.fft(w.values[i])
-        deriv_mult = 1j * grid.xi.copy()
-        deriv_mult[grid.n // 2] = 0.0
-        wx = np.fft.ifft(deriv_mult * w_hat_i)
-        comm_wx = _half_comm(grid, a_here, wx)
-        comm_wx_hat = np.fft.fft(comm_wx)
+        z_hat = z_hats[i]
+        dz_norm = _hat_norm(grid, half * z_hat)
+        half_hz = np.fft.ifft(half * hil * z_hat)
+        core_hat = np.fft.fft(_half_comm(half, a_here, half_hz))
+        wx = np.fft.ifft(deriv * w_hat(i))
+        comm_wx_hat = np.fft.fft(_half_comm(half, a_here, wx))
 
         for sym in (pos, neg):
             z_side_hat = sym * z_hat
-            z_side = np.fft.ifft(z_side_hat)
-            z_side_norm = np.sqrt(grid.dx * np.sum(np.abs(z_side) ** 2))
+            z_side_norm = _hat_norm(grid, z_side_hat)
             if z_side_norm == 0.0:
                 continue
 
-            lhs20 = abs(
-                grid.dx * np.sum(np.fft.ifft(sym * comm_wx_hat) * np.conj(z_side))
-            )
-            red20 = abs(grid.dx * np.sum(core * np.conj(z_side)))
+            lhs20 = _hat_pairing(grid, sym * comm_wx_hat, z_side_hat)
+            red20 = _hat_pairing(grid, core_hat, z_side_hat)
             ident_err = max(
                 ident_err,
                 abs(lhs20 - red20) / max(scale**2, 1e-300),
@@ -447,17 +464,9 @@ def bootstrap_diagnostics(
                 lhs20 / max(grad_q * z_norms[i] * z_side_norm, 1e-300),
             )
 
-            grad_comm_hat = 1j * grid.xi * comm_wx_hat
-            grad_comm_hat[grid.n // 2] = 0.0
-            lhs21 = abs(
-                grid.dx * np.sum(np.fft.ifft(sym * grad_comm_hat) * np.conj(z_side))
-            )
-            half_core = np.fft.ifft(mult * core_hat)
-            half_hz_side = np.fft.ifft(mult * np.fft.fft(np.fft.ifft(1j * sgn * z_side_hat)))
-            red21 = abs(grid.dx * np.sum(half_core * np.conj(half_hz_side)))
-            dz_side = np.sqrt(
-                grid.dx * np.sum(np.abs(np.fft.ifft(mult * z_side_hat)) ** 2)
-            )
+            lhs21 = _hat_pairing(grid, sym * deriv * comm_wx_hat, z_side_hat)
+            red21 = _hat_pairing(grid, half * core_hat, half * hil * z_side_hat)
+            dz_side = _hat_norm(grid, half * z_side_hat)
             ident_err = max(
                 ident_err,
                 abs(lhs21 - red21) / max(scale**2 * grid.xi_max, 1e-300),
@@ -470,15 +479,13 @@ def bootstrap_diagnostics(
     # absorbed smoothing inequality on the interior interval
     keep = slice(i0, i1 + 1)
     ones = np.ones(grid.n)
-    z_hats = np.fft.fft(z_vals[keep], axis=-1)
-    per_slice_total = SpaceTimeField(grid, times[keep], hats=z_hats).norm_series(mult) ** 2
-    lhs_abs = beta * lam * float(np.trapezoid(per_slice_total, times[keep]))
-
-    sides = (SpaceTimeField(grid, times[keep], hats=side * z_hats) for side in (pos, neg))
-    mid_val = beta * sum(_weighted_halfderiv_integral(z, coeffs, ones) for z in sides)
-    chain_term = chain_constant * grad_sup * float(
-        np.trapezoid(per_slice_total, times[keep])
+    z_keep = SpaceTimeField(grid, times[keep], hats=z_hats[keep])
+    total_integral = float(np.trapezoid(z_keep.norm_series(half) ** 2, times[keep]))
+    lhs_abs = beta * lam * total_integral
+    mid_val = beta * sum(
+        _weighted_halfderiv_integral(z_keep, coeffs, ones, side) for side in (pos, neg)
     )
+    chain_term = chain_constant * grad_sup * total_integral
     implied_c0 = mid_val - chain_term
 
     ratio = lhs_abs / mid_val if mid_val > 0 else (0.0 if lhs_abs == 0.0 else np.inf)

@@ -545,27 +545,21 @@ class SpaceTimeField:
         return float(np.max(self.norm_series()))
 
     def split_sides(self) -> tuple["SpaceTimeField", "SpaceTimeField"]:
-        """The P+ and P- parts of every slice.
+        """The P+ and P- parts of every slice, as hat-backed fields.
 
-        A hat-backed field splits by masking its hats; a value-backed one
-        is transformed block by block and gives value-backed parts.
+        The hats are masked block by block, whichever form the field stores.
         """
         sym_p = projection_multiplier(self.grid, "+").symbol
         sym_m = projection_multiplier(self.grid, "-").symbol
-        if self._hats is not None:
-            return (
-                SpaceTimeField(self.grid, self.times, hats=sym_p * self._hats),
-                SpaceTimeField(self.grid, self.times, hats=sym_m * self._hats),
-            )
-        plus = np.empty_like(self._values)
-        minus = np.empty_like(self._values)
+        plus = np.empty((len(self.times), self.grid.n), dtype=np.complex128)
+        minus = np.empty_like(plus)
         for rows in row_blocks(len(self.times), self.grid.n):
             hat = self.block(rows)
-            plus[rows] = np.fft.ifft(sym_p * hat, axis=1)
-            minus[rows] = np.fft.ifft(sym_m * hat, axis=1)
+            np.multiply(sym_p, hat, out=plus[rows])
+            np.multiply(sym_m, hat, out=minus[rows])
         return (
-            SpaceTimeField(self.grid, self.times, plus),
-            SpaceTimeField(self.grid, self.times, minus),
+            SpaceTimeField(self.grid, self.times, hats=plus),
+            SpaceTimeField(self.grid, self.times, hats=minus),
         )
 
     def __repr__(self) -> str:

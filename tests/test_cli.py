@@ -240,6 +240,11 @@ class TestBatch:
         assert summary[1]["error"] is not None and "junk" in summary[1]["error"]
 
 
+    def test_jobs_option_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit):
+            cli.main(["picard", "--batch", str(tmp_path / "b.json"), "--jobs", "2"])
+
+
 class TestErrorsAndExitCodes:
     def test_unknown_key_exits_1(self, tmp_path, capsys):
         scenario = tmp_path / "s.json"
@@ -295,6 +300,14 @@ class TestMizohataCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["verdict"] == "bounded"
         assert report["sup_value"] == pytest.approx(np.pi, rel=0.02)
+
+
+    @pytest.mark.parametrize("expr", ["y", "foo(x)", "t*x", "1/x"])
+    def test_bad_expression_is_an_error_line(self, tmp_path, capsys, expr):
+        code = cli.main(["mizohata", "--b", expr, "--grid-n", "256",
+                         "--out-dir", str(tmp_path / "m")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestCommutatorBenchCommand:

@@ -1,6 +1,7 @@
 """Monitor tests: closed-form oracles, trivial zeros, ensemble stability."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from schrobvp.spectral import (
     Grid1D,
     SpaceTimeField,
     SpectralField,
+    chunk_rows,
     gaussian_field,
     project,
     random_band_field,
@@ -255,6 +257,63 @@ class TestBootstrapDiagnostics:
         asm = assemble_solution(vp, vm, w, f=f, g=g)
         with pytest.raises(ValidationError, match="floor"):
             bootstrap_diagnostics(asm.w, BENCH, beta=1.0, lam=1.5)
+
+
+def _same_report(got, want, rel=1e-12):
+    """Equal sides, ratio and constants to ``rel``; round-off-level error measures excluded."""
+    for key in ("lhs", "rhs", "ratio"):
+        assert getattr(got, key) == pytest.approx(getattr(want, key), rel=rel, abs=0.0)
+    for key, val in want.constants.items():
+        if key.endswith("_error"):
+            continue
+        assert got.constants[key] == pytest.approx(val, rel=rel, abs=0.0), key
+
+
+class TestStorageForms:
+    def test_value_and_hat_backed_stacks_agree(self, localized_run):
+        grid, w, f, g, vp, vm, report = localized_run
+        w_asm = assemble_solution(vp, vm, w, f=f, g=g).w
+        values = w_asm.values
+        norms = w_asm.norm_series()
+        # distinct slice norms, so the interior-witness argmin has no ties
+        assert np.min(np.diff(np.sort(norms))) > 1e-9 * np.max(norms)
+        by_values = SpaceTimeField(grid, w_asm.times, values)
+        by_hats = SpaceTimeField(grid, w_asm.times, hats=np.fft.fft(values, axis=1))
+
+        boot = [bootstrap_diagnostics(s, BENCH, beta=1.0, lam=0.9) for s in (by_hats, by_values)]
+        _same_report(*boot)
+        assert boot[0].constants["interior_index_low"] == boot[1].constants["interior_index_low"]
+        assert boot[0].constants["interior_index_high"] == boot[1].constants["interior_index_high"]
+        smooth = [
+            weighted_smoothing_monitor(*s.split_sides(), BENCH, 1.0) for s in (by_hats, by_values)
+        ]
+        _same_report(*smooth)
+
+    def test_nyquist_content_counts_on_the_negative_side(self):
+        # P- drops the Nyquist mode; the bootstrap's negative side must keep it,
+        # or a field living there would give a zero right-hand side
+        grid = Grid1D(128, 8.0)
+        times = np.linspace(0.0, 0.1, 17)
+        hats = np.zeros((len(times), grid.n), dtype=complex)
+        hats[:, grid.n // 2] = grid.n * (1.0 + times)
+        rep = bootstrap_diagnostics(SpaceTimeField(grid, times, hats=hats), CONST, 1.0, 0.9)
+        assert rep.verdict == "pass"
+        assert rep.ratio == pytest.approx(0.9, rel=1e-12, abs=0.0)
+
+    def test_smoothing_monitor_reads_one_block_at_a_time(self):
+        grid = Grid1D(2048, 40.0)
+        times = np.linspace(0.0, 0.1, 16 * chunk_rows(grid.n) + 1)
+        bump = gaussian_field(grid, width=2.0).values * np.exp(2j * grid.x)
+        hats = np.fft.fft(bump)[None, :] * (1.0 + times)[:, None]
+        w_plus, w_minus = SpaceTimeField(grid, times, hats=hats).split_sides()
+        tracemalloc.start()
+        try:
+            rep = weighted_smoothing_monitor(w_plus, w_minus, BENCH, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.verdict == "pass"
+        assert peak < 0.5 * hats.nbytes
 
 
 class TestReportSerialization:

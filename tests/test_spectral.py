@@ -352,6 +352,16 @@ class TestHatBackedStack:
         plus, minus = field.split_sides()
         assert plus._values is None and minus._values is None
 
+    def test_split_sides_of_values_gives_hat_backed_parts(self):
+        g, times, values = self._stack()
+        field = SpaceTimeField(g, times, values)
+        plus, minus = field.split_sides()
+        assert plus._values is None and minus._values is None
+        for part, sign in ((plus, "+"), (minus, "-")):
+            want = projection_multiplier(g, sign).symbol * np.fft.fft(values, axis=1)
+            assert np.max(np.abs(part.hats - want)) <= 1e-12 * np.max(np.abs(want))
+        assert field._hats is None  # the split cached no transform of the field
+
     def test_norm_series_of_a_symbol(self):
         g, times, values = self._stack()
         sym = projection_multiplier(g, "-").symbol
