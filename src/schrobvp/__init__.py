@@ -31,7 +31,6 @@ from .spectral import (
     SpectralField,
     annulus_bump,
     block_symbol,
-    boundary_mass,
     dealiased_product,
     derivative,
     fractional,
@@ -45,7 +44,7 @@ from .spectral import (
     remove_pi0,
     smooth_bump,
 )
-from .weights import WeightProfile, build_weight, unit_weight, weight_multiply
+from .weights import WeightProfile, build_weight, unit_weight
 from .coefficients import (
     CoefficientField,
     HorizonSelection,

@@ -45,7 +45,6 @@ from .errors import ConfigError, ValidationError
 from .estimates import (
     EstimateReport,
     bootstrap_diagnostics,
-    commutator_chain_check,
     energy_monitor,
     weighted_smoothing_monitor,
 )
@@ -69,10 +68,10 @@ _TOP_KEYS = {
 }
 _GRID_KEYS = {"n", "L"}
 _WEIGHT_KEYS = {"beta", "mode", "margin"}
-_COEFF_KEYS = {"a", "W", "lambda", "beta"}
+_COEFF_KEYS = {"a", "W", "lambda"}
 _DATA_KEYS = {"f", "g"}
 _STEPPER_KEYS = {"epsilon", "dt", "n_steps", "epsilon_schedule"}
-_ESTIMATE_KEYS = {"energy", "smoothing", "bootstrap", "chain", "q", "delta", "chain_constant", "slack"}
+_ESTIMATE_KEYS = {"energy", "smoothing", "bootstrap", "q", "delta", "chain_constant", "slack"}
 
 _STORED_SLICE_CAP = 128   # carrier slices kept for verify-estimates, at most
 _HORIZON_PROBE = (0.25, 10001)   # window and resolution for automatic selection
@@ -155,16 +154,11 @@ def build_scenario(raw: dict) -> ScenarioConfig:
 
     coeff_spec = resolved.get("coefficients")
     if not isinstance(coeff_spec, dict):
-        raise ConfigError("scenario needs a coefficients section {a, W, lambda, beta}")
+        raise ConfigError("scenario needs a coefficients section {a, W, lambda}")
     _check_keys(coeff_spec, _COEFF_KEYS, "coefficients")
     if "a" not in coeff_spec or "W" not in coeff_spec:
         raise ConfigError("coefficients section needs both a and W")
     lam = float(coeff_spec.get("lambda", 0.0))
-    beta = float(coeff_spec.get("beta", weight.beta))
-    if abs(beta - weight.beta) > 1e-12:
-        raise ConfigError(
-            f"coefficients beta {beta:g} disagrees with weight beta {weight.beta:g}"
-        )
 
     horizon = resolved.get("horizon")
     if horizon is not None:
@@ -197,7 +191,6 @@ def build_scenario(raw: dict) -> ScenarioConfig:
     est_spec.setdefault("energy", True)
     est_spec.setdefault("smoothing", True)
     est_spec.setdefault("bootstrap", lam > 0)
-    est_spec.setdefault("chain", False)
 
     times = [float(t) for t in resolved.get("times", [])]
     return ScenarioConfig(
@@ -206,7 +199,7 @@ def build_scenario(raw: dict) -> ScenarioConfig:
         weight=weight,
         coeffs=coeffs,
         lam=lam,
-        beta=beta,
+        beta=weight.beta,
         f=f,
         g=g,
         stepper=stepper,
@@ -377,19 +370,6 @@ def run_monitors(
                 slack=slack,
             )
         )
-    if cfg.get("chain"):
-        i_mid = len(w_stack.times) // 2
-        t_mid = float(w_stack.times[i_mid])
-        b = sc.coeffs.a_values(sc.grid.x, t_mid) * sc.weight.logderiv
-        reports.append(
-            commutator_chain_check(
-                b,
-                w_stack.slice(i_mid),
-                q=float(cfg.get("q", 2.0)),
-                delta=float(cfg.get("delta", 0.6)),
-                slack=slack,
-            )
-        )
     return reports
 
 
@@ -506,8 +486,7 @@ def run_picard_scenario(raw: dict, out_dir: str | None, flag_T: float | None = N
     horizon, override, trace = resolve_horizon(sc, flag_T)
     problem = BvpProblem(
         f=sc.f, g=sc.g, coeffs=sc.coeffs, weight=sc.weight,
-        horizon=horizon, stepper_cfg=sc.stepper, beta=sc.beta,
-        override_horizon=override,
+        horizon=horizon, stepper_cfg=sc.stepper, override_horizon=override,
     )
     t0 = time.perf_counter()
     vp, vm, report = picard_solve(problem, tol=sc.tol, m_max=sc.m_max)
@@ -685,19 +664,12 @@ def _mizohata_field(args: argparse.Namespace, grid: Grid1D) -> tuple[np.ndarray,
     if args.preset is not None and args.b is not None:
         raise ConfigError("give either --preset or --b, not both")
     if args.preset is not None:
-        if args.preset == "real":
-            return 1.0 / np.cosh(grid.x) + 0j, "sech(x)"
-        if args.preset == "benchmark-drift":
-            bench = build_scenario(load_preset("benchmark"))
-            weight = build_weight(bench.beta, grid, mode="truncated")
-            a0 = bench.coeffs.a_values(grid.x, 0.0)
-            return -2j * a0 * weight.logderiv, "-2i a(x,0) logderiv(x)"
-        if args.preset.startswith("imaginary:"):
-            c = float(args.preset.split(":", 1)[1])
-            return np.full(grid.n, 1j * c), f"{c:g}i"
-        raise ConfigError(
-            f"unknown mizohata preset {args.preset!r}; use real, imaginary:c, or benchmark-drift"
-        )
+        if args.preset != "benchmark-drift":
+            raise ConfigError(f"unknown mizohata preset {args.preset!r}; use benchmark-drift")
+        bench = build_scenario(load_preset("benchmark"))
+        weight = build_weight(bench.beta, grid, mode="truncated")
+        a0 = bench.coeffs.a_values(grid.x, 0.0)
+        return -2j * a0 * weight.logderiv, "-2i a(x,0) logderiv(x)"
     if args.b is None:
         raise ConfigError("mizohata needs --b EXPR or --preset NAME")
     return drift_samples(args.b, grid.x), args.b
@@ -785,7 +757,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_miz = sub.add_parser("mizohata", help="drift-integrability index")
     p_miz.add_argument("--b", default=None, help="expression in x (I for the imaginary unit)")
     p_miz.add_argument("--preset", default=None,
-                       help="real, imaginary:c, or benchmark-drift")
+                       help="benchmark-drift (the benchmark's weighted drift -2i a q)")
     p_miz.add_argument("--R", type=float, default=None, help="max ray radius (default L/2)")
     p_miz.add_argument("--grid-n", type=int, default=2048)
     p_miz.add_argument("--grid-L", type=float, default=64.0)

@@ -128,16 +128,6 @@ class NormBundle:
     energy_integral: np.ndarray     # running trapezoid of energy_rate
     triple_norm: float              # time-integrated a, <x> a_x, <x> a_xx sup norms
 
-    def scaled(self, factor: float) -> "NormBundle":
-        return NormBundle(
-            times=self.times,
-            coupling_rate=factor * self.coupling_rate,
-            energy_rate=factor * self.energy_rate,
-            coupling_integral=factor * self.coupling_integral,
-            energy_integral=factor * self.energy_integral,
-            triple_norm=factor * self.triple_norm,
-        )
-
 
 def _running_trapezoid(times: np.ndarray, samples: np.ndarray) -> np.ndarray:
     inc = 0.5 * (samples[1:] + samples[:-1]) * np.diff(times)

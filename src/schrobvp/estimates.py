@@ -40,6 +40,7 @@ from .spectral import (
     derivative_multiplier,
     fractional,
     fractional_multiplier,
+    hat_norm,
     hilbert_multiplier,
     lp_norm,
     projection_multiplier,
@@ -263,11 +264,6 @@ def _check_chain_exponents(q: float, delta: float) -> None:
         )
 
 
-def _hat_norm(grid: Grid1D, hat: np.ndarray) -> float:
-    """Quadrature L^2 norm of a slice given by its hat (Parseval)."""
-    return float(np.sqrt(grid.dx / grid.n * np.sum(np.abs(hat) ** 2)))
-
-
 def _hat_pairing(grid: Grid1D, f_hat: np.ndarray, g_hat: np.ndarray) -> float:
     """|sum f conj(g) dx| of two slices given by their hats (Parseval)."""
     return abs(grid.dx / grid.n * np.sum(f_hat * np.conj(g_hat)))
@@ -301,7 +297,7 @@ def commutator_chain_check(
         raise ValidationError("coefficient sample shape does not match the grid")
 
     half = fractional_multiplier(grid, 0.5).symbol.real
-    lhs = _hat_norm(grid, half * np.fft.fft(_half_comm(half, b, v.values)))
+    lhs = float(hat_norm(grid, half * np.fft.fft(_half_comm(half, b, v.values))))
 
     grad = derivative(SpectralField(grid, b))
     grad_norm = lp_norm(fractional(grad, delta, kind="J"), q)
@@ -441,7 +437,7 @@ def bootstrap_diagnostics(
         grad_sup = max(grad_sup, grad_q)
 
         z_hat = z_hats[i]
-        dz_norm = _hat_norm(grid, half * z_hat)
+        dz_norm = float(hat_norm(grid, half * z_hat))
         half_hz = np.fft.ifft(half * hil * z_hat)
         core_hat = np.fft.fft(_half_comm(half, a_here, half_hz))
         wx = np.fft.ifft(deriv * w_hat(i))
@@ -449,7 +445,7 @@ def bootstrap_diagnostics(
 
         for sym in (pos, neg):
             z_side_hat = sym * z_hat
-            z_side_norm = _hat_norm(grid, z_side_hat)
+            z_side_norm = float(hat_norm(grid, z_side_hat))
             if z_side_norm == 0.0:
                 continue
 
@@ -466,7 +462,7 @@ def bootstrap_diagnostics(
 
             lhs21 = _hat_pairing(grid, sym * deriv * comm_wx_hat, z_side_hat)
             red21 = _hat_pairing(grid, half * core_hat, half * hil * z_side_hat)
-            dz_side = _hat_norm(grid, half * z_side_hat)
+            dz_side = float(hat_norm(grid, half * z_side_hat))
             ident_err = max(
                 ident_err,
                 abs(lhs21 - red21) / max(scale**2 * grid.xi_max, 1e-300),

@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _MAGIC = b"SPF1"
+_HEADER_BYTES = 20   # magic, u64 node count, f64 half-length
 
 
 def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
@@ -94,14 +95,14 @@ def load_field_binary(path: str | Path) -> SpectralField:
     blob = Path(path).read_bytes()
     if blob[:4] != _MAGIC:
         raise ConfigError(f"{path}: not a field file (bad magic)")
-    if len(blob) < 16:
+    if len(blob) < _HEADER_BYTES:
         raise ConfigError(f"{path}: truncated header")
     n = struct.unpack("<Q", blob[4:12])[0]
     half_length = struct.unpack("<d", blob[12:20])[0]
-    expected = 20 + 16 * n
+    expected = _HEADER_BYTES + 16 * n
     if len(blob) != expected:
         raise ConfigError(f"{path}: expected {expected} bytes for n={n}, got {len(blob)}")
-    interleaved = np.frombuffer(blob, dtype="<f8", offset=20)
+    interleaved = np.frombuffer(blob, dtype="<f8", offset=_HEADER_BYTES)
     grid = Grid1D(n, half_length)
     return SpectralField(grid, interleaved[0::2] + 1j * interleaved[1::2])
 

@@ -24,12 +24,14 @@ branch of the coupling source only and takes lambda- = (Z v)_paired -
 lambda+: on that class P+ + P- = I, and on dealiased input the commutator
 terms of the two signs cancel except at the zero mode.  The sources stay
 Fourier coefficients, written straight into one march-ordered (2, N+1, n)
-buffer, and reach the stepper as hat-backed fields; both carriers are then
-marched together through `solve_linear(..., partner=...)`.
+buffer on the march's own time grid (the only grid the stepper accepts),
+and reach the stepper as hat-backed fields; both carriers are then marched
+together through `solve_linear(..., partner=...)`.
 
 The carriers are hat-backed as well, from the march to the residual: norms
-are Parseval sums, and physical values exist only inside `_operator_parts`,
-the one operator kernel of the coupling source and the residual monitor.
+are Parseval sums (`spectral.hat_norm`), and physical values exist only
+inside `_operator_parts`, the one operator kernel of the coupling source and
+the residual monitor.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .spectral import (
     SpaceTimeField,
     SpectralField,
     dealias_hat,
+    hat_norm,
     projection_multiplier,
     row_blocks,
 )
@@ -80,7 +83,7 @@ def _require_one_sided(f: SpectralField, sign: str, label: str) -> None:
         raise ValidationError(f"{label} must have zero mean")
     wrong = "-" if sign == "+" else "+"
     sym = projection_multiplier(f.grid, wrong).symbol
-    leak = float(np.sqrt(f.grid.dx / f.grid.n * np.sum(np.abs(sym * hat) ** 2)))
+    leak = float(hat_norm(f.grid, sym * hat))
     if leak > 1e-12 * scale:
         raise ValidationError(
             f"{label} carries {leak:.3g} of mass on the {wrong} frequency side"
@@ -102,7 +105,6 @@ class BvpProblem:
     weight: WeightProfile
     horizon: float
     stepper_cfg: StepperConfig
-    beta: float | None = None
     override_horizon: bool = False
 
     def __post_init__(self) -> None:
@@ -110,8 +112,6 @@ class BvpProblem:
             raise GridMismatchError("data and weight must share one grid")
         if not (self.horizon > 0):
             raise ConfigError(f"horizon must be positive, got {self.horizon}")
-        if self.beta is None:
-            self.beta = self.weight.beta
         _require_one_sided(self.f, "-", "low-endpoint datum")
         _require_one_sided(self.g, "+", "high-endpoint datum")
 
@@ -289,12 +289,10 @@ def coupling_stacks(
 
 
 def _sup_l2_diff(a: SpaceTimeField, b: SpaceTimeField) -> float:
-    grid = a.grid
     worst = 0.0
-    for rows in row_blocks(len(a.times), grid.n):
-        mass = np.sum(np.abs(a.block(rows) - b.block(rows)) ** 2, axis=1)   # Parseval
-        worst = max(worst, float(np.max(mass)))
-    return float(np.sqrt(grid.dx / grid.n * worst))
+    for rows in row_blocks(len(a.times), a.grid.n):
+        worst = max(worst, float(np.max(hat_norm(a.grid, a.block(rows) - b.block(rows)))))
+    return worst
 
 
 def _leakage(vp: SpaceTimeField, vm: SpaceTimeField) -> float:
@@ -443,7 +441,7 @@ def _projection_residual(
     rows = slice(i, i + 1)
     sym = projection_multiplier(grid, sign).symbol
     hat = sym * (vp.block(rows)[0] + vm.block(rows)[0]) - dealias_hat(grid, datum.hat)
-    return float(np.sqrt(grid.dx / grid.n * np.sum(np.abs(hat) ** 2)))
+    return float(hat_norm(grid, hat))
 
 
 @dataclass(frozen=True)
@@ -544,5 +542,5 @@ def pde_residual(
         # r = (dv/dt - L v) hat, with the time difference dealiased like L v
         np.subtract((hats[2:] - hats[:-2]) * (mask / (2 * v.dt)), r, out=r)
         r *= jm2
-        norms[rows] = np.sqrt(grid.dx / grid.n * np.sum(np.abs(r) ** 2, axis=1))
+        norms[rows] = hat_norm(grid, r)
     return ResidualProfile(times=v.times[1:-1], norms=norms, sup=float(np.max(norms)))

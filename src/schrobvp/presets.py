@@ -1,8 +1,10 @@
 """Bundled scenarios and endpoint-datum builders for the scenario runner.
 
 A scenario is a plain dict (JSON-shaped) with the keys the CLI understands;
-the three bundled ones are referenced by name throughout the verification
-suite:
+the decay rate beta is set once, by the ``weight`` section, and the
+``coefficients`` section holds only a, W and the ellipticity floor
+``lambda``.  The three bundled scenarios are referenced by name throughout
+the verification suite:
 
   benchmark  variable dispersion 1 + 0.1 e^{-t} sech x, potential
              0.05 sech x, truncated weight beta = 1, ellipticity floor 0.9,
@@ -37,7 +39,6 @@ _BENCHMARK = {
         "a": "1 + 0.1*exp(-t)*sech(x)",
         "W": "0.05*sech(x)",
         "lambda": 0.9,
-        "beta": 1.0,
     },
     "data": {"f": "gaussian:0,1.5", "g": "gaussian:1,2"},
     "stepper": {"epsilon": 1e-7, "n_steps": 1024},
@@ -49,7 +50,7 @@ _BENCHMARK = {
 _FREE = {
     "grid": {"n": 2048, "L": 40.0},
     "weight": {"beta": 1.0, "mode": "truncated"},
-    "coefficients": {"a": "1", "W": "0", "lambda": 1.0, "beta": 1.0},
+    "coefficients": {"a": "1", "W": "0", "lambda": 1.0},
     "data": {"f": "gaussian:0,1.5", "g": "gaussian:1,2"},
     "stepper": {"epsilon": 1e-6, "n_steps": 512},
     "estimates": {"energy": True, "smoothing": True, "bootstrap": True},
@@ -60,7 +61,7 @@ _FREE = {
 _DECOUPLED = {
     "grid": {"n": 512, "L": 24.0},
     "weight": {"beta": 1.0, "mode": "pure_exponential"},
-    "coefficients": {"a": "1", "W": "0", "lambda": 1.0, "beta": 1.0},
+    "coefficients": {"a": "1", "W": "0", "lambda": 1.0},
     "data": {"f": "gaussian:0,1.5", "g": "gaussian:1,2"},
     "stepper": {"epsilon": 1e-6, "n_steps": 512},
     "estimates": {"energy": True, "smoothing": True, "bootstrap": False},

@@ -71,8 +71,7 @@ __all__ = [
     "remove_pi0",
     "derivative",
     "dealiased_product",
-    "coeff_product",
-    "boundary_mass",
+    "hat_norm",
     "gaussian_field",
     "mode_field",
     "random_band_field",
@@ -427,16 +426,13 @@ def masked_samples(grid: Grid1D, samples: np.ndarray) -> np.ndarray:
     return np.fft.ifft(dealias_hat(grid, hat))
 
 
-def coeff_product(grid: Grid1D, masked_coeff: np.ndarray, field_values: np.ndarray) -> np.ndarray:
-    """Product (already-masked coefficient) * field, returned as masked hat values.
+def hat_norm(grid: Grid1D, hats: np.ndarray) -> np.ndarray:
+    """Quadrature L^2 norm along the last axis of Fourier coefficients, by Parseval.
 
-    ``field_values`` are physical samples assumed to be in-band (the 2/3
-    mask is idempotent on every field the solvers produce); the product is
-    masked after multiplication.  Works on stacks via broadcasting over the
-    leading axes.
+    sqrt(dx/n * sum |hat|^2), the one norm convention of every hat-space
+    reader; a single row gives a 0-d result.
     """
-    hat = np.fft.fft(masked_coeff * field_values, axis=-1)
-    return np.where(grid.dealias_mask, hat, 0.0)
+    return np.sqrt(grid.dx / grid.n * np.sum(np.abs(hats) ** 2, axis=-1))
 
 
 # --- space-time stacks ------------------------------------------------------
@@ -532,13 +528,13 @@ class SpaceTimeField:
         """
         grid = self.grid
         parseval = symbol is not None or self._values is None
-        weight = grid.dx / grid.n if parseval else grid.dx
         out = np.empty(len(self.times))
         for rows in row_blocks(len(self.times), grid.n):
-            stack = self.block(rows, physical=not parseval)
-            if symbol is not None:
-                stack = symbol * stack
-            out[rows] = np.sqrt(weight * np.sum(np.abs(stack) ** 2, axis=1))
+            if parseval:
+                stack = self.block(rows)
+                out[rows] = hat_norm(grid, stack if symbol is None else symbol * stack)
+            else:
+                out[rows] = np.sqrt(grid.dx * np.sum(np.abs(self._values[rows]) ** 2, axis=1))
         return out
 
     def sup_norm(self) -> float:
@@ -569,14 +565,7 @@ class SpaceTimeField:
         )
 
 
-# --- diagnostics and data helpers -----------------------------------------
-
-def boundary_mass(f: SpectralField) -> float:
-    """L^2 mass in the outer quarter |x| > 3L/4 (wrap-around indicator)."""
-    grid = f.grid
-    outer = np.abs(grid.x) > 0.75 * grid.half_length
-    return float(np.sqrt(grid.dx * np.sum(np.abs(f.values[outer]) ** 2)))
-
+# --- data helpers ---------------------------------------------------------
 
 def gaussian_field(grid: Grid1D, center: float = 0.0, width: float = 1.0, amplitude: float = 1.0) -> SpectralField:
     vals = amplitude * np.exp(-((grid.x - center) ** 2) / (2.0 * width**2))

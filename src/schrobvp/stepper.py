@@ -29,15 +29,17 @@ in the same state, its row reading the mirrored table node 2N - i.  Each
 RK stage makes one batched ifft of v_x and one batched fft of the stacked
 products [(a - abar) v_x, a q v_x]; the step hats go straight into the
 output buffer, which is returned as hat-backed fields (physical slices are
-built only if a caller asks for ``.values``).  Sources are read as hats (a
-hat-backed :class:`SpaceTimeField` needs no transform), masked row by row,
-with the midpoint row formed once per step.  Every row is checked for
-blow-up after every step against its own datum and source coefficient
-scale.
+built only if a caller asks for ``.values``).  A source must sit on the
+march's own time grid (the coupled solver builds its sources there); it is
+read as hats (a hat-backed :class:`SpaceTimeField` needs no transform),
+masked row by row, with each midpoint row formed once per step as the
+average of its two neighbouring slices.  Every row is checked for blow-up
+after every step against its own datum and source coefficient scale.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +51,7 @@ from .spectral import (
     Multiplier,
     SpaceTimeField,
     SpectralField,
+    hat_norm,
     masked_samples,
     row_blocks,
 )
@@ -90,6 +93,12 @@ class StepperConfig:
     epsilon_schedule: tuple[float, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
+        # scenario files hand these over unchecked: "64", 64.5 and true are errors
+        for name, kind, what in (("n_steps", numbers.Integral, "an integer"),
+                                 ("dt", numbers.Real, "a real number")):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
         if self.epsilon < 0:
             raise ConfigError(f"viscosity must be >= 0, got {self.epsilon}")
         if self.dt is not None and self.n_steps is not None:
@@ -244,6 +253,7 @@ def solve_linear(
     returned field always has times[0] = 0, times[-1] = horizon, with the
     datum reproduced at the appropriate end.  ``table`` must be built with
     ``half_steps`` on this march's time grid; without one it is built here.
+    A source must sit on the march's integer nodes, else ConfigError.
 
     ``partner``, a second sub-problem on the same grid, horizon,
     coefficients and weight (either direction), is marched in the same
@@ -261,6 +271,9 @@ def solve_linear(
     cfg.check_stability(p.grid, p.horizon)
     n_steps = cfg.resolve_steps(p.horizon)
     times = np.linspace(0.0, p.horizon, n_steps + 1)
+    for q in problems:
+        if q.source is not None:
+            _require_march_grid(q.source.times, times)
     if table is None:
         table = OperatorTable(p.coeffs, p.weight, times, half_steps=True)
     table.require(times, half_steps=True)
@@ -270,6 +283,17 @@ def solve_linear(
         for q, rows in zip(problems, hats)
     )
     return fields[0] if partner is None else fields
+
+
+def _require_march_grid(source_times: np.ndarray, times: np.ndarray) -> None:
+    """Raise ConfigError unless a source sits on the march's integer nodes ``times``."""
+    tol = 1e-9 * (times[1] - times[0])
+    if len(source_times) != len(times) or not np.allclose(source_times, times, rtol=0.0, atol=tol):
+        raise ConfigError(
+            f"source time grid of {len(source_times)} times on [{source_times[0]:g}, "
+            f"{source_times[-1]:g}] is not the march grid of {len(times)} times on "
+            f"[{times[0]:g}, {times[-1]:g}]"
+        )
 
 
 def _check_state(hat: np.ndarray, step: int, scale: np.ndarray) -> None:
@@ -284,33 +308,24 @@ def _check_state(hat: np.ndarray, step: int, scale: np.ndarray) -> None:
 class _SourceRows:
     """Masked, oriented source hats of every row at the march's half-step nodes.
 
-    A source on its own uniform time grid is interpolated linearly in time;
-    on the march's own grid that reads integer nodes exactly and averages
-    neighbours at the midpoints.  Row r of the result already carries the
-    row's 2/3 mask, zero-mean cut and orientation.
+    Sources sit on the march's integer nodes.  Half-step i of a forward row
+    reads slice i/2, a midpoint the exact average of its two neighbours; a
+    backward row reads the mirrored node.  Row r of the result already
+    carries the row's 2/3 mask, zero-mean cut and orientation.
     """
 
-    def __init__(self, problems, node_times: np.ndarray, factor: np.ndarray) -> None:
+    def __init__(self, problems, n_steps: int, factor: np.ndarray) -> None:
         self.factor = factor
-        self.plans = []
-        for q, t in zip(problems, node_times):
-            if q.source is None:
-                self.plans.append(None)
-                continue
-            ts = q.source.times
-            u = np.interp(t, ts, np.arange(len(ts), dtype=np.float64))
-            snap = np.rint(u)
-            u = np.where(np.abs(u - snap) < 1e-9, snap, u)
-            j = np.minimum(np.floor(u).astype(np.int64), len(ts) - 2)
-            self.plans.append((q.source.hats, j, u - j))
-        self.active = any(plan is not None for plan in self.plans)
+        self.n_steps = n_steps
+        self.hats = [None if q.source is None else q.source.hats for q in problems]
+        self.forward = [q.direction == "forward" for q in problems]
+        self.active = any(hats is not None for hats in self.hats)
 
     def scale(self) -> np.ndarray:
         """Per row, the largest source coefficient (0 without a source)."""
-        out = np.zeros(len(self.plans))
-        for r, plan in enumerate(self.plans):
-            if plan is not None:
-                hats = plan[0]
+        out = np.zeros(len(self.hats))
+        for r, hats in enumerate(self.hats):
+            if hats is not None:
                 out[r] = max(np.max(np.abs(hats[rows])) for rows in row_blocks(*hats.shape))
         return out
 
@@ -318,10 +333,10 @@ class _SourceRows:
         if not self.active:
             return None
         out = np.zeros(self.factor.shape, dtype=np.complex128)
-        for r, plan in enumerate(self.plans):
-            if plan is not None:
-                hats, j, w = plan[0], plan[1][i], plan[2][i]
-                out[r] = hats[j] if w == 0.0 else (1.0 - w) * hats[j] + w * hats[j + 1]
+        for r, hats in enumerate(self.hats):
+            if hats is not None:
+                j = i // 2 if self.forward[r] else self.n_steps - (i + 1) // 2
+                out[r] = hats[j] if i % 2 == 0 else 0.5 * (hats[j] + hats[j + 1])
         out *= self.factor
         return out
 
@@ -353,8 +368,7 @@ def _march(
     # factors that multiply the product hats
     div_factor = 1j * ixi * keep * orientation
     drift_factor = -2j * keep * orientation
-    node_times = table.nodes[first[:, None] + stride[:, None] * np.arange(2 * n_steps + 1)]
-    sources = _SourceRows(problems, node_times, keep * orientation)
+    sources = _SourceRows(problems, n_steps, keep * orientation)
     products = np.empty((2, rows, n), dtype=np.complex128)
 
     # The state is zero outside the 2/3 band, so E is needed only there; it
@@ -441,10 +455,8 @@ def epsilon_study(p: LinearProblem, cfg: StepperConfig) -> EpsilonStudyReport:
     for eps in sched:
         sub = StepperConfig(epsilon=eps, dt=cfg.dt, n_steps=cfg.n_steps)
         solutions.append(solve_linear(p, sub, table))
-    diffs = []
-    for s1, s2 in zip(solutions, solutions[1:]):
-        mass = np.sum(np.abs(s1.hats - s2.hats) ** 2, axis=1)   # Parseval
-        diffs.append(float(np.sqrt(p.grid.dx / p.grid.n * np.max(mass))))
+    pairs = zip(solutions, solutions[1:])
+    diffs = [float(np.max(hat_norm(p.grid, s1.hats - s2.hats))) for s1, s2 in pairs]
     orders = []
     for i in range(len(diffs) - 1):
         if diffs[i + 1] > 0 and diffs[i] > 0:

@@ -28,7 +28,6 @@ __all__ = [
     "WeightProfile",
     "build_weight",
     "unit_weight",
-    "weight_multiply",
     "fourth_logderiv_spectral",
 ]
 
@@ -171,17 +170,6 @@ def unit_weight(grid: Grid1D) -> WeightProfile:
         monotone=True,
         periodic_safe=True,
     )
-
-
-def weight_multiply(f: SpectralField, w: WeightProfile, direction: str = "apply") -> SpectralField:
-    """Pointwise weight application (``apply``) or removal (``invert``)."""
-    if f.grid != w.grid:
-        raise ConfigError("field and weight live on different grids")
-    if direction == "apply":
-        return SpectralField(f.grid, f.values * w.values)
-    if direction == "invert":
-        return SpectralField(f.grid, f.values / w.values)
-    raise ConfigError(f"direction must be 'apply' or 'invert', got {direction!r}")
 
 
 def fourth_logderiv_spectral(w: WeightProfile) -> np.ndarray:

@@ -255,14 +255,33 @@ class TestErrorsAndExitCodes:
 
     def test_no_out_dir_exits_1(self, monkeypatch, capsys):
         monkeypatch.delenv("SCHRO_OUT_DIR", raising=False)
-        code = cli.main(["mizohata", "--preset", "real"])
+        code = cli.main(["mizohata", "--b", "sech(x)"])
         assert code == 1
         assert "out-dir" in capsys.readouterr().err
 
     def test_env_out_dir_default(self, monkeypatch, tmp_path):
         monkeypatch.setenv("SCHRO_OUT_DIR", str(tmp_path / "envout"))
-        assert cli.main(["mizohata", "--preset", "real", "--grid-n", "512"]) == 0
+        assert cli.main(["mizohata", "--b", "sech(x)", "--grid-n", "512"]) == 0
         assert (tmp_path / "envout" / "report.json").exists()
+
+    @pytest.mark.parametrize("n_steps", ["64", 64.5, True])
+    def test_mistyped_step_count_exits_1(self, tmp_path, capsys, n_steps):
+        scenario = small_scenario_file(tmp_path, {"stepper": {"n_steps": n_steps}})
+        code = cli.main(["picard", "--scenario", scenario, "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "n_steps" in err
+
+    @pytest.mark.parametrize("size", [16, 19])
+    def test_truncated_field_file_exits_1(self, tmp_path, capsys, size):
+        # the binary header is 20 bytes; shorter files must not reach struct
+        datum = tmp_path / "f.spf"
+        datum.write_bytes(b"SPF1" + bytes(size - 4))
+        scenario = small_scenario_file(tmp_path, {"data": {"f": str(datum)}})
+        code = cli.main(["picard", "--scenario", scenario, "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "truncated header" in err
 
     def test_estimate_failure_maps_to_2(self):
         failing = EstimateReport(
@@ -278,7 +297,7 @@ class TestErrorsAndExitCodes:
 class TestMizohataCommand:
     def test_real_preset_bounded(self, tmp_path):
         out = tmp_path / "m"
-        assert cli.main(["mizohata", "--preset", "real", "--grid-n", "512",
+        assert cli.main(["mizohata", "--b", "sech(x)", "--grid-n", "512",
                          "--out-dir", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["verdict"] == "bounded"
@@ -286,7 +305,7 @@ class TestMizohataCommand:
 
     def test_imaginary_constant_slope(self, tmp_path):
         out = tmp_path / "m"
-        assert cli.main(["mizohata", "--preset", "imaginary:3.0", "--grid-n", "512",
+        assert cli.main(["mizohata", "--b", "3*I", "--grid-n", "512",
                          "--out-dir", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["verdict"] == "diverging"

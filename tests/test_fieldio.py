@@ -72,6 +72,14 @@ class TestBinary:
             load_field_binary(p)
 
 
+    @pytest.mark.parametrize("size", [16, 19])
+    def test_truncated_header(self, tmp_path, size):
+        p = tmp_path / "short.spf"
+        p.write_bytes(b"SPF1" + bytes(size - 4))
+        with pytest.raises(ConfigError, match="truncated header"):
+            load_field_binary(p)
+
+
 class TestSniffing:
     def test_load_either_format(self, field, tmp_path):
         c = tmp_path / "f.csv"

@@ -10,7 +10,6 @@ from schrobvp.spectral import (
     Grid1D,
     SpaceTimeField,
     SpectralField,
-    boundary_mass,
     block_symbol,
     chunk_rows,
     dealiased_product,
@@ -301,13 +300,6 @@ class TestGenerators:
     def test_band_above_nyquist_rejected(self):
         with pytest.raises(ValueError):
             random_band_field(Grid1D(64, 1.0), 32, 1)
-
-    def test_boundary_mass(self):
-        g = grid256()
-        centered = gaussian_field(g, width=1.0)
-        edge = gaussian_field(g, center=g.half_length * 0.95, width=1.0)
-        assert boundary_mass(centered) < 1e-12
-        assert boundary_mass(edge) > 0.5 * edge.norm_l2()
 
 
 class TestHatBackedStack:

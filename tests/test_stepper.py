@@ -80,6 +80,16 @@ class TestConfigValidation:
     def test_default_step_count(self):
         assert StepperConfig().resolve_steps(0.5) == 2048
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [({"n_steps": "64"}, "n_steps"), ({"n_steps": 64.5}, "n_steps"),
+         ({"n_steps": True}, "n_steps"), ({"dt": "0.01"}, "dt"), ({"dt": True}, "dt")],
+        ids=["str-steps", "fractional-steps", "bool-steps", "str-dt", "bool-dt"],
+    )
+    def test_step_settings_are_type_checked(self, kwargs, field):
+        with pytest.raises(ConfigError, match=field):
+            StepperConfig(**kwargs)
+
     def test_stiffness_cap(self):
         grid = Grid1D(512, 8 * np.pi)
         p = LinearProblem(
@@ -216,7 +226,7 @@ class TestConstantCoefficientExactness:
 
 class TestManufacturedSource:
     # v(x,t) = (1+t) exp(i k x - i k^2 t) solves dv/dt = i v_xx + F with
-    # F = exp(i k x - i k^2 t); checks source interpolation and both
+    # F = exp(i k x - i k^2 t); checks the midpoint source reads and both
     # direction conventions at once.
     def _exact(self, grid, t, k):
         return (1.0 + t) * np.exp(1j * k * grid.x - 1j * k**2 * t)
@@ -524,19 +534,16 @@ class TestBatchedMarch:
         with pytest.raises(ConfigError, match="partner"):
             solve_linear(fwd, cfg, table, partner=other)
 
-    def test_source_off_the_march_grid_is_interpolated(self):
-        # a source on a coarser uniform grid is read by linear interpolation,
-        # so a source linear in t is reproduced exactly at every half step
+    @pytest.mark.parametrize("n_src", [4, 64], ids=["coarser", "half-step"])
+    def test_source_off_the_march_grid_is_rejected(self, n_src):
+        # sources are read at the march's integer nodes only; a source on
+        # any other uniform grid over [0, T] is a configuration error
         grid = Grid1D(64, np.pi)
-        fine = np.linspace(0.0, 0.25, 65)
-        coarse = np.linspace(0.0, 0.25, 5)
-        shape = random_band_field(grid, 8, 3).values
-        sols = []
-        for ts in (fine, coarse):
-            src = SpaceTimeField(grid, ts, (1.0 + 4.0 * ts[:, None]) * shape)
-            p = LinearProblem(
-                direction="forward", coeffs=CONST, weight=unit_weight(grid), source=src,
-                datum=SpectralField(grid, np.zeros(grid.n, dtype=complex)), horizon=0.25,
-            )
-            sols.append(solve_linear(p, StepperConfig(epsilon=0.0, n_steps=32)))
-        assert np.max(np.abs(sols[0].values - sols[1].values)) <= 1e-12 * np.max(np.abs(sols[0].values))
+        ts = np.linspace(0.0, 0.25, n_src + 1)
+        src = SpaceTimeField(grid, ts, np.ones((n_src + 1, grid.n), dtype=complex))
+        p = LinearProblem(
+            direction="forward", coeffs=CONST, weight=unit_weight(grid), source=src,
+            datum=SpectralField(grid, np.zeros(grid.n, dtype=complex)), horizon=0.25,
+        )
+        with pytest.raises(ConfigError, match=f"{n_src + 1} times .* march grid of 33 times"):
+            solve_linear(p, StepperConfig(epsilon=0.0, n_steps=32))

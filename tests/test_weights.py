@@ -5,7 +5,7 @@ import pytest
 
 from schrobvp.errors import ConfigError
 from schrobvp.spectral import Grid1D, SpectralField, gaussian_field
-from schrobvp.weights import build_weight, fourth_logderiv_spectral, weight_multiply
+from schrobvp.weights import build_weight, fourth_logderiv_spectral
 
 
 def grid(n=1024, L=8 * np.pi):
@@ -77,6 +77,13 @@ class TestTruncatedMode:
             build_weight(10.0, Grid1D(1024, 200.0))
 
 
+    def test_summary_keys(self):
+        w = build_weight(0.5, grid())
+        s = w.summary()
+        assert set(s) == {"beta", "mode", "sup_logderiv", "monotone"}
+        assert s["monotone"] is True
+
+
 class TestLogderivDerivatives:
     def test_first_derivative_compact_support(self):
         w = build_weight(1.0, grid())
@@ -129,7 +136,7 @@ class TestPureExponentialMode:
         f = gaussian_field(g, center=1.0, width=1.5)
         from schrobvp.spectral import derivative
 
-        lhs = weight_multiply(derivative(f), w).values - derivative(weight_multiply(f, w)).values
+        lhs = derivative(f).values * w.values - derivative(SpectralField(g, f.values * w.values)).values
         rhs = -beta * w.values * f.values
         window = np.abs(g.x) <= g.half_length / 2
         assert np.max(np.abs(lhs - rhs)[window]) < 1e-9 * np.max(np.abs(rhs))
@@ -137,42 +144,3 @@ class TestPureExponentialMode:
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
             build_weight(1.0, grid(), mode="smoothstep")
-
-
-class TestWeightMultiply:
-    def test_round_trip(self):
-        g = grid()
-        w = build_weight(1.0, g)
-        f = gaussian_field(g, center=2.0)
-        back = weight_multiply(weight_multiply(f, w), w, "invert")
-        assert np.max(np.abs(back.values - f.values)) < 1e-12
-
-    def test_identity_on_left_support(self):
-        g = grid()
-        w = build_weight(1.0, g)
-        f = gaussian_field(g, center=-8.0, width=1.0)
-        out = weight_multiply(f, w)
-        left = g.x < -2.0
-        assert np.max(np.abs(out.values[left] - f.values[left])) < 1e-12
-
-    def test_scales_right_bump(self):
-        g = grid()
-        beta = 1.0
-        w = build_weight(beta, g)
-        center = 12.0  # beyond the transition end at x = 10
-        f = gaussian_field(g, center=center, width=0.05)
-        out = weight_multiply(f, w)
-        j = int(np.argmin(np.abs(g.x - center)))
-        assert out.values[j] == pytest.approx(f.values[j] * np.exp(beta * g.x[j]), rel=1e-12)
-
-    def test_summary_keys(self):
-        w = build_weight(0.5, grid())
-        s = w.summary()
-        assert set(s) == {"beta", "mode", "sup_logderiv", "monotone"}
-        assert s["monotone"] is True
-
-    def test_grid_mismatch(self):
-        w = build_weight(1.0, grid())
-        f = SpectralField(Grid1D(512, 8 * np.pi), np.zeros(512))
-        with pytest.raises(ConfigError):
-            weight_multiply(f, w)
