@@ -14,16 +14,9 @@ import argparse
 
 import numpy as np
 
+from schrobvp.cli import _parse_lm, _parse_p_list
 from schrobvp.commutators import estimate_constant
 from schrobvp.spectral import Grid1D
-
-
-def _parse_lm(text: str) -> list[tuple[int, int]]:
-    out = []
-    for part in text.split(";"):
-        l_s, m_s = part.split(",")
-        out.append((int(l_s), int(m_s)))
-    return out
 
 
 def main() -> int:
@@ -40,13 +33,7 @@ def main() -> int:
 
     grid = Grid1D(args.grid_n, args.grid_L)
     lm_pairs = _parse_lm(args.lm)
-    exponents = []
-    for tok in args.p.split(","):
-        if "/" in tok:
-            num, den = tok.split("/")
-            exponents.append(float(num) / float(den))
-        else:
-            exponents.append(float(tok))
+    exponents = _parse_p_list(args.p)
 
     print(f"operator {args.operator}, grid n={grid.n}, L={grid.half_length:g}, "
           f"{args.trials} trials, bandwidth {args.bandwidth}")

@@ -78,9 +78,25 @@ _HORIZON_PROBE = (0.25, 10001)   # window and resolution for automatic selection
 
 
 def _check_keys(d: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {d!r}")
     for key in d:
         if key not in allowed:
             raise ConfigError(f"unknown config key {key!r} in {where}")
+
+
+def _number(kind: type, value: object, key: str) -> int | float:
+    """``kind(value)``, or a ConfigError naming ``key`` when the JSON value has the wrong type."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+
+
+def _number_list(value: object, key: str) -> list[float]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a JSON list of numbers, got {value!r}")
+    return [_number(float, v, key) for v in value]
 
 
 # --- scenario construction --------------------------------------------------
@@ -139,14 +155,14 @@ def build_scenario(raw: dict) -> ScenarioConfig:
     _check_keys(grid_spec, _GRID_KEYS, "grid")
     if "n" not in grid_spec or "L" not in grid_spec:
         raise ConfigError("grid section needs both n and L")
-    grid = Grid1D(int(grid_spec["n"]), float(grid_spec["L"]))
+    grid = Grid1D(_number(int, grid_spec["n"], "grid.n"), _number(float, grid_spec["L"], "grid.L"))
 
     weight_spec = resolved.get("weight")
     if not isinstance(weight_spec, dict) or "beta" not in weight_spec:
         raise ConfigError("scenario needs a weight section {beta, mode}")
     _check_keys(weight_spec, _WEIGHT_KEYS, "weight")
     weight = build_weight(
-        float(weight_spec["beta"]),
+        _number(float, weight_spec["beta"], "weight.beta"),
         grid,
         mode=weight_spec.get("mode", "truncated"),
         margin=weight_spec.get("margin"),
@@ -158,11 +174,11 @@ def build_scenario(raw: dict) -> ScenarioConfig:
     _check_keys(coeff_spec, _COEFF_KEYS, "coefficients")
     if "a" not in coeff_spec or "W" not in coeff_spec:
         raise ConfigError("coefficients section needs both a and W")
-    lam = float(coeff_spec.get("lambda", 0.0))
+    lam = _number(float, coeff_spec.get("lambda", 0.0), "coefficients.lambda")
 
     horizon = resolved.get("horizon")
     if horizon is not None:
-        horizon = float(horizon)
+        horizon = _number(float, horizon, "horizon")
         if horizon <= 0:
             raise ConfigError(f"horizon must be positive, got {horizon:g}")
     coeffs = CoefficientField(coeff_spec["a"], coeff_spec["W"], ellipticity=lam)
@@ -173,26 +189,29 @@ def build_scenario(raw: dict) -> ScenarioConfig:
     _check_keys(data_spec, _DATA_KEYS, "data")
     if "f" not in data_spec or "g" not in data_spec:
         raise ConfigError("data section needs both f and g")
-    seed = int(resolved.get("seed", 0))
+    seed = _number(int, resolved.get("seed", 0), "seed")
     f = build_datum(str(data_spec["f"]), grid, "-", seed=seed)
     g = build_datum(str(data_spec["g"]), grid, "+", seed=seed + 1)
 
     stepper_spec = resolved.get("stepper", {})
     _check_keys(stepper_spec, _STEPPER_KEYS, "stepper")
     stepper = StepperConfig(
-        epsilon=float(stepper_spec.get("epsilon", 1e-3)),
+        epsilon=_number(float, stepper_spec.get("epsilon", 1e-3), "stepper.epsilon"),
         dt=stepper_spec.get("dt"),
         n_steps=stepper_spec.get("n_steps"),
-        epsilon_schedule=tuple(stepper_spec.get("epsilon_schedule", ())),
+        epsilon_schedule=tuple(
+            _number_list(stepper_spec.get("epsilon_schedule", []), "stepper.epsilon_schedule")
+        ),
     )
 
-    est_spec = dict(resolved.get("estimates", {}))
+    est_spec = resolved.get("estimates", {})
     _check_keys(est_spec, _ESTIMATE_KEYS, "estimates")
+    est_spec = dict(est_spec)
     est_spec.setdefault("energy", True)
     est_spec.setdefault("smoothing", True)
     est_spec.setdefault("bootstrap", lam > 0)
 
-    times = [float(t) for t in resolved.get("times", [])]
+    times = _number_list(resolved.get("times", []), "times")
     return ScenarioConfig(
         raw=resolved,
         grid=grid,
@@ -206,8 +225,8 @@ def build_scenario(raw: dict) -> ScenarioConfig:
         estimates=est_spec,
         horizon=horizon,
         override_horizon=bool(resolved.get("override_horizon", False)),
-        tol=float(resolved.get("tol", 1e-8)),
-        m_max=int(resolved.get("m_max", 50)),
+        tol=_number(float, resolved.get("tol", 1e-8), "tol"),
+        m_max=_number(int, resolved.get("m_max", 50), "m_max"),
         times=times,
         out_dir=resolved.get("out_dir"),
         seed=seed,
@@ -611,6 +630,8 @@ def _parse_p_list(text: str) -> list[float]:
             continue
         if "/" in token:
             num, den = token.split("/")
+            if float(den) == 0.0:
+                raise ConfigError(f"--p has a zero denominator in {token!r}")
             vals.append(float(num) / float(den))
         else:
             vals.append(float(token))

@@ -7,12 +7,16 @@ one full order smoother than the raw product.  This module measures
 those bounds on randomized ensembles and verifies the exact algebraic
 identities behind them on the grid:
 
-* ``commutator_apply`` evaluates d^l [T; a] d^m f with dealiased
-  products for T in {one-sided projections, Hilbert transform}.
+* one private kernel forms T(a g) - a T(g) in Fourier space, with
+  2/3-rule products, for any multiplier T: the one-sided projections,
+  the Hilbert transform, |D| and |D|^s all go through it.
+* ``commutator_apply`` evaluates d^l [T; a] d^m f for T in
+  {one-sided projections, Hilbert transform}.
 * ``estimate_constant`` runs seeded ensembles and reports the max ratio
   against the sup norm of d^{l+m} a times the field norm, plus its
   stability under grid refinement (the falsifiable desk-scale content
-  of a uniform bound).
+  of a uniform bound).  Each trial's pair (a, f) is drawn once per grid
+  and serves every (l, m).
 * ``decomposition_audit`` splits a one-sided coefficient product into
   the three dyadic double-sum parts, checks the part that vanishes by
   frequency-support bookkeeping, the two block-support identities, and
@@ -28,7 +32,7 @@ removing the mean, and are asserted that way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -36,13 +40,18 @@ from .errors import ConfigError, ValidationError
 from .spectral import (
     Grid1D,
     SpectralField,
+    dealias_hat,
     dealiased_product,
     derivative,
+    derivative_multiplier,
     fractional,
-    hilbert,
+    fractional_multiplier,
+    hat_norm,
+    hilbert_multiplier,
     lp_block,
     lp_norm,
     project,
+    projection_multiplier,
     random_band_field,
     remove_pi0,
 )
@@ -65,10 +74,25 @@ __all__ = [
 _OPERATORS = ("+", "-", "H")
 
 
-def _apply_operator(op: str, f: SpectralField) -> SpectralField:
+def _operator_symbol(grid: Grid1D, op: str) -> np.ndarray:
     if op == "H":
-        return hilbert(f)
-    return project(f, op)
+        return hilbert_multiplier(grid).symbol
+    return projection_multiplier(grid, op).symbol
+
+
+def _commutator_hats(
+    grid: Grid1D, symbol: np.ndarray, a_hat: np.ndarray, g_hat: np.ndarray
+) -> np.ndarray:
+    """Fourier coefficients of [T; a] g = T(a g) - a T(g), T the multiplier ``symbol``.
+
+    Both products follow ``dealiased_product``: each factor is masked by
+    the 2/3 rule, multiplied in physical space, and the product masked
+    again.  Works along the last axis.
+    """
+    a_m = np.fft.ifft(dealias_hat(grid, a_hat))
+    g_m = np.fft.ifft(dealias_hat(grid, g_hat))
+    tg_m = np.fft.ifft(dealias_hat(grid, symbol * g_hat))
+    return dealias_hat(grid, symbol * np.fft.fft(a_m * g_m) - np.fft.fft(a_m * tg_m))
 
 
 def _band_limited(f: SpectralField) -> bool:
@@ -116,12 +140,10 @@ class CommutatorTrial:
 def commutator_apply(trial: CommutatorTrial) -> SpectralField:
     """d^l ( T(a g) - a T(g) ) with g = d^m f, dealiased products."""
     grid = trial.f.grid
-    a_field = SpectralField(grid, np.asarray(trial.a, dtype=float))
-    g = derivative(trial.f, trial.m) if trial.m else trial.f
-    first = _apply_operator(trial.operator, dealiased_product(a_field, g))
-    second = dealiased_product(a_field, _apply_operator(trial.operator, g))
-    comm = first - second
-    return derivative(comm, trial.l) if trial.l else comm
+    a_hat = np.fft.fft(np.asarray(trial.a, dtype=float))
+    g_hat = derivative_multiplier(grid, trial.m).symbol * trial.f.hat
+    comm = _commutator_hats(grid, _operator_symbol(grid, trial.operator), a_hat, g_hat)
+    return SpectralField.from_hat(grid, derivative_multiplier(grid, trial.l).symbol * comm)
 
 
 def splitting_residual(a: np.ndarray, f: SpectralField, m: int = 1) -> float:
@@ -153,17 +175,12 @@ def derivative_identity_residual(a: np.ndarray, f: SpectralField) -> float:
     """
     grid = f.grid
     a_field = SpectralField(grid, np.asarray(a, dtype=float))
-    a_prime = derivative(a_field, 1)
-    f_prime = derivative(f, 1)
-
-    lhs = fractional(dealiased_product(a_field, f), 1.0, kind="D") - dealiased_product(
-        a_field, fractional(f, 1.0, kind="D")
-    )
-    comm_h = hilbert(dealiased_product(a_field, f_prime)) - dealiased_product(
-        a_field, hilbert(f_prime)
-    )
-    rhs = -1.0 * comm_h - hilbert(dealiased_product(a_prime, f))
-    return (lhs - rhs).norm_l2()
+    h = hilbert_multiplier(grid).symbol
+    f_prime = derivative_multiplier(grid, 1).symbol * f.hat
+    lhs = _commutator_hats(grid, fractional_multiplier(grid, 1.0).symbol, a_field.hat, f.hat)
+    comm_h = _commutator_hats(grid, h, a_field.hat, f_prime)
+    rhs = -comm_h - h * dealiased_product(derivative(a_field, 1), f).hat
+    return float(hat_norm(grid, lhs - rhs))
 
 
 @dataclass
@@ -203,8 +220,8 @@ class BoundEstimate:
         }
 
 
-def _stratified_coefficient(grid: Grid1D, bandwidth: int, seed: int) -> SpectralField:
-    """Real band-limited coefficient at a seeded random concentration level.
+def _stratified_coefficient(grid: Grid1D, bandwidth: int, seed: int) -> np.ndarray:
+    """Fourier coefficients of a real band-limited coefficient at a seeded concentration level.
 
     Diffuse draws that populate every mode under-sample concentrated
     coefficients, and the near-extremal configurations for the
@@ -222,38 +239,11 @@ def _stratified_coefficient(grid: Grid1D, bandwidth: int, seed: int) -> Spectral
         levels.append(bandwidth)
     count = int(rng.choice(levels))
     modes = np.sort(rng.choice(np.arange(1, bandwidth + 1), size=count, replace=False))
+    z = rng.standard_normal((count, 2)).view(np.complex128)[:, 0]
     hat = np.zeros(grid.n, dtype=np.complex128)
-    for k in modes:
-        z = complex(rng.standard_normal(), rng.standard_normal())
-        hat[k] = z
-        hat[-k] = np.conj(z)
-    return SpectralField.from_hat(grid, hat)
-
-
-def _trial_ratio(
-    grid: Grid1D,
-    operator: str,
-    l: int,
-    m: int,
-    p: float,
-    bandwidth: int,
-    seed_a: int,
-    seed_f: int,
-) -> float | None:
-    a_raw = _stratified_coefficient(grid, bandwidth, seed_a)
-    denom_a = float(np.max(np.abs(derivative(a_raw, l + m).values.real)))
-    if denom_a < 1e-12:
-        return None
-    a = a_raw.values.real / denom_a
-
-    f_raw = random_band_field(grid, bandwidth, seed_f)
-    f_norm = lp_norm(f_raw, p)
-    if f_norm < 1e-300:
-        return None
-    f = (1.0 / f_norm) * f_raw
-
-    out = commutator_apply(CommutatorTrial(operator=operator, a=a, f=f, l=l, m=m, p=p))
-    return lp_norm(out, p)
+    hat[modes] = z
+    hat[-modes] = np.conj(z)
+    return hat
 
 
 def trial_coefficient(grid: Grid1D, bandwidth: int, seed: int) -> np.ndarray:
@@ -281,8 +271,10 @@ def estimate_constant(
     """Seeded ensemble measurement of the projection-commutator bound.
 
     For each (l, m) the trial ratio is
-    ||d^l [T; a] d^m f||_p / (||d^{l+m} a||_inf ||f||_p) with both
-    fields normalized so the denominator is 1.  Coefficients are drawn
+    ||d^l [T; a] d^m f||_p / (||d^{l+m} a||_inf ||f||_p); the commutator
+    is bilinear in (a, f), so it is divided by the denominator after the
+    kernel.  Each trial's (a, f) is drawn once per grid, and [T; a] d^m f
+    is formed once per distinct m.  Coefficients are drawn
     at stratified concentration levels (see ``_stratified_coefficient``)
     and arguments diffusely across the band, so the max tracks the
     actual extremal configurations at any bandwidth.  The stability
@@ -293,50 +285,44 @@ def estimate_constant(
         raise ConfigError(f"operator must be one of {_OPERATORS}")
     if not (1.0 < p < np.inf):
         raise ConfigError("exponent p must lie in (1, inf)")
+    if n_trials < 1:
+        raise ConfigError(f"need at least one trial, got {n_trials}")
+    if bandwidth < 1:
+        raise ConfigError(f"bandwidth must be at least 1, got {bandwidth}")
     if 3 * bandwidth >= grid.n:
         raise ConfigError("bandwidth must sit below the dealiasing cutoff")
+    pairs = list(dict.fromkeys(lm_pairs))
+    if any(l < 0 or m < 0 for l, m in pairs):
+        raise ConfigError("derivative orders must be nonnegative")
 
-    fine = Grid1D(2 * grid.n, grid.half_length) if check_stability else None
-    out: dict[tuple[int, int], BoundEstimate] = {}
-    for l, m in lm_pairs:
-        ratios = []
-        skipped = 0
+    grids = [grid, Grid1D(2 * grid.n, grid.half_length)] if check_stability else [grid]
+    inner, total = {m for _, m in pairs}, {l + m for l, m in pairs}
+    per_grid = []
+    for g in grids:
+        symbol = _operator_symbol(g, operator)
+        d = {k: derivative_multiplier(g, k).symbol for k in {l for l, _ in pairs} | inner | total}
+        ratios = {pair: [] for pair in pairs}
         for i in range(n_trials):
-            r = _trial_ratio(
-                grid, operator, l, m, p, bandwidth,
-                seed + n_trials + i, seed + i,
-            )
-            if r is None:
-                skipped += 1
-            else:
-                ratios.append(r)
-        ratios = np.asarray(ratios)
-        max_ratio = float(np.max(ratios)) if len(ratios) else 0.0
+            a_hat = _stratified_coefficient(g, bandwidth, seed + n_trials + i)
+            f = random_band_field(g, bandwidth, seed + i)
+            f_norm = lp_norm(f, p)
+            sup_a = {k: np.max(np.abs(np.fft.ifft(d[k] * a_hat).real)) for k in total}
+            comm = {m: _commutator_hats(g, symbol, a_hat, d[m] * f.hat) for m in inner}
+            for l, m in pairs:
+                if sup_a[l + m] >= 1e-12 and f_norm >= 1e-300:
+                    norm = lp_norm(SpectralField.from_hat(g, d[l] * comm[m]), p)
+                    ratios[(l, m)].append(norm / (float(sup_a[l + m]) * f_norm))
+        per_grid.append(ratios)
 
-        stability = 1.0
-        if fine is not None and max_ratio > 0:
-            fine_max = 0.0
-            for i in range(n_trials):
-                r = _trial_ratio(
-                    fine, operator, l, m, p, bandwidth,
-                    seed + n_trials + i, seed + i,
-                )
-                if r is not None:
-                    fine_max = max(fine_max, r)
-            stability = fine_max / max_ratio
-
+    out = {}
+    for (l, m), ratios in per_grid[0].items():
+        max_ratio = max(ratios, default=0.0)
+        fine_max = max(per_grid[-1][(l, m)], default=0.0)
         out[(l, m)] = BoundEstimate(
-            operator=operator,
-            l=l,
-            m=m,
-            p=p,
-            ratios=ratios,
-            max_ratio=max_ratio,
-            stability_factor=stability,
-            grid_n=grid.n,
-            half_length=grid.half_length,
-            bandwidth=bandwidth,
-            skipped=skipped,
+            operator=operator, l=l, m=m, p=p, ratios=np.asarray(ratios), max_ratio=max_ratio,
+            stability_factor=fine_max / max_ratio if check_stability and max_ratio > 0 else 1.0,
+            grid_n=grid.n, half_length=grid.half_length, bandwidth=bandwidth,
+            skipped=n_trials - len(ratios),
         )
     return out
 
@@ -461,17 +447,7 @@ class FractionalResult:
     reduction_residual: float
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta_exp": self.beta_exp,
-            "p": self.p,
-            "q": self.q,
-            "delta": self.delta,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ratio": self.ratio,
-            "reduction_residual": self.reduction_residual,
-        }
+        return asdict(self)
 
 
 def fractional_commutator(
@@ -503,18 +479,18 @@ def fractional_commutator(
 
     grid = f.grid
     a_field = SpectralField(grid, np.asarray(a, dtype=float))
-    tail = fractional(f, 1.0 - (alpha + beta_exp), kind="D")
 
-    def d_comm(s: float, g: SpectralField) -> SpectralField:
-        return fractional(dealiased_product(a_field, g), s, kind="D") - dealiased_product(
-            a_field, fractional(g, s, kind="D")
-        )
+    def d(s: float) -> np.ndarray:
+        return fractional_multiplier(grid, s).symbol
 
-    direct = fractional(d_comm(beta_exp, tail), alpha, kind="D")
-    reduced = d_comm(alpha + beta_exp, tail) - d_comm(alpha, fractional(f, 1.0 - alpha, kind="D"))
-    residual = (direct - reduced).norm_l2()
+    tail = d(1.0 - (alpha + beta_exp)) * f.hat
+    direct = d(alpha) * _commutator_hats(grid, d(beta_exp), a_field.hat, tail)
+    reduced = _commutator_hats(grid, d(alpha + beta_exp), a_field.hat, tail) - _commutator_hats(
+        grid, d(alpha), a_field.hat, d(1.0 - alpha) * f.hat
+    )
+    residual = float(hat_norm(grid, direct - reduced))
 
-    lhs = lp_norm(direct, p)
+    lhs = lp_norm(SpectralField.from_hat(grid, direct), p)
     grad = derivative(a_field, 1)
     rhs = lp_norm(fractional(grad, delta, kind="J"), q) * lp_norm(f, p)
     ratio = lhs / rhs if rhs > 0 else (0.0 if lhs <= 1e-12 else np.inf)

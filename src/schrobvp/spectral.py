@@ -600,11 +600,11 @@ def random_band_field(
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
     hat = np.zeros(grid.n, dtype=np.complex128)
-    for k in range(band_lo, band + 1):
-        zp = complex(rng.standard_normal(), rng.standard_normal())
-        zm = complex(rng.standard_normal(), rng.standard_normal())
-        hat[k] = zp
-        hat[-k] = np.conj(zp) if real else zm
+    modes = np.arange(band_lo, band + 1)
+    # one row (Re z+, Im z+, Re z-, Im z-) per mode, in the mode order
+    z = rng.standard_normal((len(modes), 4)).view(np.complex128)
+    hat[modes] = z[:, 0]
+    hat[-modes] = np.conj(z[:, 0]) if real else z[:, 1]
     if not zero_mean:
         z0 = rng.standard_normal()
         hat[0] = z0

@@ -272,6 +272,24 @@ class TestErrorsAndExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "n_steps" in err
 
+    @pytest.mark.parametrize(
+        "extra, key",
+        [
+            ({"times": 5}, "times"),
+            ({"times": [[0.0]]}, "times"),
+            ({"stepper": 5}, "stepper"),
+            ({"estimates": 5}, "estimates"),
+            ({"stepper": {"epsilon_schedule": 5}}, "epsilon_schedule"),
+            ({"tol": [1e-8]}, "tol"),
+        ],
+    )
+    def test_mistyped_section_exits_1(self, tmp_path, capsys, extra, key):
+        scenario = small_scenario_file(tmp_path, extra)
+        code = cli.main(["picard", "--scenario", scenario, "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+
     @pytest.mark.parametrize("size", [16, 19])
     def test_truncated_field_file_exits_1(self, tmp_path, capsys, size):
         # the binary header is 20 bytes; shorter files must not reach struct
@@ -344,6 +362,24 @@ class TestCommutatorBenchCommand:
         summary = json.loads((out / "bench-summary.json").read_text())
         assert len(summary["estimates"]) == 2
         assert all(np.isfinite(e["max_ratio"]) for e in summary["estimates"])
+
+    @pytest.mark.parametrize(
+        "flags, needle",
+        [
+            (["--trials", "0"], "trial"),
+            (["--trials", "-3"], "trial"),
+            (["--bandwidth", "0"], "bandwidth"),
+            (["--p", "1/0"], "denominator"),
+        ],
+    )
+    def test_empty_or_undefined_ensemble_exits_1(self, tmp_path, capsys, flags, needle):
+        out = tmp_path / "bench"
+        code = cli.main(["commutator-bench", "--grid-n", "256", "--bandwidth", "16",
+                         "--trials", "2", *flags, "--out-dir", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and needle in err
+        assert not (out / "bench-summary.json").exists()
 
 
 class TestPicardMemory:

@@ -1,5 +1,7 @@
 """Commutator lab tests: identities, closed-form oracle, ensembles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from schrobvp.commutators import (
     CommutatorTrial,
+    _stratified_coefficient,
     commutator_apply,
     decomposition_audit,
     derivative_identity_residual,
@@ -20,8 +23,10 @@ from schrobvp.errors import ConfigError, ValidationError
 from schrobvp.spectral import (
     Grid1D,
     SpectralField,
+    derivative,
     lp_norm,
     mode_field,
+    random_band_field,
 )
 
 GRID = Grid1D(1024, 8 * np.pi)
@@ -159,6 +164,84 @@ class TestEstimateConstant:
     def test_bandwidth_guard(self):
         with pytest.raises(ConfigError, match="cutoff"):
             estimate_constant("+", [(0, 1)], Grid1D(128, 8.0), bandwidth=64)
+
+    @pytest.mark.parametrize("kw", [{"n_trials": 0}, {"n_trials": -3}, {"bandwidth": 0}])
+    def test_empty_ensemble_rejected(self, kw):
+        with pytest.raises(ConfigError):
+            estimate_constant("+", [(0, 1)], GRID, **kw)
+
+    @pytest.mark.parametrize("operator", ["+", "-", "H"])
+    @pytest.mark.parametrize("p", [4 / 3, 4.0])
+    @pytest.mark.parametrize("check_stability", [False, True])
+    def test_ratios_match_hand_normalised_trials(self, operator, p, check_stability):
+        # each trial by hand: a and f drawn with the ensemble's seeds,
+        # normalised to sup|d^{l+m} a| = 1 and ||f||_p = 1, then one
+        # commutator_apply per (l, m)
+        grid, n_trials, band, seed = Grid1D(256, 8 * np.pi), 6, 16, 5
+        pairs = [(0, 1), (1, 1), (0, 2)]
+
+        def by_hand(g, l, m):
+            ratios = []
+            for i in range(n_trials):
+                a_raw = SpectralField.from_hat(
+                    g, _stratified_coefficient(g, band, seed + n_trials + i)
+                )
+                a = a_raw.values.real / np.max(np.abs(derivative(a_raw, l + m).values.real))
+                f_raw = random_band_field(g, band, seed + i)
+                f = (1.0 / lp_norm(f_raw, p)) * f_raw
+                trial = CommutatorTrial(operator=operator, a=a, f=f, l=l, m=m, p=p)
+                ratios.append(lp_norm(commutator_apply(trial), p))
+            return np.asarray(ratios)
+
+        table = estimate_constant(
+            operator, pairs, grid, p=p, n_trials=n_trials, bandwidth=band,
+            seed=seed, check_stability=check_stability,
+        )
+        for l, m in pairs:
+            est = table[(l, m)]
+            expected = by_hand(grid, l, m)
+            assert est.skipped == 0
+            np.testing.assert_allclose(est.ratios, expected, rtol=1e-12, atol=0)
+            assert est.max_ratio == pytest.approx(np.max(expected), rel=1e-12)
+            stability = 1.0
+            if check_stability:
+                fine = Grid1D(2 * grid.n, grid.half_length)
+                stability = np.max(by_hand(fine, l, m)) / np.max(expected)
+            assert est.stability_factor == pytest.approx(stability, rel=1e-12)
+
+    def test_ensemble_holds_no_trial_stack(self):
+        # one (100, 2n) complex stack on the doubled grid would be 3.1 MiB;
+        # trials are processed one at a time.  A one-trial call first keeps
+        # the one-off costs of first use (lazy imports, FFT plans) out of the peak.
+        grid, pairs = Grid1D(1024, 8 * np.pi), [(0, 1), (1, 1), (0, 2)]
+        estimate_constant("+", pairs, grid, n_trials=1, bandwidth=64)
+        tracemalloc.start()
+        try:
+            estimate_constant("+", pairs, grid, n_trials=100, bandwidth=64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
+
+    @pytest.mark.parametrize("grid", [Grid1D(256, 8 * np.pi), Grid1D(2048, 8 * np.pi)])
+    @pytest.mark.parametrize("band", [1, 5, 16, 64])
+    def test_stratified_draw_matches_per_mode_loop(self, grid, band):
+        def loop_hat(seed):
+            rng = np.random.default_rng(seed)
+            levels = [1 << j for j in range(band.bit_length()) if 1 << j <= band]
+            if levels[-1] != band:
+                levels.append(band)
+            count = int(rng.choice(levels))
+            modes = np.sort(rng.choice(np.arange(1, band + 1), size=count, replace=False))
+            hat = np.zeros(grid.n, dtype=np.complex128)
+            for k in modes:
+                z = complex(rng.standard_normal(), rng.standard_normal())
+                hat[k] = z
+                hat[-k] = np.conj(z)
+            return hat
+
+        for seed in range(20):
+            assert np.array_equal(_stratified_coefficient(grid, band, seed), loop_hat(seed))
 
 
 class TestDecompositionAudit:

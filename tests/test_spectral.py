@@ -301,6 +301,31 @@ class TestGenerators:
         with pytest.raises(ValueError):
             random_band_field(Grid1D(64, 1.0), 32, 1)
 
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    @pytest.mark.parametrize(
+        "kw",
+        [{}, {"real": True}, {"zero_mean": False}, {"band_lo": 5}, {"real": True, "band_lo": 3}],
+    )
+    def test_vector_draw_matches_per_mode_loop(self, n, kw):
+        # the draw order is part of the seed contract: one (Re z+, Im z+,
+        # Re z-, Im z-) quadruple per mode, then the mean
+        def loop_hat(grid, band, seed, real=False, zero_mean=True, band_lo=1):
+            rng = np.random.default_rng(seed)
+            hat = np.zeros(grid.n, dtype=np.complex128)
+            for k in range(band_lo, band + 1):
+                zp = complex(rng.standard_normal(), rng.standard_normal())
+                zm = complex(rng.standard_normal(), rng.standard_normal())
+                hat[k] = zp
+                hat[-k] = np.conj(zp) if real else zm
+            if not zero_mean:
+                hat[0] = rng.standard_normal()
+            return hat * grid.n
+
+        grid, band = Grid1D(n, 8 * np.pi), n // 4
+        for seed in range(10):
+            drawn = random_band_field(grid, band, seed, **kw).hat
+            assert np.array_equal(drawn, loop_hat(grid, band, seed, **kw))
+
 
 class TestHatBackedStack:
     # more slices than one transform block, so the chunked paths are used
