@@ -347,14 +347,17 @@ def picard_solve(
 ) -> tuple[SpaceTimeField, SpaceTimeField, PicardReport]:
     """Frozen-source sweeps from the zero pair until the update stalls below tol.
 
-    Returns (plus carrier, minus carrier, report).  Raises DivergenceError
-    after three consecutive non-contracting sweeps; stepper errors propagate.
+    Returns (plus carrier, minus carrier, report).  Raises ConfigError
+    before the first sweep when the time grid is too coarse for the
+    residual monitor (fewer than 4 steps), DivergenceError after three
+    consecutive non-contracting sweeps; stepper errors propagate.
     ``solve_hook``, when given, observes every linear sub-solve as
     ``(sign, problem, solution)`` right after it finishes, so bound monitors
     can audit the sweep internals without the solver storing them all.
     """
     grid = p.grid
     n_steps = p.stepper_cfg.resolve_steps(p.horizon)
+    _require_residual_slices(n_steps + 1)
     times = np.linspace(0.0, p.horizon, n_steps + 1)
     delta = p.data_norm()
     bundle = norm_bundle(p.coeffs, p.weight.sup_logderiv, times, grid)
@@ -505,24 +508,46 @@ class ResidualProfile:
     sup: float
 
 
+# five-point weights of dv/dt, times 12 dt, by a slice's place in its
+# stencil: one-sided next to t = 0, centered, one-sided next to t = horizon
+_DDT_WEIGHTS = np.array([
+    [-3.0, -10.0, 18.0, -6.0, 1.0],
+    [1.0, -8.0, 0.0, 8.0, -1.0],
+    [-1.0, 6.0, -18.0, 10.0, 3.0],
+]) / 12.0
+_RESIDUAL_MIN_SLICES = 5
+
+
+def _require_residual_slices(count: int) -> None:
+    if count < _RESIDUAL_MIN_SLICES:
+        raise ConfigError(
+            f"the order-4 residual needs at least {_RESIDUAL_MIN_SLICES} time slices "
+            f"({_RESIDUAL_MIN_SLICES - 1} steps), got {count}"
+        )
+
+
 def pde_residual(
     v: SpaceTimeField,
     coeffs: CoefficientField,
     weight: WeightProfile,
     table: OperatorTable | None = None,
 ) -> ResidualProfile:
-    """Centered-difference time derivative minus the realized spatial operator.
+    """Fourth-order time derivative minus the realized spatial operator.
 
-    The spatial operator is the coupling source's kernel on the operator-table
-    rows the solver steps with, projected to the paired-mode class, so a
-    converged fixed point leaves only the time-discretization error and the
-    artificial-viscosity tail.  Both are taken on hats.  Norms are measured in
-    the discrete H^{-2} metric (symbol (1 + xi^2)^{-1}).  ``table`` must have
-    ``v.times`` as its integer nodes; without one, it is built here.  Raises
+    dv/dt is the five-point difference (-v[i+2] + 8 v[i+1] - 8 v[i-1] +
+    v[i-2]) / (12 dt), with the one-sided order-4 stencils on the two slices
+    next to the ends, so the monitor is as accurate in time as the march
+    it judges.  The spatial operator is the coupling source's kernel on the
+    operator-table rows the solver steps with, projected to the paired-mode
+    class, so a converged fixed point leaves only the time-discretization
+    error and the artificial-viscosity tail eps xi^4 v (the latter sets the
+    floor at fine steps).  Both are taken on hats.  Norms are measured in
+    the discrete H^{-2} metric (symbol (1 + xi^2)^{-1}) on the interior
+    slices.  ``table`` must have ``v.times`` as its integer nodes; without
+    one, it is built here.  Raises ConfigError on fewer than 5 slices and
     GridMismatchError when the weight lives on another grid.
     """
-    if len(v.times) < 3:
-        raise ConfigError("residual needs at least 3 time slices")
+    _require_residual_slices(len(v.times))
     grid = v.grid
     if weight.grid != grid:
         raise GridMismatchError("field and weight must share one grid")
@@ -531,16 +556,23 @@ def pde_residual(
     table.require(v.times)
     mask = grid.dealias_mask
     jm2 = 1.0 / (1.0 + grid.xi**2)
-    norms = np.empty(len(v.times) - 2)
+    last = len(v.times) - 1
+    norms = np.empty(last - 1)
     for rows in row_blocks(len(norms), grid.n):
-        lo, hi = rows.start + 1, rows.stop + 1      # interior slices lo..hi-1
-        hats = v.block(slice(lo - 1, hi + 1))
-        zv, r = _operator_parts(grid, hats[1:-1], *table.rows(lo, hi))
+        first, stop = rows.start + 1, rows.stop + 1     # interior slices first..stop-1
+        start = np.clip(np.arange(first - 2, stop - 2), 0, last - 4)   # stencil first nodes
+        weights = _DDT_WEIGHTS[np.arange(first, stop) - start - 1]
+        lo = int(start[0])
+        hats = v.block(slice(lo, int(start[-1]) + 5))
+        dvdt = weights[:, 0, None] * hats[start - lo]
+        for m in range(1, 5):
+            dvdt += weights[:, m, None] * hats[start - lo + m]
+        zv, r = _operator_parts(grid, hats[first - lo : stop - lo], *table.rows(first, stop))
         r += zv
         r *= mask
         r[:, 0] = 0.0
         # r = (dv/dt - L v) hat, with the time difference dealiased like L v
-        np.subtract((hats[2:] - hats[:-2]) * (mask / (2 * v.dt)), r, out=r)
+        np.subtract(dvdt * (mask / v.dt), r, out=r)
         r *= jm2
         norms[rows] = hat_norm(grid, r)
     return ResidualProfile(times=v.times[1:-1], norms=norms, sup=float(np.max(norms)))

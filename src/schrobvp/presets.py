@@ -41,7 +41,7 @@ _BENCHMARK = {
         "lambda": 0.9,
     },
     "data": {"f": "gaussian:0,1.5", "g": "gaussian:1,2"},
-    "stepper": {"epsilon": 1e-7, "n_steps": 1024},
+    "stepper": {"epsilon": 1e-7, "n_steps": 64},
     "estimates": {"energy": True, "smoothing": True, "bootstrap": True},
     "horizon": None,
     "seed": 0,

@@ -32,9 +32,11 @@ output buffer, which is returned as hat-backed fields (physical slices are
 built only if a caller asks for ``.values``).  A source must sit on the
 march's own time grid (the coupled solver builds its sources there); it is
 read as hats (a hat-backed :class:`SpaceTimeField` needs no transform),
-masked row by row, with each midpoint row formed once per step as the
-average of its two neighbouring slices.  Every row is checked for blow-up
-after every step against its own datum and source coefficient scale.
+masked row by row, with each midpoint row formed once per step by cubic
+Lagrange interpolation from the four nearest slices, so the time-dependent
+source costs the scheme no order (it needs at least 3 steps).  Every row
+is checked for blow-up after every step against its own datum and source
+coefficient scale.
 """
 
 from __future__ import annotations
@@ -253,7 +255,8 @@ def solve_linear(
     returned field always has times[0] = 0, times[-1] = horizon, with the
     datum reproduced at the appropriate end.  ``table`` must be built with
     ``half_steps`` on this march's time grid; without one it is built here.
-    A source must sit on the march's integer nodes, else ConfigError.
+    A source must sit on the march's integer nodes, else ConfigError, and
+    needs at least 3 steps, else ConfigError.
 
     ``partner``, a second sub-problem on the same grid, horizon,
     coefficients and weight (either direction), is marched in the same
@@ -273,6 +276,11 @@ def solve_linear(
     times = np.linspace(0.0, p.horizon, n_steps + 1)
     for q in problems:
         if q.source is not None:
+            if n_steps < _SOURCE_MIN_STEPS:
+                raise ConfigError(
+                    f"a march with a source needs at least {_SOURCE_MIN_STEPS} steps "
+                    f"(4 nodes for the cubic midpoint reads), got {n_steps}"
+                )
             _require_march_grid(q.source.times, times)
     if table is None:
         table = OperatorTable(p.coeffs, p.weight, times, half_steps=True)
@@ -305,13 +313,23 @@ def _check_state(hat: np.ndarray, step: int, scale: np.ndarray) -> None:
         raise StabilityError(f"state grew past {_BLOWUP_FACTOR:g} x datum at step {step}")
 
 
+# cubic Lagrange weights of the midpoint between nodes j and j+1: on
+# j-1..j+2 in the interior, on the four nearest nodes at either end
+_MID_INTERIOR = np.array([-1.0, 9.0, 9.0, -1.0]) / 16.0
+_MID_FIRST = np.array([5.0, 15.0, -5.0, 1.0]) / 16.0
+_MID_LAST = np.array([1.0, -5.0, 15.0, 5.0]) / 16.0
+_SOURCE_MIN_STEPS = 3   # the cubic midpoint read needs 4 source nodes
+
+
 class _SourceRows:
     """Masked, oriented source hats of every row at the march's half-step nodes.
 
     Sources sit on the march's integer nodes.  Half-step i of a forward row
-    reads slice i/2, a midpoint the exact average of its two neighbours; a
-    backward row reads the mirrored node.  Row r of the result already
-    carries the row's 2/3 mask, zero-mean cut and orientation.
+    reads slice i/2; a midpoint is the cubic Lagrange interpolant of the
+    four nearest slices, which keeps Lawson RK4 fourth order for a
+    time-dependent source (the two-point average would cut it to second
+    order).  A backward row reads the mirrored node.  Row r of the result
+    already carries the row's 2/3 mask, zero-mean cut and orientation.
     """
 
     def __init__(self, problems, n_steps: int, factor: np.ndarray) -> None:
@@ -329,6 +347,14 @@ class _SourceRows:
                 out[r] = max(np.max(np.abs(hats[rows])) for rows in row_blocks(*hats.shape))
         return out
 
+    def _midpoint(self, hats: np.ndarray, j: int) -> np.ndarray:
+        """Source hats halfway between slices j and j + 1."""
+        if j == 0:
+            return _MID_FIRST @ hats[:4]
+        if j == self.n_steps - 1:
+            return _MID_LAST @ hats[j - 2 : j + 2]
+        return _MID_INTERIOR @ hats[j - 1 : j + 3]
+
     def at(self, i: int) -> np.ndarray | None:
         if not self.active:
             return None
@@ -336,7 +362,7 @@ class _SourceRows:
         for r, hats in enumerate(self.hats):
             if hats is not None:
                 j = i // 2 if self.forward[r] else self.n_steps - (i + 1) // 2
-                out[r] = hats[j] if i % 2 == 0 else 0.5 * (hats[j] + hats[j + 1])
+                out[r] = hats[j] if i % 2 == 0 else self._midpoint(hats, j)
         out *= self.factor
         return out
 

@@ -187,7 +187,8 @@ def test_criterion_05_energy_bounds_per_subsolve(bench):
                 energy_monitor(solution, problem.source, sign, sc.coeffs, sc.weight)
             )
 
-        cfg = StepperConfig(epsilon=eps, n_steps=sc.stepper.n_steps)
+        # 1024 steps: at the preset's 64, eps = 1e-2 exceeds the stiffness cap
+        cfg = StepperConfig(epsilon=eps, n_steps=1024)
         problem = BvpProblem(
             f=sc.f, g=sc.g, coeffs=sc.coeffs, weight=sc.weight,
             horizon=horizon, stepper_cfg=cfg,
@@ -221,8 +222,8 @@ def test_criterion_06_viscosity_machinery(bench):
         direction="forward", coeffs=sc.coeffs, weight=sc.weight,
         source=None, datum=sc.f, horizon=bench["horizon"],
     )
-    cfg = StepperConfig(n_steps=sc.stepper.n_steps,
-                        epsilon_schedule=(1e-2, 1e-3, 1e-4))
+    # 1024 steps: at the preset's 64, eps = 1e-2 exceeds the stiffness cap
+    cfg = StepperConfig(n_steps=1024, epsilon_schedule=(1e-2, 1e-3, 1e-4))
     study = epsilon_study(problem, cfg)
     orders_ok = all(0.8 <= o <= 1.2 for o in study.order_estimates)
     ok = worst_rel <= 0.01 and study.cauchy and orders_ok

@@ -272,6 +272,13 @@ class TestErrorsAndExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "n_steps" in err
 
+    def test_too_few_steps_exit_1(self, tmp_path, capsys):
+        scenario = small_scenario_file(tmp_path, {"stepper": {"n_steps": 2}})
+        code = cli.main(["picard", "--scenario", scenario, "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "at least" in err
+
     @pytest.mark.parametrize(
         "extra, key",
         [

@@ -3,8 +3,16 @@
 import numpy as np
 import pytest
 
+from schrobvp import picard
 from schrobvp.coefficients import CoefficientField, norm_bundle, select_horizon
-from schrobvp.errors import DivergenceError, GridMismatchError, HorizonError, ValidationError
+from schrobvp.cli import build_scenario
+from schrobvp.errors import (
+    ConfigError,
+    DivergenceError,
+    GridMismatchError,
+    HorizonError,
+    ValidationError,
+)
 from schrobvp.free_bvp import FreeBvpData, solve_free
 from schrobvp.picard import (
     BvpProblem,
@@ -14,18 +22,20 @@ from schrobvp.picard import (
     pde_residual,
     picard_solve,
 )
+from schrobvp.presets import load_preset, merge_scenario
 from schrobvp.spectral import (
     Grid1D,
     SpaceTimeField,
     SpectralField,
     dealias_hat,
     gaussian_field,
+    hat_norm,
     project,
     projection_multiplier,
     random_band_field,
 )
 from schrobvp.stepper import OperatorTable, StepperConfig
-from schrobvp.weights import build_weight
+from schrobvp.weights import build_weight, unit_weight
 
 CONST = CoefficientField("1", "0")
 BENCH = CoefficientField("1 + 0.1*exp(-t)*sech(x)", "0.05*sech(x)")
@@ -334,9 +344,9 @@ class TestAssembleAndResidual:
         prof = pde_residual(v, BENCH, w)
         assert prof.sup == 0.0
 
-    def test_residual_second_order_in_dt(self):
+    def test_residual_fourth_order_in_dt(self):
         # feed the exact constant-coefficient solution: the only residual is
-        # the centered-difference truncation, which scales like dt^2
+        # the five-point difference's truncation, which scales like dt^4
         grid = Grid1D(256, 8 * np.pi)
         beta = 1.0
         T = 0.2
@@ -350,8 +360,45 @@ class TestAssembleAndResidual:
             prof = pde_residual(sol, CONST, w)
             sups.append(prof.sup)
         ratio = sups[0] / sups[1]
-        assert 3.0 < ratio < 5.0
+        assert 2**3.7 < ratio < 2**4.3
         assert sups[1] < 1e-2
+
+    @pytest.mark.parametrize("slices", [5, 6, 515, 600])
+    def test_time_difference_is_exact_on_quartics(self, slices):
+        # every stencil, one-sided or centered, is exact for quartics in t;
+        # with a = 1, W = 0 and no weight, L v = i v_xx, so each slice's
+        # residual is known in closed form (515 slices leave a one-row block)
+        grid = Grid1D(256, 8 * np.pi)
+        phi = project(random_band_field(grid, 40, 71), "+").hat
+        times = np.linspace(0.0, 0.05, slices)
+        poly = np.polynomial.Polynomial([1.0, 2.0 - 1.0j, -3.0, 1.0, 0.5j])
+        hats = poly(times)[:, None] * phi
+        prof = pde_residual(SpaceTimeField(grid, times, hats=hats), CONST, unit_weight(grid))
+        t = times[1:-1, None]
+        exact = (poly.deriv()(t) + 1j * grid.xi**2 * poly(t)) * phi * grid.dealias_mask
+        exact[:, 0] = 0.0
+        exact = hat_norm(grid, exact / (1.0 + grid.xi**2))
+        np.testing.assert_allclose(prof.norms, exact, rtol=1e-9)
+
+    def test_residual_needs_five_slices(self):
+        grid = Grid1D(128, 8.0)
+        w = build_weight(0.5, grid, mode="truncated", margin=2.0)
+        times = np.linspace(0.0, 0.1, 4)
+        v = SpaceTimeField(grid, times, np.zeros((4, grid.n), dtype=complex))
+        with pytest.raises(ConfigError, match="at least 5 time slices"):
+            pde_residual(v, BENCH, w)
+
+    def test_too_few_steps_fail_before_the_first_sweep(self, monkeypatch):
+        grid = Grid1D(256, 8 * np.pi)
+        w = build_weight(1.0, grid, mode="truncated", margin=5.0)
+        f, g = split_data(grid)
+        p = BvpProblem(
+            f=f, g=g, coeffs=BENCH, weight=w, horizon=0.01,
+            stepper_cfg=StepperConfig(epsilon=1e-5, n_steps=3),
+        )
+        monkeypatch.setattr(picard, "solve_linear", None)   # no sweep may start
+        with pytest.raises(ConfigError, match="at least 5 time slices"):
+            picard_solve(p)
 
     def test_report_to_dict_roundtrip(self):
         grid = Grid1D(256, 8 * np.pi)
@@ -368,6 +415,41 @@ class TestAssembleAndResidual:
         import json
 
         json.dumps(d)
+
+
+def benchmark_512(n_steps):
+    """The benchmark scenario at n = 512, solved to tol 1e-13 over the
+    benchmark's horizon T = 1/64 with ``n_steps`` steps."""
+    sc = build_scenario(merge_scenario(load_preset("benchmark"), {"grid": {"n": 512}}))
+    p = BvpProblem(
+        f=sc.f, g=sc.g, coeffs=sc.coeffs, weight=sc.weight, horizon=0.015625,
+        stepper_cfg=StepperConfig(epsilon=sc.stepper.epsilon, n_steps=n_steps),
+        override_horizon=True,
+    )
+    vp, vm, report = picard_solve(p, tol=1e-13)
+    return sc, vp.hats + vm.hats, report
+
+
+class TestTimeAccuracy:
+    def test_coupled_solve_is_fourth_order_in_dt(self):
+        # the coupling source is time-dependent, so this fails (order 2)
+        # unless the stepper reads its RK midpoints to fourth order; the
+        # 1024-step reference also keeps the per-step march cost in the suite
+        _, ref, _ = benchmark_512(1024)
+        errs = []
+        for n in (8, 16):
+            sc, total, _ = benchmark_512(n)
+            errs.append(np.max(hat_norm(sc.grid, total - ref[:: 1024 // n])))
+        assert np.log2(errs[0] / errs[1]) >= 3.7
+
+    def test_residual_floor_is_the_viscosity_tail(self):
+        # at the benchmark's 64 steps the time error is far below the
+        # artificial-viscosity term eps xi^4 v that the monitor leaves in,
+        # so every slice of the profile is that term's H^-2 norm
+        sc, total, report = benchmark_512(64)
+        xi = sc.grid.xi
+        tail = sc.stepper.epsilon * hat_norm(sc.grid, xi**4 / (1 + xi**2) * total[1:-1])
+        np.testing.assert_allclose(report.residual_profile, tail, rtol=1e-4)
 
 
 class TestHatCarriers:

@@ -268,6 +268,46 @@ class TestManufacturedSource:
         err = np.max(np.abs(sol.values[0] - self._exact(grid, 0.0, k)))
         assert err < 1e-6
 
+    def _error(self, direction, n_steps):
+        """Max error at the far end of one solve with the source on the march grid."""
+        grid = Grid1D(64, np.pi)
+        k, T = 2.0, 0.25
+        start, end = (0.0, T) if direction == "forward" else (T, 0.0)
+        p = LinearProblem(
+            direction=direction,
+            coeffs=CONST,
+            weight=unit_weight(grid),
+            source=self._setup(grid, T, k, n_steps),
+            datum=SpectralField(grid, self._exact(grid, start, k)),
+            horizon=T,
+        )
+        sol = solve_linear(p, StepperConfig(epsilon=0.0, n_steps=n_steps))
+        far = -1 if direction == "forward" else 0
+        return np.max(np.abs(sol.values[far] - self._exact(grid, end, k)))
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_fourth_order_in_dt(self, direction):
+        # the integrating factor carries exp(-i k^2 t) exactly, so all the
+        # error is in the midpoint source reads: order 2 for a two-point
+        # average, order 4 for the cubic interpolant
+        errs = [self._error(direction, n) for n in (32, 64)]
+        order = np.log2(errs[0] / errs[1])
+        assert errs[1] > 1e-12
+        assert order >= 3.7
+
+    def test_too_few_steps_for_the_source_raise(self):
+        grid = Grid1D(64, np.pi)
+        p = LinearProblem(
+            direction="forward",
+            coeffs=CONST,
+            weight=unit_weight(grid),
+            source=self._setup(grid, 0.25, 2.0, 2),
+            datum=SpectralField(grid, self._exact(grid, 0.0, 2.0)),
+            horizon=0.25,
+        )
+        with pytest.raises(ConfigError, match="at least 3 steps"):
+            solve_linear(p, StepperConfig(epsilon=0.0, n_steps=2))
+
 
 class TestInvariants:
     def test_viscosity_decay_is_monotone(self):
