@@ -1,9 +1,10 @@
 """Coefficient pair (a, W): hypothesis checks, rate functions, horizon, drift index.
 
 The dispersive coefficient a(x, t) and the potential W(x, t) enter as
-expression strings over x and t (grammar: + - * / ^, exp, sin, cos, sech,
-tanh, numeric literals).  Spatial derivatives of a are taken symbolically,
-so no periodic-seam artifacts enter the rate functions.
+expression strings over x and t (grammar: + - * / ^, exp, sin, cos, sech, tanh,
+real literals; I in W and drift only), parsed with ``ast`` and checked node by
+node, never run as Python.  x-derivatives of a are exact, by the chain rule on
+the checked tree, so no periodic-seam artifacts enter the rate functions.
 
 Three derived quantities drive the solver:
 
@@ -20,11 +21,11 @@ Three derived quantities drive the solver:
 
 from __future__ import annotations
 
+import ast
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import sympy
 
 from .errors import ConfigError, HorizonError, ValidationError
 from .spectral import Grid1D, SpectralField, row_blocks
@@ -40,43 +41,108 @@ __all__ = [
     "drift_samples",
 ]
 
-_X, _T = sympy.symbols("x t", real=True)
-_PARSE_LOCALS = {"x": _X, "t": _T, "sech": sympy.sech}
-_ALLOWED_FUNCTIONS = {"exp", "sin", "cos", "sech", "tanh"}
+_FUNCTIONS = ("exp", "sin", "cos", "sech", "tanh")
+_OPERATOR_NODES = (ast.BinOp, ast.UnaryOp, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.UAdd, ast.USub)
+_NAMESPACE = {"__builtins__": {}, "exp": np.exp, "sin": np.sin, "cos": np.cos, "tanh": np.tanh,
+              "sech": lambda z: 1.0 / np.cosh(z), "log": np.log, "I": 1j}  # log: derivative trees only
+_RULES = {  # x-derivative templates over the operands u, v and their x-derivatives du, dv
+    "exp": "exp(u)*du", "sin": "cos(u)*du", "cos": "-sin(u)*du", "sech": "-sech(u)*tanh(u)*du",
+    "tanh": "sech(u)**2*du", "log": "du/u", ast.UAdd: "du", ast.USub: "-du",
+    ast.Add: "du + dv", ast.Sub: "du - dv", ast.Mult: "v*du + u*dv", ast.Div: "(v*du - u*dv)/v**2",
+    ast.Pow: "v*u**(v - 1)*du", "u**v": "u**v*(log(u)*dv + v*du/u)",  # u**v: x in the exponent
+}
 
 
-def _parse_expression(text: str | sympy.Expr, what: str) -> sympy.Expr:
-    if isinstance(text, sympy.Expr):
-        expr = text
-    else:
-        try:
-            expr = sympy.sympify(text, locals=dict(_PARSE_LOCALS), convert_xor=True)
-        except (sympy.SympifyError, SyntaxError, TypeError) as exc:
-            raise ConfigError(f"could not parse {what} expression {text!r}: {exc}") from None
-    bad_symbols = expr.free_symbols - {_X, _T}
-    if bad_symbols:
-        raise ConfigError(f"{what} expression uses unknown symbols {sorted(map(str, bad_symbols))}")
-    for fn in expr.atoms(sympy.Function):
-        name = type(fn).__name__
-        if name not in _ALLOWED_FUNCTIONS:
-            raise ConfigError(f"{what} expression uses unsupported function {name!r}")
-    return expr
+def _in_grammar(node: ast.AST) -> bool:
+    if isinstance(node, ast.Call):
+        return (isinstance(node.func, ast.Name) and node.func.id in _FUNCTIONS and len(node.args) == 1
+                and not node.keywords and _in_grammar(node.args[0]))
+    if isinstance(node, ast.Name):
+        return node.id in ("x", "t", "I")
+    if isinstance(node, ast.Constant):
+        return type(node.value) in (int, float)
+    return isinstance(node, _OPERATOR_NODES) and all(map(_in_grammar, ast.iter_child_nodes(node)))
 
 
-def _lambdify(expr: sympy.Expr):
-    return sympy.lambdify((_X, _T), expr, modules=[{"sech": lambda z: 1.0 / np.cosh(z)}, "numpy"])
+def _parse(value: object, what: str) -> ast.expr:
+    """Checked tree of an expression string or a number, with its literals as floats."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ConfigError(f"{what} must be an expression string or a number, got {value!r}")
+    text = str(value)
+    try:
+        body = ast.parse(text.replace("^", "**"), mode="eval").body
+        for node in ast.walk(body):
+            if isinstance(node, ast.Constant) and type(node.value) is int:
+                node.value = float(node.value)  # so 9^9^9 overflows instead of growing a big int
+    except (SyntaxError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"could not parse {what} expression {text!r}: {exc}") from None
+    if not _in_grammar(body):
+        raise ConfigError(f"{what} expression {text!r} is outside the coefficient grammar (see README)")
+    return body
 
 
-def _eval(fn, x: np.ndarray, t) -> np.ndarray:
+def _names(tree: ast.AST) -> set[str]:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def _fill(node: ast.expr, parts: dict) -> ast.expr | None:
+    """A rule template filled from ``parts``, where None is the zero tree; zero terms
+    and factors, and right factors and exponents of 1, are pruned."""
+    if isinstance(node, ast.Name):
+        return parts.get(node.id, node)
+    if isinstance(node, ast.Call):
+        return ast.Call(node.func, [_fill(node.args[0], parts)], [])
+    if isinstance(node, ast.UnaryOp):
+        operand = _fill(node.operand, parts)
+        return None if operand is None else ast.UnaryOp(node.op, operand)
+    if not isinstance(node, ast.BinOp):
+        return node
+    a, op, b = _fill(node.left, parts), node.op, _fill(node.right, parts)
+    if isinstance(op, (ast.Add, ast.Sub)) and (a is None or b is None):
+        return a if b is None else b if isinstance(op, ast.Add) else ast.UnaryOp(ast.USub(), b)
+    if a is None or b is None:
+        return None
+    if isinstance(op, ast.Sub) and isinstance(a, ast.Constant) and isinstance(b, ast.Constant):
+        return ast.Constant(a.value - b.value)  # such as a constant exponent n - 1
+    b_one = isinstance(b, ast.Constant) and b.value == 1.0  # rules keep du and dv on the right
+    return a if b_one and isinstance(op, (ast.Mult, ast.Pow)) else ast.BinOp(a, op, b)
+
+
+def _diff_x(node: ast.expr | None) -> ast.expr | None:
+    """Tree of the x-derivative by the chain rule, or None when ``node`` has no x."""
+    if not isinstance(node, (ast.Call, ast.UnaryOp, ast.BinOp)):  # a literal or a name
+        return ast.Constant(1.0) if isinstance(node, ast.Name) and node.id == "x" else None
+    if isinstance(node, ast.BinOp):
+        rule, u, v = type(node.op), node.left, node.right
+    else:  # f(u) or a sign
+        rule = node.func.id if isinstance(node, ast.Call) else type(node.op)
+        u, v = node.args[0] if isinstance(node, ast.Call) else node.operand, None
+    parts = {"u": u, "v": v, "du": _diff_x(u), "dv": _diff_x(v)}
+    if rule is ast.Pow and parts["dv"] is not None:
+        rule = "u**v"
+    return _fill(ast.parse(_RULES[rule], mode="eval").body, parts)
+
+
+def _eval(code, x: np.ndarray, t) -> np.ndarray:
     """Samples on the broadcast of ``x`` and ``t`` (a column of times gives one row each)."""
     t = np.asarray(t, dtype=np.float64)
     with np.errstate(all="ignore"):
-        out = fn(x, t)
+        out = eval(code, _NAMESPACE, {"x": x, "t": t})  # a checked tree: grammar names only
     return np.broadcast_to(out, np.broadcast_shapes(np.shape(x), t.shape))
 
 
+def _compile(tree: ast.expr | None, text: str, what: str):
+    """Code of a checked tree (None is zero), run once at x = t = 0 to fail early."""
+    code = compile(ast.fix_missing_locations(ast.Expression(tree or ast.Constant(0.0))), what, "eval")
+    try:
+        _eval(code, np.zeros(1), 0.0)
+    except ArithmeticError as exc:
+        raise ConfigError(f"{what} expression {text!r} cannot be evaluated: {exc}") from None
+    return code
+
+
 class CoefficientField:
-    """Dispersive coefficient a and potential W with analytic x-derivatives.
+    """Dispersive coefficient a and potential W with x-derivatives of a by the chain rule.
 
     ``ellipticity`` is the required pointwise floor for a (may be 0).  The
     evaluators take a scalar time or a column of times, ``t[:, None]``,
@@ -86,16 +152,17 @@ class CoefficientField:
     def __init__(self, a, W, ellipticity: float = 0.0) -> None:
         if ellipticity < 0:
             raise ConfigError(f"ellipticity floor must be >= 0, got {ellipticity}")
-        self.a_expr = _parse_expression(a, "dispersive coefficient")
-        self.w_expr = _parse_expression(W, "potential")
-        if self.a_expr.has(sympy.I):
+        a_tree = _parse(a, "dispersive coefficient")
+        w_tree = _parse(W, "potential")
+        if "I" in _names(a_tree):
             raise ValidationError("dispersive coefficient must be real-valued")
+        self.a_expr, self.w_expr = str(a), str(W)
         self.ellipticity = float(ellipticity)
-        self.time_dependent = self.a_expr.has(_T) or self.w_expr.has(_T)
-        self._a = _lambdify(self.a_expr)
-        self._a_x = _lambdify(sympy.diff(self.a_expr, _X))
-        self._a_xx = _lambdify(sympy.diff(self.a_expr, _X, 2))
-        self._w = _lambdify(self.w_expr)
+        self.time_dependent = "t" in _names(a_tree) | _names(w_tree)
+        a_x = _diff_x(a_tree)
+        self._a, self._a_x, self._a_xx = (_compile(tree, self.a_expr, "dispersive coefficient")
+                                          for tree in (a_tree, a_x, _diff_x(a_x)))
+        self._w = _compile(w_tree, self.w_expr, "potential")
 
     def a_values(self, x: np.ndarray, t) -> np.ndarray:
         arr = _eval(self._a, x, t)
@@ -257,10 +324,10 @@ def _window_maxima(vals: np.ndarray, segments: int, dx: float) -> np.ndarray:
 
 def drift_samples(text: str, x: np.ndarray) -> np.ndarray:
     """Complex samples on ``x`` of a drift expression in x alone (I is the imaginary unit)."""
-    expr = _parse_expression(text, "drift")
-    if expr.has(_T):
+    tree = _parse(text, "drift")
+    if "t" in _names(tree):
         raise ConfigError(f"drift expression {text!r} must not depend on t")
-    vals = np.array(_eval(_lambdify(expr), x, 0.0), dtype=np.complex128)
+    vals = np.array(_eval(_compile(tree, text, "drift"), x, 0.0), dtype=np.complex128)
     if not np.all(np.isfinite(vals)):
         raise ConfigError(f"drift expression {text!r} is not finite on the grid")
     return vals

@@ -354,6 +354,54 @@ class TestMizohataCommand:
         assert capsys.readouterr().err.startswith("error:")
 
 
+class TestCoefficientText:
+    """Coefficient expressions are read by a closed grammar and never run as Python."""
+
+    # horizon auto-selected, so any admissible a and W runs to exit 0
+    TINY = {
+        "preset": "decoupled", "grid": {"n": 64, "L": 24.0}, "stepper": {"n_steps": 8}, "horizon": None,
+    }
+
+    def run(self, tmp_path, where, value):
+        if where == "b":
+            return cli.main(["mizohata", "--b", value, "--grid-n", "64", "--out-dir", str(tmp_path / "m")])
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps(merge_scenario(self.TINY, {"coefficients": {where: value}})))
+        return cli.main(["picard", "--scenario", str(scenario), "--out-dir", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("where", ["a", "W", "b"])
+    @pytest.mark.parametrize(
+        "text",
+        ['__import__("os").makedirs("{ran}") or 1', "pi", "E", "oo", "sqrt(2)", "Rational(1,2)",
+         "x if 1 else 2", "[1][0]", "(lambda: 1)()", "1j", "exp(x=1)", "x.real", "x and 1", "x % 2"],
+    )
+    def test_outside_the_grammar_is_an_error_line(self, tmp_path, capsys, where, text):
+        ran = tmp_path / "ran"
+        assert self.run(tmp_path, where, text.format(ran=ran.as_posix())) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not ran.exists()
+
+    @pytest.mark.parametrize("where, name", [("a", "dispersive coefficient"), ("W", "potential")])
+    @pytest.mark.parametrize("value", [[1], None, True, {"x": 1}])
+    def test_mistyped_value_is_an_error_line(self, tmp_path, capsys, where, name, value):
+        assert self.run(tmp_path, where, value) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err
+
+    @pytest.mark.parametrize(
+        "where, value", [("a", 2), ("W", 0.5), ("a", "2^1 + exp(-t)*sech(x)^2"), ("b", "I*tanh(x)^2")]
+    )
+    def test_grammar_and_json_numbers_run(self, tmp_path, where, value):
+        assert self.run(tmp_path, where, value) == 0
+
+    @pytest.mark.parametrize("where", ["a", "W", "b"])
+    @pytest.mark.parametrize("text", ["1/0", "10^400", "x + 9^9^9^9"])
+    def test_constant_that_cannot_be_evaluated_is_an_error_line(self, tmp_path, capsys, where, text):
+        assert self.run(tmp_path, where, text) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "cannot be evaluated" in err
+
+
 class TestCommutatorBenchCommand:
     def test_artifacts(self, tmp_path):
         out = tmp_path / "bench"

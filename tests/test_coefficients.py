@@ -11,7 +11,7 @@ from schrobvp.coefficients import (
     select_horizon,
 )
 from schrobvp.errors import ConfigError, HorizonError, ValidationError
-from schrobvp.spectral import Grid1D, SpectralField
+from schrobvp.spectral import Grid1D, SpectralField, derivative
 from schrobvp.weights import build_weight
 
 # calculus oracles for a(x) = sech(x):
@@ -71,6 +71,84 @@ class TestParsing:
         x = np.linspace(-3, 3, 101)
         d = (c.a_values(x + 1e-6, 0.0) - c.a_values(x - 1e-6, 0.0)) / 2e-6
         assert np.max(np.abs(d - c.a_x(x, 0.0))) < 1e-7
+
+
+def _sech(z):
+    return 1.0 / np.cosh(z)
+
+
+X = np.linspace(-4.0, 4.0, 801)
+U, U1, U2 = X**2 / 4 - X / 3, X / 2 - 1 / 3, 0.5  # inner function u(x) and its derivatives
+W_, W1, W2 = np.tanh(X) ** 2, 2 * np.tanh(X) * _sech(X) ** 2, 2 * _sech(X) ** 4 - 4 * np.tanh(X) ** 2 * _sech(X) ** 2
+S, C, Q = np.sin(X), np.cos(X), 1 + X**2
+
+# expression -> closed-form (a_x, a_xx) on X: f(u)' = f'(u) u', f(u)'' = f''(u) u'^2 + f'(u) u''
+CLOSED_FORMS = {
+    "exp(x^2/4 - x/3)": (np.exp(U) * U1, np.exp(U) * (U1**2 + U2)),
+    "sin(x^2/4 - x/3)": (np.cos(U) * U1, -np.sin(U) * U1**2 + np.cos(U) * U2),
+    "cos(x^2/4 - x/3)": (-np.sin(U) * U1, -np.cos(U) * U1**2 - np.sin(U) * U2),
+    "sech(x^2/4 - x/3)": (
+        -_sech(U) * np.tanh(U) * U1,
+        (_sech(U) * np.tanh(U) ** 2 - _sech(U) ** 3) * U1**2 - _sech(U) * np.tanh(U) * U2,
+    ),
+    "tanh(x^2/4 - x/3)": (
+        _sech(U) ** 2 * U1,
+        -2 * _sech(U) ** 2 * np.tanh(U) * U1**2 + _sech(U) ** 2 * U2,
+    ),
+    "sin(x)/(2 + cos(x))": ((2 * C + 1) / (2 + C) ** 2, 2 * S * (C - 1) / (2 + C) ** 3),
+    "(1 + x^2)^-1.5": (-3 * X * Q**-2.5, -3 * Q**-2.5 + 15 * X**2 * Q**-3.5),
+    "x**3": (3 * X**2, 6 * X),
+    "2^x": (np.log(2) * 2**X, np.log(2) ** 2 * 2**X),
+    # x in base and exponent: f = q^x, f' = f L, f'' = f (L^2 + L'), L = log q + 2x^2/q
+    "(1 + x^2)^x": (
+        Q**X * (np.log(Q) + 2 * X**2 / Q),
+        Q**X * ((np.log(Q) + 2 * X**2 / Q) ** 2 + 6 * X / Q - 4 * X**3 / Q**2),
+    ),
+    "-exp(-x^2)": (2 * X * np.exp(-(X**2)), (2 - 4 * X**2) * np.exp(-(X**2))),
+    "sech(tanh(x)^2)": (
+        -_sech(W_) * np.tanh(W_) * W1,
+        (_sech(W_) * np.tanh(W_) ** 2 - _sech(W_) ** 3) * W1**2 - _sech(W_) * np.tanh(W_) * W2,
+    ),
+}
+
+
+class TestDerivatives:
+    @pytest.mark.parametrize("expr", sorted(CLOSED_FORMS))
+    def test_chain_rule_matches_closed_form(self, expr):
+        c = CoefficientField(expr, "0")
+        for got, want in zip((c.a_x(X, 0.0), c.a_xx(X, 0.0)), CLOSED_FORMS[expr]):
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize(
+        "expr",
+        ["1 + 0.1*exp(-t)*sech(x)", "1 + 0.1*exp(-30*t)*sech(x) + 0.2*sin(40*t)", "1 + 0.5*sech(x)", "sech(x)"],
+    )
+    def test_matches_spectral_derivative(self, expr):
+        g = Grid1D(2048, 40.0)
+        c = CoefficientField(expr, "0")
+        for t in (0.0, 0.7):
+            a = SpectralField(g, c.a_values(g.x, t))
+            assert np.max(np.abs(derivative(a, 1).values - c.a_x(g.x, t))) < 1e-10
+            assert np.max(np.abs(derivative(a, 2).values - c.a_xx(g.x, t))) < 1e-10
+
+    def test_x_free_coefficient_has_exactly_zero_derivatives(self):
+        c = CoefficientField("1 + 0.1*exp(-t) + t^2", "sech(x)")
+        ts = np.array([[0.0], [0.5]])
+        for d in (c.a_x(X, ts), c.a_xx(X, ts)):
+            assert d.shape == (2, len(X)) and np.array_equal(d, np.zeros_like(d))
+
+    @pytest.mark.parametrize(
+        "a, W, expected",
+        [
+            ("1 + 0.1*sech(x)", "0.05*sech(x)", False),
+            ("1", "I*x", False),
+            ("1 + 0.1*exp(-t)*sech(x)", "0", True),
+            ("1", "t*sech(x)", True),
+            ("1 + t - t", "0", True),  # t appears, even though it cancels
+        ],
+    )
+    def test_time_dependent_exactly_when_t_appears(self, a, W, expected):
+        assert CoefficientField(a, W).time_dependent is expected
 
 
 class TestNormBundle:

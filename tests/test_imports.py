@@ -1,13 +1,19 @@
-"""Every module imports only names it uses.
+"""Every module imports only names it uses, and the package only what it declares.
 
 An AST scan of the package modules, the test files and the scripts: a name
 bound by an import statement must appear somewhere else in the module, as a
 bare name or the root of an attribute chain, or be re-exported through
 ``__all__``.
 The package ``__init__`` is skipped, because its imports are the public API.
+Every import in the package is relative, from the standard library, or a
+dependency listed in ``pyproject.toml``.
 """
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,3 +75,38 @@ def test_scan_flags_an_unused_name_and_keeps_used_ones():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _declared_dependencies() -> set[str]:
+    import tomllib
+
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    return {re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0] for dep in deps}
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src" / "schrobvp").glob("*.py")), ids=lambda p: f"schrobvp/{p.name}"
+)
+def test_package_imports_only_stdlib_and_declared_dependencies(path):
+    allowed = set(sys.stdlib_module_names) | _declared_dependencies()
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    assert roots - allowed == set()
+
+
+def test_cli_builds_the_benchmark_without_sympy():
+    code = (
+        "import sys; sys.modules['sympy'] = None\n"
+        "from schrobvp.cli import build_scenario\n"
+        "sc = build_scenario({'preset': 'benchmark'})\n"
+        "assert sc.coeffs.time_dependent\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
