@@ -51,7 +51,7 @@ def main() -> int:
     print(f"equation residual sup: {report.residual_sup:.3e}")
     print(f"cross-side leakage: {report.final_leakage:.3e}")
 
-    asm = assemble_solution(vp, vm, sc.weight, f=sc.f, g=sc.g)
+    asm = assemble_solution(vp, vm, sc.weight)
     print(f"decaying-norm range: [{asm.w_norms.min():.6g}, {asm.w_norms.max():.6g}]")
     for rep in run_monitors(sc, vp, vm, asm.w):
         print(f"estimate {rep.name}: ratio {rep.ratio:.4f} -> {rep.verdict}")

@@ -41,7 +41,7 @@ from .coefficients import (
     select_horizon,
 )
 from .commutators import estimate_constant
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, typed
 from .estimates import (
     EstimateReport,
     bootstrap_diagnostics,
@@ -71,7 +71,9 @@ _WEIGHT_KEYS = {"beta", "mode", "margin"}
 _COEFF_KEYS = {"a", "W", "lambda"}
 _DATA_KEYS = {"f", "g"}
 _STEPPER_KEYS = {"epsilon", "dt", "n_steps", "epsilon_schedule"}
-_ESTIMATE_KEYS = {"energy", "smoothing", "bootstrap", "q", "delta", "chain_constant", "slack"}
+# estimates keys with their defaults; bootstrap defaults to lambda > 0
+_ESTIMATE_DEFAULTS = {"energy": True, "smoothing": True, "bootstrap": False,
+                      "q": 2.0, "delta": 0.6, "chain_constant": 1.0, "slack": 0.05}
 
 _STORED_SLICE_CAP = 128   # carrier slices kept for verify-estimates, at most
 _HORIZON_PROBE = (0.25, 10001)   # window and resolution for automatic selection
@@ -85,18 +87,14 @@ def _check_keys(d: dict, allowed: set[str], where: str) -> None:
             raise ConfigError(f"unknown config key {key!r} in {where}")
 
 
-def _number(kind: type, value: object, key: str) -> int | float:
-    """``kind(value)``, or a ConfigError naming ``key`` when the JSON value has the wrong type."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number, got {value!r}") from None
-
-
 def _number_list(value: object, key: str) -> list[float]:
     if not isinstance(value, list):
         raise ConfigError(f"{key} must be a JSON list of numbers, got {value!r}")
-    return [_number(float, v, key) for v in value]
+    return [typed(v, float, key) for v in value]
+
+
+def _optional(value: object, kind: type, key: str):
+    return None if value is None else typed(value, kind, key)
 
 
 # --- scenario construction --------------------------------------------------
@@ -155,17 +153,17 @@ def build_scenario(raw: dict) -> ScenarioConfig:
     _check_keys(grid_spec, _GRID_KEYS, "grid")
     if "n" not in grid_spec or "L" not in grid_spec:
         raise ConfigError("grid section needs both n and L")
-    grid = Grid1D(_number(int, grid_spec["n"], "grid.n"), _number(float, grid_spec["L"], "grid.L"))
+    grid = Grid1D(typed(grid_spec["n"], int, "grid.n"), typed(grid_spec["L"], float, "grid.L"))
 
     weight_spec = resolved.get("weight")
     if not isinstance(weight_spec, dict) or "beta" not in weight_spec:
         raise ConfigError("scenario needs a weight section {beta, mode}")
     _check_keys(weight_spec, _WEIGHT_KEYS, "weight")
     weight = build_weight(
-        _number(float, weight_spec["beta"], "weight.beta"),
+        typed(weight_spec["beta"], float, "weight.beta"),
         grid,
-        mode=weight_spec.get("mode", "truncated"),
-        margin=weight_spec.get("margin"),
+        mode=typed(weight_spec.get("mode", "truncated"), str, "weight.mode"),
+        margin=_optional(weight_spec.get("margin"), float, "weight.margin"),
     )
 
     coeff_spec = resolved.get("coefficients")
@@ -174,11 +172,10 @@ def build_scenario(raw: dict) -> ScenarioConfig:
     _check_keys(coeff_spec, _COEFF_KEYS, "coefficients")
     if "a" not in coeff_spec or "W" not in coeff_spec:
         raise ConfigError("coefficients section needs both a and W")
-    lam = _number(float, coeff_spec.get("lambda", 0.0), "coefficients.lambda")
+    lam = typed(coeff_spec.get("lambda", 0.0), float, "coefficients.lambda")
 
-    horizon = resolved.get("horizon")
+    horizon = _optional(resolved.get("horizon"), float, "horizon")
     if horizon is not None:
-        horizon = _number(float, horizon, "horizon")
         if horizon <= 0:
             raise ConfigError(f"horizon must be positive, got {horizon:g}")
     coeffs = CoefficientField(coeff_spec["a"], coeff_spec["W"], ellipticity=lam)
@@ -189,14 +186,14 @@ def build_scenario(raw: dict) -> ScenarioConfig:
     _check_keys(data_spec, _DATA_KEYS, "data")
     if "f" not in data_spec or "g" not in data_spec:
         raise ConfigError("data section needs both f and g")
-    seed = _number(int, resolved.get("seed", 0), "seed")
-    f = build_datum(str(data_spec["f"]), grid, "-", seed=seed)
-    g = build_datum(str(data_spec["g"]), grid, "+", seed=seed + 1)
+    seed = typed(resolved.get("seed", 0), int, "seed")
+    f = build_datum(typed(data_spec["f"], str, "data.f"), grid, "-", seed=seed)
+    g = build_datum(typed(data_spec["g"], str, "data.g"), grid, "+", seed=seed + 1)
 
     stepper_spec = resolved.get("stepper", {})
     _check_keys(stepper_spec, _STEPPER_KEYS, "stepper")
     stepper = StepperConfig(
-        epsilon=_number(float, stepper_spec.get("epsilon", 1e-3), "stepper.epsilon"),
+        epsilon=typed(stepper_spec.get("epsilon", 1e-3), float, "stepper.epsilon"),
         dt=stepper_spec.get("dt"),
         n_steps=stepper_spec.get("n_steps"),
         epsilon_schedule=tuple(
@@ -205,11 +202,11 @@ def build_scenario(raw: dict) -> ScenarioConfig:
     )
 
     est_spec = resolved.get("estimates", {})
-    _check_keys(est_spec, _ESTIMATE_KEYS, "estimates")
-    est_spec = dict(est_spec)
-    est_spec.setdefault("energy", True)
-    est_spec.setdefault("smoothing", True)
-    est_spec.setdefault("bootstrap", lam > 0)
+    _check_keys(est_spec, set(_ESTIMATE_DEFAULTS), "estimates")
+    est_spec = {
+        key: typed(est_spec.get(key, default), type(default), f"estimates.{key}")
+        for key, default in {**_ESTIMATE_DEFAULTS, "bootstrap": lam > 0}.items()
+    }
 
     times = _number_list(resolved.get("times", []), "times")
     return ScenarioConfig(
@@ -224,11 +221,11 @@ def build_scenario(raw: dict) -> ScenarioConfig:
         stepper=stepper,
         estimates=est_spec,
         horizon=horizon,
-        override_horizon=bool(resolved.get("override_horizon", False)),
-        tol=_number(float, resolved.get("tol", 1e-8), "tol"),
-        m_max=_number(int, resolved.get("m_max", 50), "m_max"),
+        override_horizon=typed(resolved.get("override_horizon", False), bool, "override_horizon"),
+        tol=typed(resolved.get("tol", 1e-8), float, "tol"),
+        m_max=typed(resolved.get("m_max", 50), int, "m_max"),
         times=times,
-        out_dir=resolved.get("out_dir"),
+        out_dir=_optional(resolved.get("out_dir"), str, "out_dir"),
         seed=seed,
     )
 
@@ -356,9 +353,9 @@ def run_monitors(
 ) -> list[EstimateReport]:
     """The toggled estimate monitors on one converged pair of carriers."""
     cfg = sc.estimates
-    slack = float(cfg.get("slack", 0.05))
+    slack = cfg["slack"]
     reports: list[EstimateReport] = []
-    if cfg.get("energy"):
+    if cfg["energy"]:
         src_p, src_m = coupling_stacks(vp, vm, sc.coeffs, sc.weight)
         reports.append(
             energy_monitor(vm, src_m, "-", sc.coeffs, sc.weight, slack=slack)
@@ -367,7 +364,7 @@ def run_monitors(
             energy_monitor(vp, src_p, "+", sc.coeffs, sc.weight, slack=slack)
         )
         del src_p, src_m   # free their buffer before the monitors where the run peaks
-    if cfg.get("smoothing"):
+    if cfg["smoothing"]:
         reports.append(
             weighted_smoothing_monitor(
                 *w_stack.split_sides(),
@@ -376,16 +373,16 @@ def run_monitors(
                 slack=slack,
             )
         )
-    if cfg.get("bootstrap"):
+    if cfg["bootstrap"]:
         reports.append(
             bootstrap_diagnostics(
                 w_stack,
                 sc.coeffs,
                 sc.beta,
                 sc.lam,
-                q=float(cfg.get("q", 2.0)),
-                delta=float(cfg.get("delta", 0.6)),
-                chain_constant=float(cfg.get("chain_constant", 1.0)),
+                q=cfg["q"],
+                delta=cfg["delta"],
+                chain_constant=cfg["chain_constant"],
                 slack=slack,
             )
         )
@@ -469,7 +466,7 @@ def cmd_linear(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     sol = solve_linear(problem, sc.stepper)
     reports = []
-    if sc.estimates.get("energy"):
+    if sc.estimates["energy"]:
         sign = "-" if args.direction == "forward" else "+"
         reports.append(energy_monitor(sol, None, sign, sc.coeffs, sc.weight))
     study = None
@@ -514,7 +511,7 @@ def run_picard_scenario(raw: dict, out_dir: str | None, flag_T: float | None = N
         raise RuntimeError(
             f"no convergence in {sc.m_max} sweeps (last update {report.diff_norms[-1]:.3g})"
         )
-    asm = assemble_solution(vp, vm, sc.weight, f=sc.f, g=sc.g)
+    asm = assemble_solution(vp, vm, sc.weight)
     t1 = time.perf_counter()
     monitors = run_monitors(sc, vp, vm, asm.w)
     estimate_s = time.perf_counter() - t1

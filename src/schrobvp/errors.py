@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type check of config values."""
+
+import numbers
 
 
 class GridMismatchError(ValueError):
@@ -35,3 +37,24 @@ class StabilityError(RuntimeError):
 
 class DivergenceError(RuntimeError):
     """Fixed-point sweeps stopped contracting."""
+
+
+_KINDS = {
+    int: (numbers.Integral, "an integer"),
+    float: (numbers.Real, "a real number"),
+    bool: (bool, "true or false"),
+    str: (str, "a string"),
+}
+
+
+def typed(value: object, kind: type, key: str):
+    """``kind(value)`` if ``value`` has the JSON type ``kind``, else a ConfigError naming ``key``.
+
+    ``kind`` is int, float, bool or str.  Nothing is coerced: "5" for a
+    number, 2.5 for an integer and true for a number are all errors; an
+    integer passes as a float.
+    """
+    abc, what = _KINDS[kind]
+    if not isinstance(value, abc) or (isinstance(value, bool) and kind is not bool):
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+    return kind(value)

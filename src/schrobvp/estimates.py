@@ -1,8 +1,8 @@
 """Numerical monitors for the solver's a-priori inequalities.
 
 Each monitor computes both sides of one estimate on stored space-time
-fields and reports the measured ratio.  The monitors read the fields as
-hat blocks (Fourier coefficients) through the multipliers of
+fields and reports the measured ratio.  The fields hold Fourier
+coefficients, which the monitors read through the multipliers of
 :mod:`spectral`; physical values are built only where a product with
 a(x, t) needs them, one block or one sampled slice at a time, and norms
 and pairings of hats come from Parseval.  Constants that the theory leaves
@@ -111,7 +111,7 @@ def _weighted_halfderiv_integral(
     mult = side * fractional_multiplier(grid, 0.5).symbol.real
     per_slice = np.empty(len(v.times))
     for rows in row_blocks(len(v.times), grid.n):
-        half = np.fft.ifft(mult * v.block(rows), axis=-1)
+        half = np.fft.ifft(mult * v.hats[rows], axis=-1)
         aval = coeffs.a_values(grid.x, v.times[rows, None])
         per_slice[rows] = grid.dx * np.sum(aval * spatial_factor * np.abs(half) ** 2, axis=1)
     return float(np.trapezoid(per_slice, v.times))
@@ -196,7 +196,7 @@ def _support_check(w_plus: SpaceTimeField, w_minus: SpaceTimeField) -> None:
     shell = np.abs(grid.x) > 0.9 * grid.half_length
     total = outer = 0.0
     for rows in row_blocks(len(w_plus.times), grid.n):
-        w_total = w_plus.block(rows, physical=True) + w_minus.block(rows, physical=True)
+        w_total = w_plus.block(rows) + w_minus.block(rows)
         mass = np.abs(w_total) ** 2
         total += np.sum(mass)
         outer += np.sum(mass[:, shell])
@@ -379,9 +379,7 @@ def bootstrap_diagnostics(
     # the left counts that mode, so the two sides must cover it too.
     neg = (grid.xi < 0).astype(float)
 
-    z_hats = np.empty((len(times), grid.n), dtype=np.complex128)
-    for rows in row_blocks(len(times), grid.n):
-        z_hats[rows] = half * w.block(rows)
+    z_hats = half * w.hats
     z_norms = SpaceTimeField(grid, times, hats=z_hats).norm_series()
 
     scale = float(np.max(z_norms))
@@ -397,12 +395,9 @@ def bootstrap_diagnostics(
             notes="zero field",
         )
 
-    def w_hat(i: int) -> np.ndarray:
-        return w.block(slice(i, i + 1))[0]
-
     # derivative factorization d/dx = D^{1/2} H D^{1/2} on the middle slice
     mid = len(times) // 2
-    direct = deriv * w_hat(mid)
+    direct = deriv * w.hats[mid]
     factored = half * hil * z_hats[mid]
     fact_err = float(
         np.max(np.abs(direct - factored)) / max(np.max(np.abs(direct)), 1e-300)
@@ -440,7 +435,7 @@ def bootstrap_diagnostics(
         dz_norm = float(hat_norm(grid, half * z_hat))
         half_hz = np.fft.ifft(half * hil * z_hat)
         core_hat = np.fft.fft(_half_comm(half, a_here, half_hz))
-        wx = np.fft.ifft(deriv * w_hat(i))
+        wx = np.fft.ifft(deriv * w.hats[i])
         comm_wx_hat = np.fft.fft(_half_comm(half, a_here, wx))
 
         for sym in (pos, neg):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .spectral import Grid1D, SpaceTimeField, SpectralField, project
+from .spectral import Grid1D, SpaceTimeField, SpectralField, require_one_sided
 
 __all__ = [
     "FreeBvpData",
@@ -65,17 +65,8 @@ class FreeBvpData:
         self.times = np.asarray(self.times, dtype=np.float64)
         if self.times[0] < 0 or self.times[-1] > self.horizon + 1e-12:
             raise ConfigError("output times must lie in [0, horizon]")
-        for name, datum, wrong_side in (("f", self.f, "+"), ("g", self.g, "-")):
-            scale = datum.norm_l2()
-            if scale == 0.0:
-                continue
-            leak = project(datum, wrong_side).norm_l2()
-            if leak > 1e-12 * scale:
-                raise ValidationError(
-                    f"datum {name} has {wrong_side}-frequency content ({leak / scale:.2e} relative)"
-                )
-            if abs(datum.hat[0]) > 1e-12 * scale * datum.grid.n:
-                raise ValidationError(f"datum {name} must have zero mean")
+        require_one_sided(self.f, "-", "datum f")
+        require_one_sided(self.g, "+", "datum g")
 
     @property
     def grid(self) -> Grid1D:
@@ -101,7 +92,7 @@ def solve_free(data: FreeBvpData, grid: Grid1D | None = None) -> SpaceTimeField:
     grid = data.grid
     sym_f, sym_g = _free_symbols(grid, data.beta, data.horizon, data.times)
     hats = sym_f * data.f.hat[None, :] + sym_g * data.g.hat[None, :]
-    return SpaceTimeField(grid, data.times, np.fft.ifft(hats, axis=1))
+    return SpaceTimeField(grid, data.times, hats=hats)
 
 
 @dataclass(frozen=True)

@@ -24,14 +24,14 @@ branch of the coupling source only and takes lambda- = (Z v)_paired -
 lambda+: on that class P+ + P- = I, and on dealiased input the commutator
 terms of the two signs cancel except at the zero mode.  The sources stay
 Fourier coefficients, written straight into one march-ordered (2, N+1, n)
-buffer on the march's own time grid (the only grid the stepper accepts),
-and reach the stepper as hat-backed fields; both carriers are then marched
-together through `solve_linear(..., partner=...)`.
+buffer on the march's own time grid (the only grid the stepper accepts);
+both carriers are then marched together through
+`solve_linear(..., partner=...)`.
 
-The carriers are hat-backed as well, from the march to the residual: norms
-are Parseval sums (`spectral.hat_norm`), and physical values exist only
-inside `_operator_parts`, the one operator kernel of the coupling source and
-the residual monitor.
+Every space-time field stores Fourier coefficients only, so norms are
+Parseval sums (`spectral.hat_norm`), and physical values exist only inside
+`_operator_parts`, the one operator kernel of the coupling source and the
+residual monitor, and one block at a time in `assemble_solution`.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .errors import (
     DivergenceError,
     GridMismatchError,
     HorizonError,
-    ValidationError,
 )
 from .spectral import (
     Grid1D,
@@ -57,6 +56,7 @@ from .spectral import (
     dealias_hat,
     hat_norm,
     projection_multiplier,
+    require_one_sided,
     row_blocks,
 )
 from .stepper import LinearProblem, OperatorTable, StepperConfig, solve_linear
@@ -73,21 +73,6 @@ __all__ = [
     "assemble_solution",
     "pde_residual",
 ]
-
-
-def _require_one_sided(f: SpectralField, sign: str, label: str) -> None:
-    norm = f.norm_l2()
-    scale = max(norm, 1e-300)
-    hat = f.hat
-    if abs(hat[0]) > 1e-12 * scale * f.grid.n:
-        raise ValidationError(f"{label} must have zero mean")
-    wrong = "-" if sign == "+" else "+"
-    sym = projection_multiplier(f.grid, wrong).symbol
-    leak = float(hat_norm(f.grid, sym * hat))
-    if leak > 1e-12 * scale:
-        raise ValidationError(
-            f"{label} carries {leak:.3g} of mass on the {wrong} frequency side"
-        )
 
 
 @dataclass
@@ -112,8 +97,8 @@ class BvpProblem:
             raise GridMismatchError("data and weight must share one grid")
         if not (self.horizon > 0):
             raise ConfigError(f"horizon must be positive, got {self.horizon}")
-        _require_one_sided(self.f, "-", "low-endpoint datum")
-        _require_one_sided(self.g, "+", "high-endpoint datum")
+        require_one_sided(self.f, "-", "low-endpoint datum")
+        require_one_sided(self.g, "+", "high-endpoint datum")
 
     @property
     def grid(self) -> Grid1D:
@@ -262,7 +247,7 @@ def coupling_stacks(
     weight: WeightProfile,
     table: OperatorTable | None = None,
 ) -> tuple[SpaceTimeField, SpaceTimeField]:
-    """Both coupling-source stacks on the carriers' time grid, as hat-backed fields.
+    """Both coupling-source stacks on the carriers' time grid.
 
     The hats live in one (2, slices, n) buffer in march order: row 0 is
     lambda- on ascending times (the forward carrier's source), row 1 is
@@ -283,7 +268,7 @@ def coupling_stacks(
     hats = np.empty((2, len(times), grid.n), dtype=np.complex128)
     lam_m, lam_p = hats[0], hats[1, ::-1]
     for rows in row_blocks(len(times), grid.n):
-        v_hat = vp.block(rows) + vm.block(rows)
+        v_hat = vp.hats[rows] + vm.hats[rows]
         _lambda_rows(grid, v_hat, *table.rows(rows.start, rows.stop), lam_p[rows], lam_m[rows])
     return SpaceTimeField(grid, times, hats=lam_p), SpaceTimeField(grid, times, hats=lam_m)
 
@@ -291,7 +276,7 @@ def coupling_stacks(
 def _sup_l2_diff(a: SpaceTimeField, b: SpaceTimeField) -> float:
     worst = 0.0
     for rows in row_blocks(len(a.times), a.grid.n):
-        worst = max(worst, float(np.max(hat_norm(a.grid, a.block(rows) - b.block(rows)))))
+        worst = max(worst, float(np.max(hat_norm(a.grid, a.hats[rows] - b.hats[rows]))))
     return worst
 
 
@@ -441,9 +426,8 @@ def _projection_residual(
 ) -> float:
     """L^2 distance of P_sign of slice ``i`` of the summed carriers from the datum."""
     grid = vp.grid
-    rows = slice(i, i + 1)
     sym = projection_multiplier(grid, sign).symbol
-    hat = sym * (vp.block(rows)[0] + vm.block(rows)[0]) - dealias_hat(grid, datum.hat)
+    hat = sym * (vp.hats[i] + vm.hats[i]) - dealias_hat(grid, datum.hat)
     return float(hat_norm(grid, hat))
 
 
@@ -456,48 +440,37 @@ class AssembledSolution:
     w: SpaceTimeField
     window: np.ndarray
     w_norms: np.ndarray
-    boundary_residual_low: float | None
-    boundary_residual_high: float | None
 
 
 def assemble_solution(
-    v_plus: SpaceTimeField,
-    v_minus: SpaceTimeField,
-    weight: WeightProfile,
-    f: SpectralField | None = None,
-    g: SpectralField | None = None,
+    v_plus: SpaceTimeField, v_minus: SpaceTimeField, weight: WeightProfile
 ) -> AssembledSolution:
     """v = sum of carriers; u = v / weight; w = e^(beta x) u on the central window.
 
     The exponential transform is only evaluated on |x| <= L/2: data are
     supported there, and outside the window a seam-crossing exponential
-    would amplify wrap-around garbage.
+    would amplify wrap-around garbage.  The hats of u and w are formed one
+    block of physical slices at a time.
     """
     if v_plus.grid != v_minus.grid or v_plus.grid != weight.grid:
         raise GridMismatchError("carriers and weight must share one grid")
     grid = v_plus.grid
     times = v_plus.times
-    v_vals = np.empty((len(times), grid.n), dtype=np.complex128)
-    for rows in row_blocks(len(times), grid.n):
-        v_vals[rows] = v_plus.block(rows, physical=True) + v_minus.block(rows, physical=True)
-    u_vals = v_vals / weight.values[None, :]
     window = np.abs(grid.x) <= 0.5 * grid.half_length
-    ratio = np.exp(weight.beta * grid.x) / weight.values
-    w_vals = v_vals * (ratio * window)[None, :]
-    v = SpaceTimeField(grid, times, v_vals)
-    u = SpaceTimeField(grid, times, u_vals)
-    w = SpaceTimeField(grid, times, w_vals)
-    last = len(times) - 1
-    res_low = None if f is None else _projection_residual(v_plus, v_minus, 0, f, "-")
-    res_high = None if g is None else _projection_residual(v_plus, v_minus, last, g, "+")
+    w_factor = np.exp(weight.beta * grid.x) / weight.values * window
+    u_hats = np.empty((len(times), grid.n), dtype=np.complex128)
+    w_hats = np.empty_like(u_hats)
+    for rows in row_blocks(len(times), grid.n):
+        v_vals = v_plus.block(rows) + v_minus.block(rows)
+        u_hats[rows] = np.fft.fft(v_vals / weight.values, axis=-1)
+        w_hats[rows] = np.fft.fft(v_vals * w_factor, axis=-1)
+    w = SpaceTimeField(grid, times, hats=w_hats)
     return AssembledSolution(
-        v=v,
-        u=u,
+        v=SpaceTimeField(grid, times, hats=v_plus.hats + v_minus.hats),
+        u=SpaceTimeField(grid, times, hats=u_hats),
         w=w,
         window=window,
         w_norms=w.norm_series(),
-        boundary_residual_low=res_low,
-        boundary_residual_high=res_high,
     )
 
 
@@ -563,7 +536,7 @@ def pde_residual(
         start = np.clip(np.arange(first - 2, stop - 2), 0, last - 4)   # stencil first nodes
         weights = _DDT_WEIGHTS[np.arange(first, stop) - start - 1]
         lo = int(start[0])
-        hats = v.block(slice(lo, int(start[-1]) + 5))
+        hats = v.hats[lo : int(start[-1]) + 5]
         dvdt = weights[:, 0, None] * hats[start - lo]
         for m in range(1, 5):
             dvdt += weights[:, m, None] * hats[start - lo + m]

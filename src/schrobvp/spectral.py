@@ -31,7 +31,12 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import GridMismatchError, ResolvableRangeError, SingularOperatorError
+from .errors import (
+    GridMismatchError,
+    ResolvableRangeError,
+    SingularOperatorError,
+    ValidationError,
+)
 
 # Bytes of one complex block wherever a stack is transformed or coefficients
 # are evaluated in pieces: small enough to stay in cache, whatever the step count.
@@ -69,6 +74,7 @@ __all__ = [
     "lp_block_multiplier",
     "pi0",
     "remove_pi0",
+    "require_one_sided",
     "derivative",
     "dealiased_product",
     "hat_norm",
@@ -302,6 +308,24 @@ def remove_pi0(f: SpectralField) -> SpectralField:
     return SpectralField.from_hat(f.grid, hat)
 
 
+def require_one_sided(f: SpectralField, sign: str, label: str) -> None:
+    """ValidationError unless ``f`` has zero mean and no mass off the ``sign`` side.
+
+    The endpoint-data check of the coupled and the closed-form problem.  Both
+    tolerances are 1e-12 relative to ||f||_2, so the zero field passes.
+    """
+    scale = max(f.norm_l2(), 1e-300)
+    hat = f.hat
+    if abs(hat[0]) > 1e-12 * scale * f.grid.n:
+        raise ValidationError(f"{label} must have zero mean")
+    wrong = "-" if sign == "+" else "+"
+    leak = float(hat_norm(f.grid, projection_multiplier(f.grid, wrong).symbol * hat))
+    if leak > 1e-12 * scale:
+        raise ValidationError(
+            f"{label} carries {leak:.3g} of mass on the {wrong} frequency side"
+        )
+
+
 def project(f: SpectralField, sign: str) -> SpectralField:
     return projection_multiplier(f.grid, sign).apply(f)
 
@@ -440,15 +464,14 @@ def hat_norm(grid: Grid1D, hats: np.ndarray) -> np.ndarray:
 class SpaceTimeField:
     """A field sampled on a uniform time grid: slice i lives at times[i].
 
-    Backed by physical ``values`` or by Fourier coefficients ``hats`` (one
-    row per slice); the other form is built on first use and cached, the
-    way :class:`SpectralField` caches ``hat``.  Readers that go through the
-    stack one block at a time use :meth:`block`, which caches nothing and
-    transforms a block only when the field stores the other form; norms
-    come from Parseval whenever no values are stored.
+    Stored as Fourier coefficients ``hats``, one row per slice: the form the
+    march, the coupling source and the monitors work in.  Physical
+    ``values`` given to the constructor are transformed once, block by
+    block; the ``values`` property and :meth:`block` transform back on each
+    read and store nothing.  Norms are Parseval sums (:func:`hat_norm`).
     """
 
-    __slots__ = ("grid", "times", "_values", "_hats")
+    __slots__ = ("grid", "times", "hats")
 
     def __init__(
         self,
@@ -464,93 +487,57 @@ class SpaceTimeField:
         steps = np.diff(times)
         if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-14):
             raise ValueError("time nodes must be uniformly spaced and increasing")
-        if values is None and hats is None:
-            raise ValueError("give values or hats")
-        stacks = []
-        for stack in (values, hats):
-            if stack is not None:
-                stack = np.asarray(stack, dtype=np.complex128)
-                if stack.shape != (len(times), grid.n):
-                    raise GridMismatchError(
-                        f"expected slice stack of shape {(len(times), grid.n)}, got {stack.shape}"
-                    )
-            stacks.append(stack)
+        if (values is None) == (hats is None):
+            raise ValueError("give exactly one of values or hats")
+        stack = np.asarray(hats if values is None else values, dtype=np.complex128)
+        if stack.shape != (len(times), grid.n):
+            raise GridMismatchError(
+                f"expected slice stack of shape {(len(times), grid.n)}, got {stack.shape}"
+            )
+        if values is not None:
+            hats = np.empty_like(stack)
+            for rows in row_blocks(len(times), grid.n):
+                hats[rows] = np.fft.fft(stack[rows], axis=-1)
+            stack = hats
         self.grid = grid
         self.times = times
-        self._values, self._hats = stacks
+        self.hats = stack
 
     @property
     def values(self) -> np.ndarray:
-        if self._values is None:
-            self._values = self._gather(physical=True)
-        return self._values
-
-    @property
-    def hats(self) -> np.ndarray:
-        if self._hats is None:
-            self._hats = self._gather(physical=False)
-        return self._hats
+        """Physical slices, transformed from the hats on every read."""
+        return self.block(slice(None))
 
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    def block(self, rows: slice, *, physical: bool = False) -> np.ndarray:
-        """Slices ``rows`` as Fourier coefficients (physical values with ``physical``).
-
-        Nothing is cached: a stored form is returned as a view, the other
-        one is transformed from it for this block only.
-        """
-        if physical:
-            if self._values is not None:
-                return self._values[rows]
-            return np.fft.ifft(self._hats[rows], axis=-1)
-        if self._hats is not None:
-            return self._hats[rows]
-        return np.fft.fft(self._values[rows], axis=-1)
-
-    def _gather(self, physical: bool) -> np.ndarray:
-        out = np.empty((len(self.times), self.grid.n), dtype=np.complex128)
-        for rows in row_blocks(len(self.times), self.grid.n):
-            out[rows] = self.block(rows, physical=physical)
-        return out
+    def block(self, rows: slice) -> np.ndarray:
+        """Physical values of the slices ``rows``."""
+        return np.fft.ifft(self.hats[rows], axis=-1)
 
     def slice(self, i: int) -> SpectralField:
-        hat = None if self._hats is None else self._hats[i]
-        if self._values is None:
-            return SpectralField.from_hat(self.grid, hat)
-        return SpectralField(self.grid, self._values[i], hat=hat)
+        return SpectralField.from_hat(self.grid, self.hats[i])
 
     def norm_series(self, symbol: np.ndarray | None = None) -> np.ndarray:
-        """Quadrature L^2 norm of every slice, of ``symbol`` applied to it if given.
-
-        By Parseval when a symbol is given or only hats are stored.
-        """
-        grid = self.grid
-        parseval = symbol is not None or self._values is None
+        """Quadrature L^2 norm of every slice, of ``symbol`` applied to it if given."""
         out = np.empty(len(self.times))
-        for rows in row_blocks(len(self.times), grid.n):
-            if parseval:
-                stack = self.block(rows)
-                out[rows] = hat_norm(grid, stack if symbol is None else symbol * stack)
-            else:
-                out[rows] = np.sqrt(grid.dx * np.sum(np.abs(self._values[rows]) ** 2, axis=1))
+        for rows in row_blocks(len(self.times), self.grid.n):
+            stack = self.hats[rows]
+            out[rows] = hat_norm(self.grid, stack if symbol is None else symbol * stack)
         return out
 
     def sup_norm(self) -> float:
         return float(np.max(self.norm_series()))
 
     def split_sides(self) -> tuple["SpaceTimeField", "SpaceTimeField"]:
-        """The P+ and P- parts of every slice, as hat-backed fields.
-
-        The hats are masked block by block, whichever form the field stores.
-        """
+        """The P+ and P- parts of every slice, masked block by block."""
         sym_p = projection_multiplier(self.grid, "+").symbol
         sym_m = projection_multiplier(self.grid, "-").symbol
         plus = np.empty((len(self.times), self.grid.n), dtype=np.complex128)
         minus = np.empty_like(plus)
         for rows in row_blocks(len(self.times), self.grid.n):
-            hat = self.block(rows)
+            hat = self.hats[rows]
             np.multiply(sym_p, hat, out=plus[rows])
             np.multiply(sym_m, hat, out=minus[rows])
         return (

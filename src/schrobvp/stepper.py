@@ -28,26 +28,23 @@ coupled solver passes the backward carrier next to the forward one) rides
 in the same state, its row reading the mirrored table node 2N - i.  Each
 RK stage makes one batched ifft of v_x and one batched fft of the stacked
 products [(a - abar) v_x, a q v_x]; the step hats go straight into the
-output buffer, which is returned as hat-backed fields (physical slices are
-built only if a caller asks for ``.values``).  A source must sit on the
-march's own time grid (the coupled solver builds its sources there); it is
-read as hats (a hat-backed :class:`SpaceTimeField` needs no transform),
-masked row by row, with each midpoint row formed once per step by cubic
-Lagrange interpolation from the four nearest slices, so the time-dependent
-source costs the scheme no order (it needs at least 3 steps).  Every row
-is checked for blow-up after every step against its own datum and source
-coefficient scale.
+output buffer, which becomes the returned fields' ``hats``.  A source must
+sit on the march's own time grid (the coupled solver builds its sources
+there); its hats are masked row by row, with each midpoint row formed once
+per step by cubic Lagrange interpolation from the four nearest slices, so
+the time-dependent source costs the scheme no order (it needs at least 3
+steps).  Every row is checked for blow-up after every step against its own
+datum and source coefficient scale.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .coefficients import CoefficientField
-from .errors import ConfigError, GridMismatchError, StabilityError
+from .errors import ConfigError, GridMismatchError, StabilityError, typed
 from .spectral import (
     Grid1D,
     Multiplier,
@@ -96,11 +93,9 @@ class StepperConfig:
 
     def __post_init__(self) -> None:
         # scenario files hand these over unchecked: "64", 64.5 and true are errors
-        for name, kind, what in (("n_steps", numbers.Integral, "an integer"),
-                                 ("dt", numbers.Real, "a real number")):
-            value = getattr(self, name)
-            if value is not None and (isinstance(value, bool) or not isinstance(value, kind)):
-                raise ConfigError(f"{name} must be {what}, got {value!r}")
+        for name, kind in (("n_steps", int), ("dt", float)):
+            if getattr(self, name) is not None:
+                typed(getattr(self, name), kind, name)
         if self.epsilon < 0:
             raise ConfigError(f"viscosity must be >= 0, got {self.epsilon}")
         if self.dt is not None and self.n_steps is not None:
@@ -249,7 +244,7 @@ def solve_linear(
     *,
     partner: LinearProblem | None = None,
 ) -> SpaceTimeField | tuple[SpaceTimeField, SpaceTimeField]:
-    """Integrate the sub-problem; returns hat-backed slices on the ascending time grid.
+    """Integrate the sub-problem; returns its slices on the ascending time grid.
 
     Backward problems are solved in reversed time and flipped back, so the
     returned field always has times[0] = 0, times[-1] = horizon, with the

@@ -65,7 +65,7 @@ def _run_benchmark(grid_n: int, horizon: float | None):
     t0 = time.perf_counter()
     vp, vm, report = picard_solve(problem)
     elapsed = time.perf_counter() - t0
-    asm = assemble_solution(vp, vm, sc.weight, f=sc.f, g=sc.g)
+    asm = assemble_solution(vp, vm, sc.weight)
     return {
         "sc": sc, "horizon": horizon, "vp": vp, "vm": vm,
         "report": report, "asm": asm, "seconds": elapsed,

@@ -18,7 +18,7 @@ from schrobvp.errors import ConfigError
 from schrobvp.estimates import EstimateReport
 from schrobvp.fieldio import dump_field_binary, load_field
 from schrobvp.presets import build_datum, load_preset, merge_scenario, preset_names
-from schrobvp.spectral import Grid1D, gaussian_field, project
+from schrobvp.spectral import Grid1D, SpaceTimeField, gaussian_field, project
 
 SMALL = {
     "preset": "decoupled",
@@ -264,7 +264,7 @@ class TestErrorsAndExitCodes:
         assert cli.main(["mizohata", "--b", "sech(x)", "--grid-n", "512"]) == 0
         assert (tmp_path / "envout" / "report.json").exists()
 
-    @pytest.mark.parametrize("n_steps", ["64", 64.5, True])
+    @pytest.mark.parametrize("n_steps", ["64", 64.5, True, 64.0, [64]])
     def test_mistyped_step_count_exits_1(self, tmp_path, capsys, n_steps):
         scenario = small_scenario_file(tmp_path, {"stepper": {"n_steps": n_steps}})
         code = cli.main(["picard", "--scenario", scenario, "--out-dir", str(tmp_path / "out")])
@@ -288,6 +288,21 @@ class TestErrorsAndExitCodes:
             ({"estimates": 5}, "estimates"),
             ({"stepper": {"epsilon_schedule": 5}}, "epsilon_schedule"),
             ({"tol": [1e-8]}, "tol"),
+            ({"override_horizon": "false"}, "override_horizon"),
+            ({"override_horizon": 0}, "override_horizon"),
+            ({"estimates": {"energy": "false"}}, "estimates.energy"),
+            ({"estimates": {"bootstrap": 1}}, "estimates.bootstrap"),
+            ({"estimates": {"slack": "0.1"}}, "estimates.slack"),
+            ({"estimates": {"q": [2]}}, "estimates.q"),
+            ({"m_max": 2.5}, "m_max"),
+            ({"seed": True}, "seed"),
+            ({"grid": {"n": 128.9}}, "grid.n"),
+            ({"grid": {"L": "24"}}, "grid.L"),
+            ({"weight": {"mode": "truncated", "margin": "5"}}, "weight.margin"),
+            ({"weight": {"mode": 1}}, "weight.mode"),
+            ({"horizon": "0.035"}, "horizon"),
+            ({"data": {"f": 5}}, "data.f"),
+            ({"out_dir": 5}, "out_dir"),
         ],
     )
     def test_mistyped_section_exits_1(self, tmp_path, capsys, extra, key):
@@ -439,18 +454,12 @@ class TestCommutatorBenchCommand:
 
 class TestPicardMemory:
     def test_carriers_stay_hats_through_the_run(self, tmp_path, monkeypatch):
-        seen = []
-        solve = cli.picard_solve
+        # the run never asks for a whole physical stack, only blocks of one
+        def whole_stack(field):
+            pytest.fail("a whole physical stack was built")
 
-        def spy(*args, **kwargs):
-            out = solve(*args, **kwargs)
-            seen.append(out)
-            return out
-
-        monkeypatch.setattr(cli, "picard_solve", spy)
+        monkeypatch.setattr(SpaceTimeField, "values", property(whole_stack))
         assert cli.run_picard_scenario(merge_scenario(SMALL, {}), str(tmp_path / "out")) == 0
-        (vp, vm, _), = seen
-        assert vp._values is None and vm._values is None
 
     def test_monitor_sources_are_released_after_the_energy_monitors(self, tmp_path, monkeypatch):
         buffers = []

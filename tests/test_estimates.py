@@ -243,7 +243,7 @@ class TestBootstrapDiagnostics:
 
     def test_benchmark_run_passes(self, localized_run):
         grid, w, f, g, vp, vm, report = localized_run
-        asm = assemble_solution(vp, vm, w, f=f, g=g)
+        asm = assemble_solution(vp, vm, w)
         rep = bootstrap_diagnostics(asm.w, BENCH, beta=1.0, lam=0.9)
         assert rep.verdict == "pass"
         assert rep.ratio <= 0.95
@@ -254,7 +254,7 @@ class TestBootstrapDiagnostics:
 
     def test_floor_violation_rejected(self, localized_run):
         grid, w, f, g, vp, vm, report = localized_run
-        asm = assemble_solution(vp, vm, w, f=f, g=g)
+        asm = assemble_solution(vp, vm, w)
         with pytest.raises(ValidationError, match="floor"):
             bootstrap_diagnostics(asm.w, BENCH, beta=1.0, lam=1.5)
 
@@ -272,7 +272,7 @@ def _same_report(got, want, rel=1e-12):
 class TestStorageForms:
     def test_value_and_hat_backed_stacks_agree(self, localized_run):
         grid, w, f, g, vp, vm, report = localized_run
-        w_asm = assemble_solution(vp, vm, w, f=f, g=g).w
+        w_asm = assemble_solution(vp, vm, w).w
         values = w_asm.values
         norms = w_asm.norm_series()
         # distinct slice norms, so the interior-witness argmin has no ties

@@ -1,10 +1,12 @@
-"""The package functions the traced benchmark pass patches exist under their names.
+"""The package calls the benchmark harness makes keep working.
 
 ``perfbench/tracing.py`` wraps package functions by module attribute
 (``cli.picard_solve``, ``picard.solve_linear``, ``cli.run_monitors``, ...).
 Renaming one makes ``install`` raise AttributeError in the middle of a
 benchmark run; installing and uninstalling the tracer here catches that in
-the unit suite instead.
+the unit suite instead.  ``perfbench/checks.py oracle`` builds a
+``SpaceTimeField`` from positional physical values and reads
+``solve_free(...).values``; running it on a smoke-size run covers both.
 """
 
 import importlib
@@ -28,3 +30,17 @@ def test_tracer_installs_on_every_target_and_restores_them(monkeypatch):
         tracer.uninstall()
     for (owner, attr), original in originals.items():
         assert getattr(owner, attr) is original
+
+
+def test_oracle_check_on_a_smoke_decoupled_run(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    checks = importlib.import_module("checks")
+    out = tmp_path / "run"
+    raw = workloads.scenario("decoupled-oracle", 0, smoke=True)
+    assert cli.run_picard_scenario(raw, str(out)) == 0
+    stored = len((out / "fields" / "times.csv").read_text().splitlines()) - 1
+    res = checks.oracle(out, "decoupled-oracle", 0, True)
+    assert res["oracle_slices"] == stored
+    assert 0.0 < res["oracle_rel_err"] <= workloads.BOUNDS["oracle_rel"]
+    assert res["solve_free_s"] >= 0.0

@@ -318,9 +318,9 @@ class TestAssembleAndResidual:
             f=f, g=g, coeffs=BENCH, weight=w, horizon=T,
             stepper_cfg=StepperConfig(epsilon=1e-5, n_steps=128),
         )
-        vp, vm, report = picard_solve(p)
-        asm = assemble_solution(vp, vm, w, f=f, g=g)
-        assert np.array_equal(asm.v.values, vp.values + vm.values)
+        vp, vm, _ = picard_solve(p)
+        asm = assemble_solution(vp, vm, w)
+        assert np.array_equal(asm.v.hats, vp.hats + vm.hats)
         # u recovers v where the weight is 1 (left half of the domain)
         left = grid.x < -1.0
         assert np.allclose(asm.u.values[:, left], asm.v.values[:, left])
@@ -328,13 +328,13 @@ class TestAssembleAndResidual:
         inside = asm.window
         expected = asm.u.values[:, inside] * np.exp(w.beta * grid.x[inside])[None, :]
         assert np.allclose(asm.w.values[:, inside], expected)
-        assert np.all(asm.w.values[:, ~inside] == 0.0)
+        # zero outside the window, up to the round trip through the hats
+        scale = np.max(np.abs(asm.w.values))
+        assert np.max(np.abs(asm.w.values[:, ~inside])) <= 1e-14 * scale
         # decay-certified norms are finite and continuous in t
         assert np.all(np.isfinite(asm.w_norms))
         jumps = np.abs(np.diff(asm.w_norms))
         assert np.max(jumps) < 0.05 * (np.max(asm.w_norms) + 1e-30)
-        assert asm.boundary_residual_low == report.boundary_residual_low
-        assert asm.boundary_residual_high == report.boundary_residual_high
 
     def test_residual_zero_field(self):
         grid = Grid1D(128, 8.0)
@@ -454,7 +454,7 @@ class TestTimeAccuracy:
 
 class TestHatCarriers:
     # the carriers stay Fourier coefficients from the march to the residual
-    def test_solve_returns_hat_backed_carriers(self):
+    def test_solve_returns_hat_backed_carriers(self, monkeypatch):
         grid = Grid1D(256, 20.0)
         w = build_weight(1.0, grid, mode="truncated")
         f, g = split_data(grid, seed=43, band=24)
@@ -462,12 +462,14 @@ class TestHatCarriers:
             f=f, g=g, coeffs=BENCH, weight=w, horizon=admissible_horizon(BENCH, w, grid),
             stepper_cfg=StepperConfig(epsilon=1e-5, n_steps=32),
         )
+        # no full physical stack is built by the solve or the assembly
+        monkeypatch.setattr(SpaceTimeField, "values", property(lambda self: pytest.fail()))
         vp, vm, report = picard_solve(p)
         assert report.converged
-        assert vp._values is None and vm._values is None
-        asm = assemble_solution(vp, vm, w, f=f, g=g)
-        assert vp._values is None and vm._values is None
-        assert asm.boundary_residual_low == report.boundary_residual_low
+        hats = vp.hats, vm.hats
+        asm = assemble_solution(vp, vm, w)
+        assert vp.hats is hats[0] and vm.hats is hats[1]
+        assert np.array_equal(asm.v.hats, vp.hats + vm.hats)
 
     def test_residual_of_hats_matches_residual_of_values(self):
         grid = Grid1D(256, 20.0)

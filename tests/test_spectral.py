@@ -347,37 +347,39 @@ class TestHatBackedStack:
         assert np.max(np.abs(field.values - values)) < 1e-12 * np.max(np.abs(values))
         back = SpaceTimeField(g, times, values)
         assert np.max(np.abs(back.hats - field.hats)) < 1e-12 * np.max(np.abs(field.hats))
+        assert np.max(np.abs(back.values - values)) < 1e-12 * np.max(np.abs(values))
+
+    def test_stores_only_coefficients(self):
+        g, times, values = self._stack()
+        hats = np.fft.fft(values, axis=1)
+        assert SpaceTimeField.__slots__ == ("grid", "times", "hats")
+        assert SpaceTimeField(g, times, hats=hats).hats is hats   # taken as given, not copied
 
     def test_norms_by_parseval_without_values(self):
         g, times, values = self._stack()
         field = SpaceTimeField(g, times, hats=np.fft.fft(values, axis=1))
-        physical = SpaceTimeField(g, times, values).norm_series()
+        quadrature = np.sqrt(g.dx * np.sum(np.abs(values) ** 2, axis=1))
         norms = field.norm_series()
-        assert field._values is None  # Parseval needed no physical stack
-        assert np.max(np.abs(norms - physical)) <= 1e-12 * np.max(physical)
-        assert field.sup_norm() == pytest.approx(np.max(physical), rel=1e-12)
-        assert field._values is None
+        assert np.max(np.abs(norms - quadrature)) <= 1e-12 * np.max(quadrature)
+        assert field.sup_norm() == pytest.approx(np.max(quadrature), rel=1e-12)
 
     def test_slice_and_split_sides(self):
         g, times, values = self._stack()
         field = SpaceTimeField(g, times, hats=np.fft.fft(values, axis=1))
-        ref = SpaceTimeField(g, times, values)
         s = field.slice(123)
+        assert np.array_equal(s.hat, field.hats[123])
         assert np.max(np.abs(s.values - values[123])) < 1e-12 * np.max(np.abs(values[123]))
-        for got, want in zip(field.split_sides(), ref.split_sides()):
-            assert np.max(np.abs(got.values - want.values)) < 1e-12 * np.max(np.abs(want.values))
-        plus, minus = field.split_sides()
-        assert plus._values is None and minus._values is None
+        for got, sign in zip(field.split_sides(), "+-"):
+            want = np.array([project(SpectralField(g, row), sign).values for row in values])
+            assert np.max(np.abs(got.values - want)) < 1e-12 * np.max(np.abs(want))
 
     def test_split_sides_of_values_gives_hat_backed_parts(self):
         g, times, values = self._stack()
         field = SpaceTimeField(g, times, values)
         plus, minus = field.split_sides()
-        assert plus._values is None and minus._values is None
         for part, sign in ((plus, "+"), (minus, "-")):
             want = projection_multiplier(g, sign).symbol * np.fft.fft(values, axis=1)
             assert np.max(np.abs(part.hats - want)) <= 1e-12 * np.max(np.abs(want))
-        assert field._hats is None  # the split cached no transform of the field
 
     def test_norm_series_of_a_symbol(self):
         g, times, values = self._stack()
@@ -397,17 +399,18 @@ class TestHatBackedStack:
             SpaceTimeField(g, times, values),
             SpaceTimeField(g, times, hats=np.fft.fft(values, axis=1)),
         ):
-            hats = field.block(rows)
-            back = field.block(rows, physical=True)
-            scale = 1e-12 * np.max(np.abs(values))
-            assert np.max(np.abs(np.fft.ifft(hats, axis=1) - values[rows])) < scale
-            assert np.max(np.abs(back - values[rows])) < scale
-            assert (field._values is None) != (field._hats is None)
+            hats = field.hats
+            back = field.block(rows)
+            assert np.max(np.abs(back - values[rows])) < 1e-12 * np.max(np.abs(values))
+            assert np.array_equal(back, field.values[rows])
+            assert field.hats is hats
 
     def test_needs_a_backing_stack_of_the_right_shape(self):
         g, times, values = self._stack()
         with pytest.raises(ValueError, match="values or hats"):
             SpaceTimeField(g, times)
+        with pytest.raises(ValueError, match="exactly one of values or hats"):
+            SpaceTimeField(g, times, values, hats=np.fft.fft(values, axis=1))
         with pytest.raises(GridMismatchError):
             SpaceTimeField(g, times, hats=values[:, :10])
 
