@@ -84,7 +84,6 @@ from .picard import (
 from .estimates import (
     EstimateReport,
     bootstrap_diagnostics,
-    commutator_chain_check,
     energy_monitor,
     weighted_smoothing_monitor,
 )

@@ -35,6 +35,7 @@ import numpy as np
 from . import __version__
 from .coefficients import (
     CoefficientField,
+    NormBundle,
     drift_samples,
     mizohata_index,
     norm_bundle,
@@ -58,7 +59,7 @@ from .fieldio import (
 from .free_bvp import FreeBvpData, solve_free, verify_free_estimate
 from .picard import BvpProblem, assemble_solution, coupling_stacks, picard_solve
 from .presets import build_datum, load_preset, preset_names, resolve_scenario
-from .spectral import Grid1D, SpaceTimeField, SpectralField
+from .spectral import Grid1D, SpaceTimeField, SpectralField, chunk_rows
 from .stepper import LinearProblem, StepperConfig, epsilon_study, solve_linear
 from .weights import WeightProfile, build_weight
 
@@ -208,6 +209,12 @@ def build_scenario(raw: dict) -> ScenarioConfig:
         for key, default in {**_ESTIMATE_DEFAULTS, "bootstrap": lam > 0}.items()
     }
 
+    tol = typed(resolved.get("tol", 1e-8), float, "tol")
+    if not tol > 0:
+        raise ConfigError(f"tol must be positive, got {tol:g}")
+    m_max = typed(resolved.get("m_max", 50), int, "m_max")
+    if m_max < 1:
+        raise ConfigError(f"m_max must be at least 1, got {m_max}")
     times = _number_list(resolved.get("times", []), "times")
     return ScenarioConfig(
         raw=resolved,
@@ -222,8 +229,8 @@ def build_scenario(raw: dict) -> ScenarioConfig:
         estimates=est_spec,
         horizon=horizon,
         override_horizon=typed(resolved.get("override_horizon", False), bool, "override_horizon"),
-        tol=typed(resolved.get("tol", 1e-8), float, "tol"),
-        m_max=typed(resolved.get("m_max", 50), int, "m_max"),
+        tol=tol,
+        m_max=m_max,
         times=times,
         out_dir=_optional(resolved.get("out_dir"), str, "out_dir"),
         seed=seed,
@@ -231,15 +238,35 @@ def build_scenario(raw: dict) -> ScenarioConfig:
 
 
 def resolve_horizon(sc: ScenarioConfig, flag_T: float | None) -> tuple[float, bool, dict]:
-    """Final horizon, override flag, and the selection trace for the report."""
+    """Final horizon, override flag, and the selection trace for the report.
+
+    Without an explicit horizon, the largest admissible node of the
+    ``_HORIZON_PROBE`` grid is selected.  The budget integrals are running
+    integrals of non-negative rates, so the admissible nodes form a prefix
+    of the probe: it is evaluated one block of ``chunk_rows(n)`` nodes at a
+    time (neighbouring blocks share a node) and stops at the first block
+    that holds an inadmissible node.  The rates are per-node samples and the
+    integrals are taken over the whole stitched prefix, so the selection is
+    the whole probe's, bit for bit.  The coefficients are validated only on
+    the nodes evaluated, the selected horizon and at most one block beyond
+    it; ``picard_solve`` validates them again on its grid over [0, T].
+    """
     if flag_T is not None:
         return float(flag_T), True, {"source": "override-flag", "horizon": float(flag_T)}
     if sc.horizon is not None:
         return sc.horizon, sc.override_horizon, {"source": "explicit", "horizon": sc.horizon}
     window, nodes = _HORIZON_PROBE
     probe = np.linspace(0.0, window, nodes)
-    bundle = norm_bundle(sc.coeffs, sc.weight.sup_logderiv, probe, sc.grid)
-    sel = select_horizon(bundle, delta_data=sc.f.norm_l2() + sc.g.norm_l2())
+    step = chunk_rows(sc.grid.n) - 1
+    delta_data = sc.f.norm_l2() + sc.g.norm_l2()
+    K = c = np.empty(0)
+    for lo in range(0, nodes - 1, step):
+        block = norm_bundle(sc.coeffs, sc.weight.sup_logderiv, probe[lo:lo + step + 1], sc.grid)
+        K = np.concatenate([K[:lo], block.coupling_rate])
+        c = np.concatenate([c[:lo], block.energy_rate])
+        sel = select_horizon(NormBundle.from_rates(probe[:len(K)], K, c), delta_data=delta_data)
+        if sel.index < len(K) - 1:
+            break
     trace = {"source": "selected", **asdict(sel)}
     return sel.horizon, False, trace
 

@@ -193,7 +193,12 @@ class NormBundle:
     energy_rate: np.ndarray         # c(t): a plus bracket-weighted first/second derivatives
     coupling_integral: np.ndarray   # running trapezoid of coupling_rate from times[0]
     energy_integral: np.ndarray     # running trapezoid of energy_rate
-    triple_norm: float              # time-integrated a, <x> a_x, <x> a_xx sup norms
+
+    @classmethod
+    def from_rates(cls, times: np.ndarray, coupling_rate: np.ndarray, energy_rate: np.ndarray) -> NormBundle:
+        """The bundle of rate samples on ``times``, with their running integrals from times[0]."""
+        return cls(times, coupling_rate, energy_rate,
+                   _running_trapezoid(times, coupling_rate), _running_trapezoid(times, energy_rate))
 
 
 def _running_trapezoid(times: np.ndarray, samples: np.ndarray) -> np.ndarray:
@@ -238,19 +243,7 @@ def norm_bundle(coeffs: CoefficientField, beta: float, times: np.ndarray, grid: 
         w_sup[rows] = np.max(np.abs(w), axis=1)
     K = (a2_sup + beta * a1_sup + beta**2 * a_sup) + a_sup + w_sup
     c = a_sup + (1.0 + beta) * xa1_sup + beta * xa2_sup
-    triple = float(
-        _running_trapezoid(times, a_sup)[-1]
-        + _running_trapezoid(times, xa1_sup)[-1]
-        + _running_trapezoid(times, xa2_sup)[-1]
-    )
-    return NormBundle(
-        times=times,
-        coupling_rate=K,
-        energy_rate=c,
-        coupling_integral=_running_trapezoid(times, K),
-        energy_integral=_running_trapezoid(times, c),
-        triple_norm=triple,
-    )
+    return NormBundle.from_rates(times, K, c)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ and pairings of hats come from Parseval.  Constants that the theory leaves
 implicit are reported as measured values, never assumed; pass verdicts
 use a small configured slack on the ratio.
 
-The four monitors:
+The three monitors:
 
 * ``energy_monitor``: sup-norm plus weighted half-derivative smoothing
   term for a single carrier against three times the data norm amplified
@@ -17,8 +17,6 @@ The four monitors:
 * ``weighted_smoothing_monitor``: the half-derivative space-time
   integral of the exponentially weighted pair against the endpoint data
   quadratic form; reports the implied constant.
-* ``commutator_chain_check``: half-derivative commutator norm against
-  the Bessel-potential norm of the coefficient gradient.
 * ``bootstrap_diagnostics``: the half-derivative-of-half-derivative
   level; pairing identities, interior-time witnesses, and the absorbed
   smoothing inequality that starts the regularity bootstrap.
@@ -36,7 +34,6 @@ from .spectral import (
     Grid1D,
     SpaceTimeField,
     SpectralField,
-    derivative,
     derivative_multiplier,
     fractional,
     fractional_multiplier,
@@ -52,7 +49,6 @@ __all__ = [
     "EstimateReport",
     "energy_monitor",
     "weighted_smoothing_monitor",
-    "commutator_chain_check",
     "bootstrap_diagnostics",
 ]
 
@@ -276,47 +272,6 @@ def _half_comm(half: np.ndarray, b: np.ndarray, g: np.ndarray) -> np.ndarray:
     """
     half_of_product = np.fft.ifft(half * np.fft.fft(b * g))
     return half_of_product - b * np.fft.ifft(half * np.fft.fft(g))
-
-
-def commutator_chain_check(
-    a_phi: np.ndarray,
-    v: SpectralField,
-    q: float = 2.0,
-    delta: float = 0.6,
-    slack: float = 0.05,
-) -> EstimateReport:
-    """||D^{1/2}[D^{1/2}; b]v||_2 against ||J^delta b'||_q ||v||_2.
-
-    The quotient is the empirical chain constant; callers track its
-    stability across an ensemble and under bandwidth doubling.
-    """
-    _check_chain_exponents(q, delta)
-    grid = v.grid
-    b = np.asarray(a_phi, dtype=float)
-    if b.shape != (grid.n,):
-        raise ValidationError("coefficient sample shape does not match the grid")
-
-    half = fractional_multiplier(grid, 0.5).symbol.real
-    lhs = float(hat_norm(grid, half * np.fft.fft(_half_comm(half, b, v.values))))
-
-    grad = derivative(SpectralField(grid, b))
-    grad_norm = lp_norm(fractional(grad, delta, kind="J"), q)
-    rhs = grad_norm * v.norm_l2()
-
-    if rhs > 0:
-        ratio = lhs / rhs
-    else:
-        ratio = 0.0 if lhs <= 1e-10 * max(1.0, v.norm_l2()) else np.inf
-    return EstimateReport(
-        name="commutator-chain",
-        lhs=lhs,
-        rhs=rhs,
-        ratio=ratio,
-        constants={"q": q, "delta": delta, "grad_bessel_norm": grad_norm},
-        verdict="pass" if np.isfinite(ratio) else "fail",
-        slack=slack,
-        notes="ratio is the measured constant for ensemble tracking",
-    )
 
 
 def _interior_witness(

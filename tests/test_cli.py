@@ -3,6 +3,7 @@
 import gc
 import json
 import weakref
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,11 +15,12 @@ from schrobvp.cli import (
     build_scenario,
     load_scenario_source,
 )
-from schrobvp.errors import ConfigError
+from schrobvp.coefficients import norm_bundle, select_horizon
+from schrobvp.errors import ConfigError, HorizonError, ValidationError
 from schrobvp.estimates import EstimateReport
 from schrobvp.fieldio import dump_field_binary, load_field
 from schrobvp.presets import build_datum, load_preset, merge_scenario, preset_names
-from schrobvp.spectral import Grid1D, SpaceTimeField, gaussian_field, project
+from schrobvp.spectral import Grid1D, SpaceTimeField, chunk_rows, gaussian_field, project
 
 SMALL = {
     "preset": "decoupled",
@@ -312,6 +314,15 @@ class TestErrorsAndExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
 
+    @pytest.mark.parametrize("extra, key", [({"m_max": 0}, "m_max"), ({"tol": 0}, "tol"),
+                                            ({"tol": -1e-8}, "tol")])
+    def test_out_of_range_sweep_setting_exits_1(self, tmp_path, capsys, extra, key):
+        scenario = small_scenario_file(tmp_path, extra)
+        code = cli.main(["picard", "--scenario", scenario, "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+
     @pytest.mark.parametrize("size", [16, 19])
     def test_truncated_field_file_exits_1(self, tmp_path, capsys, size):
         # the binary header is 20 bytes; shorter files must not reach struct
@@ -481,3 +492,78 @@ class TestPicardMemory:
         monkeypatch.setattr(cli, "weighted_smoothing_monitor", after_energy)
         assert cli.run_picard_scenario(merge_scenario(SMALL, {}), str(tmp_path / "out")) == 0
         assert checked == [[True]]
+
+
+def free_on(n, a="1", W="0", lam=1.0):
+    """The free preset on an n-point grid with the coefficients (a, W)."""
+    return {"preset": "free", "grid": {"n": n, "L": 24.0}, "stepper": {"n_steps": 24},
+            "coefficients": {"a": a, "W": W, "lambda": lam}}
+
+
+def full_probe(sc):
+    """The horizon selection of the whole probe grid, in one norm_bundle call."""
+    window, nodes = cli._HORIZON_PROBE
+    bundle = norm_bundle(sc.coeffs, sc.weight.sup_logderiv, np.linspace(0.0, window, nodes), sc.grid)
+    return select_horizon(bundle, delta_data=sc.f.norm_l2() + sc.g.norm_l2())
+
+
+class TestHorizonProbe:
+    @pytest.fixture
+    def probed_nodes(self, monkeypatch):
+        nodes = []
+
+        def counting(coeffs, beta, times, grid):
+            nodes.append(len(times))
+            return norm_bundle(coeffs, beta, times, grid)
+
+        monkeypatch.setattr(cli, "norm_bundle", counting)
+        return nodes
+
+    @pytest.mark.parametrize(
+        "raw", [{"preset": "benchmark"}, {"preset": "free"}, free_on(1024, a="0.5", lam=0.0)]
+    )
+    def test_blockwise_probe_selects_what_the_whole_probe_selects(self, raw, probed_nodes):
+        sc = build_scenario(raw)
+        horizon, override, trace = cli.resolve_horizon(sc, None)
+        sel = full_probe(sc)
+        assert trace == {"source": "selected", **asdict(sel)}
+        assert (horizon, override) == (sel.horizon, False)
+        # the probe stops in the block that holds the first inadmissible node
+        step = chunk_rows(sc.grid.n)
+        assert len(probed_nodes) >= 20 and set(probed_nodes) == {step}
+        assert sum(probed_nodes) - len(probed_nodes) + 1 < sel.index + 1 + step
+
+    def test_window_of_admissible_nodes_selects_its_end(self, probed_nodes):
+        sc = build_scenario(free_on(256, a="0", lam=0.0))
+        horizon, _, trace = cli.resolve_horizon(sc, None)
+        window, nodes = cli._HORIZON_PROBE
+        assert horizon == window and trace["index"] == nodes - 1
+        assert sum(probed_nodes) - len(probed_nodes) + 1 == nodes
+
+    def test_failure_in_the_first_block_keeps_its_message(self, probed_nodes):
+        sc = build_scenario(free_on(256, W="1e5"))
+        with pytest.raises(HorizonError) as whole:
+            full_probe(sc)
+        with pytest.raises(HorizonError) as blockwise:
+            cli.resolve_horizon(sc, None)
+        assert str(blockwise.value) == str(whole.value)
+        assert probed_nodes == [chunk_rows(sc.grid.n)]
+
+    def test_coefficients_are_checked_only_where_the_probe_reaches(self):
+        # W overflows for t > 0.164, far beyond the horizon (about 0.02)
+        sc = build_scenario(free_on(256, W="1e-300*exp(exp(40*t))"))
+        with pytest.raises(ValidationError, match="W is not finite"):
+            full_probe(sc)
+        horizon, _, _ = cli.resolve_horizon(sc, None)
+        assert horizon == cli.resolve_horizon(build_scenario(free_on(256)), None)[0]
+
+    def test_coefficients_stay_checked_on_the_solve_grid(self, tmp_path):
+        # a pole on a node of the solve grid that no probe node hits
+        horizon = cli.resolve_horizon(build_scenario(free_on(256)), None)[0]
+        pole = float(np.linspace(0.0, horizon, 25)[1])
+        window, nodes = cli._HORIZON_PROBE
+        assert pole not in np.linspace(0.0, window, nodes)
+        raw = free_on(256, W=f"1e-300/(t - {pole!r})")
+        assert cli.resolve_horizon(build_scenario(raw), None)[0] == horizon
+        with pytest.raises(ValidationError, match="W is not finite"):
+            cli.run_picard_scenario(raw, str(tmp_path / "out"))

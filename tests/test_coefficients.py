@@ -35,7 +35,6 @@ def scaled(b, factor):
         energy_rate=factor * b.energy_rate,
         coupling_integral=factor * b.coupling_integral,
         energy_integral=factor * b.energy_integral,
-        triple_norm=factor * b.triple_norm,
     )
 
 
@@ -153,7 +152,7 @@ class TestDerivatives:
 
 class TestNormBundle:
     def test_constant_coefficient_oracle(self):
-        # a = 1, W = 0, beta = 1: K = beta^2 + 1 = 2, c = 1, triple norm = 1
+        # a = 1, W = 0, beta = 1: K = beta^2 + 1 = 2, c = 1
         c = CoefficientField("1", "0")
         times = np.linspace(0.0, 1.0, 101)
         b = norm_bundle(c, 1.0, times, grid(256))
@@ -161,14 +160,12 @@ class TestNormBundle:
         assert np.allclose(b.energy_rate, 1.0)
         assert b.coupling_integral[-1] == pytest.approx(2.0, rel=1e-12)
         assert b.energy_integral[-1] == pytest.approx(1.0, rel=1e-12)
-        assert b.triple_norm == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_coefficients(self):
         c = CoefficientField("0", "0")
         b = norm_bundle(c, 1.0, np.linspace(0, 1, 11), grid(256))
         assert np.all(b.coupling_rate == 0)
         assert np.all(b.energy_rate == 0)
-        assert b.triple_norm == 0
 
     def test_benchmark_derivative_norms(self):
         c = CoefficientField("1 + 0.1*exp(-t)*sech(x)", "0", ellipticity=0.9)
@@ -193,7 +190,6 @@ class TestNormBundle:
         large = norm_bundle(CoefficientField("2 + sech(x)", "0.2*sech(x)"), 1.0, times, g)
         assert np.all(large.coupling_rate >= small.coupling_rate)
         assert np.all(large.energy_rate >= small.energy_rate)
-        assert large.triple_norm >= small.triple_norm
 
     def test_running_integrals_monotone(self):
         c = CoefficientField("1 + 0.1*sech(x)*exp(-t)", "0.05*sech(x)")
