@@ -39,17 +39,17 @@ def main() -> int:
           f"{args.trials} trials, bandwidth {args.bandwidth}")
     print(f"{'p':>6} {'(l,m)':>7} {'max ratio':>10} {'mean':>8} "
           f"{'grid x2':>8} {'band x2':>8}")
+    base = estimate_constant(args.operator, lm_pairs, grid, p=exponents,
+                             n_trials=args.trials, bandwidth=args.bandwidth,
+                             seed=args.seed, check_stability=True)
+    wide = estimate_constant(args.operator, lm_pairs, grid, p=exponents,
+                             n_trials=args.trials, bandwidth=2 * args.bandwidth,
+                             seed=args.seed, check_stability=False)
     for p in exponents:
-        base = estimate_constant(args.operator, lm_pairs, grid, p=p,
-                                 n_trials=args.trials, bandwidth=args.bandwidth,
-                                 seed=args.seed, check_stability=True)
-        wide = estimate_constant(args.operator, lm_pairs, grid, p=p,
-                                 n_trials=args.trials, bandwidth=2 * args.bandwidth,
-                                 seed=args.seed, check_stability=False)
-        for lm in lm_pairs:
-            b = base[lm]
-            band_factor = wide[lm].max_ratio / b.max_ratio if b.max_ratio > 0 else 1.0
-            print(f"{p:>6.3g} {str(lm):>7} {b.max_ratio:>10.4f} "
+        for l, m in lm_pairs:
+            b = base[(l, m, p)]
+            band_factor = wide[(l, m, p)].max_ratio / b.max_ratio if b.max_ratio > 0 else 1.0
+            print(f"{p:>6.3g} {str((l, m)):>7} {b.max_ratio:>10.4f} "
                   f"{np.mean(b.ratios):>8.4f} {b.stability_factor:>8.4f} "
                   f"{band_factor:>8.4f}")
     return 0

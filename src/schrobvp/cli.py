@@ -637,10 +637,13 @@ def _parse_lm(text: str) -> list[tuple[int, int]]:
         token = token.strip()
         if not token:
             continue
-        bits = token.split(",")
-        if len(bits) != 2:
-            raise ConfigError(f"--lm expects 'l,m' pairs separated by ';', got {token!r}")
-        pairs.append((int(bits[0]), int(bits[1])))
+        try:
+            l, m = (int(bit) for bit in token.split(","))
+        except ValueError:
+            raise ConfigError(
+                f"--lm expects integer 'l,m' pairs separated by ';', got {token!r}"
+            ) from None
+        pairs.append((l, m))
     if not pairs:
         raise ConfigError("--lm gave no (l, m) pairs")
     return pairs
@@ -652,13 +655,14 @@ def _parse_p_list(text: str) -> list[float]:
         token = token.strip()
         if not token:
             continue
-        if "/" in token:
-            num, den = token.split("/")
-            if float(den) == 0.0:
-                raise ConfigError(f"--p has a zero denominator in {token!r}")
-            vals.append(float(num) / float(den))
-        else:
-            vals.append(float(token))
+        num, slash, den = token.partition("/")
+        try:
+            num, den = float(num), (float(den) if slash else 1.0)
+        except ValueError:
+            raise ConfigError(f"--p expects numbers or fractions 'a/b', got {token!r}") from None
+        if den == 0.0:
+            raise ConfigError(f"--p has a zero denominator in {token!r}")
+        vals.append(num / den)
     if not vals:
         raise ConfigError("--p gave no exponents")
     return vals
@@ -672,18 +676,19 @@ def cmd_commutator_bench(args: argparse.Namespace) -> int:
     rows = ["operator,l,m,p,trial,ratio"]
     summary = []
     t0 = time.perf_counter()
+    table = estimate_constant(
+        args.operator,
+        lm_pairs,
+        grid,
+        p=p_list,
+        n_trials=args.trials,
+        bandwidth=args.bandwidth,
+        seed=args.seed,
+        check_stability=not args.no_stability,
+    )
     for p in p_list:
-        table = estimate_constant(
-            args.operator,
-            lm_pairs,
-            grid,
-            p=p,
-            n_trials=args.trials,
-            bandwidth=args.bandwidth,
-            seed=args.seed,
-            check_stability=not args.no_stability,
-        )
-        for (l, m), est in sorted(table.items()):
+        for l, m in sorted(set(lm_pairs)):
+            est = table[(l, m, p)]
             for trial, ratio in enumerate(est.ratios):
                 rows.append(f"{args.operator},{l},{m},{p:.17g},{trial},{ratio:.17g}")
             summary.append(est.to_dict())

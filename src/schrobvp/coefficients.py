@@ -270,7 +270,8 @@ def select_horizon(bundle: NormBundle, delta_data: float = 0.0) -> HorizonSelect
         raise ConfigError("horizon selection needs a time grid starting at 0")
     IK = bundle.coupling_integral
     Ic = bundle.energy_integral
-    product = 3.0 * np.exp(4.0 * Ic) * 2.0 * IK
+    with np.errstate(over="ignore"):  # exp(4 int c) = inf fails the cap, as it should
+        product = 3.0 * np.exp(4.0 * Ic) * 2.0 * IK
     ok = (product <= 0.5) & (IK <= 0.125) & (bundle.times > bundle.times[0])
     if not np.any(ok):
         j = 1 if len(bundle.times) > 1 else 0

@@ -241,17 +241,17 @@ def test_criterion_07_commutator_constant_ensembles():
     t0 = time.perf_counter()
     worst_grid_shift = 0.0
     worst_band_shift = 0.0
-    for p in (4 / 3, 2.0, 4.0):
-        base = estimate_constant("+", lm_pairs, grid, p=p, n_trials=100,
-                                 bandwidth=64, seed=3, check_stability=True)
-        wide = estimate_constant("+", lm_pairs, grid, p=p, n_trials=100,
-                                 bandwidth=128, seed=3, check_stability=False)
-        for lm in lm_pairs:
-            b = base[lm]
-            assert np.isfinite(b.max_ratio) and b.skipped == 0
-            worst_grid_shift = max(worst_grid_shift, abs(b.stability_factor - 1.0))
-            band_shift = abs(wide[lm].max_ratio / b.max_ratio - 1.0)
-            worst_band_shift = max(worst_band_shift, band_shift)
+    exponents = (4 / 3, 2.0, 4.0)
+    base = estimate_constant("+", lm_pairs, grid, p=exponents, n_trials=100,
+                             bandwidth=64, seed=3, check_stability=True)
+    wide = estimate_constant("+", lm_pairs, grid, p=exponents, n_trials=100,
+                             bandwidth=128, seed=3, check_stability=False)
+    assert len(base) == len(wide) == len(lm_pairs) * len(exponents)
+    for key, b in base.items():
+        assert np.isfinite(b.max_ratio) and b.skipped == 0
+        worst_grid_shift = max(worst_grid_shift, abs(b.stability_factor - 1.0))
+        band_shift = abs(wide[key].max_ratio / b.max_ratio - 1.0)
+        worst_band_shift = max(worst_band_shift, band_shift)
     const_a = np.ones(grid.n)
     f = trial_field(grid, 64, seed=9)
     vanish = commutator_apply(CommutatorTrial("+", const_a, f, l=0, m=1)).norm_l2()

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import warnings
 import weakref
 from dataclasses import asdict
 
@@ -444,6 +445,22 @@ class TestCommutatorBenchCommand:
         assert len(summary["estimates"]) == 2
         assert all(np.isfinite(e["max_ratio"]) for e in summary["estimates"])
 
+    def test_duplicate_exponents_keep_their_rows_in_order(self, tmp_path):
+        out = tmp_path / "bench"
+        code = cli.main([
+            "commutator-bench", "--trials", "4", "--grid-n", "256",
+            "--bandwidth", "16", "--lm", "1,1;0,1", "--p", "2,4/3,2",
+            "--no-stability", "--out-dir", str(out),
+        ])
+        assert code == 0
+        rows = [row.split(",") for row in (out / "bench.csv").read_text().splitlines()[1:]]
+        keys = [(p, l, m) for p in (2.0, 4 / 3, 2.0) for l, m in (("0", "1"), ("1", "1"))]
+        assert [(float(r[3]), r[1], r[2]) for r in rows] == [k for k in keys for _ in range(4)]
+        assert rows[:8] == rows[16:]
+        summary = json.loads((out / "bench-summary.json").read_text())["estimates"]
+        assert [(e["p"], str(e["l"]), str(e["m"])) for e in summary] == keys
+        assert summary[:2] == summary[4:]
+
     @pytest.mark.parametrize(
         "flags, needle",
         [
@@ -451,6 +468,8 @@ class TestCommutatorBenchCommand:
             (["--trials", "-3"], "trial"),
             (["--bandwidth", "0"], "bandwidth"),
             (["--p", "1/0"], "denominator"),
+            (["--p", "abc"], "--p expects numbers or fractions 'a/b', got 'abc'"),
+            (["--lm", "0,a"], "--lm expects integer 'l,m' pairs separated by ';', got '0,a'"),
         ],
     )
     def test_empty_or_undefined_ensemble_exits_1(self, tmp_path, capsys, flags, needle):
@@ -548,6 +567,17 @@ class TestHorizonProbe:
             cli.resolve_horizon(sc, None)
         assert str(blockwise.value) == str(whole.value)
         assert probed_nodes == [chunk_rows(sc.grid.n)]
+
+    def test_budget_overflow_is_a_rejection_without_a_warning(self, tmp_path, capsys):
+        # int c passes 177 in the first block, so exp(4 int c) is inf there
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(free_on(256, a="1e5")))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["picard", "--scenario", str(scenario), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err.startswith("error: no admissible horizon")
 
     def test_coefficients_are_checked_only_where_the_probe_reaches(self):
         # W overflows for t > 0.164, far beyond the horizon (about 0.02)

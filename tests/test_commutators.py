@@ -123,7 +123,7 @@ class TestEstimateConstant:
         est = estimate_constant(
             "+", [(0, 1)], Grid1D(2048, 8 * np.pi),
             n_trials=100, bandwidth=64, seed=0,
-        )[(0, 1)]
+        )[(0, 1, 2.0)]
         assert est.ensemble == 100
         assert np.isfinite(est.max_ratio) and est.max_ratio > 0
         assert est.stability_factor <= 1.1
@@ -133,7 +133,7 @@ class TestEstimateConstant:
         est = estimate_constant(
             "+", [(0, 0)], GRID, n_trials=50, bandwidth=48,
             seed=2, check_stability=False,
-        )[(0, 0)]
+        )[(0, 0, 2.0)]
         assert np.all(est.ratios <= 2.0 + 1e-12)
 
     def test_mirror_symmetry(self):
@@ -157,15 +157,18 @@ class TestEstimateConstant:
 
     def test_deterministic_given_seed(self):
         kw = dict(n_trials=5, bandwidth=32, seed=7, check_stability=False)
-        one = estimate_constant("H", [(1, 0)], GRID, **kw)[(1, 0)]
-        two = estimate_constant("H", [(1, 0)], GRID, **kw)[(1, 0)]
+        one = estimate_constant("H", [(1, 0)], GRID, **kw)[(1, 0, 2.0)]
+        two = estimate_constant("H", [(1, 0)], GRID, **kw)[(1, 0, 2.0)]
         assert np.array_equal(one.ratios, two.ratios)
 
     def test_bandwidth_guard(self):
         with pytest.raises(ConfigError, match="cutoff"):
             estimate_constant("+", [(0, 1)], Grid1D(128, 8.0), bandwidth=64)
 
-    @pytest.mark.parametrize("kw", [{"n_trials": 0}, {"n_trials": -3}, {"bandwidth": 0}])
+    @pytest.mark.parametrize(
+        "kw",
+        [{"n_trials": 0}, {"n_trials": -3}, {"bandwidth": 0}, {"p": ()}, {"p": (2.0, 1.0)}],
+    )
     def test_empty_ensemble_rejected(self, kw):
         with pytest.raises(ConfigError):
             estimate_constant("+", [(0, 1)], GRID, **kw)
@@ -198,7 +201,7 @@ class TestEstimateConstant:
             seed=seed, check_stability=check_stability,
         )
         for l, m in pairs:
-            est = table[(l, m)]
+            est = table[(l, m, p)]
             expected = by_hand(grid, l, m)
             assert est.skipped == 0
             np.testing.assert_allclose(est.ratios, expected, rtol=1e-12, atol=0)
@@ -209,15 +212,33 @@ class TestEstimateConstant:
                 stability = np.max(by_hand(fine, l, m)) / np.max(expected)
             assert est.stability_factor == pytest.approx(stability, rel=1e-12)
 
+    @pytest.mark.parametrize("operator", ["+", "H"])
+    def test_exponents_in_one_call_match_one_call_each(self, operator):
+        grid, pairs, exponents = Grid1D(256, 8 * np.pi), [(0, 1), (1, 1), (0, 2)], (4 / 3, 2.0, 4.0)
+        kw = dict(n_trials=8, bandwidth=16, seed=11, check_stability=True)
+        table = estimate_constant(operator, pairs, grid, p=exponents, **kw)
+        assert set(table) == {(l, m, p) for l, m in pairs for p in exponents}
+        for p in exponents:
+            single = estimate_constant(operator, pairs, grid, p=p, **kw)
+            assert set(single) == {(l, m, p) for l, m in pairs}
+            for key, one in single.items():
+                both = table[key]
+                assert both.p == one.p == p
+                assert np.array_equal(both.ratios, one.ratios)
+                assert both.max_ratio == one.max_ratio
+                assert both.stability_factor == one.stability_factor
+                assert both.skipped == one.skipped
+
     def test_ensemble_holds_no_trial_stack(self):
         # one (100, 2n) complex stack on the doubled grid would be 3.1 MiB;
-        # trials are processed one at a time.  A one-trial call first keeps
-        # the one-off costs of first use (lazy imports, FFT plans) out of the peak.
-        grid, pairs = Grid1D(1024, 8 * np.pi), [(0, 1), (1, 1), (0, 2)]
-        estimate_constant("+", pairs, grid, n_trials=1, bandwidth=64)
+        # trials are processed one at a time, for all three exponents at
+        # once.  A one-trial call first keeps the one-off costs of first
+        # use (lazy imports, FFT plans) out of the peak.
+        grid, pairs, p = Grid1D(1024, 8 * np.pi), [(0, 1), (1, 1), (0, 2)], (4 / 3, 2.0, 4.0)
+        estimate_constant("+", pairs, grid, p=p, n_trials=1, bandwidth=64)
         tracemalloc.start()
         try:
-            estimate_constant("+", pairs, grid, n_trials=100, bandwidth=64)
+            estimate_constant("+", pairs, grid, p=p, n_trials=100, bandwidth=64)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

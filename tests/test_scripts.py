@@ -6,6 +6,7 @@ subprocess with the package on PYTHONPATH.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,11 +25,25 @@ ROOT = Path(__file__).resolve().parents[1]
     ],
 )
 def test_script_runs(script, args, tmp_path):
+    assert run_script(script, args, tmp_path).strip()
+
+
+def test_commutator_table_has_one_row_per_exponent_and_pair(tmp_path):
+    # the default --p 4/3,2,4 and --lm 0,1;1,1;0,2, in that order
+    out = run_script("commutator_ensemble.py",
+                     ["--trials", "3", "--grid-n", "256", "--bandwidth", "16"], tmp_path)
+    lines = out.splitlines()[2:]
+    keys = [re.match(r"\s*(\S+)\s+\((\d+), (\d+)\)\s", line).groups() for line in lines]
+    assert keys == [(p, l, m) for p in ("1.33", "2", "4") for l, m in (("0", "1"), ("1", "1"), ("0", "2"))]
+
+
+def run_script(script, args, cwd):
+    """The script's standard output, after asserting that it exited 0."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip()
+    return done.stdout
