@@ -59,7 +59,7 @@ from .fieldio import (
 from .free_bvp import FreeBvpData, solve_free, verify_free_estimate
 from .picard import BvpProblem, assemble_solution, coupling_stacks, picard_solve
 from .presets import build_datum, load_preset, preset_names, resolve_scenario
-from .spectral import Grid1D, SpaceTimeField, SpectralField, chunk_rows
+from .spectral import Grid1D, SpaceTimeField, SpectralField
 from .stepper import LinearProblem, StepperConfig, epsilon_study, solve_linear
 from .weights import WeightProfile, build_weight
 
@@ -78,6 +78,8 @@ _ESTIMATE_DEFAULTS = {"energy": True, "smoothing": True, "bootstrap": False,
 
 _STORED_SLICE_CAP = 128   # carrier slices kept for verify-estimates, at most
 _HORIZON_PROBE = (0.25, 10001)   # window and resolution for automatic selection
+# probe nodes per norm_bundle call: sized by the call's overhead, not by memory
+_PROBE_BLOCK = 32
 
 
 def _check_keys(d: dict, allowed: set[str], where: str) -> None:
@@ -243,7 +245,7 @@ def resolve_horizon(sc: ScenarioConfig, flag_T: float | None) -> tuple[float, bo
     Without an explicit horizon, the largest admissible node of the
     ``_HORIZON_PROBE`` grid is selected.  The budget integrals are running
     integrals of non-negative rates, so the admissible nodes form a prefix
-    of the probe: it is evaluated one block of ``chunk_rows(n)`` nodes at a
+    of the probe: it is evaluated one block of ``_PROBE_BLOCK`` nodes at a
     time (neighbouring blocks share a node) and stops at the first block
     that holds an inadmissible node.  The rates are per-node samples and the
     integrals are taken over the whole stitched prefix, so the selection is
@@ -257,7 +259,7 @@ def resolve_horizon(sc: ScenarioConfig, flag_T: float | None) -> tuple[float, bo
         return sc.horizon, sc.override_horizon, {"source": "explicit", "horizon": sc.horizon}
     window, nodes = _HORIZON_PROBE
     probe = np.linspace(0.0, window, nodes)
-    step = chunk_rows(sc.grid.n) - 1
+    step = _PROBE_BLOCK - 1
     delta_data = sc.f.norm_l2() + sc.g.norm_l2()
     K = c = np.empty(0)
     for lo in range(0, nodes - 1, step):
@@ -356,14 +358,14 @@ def _dump_requested_times(
     dumps_dir = run_dir / "dumps"
     dumps_dir.mkdir(parents=True, exist_ok=True)
     entries = []
-    times = asm.v.times
+    times = asm.w.times
     for j, t in enumerate(sc.times):
         if t < -1e-12 or t > times[-1] + 1e-12:
             raise ConfigError(f"requested dump time {t:g} outside [0, {times[-1]:g}]")
         i = int(np.argmin(np.abs(times - t)))
         names = {
-            "v": _dump_field(asm.v.slice(i), dumps_dir / f"v_{j:04d}", fmt),
-            "u": _dump_field(asm.u.slice(i), dumps_dir / f"u_{j:04d}", fmt),
+            "v": _dump_field(asm.v_slice(i), dumps_dir / f"v_{j:04d}", fmt),
+            "u": _dump_field(asm.u_slice(i), dumps_dir / f"u_{j:04d}", fmt),
             "w": _dump_field(asm.w.slice(i), dumps_dir / f"w_{j:04d}", fmt),
         }
         entries.append({"requested_t": t, "stored_t": float(times[i]), "files": names})

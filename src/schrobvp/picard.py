@@ -31,7 +31,8 @@ both carriers are then marched together through
 Every space-time field stores Fourier coefficients only, so norms are
 Parseval sums (`spectral.hat_norm`), and physical values exist only inside
 `_operator_parts`, the one operator kernel of the coupling source and the
-residual monitor, and one block at a time in `assemble_solution`.
+residual monitor, and one block at a time in `assemble_solution`, which
+stores only the weighted transform w.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .spectral import (
     Grid1D,
     SpaceTimeField,
     SpectralField,
+    chunk_rows,
     dealias_hat,
     hat_norm,
     projection_multiplier,
@@ -324,6 +326,35 @@ def _check_horizon(p: BvpProblem, bundle: NormBundle) -> None:
         raise HorizonError(msg + "; shrink the horizon or set override_horizon=True")
 
 
+# Cap on the estimated peak memory of one coupled solve (4 GiB), checked
+# before the first stack is allocated.
+_PEAK_BYTES_CAP = 4 << 30
+# Row blocks live at once beside the stacks, at most: the operator kernel's
+# fields, products and the fresh output of each FFT.
+_PEAK_BLOCKS = 16
+
+
+def _peak_bytes(n: int, n_steps: int, time_dependent: bool) -> int:
+    """Estimated peak bytes of :func:`picard_solve` on ``n`` nodes and ``n_steps`` steps.
+
+    Six (n_steps + 1, n) complex stacks, the half-step operator table and
+    ``_PEAK_BLOCKS`` row blocks; the model is documented in picard_solve.
+    """
+    stack = 16 * n * (n_steps + 1)
+    table = OperatorTable.planned_bytes(n, n_steps, constant=not time_dependent, half_steps=True)
+    return 6 * stack + table + _PEAK_BLOCKS * 16 * n * chunk_rows(n)
+
+
+def _require_memory(n: int, n_steps: int, time_dependent: bool) -> None:
+    estimate = _peak_bytes(n, n_steps, time_dependent)
+    if estimate > _PEAK_BYTES_CAP:
+        raise ConfigError(
+            f"a solve on n = {n} nodes and {n_steps} steps needs about "
+            f"{estimate / 2**20:.0f} MiB at its peak, above the cap of "
+            f"{_PEAK_BYTES_CAP / 2**20:.0f} MiB; use fewer nodes or steps"
+        )
+
+
 def picard_solve(
     p: BvpProblem,
     tol: float = 1e-8,
@@ -334,15 +365,26 @@ def picard_solve(
 
     Returns (plus carrier, minus carrier, report).  Raises ConfigError
     before the first sweep when the time grid is too coarse for the
-    residual monitor (fewer than 4 steps), DivergenceError after three
-    consecutive non-contracting sweeps; stepper errors propagate.
+    residual monitor (fewer than 4 steps) or when the memory model below
+    puts the peak above ``_PEAK_BYTES_CAP``, DivergenceError after
+    three consecutive non-contracting sweeps; stepper errors propagate.
     ``solve_hook``, when given, observes every linear sub-solve as
     ``(sign, problem, solution)`` right after it finishes, so bound monitors
     can audit the sweep internals without the solver storing them all.
+
+    Memory model: a stack is one (n_steps + 1, n) complex array.  At most
+    six are live at once, in the march of a sweep: the previous pair, the
+    frozen sources and the new pair.  Each is released as soon as nothing
+    reads it again: the sources before the next sweep builds its own, the
+    previous pair once the update is measured, and the last sweep's
+    sources before the residuals.  The operator table and at most
+    ``_PEAK_BLOCKS`` row blocks of ``spectral.CHUNK_BYTES`` come on top;
+    ``_peak_bytes`` sums the three, and a test holds a traced run to it.
     """
     grid = p.grid
     n_steps = p.stepper_cfg.resolve_steps(p.horizon)
     _require_residual_slices(n_steps + 1)
+    _require_memory(grid.n, n_steps, p.coeffs.time_dependent)
     times = np.linspace(0.0, p.horizon, n_steps + 1)
     delta = p.data_norm()
     bundle = norm_bundle(p.coeffs, p.weight.sup_logderiv, times, grid)
@@ -350,8 +392,7 @@ def picard_solve(
     table = OperatorTable(p.coeffs, p.weight, times, half_steps=True)
 
     report = PicardReport(delta=delta, horizon=p.horizon)
-    zeros = np.zeros((n_steps + 1, grid.n), dtype=np.complex128)
-    vp = vm = SpaceTimeField(grid, times, hats=zeros)
+    vp = vm = SpaceTimeField(grid, times, hats=np.zeros((n_steps + 1, grid.n), dtype=np.complex128))
 
     prev_diff = None
     streak = 0
@@ -409,6 +450,7 @@ def picard_solve(
         if diff <= tol * delta:
             report.converged = True
             break
+    src_p = src_m = prob_m = prob_p = None   # nothing reads the last sweep's sources again
 
     report.boundary_residual_low = _projection_residual(vp, vm, 0, p.f, "-")
     report.boundary_residual_high = _projection_residual(vp, vm, n_steps, p.g, "+")
@@ -433,13 +475,27 @@ def _projection_residual(
 
 @dataclass(frozen=True)
 class AssembledSolution:
-    """Total field, unweighted solution, and its decay-certified transform."""
+    """The carriers and the decay-certified transform w of their sum.
 
-    v: SpaceTimeField
-    u: SpaceTimeField
+    Only w is stored.  Slices of the total field v and of the unweighted
+    solution u are formed from the carriers on each read.
+    """
+
+    v_plus: SpaceTimeField
+    v_minus: SpaceTimeField
+    weight: WeightProfile
     w: SpaceTimeField
     window: np.ndarray
     w_norms: np.ndarray
+
+    def v_slice(self, i: int) -> SpectralField:
+        """Slice i of v, the sum of the carriers."""
+        return SpectralField.from_hat(self.w.grid, self.v_plus.hats[i] + self.v_minus.hats[i])
+
+    def u_slice(self, i: int) -> SpectralField:
+        """Slice i of u = v / weight."""
+        v_vals = self.v_plus.slice(i).values + self.v_minus.slice(i).values
+        return SpectralField.from_hat(self.w.grid, np.fft.fft(v_vals / self.weight.values))
 
 
 def assemble_solution(
@@ -449,8 +505,8 @@ def assemble_solution(
 
     The exponential transform is only evaluated on |x| <= L/2: data are
     supported there, and outside the window a seam-crossing exponential
-    would amplify wrap-around garbage.  The hats of u and w are formed one
-    block of physical slices at a time.
+    would amplify wrap-around garbage.  The hats of w are formed one block
+    of physical slices at a time; slices of v and u are formed when read.
     """
     if v_plus.grid != v_minus.grid or v_plus.grid != weight.grid:
         raise GridMismatchError("carriers and weight must share one grid")
@@ -458,16 +514,15 @@ def assemble_solution(
     times = v_plus.times
     window = np.abs(grid.x) <= 0.5 * grid.half_length
     w_factor = np.exp(weight.beta * grid.x) / weight.values * window
-    u_hats = np.empty((len(times), grid.n), dtype=np.complex128)
-    w_hats = np.empty_like(u_hats)
+    w_hats = np.empty((len(times), grid.n), dtype=np.complex128)
     for rows in row_blocks(len(times), grid.n):
         v_vals = v_plus.block(rows) + v_minus.block(rows)
-        u_hats[rows] = np.fft.fft(v_vals / weight.values, axis=-1)
         w_hats[rows] = np.fft.fft(v_vals * w_factor, axis=-1)
     w = SpaceTimeField(grid, times, hats=w_hats)
     return AssembledSolution(
-        v=SpaceTimeField(grid, times, hats=v_plus.hats + v_minus.hats),
-        u=SpaceTimeField(grid, times, hats=u_hats),
+        v_plus=v_plus,
+        v_minus=v_minus,
+        weight=weight,
         w=w,
         window=window,
         w_norms=w.norm_series(),

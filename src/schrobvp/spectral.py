@@ -39,15 +39,19 @@ from .errors import (
 )
 
 # Bytes of one complex block wherever a stack is transformed or coefficients
-# are evaluated in pieces: small enough to stay in cache, whatever the step count.
-CHUNK_BYTES = 1 << 20
+# are evaluated in pieces.  The operator kernel holds about 16 blocks at once
+# (fields, products and each FFT's output), so 256 KiB blocks keep its working
+# set within a 4 MiB L2 cache, whatever the step count.
+CHUNK_BYTES = 1 << 18
 
 
 def chunk_rows(n: int) -> int:
     """Even number of length-``n`` complex rows that fills one CHUNK_BYTES block.
 
-    32 rows at n = 2048.  The count is even so that blocks over a half-step
-    time grid start on integer nodes.
+    8 rows at n = 2048, 32 at n = 512.  The count is even so that blocks
+    over a half-step time grid start on integer nodes.  Every blocked kernel
+    transforms row by row, so the block size changes speed and peak memory,
+    never a result.
     """
     return max(2, CHUNK_BYTES // (16 * n) // 2 * 2)
 

@@ -207,6 +207,15 @@ class OperatorTable:
             lump = 1j * ((q**2 - dq) * a - q * ax) + 1j * coeffs.w_values(grid.x, ts)
             self.zeroth[rows.start // s : rows.start // s + len(ts)] = masked_samples(grid, lump)
 
+    @staticmethod
+    def planned_bytes(n: int, n_steps: int, constant: bool, half_steps: bool = False) -> int:
+        """Bytes of the rows of a table over ``n_steps`` steps on ``n`` nodes, before it is built."""
+        if constant:
+            nodes = zeroth = 1
+        else:
+            nodes, zeroth = (2 if half_steps else 1) * n_steps + 1, n_steps + 1
+        return nodes * (8 + 16 * n) + zeroth * 16 * n
+
     def require(self, times: np.ndarray, half_steps: bool = False) -> None:
         """Raise ConfigError unless the integer nodes are ``times`` (with midpoints if asked)."""
         times = np.asarray(times, dtype=np.float64)
@@ -342,13 +351,23 @@ class _SourceRows:
                 out[r] = max(np.max(np.abs(hats[rows])) for rows in row_blocks(*hats.shape))
         return out
 
-    def _midpoint(self, hats: np.ndarray, j: int) -> np.ndarray:
-        """Source hats halfway between slices j and j + 1."""
+    @staticmethod
+    def _midpoint(hats: np.ndarray, j: int, out: np.ndarray) -> None:
+        """Write the source hats halfway between slices j and j + 1 to ``out``.
+
+        Four scaled adds in place: the product of float weights with the
+        complex slices would go through the threaded BLAS gemv, whose time
+        over one solve varied twentyfold between identical runs.
+        """
         if j == 0:
-            return _MID_FIRST @ hats[:4]
-        if j == self.n_steps - 1:
-            return _MID_LAST @ hats[j - 2 : j + 2]
-        return _MID_INTERIOR @ hats[j - 1 : j + 3]
+            weights, lo = _MID_FIRST, 0
+        elif j == len(hats) - 2:
+            weights, lo = _MID_LAST, j - 2
+        else:
+            weights, lo = _MID_INTERIOR, j - 1
+        np.multiply(hats[lo], weights[0], out=out)
+        for m in range(1, 4):
+            out += weights[m] * hats[lo + m]
 
     def at(self, i: int) -> np.ndarray | None:
         if not self.active:
@@ -357,7 +376,10 @@ class _SourceRows:
         for r, hats in enumerate(self.hats):
             if hats is not None:
                 j = i // 2 if self.forward[r] else self.n_steps - (i + 1) // 2
-                out[r] = hats[j] if i % 2 == 0 else self._midpoint(hats, j)
+                if i % 2 == 0:
+                    out[r] = hats[j]
+                else:
+                    self._midpoint(hats, j, out[r])
         out *= self.factor
         return out
 

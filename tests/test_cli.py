@@ -21,7 +21,7 @@ from schrobvp.errors import ConfigError, HorizonError, ValidationError
 from schrobvp.estimates import EstimateReport
 from schrobvp.fieldio import dump_field_binary, load_field
 from schrobvp.presets import build_datum, load_preset, merge_scenario, preset_names
-from schrobvp.spectral import Grid1D, SpaceTimeField, chunk_rows, gaussian_field, project
+from schrobvp.spectral import Grid1D, SpaceTimeField, gaussian_field, project
 
 SMALL = {
     "preset": "decoupled",
@@ -548,7 +548,7 @@ class TestHorizonProbe:
         assert trace == {"source": "selected", **asdict(sel)}
         assert (horizon, override) == (sel.horizon, False)
         # the probe stops in the block that holds the first inadmissible node
-        step = chunk_rows(sc.grid.n)
+        step = cli._PROBE_BLOCK
         assert len(probed_nodes) >= 20 and set(probed_nodes) == {step}
         assert sum(probed_nodes) - len(probed_nodes) + 1 < sel.index + 1 + step
 
@@ -566,7 +566,7 @@ class TestHorizonProbe:
         with pytest.raises(HorizonError) as blockwise:
             cli.resolve_horizon(sc, None)
         assert str(blockwise.value) == str(whole.value)
-        assert probed_nodes == [chunk_rows(sc.grid.n)]
+        assert probed_nodes == [cli._PROBE_BLOCK]
 
     def test_budget_overflow_is_a_rejection_without_a_warning(self, tmp_path, capsys):
         # int c passes 177 in the first block, so exp(4 int c) is inf there

@@ -1,11 +1,13 @@
 """Coupled-solver tests: coupling algebra, contraction, oracles, residuals."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from schrobvp import picard
+from schrobvp import picard, spectral
 from schrobvp.coefficients import CoefficientField, norm_bundle, select_horizon
-from schrobvp.cli import build_scenario
+from schrobvp.cli import build_scenario, run_picard_scenario
 from schrobvp.errors import (
     ConfigError,
     DivergenceError,
@@ -320,14 +322,16 @@ class TestAssembleAndResidual:
         )
         vp, vm, _ = picard_solve(p)
         asm = assemble_solution(vp, vm, w)
-        assert np.array_equal(asm.v.hats, vp.hats + vm.hats)
-        # u recovers v where the weight is 1 (left half of the domain)
         left = grid.x < -1.0
-        assert np.allclose(asm.u.values[:, left], asm.v.values[:, left])
-        # w = e^{beta x} u on the window, zero outside
         inside = asm.window
-        expected = asm.u.values[:, inside] * np.exp(w.beta * grid.x[inside])[None, :]
-        assert np.allclose(asm.w.values[:, inside], expected)
+        w_values = asm.w.values
+        for i in range(len(vp.times)):
+            v, u = asm.v_slice(i), asm.u_slice(i)
+            assert np.array_equal(v.hat, vp.hats[i] + vm.hats[i])
+            # u recovers v where the weight is 1 (left half of the domain)
+            assert np.allclose(u.values[left], v.values[left])
+            # w = e^{beta x} u on the window, zero outside
+            assert np.allclose(w_values[i, inside], u.values[inside] * np.exp(w.beta * grid.x[inside]))
         # zero outside the window, up to the round trip through the hats
         scale = np.max(np.abs(asm.w.values))
         assert np.max(np.abs(asm.w.values[:, ~inside])) <= 1e-14 * scale
@@ -469,7 +473,7 @@ class TestHatCarriers:
         hats = vp.hats, vm.hats
         asm = assemble_solution(vp, vm, w)
         assert vp.hats is hats[0] and vm.hats is hats[1]
-        assert np.array_equal(asm.v.hats, vp.hats + vm.hats)
+        assert all(np.array_equal(asm.v_slice(i).hat, vp.hats[i] + vm.hats[i]) for i in range(len(vp.times)))
 
     def test_residual_of_hats_matches_residual_of_values(self):
         grid = Grid1D(256, 20.0)
@@ -525,3 +529,127 @@ class TestInputGrids:
         w = build_weight(1.0, Grid1D(128, 30.0), mode="truncated")
         with pytest.raises(GridMismatchError):
             pde_residual(vp, BENCH, w)
+
+
+def blocked_outputs():
+    """Every blocked kernel's output on a time-dependent problem, as arrays."""
+    grid = Grid1D(256, 20.0)
+    w = build_weight(1.0, grid, mode="truncated")
+    times = np.linspace(0.0, 0.02, 41)
+    phase = np.exp(-40j * times)[:, None]
+    vp = SpaceTimeField(grid, times, phase * project(random_band_field(grid, 30, 71), "+").values)
+    vm = SpaceTimeField(grid, times, np.conj(phase) * project(random_band_field(grid, 30, 72), "-").values)
+    total = SpaceTimeField(grid, times, hats=vp.hats + vm.hats)
+    bundle = norm_bundle(BENCH, w.sup_logderiv, times, grid)
+    table = OperatorTable(BENCH, w, times, half_steps=True)
+    return {
+        "from values": [vp.hats, vm.hats],
+        "coupling_stacks": [s.hats for s in coupling_stacks(vp, vm, BENCH, w)],
+        "pde_residual": [pde_residual(total, BENCH, w).norms],
+        "norm_series": [total.norm_series(), total.norm_series(projection_multiplier(grid, "-").symbol)],
+        "split_sides": [s.hats for s in total.split_sides()],
+        "assemble_solution": [assemble_solution(vp, vm, w).w.hats],
+        "norm_bundle": [bundle.coupling_rate, bundle.energy_rate],
+        "OperatorTable": [table.abar, table.a, table.aq, table.zeroth],
+    }
+
+
+def test_block_budget_changes_no_result(monkeypatch):
+    # CHUNK_BYTES sets speed and peak memory only: blocks of 2 rows and one
+    # block of every row give the same bits
+    results = []
+    for budget in (1 << 13, 1 << 24):
+        monkeypatch.setattr(spectral, "CHUNK_BYTES", budget)
+        results.append(blocked_outputs())
+    assert spectral.chunk_rows(256) > 81   # the half-step table's row count
+    small, large = results
+    for kernel, arrays in small.items():
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, large[kernel], strict=True)), kernel
+
+
+class TestPeakMemory:
+    def test_traced_run_stays_within_the_six_stack_model(self, tmp_path):
+        # the decoupled preset: its stack is 16 block budgets, so one stack
+        # kept alive past its last read crosses the bound
+        sc = build_scenario(load_preset("decoupled"))
+        n, n_steps = sc.grid.n, sc.stepper.n_steps
+        stack = 16 * n * (n_steps + 1)
+        assert stack >= 4 * spectral.CHUNK_BYTES
+        tracemalloc.start()
+        try:
+            run_picard_scenario({"preset": "decoupled"}, str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 6 * stack < peak <= picard._peak_bytes(n, n_steps, sc.coeffs.time_dependent)
+
+    def test_residual_runs_beside_the_final_pair_only(self, monkeypatch):
+        # by the time the residual runs, the last sweep's sources are released
+        grid = Grid1D(512, 8 * np.pi)
+        w = build_weight(1.0, grid, mode="pure_exponential")
+        f, g = split_data(grid)
+        p = BvpProblem(
+            f=f, g=g, coeffs=CONST, weight=w, horizon=0.02,
+            stepper_cfg=StepperConfig(epsilon=1e-6, n_steps=64),
+        )
+        residual, live = picard.pde_residual, []
+
+        def traced(*args):
+            live.append(tracemalloc.get_traced_memory()[0])
+            return residual(*args)
+
+        monkeypatch.setattr(picard, "pde_residual", traced)
+        tracemalloc.start()
+        try:
+            _, _, report = picard_solve(p)
+        finally:
+            tracemalloc.stop()
+        assert report.iterations > 1
+        # the pair and their sum; the sources would add two stacks more
+        assert live[0] < 3.5 * 16 * grid.n * 65
+
+    def test_assembly_stores_only_w(self):
+        grid = Grid1D(256, 20.0)
+        w = build_weight(1.0, grid, mode="truncated")
+        times = np.linspace(0.0, 0.02, 257)
+        rng = np.random.default_rng(5)
+        vp, vm = (
+            SpaceTimeField(grid, times, hats=rng.standard_normal((257, grid.n)) + 0j) for _ in range(2)
+        )
+        tracemalloc.start()
+        try:
+            asm = assemble_solution(vp, vm, w)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 1.1 * asm.w.hats.nbytes
+        # a slice read is the slice of the whole stack, bit for bit
+        u_hats = np.fft.fft((vp.values + vm.values) / w.values, axis=-1)
+        for i in (0, 100, 256):
+            assert np.array_equal(asm.v_slice(i).hat, vp.hats[i] + vm.hats[i])
+            assert np.array_equal(asm.u_slice(i).hat, u_hats[i])
+
+    def test_memory_cap_is_a_config_error_before_any_stack(self, monkeypatch):
+        grid = Grid1D(256, 8 * np.pi)
+        w = build_weight(1.0, grid, mode="truncated", margin=5.0)
+        f, g = split_data(grid)
+        p = BvpProblem(
+            f=f, g=g, coeffs=BENCH, weight=w, horizon=0.01,
+            stepper_cfg=StepperConfig(epsilon=1e-5, dt=0.01 / 64),
+        )
+        estimate = picard._peak_bytes(grid.n, 64, time_dependent=True)
+        monkeypatch.setattr(picard, "_PEAK_BYTES_CAP", estimate - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError) as err:
+                picard_solve(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * grid.n * 65   # less than one stack
+        message = str(err.value)
+        assert "n = 256" in message and "64 steps" in message
+        assert f"{estimate / 2**20:.0f} MiB" in message
+        monkeypatch.setattr(picard, "_PEAK_BYTES_CAP", estimate)
+        picard_solve(p)
+

@@ -338,7 +338,7 @@ class TestHatBackedStack:
         return g, times, values
 
     def test_chunk_rows_fill_a_fixed_budget(self):
-        assert chunk_rows(2048) == 32
+        assert (chunk_rows(2048), chunk_rows(512)) == (8, 32)
         assert all(chunk_rows(n) % 2 == 0 and chunk_rows(n) >= 2 for n in (16, 256, 2048, 1 << 20))
 
     def test_values_round_trip(self):

@@ -16,11 +16,15 @@ from schrobvp.spectral import (
     random_band_field,
 )
 from schrobvp.stepper import (
+    _MID_FIRST,
+    _MID_INTERIOR,
+    _MID_LAST,
     EpsilonStudyReport,
     LinearProblem,
     OperatorTable,
     StepperConfig,
     epsilon_study,
+    _SourceRows,
     heat_quartic,
     solve_linear,
 )
@@ -497,6 +501,35 @@ class TestOperatorTable:
         assert moving.a.shape == (65, grid.n) and moving.zeroth.shape == (33, grid.n)
         a, aq, zeroth = moving.rows(3, 7)
         assert np.array_equal(a, moving.a[6:13:2]) and np.array_equal(zeroth, moving.zeroth[3:7])
+
+    @pytest.mark.parametrize("half_steps", [False, True])
+    @pytest.mark.parametrize("a", ["1 + 0.1*sech(x)", "1 + 0.1*exp(-t)*sech(x)"])
+    def test_planned_bytes_are_the_built_table_bytes(self, a, half_steps):
+        # the peak-memory cap of the coupled solve prices the table before building it
+        grid = Grid1D(64, 8 * np.pi)
+        w = build_weight(0.5, grid, mode="truncated", margin=5.0)
+        coeffs = CoefficientField(a, "0.05*sech(x)")
+        table = OperatorTable(coeffs, w, np.linspace(0.0, 0.1, 33), half_steps=half_steps)
+        built = sum(rows.nbytes for rows in (table.abar, table.a, table.aq, table.zeroth))
+        planned = OperatorTable.planned_bytes(grid.n, 32, not coeffs.time_dependent, half_steps)
+        assert planned == built
+
+
+class TestSourceMidpoint:
+    # the cubic midpoint reads are four scaled adds; the weights' matrix
+    # product is the reference
+    @pytest.mark.parametrize("j", [0, 1, 5, 7])
+    @pytest.mark.parametrize("reversed_view", [False, True])
+    def test_scaled_adds_match_the_weight_product(self, j, reversed_view):
+        rng = np.random.default_rng(j)
+        stack = rng.standard_normal((9, 256)) + 1j * rng.standard_normal((9, 256))
+        # a backward carrier's source is a reversed view of the march buffer
+        hats = stack[::-1] if reversed_view else stack
+        weights, lo = {0: (_MID_FIRST, 0), 7: (_MID_LAST, 5)}.get(j, (_MID_INTERIOR, j - 1))
+        expected = weights @ hats[lo : lo + 4]
+        out = np.empty(256, dtype=np.complex128)
+        _SourceRows._midpoint(hats, j, out)
+        assert np.max(np.abs(out - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 class TestBatchedMarch:
