@@ -53,7 +53,7 @@ def main() -> int:
 
     asm = assemble_solution(vp, vm, sc.weight)
     print(f"decaying-norm range: [{asm.w_norms.min():.6g}, {asm.w_norms.max():.6g}]")
-    for rep in run_monitors(sc, vp, vm, asm.w):
+    for rep in run_monitors(sc, vp, vm, asm.w, report.table, report.bundle):
         print(f"estimate {rep.name}: ratio {rep.ratio:.4f} -> {rep.verdict}")
     return 0
 

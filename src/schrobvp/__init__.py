@@ -76,7 +76,6 @@ from .picard import (
     PicardReport,
     ResidualProfile,
     assemble_solution,
-    coupling_lambda,
     coupling_stacks,
     pde_residual,
     picard_solve,

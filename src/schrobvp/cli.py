@@ -60,7 +60,7 @@ from .free_bvp import FreeBvpData, solve_free, verify_free_estimate
 from .picard import BvpProblem, assemble_solution, coupling_stacks, picard_solve
 from .presets import build_datum, load_preset, preset_names, resolve_scenario
 from .spectral import Grid1D, SpaceTimeField, SpectralField
-from .stepper import LinearProblem, StepperConfig, epsilon_study, solve_linear
+from .stepper import LinearProblem, OperatorTable, StepperConfig, epsilon_study, solve_linear
 from .weights import WeightProfile, build_weight
 
 _TOP_KEYS = {
@@ -379,18 +379,21 @@ def run_monitors(
     vp: SpaceTimeField,
     vm: SpaceTimeField,
     w_stack: SpaceTimeField,
+    table: OperatorTable,
+    bundle: NormBundle,
 ) -> list[EstimateReport]:
-    """The toggled estimate monitors on one converged pair of carriers."""
+    """The toggled estimate monitors on one converged pair of carriers, reading
+    the operator table and rate bundle on their times (a solve's report holds both)."""
     cfg = sc.estimates
     slack = cfg["slack"]
     reports: list[EstimateReport] = []
     if cfg["energy"]:
-        src_p, src_m = coupling_stacks(vp, vm, sc.coeffs, sc.weight)
+        src_p, src_m = coupling_stacks(vp, vm, table)
         reports.append(
-            energy_monitor(vm, src_m, "-", sc.coeffs, sc.weight, slack=slack)
+            energy_monitor(vm, src_m, "-", sc.coeffs, sc.weight, bundle, slack=slack)
         )
         reports.append(
-            energy_monitor(vp, src_p, "+", sc.coeffs, sc.weight, slack=slack)
+            energy_monitor(vp, src_p, "+", sc.coeffs, sc.weight, bundle, slack=slack)
         )
         del src_p, src_m   # free their buffer before the monitors where the run peaks
     if cfg["smoothing"]:
@@ -435,13 +438,19 @@ def _write_estimate_artifacts(out: Path, reports: list[EstimateReport]) -> None:
 def _parse_times_arg(text: str | None, horizon: float) -> np.ndarray:
     if text is None:
         return np.linspace(0.0, horizon, 65)
-    tokens = [t for t in text.split(",") if t.strip()]
-    if len(tokens) == 1 and "." not in tokens[0]:
-        count = int(tokens[0])
-        if count < 2:
-            raise ConfigError("need at least 2 output times")
-        return np.linspace(0.0, horizon, count)
-    return np.array([float(t) for t in tokens])
+    tokens = [t.strip() for t in text.split(",") if t.strip()]
+    kind = int if len(tokens) == 1 and "." not in tokens[0] else float
+    vals = []
+    for token in tokens:
+        try:
+            vals.append(kind(token))
+        except ValueError:
+            raise ConfigError(f"--times expects a count or a comma list of times, got {token!r}") from None
+    if kind is float:
+        return np.array(vals)
+    if vals[0] < 2:
+        raise ConfigError("need at least 2 output times")
+    return np.linspace(0.0, horizon, vals[0])
 
 
 def cmd_free_bvp(args: argparse.Namespace) -> int:
@@ -497,7 +506,8 @@ def cmd_linear(args: argparse.Namespace) -> int:
     reports = []
     if sc.estimates["energy"]:
         sign = "-" if args.direction == "forward" else "+"
-        reports.append(energy_monitor(sol, None, sign, sc.coeffs, sc.weight))
+        bundle = norm_bundle(sc.coeffs, sc.weight.sup_logderiv, sol.times, sc.grid)
+        reports.append(energy_monitor(sol, None, sign, sc.coeffs, sc.weight, bundle))
     study = None
     if sc.stepper.epsilon_schedule:
         study = epsilon_study(problem, sc.stepper)
@@ -542,7 +552,7 @@ def run_picard_scenario(raw: dict, out_dir: str | None, flag_T: float | None = N
         )
     asm = assemble_solution(vp, vm, sc.weight)
     t1 = time.perf_counter()
-    monitors = run_monitors(sc, vp, vm, asm.w)
+    monitors = run_monitors(sc, vp, vm, asm.w, report.table, report.bundle)
     estimate_s = time.perf_counter() - t1
 
     write_norms_csv(
@@ -625,7 +635,10 @@ def cmd_verify_estimates(args: argparse.Namespace) -> int:
     out = _out_dir(args.out_dir or str(run_dir))
     vp, vm = _load_carriers(run_dir, sc.grid)
     asm = assemble_solution(vp, vm, sc.weight)
-    reports = run_monitors(sc, vp, vm, asm.w)
+    # no solve here: the table and bundle are built over the stored times
+    table = OperatorTable(sc.coeffs, sc.weight, vp.times)
+    bundle = norm_bundle(sc.coeffs, sc.weight.sup_logderiv, vp.times, sc.grid)
+    reports = run_monitors(sc, vp, vm, asm.w, table, bundle)
     _write_estimate_artifacts(out, reports)
     code = _estimates_exit(reports)
     for r in reports:

@@ -13,7 +13,9 @@ The three monitors:
 
 * ``energy_monitor``: sup-norm plus weighted half-derivative smoothing
   term for a single carrier against three times the data norm amplified
-  by the exponential of the integrated energy rate.
+  by the exponential of the integrated energy rate.  The rate comes from
+  the coupled solve's own `NormBundle`, and the carriers' sources from
+  its `OperatorTable`: the monitors build neither.
 * ``weighted_smoothing_monitor``: the half-derivative space-time
   integral of the exponentially weighted pair against the endpoint data
   quadratic form; reports the implied constant.
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import CoefficientField, norm_bundle
+from .coefficients import CoefficientField, NormBundle
 from .errors import ConfigError, ValidationError
 from .spectral import (
     Grid1D,
@@ -124,20 +126,23 @@ def energy_monitor(
     sign: str,
     coeffs: CoefficientField,
     weight: WeightProfile,
-    beta: float | None = None,
+    bundle: NormBundle,
     slack: float = 0.05,
 ) -> EstimateReport:
     """Sup norm plus twice the root of the weighted smoothing integral,
     against 3 * (endpoint data + integrated source) * exp(4 * int c).
 
     ``sign`` selects which endpoint carries the datum: "-" reads it at
-    t = 0, "+" at the final time.  ``beta`` defaults to the measured
-    supremum of the weight's log-derivative.
+    t = 0, "+" at the final time.  ``bundle`` holds the rate c on
+    ``v.times``, sampled with the weight's measured sup log-derivative; a
+    coupled run passes the solve's own (``PicardReport.bundle``).  Raises
+    ValidationError when it lives on another time grid.
     """
     if sign not in ("+", "-"):
         raise ValidationError("sign must be '+' or '-'")
+    if bundle.times.shape != v.times.shape or not np.allclose(bundle.times, v.times):
+        raise ValidationError("rate bundle and field must share one time grid")
     grid = v.grid
-    rate_beta = weight.sup_logderiv if beta is None else float(beta)
 
     factor = weight.logderiv
     neg = float(np.min(coeffs.a_values(grid.x, _sampled_times(v.times)) * factor))
@@ -160,7 +165,6 @@ def energy_monitor(
             raise ValidationError("source grid differs from the field grid")
         source_integral = float(np.trapezoid(source.norm_series(), source.times))
 
-    bundle = norm_bundle(coeffs, rate_beta, v.times, grid)
     rate_integral = float(bundle.energy_integral[-1])
     rhs = 3.0 * (data_norm + source_integral) * np.exp(4.0 * rate_integral)
 
@@ -179,7 +183,7 @@ def energy_monitor(
             "data_norm": data_norm,
             "source_integral": source_integral,
             "rate_integral": rate_integral,
-            "sup_logderiv": rate_beta,
+            "sup_logderiv": weight.sup_logderiv,
         },
         verdict=_verdict(ratio, slack),
         slack=slack,

@@ -28,6 +28,10 @@ buffer on the march's own time grid (the only grid the stepper accepts);
 both carriers are then marched together through
 `solve_linear(..., partner=...)`.
 
+One solve builds one half-step `OperatorTable` and samples one
+`NormBundle` on its time grid; the report hands both back (unserialised),
+and the estimate monitors read them instead of building their own.
+
 Every space-time field stores Fourier coefficients only, so norms are
 Parseval sums (`spectral.hat_norm`), and physical values exist only inside
 `_operator_parts`, the one operator kernel of the coupling source and the
@@ -69,7 +73,6 @@ __all__ = [
     "PicardReport",
     "AssembledSolution",
     "ResidualProfile",
-    "coupling_lambda",
     "coupling_stacks",
     "picard_solve",
     "assemble_solution",
@@ -131,6 +134,9 @@ class PicardReport:
     final_leakage: float = 0.0
     residual_sup: float = 0.0
     residual_profile: np.ndarray | None = None
+    # the solve's operator table and rate bundle, for the monitors; not serialised
+    table: OperatorTable | None = field(default=None, repr=False)
+    bundle: NormBundle | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         out = {
@@ -224,48 +230,24 @@ def _lambda_rows(
     np.subtract(zv, out_p, out=out_m)
 
 
-def coupling_lambda(
-    v_plus: SpectralField,
-    v_minus: SpectralField,
-    coeffs: CoefficientField,
-    weight: WeightProfile,
-    t: float,
-) -> tuple[SpectralField, SpectralField]:
-    """Both coupling-source components at one time slice."""
-    if v_plus.grid != v_minus.grid or v_plus.grid != weight.grid:
-        raise GridMismatchError("coupling inputs must share one grid")
-    grid = v_plus.grid
-    v_hat = (v_plus.hat + v_minus.hat)[None, :]
-    table = OperatorTable(coeffs, weight, np.array([t]))
-    hats = np.empty((2, 1, grid.n), dtype=np.complex128)
-    _lambda_rows(grid, v_hat, *table.rows(0, 1), hats[0], hats[1])
-    return SpectralField.from_hat(grid, hats[0, 0]), SpectralField.from_hat(grid, hats[1, 0])
-
-
 def coupling_stacks(
-    vp: SpaceTimeField,
-    vm: SpaceTimeField,
-    coeffs: CoefficientField,
-    weight: WeightProfile,
-    table: OperatorTable | None = None,
+    vp: SpaceTimeField, vm: SpaceTimeField, table: OperatorTable
 ) -> tuple[SpaceTimeField, SpaceTimeField]:
     """Both coupling-source stacks on the carriers' time grid.
 
     The hats live in one (2, slices, n) buffer in march order: row 0 is
     lambda- on ascending times (the forward carrier's source), row 1 is
     lambda+ on descending times (the backward carrier's).  ``table`` must
-    have the carriers' times as its integer nodes; without one, a table
-    over those times is built here.  Raises GridMismatchError unless both
-    carriers and the weight share one grid and the carriers one time grid.
+    have the carriers' times as its integer nodes, else ConfigError.
+    Raises GridMismatchError unless both carriers and the table share one
+    grid and the carriers one time grid.
     """
     grid = vp.grid
     times = vp.times
-    if vm.grid != grid or weight.grid != grid:
-        raise GridMismatchError("carriers and weight must share one grid")
+    if vm.grid != grid or table.grid != grid:
+        raise GridMismatchError("carriers and operator table must share one grid")
     if vm.times.shape != times.shape or not np.allclose(vm.times, times):
         raise GridMismatchError("the two carriers must share one time grid")
-    if table is None:
-        table = OperatorTable(coeffs, weight, times)
     table.require(times)
     hats = np.empty((2, len(times), grid.n), dtype=np.complex128)
     lam_m, lam_p = hats[0], hats[1, ::-1]
@@ -371,6 +353,8 @@ def picard_solve(
     ``solve_hook``, when given, observes every linear sub-solve as
     ``(sign, problem, solution)`` right after it finishes, so bound monitors
     can audit the sweep internals without the solver storing them all.
+    The report carries the solve's operator table and rate bundle
+    (``report.table``, ``report.bundle``) for the monitors to read.
 
     Memory model: a stack is one (n_steps + 1, n) complex array.  At most
     six are live at once, in the march of a sweep: the previous pair, the
@@ -391,7 +375,7 @@ def picard_solve(
     _check_horizon(p, bundle)
     table = OperatorTable(p.coeffs, p.weight, times, half_steps=True)
 
-    report = PicardReport(delta=delta, horizon=p.horizon)
+    report = PicardReport(delta=delta, horizon=p.horizon, table=table, bundle=bundle)
     vp = vm = SpaceTimeField(grid, times, hats=np.zeros((n_steps + 1, grid.n), dtype=np.complex128))
 
     prev_diff = None
@@ -400,7 +384,7 @@ def picard_solve(
         # release the previous sweep's sources before the next pair is built
         src_p = src_m = prob_m = prob_p = None
         if m > 1:
-            src_p, src_m = coupling_stacks(vp, vm, p.coeffs, p.weight, table)
+            src_p, src_m = coupling_stacks(vp, vm, table)
             report.lambda_ratios.append(_lambda_ratio(src_p, src_m, vp, vm, bundle, delta))
         prob_m = LinearProblem(
             direction="forward",
@@ -457,7 +441,7 @@ def picard_solve(
     report.final_leakage = report.leakages[-1] if report.leakages else 0.0
 
     total = SpaceTimeField(grid, times, hats=vp.hats + vm.hats)
-    profile = pde_residual(total, p.coeffs, p.weight, table)
+    profile = pde_residual(total, table)
     report.residual_profile = profile.norms
     report.residual_sup = profile.sup
     return vp, vm, report
@@ -554,12 +538,7 @@ def _require_residual_slices(count: int) -> None:
         )
 
 
-def pde_residual(
-    v: SpaceTimeField,
-    coeffs: CoefficientField,
-    weight: WeightProfile,
-    table: OperatorTable | None = None,
-) -> ResidualProfile:
+def pde_residual(v: SpaceTimeField, table: OperatorTable) -> ResidualProfile:
     """Fourth-order time derivative minus the realized spatial operator.
 
     dv/dt is the five-point difference (-v[i+2] + 8 v[i+1] - 8 v[i-1] +
@@ -571,16 +550,14 @@ def pde_residual(
     error and the artificial-viscosity tail eps xi^4 v (the latter sets the
     floor at fine steps).  Both are taken on hats.  Norms are measured in
     the discrete H^{-2} metric (symbol (1 + xi^2)^{-1}) on the interior
-    slices.  ``table`` must have ``v.times`` as its integer nodes; without
-    one, it is built here.  Raises ConfigError on fewer than 5 slices and
-    GridMismatchError when the weight lives on another grid.
+    slices.  ``table`` must have ``v.times`` as its integer nodes, else
+    ConfigError.  Raises ConfigError on fewer than 5 slices and
+    GridMismatchError when the table lives on another grid.
     """
     _require_residual_slices(len(v.times))
     grid = v.grid
-    if weight.grid != grid:
-        raise GridMismatchError("field and weight must share one grid")
-    if table is None:
-        table = OperatorTable(coeffs, weight, v.times)
+    if table.grid != grid:
+        raise GridMismatchError("field and operator table must share one grid")
     table.require(v.times)
     mask = grid.dealias_mask
     jm2 = 1.0 / (1.0 + grid.xi**2)

@@ -18,9 +18,10 @@ i d/dx((a(t_s) - abar) dv/dx) - 2i a(t_s) q dv/dx + F(t_s) is taken by the
 classical RK4 stages at their own times t_s.  Every stage splits off the
 same midpoint abar as the exponential, so the split is consistent and the
 scheme keeps fourth order for time-dependent a.  Coefficients come from
-one :class:`OperatorTable` of 2/3-rule masked rows, which the coupling
-source and the residual monitor read as well, so all three realize the
-same discrete operator.
+one :class:`OperatorTable` of 2/3-rule masked rows.  The coupled solver
+builds it once and hands it on: the coupling source, the residual monitor
+and the energy monitors' sources read the same table, so all of them
+realize the same discrete operator.
 
 Batched march: :func:`solve_linear` advances a stacked (rows, n) state of
 Fourier coefficients, one row per sub-problem; a ``partner`` problem (the
@@ -166,10 +167,12 @@ class OperatorTable:
 
     The operator is i d/dx(a d/dx) - 2i a q d/dx + Z, with q the weight's
     log-derivative and Z = i((q^2 - q') a - q a_x) + iW the zeroth-order
-    lump.  The march, the coupling source and the residual monitor all read
-    their coefficients from here.  Row k of ``abar`` (spatial mean of a),
-    ``a`` and ``aq`` (masked a and a q, stored as float64: the 2/3 mask is
-    symmetric, so they are real up to round-off) belongs to ``nodes[k]``;
+    lump.  The march, the coupling source, the residual monitor and the
+    energy monitors' sources all read their coefficients from the one table
+    a coupled solve builds (``PicardReport.table``) on the weight's
+    ``grid``.  Row k of ``abar`` (spatial mean of a), ``a`` and ``aq``
+    (masked a and a q, stored as float64: the 2/3 mask is symmetric, so
+    they are real up to round-off) belongs to ``nodes[k]``;
     ``zeroth`` (masked Z) is kept at the integer nodes ``times`` only.
     With ``half_steps`` the a rows also sit at every midpoint, the grid the
     IF-RK4 stages read.  When neither a nor W depends on t, each array
@@ -183,7 +186,7 @@ class OperatorTable:
         times: np.ndarray,
         half_steps: bool = False,
     ) -> None:
-        grid = weight.grid
+        self.grid = grid = weight.grid
         times = np.asarray(times, dtype=np.float64)
         self.stride = 2 if half_steps else 1
         self.nodes = np.linspace(times[0], times[-1], self.stride * (len(times) - 1) + 1)

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from schrobvp.coefficients import mizohata_index
+from schrobvp.coefficients import mizohata_index, norm_bundle
 from schrobvp.commutators import (
     CommutatorTrial,
     commutator_apply,
@@ -181,14 +181,17 @@ def test_criterion_05_energy_bounds_per_subsolve(bench):
     count = 0
     for eps in (1e-2, 1e-3, 1e-4):
         reports = []
-
-        def hook(sign, problem, solution, reports=reports):
-            reports.append(
-                energy_monitor(solution, problem.source, sign, sc.coeffs, sc.weight)
-            )
-
         # 1024 steps: at the preset's 64, eps = 1e-2 exceeds the stiffness cap
         cfg = StepperConfig(epsilon=eps, n_steps=1024)
+        # every sub-solve runs on the solve's time grid, so one bundle serves them all
+        times = np.linspace(0.0, horizon, cfg.resolve_steps(horizon) + 1)
+        bundle = norm_bundle(sc.coeffs, sc.weight.sup_logderiv, times, sc.grid)
+
+        def hook(sign, problem, solution, reports=reports, bundle=bundle):
+            reports.append(
+                energy_monitor(solution, problem.source, sign, sc.coeffs, sc.weight, bundle)
+            )
+
         problem = BvpProblem(
             f=sc.f, g=sc.g, coeffs=sc.coeffs, weight=sc.weight,
             horizon=horizon, stepper_cfg=cfg,

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import sys
 import warnings
 import weakref
 from dataclasses import asdict
@@ -9,7 +10,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from schrobvp import cli
+from schrobvp import cli, stepper
 from schrobvp.cli import (
     ScenarioConfig,
     _estimates_exit,
@@ -139,6 +140,17 @@ class TestFreeBvpCommand:
         assert report["estimate"]["ratio"] <= 1 + 1e-10
         assert (out / "norms.csv").read_text().startswith("t,norm_v")
         assert len(list((out / "dumps").glob("v_*.spf"))) == 5
+
+    @pytest.mark.parametrize("times", ["abc", "0.1,abc", "5,x"])
+    def test_bad_times_token_is_named(self, tmp_path, capsys, times):
+        code = cli.main([
+            "free-bvp", "--grid-n", "64", "--T", "0.2",
+            "--times", times, "--out-dir", str(tmp_path / "free"),
+        ])
+        assert code == 1
+        bad = times.split(",")[-1]
+        err = capsys.readouterr().err
+        assert err.startswith("error: --times") and repr(bad) in err
 
     def test_csv_field_format(self, tmp_path):
         out = tmp_path / "free"
@@ -511,6 +523,33 @@ class TestPicardMemory:
         monkeypatch.setattr(cli, "weighted_smoothing_monitor", after_energy)
         assert cli.run_picard_scenario(merge_scenario(SMALL, {}), str(tmp_path / "out")) == 0
         assert checked == [[True]]
+
+
+class TestOneBuildPerRun:
+    def test_one_table_and_one_solve_grid_bundle(self, tmp_path, monkeypatch):
+        # the monitors read the solve's operator table and rate bundle
+        tables, bundle_grids = [], []
+        build = stepper.OperatorTable.__init__
+
+        def counting_build(self, *args, **kwargs):
+            tables.append(args)
+            build(self, *args, **kwargs)
+
+        def counting_bundle(coeffs, beta, times, grid):
+            bundle_grids.append(np.array(times))
+            return norm_bundle(coeffs, beta, times, grid)
+
+        monkeypatch.setattr(stepper.OperatorTable, "__init__", counting_build)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("schrobvp.") and hasattr(module, "norm_bundle"):
+                monkeypatch.setattr(module, "norm_bundle", counting_bundle)
+        out = tmp_path / "out"
+        assert cli.run_picard_scenario({"preset": "benchmark"}, str(out)) == 0
+        report = json.loads((out / "report.json").read_text())
+        steps = build_scenario(load_preset("benchmark")).stepper.n_steps
+        solve_grid = np.linspace(0.0, report["picard"]["horizon"], steps + 1)
+        assert len(tables) == 1
+        assert sum(np.array_equal(t, solve_grid) for t in bundle_grids) == 1
 
 
 def free_on(n, a="1", W="0", lam=1.0):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from schrobvp.coefficients import CoefficientField, norm_bundle, select_horizon
+from schrobvp.coefficients import CoefficientField, NormBundle, norm_bundle, select_horizon
 from schrobvp.errors import ConfigError, ValidationError
 from schrobvp.estimates import (
     bootstrap_diagnostics,
@@ -45,6 +45,11 @@ def zero_stf(grid, times):
     return SpaceTimeField(grid, times, np.zeros((len(times), grid.n), dtype=complex))
 
 
+def rates(coeffs, weight, v):
+    """The energy monitor's rate bundle on the field's own times."""
+    return norm_bundle(coeffs, weight.sup_logderiv, v.times, v.grid)
+
+
 @pytest.fixture(scope="module")
 def localized_run():
     grid = Grid1D(512, 20.0)
@@ -66,7 +71,8 @@ class TestEnergyMonitor:
         grid = Grid1D(128, 8.0)
         w = build_weight(0.5, grid, mode="truncated", margin=2.0)
         times = np.linspace(0.0, 0.1, 9)
-        rep = energy_monitor(zero_stf(grid, times), None, "-", BENCH, w)
+        v = zero_stf(grid, times)
+        rep = energy_monitor(v, None, "-", BENCH, w, rates(BENCH, w, v))
         assert rep.lhs == 0.0
         assert rep.verdict == "pass"
 
@@ -81,7 +87,7 @@ class TestEnergyMonitor:
         times = np.linspace(0.0, T, 601)
         sol = solve_free(FreeBvpData(f=f, g=zero_field(grid), beta=beta,
                                      horizon=T, times=times))
-        rep = energy_monitor(sol, None, "-", CONST, w)
+        rep = energy_monitor(sol, None, "-", CONST, w, rates(CONST, w, sol))
 
         f_hat = np.fft.fft(f.values)
         weights_hat = grid.dx / grid.n
@@ -106,7 +112,7 @@ class TestEnergyMonitor:
             datum=f, horizon=0.02, zero_mean=True,
         )
         sol = solve_linear(prob, StepperConfig(epsilon=1e-5, n_steps=128))
-        rep = energy_monitor(sol, None, "-", BENCH, w)
+        rep = energy_monitor(sol, None, "-", BENCH, w, rates(BENCH, w, sol))
         assert rep.ratio <= 1.0
         assert rep.verdict == "pass"
 
@@ -118,8 +124,19 @@ class TestEnergyMonitor:
         v = SpaceTimeField(
             grid, times, np.ones((5, grid.n), dtype=complex)
         )
+        # a dips below the ellipticity floor, so norm_bundle would refuse it
+        flat = NormBundle.from_rates(times, np.zeros(5), np.zeros(5))
         with pytest.raises(ValidationError, match="nonneg"):
-            energy_monitor(v, None, "-", dipping, w)
+            energy_monitor(v, None, "-", dipping, w, flat)
+
+    @pytest.mark.parametrize("other", [np.linspace(0.0, 0.1, 9), np.linspace(0.0, 0.2, 17)])
+    def test_bundle_on_another_time_grid_rejected(self, other):
+        grid = Grid1D(128, 8.0)
+        w = build_weight(0.5, grid, mode="truncated", margin=2.0)
+        v = zero_stf(grid, np.linspace(0.0, 0.1, 17))
+        bundle = norm_bundle(BENCH, w.sup_logderiv, other, grid)
+        with pytest.raises(ValidationError, match="time grid"):
+            energy_monitor(v, None, "-", BENCH, w, bundle)
 
 
 class TestWeightedSmoothingMonitor:

@@ -19,7 +19,6 @@ from schrobvp.free_bvp import FreeBvpData, solve_free
 from schrobvp.picard import (
     BvpProblem,
     assemble_solution,
-    coupling_lambda,
     coupling_stacks,
     pde_residual,
     picard_solve,
@@ -55,12 +54,23 @@ def admissible_horizon(coeffs, weight, grid, probe=0.1):
     return sel.horizon
 
 
+def lambda_at(vp, vm, coeffs, weight, t):
+    """Both coupling-source slices at time ``t``: the first slice of
+    ``coupling_stacks`` on a two-slice stack over an explicit table."""
+    times = np.array([t, t + 1e-3])
+    table = OperatorTable(coeffs, weight, times)
+    lp, lm = coupling_stacks(
+        *(SpaceTimeField(f.grid, times, hats=np.stack([f.hat, f.hat])) for f in (vp, vm)), table
+    )
+    return lp.slice(0), lm.slice(0)
+
+
 class TestCouplingLambda:
     def test_zero_inputs_give_zero(self):
         grid = Grid1D(256, 8 * np.pi)
         w = build_weight(1.0, grid, mode="truncated", margin=5.0)
         zero = SpectralField(grid, np.zeros(grid.n, dtype=complex))
-        lp, lm = coupling_lambda(zero, zero, BENCH, w, 0.0)
+        lp, lm = lambda_at(zero, zero, BENCH, w, 0.0)
         assert lp.norm_l2() == 0.0
         assert lm.norm_l2() == 0.0
 
@@ -72,7 +82,7 @@ class TestCouplingLambda:
         w = build_weight(beta, grid, mode="pure_exponential")
         vp = project(random_band_field(grid, 40, 3), "+")
         vm = project(random_band_field(grid, 40, 4), "-")
-        lp, lm = coupling_lambda(vp, vm, CONST, w, 0.0)
+        lp, lm = lambda_at(vp, vm, CONST, w, 0.0)
         scale = vp.norm_l2() + vm.norm_l2()
         assert np.max(np.abs(lp.values - 1j * beta**2 * vp.values)) < 1e-8 * scale
         assert np.max(np.abs(lm.values - 1j * beta**2 * vm.values)) < 1e-8 * scale
@@ -82,8 +92,8 @@ class TestCouplingLambda:
         w = build_weight(0.5, grid, mode="truncated", margin=5.0)
         vp = project(random_band_field(grid, 30, 5), "+")
         vm = project(random_band_field(grid, 30, 6), "-")
-        lp1, _ = coupling_lambda(vp, vm, BENCH, w, 0.1)
-        lp2, _ = coupling_lambda(2.0 * vp, 2.0 * vm, BENCH, w, 0.1)
+        lp1, _ = lambda_at(vp, vm, BENCH, w, 0.1)
+        lp2, _ = lambda_at(2.0 * vp, 2.0 * vm, BENCH, w, 0.1)
         assert np.max(np.abs(lp2.values - 2.0 * lp1.values)) < 1e-12 * np.max(np.abs(lp2.values))
 
     def test_bounded_by_coupling_rate(self):
@@ -94,7 +104,7 @@ class TestCouplingLambda:
         K0 = bundle.coupling_rate[0]
         vp = project(random_band_field(grid, 32, 11), "+")
         vm = project(random_band_field(grid, 32, 12), "-")
-        lp, lm = coupling_lambda(vp, vm, BENCH, w, 0.0)
+        lp, lm = lambda_at(vp, vm, BENCH, w, 0.0)
         denom = K0 * (vp.norm_l2() + vm.norm_l2())
         ratio = max(lp.norm_l2(), lm.norm_l2()) / denom
         assert 0.01 < ratio < 1.5
@@ -106,7 +116,7 @@ class TestCouplingLambda:
         for band in (32, 64, 128):
             vp = project(random_band_field(grid, band, 17), "+")
             vm = project(random_band_field(grid, band, 18), "-")
-            lp, lm = coupling_lambda(vp, vm, BENCH, w, 0.0)
+            lp, lm = lambda_at(vp, vm, BENCH, w, 0.0)
             ratios.append(max(lp.norm_l2(), lm.norm_l2()) / (vp.norm_l2() + vm.norm_l2()))
         assert ratios[1] < 1.10 * ratios[0]
         assert ratios[2] < 1.10 * ratios[1]
@@ -152,7 +162,7 @@ class TestCouplingIdentity:
         ramp = (1.0 + times)[:, None]
         vp = SpaceTimeField(grid, times, ramp * project(random_band_field(grid, 60, 21), "+").values)
         vm = SpaceTimeField(grid, times, ramp[::-1] * project(random_band_field(grid, 60, 22), "-").values)
-        lam_p, lam_m = coupling_stacks(vp, vm, BENCH, w)
+        lam_p, lam_m = coupling_stacks(vp, vm, OperatorTable(BENCH, w, times))
         ref_p, ref_m = two_sided_lambda(vp, vm, BENCH, w)
         for got, ref in ((lam_p, ref_p), (lam_m, ref_m)):
             assert np.max(np.abs(got.values - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -345,7 +355,7 @@ class TestAssembleAndResidual:
         w = build_weight(0.5, grid, mode="truncated", margin=2.0)
         times = np.linspace(0.0, 0.1, 17)
         v = SpaceTimeField(grid, times, np.zeros((17, grid.n), dtype=complex))
-        prof = pde_residual(v, BENCH, w)
+        prof = pde_residual(v, OperatorTable(BENCH, w, times))
         assert prof.sup == 0.0
 
     def test_residual_fourth_order_in_dt(self):
@@ -361,7 +371,7 @@ class TestAssembleAndResidual:
         for m in (64, 128):
             times = np.linspace(0.0, T, m + 1)
             sol = solve_free(FreeBvpData(f=f, g=g, beta=beta, horizon=T, times=times))
-            prof = pde_residual(sol, CONST, w)
+            prof = pde_residual(sol, OperatorTable(CONST, w, times))
             sups.append(prof.sup)
         ratio = sups[0] / sups[1]
         assert 2**3.7 < ratio < 2**4.3
@@ -377,7 +387,8 @@ class TestAssembleAndResidual:
         times = np.linspace(0.0, 0.05, slices)
         poly = np.polynomial.Polynomial([1.0, 2.0 - 1.0j, -3.0, 1.0, 0.5j])
         hats = poly(times)[:, None] * phi
-        prof = pde_residual(SpaceTimeField(grid, times, hats=hats), CONST, unit_weight(grid))
+        table = OperatorTable(CONST, unit_weight(grid), times)
+        prof = pde_residual(SpaceTimeField(grid, times, hats=hats), table)
         t = times[1:-1, None]
         exact = (poly.deriv()(t) + 1j * grid.xi**2 * poly(t)) * phi * grid.dealias_mask
         exact[:, 0] = 0.0
@@ -390,7 +401,7 @@ class TestAssembleAndResidual:
         times = np.linspace(0.0, 0.1, 4)
         v = SpaceTimeField(grid, times, np.zeros((4, grid.n), dtype=complex))
         with pytest.raises(ConfigError, match="at least 5 time slices"):
-            pde_residual(v, BENCH, w)
+            pde_residual(v, OperatorTable(BENCH, w, times))
 
     def test_too_few_steps_fail_before_the_first_sweep(self, monkeypatch):
         grid = Grid1D(256, 8 * np.pi)
@@ -484,14 +495,15 @@ class TestHatCarriers:
         minus = project(random_band_field(grid, 30, 52), "-").values
         values = phase * plus + np.conj(phase) * minus
         hats = np.fft.fft(values, axis=1)
-        by_hats = pde_residual(SpaceTimeField(grid, times, hats=hats), BENCH, w)
-        by_values = pde_residual(SpaceTimeField(grid, times, values), BENCH, w)
+        table = OperatorTable(BENCH, w, times)
+        by_hats = pde_residual(SpaceTimeField(grid, times, hats=hats), table)
+        by_values = pde_residual(SpaceTimeField(grid, times, values), table)
         assert by_values.sup > 0
         assert np.max(np.abs(by_hats.norms - by_values.norms)) <= 1e-12 * by_values.sup
 
 
 class TestInputGrids:
-    # mismatched carriers or weights raise instead of giving a meaningless number
+    # mismatched carriers or tables raise instead of giving a meaningless number
     def _pair(self, grid, times, seed=61):
         def carrier(sign, seed):
             row = project(random_band_field(grid, 20, seed), sign).values
@@ -505,7 +517,7 @@ class TestInputGrids:
         vp, _ = self._pair(grid, np.linspace(0.0, 0.1, 5))
         _, vm = self._pair(grid, np.linspace(0.0, 0.2, 9))
         with pytest.raises(GridMismatchError):
-            coupling_stacks(vp, vm, BENCH, w)
+            coupling_stacks(vp, vm, OperatorTable(BENCH, w, vp.times))
 
     def test_coupling_rejects_carriers_on_other_grids(self):
         times = np.linspace(0.0, 0.1, 5)
@@ -514,21 +526,21 @@ class TestInputGrids:
         vp, _ = self._pair(grid, times)
         _, vm = self._pair(Grid1D(128, 30.0), times)
         with pytest.raises(GridMismatchError):
-            coupling_stacks(vp, vm, BENCH, w)
+            coupling_stacks(vp, vm, OperatorTable(BENCH, w, times))
 
     def test_coupling_rejects_a_weight_on_another_grid(self):
         times = np.linspace(0.0, 0.1, 5)
         vp, vm = self._pair(Grid1D(128, 20.0), times)
         w = build_weight(1.0, Grid1D(128, 30.0), mode="truncated")
         with pytest.raises(GridMismatchError):
-            coupling_stacks(vp, vm, BENCH, w)
+            coupling_stacks(vp, vm, OperatorTable(BENCH, w, times))
 
     def test_residual_rejects_a_weight_on_another_grid(self):
         times = np.linspace(0.0, 0.1, 5)
         vp, _ = self._pair(Grid1D(128, 20.0), times)
         w = build_weight(1.0, Grid1D(128, 30.0), mode="truncated")
         with pytest.raises(GridMismatchError):
-            pde_residual(vp, BENCH, w)
+            pde_residual(vp, OperatorTable(BENCH, w, times))
 
 
 def blocked_outputs():
@@ -544,8 +556,8 @@ def blocked_outputs():
     table = OperatorTable(BENCH, w, times, half_steps=True)
     return {
         "from values": [vp.hats, vm.hats],
-        "coupling_stacks": [s.hats for s in coupling_stacks(vp, vm, BENCH, w)],
-        "pde_residual": [pde_residual(total, BENCH, w).norms],
+        "coupling_stacks": [s.hats for s in coupling_stacks(vp, vm, table)],
+        "pde_residual": [pde_residual(total, table).norms],
         "norm_series": [total.norm_series(), total.norm_series(projection_multiplier(grid, "-").symbol)],
         "split_sides": [s.hats for s in total.split_sides()],
         "assemble_solution": [assemble_solution(vp, vm, w).w.hats],
