@@ -76,6 +76,7 @@ from .picard import (
     PicardReport,
     ResidualProfile,
     assemble_solution,
+    coupling_norms,
     coupling_stacks,
     pde_residual,
     picard_solve,

@@ -57,7 +57,7 @@ from .fieldio import (
     write_norms_csv,
 )
 from .free_bvp import FreeBvpData, solve_free, verify_free_estimate
-from .picard import BvpProblem, assemble_solution, coupling_stacks, picard_solve
+from .picard import BvpProblem, assemble_solution, coupling_norms, picard_solve
 from .presets import build_datum, load_preset, preset_names, resolve_scenario
 from .spectral import Grid1D, SpaceTimeField, SpectralField
 from .stepper import LinearProblem, OperatorTable, StepperConfig, epsilon_study, solve_linear
@@ -349,10 +349,18 @@ def _load_carriers(run_dir: Path, grid: Grid1D) -> tuple[SpaceTimeField, SpaceTi
     return vp, vm
 
 
+def _require_dump_times(times: list[float], horizon: float) -> None:
+    """Raise ConfigError for a requested dump time outside [0, horizon], before any solve."""
+    for t in times:
+        if not -1e-12 <= t <= horizon + 1e-12:   # NaN fails too
+            raise ConfigError(f"requested dump time {t:g} outside [0, {horizon:g}]")
+
+
 def _dump_requested_times(
     run_dir: Path, sc: ScenarioConfig, asm, fmt: str
 ) -> list[dict]:
-    """Assembled-field dumps nearest to each requested time."""
+    """Assembled-field dumps nearest to each requested time (checked by
+    ``_require_dump_times`` before the solve)."""
     if not sc.times:
         return []
     dumps_dir = run_dir / "dumps"
@@ -360,8 +368,6 @@ def _dump_requested_times(
     entries = []
     times = asm.w.times
     for j, t in enumerate(sc.times):
-        if t < -1e-12 or t > times[-1] + 1e-12:
-            raise ConfigError(f"requested dump time {t:g} outside [0, {times[-1]:g}]")
         i = int(np.argmin(np.abs(times - t)))
         names = {
             "v": _dump_field(asm.v_slice(i), dumps_dir / f"v_{j:04d}", fmt),
@@ -383,23 +389,25 @@ def run_monitors(
     bundle: NormBundle,
 ) -> list[EstimateReport]:
     """The toggled estimate monitors on one converged pair of carriers, reading
-    the operator table and rate bundle on their times (a solve's report holds both)."""
+    the operator table and rate bundle on their times (a solve's report holds both).
+
+    The energy monitors read the coupling sources' norm series only, one
+    block at a time: no source stack is built."""
     cfg = sc.estimates
     slack = cfg["slack"]
     reports: list[EstimateReport] = []
     if cfg["energy"]:
-        src_p, src_m = coupling_stacks(vp, vm, table)
+        lam_p, lam_m = coupling_norms(vp, vm, table)
         reports.append(
-            energy_monitor(vm, src_m, "-", sc.coeffs, sc.weight, bundle, slack=slack)
+            energy_monitor(vm, lam_m, "-", sc.coeffs, sc.weight, bundle, slack=slack)
         )
         reports.append(
-            energy_monitor(vp, src_p, "+", sc.coeffs, sc.weight, bundle, slack=slack)
+            energy_monitor(vp, lam_p, "+", sc.coeffs, sc.weight, bundle, slack=slack)
         )
-        del src_p, src_m   # free their buffer before the monitors where the run peaks
     if cfg["smoothing"]:
         reports.append(
             weighted_smoothing_monitor(
-                *w_stack.split_sides(),
+                w_stack,
                 sc.coeffs,
                 sc.beta,
                 slack=slack,
@@ -439,6 +447,8 @@ def _parse_times_arg(text: str | None, horizon: float) -> np.ndarray:
     if text is None:
         return np.linspace(0.0, horizon, 65)
     tokens = [t.strip() for t in text.split(",") if t.strip()]
+    if not tokens:
+        raise ConfigError(f"--times expects a count or a comma list of times, got {text!r}")
     kind = int if len(tokens) == 1 and "." not in tokens[0] else float
     vals = []
     for token in tokens:
@@ -539,6 +549,7 @@ def run_picard_scenario(raw: dict, out_dir: str | None, flag_T: float | None = N
     sc = build_scenario(raw)
     out = _out_dir(out_dir, sc.out_dir)
     horizon, override, trace = resolve_horizon(sc, flag_T)
+    _require_dump_times(sc.times, horizon)
     problem = BvpProblem(
         f=sc.f, g=sc.g, coeffs=sc.coeffs, weight=sc.weight,
         horizon=horizon, stepper_cfg=sc.stepper, override_horizon=override,

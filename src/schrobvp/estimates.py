@@ -14,8 +14,9 @@ The three monitors:
 * ``energy_monitor``: sup-norm plus weighted half-derivative smoothing
   term for a single carrier against three times the data norm amplified
   by the exponential of the integrated energy rate.  The rate comes from
-  the coupled solve's own `NormBundle`, and the carriers' sources from
-  its `OperatorTable`: the monitors build neither.
+  the coupled solve's own `NormBundle`; the carriers' sources enter
+  only through their norm series, measured block by block on its
+  `OperatorTable`.  The monitors build neither object and no source stack.
 * ``weighted_smoothing_monitor``: the half-derivative space-time
   integral of the exponentially weighted pair against the endpoint data
   quadratic form; reports the implied constant.
@@ -122,7 +123,7 @@ def _sampled_times(times: np.ndarray) -> np.ndarray:
 
 def energy_monitor(
     v: SpaceTimeField,
-    source: SpaceTimeField | None,
+    source_norms: np.ndarray | None,
     sign: str,
     coeffs: CoefficientField,
     weight: WeightProfile,
@@ -133,10 +134,14 @@ def energy_monitor(
     against 3 * (endpoint data + integrated source) * exp(4 * int c).
 
     ``sign`` selects which endpoint carries the datum: "-" reads it at
-    t = 0, "+" at the final time.  ``bundle`` holds the rate c on
+    t = 0, "+" at the final time.  ``source_norms`` is the L^2 norm series
+    of the carrier's source on ``v.times`` (``None`` without a source); a
+    coupled run measures it block by block with ``picard.coupling_norms``,
+    so no source stack is built.  ``bundle`` holds the rate c on
     ``v.times``, sampled with the weight's measured sup log-derivative; a
     coupled run passes the solve's own (``PicardReport.bundle``).  Raises
-    ValidationError when it lives on another time grid.
+    ValidationError when the bundle or the norm series lives on another
+    time grid.
     """
     if sign not in ("+", "-"):
         raise ValidationError("sign must be '+' or '-'")
@@ -158,12 +163,15 @@ def energy_monitor(
     lhs = sup_norm + 2.0 * np.sqrt(smoothing)
 
     data_norm = norms[0] if sign == "-" else norms[-1]
-    if source is None:
+    if source_norms is None:
         source_integral = 0.0
     else:
-        if source.grid != grid:
-            raise ValidationError("source grid differs from the field grid")
-        source_integral = float(np.trapezoid(source.norm_series(), source.times))
+        if np.shape(source_norms) != v.times.shape:
+            raise ValidationError(
+                f"source norm series of shape {np.shape(source_norms)} is not on the "
+                f"field's {len(v.times)} times"
+            )
+        source_integral = float(np.trapezoid(source_norms, v.times))
 
     rate_integral = float(bundle.energy_integral[-1])
     rhs = 3.0 * (data_norm + source_integral) * np.exp(4.0 * rate_integral)
@@ -190,13 +198,14 @@ def energy_monitor(
     )
 
 
-def _support_check(w_plus: SpaceTimeField, w_minus: SpaceTimeField) -> None:
-    """Reject a pair whose sum carries over 1% of its mass in the outer decade."""
-    grid = w_plus.grid
+def _support_check(w: SpaceTimeField, sym_p: np.ndarray, sym_m: np.ndarray) -> None:
+    """Reject a field whose P+ and P- parts sum to over 1% of its mass in the outer decade."""
+    grid = w.grid
     shell = np.abs(grid.x) > 0.9 * grid.half_length
     total = outer = 0.0
-    for rows in row_blocks(len(w_plus.times), grid.n):
-        w_total = w_plus.block(rows) + w_minus.block(rows)
+    for rows in row_blocks(len(w.times), grid.n):
+        hat = w.hats[rows]
+        w_total = np.fft.ifft(sym_p * hat, axis=-1) + np.fft.ifft(sym_m * hat, axis=-1)
         mass = np.abs(w_total) ** 2
         total += np.sum(mass)
         outer += np.sum(mass[:, shell])
@@ -208,8 +217,7 @@ def _support_check(w_plus: SpaceTimeField, w_minus: SpaceTimeField) -> None:
 
 
 def weighted_smoothing_monitor(
-    w_plus: SpaceTimeField,
-    w_minus: SpaceTimeField,
+    w: SpaceTimeField,
     coeffs: CoefficientField,
     beta: float,
     slack: float = 0.05,
@@ -217,28 +225,28 @@ def weighted_smoothing_monitor(
     """beta * int int a (|D^{1/2}w+|^2 + |D^{1/2}w-|^2) against the
     endpoint quadratic form; the quotient is the implied constant.
 
-    The monitor has no a-priori constant, so the verdict only checks
-    finiteness; stability of ``implied_c`` under refinement is the
-    caller's cross-run check.
+    w+ and w- are the P+ and P- parts of ``w``, formed one block of slices
+    at a time, so the monitor holds no stack beside ``w``.  The monitor has
+    no a-priori constant, so the verdict only checks finiteness; stability
+    of ``implied_c`` under refinement is the caller's cross-run check.
     """
-    grid = w_plus.grid
-    if w_minus.grid != grid:
-        raise ValidationError("the two carriers live on different grids")
-    if len(w_plus.times) != len(w_minus.times) or not np.allclose(
-        w_plus.times, w_minus.times
-    ):
-        raise ValidationError("the two carriers have different time grids")
+    grid = w.grid
     if beta <= 0:
         raise ValidationError("beta must be positive")
-    _support_check(w_plus, w_minus)
+    sym_p = projection_multiplier(grid, "+").symbol
+    sym_m = projection_multiplier(grid, "-").symbol
+    _support_check(w, sym_p, sym_m)
 
     ones = np.ones(grid.n)
     lhs = beta * (
-        _weighted_halfderiv_integral(w_plus, coeffs, ones)
-        + _weighted_halfderiv_integral(w_minus, coeffs, ones)
+        _weighted_halfderiv_integral(w, coeffs, ones, sym_p)
+        + _weighted_halfderiv_integral(w, coeffs, ones, sym_m)
     )
     lhs = max(0.0, lhs)
-    rhs_form = w_minus.slice(0).norm_l2() ** 2 + w_plus.slice(-1).norm_l2() ** 2
+    rhs_form = (
+        SpectralField.from_hat(grid, sym_m * w.hats[0]).norm_l2() ** 2
+        + SpectralField.from_hat(grid, sym_p * w.hats[-1]).norm_l2() ** 2
+    )
     implied_c = lhs / rhs_form if rhs_form > 0 else 0.0
     verdict = "pass" if np.isfinite(lhs) and (rhs_form > 0 or lhs == 0.0) else "fail"
     return EstimateReport(

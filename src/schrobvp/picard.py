@@ -26,11 +26,16 @@ terms of the two signs cancel except at the zero mode.  The sources stay
 Fourier coefficients, written straight into one march-ordered (2, N+1, n)
 buffer on the march's own time grid (the only grid the stepper accepts);
 both carriers are then marched together through
-`solve_linear(..., partner=...)`.
+`solve_linear(..., partner=...)`, into the one march-ordered pair buffer
+the solve allocates: each step overwrites the previous sweep's slot once
+the update is measured against it.  A coupled solve therefore holds four
+stacks at its peak, the pair and the frozen sources.
 
 One solve builds one half-step `OperatorTable` and samples one
 `NormBundle` on its time grid; the report hands both back (unserialised),
-and the estimate monitors read them instead of building their own.
+and the estimate monitors read them instead of building their own.  The
+monitors need only the sources' norm series, which `coupling_norms`
+measures one block at a time.
 
 Every space-time field stores Fourier coefficients only, so norms are
 Parseval sums (`spectral.hat_norm`), and physical values exist only inside
@@ -74,6 +79,7 @@ __all__ = [
     "AssembledSolution",
     "ResidualProfile",
     "coupling_stacks",
+    "coupling_norms",
     "picard_solve",
     "assemble_solution",
     "pde_residual",
@@ -242,13 +248,8 @@ def coupling_stacks(
     Raises GridMismatchError unless both carriers and the table share one
     grid and the carriers one time grid.
     """
-    grid = vp.grid
-    times = vp.times
-    if vm.grid != grid or table.grid != grid:
-        raise GridMismatchError("carriers and operator table must share one grid")
-    if vm.times.shape != times.shape or not np.allclose(vm.times, times):
-        raise GridMismatchError("the two carriers must share one time grid")
-    table.require(times)
+    _require_pair(vp, vm, table)
+    grid, times = vp.grid, vp.times
     hats = np.empty((2, len(times), grid.n), dtype=np.complex128)
     lam_m, lam_p = hats[0], hats[1, ::-1]
     for rows in row_blocks(len(times), grid.n):
@@ -257,11 +258,34 @@ def coupling_stacks(
     return SpaceTimeField(grid, times, hats=lam_p), SpaceTimeField(grid, times, hats=lam_m)
 
 
-def _sup_l2_diff(a: SpaceTimeField, b: SpaceTimeField) -> float:
-    worst = 0.0
-    for rows in row_blocks(len(a.times), a.grid.n):
-        worst = max(worst, float(np.max(hat_norm(a.grid, a.hats[rows] - b.hats[rows]))))
-    return worst
+def coupling_norms(
+    vp: SpaceTimeField, vm: SpaceTimeField, table: OperatorTable
+) -> tuple[np.ndarray, np.ndarray]:
+    """Norm series of both coupling sources (lambda+, lambda-) on the carriers' times.
+
+    Bit for bit the ``norm_series()`` of the two ``coupling_stacks``, but
+    each block of sources is measured and dropped: no stack is built.  The
+    checks and errors are those of ``coupling_stacks``.
+    """
+    _require_pair(vp, vm, table)
+    grid, times = vp.grid, vp.times
+    block = np.empty((2, chunk_rows(grid.n), grid.n), dtype=np.complex128)
+    norms = np.empty((2, len(times)))
+    for rows in row_blocks(len(times), grid.n):
+        k = rows.stop - rows.start
+        v_hat = vp.hats[rows] + vm.hats[rows]
+        _lambda_rows(grid, v_hat, *table.rows(rows.start, rows.stop), block[0, :k], block[1, :k])
+        norms[:, rows] = hat_norm(grid, block[:, :k])
+    return norms[0], norms[1]
+
+
+def _require_pair(vp: SpaceTimeField, vm: SpaceTimeField, table: OperatorTable) -> None:
+    """The coupling source's input checks: one grid, one time grid, the table on it."""
+    if vm.grid != vp.grid or table.grid != vp.grid:
+        raise GridMismatchError("carriers and operator table must share one grid")
+    if vm.times.shape != vp.times.shape or not np.allclose(vm.times, vp.times):
+        raise GridMismatchError("the two carriers must share one time grid")
+    table.require(vp.times)
 
 
 def _leakage(vp: SpaceTimeField, vm: SpaceTimeField) -> float:
@@ -319,12 +343,12 @@ _PEAK_BLOCKS = 16
 def _peak_bytes(n: int, n_steps: int, time_dependent: bool) -> int:
     """Estimated peak bytes of :func:`picard_solve` on ``n`` nodes and ``n_steps`` steps.
 
-    Six (n_steps + 1, n) complex stacks, the half-step operator table and
+    Four (n_steps + 1, n) complex stacks, the half-step operator table and
     ``_PEAK_BLOCKS`` row blocks; the model is documented in picard_solve.
     """
     stack = 16 * n * (n_steps + 1)
     table = OperatorTable.planned_bytes(n, n_steps, constant=not time_dependent, half_steps=True)
-    return 6 * stack + table + _PEAK_BLOCKS * 16 * n * chunk_rows(n)
+    return 4 * stack + table + _PEAK_BLOCKS * 16 * n * chunk_rows(n)
 
 
 def _require_memory(n: int, n_steps: int, time_dependent: bool) -> None:
@@ -353,17 +377,21 @@ def picard_solve(
     ``solve_hook``, when given, observes every linear sub-solve as
     ``(sign, problem, solution)`` right after it finishes, so bound monitors
     can audit the sweep internals without the solver storing them all.
+    The solution views the solve's one pair buffer, which the next sweep
+    overwrites: a hook that keeps a field past its call keeps a copy
+    (``solution.hats.copy()``).  The problem's source is the sweep's own.
     The report carries the solve's operator table and rate bundle
     (``report.table``, ``report.bundle``) for the monitors to read.
 
     Memory model: a stack is one (n_steps + 1, n) complex array.  At most
-    six are live at once, in the march of a sweep: the previous pair, the
-    frozen sources and the new pair.  Each is released as soon as nothing
-    reads it again: the sources before the next sweep builds its own, the
-    previous pair once the update is measured, and the last sweep's
-    sources before the residuals.  The operator table and at most
-    ``_PEAK_BLOCKS`` row blocks of ``spectral.CHUNK_BYTES`` come on top;
-    ``_peak_bytes`` sums the three, and a test holds a traced run to it.
+    four are live at once, in the march of a sweep: the pair buffer and
+    the frozen sources.  The march writes each step into the pair buffer
+    after measuring the update against the slot it overwrites, so the
+    previous pair is never copied; the sources are released before the
+    next sweep builds its own, and the last sweep's before the residuals.
+    The operator table and at most ``_PEAK_BLOCKS`` row blocks of
+    ``spectral.CHUNK_BYTES`` come on top; ``_peak_bytes`` sums the three,
+    and a test holds traced runs to it.
     """
     grid = p.grid
     n_steps = p.stepper_cfg.resolve_steps(p.horizon)
@@ -376,7 +404,11 @@ def picard_solve(
     table = OperatorTable(p.coeffs, p.weight, times, half_steps=True)
 
     report = PicardReport(delta=delta, horizon=p.horizon, table=table, bundle=bundle)
-    vp = vm = SpaceTimeField(grid, times, hats=np.zeros((n_steps + 1, grid.n), dtype=np.complex128))
+    # the carriers' one buffer, in march order: every sweep overwrites it
+    pair = np.zeros((2, n_steps + 1, grid.n), dtype=np.complex128)
+    vm = SpaceTimeField(grid, times, hats=pair[0])
+    vp = SpaceTimeField(grid, times, hats=pair[1, ::-1])
+    update = np.empty(2)
 
     prev_diff = None
     streak = 0
@@ -404,12 +436,11 @@ def picard_solve(
             horizon=p.horizon,
             zero_mean=True,
         )
-        new_vm, new_vp = solve_linear(prob_m, p.stepper_cfg, table, partner=prob_p)
+        vm, vp = solve_linear(prob_m, p.stepper_cfg, table, partner=prob_p, out=pair, update=update)
         if solve_hook is not None:
-            solve_hook("-", prob_m, new_vm)
-            solve_hook("+", prob_p, new_vp)
-        diff = _sup_l2_diff(new_vp, vp) + _sup_l2_diff(new_vm, vm)
-        vp, vm = new_vp, new_vm
+            solve_hook("-", prob_m, vm)
+            solve_hook("+", prob_p, vp)
+        diff = float(update[1] + update[0])   # plus carrier's sup-norm update + minus carrier's
 
         sup_p = vp.sup_norm()
         sup_m = vm.sup_norm()

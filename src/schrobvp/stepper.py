@@ -29,7 +29,9 @@ coupled solver passes the backward carrier next to the forward one) rides
 in the same state, its row reading the mirrored table node 2N - i.  Each
 RK stage makes one batched ifft of v_x and one batched fft of the stacked
 products [(a - abar) v_x, a q v_x]; the step hats go straight into the
-output buffer, which becomes the returned fields' ``hats``.  A source must
+output buffer, which becomes the returned fields' ``hats``.  The coupled
+solver hands in its pair buffer, so each sweep overwrites the previous
+one, with the update measured slot by slot before each write.  A source must
 sit on the march's own time grid (the coupled solver builds its sources
 there); its hats are masked row by row, with each midpoint row formed once
 per step by cubic Lagrange interpolation from the four nearest slices, so
@@ -51,6 +53,7 @@ from .spectral import (
     Multiplier,
     SpaceTimeField,
     SpectralField,
+    chunk_rows,
     hat_norm,
     masked_samples,
     row_blocks,
@@ -255,6 +258,8 @@ def solve_linear(
     table: OperatorTable | None = None,
     *,
     partner: LinearProblem | None = None,
+    out: np.ndarray | None = None,
+    update: np.ndarray | None = None,
 ) -> SpaceTimeField | tuple[SpaceTimeField, SpaceTimeField]:
     """Integrate the sub-problem; returns its slices on the ascending time grid.
 
@@ -269,6 +274,15 @@ def solve_linear(
     coefficients and weight (either direction), is marched in the same
     batched state; the pair (field of ``p``, field of ``partner``) is then
     returned.  Each row equals its own one-row solve up to round-off.
+
+    ``out``, a complex (rows, n_steps + 1, n) buffer in march order (row r
+    belongs to the r-th problem; a backward row runs in reversed time),
+    receives the steps in place of a fresh buffer, and the returned fields
+    view it; no source may view it.  ``update``, a float array with one
+    entry per row, then receives each row's sup over slots of
+    ``hat_norm(new - old)`` against the buffer's previous contents, each
+    slot measured just before it is overwritten.  A buffer or update array
+    of another shape is a ConfigError.
     """
     problems = [p] if partner is None else [p, partner]
     if partner is not None and not (
@@ -292,7 +306,16 @@ def solve_linear(
     if table is None:
         table = OperatorTable(p.coeffs, p.weight, times, half_steps=True)
     table.require(times, half_steps=True)
-    hats = _march(problems, cfg, n_steps, table)
+    shape = (len(problems), n_steps + 1, p.grid.n)
+    if out is None:
+        if update is not None:
+            raise ConfigError("an update measure needs the buffer it is measured against")
+        out = np.empty(shape, dtype=np.complex128)
+    elif out.shape != shape or out.dtype != np.complex128:
+        raise ConfigError(f"march buffer must be complex of shape {shape}, got {out.dtype} {out.shape}")
+    if update is not None and update.shape != (len(problems),):
+        raise ConfigError(f"update needs one entry per row ({len(problems)}), got shape {update.shape}")
+    hats = _march(problems, cfg, n_steps, table, out, update)
     fields = tuple(
         SpaceTimeField(p.grid, times, hats=rows if q.direction == "forward" else rows[::-1])
         for q, rows in zip(problems, hats)
@@ -387,15 +410,48 @@ class _SourceRows:
         return out
 
 
+class _UpdateMeter:
+    """Per-row sup over slots of hat_norm(new - old) while a march overwrites ``out``.
+
+    Each slot's difference goes to a one-block scratch before the slot is
+    written; every full block of slots (the ``row_blocks`` of the slot axis)
+    takes one ``hat_norm`` call, so the measure costs what a blockwise pass
+    over old and new stacks would, without keeping the old stack.
+    """
+
+    def __init__(self, grid: Grid1D, out: np.ndarray, update: np.ndarray) -> None:
+        self.grid = grid
+        self.out = out
+        self.update = update
+        self.block = chunk_rows(grid.n)
+        self.scratch = np.empty((out.shape[0], self.block, grid.n), dtype=np.complex128)
+        self.last = out.shape[1] - 1
+        update[:] = 0.0
+
+    def store(self, slot: int, v_hat: np.ndarray) -> None:
+        j = slot % self.block
+        np.subtract(v_hat, self.out[:, slot], out=self.scratch[:, j])
+        if j == self.block - 1 or slot == self.last:
+            worst = np.max(hat_norm(self.grid, self.scratch[:, : j + 1]), axis=1)
+            np.maximum(self.update, worst, out=self.update)
+        self.out[:, slot] = v_hat
+
+
 def _march(
-    problems: list[LinearProblem], cfg: StepperConfig, n_steps: int, table: OperatorTable
+    problems: list[LinearProblem],
+    cfg: StepperConfig,
+    n_steps: int,
+    table: OperatorTable,
+    out: np.ndarray,
+    update: np.ndarray | None,
 ) -> np.ndarray:
     """Lawson RK4 on a (rows, n) hat-space state, one row per sub-problem.
 
     Half-step i of a forward row reads table node i, of a backward row the
     mirrored node 2 n_steps - i.  Each RK stage costs one batched ifft of
     v_x and one batched fft of the stacked products [(a - abar) v_x, a q v_x].
-    Returns the (rows, n_steps + 1, n) step hats in march order.
+    Writes the step hats in march order to ``out`` (rows, n_steps + 1, n)
+    and returns it; with ``update``, measures each slot's change first.
     """
     grid = problems[0].grid
     n = grid.n
@@ -442,9 +498,13 @@ def _march(
             out += f
         return out
 
-    out = np.empty((rows, n_steps + 1, n), dtype=np.complex128)
+    if update is None:
+        def store(slot: int, v: np.ndarray) -> None:
+            out[:, slot] = v
+    else:
+        store = _UpdateMeter(grid, out, update).store
     v_hat = np.stack([q.datum.hat for q in problems]) * keep
-    out[:, 0] = v_hat
+    store(0, v_hat)
     scale = np.maximum(np.maximum(np.max(np.abs(v_hat), axis=1), sources.scale()), 1e-30)
 
     if table.constant:
@@ -475,7 +535,7 @@ def _march(
 
         v_hat = E2v + (dt / 6.0) * (E2 * k1 + 2.0 * E * (k2 + k3) + k4)
         _check_state(v_hat, step + 1, scale)
-        out[:, step + 1] = v_hat
+        store(step + 1, v_hat)
         f0 = f2
     return out
 

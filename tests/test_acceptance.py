@@ -188,8 +188,9 @@ def test_criterion_05_energy_bounds_per_subsolve(bench):
         bundle = norm_bundle(sc.coeffs, sc.weight.sup_logderiv, times, sc.grid)
 
         def hook(sign, problem, solution, reports=reports, bundle=bundle):
+            source = None if problem.source is None else problem.source.norm_series()
             reports.append(
-                energy_monitor(solution, problem.source, sign, sc.coeffs, sc.weight, bundle)
+                energy_monitor(solution, source, sign, sc.coeffs, sc.weight, bundle)
             )
 
         problem = BvpProblem(
@@ -367,10 +368,7 @@ def test_criterion_11_decay_persistence_and_smoothing(bench, bench_fine):
     decay_ok = bool(np.all(np.isfinite(asm.w_norms)) and np.max(jumps) <= 0.05)
 
     def implied_c(run):
-        w_plus, w_minus = run["asm"].w.split_sides()
-        rep = weighted_smoothing_monitor(
-            w_plus, w_minus, run["sc"].coeffs, run["sc"].beta
-        )
+        rep = weighted_smoothing_monitor(run["asm"].w, run["sc"].coeffs, run["sc"].beta)
         assert rep.verdict == "pass"
         return rep.ratio
 

@@ -1,10 +1,8 @@
 """End-to-end checks of the scenario runner and its artifact contracts."""
 
-import gc
 import json
 import sys
 import warnings
-import weakref
 from dataclasses import asdict
 
 import numpy as np
@@ -21,6 +19,7 @@ from schrobvp.coefficients import norm_bundle, select_horizon
 from schrobvp.errors import ConfigError, HorizonError, ValidationError
 from schrobvp.estimates import EstimateReport
 from schrobvp.fieldio import dump_field_binary, load_field
+from schrobvp.picard import BvpProblem, assemble_solution, picard_solve
 from schrobvp.presets import build_datum, load_preset, merge_scenario, preset_names
 from schrobvp.spectral import Grid1D, SpaceTimeField, gaussian_field, project
 
@@ -141,14 +140,15 @@ class TestFreeBvpCommand:
         assert (out / "norms.csv").read_text().startswith("t,norm_v")
         assert len(list((out / "dumps").glob("v_*.spf"))) == 5
 
-    @pytest.mark.parametrize("times", ["abc", "0.1,abc", "5,x"])
+    @pytest.mark.parametrize("times", ["abc", "0.1,abc", "5,x", ",", ""])
     def test_bad_times_token_is_named(self, tmp_path, capsys, times):
         code = cli.main([
             "free-bvp", "--grid-n", "64", "--T", "0.2",
             "--times", times, "--out-dir", str(tmp_path / "free"),
         ])
         assert code == 1
-        bad = times.split(",")[-1]
+        # an option value without any token is named whole
+        bad = times.split(",")[-1] or times
         err = capsys.readouterr().err
         assert err.startswith("error: --times") and repr(bad) in err
 
@@ -286,6 +286,22 @@ class TestErrorsAndExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "n_steps" in err
+
+    @pytest.mark.parametrize("t, shown", [(5.0, "5"), (-0.01, "-0.01"), (float("nan"), "nan")])
+    def test_dump_time_outside_the_horizon_fails_before_the_solve(
+        self, tmp_path, capsys, monkeypatch, t, shown
+    ):
+        def no_solve(*args, **kwargs):
+            pytest.fail("the solve ran")
+
+        monkeypatch.setattr(cli, "picard_solve", no_solve)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"preset": "decoupled", "times": [0.01, t]}))
+        out = tmp_path / "out"
+        assert cli.main(["picard", "--scenario", str(scenario), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: requested dump time {shown} outside [0, 0.035]")
+        assert not (out / "fields").exists()
 
     def test_too_few_steps_exit_1(self, tmp_path, capsys):
         scenario = small_scenario_file(tmp_path, {"stepper": {"n_steps": 2}})
@@ -503,26 +519,26 @@ class TestPicardMemory:
         monkeypatch.setattr(SpaceTimeField, "values", property(whole_stack))
         assert cli.run_picard_scenario(merge_scenario(SMALL, {}), str(tmp_path / "out")) == 0
 
-    def test_monitor_sources_are_released_after_the_energy_monitors(self, tmp_path, monkeypatch):
-        buffers = []
-        checked = []
-        stacks, smoothing = cli.coupling_stacks, cli.weighted_smoothing_monitor
+    def test_monitors_build_no_source_stack(self, tmp_path, monkeypatch):
+        # the energy monitors read the sources' norm series block by block
+        sc = build_scenario(merge_scenario(SMALL, {}))
+        problem = BvpProblem(
+            f=sc.f, g=sc.g, coeffs=sc.coeffs, weight=sc.weight,
+            horizon=sc.horizon, stepper_cfg=sc.stepper,
+        )
+        vp, vm, report = picard_solve(problem, tol=sc.tol, m_max=sc.m_max)
+        asm = assemble_solution(vp, vm, sc.weight)
 
-        def keep_ref(*args, **kwargs):
-            src_p, src_m = stacks(*args, **kwargs)
-            assert src_p.hats.base is src_m.hats.base
-            buffers.append(weakref.ref(src_p.hats.base))
-            return src_p, src_m
+        def no_stack(*args, **kwargs):
+            pytest.fail("a coupling-source stack was built")
 
-        def after_energy(*args, **kwargs):
-            gc.collect()
-            checked.append([ref() is None for ref in buffers])
-            return smoothing(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "coupling_stacks", keep_ref)
-        monkeypatch.setattr(cli, "weighted_smoothing_monitor", after_energy)
-        assert cli.run_picard_scenario(merge_scenario(SMALL, {}), str(tmp_path / "out")) == 0
-        assert checked == [[True]]
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "schrobvp" and hasattr(module, "coupling_stacks"):
+                monkeypatch.setattr(module, "coupling_stacks", no_stack)
+        reports = cli.run_monitors(sc, vp, vm, asm.w, report.table, report.bundle)
+        energy = [r for r in reports if r.name.startswith("energy")]
+        assert len(energy) == 2
+        assert all(r.verdict == "pass" and r.constants["source_integral"] > 0 for r in energy)
 
 
 class TestOneBuildPerRun:

@@ -138,14 +138,23 @@ class TestEnergyMonitor:
         with pytest.raises(ValidationError, match="time grid"):
             energy_monitor(v, None, "-", BENCH, w, bundle)
 
+    def test_source_norms_enter_by_the_trapezoid_on_the_field_times(self):
+        grid = Grid1D(128, 8.0)
+        w = build_weight(0.5, grid, mode="truncated", margin=2.0)
+        v = zero_stf(grid, np.linspace(0.0, 0.1, 17))
+        bundle = rates(BENCH, w, v)
+        norms = 1.0 + v.times**2
+        rep = energy_monitor(v, norms, "-", BENCH, w, bundle)
+        assert rep.constants["source_integral"] == float(np.trapezoid(norms, v.times))
+        with pytest.raises(ValidationError, match="17 times"):
+            energy_monitor(v, norms[:9], "-", BENCH, w, bundle)
+
 
 class TestWeightedSmoothingMonitor:
     def test_zero_fields(self):
         grid = Grid1D(128, 8.0)
         times = np.linspace(0.0, 0.1, 9)
-        rep = weighted_smoothing_monitor(
-            zero_stf(grid, times), zero_stf(grid, times), CONST, 1.0
-        )
+        rep = weighted_smoothing_monitor(zero_stf(grid, times), CONST, 1.0)
         assert rep.lhs == 0.0
         assert rep.verdict == "pass"
 
@@ -164,7 +173,9 @@ class TestWeightedSmoothingMonitor:
                                              horizon=T, times=times))
             w_plus = solve_free(FreeBvpData(f=zero_field(grid), g=g, beta=beta,
                                             horizon=T, times=times))
-            rep = weighted_smoothing_monitor(w_plus, w_minus, CONST, beta)
+            # one-sided data: the P+ and P- parts of the sum are the two solves
+            w = SpaceTimeField(grid, times, hats=w_plus.hats + w_minus.hats)
+            rep = weighted_smoothing_monitor(w, CONST, beta)
             data_form = g.norm_l2() ** 2 + f.norm_l2() ** 2
 
             xi = np.abs(grid.xi)
@@ -189,7 +200,7 @@ class TestWeightedSmoothingMonitor:
             grid, times, np.stack([edge.values, edge.values]).astype(complex)
         )
         with pytest.raises(ValidationError, match="support"):
-            weighted_smoothing_monitor(stacked, zero_stf(grid, times), CONST, 1.0)
+            weighted_smoothing_monitor(stacked, CONST, 1.0)
 
 
 class TestBootstrapDiagnostics:
@@ -263,9 +274,7 @@ class TestStorageForms:
         _same_report(*boot)
         assert boot[0].constants["interior_index_low"] == boot[1].constants["interior_index_low"]
         assert boot[0].constants["interior_index_high"] == boot[1].constants["interior_index_high"]
-        smooth = [
-            weighted_smoothing_monitor(*s.split_sides(), BENCH, 1.0) for s in (by_hats, by_values)
-        ]
+        smooth = [weighted_smoothing_monitor(s, BENCH, 1.0) for s in (by_hats, by_values)]
         _same_report(*smooth)
 
     def test_nyquist_content_counts_on_the_negative_side(self):
@@ -284,10 +293,10 @@ class TestStorageForms:
         times = np.linspace(0.0, 0.1, 16 * chunk_rows(grid.n) + 1)
         bump = gaussian_field(grid, width=2.0).values * np.exp(2j * grid.x)
         hats = np.fft.fft(bump)[None, :] * (1.0 + times)[:, None]
-        w_plus, w_minus = SpaceTimeField(grid, times, hats=hats).split_sides()
+        w = SpaceTimeField(grid, times, hats=hats)
         tracemalloc.start()
         try:
-            rep = weighted_smoothing_monitor(w_plus, w_minus, BENCH, 1.0)
+            rep = weighted_smoothing_monitor(w, BENCH, 1.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

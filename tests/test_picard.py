@@ -19,6 +19,7 @@ from schrobvp.free_bvp import FreeBvpData, solve_free
 from schrobvp.picard import (
     BvpProblem,
     assemble_solution,
+    coupling_norms,
     coupling_stacks,
     pde_residual,
     picard_solve,
@@ -35,7 +36,7 @@ from schrobvp.spectral import (
     projection_multiplier,
     random_band_field,
 )
-from schrobvp.stepper import OperatorTable, StepperConfig
+from schrobvp.stepper import LinearProblem, OperatorTable, StepperConfig, solve_linear
 from schrobvp.weights import build_weight, unit_weight
 
 CONST = CoefficientField("1", "0")
@@ -178,7 +179,12 @@ class TestCouplingIdentity:
             stepper_cfg=StepperConfig(epsilon=1e-5, n_steps=32),
         )
         calls = []
-        _, _, report = picard_solve(p, solve_hook=lambda *args: calls.append(args))
+
+        def hook(sign, problem, solution):
+            # the next sweep overwrites the solution's buffer: keep a copy
+            calls.append((sign, problem, SpaceTimeField(grid, solution.times, hats=solution.hats.copy())))
+
+        _, _, report = picard_solve(p, solve_hook=hook)
         assert report.iterations >= 3
         assert [sign for sign, _, _ in calls] == ["-", "+"] * report.iterations
         assert calls[0][1].source is None and calls[1][1].source is None
@@ -189,6 +195,25 @@ class TestCouplingIdentity:
             ref_p, ref_m = two_sided_lambda(vp, vm, BENCH, w)
             for source, ref in ((prob_p.source, ref_p), (prob_m.source, ref_m)):
                 assert np.max(np.abs(source.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_update_is_the_norm_of_the_copied_carriers_difference(self):
+        # the march measures each slot against what it overwrites; the
+        # recorded update equals the sup-norm difference of successive copies
+        grid = Grid1D(256, 20.0)
+        w = build_weight(1.0, grid, mode="truncated")
+        f, g = split_data(grid, seed=43, band=24)
+        p = BvpProblem(
+            f=f, g=g, coeffs=BENCH, weight=w, horizon=admissible_horizon(BENCH, w, grid),
+            stepper_cfg=StepperConfig(epsilon=1e-5, n_steps=32),
+        )
+        copies = {sign: [np.zeros((33, grid.n), dtype=complex)] for sign in "+-"}   # the zero start
+        _, _, report = picard_solve(p, solve_hook=lambda sign, _, v: copies[sign].append(v.hats.copy()))
+        assert report.iterations >= 3
+        for m, diff in enumerate(report.diff_norms, start=1):
+            plus, minus = (
+                float(np.max(hat_norm(grid, copies[sign][m] - copies[sign][m - 1]))) for sign in "+-"
+            )
+            assert diff == plus + minus
 
 
 class TestProblemValidation:
@@ -554,9 +579,19 @@ def blocked_outputs():
     total = SpaceTimeField(grid, times, hats=vp.hats + vm.hats)
     bundle = norm_bundle(BENCH, w.sup_logderiv, times, grid)
     table = OperatorTable(BENCH, w, times, half_steps=True)
+    # a pair marched into a buffer holding the carriers, with the update measured
+    fwd, bwd = (
+        LinearProblem(direction=d, coeffs=BENCH, weight=w, source=v, horizon=times[-1],
+                      datum=SpectralField.from_hat(grid, v.hats[i]), zero_mean=True)
+        for d, v, i in (("forward", vm, 0), ("backward", vp, -1))
+    )
+    buffer, update = np.stack([vm.hats, vp.hats[::-1]]), np.empty(2)
+    solve_linear(fwd, StepperConfig(epsilon=1e-5, n_steps=40), table, partner=bwd, out=buffer, update=update)
     return {
         "from values": [vp.hats, vm.hats],
         "coupling_stacks": [s.hats for s in coupling_stacks(vp, vm, table)],
+        "coupling_norms": list(coupling_norms(vp, vm, table)),
+        "march update": [buffer, update],
         "pde_residual": [pde_residual(total, table).norms],
         "norm_series": [total.norm_series(), total.norm_series(projection_multiplier(grid, "-").symbol)],
         "split_sides": [s.hats for s in total.split_sides()],
@@ -580,20 +615,22 @@ def test_block_budget_changes_no_result(monkeypatch):
 
 
 class TestPeakMemory:
-    def test_traced_run_stays_within_the_six_stack_model(self, tmp_path):
-        # the decoupled preset: its stack is 16 block budgets, so one stack
-        # kept alive past its last read crosses the bound
-        sc = build_scenario(load_preset("decoupled"))
+    # decoupled: its stack is 16 block budgets, so one stack kept alive past
+    # its last read crosses the bound; benchmark: its time-dependent
+    # coefficients make the half-step table about three stacks
+    @pytest.mark.parametrize("preset", ["decoupled", "benchmark"])
+    def test_traced_run_stays_within_the_four_stack_model(self, tmp_path, preset):
+        sc = build_scenario(load_preset(preset))
         n, n_steps = sc.grid.n, sc.stepper.n_steps
         stack = 16 * n * (n_steps + 1)
         assert stack >= 4 * spectral.CHUNK_BYTES
         tracemalloc.start()
         try:
-            run_picard_scenario({"preset": "decoupled"}, str(tmp_path))
+            run_picard_scenario({"preset": preset}, str(tmp_path))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 6 * stack < peak <= picard._peak_bytes(n, n_steps, sc.coeffs.time_dependent)
+        assert 4 * stack < peak <= picard._peak_bytes(n, n_steps, sc.coeffs.time_dependent)
 
     def test_residual_runs_beside_the_final_pair_only(self, monkeypatch):
         # by the time the residual runs, the last sweep's sources are released

@@ -12,6 +12,7 @@ from schrobvp.spectral import (
     SpectralField,
     fractional,
     gaussian_field,
+    hat_norm,
     project,
     random_band_field,
 )
@@ -575,6 +576,39 @@ class TestBatchedMarch:
                 assert got.times.shape == alone.times.shape
                 scale = np.max(np.abs(alone.values))
                 assert np.max(np.abs(got.values - alone.values)) <= 1e-12 * scale
+
+    def test_march_into_a_buffer_measures_what_it_overwrites(self):
+        # the steps land in the caller's buffer bit for bit, and the update
+        # is each row's sup over slots of hat_norm(new - old)
+        coeffs = CoefficientField("1 + 0.1*exp(-t)*sech(x)", "0.05*sech(x)")
+        fwd, bwd, cfg, table = self._pair(coeffs, True)
+        fresh_m, fresh_p = solve_linear(fwd, cfg, table, partner=bwd)
+        rng = np.random.default_rng(3)
+        buffer = rng.standard_normal((2, 33, 128)) + 1j * rng.standard_normal((2, 33, 128))
+        old = buffer.copy()
+        update = np.empty(2)
+        got_m, got_p = solve_linear(fwd, cfg, table, partner=bwd, out=buffer, update=update)
+        assert got_m.hats.base is buffer and got_p.hats.base is buffer
+        assert np.array_equal(got_m.hats, fresh_m.hats)
+        assert np.array_equal(got_p.hats, fresh_p.hats)
+        grid = fwd.grid
+        for r in range(2):
+            assert update[r] == np.max(hat_norm(grid, buffer[r] - old[r]))
+
+    @pytest.mark.parametrize(
+        "buffer, update, match",
+        [
+            (np.zeros((2, 32, 128), dtype=complex), None, "march buffer"),
+            (np.zeros((2, 33, 128)), None, "march buffer"),
+            (np.zeros((2, 33, 128), dtype=complex), np.zeros(3), "one entry per row"),
+            (None, np.zeros(2), "needs the buffer"),
+        ],
+        ids=["short", "real", "update-shape", "update-alone"],
+    )
+    def test_buffer_of_another_shape_is_rejected(self, buffer, update, match):
+        fwd, bwd, cfg, table = self._pair(CONST, True)
+        with pytest.raises(ConfigError, match=match):
+            solve_linear(fwd, cfg, table, partner=bwd, out=buffer, update=update)
 
     def test_backward_row_reads_mirrored_coefficients(self):
         # unweighted, real a: the conjugate of a backward solve, read in
