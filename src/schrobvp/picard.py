@@ -40,8 +40,9 @@ measures one block at a time.
 Every space-time field stores Fourier coefficients only, so norms are
 Parseval sums (`spectral.hat_norm`), and physical values exist only inside
 `_operator_parts`, the one operator kernel of the coupling source and the
-residual monitor, and one block at a time in `assemble_solution`, which
-stores only the weighted transform w.
+residual monitor (and not even there on a `uniform` table, whose rows are
+constant in x and act as Fourier symbols), and one block at a time in
+`assemble_solution`, which stores only the weighted transform w.
 """
 
 from __future__ import annotations
@@ -175,15 +176,25 @@ def _operator_parts(
     aqm: np.ndarray,
     zwm: np.ndarray,
     sym: np.ndarray | None = None,
+    *,
+    uniform: bool,
 ) -> tuple[np.ndarray, ...]:
     """Unmasked hats of (Z v, S v), and of S(sym v) given a real symbol ``sym``.
 
     L = Z + S is the discrete operator, S u = i d/dx(a u_x) - 2i a q u_x,
     on the operator-table rows ``am``, ``aqm``, ``zwm``; ``v_hat`` is
     dealiased here.  One batched ifft of the stacked [v, v_x(, (sym v)_x)]
-    and one batched fft of the stacked products, written in place.
+    and one batched fft of the stacked products, written in place.  On a
+    ``uniform`` table (rows constant in x) each part is a symbol product of
+    the dealiased u, with Z and S = (i (i xi) a - 2i a q)(i xi) taken on
+    the rows' values, and no FFT.
     """
     ixi = 1j * grid.xi
+    if uniform:
+        u = v_hat * grid.dealias_mask
+        s_sym = (1j * ixi * am[:, :1] - 2j * aqm[:, :1]) * ixi
+        parts = (zwm[:, :1] * u, s_sym * u)
+        return parts if sym is None else (*parts, (s_sym * sym) * u)
     k = 2 if sym is None else 3
     fields = np.empty((k,) + v_hat.shape, dtype=np.complex128)
     np.multiply(v_hat, grid.dealias_mask, out=fields[0])
@@ -208,14 +219,13 @@ def _operator_parts(
 def _lambda_rows(
     grid: Grid1D,
     v_hat: np.ndarray,
-    am: np.ndarray,
-    aqm: np.ndarray,
-    zwm: np.ndarray,
+    table: OperatorTable,
+    rows: slice,
     out_p: np.ndarray,
     out_m: np.ndarray,
 ) -> None:
-    """Coupling-source hats of both signs for the summed carrier hats and the
-    matching operator-table rows, written to ``out_p`` and ``out_m``.
+    """Coupling-source hats of both signs for the summed carrier hats at the
+    integer nodes ``rows`` of ``table``, written to ``out_p`` and ``out_m``.
 
     Only the P+ branch is evaluated: lambda+ = P+ L v - S(P+ v) and
     lambda- = (Z v)_paired - lambda+.  On dealiased input v_hat has no
@@ -224,7 +234,9 @@ def _lambda_rows(
     """
     mask = grid.dealias_mask.astype(np.float64)
     sym = projection_multiplier(grid, "+").symbol.real * mask
-    zv, lv, sp = _operator_parts(grid, v_hat, am, aqm, zwm, sym)
+    zv, lv, sp = _operator_parts(
+        grid, v_hat, *table.rows(rows.start, rows.stop), sym, uniform=table.uniform
+    )
     # the 2/3 mask of every product is folded into sym and mask
     lv += zv
     np.multiply(sym, lv, out=out_p)
@@ -254,7 +266,7 @@ def coupling_stacks(
     lam_m, lam_p = hats[0], hats[1, ::-1]
     for rows in row_blocks(len(times), grid.n):
         v_hat = vp.hats[rows] + vm.hats[rows]
-        _lambda_rows(grid, v_hat, *table.rows(rows.start, rows.stop), lam_p[rows], lam_m[rows])
+        _lambda_rows(grid, v_hat, table, rows, lam_p[rows], lam_m[rows])
     return SpaceTimeField(grid, times, hats=lam_p), SpaceTimeField(grid, times, hats=lam_m)
 
 
@@ -274,7 +286,7 @@ def coupling_norms(
     for rows in row_blocks(len(times), grid.n):
         k = rows.stop - rows.start
         v_hat = vp.hats[rows] + vm.hats[rows]
-        _lambda_rows(grid, v_hat, *table.rows(rows.start, rows.stop), block[0, :k], block[1, :k])
+        _lambda_rows(grid, v_hat, table, rows, block[0, :k], block[1, :k])
         norms[:, rows] = hat_norm(grid, block[:, :k])
     return norms[0], norms[1]
 
@@ -603,7 +615,9 @@ def pde_residual(v: SpaceTimeField, table: OperatorTable) -> ResidualProfile:
         dvdt = weights[:, 0, None] * hats[start - lo]
         for m in range(1, 5):
             dvdt += weights[:, m, None] * hats[start - lo + m]
-        zv, r = _operator_parts(grid, hats[first - lo : stop - lo], *table.rows(first, stop))
+        zv, r = _operator_parts(
+            grid, hats[first - lo : stop - lo], *table.rows(first, stop), uniform=table.uniform
+        )
         r += zv
         r *= mask
         r[:, 0] = 0.0

@@ -534,21 +534,6 @@ class SpaceTimeField:
     def sup_norm(self) -> float:
         return float(np.max(self.norm_series()))
 
-    def split_sides(self) -> tuple["SpaceTimeField", "SpaceTimeField"]:
-        """The P+ and P- parts of every slice, masked block by block."""
-        sym_p = projection_multiplier(self.grid, "+").symbol
-        sym_m = projection_multiplier(self.grid, "-").symbol
-        plus = np.empty((len(self.times), self.grid.n), dtype=np.complex128)
-        minus = np.empty_like(plus)
-        for rows in row_blocks(len(self.times), self.grid.n):
-            hat = self.hats[rows]
-            np.multiply(sym_p, hat, out=plus[rows])
-            np.multiply(sym_m, hat, out=minus[rows])
-        return (
-            SpaceTimeField(self.grid, self.times, hats=plus),
-            SpaceTimeField(self.grid, self.times, hats=minus),
-        )
-
     def __repr__(self) -> str:
         return (
             f"SpaceTimeField(n={self.grid.n}, slices={len(self.times)}, "

@@ -21,7 +21,11 @@ scheme keeps fourth order for time-dependent a.  Coefficients come from
 one :class:`OperatorTable` of 2/3-rule masked rows.  The coupled solver
 builds it once and hands it on: the coupling source, the residual monitor
 and the energy monitors' sources read the same table, so all of them
-realize the same discrete operator.
+realize the same discrete operator.  On a ``uniform`` table (every row
+constant in x, as for a = 1, W = 0 under the pure-exponential weight) each
+product of a row with v_x is a plain Fourier multiple, and the remainder
+is applied as the symbol (i (i xi) (a - abar) - 2i a q)(i xi) of the rows'
+values, with no FFT: fft(c ifft(h)) = c h.
 
 Batched march: :func:`solve_linear` advances a stacked (rows, n) state of
 Fourier coefficients, one row per sub-problem; a ``partner`` problem (the
@@ -180,6 +184,13 @@ class OperatorTable:
     With ``half_steps`` the a rows also sit at every midpoint, the grid the
     IF-RK4 stages read.  When neither a nor W depends on t, each array
     holds one row that serves every node.
+
+    ``uniform`` is true when every row of ``a``, ``aq`` and ``zeroth`` is
+    constant in x (an exact ``np.ptp == 0`` test, made while the rows are
+    built and stopped at the first row block that varies).  Every product
+    with a row is then a Fourier multiple of the row's value, and the
+    march and ``picard._operator_parts`` apply it as a symbol instead of an
+    ifft/fft round trip.
     """
 
     def __init__(
@@ -201,6 +212,7 @@ class OperatorTable:
         self.a = np.empty((len(nodes), grid.n))
         self.aq = np.empty((len(nodes), grid.n))
         self.zeroth = np.empty(((len(nodes) - 1) // s + 1, grid.n), dtype=np.complex128)
+        self.uniform = True
         # the block row count is even, so every block starts on an integer node
         for rows in row_blocks(len(nodes), grid.n):
             ts = nodes[rows, None]
@@ -211,7 +223,12 @@ class OperatorTable:
             a, ts = a[::s], ts[::s]
             ax = coeffs.a_x(grid.x, ts)
             lump = 1j * ((q**2 - dq) * a - q * ax) + 1j * coeffs.w_values(grid.x, ts)
-            self.zeroth[rows.start // s : rows.start // s + len(ts)] = masked_samples(grid, lump)
+            ints = slice(rows.start // s, rows.start // s + len(ts))
+            self.zeroth[ints] = masked_samples(grid, lump)
+            self.uniform = self.uniform and all(
+                np.all(np.ptp(block, axis=1) == 0)
+                for block in (self.a[rows], self.aq[rows], self.zeroth[ints])
+            )
 
     @staticmethod
     def planned_bytes(n: int, n_steps: int, constant: bool, half_steps: bool = False) -> int:
@@ -449,9 +466,10 @@ def _march(
 
     Half-step i of a forward row reads table node i, of a backward row the
     mirrored node 2 n_steps - i.  Each RK stage costs one batched ifft of
-    v_x and one batched fft of the stacked products [(a - abar) v_x, a q v_x].
-    Writes the step hats in march order to ``out`` (rows, n_steps + 1, n)
-    and returns it; with ``update``, measures each slot's change first.
+    v_x and one batched fft of the stacked products [(a - abar) v_x, a q v_x];
+    on a ``uniform`` table it costs one symbol product and no FFT.  Writes
+    the step hats in march order to ``out`` (rows, n_steps + 1, n) and
+    returns it; with ``update``, measures each slot's change first.
     """
     grid = problems[0].grid
     n = grid.n
@@ -487,13 +505,23 @@ def _march(
         E = np.take(band, mirror, axis=1)
         return E, E * E
 
-    def remainder(v_hat: np.ndarray, a_rel: np.ndarray, aq: np.ndarray, f: np.ndarray | None) -> np.ndarray:
+    def stage(a_rel: np.ndarray, aq: np.ndarray) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+        """What ``remainder`` reads at one stage: the rows, or on a uniform
+        table the symbol of their x-constant values."""
+        if table.uniform:
+            return (div_factor * a_rel[:, :1] + drift_factor * aq[:, :1]) * ixi
+        return a_rel, aq
+
+    def remainder(v_hat: np.ndarray, op, f: np.ndarray | None) -> np.ndarray:
         """tau * [i d/dx((a - abar) v_x) - 2i a q v_x + F] of every row, as masked hats."""
-        vx = np.fft.ifft(ixi * v_hat, axis=-1)
-        np.multiply(a_rel, vx, out=products[0])
-        np.multiply(aq, vx, out=products[1])
-        prod_hat = np.fft.fft(products, axis=-1)
-        out = div_factor * prod_hat[0] + drift_factor * prod_hat[1]
+        if table.uniform:
+            out = op * v_hat
+        else:
+            vx = np.fft.ifft(ixi * v_hat, axis=-1)
+            np.multiply(op[0], vx, out=products[0])
+            np.multiply(op[1], vx, out=products[1])
+            prod_hat = np.fft.fft(products, axis=-1)
+            out = div_factor * prod_hat[0] + drift_factor * prod_hat[1]
         if f is not None:
             out += f
         return out
@@ -510,9 +538,7 @@ def _march(
     if table.constant:
         abar, a, aq = table.at(first)
         E, E2 = exponential(abar)
-        a = a - abar[:, None]
-        a0 = a1 = a2 = a
-        aq0 = aq1 = aq2 = aq
+        op0 = op1 = op2 = stage(a - abar[:, None], aq)
     f0 = sources.at(0)
     for step in range(n_steps):
         i = 2 * step
@@ -524,14 +550,13 @@ def _march(
             abar3, a, aq = table.at(first + stride * (i + stage_offsets))
             abar = abar3[1]
             E, E2 = exponential(abar)
-            a0, a1, a2 = a - abar[:, None]
-            aq0, aq1, aq2 = aq
+            op0, op1, op2 = map(stage, a - abar[:, None], aq)
 
         Ev, E2v = E * v_hat, E2 * v_hat
-        k1 = remainder(v_hat, a0, aq0, f0)
-        k2 = remainder(Ev + (0.5 * dt) * (E * k1), a1, aq1, f1)
-        k3 = remainder(Ev + (0.5 * dt) * k2, a1, aq1, f1)
-        k4 = remainder(E2v + dt * (E * k3), a2, aq2, f2)
+        k1 = remainder(v_hat, op0, f0)
+        k2 = remainder(Ev + (0.5 * dt) * (E * k1), op1, f1)
+        k3 = remainder(Ev + (0.5 * dt) * k2, op1, f1)
+        k4 = remainder(E2v + dt * (E * k3), op2, f2)
 
         v_hat = E2v + (dt / 6.0) * (E2 * k1 + 2.0 * E * (k2 + k3) + k4)
         _check_state(v_hat, step + 1, scale)

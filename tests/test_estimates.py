@@ -202,6 +202,29 @@ class TestWeightedSmoothingMonitor:
         with pytest.raises(ValidationError, match="support"):
             weighted_smoothing_monitor(stacked, CONST, 1.0)
 
+    @pytest.mark.parametrize("edge, over", [(0.1, False), (0.2, True)])
+    def test_support_cap_counts_both_sides(self, edge, over):
+        # outer-decade packets at both ends, all on the P- side, beside a
+        # central field mostly on the P+ side: the check raises exactly when
+        # the outer share of |P+ w + P- w|^2 passes 1% (either part alone
+        # would read about 0% or 7-22%)
+        grid = Grid1D(256, 8 * np.pi)
+        edge_at = 0.95 * grid.half_length
+        w0 = (
+            packet(grid, 2.0, sign="+") + 0.3 * packet(grid, -2.0, sign="-")
+            + edge * packet(grid, -3.0, center=edge_at, width=0.5, sign="-")
+            + edge * packet(grid, -3.0, center=-edge_at, width=0.5, sign="-")
+        )
+        mass = np.abs(w0.values) ** 2
+        share = np.sum(mass[np.abs(grid.x) > 0.9 * grid.half_length]) / np.sum(mass)
+        assert bool(share > 1e-2) == over and 5e-3 < share < 3e-2
+        stacked = SpaceTimeField(grid, np.array([0.0, 0.1]), np.stack([w0.values, w0.values]))
+        if over:
+            with pytest.raises(ValidationError, match="support"):
+                weighted_smoothing_monitor(stacked, CONST, 1.0)
+        else:
+            assert weighted_smoothing_monitor(stacked, CONST, 1.0).verdict == "pass"
+
 
 class TestBootstrapDiagnostics:
     def test_exponent_constraints(self):

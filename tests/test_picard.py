@@ -216,6 +216,91 @@ class TestCouplingIdentity:
             assert diff == plus + minus
 
 
+class TestUniformTable:
+    # decoupled coefficients (a = 1, W = 0, pure-exponential weight) give a
+    # table of x-constant rows, which the operator kernel applies as symbols;
+    # the second coefficient pair gives x-constant rows that change with t
+    FLAT = [CONST, CoefficientField("1 + 0.5*t + 0.2*sin(40*t)", "0.3 + t")]
+
+    def _carriers(self, grid, times):
+        ramp = (1.0 + times)[:, None]
+        vp = SpaceTimeField(grid, times, ramp * project(random_band_field(grid, 60, 21), "+").values)
+        vm = SpaceTimeField(grid, times, ramp[::-1] * project(random_band_field(grid, 60, 22), "-").values)
+        return vp, vm
+
+    @pytest.mark.parametrize("coeffs", FLAT, ids=["decoupled", "time-dependent"])
+    def test_coupling_matches_the_two_sided_formula(self, coeffs):
+        grid = Grid1D(512, 8 * np.pi)
+        w = build_weight(1.0, grid, mode="pure_exponential")
+        times = np.linspace(0.0, 0.5, 5)
+        vp, vm = self._carriers(grid, times)
+        table = OperatorTable(coeffs, w, times)
+        assert table.uniform
+        lam_p, lam_m = coupling_stacks(vp, vm, table)
+        ref_p, ref_m = two_sided_lambda(vp, vm, coeffs, w)
+        for got, ref in ((lam_p, ref_p), (lam_m, ref_m)):
+            assert np.max(np.abs(got.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("coeffs", FLAT, ids=["decoupled", "time-dependent"])
+    def test_residual_matches_the_fft_path(self, coeffs):
+        grid = Grid1D(256, 8 * np.pi)
+        w = build_weight(1.0, grid, mode="pure_exponential")
+        times = np.linspace(0.0, 0.02, 17)
+        vp, vm = self._carriers(grid, times)
+        total = SpaceTimeField(grid, times, hats=vp.hats + vm.hats)
+        symbols, ffts = (OperatorTable(coeffs, w, times) for _ in range(2))
+        assert symbols.uniform
+        ffts.uniform = False
+        got, ref = pde_residual(total, symbols).norms, pde_residual(total, ffts).norms
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref)
+
+    @staticmethod
+    def _fft_calls_inside(monkeypatch, p):
+        """FFT calls made inside each of the solve's three operator kernels."""
+        inside, calls = [], {}
+        for name in ("fft", "ifft"):
+            def counted(*args, _fft=getattr(np.fft, name), **kwargs):
+                for kernel in set(inside):
+                    calls[kernel] += 1
+                return _fft(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        for name in ("solve_linear", "coupling_stacks", "pde_residual"):
+            calls[name] = 0
+            def entered(*args, _name=name, _kernel=getattr(picard, name), **kwargs):
+                inside.append(_name)
+                try:
+                    return _kernel(*args, **kwargs)
+                finally:
+                    inside.pop()
+            monkeypatch.setattr(picard, name, entered)
+        _, _, report = picard_solve(p)
+        assert report.iterations >= 2   # every kernel ran
+        return calls
+
+    def test_decoupled_solve_makes_no_fft_in_its_kernels(self, monkeypatch):
+        grid = Grid1D(128, 8 * np.pi)
+        w = build_weight(1.0, grid, mode="pure_exponential")
+        f = project(gaussian_field(grid, width=1.5), "-")
+        g = project(gaussian_field(grid, center=1.0, width=2.0), "+")
+        p = BvpProblem(
+            f=f, g=g, coeffs=CONST, weight=w, horizon=0.035,
+            stepper_cfg=StepperConfig(epsilon=1e-6, n_steps=16),
+        )
+        calls = self._fft_calls_inside(monkeypatch, p)
+        assert calls == {"solve_linear": 0, "coupling_stacks": 0, "pde_residual": 0}
+
+    def test_benchmark_solve_still_transforms_in_every_kernel(self, monkeypatch):
+        grid = Grid1D(128, 20.0)
+        w = build_weight(1.0, grid, mode="truncated")
+        f, g = split_data(grid, seed=41, band=24)
+        p = BvpProblem(
+            f=f, g=g, coeffs=BENCH, weight=w, horizon=admissible_horizon(BENCH, w, grid),
+            stepper_cfg=StepperConfig(epsilon=1e-5, n_steps=16),
+        )
+        calls = self._fft_calls_inside(monkeypatch, p)
+        assert all(count > 0 for count in calls.values()), calls
+
+
 class TestProblemValidation:
     def test_two_sided_datum_rejected(self):
         grid = Grid1D(256, 8 * np.pi)
@@ -594,7 +679,6 @@ def blocked_outputs():
         "march update": [buffer, update],
         "pde_residual": [pde_residual(total, table).norms],
         "norm_series": [total.norm_series(), total.norm_series(projection_multiplier(grid, "-").symbol)],
-        "split_sides": [s.hats for s in total.split_sides()],
         "assemble_solution": [assemble_solution(vp, vm, w).w.hats],
         "norm_bundle": [bundle.coupling_rate, bundle.energy_rate],
         "OperatorTable": [table.abar, table.a, table.aq, table.zeroth],

@@ -363,23 +363,12 @@ class TestHatBackedStack:
         assert np.max(np.abs(norms - quadrature)) <= 1e-12 * np.max(quadrature)
         assert field.sup_norm() == pytest.approx(np.max(quadrature), rel=1e-12)
 
-    def test_slice_and_split_sides(self):
+    def test_slice_reads_one_row(self):
         g, times, values = self._stack()
         field = SpaceTimeField(g, times, hats=np.fft.fft(values, axis=1))
         s = field.slice(123)
         assert np.array_equal(s.hat, field.hats[123])
         assert np.max(np.abs(s.values - values[123])) < 1e-12 * np.max(np.abs(values[123]))
-        for got, sign in zip(field.split_sides(), "+-"):
-            want = np.array([project(SpectralField(g, row), sign).values for row in values])
-            assert np.max(np.abs(got.values - want)) < 1e-12 * np.max(np.abs(want))
-
-    def test_split_sides_of_values_gives_hat_backed_parts(self):
-        g, times, values = self._stack()
-        field = SpaceTimeField(g, times, values)
-        plus, minus = field.split_sides()
-        for part, sign in ((plus, "+"), (minus, "-")):
-            want = projection_multiplier(g, sign).symbol * np.fft.fft(values, axis=1)
-            assert np.max(np.abs(part.hats - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_norm_series_of_a_symbol(self):
         g, times, values = self._stack()

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from schrobvp import spectral
+from schrobvp.cli import build_scenario
 from schrobvp.coefficients import CoefficientField, norm_bundle
 from schrobvp.errors import ConfigError, GridMismatchError, StabilityError
 from schrobvp.free_bvp import FreeBvpData, solve_free
@@ -29,6 +31,7 @@ from schrobvp.stepper import (
     heat_quartic,
     solve_linear,
 )
+from schrobvp.presets import load_preset
 from schrobvp.weights import build_weight, unit_weight
 
 CONST = CoefficientField("1", "0")
@@ -514,6 +517,65 @@ class TestOperatorTable:
         built = sum(rows.nbytes for rows in (table.abar, table.a, table.aq, table.zeroth))
         planned = OperatorTable.planned_bytes(grid.n, 32, not coeffs.time_dependent, half_steps)
         assert planned == built
+
+
+    @pytest.mark.parametrize("preset, uniform", [("decoupled", True), ("benchmark", False), ("free", False)])
+    def test_uniform_only_when_every_row_is_constant_in_x(self, preset, uniform):
+        # free: a is constant in x, but the truncated weight's q is not
+        sc = build_scenario(load_preset(preset))
+        table = OperatorTable(sc.coeffs, sc.weight, np.linspace(0.0, 0.01, 9), half_steps=True)
+        assert table.uniform is uniform
+
+    @pytest.mark.parametrize("block_bytes", [1 << 12, 1 << 24], ids=["2-row blocks", "one block"])
+    def test_uniform_reads_every_row_block(self, monkeypatch, block_bytes):
+        # x-constant rows up to t ~ 0.03 (the tanh is exactly -1 there), x-dependent W after
+        monkeypatch.setattr(spectral, "CHUNK_BYTES", block_bytes)
+        grid = Grid1D(64, 8 * np.pi)
+        w = build_weight(1.0, grid, mode="pure_exponential")
+        times = np.linspace(0.0, 0.1, 33)
+        late = CoefficientField("1 + 0.5*t", "(1 + tanh(1000*(t - 0.05)))*sech(x)")
+        flat = CoefficientField("1 + 0.5*t", "0.3 + t")
+        assert OperatorTable(late, w, times, half_steps=True).uniform is False
+        assert OperatorTable(flat, w, times, half_steps=True).uniform is True
+
+
+class TestUniformTable:
+    # On a uniform table the march applies the x-constant rows as Fourier
+    # symbols; with ``uniform`` cleared the same table takes the FFT path.
+    @pytest.mark.parametrize(
+        "coeffs",
+        [CONST, CoefficientField("1 + 0.5*t + 0.2*sin(40*t)", "0.3 + t")],
+        ids=["constant-table", "time-dependent"],
+    )
+    @pytest.mark.parametrize("with_source", [False, True], ids=["no-source", "source"])
+    def test_symbol_march_matches_the_fft_march(self, coeffs, with_source):
+        grid = Grid1D(128, 8 * np.pi)
+        w = build_weight(1.0, grid, mode="pure_exponential")
+        horizon = 0.02
+        times = np.linspace(0.0, horizon, 33)
+        sources = (None, None)
+        if with_source:
+            ramp = (1.0 + 20.0 * times)[:, None]
+            sources = tuple(
+                SpaceTimeField(grid, times, ramp * project(random_band_field(grid, 20, seed), sign).values)
+                for seed, sign in ((5, "-"), (6, "+"))
+            )
+        fwd, bwd = (
+            LinearProblem(
+                direction=d, coeffs=coeffs, weight=w, source=src, horizon=horizon, zero_mean=True,
+                datum=project(random_band_field(grid, 20, seed), sign),
+            )
+            for d, src, seed, sign in (("forward", sources[0], 7, "-"), ("backward", sources[1], 8, "+"))
+        )
+        cfg = StepperConfig(epsilon=1e-4, n_steps=32)
+        symbols = OperatorTable(coeffs, w, times, half_steps=True)
+        ffts = OperatorTable(coeffs, w, times, half_steps=True)
+        assert symbols.uniform
+        ffts.uniform = False
+        got = solve_linear(fwd, cfg, symbols, partner=bwd)
+        ref = solve_linear(fwd, cfg, ffts, partner=bwd)
+        for g, r in zip(got, ref):
+            assert np.max(np.abs(g.hats - r.hats)) <= 1e-13 * np.max(np.abs(r.hats))
 
 
 class TestSourceMidpoint:
