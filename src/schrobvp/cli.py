@@ -599,41 +599,9 @@ def run_picard_scenario(raw: dict, out_dir: str | None, flag_T: float | None = N
     return code
 
 
-def _run_batch_entry(payload: tuple[int, dict, str]) -> dict:
-    index, raw, out_dir = payload
-    try:
-        code = run_picard_scenario(raw, out_dir)
-        return {"index": index, "out_dir": out_dir, "exit": code, "error": None}
-    except Exception as exc:  # entry boundary: report, let the batch aggregate
-        return {"index": index, "out_dir": out_dir, "exit": 1, "error": str(exc)}
-
-
 def cmd_picard(args: argparse.Namespace) -> int:
-    if args.batch is not None:
-        return _cmd_picard_batch(args)
     raw = load_scenario_source(args.scenario)
     return run_picard_scenario(raw, args.out_dir, args.T, args.field_format)
-
-
-def _cmd_picard_batch(args: argparse.Namespace) -> int:
-    with open(args.batch, encoding="utf-8") as fh:
-        entries = json.load(fh)
-    if not isinstance(entries, list) or not entries:
-        raise ConfigError(f"{args.batch}: batch file must hold a non-empty JSON array")
-    base = _out_dir(args.out_dir)
-    payloads = []
-    for i, raw in enumerate(entries):
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{args.batch}: entry {i} is not a JSON object")
-        sub = raw.get("out_dir") or str(base / f"run_{i:03d}")
-        payloads.append((i, raw, sub))
-    results = [_run_batch_entry(p) for p in payloads]
-    _write_json(base / "batch-summary.json", results)
-    for r in results:
-        note = r["error"] or f"exit {r['exit']}"
-        print(f"batch entry {r['index']}: {note} ({r['out_dir']})")
-    codes = [r["exit"] for r in results]
-    return 1 if 1 in codes else (2 if 2 in codes else 0)
 
 
 def cmd_verify_estimates(args: argparse.Namespace) -> int:
@@ -803,10 +771,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_lin.set_defaults(func=cmd_linear)
 
     p_pic = sub.add_parser("picard", help="coupled two-endpoint solve")
-    p_pic.add_argument("--scenario", default=None, help="scenario JSON file or preset name")
+    p_pic.add_argument("--scenario", required=True, help="scenario JSON file or preset name")
     p_pic.add_argument("--T", type=float, default=None,
                        help="horizon override (bypasses the admissibility check, with a warning)")
-    p_pic.add_argument("--batch", default=None, help="JSON array of scenarios")
     p_pic.add_argument("--field-format", choices=("binary", "csv"), default="binary")
     p_pic.add_argument("--out-dir", default=None)
     p_pic.set_defaults(func=cmd_picard)
@@ -846,8 +813,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "picard" and args.scenario is None and args.batch is None:
-        parser.error("picard needs --scenario or --batch")
     try:
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:

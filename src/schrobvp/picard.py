@@ -10,8 +10,9 @@ uncoupled linear problems, and measures the update in the norm
 
 Under the contraction-admissible horizon the update shrinks by at least a
 factor 1/2 per sweep from the second sweep on; that factor, the confinement
-bound |||v||| <= 4 (||f|| + ||g||), the cross-frequency leakage, and the
-final PDE residual are all recorded in the report rather than assumed.
+bound |||v||| <= 4 (||f|| + ||g||), the cross-frequency leakage, the
+final PDE residual and the spatial resolution indicator (`band_tail`) are
+all recorded in the report rather than assumed.
 
 Everything runs on the paired-mode class (zero mean, no unpaired Nyquist
 content): the half-line projections resolve the identity only there, so
@@ -84,6 +85,7 @@ __all__ = [
     "picard_solve",
     "assemble_solution",
     "pde_residual",
+    "band_tail",
 ]
 
 
@@ -140,6 +142,7 @@ class PicardReport:
     boundary_residual_high: float = 0.0
     final_leakage: float = 0.0
     residual_sup: float = 0.0
+    band_tail: float = 0.0
     residual_profile: np.ndarray | None = None
     # the solve's operator table and rate bundle, for the monitors; not serialised
     table: OperatorTable | None = field(default=None, repr=False)
@@ -163,6 +166,7 @@ class PicardReport:
             "boundary_residual_high": self.boundary_residual_high,
             "final_leakage": self.final_leakage,
             "residual_sup": self.residual_sup,
+            "band_tail": self.band_tail,
         }
         if self.residual_profile is not None:
             out["residual_profile"] = [float(r) for r in self.residual_profile]
@@ -487,6 +491,7 @@ def picard_solve(
     profile = pde_residual(total, table)
     report.residual_profile = profile.norms
     report.residual_sup = profile.sup
+    report.band_tail = band_tail(total)
     return vp, vm, report
 
 
@@ -626,3 +631,23 @@ def pde_residual(v: SpaceTimeField, table: OperatorTable) -> ResidualProfile:
         r *= jm2
         norms[rows] = hat_norm(grid, r)
     return ResidualProfile(times=v.times[1:-1], norms=norms, sup=float(np.max(norms)))
+
+
+def band_tail(v: SpaceTimeField) -> float:
+    """Resolution indicator: max over slices of the L^2 share of the band's top fifth.
+
+    Per slice, sqrt(sum |v hat|^2 over 0.8 kmax < |k| <= kmax / sum over the
+    2/3 band |k| <= kmax), 0 for a slice with no mass in the band; read one
+    block of slices at a time.  The residual cannot see spatial error; this can.
+    """
+    grid = v.grid
+    k = np.abs(grid.k_index)
+    top = grid.dealias_mask & (k > 0.8 * np.max(k[grid.dealias_mask]))
+    worst = 0.0
+    for rows in row_blocks(len(v.times), grid.n):
+        power = np.abs(v.hats[rows]) ** 2
+        mass = np.sum(power, axis=-1, where=grid.dealias_mask)
+        tail = np.sum(power, axis=-1, where=top)
+        share = np.divide(tail, mass, out=np.zeros_like(tail), where=mass > 0)
+        worst = max(worst, float(np.sqrt(np.max(share))))
+    return worst

@@ -18,30 +18,28 @@ i d/dx((a(t_s) - abar) dv/dx) - 2i a(t_s) q dv/dx + F(t_s) is taken by the
 classical RK4 stages at their own times t_s.  Every stage splits off the
 same midpoint abar as the exponential, so the split is consistent and the
 scheme keeps fourth order for time-dependent a.  Coefficients come from
-one :class:`OperatorTable` of 2/3-rule masked rows.  The coupled solver
-builds it once and hands it on: the coupling source, the residual monitor
-and the energy monitors' sources read the same table, so all of them
-realize the same discrete operator.  On a ``uniform`` table (every row
-constant in x, as for a = 1, W = 0 under the pure-exponential weight) each
-product of a row with v_x is a plain Fourier multiple, and the remainder
-is applied as the symbol (i (i xi) (a - abar) - 2i a q)(i xi) of the rows'
-values, with no FFT: fft(c ifft(h)) = c h.
+one :class:`OperatorTable` of 2/3-rule masked rows, which the coupled
+solver builds once and shares with the coupling source and the monitors,
+so all of them realize the same discrete operator.  On a ``uniform``
+table (rows constant in x, as for a = 1, W = 0 under the pure-exponential
+weight) every stage is a diagonal multiply plus a source row, so a step is
+exactly the diagonal affine map v <- A v + B0 F(t_n) + B1 F(t_n+1/2) +
+B2 F(t_n+1), with A and the B's from the same step run on unit inputs;
+it makes no FFT.
 
 Batched march: :func:`solve_linear` advances a stacked (rows, n) state of
 Fourier coefficients, one row per sub-problem; a ``partner`` problem (the
 coupled solver passes the backward carrier next to the forward one) rides
-in the same state, its row reading the mirrored table node 2N - i.  Each
-RK stage makes one batched ifft of v_x and one batched fft of the stacked
-products [(a - abar) v_x, a q v_x]; the step hats go straight into the
-output buffer, which becomes the returned fields' ``hats``.  The coupled
-solver hands in its pair buffer, so each sweep overwrites the previous
-one, with the update measured slot by slot before each write.  A source must
-sit on the march's own time grid (the coupled solver builds its sources
-there); its hats are masked row by row, with each midpoint row formed once
-per step by cubic Lagrange interpolation from the four nearest slices, so
-the time-dependent source costs the scheme no order (it needs at least 3
-steps).  Every row is checked for blow-up after every step against its own
-datum and source coefficient scale.
+in the same state, its row reading the mirrored table node 2N - i.  On
+other tables each RK stage makes one batched ifft of v_x and one batched
+fft of [(a - abar) v_x, a q v_x].  Steps go a ``row_blocks`` block at a
+time into a buffer that is scanned once for blow-up (every row of every
+step against its own datum and source scale; the error names the first
+bad step), measured once against the output buffer's previous contents
+and copied into it.  The coupled solver hands in its pair buffer, so each
+sweep overwrites the previous one.  A source must sit on the march's own
+time grid; its midpoint rows are cubic Lagrange interpolants of the four
+nearest slices, so it costs the scheme no order (it needs 3 steps).
 """
 
 from __future__ import annotations
@@ -188,9 +186,10 @@ class OperatorTable:
     ``uniform`` is true when every row of ``a``, ``aq`` and ``zeroth`` is
     constant in x (an exact ``np.ptp == 0`` test, made while the rows are
     built and stopped at the first row block that varies).  Every product
-    with a row is then a Fourier multiple of the row's value, and the
-    march and ``picard._operator_parts`` apply it as a symbol instead of an
-    ifft/fft round trip.
+    with a row is then a Fourier multiple of the row's value:
+    ``picard._operator_parts`` applies it as a symbol instead of an
+    ifft/fft round trip, and the march steps by the diagonal affine map
+    its RK4 step becomes (see ``_march``).
     """
 
     def __init__(
@@ -296,10 +295,10 @@ def solve_linear(
     belongs to the r-th problem; a backward row runs in reversed time),
     receives the steps in place of a fresh buffer, and the returned fields
     view it; no source may view it.  ``update``, a float array with one
-    entry per row, then receives each row's sup over slots of
+    entry per row, then receives each row's sup over slots 0..n_steps of
     ``hat_norm(new - old)`` against the buffer's previous contents, each
-    slot measured just before it is overwritten.  A buffer or update array
-    of another shape is a ConfigError.
+    block of slots measured just before it is overwritten.  A buffer or
+    update array of another shape is a ConfigError.
     """
     problems = [p] if partner is None else [p, partner]
     if partner is not None and not (
@@ -351,107 +350,52 @@ def _require_march_grid(source_times: np.ndarray, times: np.ndarray) -> None:
         )
 
 
-def _check_state(hat: np.ndarray, step: int, scale: np.ndarray) -> None:
-    """Every row finite and below the blow-up cap of its own datum/source scale."""
-    peak = np.max(np.abs(hat), axis=-1)   # NaN and inf propagate into the peak
-    if not np.all(np.isfinite(peak)):
-        raise StabilityError(f"non-finite state at step {step}")
-    if np.any(peak > _BLOWUP_FACTOR * scale):
-        raise StabilityError(f"state grew past {_BLOWUP_FACTOR:g} x datum at step {step}")
+def _check_state(hats: np.ndarray, first_step: int, scale: np.ndarray) -> None:
+    """Every row of a (rows, steps, n) block finite and below the blow-up cap
+    of its own datum/source scale; an error names the first bad step, the
+    block's slot j being step ``first_step + j``."""
+    peak = np.max(np.abs(hats), axis=-1)   # NaN and inf propagate into the peak
+    finite = np.all(np.isfinite(peak), axis=0)
+    bad = ~finite | np.any(peak > _BLOWUP_FACTOR * scale[:, None], axis=0)
+    if np.any(bad):
+        j = int(np.argmax(bad))
+        if not finite[j]:
+            raise StabilityError(f"non-finite state at step {first_step + j}")
+        raise StabilityError(f"state grew past {_BLOWUP_FACTOR:g} x datum at step {first_step + j}")
 
 
-# cubic Lagrange weights of the midpoint between nodes j and j+1: on
-# j-1..j+2 in the interior, on the four nearest nodes at either end
-_MID_INTERIOR = np.array([-1.0, 9.0, 9.0, -1.0]) / 16.0
+# cubic Lagrange weights of the midpoint between nodes s and s+1, indexed by
+# the place ``own`` of node s in the stencil s - own .. s - own + 3: on the
+# four nearest nodes at the first step (own 0), on s-1..s+2 in the interior
+# (own 1) and on the four nearest nodes at the last step (own 2)
 _MID_FIRST = np.array([5.0, 15.0, -5.0, 1.0]) / 16.0
+_MID_INTERIOR = np.array([-1.0, 9.0, 9.0, -1.0]) / 16.0
 _MID_LAST = np.array([1.0, -5.0, 15.0, 5.0]) / 16.0
+_MID_WEIGHTS = np.stack([_MID_FIRST, _MID_INTERIOR, _MID_LAST])
 _SOURCE_MIN_STEPS = 3   # the cubic midpoint read needs 4 source nodes
 
 
-class _SourceRows:
-    """Masked, oriented source hats of every row at the march's half-step nodes.
+def _midpoints(hats: np.ndarray, lo: int, hi: int, out: np.ndarray, weights=None) -> None:
+    """Write the source hats halfway between nodes s and s + 1, s = lo..hi-1, to ``out``.
 
-    Sources sit on the march's integer nodes.  Half-step i of a forward row
-    reads slice i/2; a midpoint is the cubic Lagrange interpolant of the
-    four nearest slices, which keeps Lawson RK4 fourth order for a
-    time-dependent source (the two-point average would cut it to second
-    order).  A backward row reads the mirrored node.  Row r of the result
-    already carries the row's 2/3 mask, zero-mean cut and orientation.
+    Row j is the cubic Lagrange interpolant sum_m c_m hats[s - own + m] on
+    the stencil of step s = lo + j, which keeps Lawson RK4 fourth order for
+    a time-dependent source.  ``weights(own, j0, j1)``, when given,
+    replaces the weights c_m of the steps lo + j0 .. lo + j1 - 1 (which
+    share one stencil) by any four multipliers.  Four scaled adds of
+    contiguous views: the product of float weights with the complex slices
+    would go through the threaded BLAS gemv, whose time over one solve
+    varied twentyfold between identical runs.
     """
-
-    def __init__(self, problems, n_steps: int, factor: np.ndarray) -> None:
-        self.factor = factor
-        self.n_steps = n_steps
-        self.hats = [None if q.source is None else q.source.hats for q in problems]
-        self.forward = [q.direction == "forward" for q in problems]
-        self.active = any(hats is not None for hats in self.hats)
-
-    def scale(self) -> np.ndarray:
-        """Per row, the largest source coefficient (0 without a source)."""
-        out = np.zeros(len(self.hats))
-        for r, hats in enumerate(self.hats):
-            if hats is not None:
-                out[r] = max(np.max(np.abs(hats[rows])) for rows in row_blocks(*hats.shape))
-        return out
-
-    @staticmethod
-    def _midpoint(hats: np.ndarray, j: int, out: np.ndarray) -> None:
-        """Write the source hats halfway between slices j and j + 1 to ``out``.
-
-        Four scaled adds in place: the product of float weights with the
-        complex slices would go through the threaded BLAS gemv, whose time
-        over one solve varied twentyfold between identical runs.
-        """
-        if j == 0:
-            weights, lo = _MID_FIRST, 0
-        elif j == len(hats) - 2:
-            weights, lo = _MID_LAST, j - 2
-        else:
-            weights, lo = _MID_INTERIOR, j - 1
-        np.multiply(hats[lo], weights[0], out=out)
-        for m in range(1, 4):
-            out += weights[m] * hats[lo + m]
-
-    def at(self, i: int) -> np.ndarray | None:
-        if not self.active:
-            return None
-        out = np.zeros(self.factor.shape, dtype=np.complex128)
-        for r, hats in enumerate(self.hats):
-            if hats is not None:
-                j = i // 2 if self.forward[r] else self.n_steps - (i + 1) // 2
-                if i % 2 == 0:
-                    out[r] = hats[j]
-                else:
-                    self._midpoint(hats, j, out[r])
-        out *= self.factor
-        return out
-
-
-class _UpdateMeter:
-    """Per-row sup over slots of hat_norm(new - old) while a march overwrites ``out``.
-
-    Each slot's difference goes to a one-block scratch before the slot is
-    written; every full block of slots (the ``row_blocks`` of the slot axis)
-    takes one ``hat_norm`` call, so the measure costs what a blockwise pass
-    over old and new stacks would, without keeping the old stack.
-    """
-
-    def __init__(self, grid: Grid1D, out: np.ndarray, update: np.ndarray) -> None:
-        self.grid = grid
-        self.out = out
-        self.update = update
-        self.block = chunk_rows(grid.n)
-        self.scratch = np.empty((out.shape[0], self.block, grid.n), dtype=np.complex128)
-        self.last = out.shape[1] - 1
-        update[:] = 0.0
-
-    def store(self, slot: int, v_hat: np.ndarray) -> None:
-        j = slot % self.block
-        np.subtract(v_hat, self.out[:, slot], out=self.scratch[:, j])
-        if j == self.block - 1 or slot == self.last:
-            worst = np.max(hat_norm(self.grid, self.scratch[:, : j + 1]), axis=1)
-            np.maximum(self.update, worst, out=self.update)
-        self.out[:, slot] = v_hat
+    n_steps = len(hats) - 1
+    for own, (a, b) in enumerate(((0, 1), (1, n_steps - 1), (n_steps - 1, n_steps))):
+        a, b = max(a, lo), min(b, hi)
+        if a < b:
+            c = _MID_WEIGHTS[own] if weights is None else weights(own, a - lo, b - lo)
+            dst = out[a - lo : b - lo]
+            np.multiply(hats[a - own : b - own], c[0], out=dst)
+            for m in range(1, 4):
+                dst += c[m] * hats[a - own + m : b - own + m]
 
 
 def _march(
@@ -464,12 +408,17 @@ def _march(
 ) -> np.ndarray:
     """Lawson RK4 on a (rows, n) hat-space state, one row per sub-problem.
 
-    Half-step i of a forward row reads table node i, of a backward row the
-    mirrored node 2 n_steps - i.  Each RK stage costs one batched ifft of
-    v_x and one batched fft of the stacked products [(a - abar) v_x, a q v_x];
-    on a ``uniform`` table it costs one symbol product and no FFT.  Writes
-    the step hats in march order to ``out`` (rows, n_steps + 1, n) and
-    returns it; with ``update``, measures each slot's change first.
+    Half-step i of a forward row reads table node i and source slice i/2,
+    of a backward row node 2 n_steps - i and slice n_steps - i/2.  On a
+    ``uniform`` table the step is the affine map v <- A v + forcing: A and
+    the B's are the step run on unit inputs (once per march on a constant
+    table, once per block on a time-dependent one), and with the midpoint
+    weights and source factors folded in, a block's forcing is four scaled
+    adds of source views per row.  Steps go a ``row_blocks`` block at a
+    time into a buffer that first holds each step's source midpoint or
+    forcing; per block, one blow-up scan, one ``hat_norm`` for ``update``
+    and one copy into ``out``.  Without ``update`` the steps go straight
+    into ``out``.  Returns ``out``.
     """
     grid = problems[0].grid
     n = grid.n
@@ -479,16 +428,18 @@ def _march(
     orientation = np.where(forward, 1.0, -1.0)[:, None]
     first = np.where(forward, 0, 2 * n_steps)
     stride = np.where(forward, 1, -1)
-    stage_offsets = np.arange(3)[:, None]
 
     ixi = 1j * grid.xi
     keep = np.tile(grid.dealias_mask.astype(np.float64), (rows, 1))
     keep[[q.zero_mean for q in problems], 0] = 0.0
     # the 2/3 mask, the zero-mean cut and the orientation fold into the
-    # factors that multiply the product hats
-    div_factor = 1j * ixi * keep * orientation
-    drift_factor = -2j * keep * orientation
-    sources = _SourceRows(problems, n_steps, keep * orientation)
+    # factors that multiply the product hats and the source rows
+    factor = keep * orientation
+    div_factor = 1j * ixi * factor
+    drift_factor = -2j * factor
+    sources = [None if q.source is None else q.source.hats for q in problems]
+    march_hats = [h if fwd or h is None else h[::-1] for h, fwd in zip(sources, forward)]
+    active = any(hats is not None for hats in sources)
     products = np.empty((2, rows, n), dtype=np.complex128)
 
     # The state is zero outside the 2/3 band, so E is needed only there; it
@@ -498,70 +449,117 @@ def _march(
     xi2 = grid.xi[: kmax + 1] ** 2
     visc = -cfg.epsilon * grid.xi[: kmax + 1] ** 4
     mirror = np.minimum(np.abs(grid.k_index), kmax + 1)
-    band = np.zeros((rows, kmax + 2), dtype=np.complex128)
 
-    def exponential(abar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        band[:, : kmax + 1] = np.exp(0.5 * dt * (visc - orientation * 1j * abar[:, None] * xi2))
-        E = np.take(band, mirror, axis=1)
-        return E, E * E
-
-    def stage(a_rel: np.ndarray, aq: np.ndarray) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-        """What ``remainder`` reads at one stage: the rows, or on a uniform
-        table the symbol of their x-constant values."""
-        if table.uniform:
-            return (div_factor * a_rel[:, :1] + drift_factor * aq[:, :1]) * ixi
-        return a_rel, aq
+    def coefficients(steps) -> tuple[np.ndarray, ...]:
+        """E, E^2 and the stage rows a - abar, a q of a step or an array of
+        steps; every stage splits off the exponential's midpoint mean."""
+        steps = np.asarray(steps)
+        by_row = (rows,) + (1,) * steps.ndim
+        stages = np.arange(3).reshape((3,) + (1,) * len(by_row))
+        abar3, a, aq = table.at(first.reshape(by_row) + stride.reshape(by_row) * (2 * steps + stages))
+        abar = abar3[1]
+        sign = orientation.reshape((rows,) + (1,) * abar.ndim)
+        band = np.zeros(abar.shape + (kmax + 2,), dtype=np.complex128)
+        band[..., : kmax + 1] = np.exp(0.5 * dt * (visc - sign * 1j * abar[..., None] * xi2))
+        E = np.take(band, mirror, axis=-1)
+        return E, E * E, list(zip(a - abar[..., None], aq))
 
     def remainder(v_hat: np.ndarray, op, f: np.ndarray | None) -> np.ndarray:
         """tau * [i d/dx((a - abar) v_x) - 2i a q v_x + F] of every row, as masked hats."""
-        if table.uniform:
-            out = op * v_hat
-        else:
-            vx = np.fft.ifft(ixi * v_hat, axis=-1)
-            np.multiply(op[0], vx, out=products[0])
-            np.multiply(op[1], vx, out=products[1])
-            prod_hat = np.fft.fft(products, axis=-1)
-            out = div_factor * prod_hat[0] + drift_factor * prod_hat[1]
+        vx = np.fft.ifft(ixi * v_hat, axis=-1)
+        np.multiply(op[0], vx, out=products[0])
+        np.multiply(op[1], vx, out=products[1])
+        prod_hat = np.fft.fft(products, axis=-1)
+        out = div_factor * prod_hat[0] + drift_factor * prod_hat[1]
         if f is not None:
             out += f
         return out
 
-    if update is None:
-        def store(slot: int, v: np.ndarray) -> None:
-            out[:, slot] = v
-    else:
-        store = _UpdateMeter(grid, out, update).store
-    v_hat = np.stack([q.datum.hat for q in problems]) * keep
-    store(0, v_hat)
-    scale = np.maximum(np.maximum(np.max(np.abs(v_hat), axis=1), sources.scale()), 1e-30)
-
-    if table.constant:
-        abar, a, aq = table.at(first)
-        E, E2 = exponential(abar)
-        op0 = op1 = op2 = stage(a - abar[:, None], aq)
-    f0 = sources.at(0)
-    for step in range(n_steps):
-        i = 2 * step
-        f1 = sources.at(i + 1)
-        f2 = sources.at(i + 2)
-        if not table.constant:
-            # the exponential and every stage split off the same midpoint
-            # mean, which keeps the scheme fourth order for time-dependent a
-            abar3, a, aq = table.at(first + stride * (i + stage_offsets))
-            abar = abar3[1]
-            E, E2 = exponential(abar)
-            op0, op1, op2 = map(stage, a - abar[:, None], aq)
-
+    def rk4(v_hat, f0, f1, f2, E, E2, ops, apply):
+        """One Lawson RK4 step, ``apply`` giving each stage's remainder."""
         Ev, E2v = E * v_hat, E2 * v_hat
-        k1 = remainder(v_hat, op0, f0)
-        k2 = remainder(Ev + (0.5 * dt) * (E * k1), op1, f1)
-        k3 = remainder(Ev + (0.5 * dt) * k2, op1, f1)
-        k4 = remainder(E2v + dt * (E * k3), op2, f2)
+        k1 = apply(v_hat, ops[0], f0)
+        k2 = apply(Ev + (0.5 * dt) * (E * k1), ops[1], f1)
+        k3 = apply(Ev + (0.5 * dt) * k2, ops[1], f1)
+        k4 = apply(E2v + dt * (E * k3), ops[2], f2)
+        return E2v + (dt / 6.0) * (E2 * k1 + 2.0 * E * (k2 + k3) + k4)
 
-        v_hat = E2v + (dt / 6.0) * (E2 * k1 + 2.0 * E * (k2 + k3) + k4)
-        _check_state(v_hat, step + 1, scale)
-        store(step + 1, v_hat)
-        f0 = f2
+    def affine(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A and the per-offset source coefficients C[own, m] of each midpoint
+        stencil at the ``steps``, each (rows, len(steps), n)."""
+        E, E2, stages = coefficients(steps)
+        div, drift = div_factor[:, None], drift_factor[:, None]
+        ops = [(div * ar[..., :1] + drift * q[..., :1]) * ixi for ar, q in stages]
+        # the four unit inputs (v, f0, f1, f2) side by side on a leading axis
+        A, *B = rk4(*np.eye(4)[:, :, None, None, None], E, E2, ops, lambda v, op, f: op * v + f)
+        b0, b1, b2 = (b * factor[:, None] for b in B)
+        C = _MID_WEIGHTS[:, :, None, None, None] * b1
+        for own in range(3):
+            C[own, own] += b0
+            C[own, own + 1] += b2
+        return A, C
+
+    block = chunk_rows(n)
+    v_hat = np.stack([q.datum.hat for q in problems]) * keep
+    scale = np.maximum(np.max(np.abs(v_hat), axis=1), 1e-30)
+    for r, hats in enumerate(sources):
+        if hats is not None:
+            scale[r] = max(scale[r], *(np.max(np.abs(hats[b])) for b in row_blocks(*hats.shape)))
+    if update is not None:
+        update[:] = hat_norm(grid, v_hat - out[:, 0])
+        buffer = np.empty((rows, block, n), dtype=np.complex128)
+    out[:, 0] = v_hat
+
+    if table.uniform:
+        av = np.empty((rows, n), dtype=np.complex128)
+        if table.constant:   # one step's map, read at every slot of a block
+            A, C = (np.broadcast_to(c, c.shape[:-2] + (block, n)) for c in affine(np.arange(1)))
+    else:
+        if table.constant:
+            E, E2, ops = coefficients(0)
+        if active:
+            nodes = np.zeros((rows, block + 1, n), dtype=np.complex128)
+
+    for steps in row_blocks(n_steps, n):
+        lo, hi = steps.start, steps.stop
+        slots = slice(lo + 1, hi + 1)
+        buf = out[:, slots] if update is None else buffer[:, : hi - lo]
+        if table.uniform:
+            if not table.constant:
+                A, C = affine(np.arange(lo, hi))
+            for r, hats in enumerate(march_hats):
+                if hats is None:
+                    buf[r] = 0.0
+                else:
+                    _midpoints(hats, lo, hi, buf[r], lambda own, j0, j1: C[own, :, r, j0:j1])
+            for j in range(hi - lo):
+                np.multiply(A[:, j], v_hat, out=av)
+                buf[:, j] += av
+                v_hat = buf[:, j]
+        else:
+            # each step's source midpoint waits in the slot its step overwrites; a backward
+            # row sums in ascending node order (the reversed view rounds differently)
+            for r, hats in enumerate(sources):
+                if hats is None:
+                    continue
+                np.multiply(march_hats[r][lo : hi + 1], factor[r], out=nodes[r, : hi - lo + 1])
+                if forward[r]:
+                    _midpoints(hats, lo, hi, buf[r])
+                else:
+                    _midpoints(hats, n_steps - hi, n_steps - lo, buf[r, ::-1])
+                buf[r] *= factor[r]
+            for j, step in enumerate(range(lo, hi)):
+                if not table.constant:
+                    E, E2, ops = coefficients(step)
+                f = (nodes[:, j], buf[:, j], nodes[:, j + 1]) if active else (None,) * 3
+                v_hat = rk4(v_hat, *f, E, E2, ops, remainder)
+                buf[:, j] = v_hat
+        _check_state(buf, lo + 1, scale)
+        if update is not None:   # old - new in place of the old slots, then the new ones
+            out[:, slots] -= buf
+            np.maximum(update, np.max(hat_norm(grid, out[:, slots]), axis=1), out=update)
+            out[:, slots] = buf
+        v_hat = out[:, hi]   # the next block may overwrite the buffer's last slot first
     return out
 
 

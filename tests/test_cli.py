@@ -233,34 +233,15 @@ class TestPicardCommand:
         assert report["horizon"]["source"] == "override-flag"
 
 
-class TestBatch:
-    def test_serial_batch(self, tmp_path):
-        batch = tmp_path / "batch.json"
-        batch.write_text(json.dumps([SMALL, merge_scenario(SMALL, {"horizon": 0.03})]))
-        out = tmp_path / "runs"
-        code = cli.main(["picard", "--batch", str(batch), "--out-dir", str(out)])
-        assert code == 0
-        summary = json.loads((out / "batch-summary.json").read_text())
-        assert [e["exit"] for e in summary] == [0, 0]
-        assert (out / "run_001" / "report.json").exists()
-
-    def test_batch_propagates_failure(self, tmp_path):
-        bad = {"preset": "decoupled", "grid": {"n": 256, "L": 24.0, "junk": 1}}
-        batch = tmp_path / "batch.json"
-        batch.write_text(json.dumps([SMALL, bad]))
-        out = tmp_path / "runs"
-        code = cli.main(["picard", "--batch", str(batch), "--out-dir", str(out)])
-        assert code == 1
-        summary = json.loads((out / "batch-summary.json").read_text())
-        assert summary[1]["error"] is not None and "junk" in summary[1]["error"]
-
-
-    def test_jobs_option_is_gone(self, tmp_path):
-        with pytest.raises(SystemExit):
-            cli.main(["picard", "--batch", str(tmp_path / "b.json"), "--jobs", "2"])
-
-
 class TestErrorsAndExitCodes:
+    @pytest.mark.parametrize("argv", [["picard"], ["picard", "--batch", "runs.json"]], ids=["bare", "batch"])
+    def test_picard_needs_a_scenario(self, argv, capsys):
+        # one run per invocation: --scenario is required and --batch is gone
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 2
+        assert "--scenario" in capsys.readouterr().err
+
     def test_unknown_key_exits_1(self, tmp_path, capsys):
         scenario = tmp_path / "s.json"
         scenario.write_text(json.dumps({"preset": "decoupled", "bogus": 1}))

@@ -19,6 +19,7 @@ from schrobvp.free_bvp import FreeBvpData, solve_free
 from schrobvp.picard import (
     BvpProblem,
     assemble_solution,
+    band_tail,
     coupling_norms,
     coupling_stacks,
     pde_residual,
@@ -577,6 +578,63 @@ class TestTimeAccuracy:
         np.testing.assert_allclose(report.residual_profile, tail, rtol=1e-4)
 
 
+def refinement_study():
+    """Benchmark coefficients at T = 1/64, 64 steps, eps = 0, tol 1e-13 on
+    n = 512, 1024, 2048 against n = 4096, per weight mode: the error
+    max |v_n - v_ref| / max |v_ref| on the common nodes over all slices,
+    and the band_tail of each n."""
+    study = {}
+    for mode in ("truncated", "pure_exponential"):
+        runs = {}
+        for n in (4096, 512, 1024, 2048):
+            sc = build_scenario(merge_scenario(
+                load_preset("benchmark"), {"grid": {"n": n}, "weight": {"mode": mode}},
+            ))
+            p = BvpProblem(
+                f=sc.f, g=sc.g, coeffs=sc.coeffs, weight=sc.weight, horizon=0.015625,
+                stepper_cfg=StepperConfig(epsilon=0.0, n_steps=64), override_horizon=True,
+            )
+            vp, vm, report = picard_solve(p, tol=1e-13)
+            runs[n] = (np.fft.ifft(vp.hats + vm.hats, axis=-1), report.band_tail)
+        ref = runs.pop(4096)[0]
+        errs = [np.max(np.abs(v - ref[:, :: 4096 // n])) / np.max(np.abs(ref)) for n, (v, _) in runs.items()]
+        study[mode] = (errs, [tail for _, tail in runs.values()])
+    return study
+
+
+class TestResolution:
+    # the residual cannot see spatial error; band_tail must.  The truncated
+    # weight's seam keeps the error algebraic in n, the pure-exponential
+    # weight's is spectral
+    @pytest.fixture(scope="class")
+    def study(self):
+        return refinement_study()
+
+    def test_pure_exponential_weight_resolves_to_round_off(self, study):
+        errs, _ = study["pure_exponential"]
+        assert max(errs[1:]) < 1e-12   # n = 1024 and 2048
+
+    @pytest.mark.parametrize("mode", ["truncated", "pure_exponential"])
+    def test_band_tail_falls_where_the_error_does(self, study, mode):
+        errs, tails = study[mode]
+        for i in range(len(errs) - 1):
+            if errs[i + 1] < errs[i]:
+                assert tails[i + 1] < tails[i], (i, errs, tails)
+
+    def test_band_tail_separates_the_weights(self, study):
+        assert study["truncated"][1][2] >= 1e6 * study["pure_exponential"][1][2]   # n = 2048
+
+    def test_band_tail_reads_the_top_fifth_of_the_band(self):
+        grid = Grid1D(16, 10.0)   # kept band |k| <= 5, top fifth 4 < |k| <= 5
+        hats = np.zeros((3, 16), dtype=complex)
+        hats[0, [3, -5]] = 1.0, 2.0
+        hats[1, [3, 4, 5, 6]] = 1.0           # |k| = 6 is outside the band
+        v = SpaceTimeField(grid, np.linspace(0.0, 0.1, 3), hats=hats)
+        assert band_tail(v) == pytest.approx(np.sqrt(4.0 / 5.0), rel=1e-15)
+        assert band_tail(SpaceTimeField(grid, v.times[:2], hats=hats[1:])) == pytest.approx(np.sqrt(1.0 / 3.0))
+        assert band_tail(SpaceTimeField(grid, v.times[:2], hats=np.zeros((2, 16), dtype=complex))) == 0.0
+
+
 class TestHatCarriers:
     # the carriers stay Fourier coefficients from the march to the residual
     def test_solve_returns_hat_backed_carriers(self, monkeypatch):
@@ -678,6 +736,7 @@ def blocked_outputs():
         "coupling_norms": list(coupling_norms(vp, vm, table)),
         "march update": [buffer, update],
         "pde_residual": [pde_residual(total, table).norms],
+        "band_tail": [band_tail(total)],
         "norm_series": [total.norm_series(), total.norm_series(projection_multiplier(grid, "-").symbol)],
         "assemble_solution": [assemble_solution(vp, vm, w).w.hats],
         "norm_bundle": [bundle.coupling_rate, bundle.energy_rate],

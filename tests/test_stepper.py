@@ -27,7 +27,7 @@ from schrobvp.stepper import (
     OperatorTable,
     StepperConfig,
     epsilon_study,
-    _SourceRows,
+    _midpoints,
     heat_quartic,
     solve_linear,
 )
@@ -395,6 +395,28 @@ class TestInvariants:
         with pytest.raises(StabilityError, match="step"):
             solve_linear(p, StepperConfig(epsilon=0.0, n_steps=512))
 
+    def test_blowup_inside_a_block_names_the_same_step_on_both_paths(self):
+        # the blow-up scan runs once per block of steps and must still name
+        # the first bad step: the affine path and the FFT path agree on it
+        grid = Grid1D(256, 8 * np.pi)
+        w = build_weight(4.0, grid, mode="pure_exponential")
+        p = LinearProblem(
+            direction="forward", coeffs=CONST, weight=w, source=None, horizon=0.5,
+            datum=project(random_band_field(grid, 80, 13, band_lo=40), "+"),
+        )
+        cfg = StepperConfig(epsilon=0.0, n_steps=512)
+        messages = []
+        for uniform in (True, False):
+            table = OperatorTable(CONST, w, np.linspace(0.0, 0.5, 513), half_steps=True)
+            assert table.uniform
+            table.uniform = uniform
+            with pytest.raises(StabilityError, match="step") as err:
+                solve_linear(p, cfg, table)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        step = int(messages[0].rsplit(" ", 1)[1])
+        assert (step - 1) % spectral.chunk_rows(grid.n) not in (0, spectral.chunk_rows(grid.n) - 1)
+
 
 class TestEpsilonStudy:
     def test_first_order_in_viscosity(self):
@@ -577,10 +599,40 @@ class TestUniformTable:
         for g, r in zip(got, ref):
             assert np.max(np.abs(g.hats - r.hats)) <= 1e-13 * np.max(np.abs(r.hats))
 
+    @pytest.mark.parametrize("uniform", [True, False], ids=["affine", "fft"])
+    def test_update_measures_every_slot_it_overwrites(self, monkeypatch, uniform):
+        # into a prefilled buffer, update is each row's max over slots
+        # 0..N of hat_norm(new - old); the datum slot 0 differs the most.
+        # Blocks of 4 steps, so the march flushes 8 of them
+        monkeypatch.setattr(spectral, "CHUNK_BYTES", 1 << 13)
+        grid = Grid1D(128, 8 * np.pi)
+        w = build_weight(1.0, grid, mode="pure_exponential")
+        horizon = 0.02
+        times = np.linspace(0.0, horizon, 33)
+        src = SpaceTimeField(grid, times, (1.0 + 20.0 * times)[:, None] * random_band_field(grid, 20, 5).values)
+        fwd, bwd = (
+            LinearProblem(
+                direction=d, coeffs=CONST, weight=w, source=source, horizon=horizon, zero_mean=True,
+                datum=project(random_band_field(grid, 20, seed), sign),
+            )
+            for d, source, seed, sign in (("forward", src, 7, "-"), ("backward", None, 8, "+"))
+        )
+        table = OperatorTable(CONST, w, times, half_steps=True)
+        table.uniform = uniform
+        rng = np.random.default_rng(4)
+        buffer = 1e-3 * (rng.standard_normal((2, 33, 128)) + 1j * rng.standard_normal((2, 33, 128)))
+        buffer[:, 0] *= 1e4
+        old = buffer.copy()
+        update = np.empty(2)
+        solve_linear(fwd, StepperConfig(epsilon=1e-4, n_steps=32), table, partner=bwd, out=buffer, update=update)
+        for r in range(2):
+            assert update[r] == np.max(hat_norm(grid, buffer[r] - old[r]))
+        assert np.all(update == hat_norm(grid, buffer[:, 0] - old[:, 0]))
+
 
 class TestSourceMidpoint:
-    # the cubic midpoint reads are four scaled adds; the weights' matrix
-    # product is the reference
+    # the block midpoint reader makes four scaled adds per stencil; each
+    # step's weight product is the reference
     @pytest.mark.parametrize("j", [0, 1, 5, 7])
     @pytest.mark.parametrize("reversed_view", [False, True])
     def test_scaled_adds_match_the_weight_product(self, j, reversed_view):
@@ -588,11 +640,15 @@ class TestSourceMidpoint:
         stack = rng.standard_normal((9, 256)) + 1j * rng.standard_normal((9, 256))
         # a backward carrier's source is a reversed view of the march buffer
         hats = stack[::-1] if reversed_view else stack
-        weights, lo = {0: (_MID_FIRST, 0), 7: (_MID_LAST, 5)}.get(j, (_MID_INTERIOR, j - 1))
-        expected = weights @ hats[lo : lo + 4]
-        out = np.empty(256, dtype=np.complex128)
-        _SourceRows._midpoint(hats, j, out)
-        assert np.max(np.abs(out - expected)) <= 1e-14 * np.max(np.abs(expected))
+        # the block of steps j..j+2 (cut at the last step 7) crosses from the
+        # first-step stencil into the interior one, or from it into the last
+        hi = min(j + 3, 8)
+        out = np.empty((hi - j, 256), dtype=np.complex128)
+        _midpoints(hats, j, hi, out)
+        for s in range(j, hi):
+            weights, lo = {0: (_MID_FIRST, 0), 7: (_MID_LAST, 5)}.get(s, (_MID_INTERIOR, s - 1))
+            expected = weights @ hats[lo : lo + 4]
+            assert np.max(np.abs(out[s - j] - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 class TestBatchedMarch:
