@@ -24,8 +24,9 @@ so all of them realize the same discrete operator.  On a ``uniform``
 table (rows constant in x, as for a = 1, W = 0 under the pure-exponential
 weight) every stage is a diagonal multiply plus a source row, so a step is
 exactly the diagonal affine map v <- A v + B0 F(t_n) + B1 F(t_n+1/2) +
-B2 F(t_n+1), with A and the B's from the same step run on unit inputs;
-it makes no FFT.
+B2 F(t_n+1).  When the table is also constant in time, A and the B's come
+from the same step run once on unit inputs and the march makes no FFT; a
+time-dependent uniform table takes the FFT stages.
 
 Batched march: :func:`solve_linear` advances a stacked (rows, n) state of
 Fourier coefficients, one row per sub-problem; a ``partner`` problem (the
@@ -188,8 +189,8 @@ class OperatorTable:
     built and stopped at the first row block that varies).  Every product
     with a row is then a Fourier multiple of the row's value:
     ``picard._operator_parts`` applies it as a symbol instead of an
-    ifft/fft round trip, and the march steps by the diagonal affine map
-    its RK4 step becomes (see ``_march``).
+    ifft/fft round trip, and on a constant table the march steps by the
+    diagonal affine map its RK4 step becomes (see ``_march``).
     """
 
     def __init__(
@@ -375,23 +376,24 @@ _MID_WEIGHTS = np.stack([_MID_FIRST, _MID_INTERIOR, _MID_LAST])
 _SOURCE_MIN_STEPS = 3   # the cubic midpoint read needs 4 source nodes
 
 
-def _midpoints(hats: np.ndarray, lo: int, hi: int, out: np.ndarray, weights=None) -> None:
+def _midpoints(
+    hats: np.ndarray, lo: int, hi: int, out: np.ndarray, weights: np.ndarray = _MID_WEIGHTS
+) -> None:
     """Write the source hats halfway between nodes s and s + 1, s = lo..hi-1, to ``out``.
 
     Row j is the cubic Lagrange interpolant sum_m c_m hats[s - own + m] on
     the stencil of step s = lo + j, which keeps Lawson RK4 fourth order for
-    a time-dependent source.  ``weights(own, j0, j1)``, when given,
-    replaces the weights c_m of the steps lo + j0 .. lo + j1 - 1 (which
-    share one stencil) by any four multipliers.  Four scaled adds of
-    contiguous views: the product of float weights with the complex slices
-    would go through the threaded BLAS gemv, whose time over one solve
-    varied twentyfold between identical runs.
+    a time-dependent source; c = ``weights[own]``, which may be any (3, 4)
+    or (3, 4, n) multipliers in place of the Lagrange weights.  Four scaled
+    adds of contiguous views: the product of float weights with the complex
+    slices would go through the threaded BLAS gemv, whose time over one
+    solve varied twentyfold between identical runs.
     """
     n_steps = len(hats) - 1
     for own, (a, b) in enumerate(((0, 1), (1, n_steps - 1), (n_steps - 1, n_steps))):
         a, b = max(a, lo), min(b, hi)
         if a < b:
-            c = _MID_WEIGHTS[own] if weights is None else weights(own, a - lo, b - lo)
+            c = weights[own]
             dst = out[a - lo : b - lo]
             np.multiply(hats[a - own : b - own], c[0], out=dst)
             for m in range(1, 4):
@@ -410,11 +412,11 @@ def _march(
 
     Half-step i of a forward row reads table node i and source slice i/2,
     of a backward row node 2 n_steps - i and slice n_steps - i/2.  On a
-    ``uniform`` table the step is the affine map v <- A v + forcing: A and
-    the B's are the step run on unit inputs (once per march on a constant
-    table, once per block on a time-dependent one), and with the midpoint
-    weights and source factors folded in, a block's forcing is four scaled
-    adds of source views per row.  Steps go a ``row_blocks`` block at a
+    ``uniform`` table without time dependence the step is the affine map
+    v <- A v + forcing: A and the B's are the step run once on unit inputs,
+    and with the midpoint weights and source factors folded in, a block's
+    forcing is four scaled adds of source views per row.  Every other table
+    takes the FFT stages.  Steps go a ``row_blocks`` block at a
     time into a buffer that first holds each step's source midpoint or
     forcing; per block, one blow-up scan, one ``hat_norm`` for ``update``
     and one copy into ``out``.  Without ``update`` the steps go straight
@@ -450,19 +452,15 @@ def _march(
     visc = -cfg.epsilon * grid.xi[: kmax + 1] ** 4
     mirror = np.minimum(np.abs(grid.k_index), kmax + 1)
 
-    def coefficients(steps) -> tuple[np.ndarray, ...]:
-        """E, E^2 and the stage rows a - abar, a q of a step or an array of
-        steps; every stage splits off the exponential's midpoint mean."""
-        steps = np.asarray(steps)
-        by_row = (rows,) + (1,) * steps.ndim
-        stages = np.arange(3).reshape((3,) + (1,) * len(by_row))
-        abar3, a, aq = table.at(first.reshape(by_row) + stride.reshape(by_row) * (2 * steps + stages))
+    def coefficients(step: int) -> tuple[np.ndarray, ...]:
+        """E, E^2 and the stage rows a - abar, a q of one step; every stage
+        splits off the exponential's midpoint mean."""
+        abar3, a, aq = table.at(first + stride * (2 * step + np.arange(3)[:, None]))
         abar = abar3[1]
-        sign = orientation.reshape((rows,) + (1,) * abar.ndim)
-        band = np.zeros(abar.shape + (kmax + 2,), dtype=np.complex128)
-        band[..., : kmax + 1] = np.exp(0.5 * dt * (visc - sign * 1j * abar[..., None] * xi2))
+        band = np.zeros((rows, kmax + 2), dtype=np.complex128)
+        band[:, : kmax + 1] = np.exp(0.5 * dt * (visc - orientation * 1j * abar[:, None] * xi2))
         E = np.take(band, mirror, axis=-1)
-        return E, E * E, list(zip(a - abar[..., None], aq))
+        return E, E * E, list(zip(a - abar[:, None], aq))
 
     def remainder(v_hat: np.ndarray, op, f: np.ndarray | None) -> np.ndarray:
         """tau * [i d/dx((a - abar) v_x) - 2i a q v_x + F] of every row, as masked hats."""
@@ -484,16 +482,15 @@ def _march(
         k4 = apply(E2v + dt * (E * k3), ops[2], f2)
         return E2v + (dt / 6.0) * (E2 * k1 + 2.0 * E * (k2 + k3) + k4)
 
-    def affine(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """A and the per-offset source coefficients C[own, m] of each midpoint
-        stencil at the ``steps``, each (rows, len(steps), n)."""
-        E, E2, stages = coefficients(steps)
-        div, drift = div_factor[:, None], drift_factor[:, None]
-        ops = [(div * ar[..., :1] + drift * q[..., :1]) * ixi for ar, q in stages]
+    def affine() -> tuple[np.ndarray, np.ndarray]:
+        """A, (rows, n), and the per-offset source coefficients C[own, m] of
+        each midpoint stencil, (3, 4, rows, n), of a constant table's step."""
+        E, E2, stages = coefficients(0)
+        ops = [(div_factor * ar[:, :1] + drift_factor * q[:, :1]) * ixi for ar, q in stages]
         # the four unit inputs (v, f0, f1, f2) side by side on a leading axis
-        A, *B = rk4(*np.eye(4)[:, :, None, None, None], E, E2, ops, lambda v, op, f: op * v + f)
-        b0, b1, b2 = (b * factor[:, None] for b in B)
-        C = _MID_WEIGHTS[:, :, None, None, None] * b1
+        A, *B = rk4(*np.eye(4)[:, :, None, None], E, E2, ops, lambda v, op, f: op * v + f)
+        b0, b1, b2 = (b * factor for b in B)
+        C = _MID_WEIGHTS[:, :, None, None] * b1
         for own in range(3):
             C[own, own] += b0
             C[own, own + 1] += b2
@@ -510,10 +507,10 @@ def _march(
         buffer = np.empty((rows, block, n), dtype=np.complex128)
     out[:, 0] = v_hat
 
-    if table.uniform:
+    affine_map = table.uniform and table.constant
+    if affine_map:
+        A, C = affine()
         av = np.empty((rows, n), dtype=np.complex128)
-        if table.constant:   # one step's map, read at every slot of a block
-            A, C = (np.broadcast_to(c, c.shape[:-2] + (block, n)) for c in affine(np.arange(1)))
     else:
         if table.constant:
             E, E2, ops = coefficients(0)
@@ -524,23 +521,22 @@ def _march(
         lo, hi = steps.start, steps.stop
         slots = slice(lo + 1, hi + 1)
         buf = out[:, slots] if update is None else buffer[:, : hi - lo]
-        if table.uniform:
-            if not table.constant:
-                A, C = affine(np.arange(lo, hi))
+        if affine_map:
             for r, hats in enumerate(march_hats):
                 if hats is None:
                     buf[r] = 0.0
                 else:
-                    _midpoints(hats, lo, hi, buf[r], lambda own, j0, j1: C[own, :, r, j0:j1])
+                    _midpoints(hats, lo, hi, buf[r], C[:, :, r])
             for j in range(hi - lo):
-                np.multiply(A[:, j], v_hat, out=av)
+                np.multiply(A, v_hat, out=av)
                 buf[:, j] += av
                 v_hat = buf[:, j]
         else:
             # each step's source midpoint waits in the slot its step overwrites; a backward
             # row sums in ascending node order (the reversed view rounds differently)
             for r, hats in enumerate(sources):
-                if hats is None:
+                if hats is None:   # the buffer holds stale slots; the unsourced row reads zero
+                    buf[r] = 0.0
                     continue
                 np.multiply(march_hats[r][lo : hi + 1], factor[r], out=nodes[r, : hi - lo + 1])
                 if forward[r]:

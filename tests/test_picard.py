@@ -760,16 +760,29 @@ def test_block_budget_changes_no_result(monkeypatch):
 class TestPeakMemory:
     # decoupled: its stack is 16 block budgets, so one stack kept alive past
     # its last read crosses the bound; benchmark: its time-dependent
-    # coefficients make the half-step table about three stacks
-    @pytest.mark.parametrize("preset", ["decoupled", "benchmark"])
-    def test_traced_run_stays_within_the_four_stack_model(self, tmp_path, preset):
-        sc = build_scenario(load_preset(preset))
+    # coefficients make the half-step table about three stacks; decoupled
+    # with a = 1 + t/2: a uniform table that depends on time, whose march
+    # must not build per-block step maps beside the stacks
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"preset": "decoupled"},
+            {"preset": "benchmark"},
+            {"preset": "decoupled", "coefficients": {"a": "1 + 0.5*t"}},
+        ],
+        ids=["decoupled", "benchmark", "time-dependent-uniform"],
+    )
+    def test_traced_run_stays_within_the_four_stack_model(self, tmp_path, raw):
+        sc = build_scenario(raw)
         n, n_steps = sc.grid.n, sc.stepper.n_steps
         stack = 16 * n * (n_steps + 1)
         assert stack >= 4 * spectral.CHUNK_BYTES
+        if "coefficients" in raw:
+            probe = OperatorTable(sc.coeffs, sc.weight, np.linspace(0.0, 0.035, 3), half_steps=True)
+            assert probe.uniform and not probe.constant
         tracemalloc.start()
         try:
-            run_picard_scenario({"preset": preset}, str(tmp_path))
+            run_picard_scenario(raw, str(tmp_path))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,5 +1,7 @@
 """Linear stepper tests: exact oracles, invariants, and failure modes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -562,8 +564,9 @@ class TestOperatorTable:
 
 
 class TestUniformTable:
-    # On a uniform table the march applies the x-constant rows as Fourier
-    # symbols; with ``uniform`` cleared the same table takes the FFT path.
+    # On a uniform constant table the march steps by the diagonal affine
+    # map, and a time-dependent uniform table takes the FFT stages; with
+    # ``uniform`` cleared the same table takes the FFT path.
     @pytest.mark.parametrize(
         "coeffs",
         [CONST, CoefficientField("1 + 0.5*t + 0.2*sin(40*t)", "0.3 + t")],
@@ -624,10 +627,15 @@ class TestUniformTable:
         buffer[:, 0] *= 1e4
         old = buffer.copy()
         update = np.empty(2)
-        solve_linear(fwd, StepperConfig(epsilon=1e-4, n_steps=32), table, partner=bwd, out=buffer, update=update)
+        cfg = StepperConfig(epsilon=1e-4, n_steps=32)
+        pair = solve_linear(fwd, cfg, table, partner=bwd, out=buffer, update=update)
         for r in range(2):
             assert update[r] == np.max(hat_norm(grid, buffer[r] - old[r]))
         assert np.all(update == hat_norm(grid, buffer[:, 0] - old[:, 0]))
+        # the unsourced backward row reads zero forcing, not the stale slots
+        for got, problem in zip(pair, (fwd, bwd)):
+            alone = solve_linear(problem, cfg, table)
+            assert np.max(np.abs(got.hats - alone.hats)) <= 1e-12 * np.max(np.abs(alone.hats))
 
 
 class TestSourceMidpoint:
@@ -684,16 +692,24 @@ class TestBatchedMarch:
         ids=["time-dependent", "constant-table"],
     )
     @pytest.mark.parametrize("partner_zero_mean", [True, False])
-    def test_pair_matches_one_row_solves(self, coeffs, constant, partner_zero_mean):
+    def test_pair_matches_one_row_solves(self, monkeypatch, coeffs, constant, partner_zero_mean):
+        # blocks of 4 steps into a prefilled buffer, with and without an
+        # update measure: a row that read stale slots as its forcing (the
+        # unsourced row of a one-sourced pair) would leave its own solve
+        monkeypatch.setattr(spectral, "CHUNK_BYTES", 1 << 13)
         fwd, bwd, cfg, table = self._pair(coeffs, partner_zero_mean)
         assert table.constant is constant
-        for first, second in ((fwd, bwd), (bwd, fwd)):
-            pair = solve_linear(first, cfg, table, partner=second)
-            for got, problem in zip(pair, (first, second)):
-                alone = solve_linear(problem, cfg, table)
-                assert got.times.shape == alone.times.shape
-                scale = np.max(np.abs(alone.values))
-                assert np.max(np.abs(got.values - alone.values)) <= 1e-12 * scale
+        unsourced = dataclasses.replace(bwd, source=None)
+        rng = np.random.default_rng(2)
+        for first, second in ((fwd, bwd), (bwd, fwd), (fwd, unsourced), (unsourced, fwd)):
+            for update in (None, np.empty(2)):
+                buffer = rng.standard_normal((2, 33, 128)) + 1j * rng.standard_normal((2, 33, 128))
+                pair = solve_linear(first, cfg, table, partner=second, out=buffer, update=update)
+                for got, problem in zip(pair, (first, second)):
+                    alone = solve_linear(problem, cfg, table)
+                    assert got.times.shape == alone.times.shape
+                    scale = np.max(np.abs(alone.values))
+                    assert np.max(np.abs(got.values - alone.values)) <= 1e-12 * scale
 
     def test_march_into_a_buffer_measures_what_it_overwrites(self):
         # the steps land in the caller's buffer bit for bit, and the update
