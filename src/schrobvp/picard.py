@@ -40,8 +40,9 @@ measures one block at a time.
 
 Every space-time field stores Fourier coefficients only, so norms are
 Parseval sums (`spectral.hat_norm`), and physical values exist only inside
-`_operator_parts`, the one operator kernel of the coupling source and the
-residual monitor (and not even there on a `uniform` table, whose rows are
+`_operator_parts`, the operator L = Z + S of the coupling source and the
+residual monitor, whose S is `stepper.apply_s`, the kernel the march
+steps with (and not even there on a `uniform` table, whose rows are
 constant in x and act as Fourier symbols), and one block at a time in
 `assemble_solution`, which stores only the weighted transform w.
 """
@@ -72,7 +73,7 @@ from .spectral import (
     require_one_sided,
     row_blocks,
 )
-from .stepper import LinearProblem, OperatorTable, StepperConfig, solve_linear
+from .stepper import LinearProblem, OperatorTable, StepperConfig, apply_s, solve_linear
 from .weights import WeightProfile
 
 __all__ = [
@@ -185,39 +186,23 @@ def _operator_parts(
 ) -> tuple[np.ndarray, ...]:
     """Unmasked hats of (Z v, S v), and of S(sym v) given a real symbol ``sym``.
 
-    L = Z + S is the discrete operator, S u = i d/dx(a u_x) - 2i a q u_x,
-    on the operator-table rows ``am``, ``aqm``, ``zwm``; ``v_hat`` is
-    dealiased here.  One batched ifft of the stacked [v, v_x(, (sym v)_x)]
-    and one batched fft of the stacked products, written in place.  On a
-    ``uniform`` table (rows constant in x) each part is a symbol product of
-    the dealiased u, with Z and S = (i (i xi) a - 2i a q)(i xi) taken on
-    the rows' values, and no FFT.
+    L = Z + S is the discrete operator on the operator-table rows ``am``,
+    ``aqm``, ``zwm``; ``v_hat`` is dealiased here.  S is the stepper's one
+    kernel :func:`~schrobvp.stepper.apply_s`, called once for v and once for
+    sym v.  Z v is one ifft of v and one fft of the product, or on a
+    ``uniform`` table (rows constant in x) the symbol product on the row's
+    value, with no FFT.
     """
-    ixi = 1j * grid.xi
+    u = v_hat * grid.dealias_mask
     if uniform:
-        u = v_hat * grid.dealias_mask
-        s_sym = (1j * ixi * am[:, :1] - 2j * aqm[:, :1]) * ixi
-        parts = (zwm[:, :1] * u, s_sym * u)
-        return parts if sym is None else (*parts, (s_sym * sym) * u)
-    k = 2 if sym is None else 3
-    fields = np.empty((k,) + v_hat.shape, dtype=np.complex128)
-    np.multiply(v_hat, grid.dealias_mask, out=fields[0])
-    np.multiply(ixi, fields[0], out=fields[1])
-    if sym is not None:
-        np.multiply(sym, fields[1], out=fields[2])
-    fields = np.fft.ifft(fields, axis=-1)
-    products = np.empty((2 * k - 1,) + v_hat.shape, dtype=np.complex128)
-    np.multiply(zwm, fields[0], out=products[0])
-    for j in range(1, k):
-        np.multiply(am, fields[j], out=products[2 * j - 1])    # a u_x
-        np.multiply(aqm, fields[j], out=products[2 * j])       # a q u_x
-    products = np.fft.fft(products, axis=-1)
-    dxx = 1j * ixi
-    for j in range(1, k):
-        products[2 * j - 1] *= dxx
-        products[2 * j] *= -2j
-        products[2 * j - 1] += products[2 * j]
-    return (products[0], *products[1::2])
+        zv = zwm[:, :1] * u
+    else:
+        zv = np.fft.fft(zwm * np.fft.ifft(u, axis=-1), axis=-1)
+    sv = apply_s(grid, u, am, aqm, uniform)
+    if sym is None:
+        return zv, sv
+    u *= sym   # u is spent: sym u takes its place, with no block more
+    return zv, sv, apply_s(grid, u, am, aqm, uniform)
 
 
 def _lambda_rows(
@@ -315,13 +300,13 @@ def _leakage(vp: SpaceTimeField, vm: SpaceTimeField) -> float:
 def _lambda_ratio(
     lp: SpaceTimeField,
     lm: SpaceTimeField,
-    vp: SpaceTimeField,
-    vm: SpaceTimeField,
+    v_norm: np.ndarray,
     bundle: NormBundle,
     delta: float,
 ) -> float:
+    """max_t of |lambda(t)| / (coupling rate x v_norm(t)), ``v_norm`` being the
+    summed norm series of the pair the sources were evaluated on."""
     lam_norm = np.maximum(lp.norm_series(), lm.norm_series())
-    v_norm = vp.norm_series() + vm.norm_series()
     denom = bundle.coupling_rate * v_norm
     keep = denom > 1e-14 * max(delta, 1e-300)
     if not np.any(keep):
@@ -433,7 +418,7 @@ def picard_solve(
         src_p = src_m = prob_m = prob_p = None
         if m > 1:
             src_p, src_m = coupling_stacks(vp, vm, table)
-            report.lambda_ratios.append(_lambda_ratio(src_p, src_m, vp, vm, bundle, delta))
+            report.lambda_ratios.append(_lambda_ratio(src_p, src_m, v_norm, bundle, delta))
         prob_m = LinearProblem(
             direction="forward",
             coeffs=p.coeffs,
@@ -458,8 +443,10 @@ def picard_solve(
             solve_hook("+", prob_p, vp)
         diff = float(update[1] + update[0])   # plus carrier's sup-norm update + minus carrier's
 
-        sup_p = vp.sup_norm()
-        sup_m = vm.sup_norm()
+        # measured once: the next sweep's lambda ratio reads the same pair
+        norms_p, norms_m = vp.norm_series(), vm.norm_series()
+        v_norm = norms_p + norms_m
+        sup_p, sup_m = float(np.max(norms_p)), float(np.max(norms_m))
         report.iterations = m
         report.sup_norms_plus.append(sup_p)
         report.sup_norms_minus.append(sup_m)

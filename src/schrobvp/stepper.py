@@ -20,24 +20,22 @@ same midpoint abar as the exponential, so the split is consistent and the
 scheme keeps fourth order for time-dependent a.  Coefficients come from
 one :class:`OperatorTable` of 2/3-rule masked rows, which the coupled
 solver builds once and shares with the coupling source and the monitors,
-so all of them realize the same discrete operator.  On a ``uniform``
-table (rows constant in x, as for a = 1, W = 0 under the pure-exponential
-weight) every stage is a diagonal multiply plus a source row, so a step is
-exactly the diagonal affine map v <- A v + B0 F(t_n) + B1 F(t_n+1/2) +
-B2 F(t_n+1).  When the table is also constant in time, A and the B's come
-from the same step run once on unit inputs and the march makes no FFT; a
-time-dependent uniform table takes the FFT stages.
+and S u = i d/dx(a u_x) - 2i a q u_x has one kernel, :func:`apply_s`,
+which the march, the coupling source and the residual monitor all call.
+On a ``uniform`` table (rows constant in x, as for a = 1, W = 0 under the
+pure-exponential weight) S is a Fourier symbol, so when the table is also
+constant in time a step is exactly the diagonal affine map v <- A v +
+B0 F(t_n) + B1 F(t_n+1/2) + B2 F(t_n+1): A and the B's are the same step
+run once on unit inputs, and the march makes no FFT.
 
 Batched march: :func:`solve_linear` advances a stacked (rows, n) state of
 Fourier coefficients, one row per sub-problem; a ``partner`` problem (the
 coupled solver passes the backward carrier next to the forward one) rides
-in the same state, its row reading the mirrored table node 2N - i.  On
-other tables each RK stage makes one batched ifft of v_x and one batched
-fft of [(a - abar) v_x, a q v_x].  Steps go a ``row_blocks`` block at a
-time into a buffer that is scanned once for blow-up (every row of every
-step against its own datum and source scale; the error names the first
-bad step), measured once against the output buffer's previous contents
-and copied into it.  The coupled solver hands in its pair buffer, so each
+in the same state, its row reading the mirrored table node 2N - i.  Steps
+go a ``row_blocks`` block at a time into a buffer that is scanned once for
+blow-up (every row of every step against its own datum and source scale;
+the error names the first bad step), measured once against the output
+buffer's previous contents and copied into it.  The coupled solver hands in its pair buffer, so each
 sweep overwrites the previous one.  A source must sit on the march's own
 time grid; its midpoint rows are cubic Lagrange interpolants of the four
 nearest slices, so it costs the scheme no order (it needs 3 steps).
@@ -67,6 +65,7 @@ __all__ = [
     "StepperConfig",
     "LinearProblem",
     "OperatorTable",
+    "apply_s",
     "EpsilonStudyReport",
     "heat_quartic",
     "solve_linear",
@@ -187,10 +186,10 @@ class OperatorTable:
     ``uniform`` is true when every row of ``a``, ``aq`` and ``zeroth`` is
     constant in x (an exact ``np.ptp == 0`` test, made while the rows are
     built and stopped at the first row block that varies).  Every product
-    with a row is then a Fourier multiple of the row's value:
-    ``picard._operator_parts`` applies it as a symbol instead of an
-    ifft/fft round trip, and on a constant table the march steps by the
-    diagonal affine map its RK4 step becomes (see ``_march``).
+    with a row is then a Fourier multiple of the row's value: :func:`apply_s`
+    and the zeroth-order product apply it as a symbol instead of an ifft/fft
+    round trip, and on a constant table the march steps by the diagonal
+    affine map its RK4 step becomes (see ``_march``).
     """
 
     def __init__(
@@ -207,7 +206,7 @@ class OperatorTable:
         self.constant = not coeffs.time_dependent
         nodes = self.nodes[:1] if self.constant else self.nodes
         s = self.stride
-        q, dq = weight.logderiv, weight.logderiv_derivs[0]
+        q, dq = weight.logderiv, weight.logderiv_x
         self.abar = np.empty(len(nodes))
         self.a = np.empty((len(nodes), grid.n))
         self.aq = np.empty((len(nodes), grid.n))
@@ -267,6 +266,32 @@ class OperatorTable:
         s = self.stride
         ints = slice(s * lo, s * (hi - 1) + 1, s)
         return self.a[ints], self.aq[ints], self.zeroth[lo:hi]
+
+
+def apply_s(
+    grid: Grid1D, u_hat: np.ndarray, a: np.ndarray, aq: np.ndarray, uniform: bool
+) -> np.ndarray:
+    """Unmasked hats of S u = i d/dx(a u_x) - 2i a q u_x, the one kernel of S.
+
+    ``u_hat`` holds dealiased hats, (..., n); ``a`` and ``aq`` are
+    operator-table rows (the march passes a - abar) that broadcast against
+    it.  On a ``uniform`` table each row is constant in x and S is the
+    symbol (i (i xi) a - 2i a q)(i xi) on the rows' values, with no FFT.
+    Otherwise one batched ifft of u_x and one batched fft of the products
+    [a u_x, a q u_x], written into one (2, ...) buffer.
+    """
+    ixi = 1j * grid.xi
+    if uniform:
+        return (1j * ixi * a[..., :1] - 2j * aq[..., :1]) * ixi * u_hat
+    ux = np.fft.ifft(ixi * u_hat, axis=-1)
+    products = np.empty((2,) + ux.shape, dtype=np.complex128)
+    np.multiply(a, ux, out=products[0])
+    np.multiply(aq, ux, out=products[1])
+    products = np.fft.fft(products, axis=-1)
+    products[0] *= 1j * ixi
+    products[1] *= -2j
+    products[0] += products[1]
+    return products[0]
 
 
 def solve_linear(
@@ -411,16 +436,16 @@ def _march(
     """Lawson RK4 on a (rows, n) hat-space state, one row per sub-problem.
 
     Half-step i of a forward row reads table node i and source slice i/2,
-    of a backward row node 2 n_steps - i and slice n_steps - i/2.  On a
-    ``uniform`` table without time dependence the step is the affine map
-    v <- A v + forcing: A and the B's are the step run once on unit inputs,
-    and with the midpoint weights and source factors folded in, a block's
-    forcing is four scaled adds of source views per row.  Every other table
-    takes the FFT stages.  Steps go a ``row_blocks`` block at a
-    time into a buffer that first holds each step's source midpoint or
-    forcing; per block, one blow-up scan, one ``hat_norm`` for ``update``
-    and one copy into ``out``.  Without ``update`` the steps go straight
-    into ``out``.  Returns ``out``.
+    of a backward row node 2 n_steps - i and slice n_steps - i/2; every
+    stage applies S by :func:`apply_s`.  On a ``uniform`` table without time
+    dependence the step is the affine map v <- A v + forcing: A and the B's
+    are the same RK4 step run once on unit inputs, and with the midpoint
+    weights and source factors folded in, a block's forcing is four scaled
+    adds of source views per row.  Every other table takes the RK4 stages
+    step by step.  Steps go a ``row_blocks`` block at a time into a buffer
+    that first holds each step's source midpoint or forcing; per block, one
+    blow-up scan, one ``hat_norm`` for ``update`` and one copy into ``out``.
+    Without ``update`` the steps go straight into ``out``.  Returns ``out``.
     """
     grid = problems[0].grid
     n = grid.n
@@ -431,18 +456,14 @@ def _march(
     first = np.where(forward, 0, 2 * n_steps)
     stride = np.where(forward, 1, -1)
 
-    ixi = 1j * grid.xi
     keep = np.tile(grid.dealias_mask.astype(np.float64), (rows, 1))
     keep[[q.zero_mean for q in problems], 0] = 0.0
     # the 2/3 mask, the zero-mean cut and the orientation fold into the
-    # factors that multiply the product hats and the source rows
+    # factor that multiplies the remainder and the source rows
     factor = keep * orientation
-    div_factor = 1j * ixi * factor
-    drift_factor = -2j * factor
     sources = [None if q.source is None else q.source.hats for q in problems]
     march_hats = [h if fwd or h is None else h[::-1] for h, fwd in zip(sources, forward)]
     active = any(hats is not None for hats in sources)
-    products = np.empty((2, rows, n), dtype=np.complex128)
 
     # The state is zero outside the 2/3 band, so E is needed only there; it
     # is even in xi, so it is evaluated on the non-negative band and mirrored
@@ -464,31 +485,25 @@ def _march(
 
     def remainder(v_hat: np.ndarray, op, f: np.ndarray | None) -> np.ndarray:
         """tau * [i d/dx((a - abar) v_x) - 2i a q v_x + F] of every row, as masked hats."""
-        vx = np.fft.ifft(ixi * v_hat, axis=-1)
-        np.multiply(op[0], vx, out=products[0])
-        np.multiply(op[1], vx, out=products[1])
-        prod_hat = np.fft.fft(products, axis=-1)
-        out = div_factor * prod_hat[0] + drift_factor * prod_hat[1]
+        out = factor * apply_s(grid, v_hat, *op, table.uniform)
         if f is not None:
             out += f
         return out
 
-    def rk4(v_hat, f0, f1, f2, E, E2, ops, apply):
-        """One Lawson RK4 step, ``apply`` giving each stage's remainder."""
+    def rk4(v_hat, f0, f1, f2, E, E2, ops):
+        """One Lawson RK4 step, ``ops`` holding each stage's rows."""
         Ev, E2v = E * v_hat, E2 * v_hat
-        k1 = apply(v_hat, ops[0], f0)
-        k2 = apply(Ev + (0.5 * dt) * (E * k1), ops[1], f1)
-        k3 = apply(Ev + (0.5 * dt) * k2, ops[1], f1)
-        k4 = apply(E2v + dt * (E * k3), ops[2], f2)
+        k1 = remainder(v_hat, ops[0], f0)
+        k2 = remainder(Ev + (0.5 * dt) * (E * k1), ops[1], f1)
+        k3 = remainder(Ev + (0.5 * dt) * k2, ops[1], f1)
+        k4 = remainder(E2v + dt * (E * k3), ops[2], f2)
         return E2v + (dt / 6.0) * (E2 * k1 + 2.0 * E * (k2 + k3) + k4)
 
     def affine() -> tuple[np.ndarray, np.ndarray]:
         """A, (rows, n), and the per-offset source coefficients C[own, m] of
         each midpoint stencil, (3, 4, rows, n), of a constant table's step."""
-        E, E2, stages = coefficients(0)
-        ops = [(div_factor * ar[:, :1] + drift_factor * q[:, :1]) * ixi for ar, q in stages]
         # the four unit inputs (v, f0, f1, f2) side by side on a leading axis
-        A, *B = rk4(*np.eye(4)[:, :, None, None], E, E2, ops, lambda v, op, f: op * v + f)
+        A, *B = rk4(*np.eye(4)[:, :, None, None], *coefficients(0))
         b0, b1, b2 = (b * factor for b in B)
         C = _MID_WEIGHTS[:, :, None, None] * b1
         for own in range(3):
@@ -548,7 +563,7 @@ def _march(
                 if not table.constant:
                     E, E2, ops = coefficients(step)
                 f = (nodes[:, j], buf[:, j], nodes[:, j + 1]) if active else (None,) * 3
-                v_hat = rk4(v_hat, *f, E, E2, ops, remainder)
+                v_hat = rk4(v_hat, *f, E, E2, ops)
                 buf[:, j] = v_hat
         _check_state(buf, lo + 1, scale)
         if update is not None:   # old - new in place of the old slots, then the new ones

@@ -5,13 +5,12 @@ x = 10 beta, joined by exp(beta h(x)) where h is the unique degree-9
 polynomial (in x / (10 beta)) whose values and first four derivatives
 match both flat pieces.  Its logarithmic derivative therefore rises from 0
 to beta across the transition and is available analytically together with
-three more derivatives; none of these quantities is periodic, so nothing
-here is ever differentiated spectrally except the compactly supported
-first derivative of the log-derivative.
+its first x-derivative, the one the operator's zeroth-order term reads;
+neither is periodic, so nothing here is differentiated spectrally.
 
 The pure exponential mode keeps e^(beta x) everywhere.  It jumps across
 the periodic seam and is only safe for data that is compactly supported
-well inside the domain; ``WeightProfile.periodic_safe`` records this.
+well inside the domain.
 """
 
 from __future__ import annotations
@@ -22,13 +21,12 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .errors import ConfigError, ConstructionError
-from .spectral import Grid1D, SpectralField, derivative
+from .spectral import Grid1D
 
 __all__ = [
     "WeightProfile",
     "build_weight",
     "unit_weight",
-    "fourth_logderiv_spectral",
 ]
 
 # Degree-9 switch polynomial on [0, 1]: S(0)=...=S''''(0)=0, S(1)=S'(1)=1,
@@ -36,22 +34,20 @@ __all__ = [
 _SWITCH = Polynomial([0, 0, 0, 0, 0, 70, -224, 280, -160, 35])
 _SWITCH_D1 = _SWITCH.deriv(1)
 _SWITCH_D2 = _SWITCH.deriv(2)
-_SWITCH_D3 = _SWITCH.deriv(3)
-_SWITCH_D4 = _SWITCH.deriv(4)
 
 _EXP_ARG_CAP = 690.0  # stay clear of double overflow in exp
 
 
 @dataclass(frozen=True)
 class WeightProfile:
-    """Sampled weight, its log-derivative, and three derivatives of the latter.
+    """Sampled weight, its log-derivative, and the latter's x-derivative.
 
     ``values`` holds the weight itself; ``logderiv`` its logarithmic
-    derivative; ``logderiv_derivs`` the first three x-derivatives of the
-    log-derivative (analytic, not spectral).  ``sup_logderiv`` is the
-    measured sup of the log-derivative, which for the truncated mode
-    overshoots the nominal rate (about 1.79 beta); every consumer that
-    needs a rate bound uses this measured value.
+    derivative; ``logderiv_x`` the x-derivative of the log-derivative
+    (analytic, not spectral).  ``sup_logderiv`` is the measured sup of the
+    log-derivative, which for the truncated mode overshoots the nominal
+    rate (about 1.79 beta); every consumer that needs a rate bound uses
+    this measured value.
     """
 
     grid: Grid1D
@@ -59,22 +55,12 @@ class WeightProfile:
     mode: str
     values: np.ndarray
     logderiv: np.ndarray
-    logderiv_derivs: tuple[np.ndarray, np.ndarray, np.ndarray]
+    logderiv_x: np.ndarray
     sup_logderiv: float
-    monotone: bool
-    periodic_safe: bool
-
-    def summary(self) -> dict:
-        return {
-            "beta": self.beta,
-            "mode": self.mode,
-            "sup_logderiv": self.sup_logderiv,
-            "monotone": self.monotone,
-        }
 
 
 def _transition_exponent(x: np.ndarray, beta: float) -> tuple[np.ndarray, ...]:
-    """h and the log-derivative family on the full axis, truncated mode."""
+    """h, the log-derivative and its x-derivative on the full axis, truncated mode."""
     width = 10.0 * beta
     tau = np.clip(x / width, 0.0, 1.0)
     mid = (x > 0.0) & (x < width)
@@ -90,11 +76,7 @@ def _transition_exponent(x: np.ndarray, beta: float) -> tuple[np.ndarray, ...]:
 
     d1 = np.zeros_like(x)
     d1[mid] = _SWITCH_D2(tau[mid]) / 10.0
-    d2 = np.zeros_like(x)
-    d2[mid] = _SWITCH_D3(tau[mid]) / (100.0 * beta)
-    d3 = np.zeros_like(x)
-    d3[mid] = _SWITCH_D4(tau[mid]) / (1000.0 * beta**2)
-    return h, ld, d1, d2, d3
+    return h, ld, d1
 
 
 def build_weight(beta: float, grid: Grid1D, mode: str = "truncated", margin: float | None = None) -> WeightProfile:
@@ -116,7 +98,7 @@ def build_weight(beta: float, grid: Grid1D, mode: str = "truncated", margin: flo
             raise ConfigError(
                 f"transition region [0, {10 * beta:g}] plus margin {margin:g} exceeds the half-domain {grid.half_length:g}"
             )
-        h, ld, d1, d2, d3 = _transition_exponent(grid.x, beta)
+        h, ld, d1 = _transition_exponent(grid.x, beta)
 
         # strict growth of the exponent across the transition, on grid nodes
         # and on an oversampled lattice (catches any non-monotone interpolant)
@@ -135,50 +117,31 @@ def build_weight(beta: float, grid: Grid1D, mode: str = "truncated", margin: flo
             mode=mode,
             values=vals,
             logderiv=ld,
-            logderiv_derivs=(d1, d2, d3),
+            logderiv_x=d1,
             sup_logderiv=sup_ld,
-            monotone=True,
-            periodic_safe=True,
         )
     if mode == "pure_exponential":
-        zeros = np.zeros(grid.n)
         return WeightProfile(
             grid=grid,
             beta=beta,
             mode=mode,
             values=np.exp(beta * grid.x),
             logderiv=np.full(grid.n, beta),
-            logderiv_derivs=(zeros, zeros.copy(), zeros.copy()),
+            logderiv_x=np.zeros(grid.n),
             sup_logderiv=beta,
-            monotone=True,
-            periodic_safe=False,
         )
     raise ConfigError(f"unknown weight mode {mode!r}")
 
 
 def unit_weight(grid: Grid1D) -> WeightProfile:
     """Trivial weight (identically 1) for unweighted evolution."""
-    zeros = np.zeros(grid.n)
     return WeightProfile(
         grid=grid,
         beta=0.0,
         mode="unit",
         values=np.ones(grid.n),
-        logderiv=zeros,
-        logderiv_derivs=(zeros.copy(), zeros.copy(), zeros.copy()),
+        logderiv=np.zeros(grid.n),
+        logderiv_x=np.zeros(grid.n),
         sup_logderiv=0.0,
-        monotone=True,
-        periodic_safe=True,
     )
 
-
-def fourth_logderiv_spectral(w: WeightProfile) -> np.ndarray:
-    """Seam-safe spectral proxy for the 4th x-derivative of log(weight).
-
-    log(weight) itself is not periodic, but its second derivative (the
-    first derivative of the log-derivative) is compactly supported inside
-    the domain in truncated mode, so two spectral derivatives of that
-    sampled function converge to the analytic quantity.
-    """
-    f = SpectralField(w.grid, w.logderiv_derivs[0].astype(complex))
-    return derivative(f, 2).values.real

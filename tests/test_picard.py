@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from schrobvp import picard, spectral
+from schrobvp import picard, spectral, stepper
 from schrobvp.coefficients import CoefficientField, norm_bundle, select_horizon
 from schrobvp.cli import build_scenario, run_picard_scenario
 from schrobvp.errors import (
@@ -256,15 +256,16 @@ class TestUniformTable:
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref)
 
     @staticmethod
-    def _fft_calls_inside(monkeypatch, p):
-        """FFT calls made inside each of the solve's three operator kernels."""
+    def _calls_inside(monkeypatch, p, targets):
+        """Calls of each (module, name) in ``targets`` made inside each of the
+        solve's three operator kernels."""
         inside, calls = [], {}
-        for name in ("fft", "ifft"):
-            def counted(*args, _fft=getattr(np.fft, name), **kwargs):
+        for module, name in targets:
+            def counted(*args, _f=getattr(module, name), **kwargs):
                 for kernel in set(inside):
                     calls[kernel] += 1
-                return _fft(*args, **kwargs)
-            monkeypatch.setattr(np.fft, name, counted)
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
         for name in ("solve_linear", "coupling_stacks", "pde_residual"):
             calls[name] = 0
             def entered(*args, _name=name, _kernel=getattr(picard, name), **kwargs):
@@ -278,27 +279,43 @@ class TestUniformTable:
         assert report.iterations >= 2   # every kernel ran
         return calls
 
-    def test_decoupled_solve_makes_no_fft_in_its_kernels(self, monkeypatch):
+    FFTS = [(np.fft, "fft"), (np.fft, "ifft")]
+
+    @staticmethod
+    def _decoupled():
         grid = Grid1D(128, 8 * np.pi)
         w = build_weight(1.0, grid, mode="pure_exponential")
         f = project(gaussian_field(grid, width=1.5), "-")
         g = project(gaussian_field(grid, center=1.0, width=2.0), "+")
-        p = BvpProblem(
+        return BvpProblem(
             f=f, g=g, coeffs=CONST, weight=w, horizon=0.035,
             stepper_cfg=StepperConfig(epsilon=1e-6, n_steps=16),
         )
-        calls = self._fft_calls_inside(monkeypatch, p)
-        assert calls == {"solve_linear": 0, "coupling_stacks": 0, "pde_residual": 0}
 
-    def test_benchmark_solve_still_transforms_in_every_kernel(self, monkeypatch):
+    @staticmethod
+    def _benchmark():
         grid = Grid1D(128, 20.0)
         w = build_weight(1.0, grid, mode="truncated")
         f, g = split_data(grid, seed=41, band=24)
-        p = BvpProblem(
+        return BvpProblem(
             f=f, g=g, coeffs=BENCH, weight=w, horizon=admissible_horizon(BENCH, w, grid),
             stepper_cfg=StepperConfig(epsilon=1e-5, n_steps=16),
         )
-        calls = self._fft_calls_inside(monkeypatch, p)
+
+    def test_decoupled_solve_makes_no_fft_in_its_kernels(self, monkeypatch):
+        calls = self._calls_inside(monkeypatch, self._decoupled(), self.FFTS)
+        assert calls == {"solve_linear": 0, "coupling_stacks": 0, "pde_residual": 0}
+
+    def test_benchmark_solve_still_transforms_in_every_kernel(self, monkeypatch):
+        calls = self._calls_inside(monkeypatch, self._benchmark(), self.FFTS)
+        assert all(count > 0 for count in calls.values()), calls
+
+    @pytest.mark.parametrize("problem", ["_decoupled", "_benchmark"], ids=["decoupled", "benchmark"])
+    def test_every_kernel_applies_s_through_the_one_function(self, monkeypatch, problem):
+        # the march, the coupling source and the residual all reach S
+        # through stepper.apply_s, on the symbol path and on the FFT path
+        targets = [(stepper, "apply_s"), (picard, "apply_s")]
+        calls = self._calls_inside(monkeypatch, getattr(self, problem)(), targets)
         assert all(count > 0 for count in calls.values()), calls
 
 

@@ -28,6 +28,7 @@ from schrobvp.stepper import (
     LinearProblem,
     OperatorTable,
     StepperConfig,
+    apply_s,
     epsilon_study,
     _midpoints,
     heat_quartic,
@@ -563,10 +564,32 @@ class TestOperatorTable:
         assert OperatorTable(flat, w, times, half_steps=True).uniform is True
 
 
+class TestApplyS:
+    # the one kernel of S: on x-constant rows the symbol branch and the
+    # ifft/fft branch apply the same operator
+    @pytest.mark.parametrize(
+        "coeffs",
+        [CONST, CoefficientField("1 + 0.5*t + 0.2*sin(40*t)", "0.3 + t")],
+        ids=["constant-table", "time-dependent"],
+    )
+    def test_symbol_branch_matches_the_fft_branch(self, coeffs):
+        grid = Grid1D(128, 8 * np.pi)
+        w = build_weight(1.0, grid, mode="pure_exponential")
+        table = OperatorTable(coeffs, w, np.linspace(0.0, 0.5, 9), half_steps=True)
+        assert table.uniform
+        rng = np.random.default_rng(9)
+        u = (rng.standard_normal((9, grid.n)) + 1j * rng.standard_normal((9, grid.n))) * grid.dealias_mask
+        a, aq, _ = table.rows(0, 9)
+        got, ref = (apply_s(grid, u, a, aq, uniform) for uniform in (True, False))
+        assert got.shape == ref.shape == u.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 class TestUniformTable:
     # On a uniform constant table the march steps by the diagonal affine
-    # map, and a time-dependent uniform table takes the FFT stages; with
-    # ``uniform`` cleared the same table takes the FFT path.
+    # map, and on a time-dependent uniform table it takes symbol stages;
+    # with ``uniform`` cleared the same table takes the FFT stages, so both
+    # cases compare two paths.
     @pytest.mark.parametrize(
         "coeffs",
         [CONST, CoefficientField("1 + 0.5*t + 0.2*sin(40*t)", "0.3 + t")],
