@@ -53,13 +53,15 @@ from .fieldio import (
     atomic_write_text,
     dump_field_binary,
     dump_field_csv,
+    field_binary_bytes,
     load_field,
+    publish_directory,
     write_norms_csv,
 )
 from .free_bvp import FreeBvpData, solve_free, verify_free_estimate
 from .picard import BvpProblem, assemble_solution, coupling_norms, picard_solve
 from .presets import build_datum, load_preset, preset_names, resolve_scenario
-from .spectral import Grid1D, SpaceTimeField, SpectralField
+from .spectral import Grid1D, SpaceTimeField, SpectralField, row_blocks
 from .stepper import LinearProblem, OperatorTable, StepperConfig, epsilon_study, solve_linear
 from .weights import WeightProfile, build_weight
 
@@ -316,18 +318,25 @@ def _storage_stride(n_slices: int) -> int:
 
 
 def _store_carriers(run_dir: Path, vp: SpaceTimeField, vm: SpaceTimeField) -> dict:
-    """Decimated carrier slices for later re-verification; returns the index."""
+    """Decimated carrier slices for later re-verification; returns the index.
+
+    The slices are transformed a row block at a time, and every slice file
+    and ``times.csv`` are published as one fresh ``fields/`` directory.
+    """
     stride = _storage_stride(len(vp.times))
-    idx = list(range(0, len(vp.times), stride))
-    fields_dir = run_dir / "fields"
-    fields_dir.mkdir(parents=True, exist_ok=True)
-    rows = ["index,t"]
-    for j, i in enumerate(idx):
-        dump_field_binary(vp.slice(i), fields_dir / f"vplus_{j:04d}.spf")
-        dump_field_binary(vm.slice(i), fields_dir / f"vminus_{j:04d}.spf")
-        rows.append(f"{j},{vp.times[i]:.17g}")
-    atomic_write_text(fields_dir / "times.csv", "\n".join(rows) + "\n")
-    return {"stride": stride, "count": len(idx)}
+    times = vp.times[::stride]
+    rows = ["index,t"] + [f"{j},{t:.17g}" for j, t in enumerate(times)]
+
+    def entries():
+        for block in row_blocks(len(times), vp.grid.n):
+            stored = slice(block.start * stride, block.stop * stride, stride)
+            for name, carrier in (("vplus", vp), ("vminus", vm)):
+                for j, values in zip(range(block.start, block.stop), carrier.block(stored)):
+                    yield f"{name}_{j:04d}.spf", field_binary_bytes(carrier.grid, values)
+        yield "times.csv", ("\n".join(rows) + "\n").encode("utf-8")
+
+    publish_directory(run_dir / "fields", entries())
+    return {"stride": stride, "count": len(times)}
 
 
 def _load_carriers(run_dir: Path, grid: Grid1D) -> tuple[SpaceTimeField, SpaceTimeField]:

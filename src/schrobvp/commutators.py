@@ -15,8 +15,9 @@ identities behind them on the grid:
 * ``estimate_constant`` runs seeded ensembles and reports the max ratio
   against the sup norm of d^{l+m} a times the field norm, plus its
   stability under grid refinement (the falsifiable desk-scale content
-  of a uniform bound).  Each trial's pair (a, f) is drawn and
-  transformed once per grid and serves every (l, m) and every p.
+  of a uniform bound).  Trials run a block of rows at a time; each
+  trial's pair (a, f) is drawn and transformed once per grid and serves
+  every (l, m) and every p.
 * ``decomposition_audit`` splits a one-sided coefficient product into
   the three dyadic double-sum parts, checks the part that vanishes by
   frequency-support bookkeeping, the two block-support identities, and
@@ -54,7 +55,9 @@ from .spectral import (
     project,
     projection_multiplier,
     random_band_field,
+    random_band_hat,
     remove_pi0,
+    row_blocks,
 )
 
 __all__ = [
@@ -81,19 +84,43 @@ def _operator_symbol(grid: Grid1D, op: str) -> np.ndarray:
     return projection_multiplier(grid, op).symbol
 
 
+def _dealiased_samples(grid: Grid1D, a_hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Physical samples of the 2/3-masked coefficient: the ``a_m`` of ``_commutator_hats``.
+
+    ``out`` may be ``a_hat`` itself, which is then overwritten.
+    """
+    out = dealias_hat(grid, a_hat, out)
+    return np.fft.ifft(out, out=out)
+
+
 def _commutator_hats(
-    grid: Grid1D, symbol: np.ndarray, a_hat: np.ndarray, g_hat: np.ndarray
+    grid: Grid1D,
+    symbol: np.ndarray,
+    a_m: np.ndarray,
+    g_hat: np.ndarray,
+    out: np.ndarray | None = None,
+    work: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Fourier coefficients of [T; a] g = T(a g) - a T(g), T the multiplier ``symbol``.
 
-    Both products follow ``dealiased_product``: each factor is masked by
-    the 2/3 rule, multiplied in physical space, and the product masked
-    again.  Works along the last axis.
+    ``a_m`` holds the coefficient's samples from ``_dealiased_samples``, so
+    a coefficient paired with several g is transformed once.  Both products
+    follow ``dealiased_product``: each factor is masked by the 2/3 rule,
+    multiplied in physical space, and the product masked again.  Works
+    along the last axis, row by row, so a (rows, n) block of g gives every
+    row's single-row result bit for bit.  ``out`` and the pair ``work`` are
+    optional caller-owned arrays of the result's shape; given them, the
+    kernel allocates nothing.
     """
-    a_m = np.fft.ifft(dealias_hat(grid, a_hat))
-    g_m = np.fft.ifft(dealias_hat(grid, g_hat))
-    tg_m = np.fft.ifft(dealias_hat(grid, symbol * g_hat))
-    return dealias_hat(grid, symbol * np.fft.fft(a_m * g_m) - np.fft.fft(a_m * tg_m))
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(a_m), np.shape(g_hat)), dtype=np.complex128)
+    g_m, tg_m = (np.empty_like(out), np.empty_like(out)) if work is None else work
+    np.fft.ifft(dealias_hat(grid, g_hat, g_m), out=g_m)
+    np.fft.ifft(dealias_hat(grid, np.multiply(symbol, g_hat, out=tg_m), tg_m), out=tg_m)
+    np.fft.fft(np.multiply(a_m, g_m, out=g_m), out=g_m)
+    np.fft.fft(np.multiply(a_m, tg_m, out=tg_m), out=tg_m)
+    np.subtract(np.multiply(symbol, g_m, out=out), tg_m, out=out)
+    return dealias_hat(grid, out, out)
 
 
 def _band_limited(f: SpectralField) -> bool:
@@ -141,9 +168,9 @@ class CommutatorTrial:
 def commutator_apply(trial: CommutatorTrial) -> SpectralField:
     """d^l ( T(a g) - a T(g) ) with g = d^m f, dealiased products."""
     grid = trial.f.grid
-    a_hat = np.fft.fft(np.asarray(trial.a, dtype=float))
+    a_m = _dealiased_samples(grid, np.fft.fft(np.asarray(trial.a, dtype=float)))
     g_hat = derivative_multiplier(grid, trial.m).symbol * trial.f.hat
-    comm = _commutator_hats(grid, _operator_symbol(grid, trial.operator), a_hat, g_hat)
+    comm = _commutator_hats(grid, _operator_symbol(grid, trial.operator), a_m, g_hat)
     return SpectralField.from_hat(grid, derivative_multiplier(grid, trial.l).symbol * comm)
 
 
@@ -178,8 +205,9 @@ def derivative_identity_residual(a: np.ndarray, f: SpectralField) -> float:
     a_field = SpectralField(grid, np.asarray(a, dtype=float))
     h = hilbert_multiplier(grid).symbol
     f_prime = derivative_multiplier(grid, 1).symbol * f.hat
-    lhs = _commutator_hats(grid, fractional_multiplier(grid, 1.0).symbol, a_field.hat, f.hat)
-    comm_h = _commutator_hats(grid, h, a_field.hat, f_prime)
+    a_m = _dealiased_samples(grid, a_field.hat)
+    lhs = _commutator_hats(grid, fractional_multiplier(grid, 1.0).symbol, a_m, f.hat)
+    comm_h = _commutator_hats(grid, h, a_m, f_prime)
     rhs = -comm_h - h * dealiased_product(derivative(a_field, 1), f).hat
     return float(hat_norm(grid, lhs - rhs))
 
@@ -259,6 +287,67 @@ def trial_field(grid: Grid1D, bandwidth: int, seed: int, p: float = 2.0) -> Spec
     return (1.0 / lp_norm(raw, p)) * raw
 
 
+def _row_norms(
+    grid: Grid1D, samples: np.ndarray, exponents: list[float], mod: np.ndarray
+) -> dict[float, np.ndarray]:
+    """``lp_norm`` of every row of ``samples`` for every exponent, equal bit for bit.
+
+    |samples| is taken once, into ``mod``.  The 1/q-th roots are taken one
+    row at a time, in scalar arithmetic: numpy's vector ``power`` differs
+    from the scalar one in the last bit.
+    """
+    np.abs(samples, out=mod)
+    return {
+        q: np.array([s ** (1.0 / q) for s in (grid.dx * np.sum(mod**q, axis=-1)).tolist()])
+        for q in exponents
+    }
+
+
+def _grid_ratios(
+    g: Grid1D,
+    operator: str,
+    pairs: list[tuple[int, int]],
+    exponents: list[float],
+    n_trials: int,
+    bandwidth: int,
+    seed: int,
+) -> dict[tuple[int, int, float], list[float]]:
+    """Trial ratios of every (l, m, q) on one grid, in trial order (see ``estimate_constant``)."""
+    symbol = _operator_symbol(g, operator)
+    inner, total = sorted({m for _, m in pairs}), sorted({l + m for l, m in pairs})
+    d = {k: derivative_multiplier(g, k).symbol for k in {l for l, _ in pairs} | set(inner) | set(total)}
+    ratios = {(l, m, q): [] for l, m in pairs for q in exponents}
+    # blocks sized for rows of 2n: each of the six work arrays is half a CHUNK_BYTES block
+    blocks = row_blocks(n_trials, 2 * g.n)
+    stack = np.empty((6, blocks[0].stop, g.n), dtype=np.complex128)
+    mod_stack = np.empty(stack.shape[1:])
+    for block in blocks:
+        count = block.stop - block.start
+        # a_m holds the coefficients' hats until they are turned into samples in place
+        f_hat, a_m, scratch, comm, *work = stack[:, :count]
+        mod = mod_stack[:count]
+        for j, i in enumerate(range(block.start, block.stop)):
+            f_hat[j] = random_band_hat(g, bandwidth, seed + i)
+            a_m[j] = _stratified_coefficient(g, bandwidth, seed + n_trials + i)
+        f_norm = _row_norms(g, np.fft.ifft(f_hat, out=scratch), exponents, mod)
+        sup_a = {}
+        for k in total:
+            samples = np.fft.ifft(np.multiply(d[k], a_m, out=scratch), out=scratch)
+            sup_a[k] = np.max(np.abs(samples.real, out=mod), axis=-1)
+        _dealiased_samples(g, a_m, out=a_m)
+        for m in inner:
+            _commutator_hats(g, symbol, a_m, np.multiply(d[m], f_hat, out=scratch), comm, work)
+            for l in (l for l, m_ in pairs if m_ == m):
+                samples = np.fft.ifft(np.multiply(d[l], comm, out=scratch), out=scratch)
+                lhs_norm = _row_norms(g, samples, exponents, mod)
+                sup = sup_a[l + m]
+                for q in exponents:
+                    keep = ~(sup < 1e-12) & (f_norm[q] >= 1e-300)
+                    ratio = lhs_norm[q][keep] / (sup[keep] * f_norm[q][keep])
+                    ratios[(l, m, q)].extend(ratio.tolist())
+    return ratios
+
+
 def estimate_constant(
     operator: str,
     lm_pairs: list[tuple[int, int]],
@@ -276,15 +365,21 @@ def estimate_constant(
     ||d^l [T; a] d^m f||_p / (||d^{l+m} a||_inf ||f||_p); the commutator
     is bilinear in (a, f), so it is divided by the denominator after the
     kernel.  The result is keyed (l, m, p) whether ``p`` is one exponent
-    or several.  Each trial's (a, f) is drawn and transformed once per
-    grid and shared by every (l, m) and every p: [T; a] d^m f is formed
-    once per distinct m, its physical samples once per (l, m), and only
-    the L^p norms are taken once per p.  Coefficients are drawn
-    at stratified concentration levels (see ``_stratified_coefficient``)
-    and arguments diffusely across the band, so the max tracks the
-    actual extremal configurations at any bandwidth.  The stability
-    factor reruns the same seeds on a grid with doubled resolution (the
-    random fields reproduce mode-for-mode) and divides the max ratios.
+    or several.  Trials run a block of rows at a time (``row_blocks`` for
+    rows of twice the grid size: 4 trials at n = 2048, 2 at 4096), through
+    six work arrays allocated once per grid.  Each trial's (a, f) keeps its
+    own seeds and is drawn as Fourier coefficients into its block row; the
+    block is transformed once per grid and shared by every (l, m) and
+    every p: the coefficient samples once, [T; a] d^m f once per distinct
+    m, its physical samples once per (l, m), and the L^p norms of all rows
+    for all p from one |samples| array.  Every transform and product works
+    row by row, so the block size never changes a ratio.  Coefficients
+    are drawn at stratified concentration levels (see
+    ``_stratified_coefficient``) and arguments diffusely across the band,
+    so the max tracks the actual extremal configurations at any
+    bandwidth.  The stability factor reruns the same seeds on a grid with
+    doubled resolution (the random fields reproduce mode-for-mode) and
+    divides the max ratios.
 
     Known limit: trial i of base seed s draws f from seed s + i and a
     from seed s + n_trials + i, so base seeds closer than ``n_trials``
@@ -307,31 +402,10 @@ def estimate_constant(
     if any(l < 0 or m < 0 for l, m in pairs):
         raise ConfigError("derivative orders must be nonnegative")
 
-    def norms(field: SpectralField) -> dict[float, float]:
-        return {q: lp_norm(field, q) for q in exponents}
-
     grids = [grid, Grid1D(2 * grid.n, grid.half_length)] if check_stability else [grid]
-    inner, total = {m for _, m in pairs}, {l + m for l, m in pairs}
-    per_grid = []
-    for g in grids:
-        symbol = _operator_symbol(g, operator)
-        d = {k: derivative_multiplier(g, k).symbol for k in {l for l, _ in pairs} | inner | total}
-        ratios = {(l, m, q): [] for l, m in pairs for q in exponents}
-        for i in range(n_trials):
-            a_hat = _stratified_coefficient(g, bandwidth, seed + n_trials + i)
-            f = random_band_field(g, bandwidth, seed + i)
-            f_norm = norms(f)
-            sup_a = {k: np.max(np.abs(np.fft.ifft(d[k] * a_hat).real)) for k in total}
-            comm = {m: _commutator_hats(g, symbol, a_hat, d[m] * f.hat) for m in inner}
-            for l, m in pairs:
-                if sup_a[l + m] < 1e-12:
-                    continue
-                # samples passed as a temporary: a bound name would hold them through the next trial
-                lhs_norm = norms(SpectralField.from_hat(g, d[l] * comm[m]))
-                for q in exponents:
-                    if f_norm[q] >= 1e-300:
-                        ratios[(l, m, q)].append(lhs_norm[q] / (float(sup_a[l + m]) * f_norm[q]))
-        per_grid.append(ratios)
+    per_grid = [
+        _grid_ratios(g, operator, pairs, exponents, n_trials, bandwidth, seed) for g in grids
+    ]
 
     out = {}
     for (l, m, q), ratios in per_grid[0].items():
@@ -502,10 +576,11 @@ def fractional_commutator(
     def d(s: float) -> np.ndarray:
         return fractional_multiplier(grid, s).symbol
 
+    a_m = _dealiased_samples(grid, a_field.hat)
     tail = d(1.0 - (alpha + beta_exp)) * f.hat
-    direct = d(alpha) * _commutator_hats(grid, d(beta_exp), a_field.hat, tail)
-    reduced = _commutator_hats(grid, d(alpha + beta_exp), a_field.hat, tail) - _commutator_hats(
-        grid, d(alpha), a_field.hat, d(1.0 - alpha) * f.hat
+    direct = d(alpha) * _commutator_hats(grid, d(beta_exp), a_m, tail)
+    reduced = _commutator_hats(grid, d(alpha + beta_exp), a_m, tail) - _commutator_hats(
+        grid, d(alpha), a_m, d(1.0 - alpha) * f.hat
     )
     residual = float(hat_norm(grid, direct - reduced))
 

@@ -2,6 +2,8 @@
 
 All writers are atomic (write to a temp file in the target directory,
 then rename), so a crashed run never leaves a half-written artifact.
+``publish_directory`` does the same for a whole directory of files: one
+rename publishes all of them.
 
 CSV field format: header ``x,re,im``, one row per node, 17 significant
 digits.  Binary format: magic ``SPF1``, little-endian u64 node count,
@@ -11,8 +13,10 @@ little-endian f64 half-length, then per node an (re, im) f64 pair.
 from __future__ import annotations
 
 import os
+import shutil
 import struct
 import tempfile
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -24,11 +28,13 @@ __all__ = [
     "dump_field_csv",
     "load_field_csv",
     "dump_field_binary",
+    "field_binary_bytes",
     "load_field_binary",
     "load_field",
     "write_norms_csv",
     "atomic_write_text",
     "atomic_write_bytes",
+    "publish_directory",
 ]
 
 _MAGIC = b"SPF1"
@@ -55,6 +61,37 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def publish_directory(path: str | Path, entries: Iterable[tuple[str, bytes]]) -> None:
+    """Publish every (file name, payload) of ``entries`` as the directory ``path``.
+
+    The files go, by plain writes, into a fresh directory beside ``path``,
+    which one rename then puts in place; an existing ``path`` is moved
+    aside first and removed after, so no file of it survives.  ``entries``
+    may be a generator, so payloads need not be held at once.  If anything
+    fails before the rename, ``path`` is left as it was and the fresh
+    directory is removed.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp"))
+    old = stage.with_suffix(".old")
+    try:
+        for name, payload in entries:
+            (stage / name).write_bytes(payload)
+        if path.exists():
+            os.replace(path, old)
+        try:
+            os.replace(stage, path)
+        except BaseException:
+            if old.exists():
+                os.replace(old, path)
+            raise
+    except BaseException:
+        shutil.rmtree(stage, ignore_errors=True)
+        raise
+    shutil.rmtree(old, ignore_errors=True)
+
+
 def dump_field_csv(field: SpectralField, path: str | Path) -> None:
     rows = ["x,re,im"]
     for x, v in zip(field.grid.x, field.values):
@@ -78,17 +115,21 @@ def load_field_csv(path: str | Path) -> SpectralField:
     return SpectralField(grid, raw[:, 1] + 1j * raw[:, 2])
 
 
-def dump_field_binary(field: SpectralField, path: str | Path) -> None:
-    interleaved = np.empty(2 * field.grid.n, dtype="<f8")
-    interleaved[0::2] = field.values.real
-    interleaved[1::2] = field.values.imag
-    payload = (
+def field_binary_bytes(grid: Grid1D, values: np.ndarray) -> bytes:
+    """The SPF1 file contents of the samples ``values`` on ``grid``."""
+    interleaved = np.empty(2 * grid.n, dtype="<f8")
+    interleaved[0::2] = values.real
+    interleaved[1::2] = values.imag
+    return (
         _MAGIC
-        + struct.pack("<Q", field.grid.n)
-        + struct.pack("<d", field.grid.half_length)
+        + struct.pack("<Q", grid.n)
+        + struct.pack("<d", grid.half_length)
         + interleaved.tobytes()
     )
-    atomic_write_bytes(path, payload)
+
+
+def dump_field_binary(field: SpectralField, path: str | Path) -> None:
+    atomic_write_bytes(path, field_binary_bytes(field.grid, field.values))
 
 
 def load_field_binary(path: str | Path) -> SpectralField:

@@ -85,6 +85,7 @@ __all__ = [
     "gaussian_field",
     "mode_field",
     "random_band_field",
+    "random_band_hat",
     "smooth_bump",
     "annulus_bump",
     "block_symbol",
@@ -430,8 +431,16 @@ def lp_norm(f: SpectralField, p: float) -> float:
 
 # --- dealiased products ----------------------------------------------------
 
-def dealias_hat(grid: Grid1D, hat: np.ndarray) -> np.ndarray:
-    return np.where(grid.dealias_mask, hat, 0.0)
+def dealias_hat(grid: Grid1D, hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``hat`` with the modes the 2/3 rule drops set to zero, along the last axis.
+
+    With ``out`` (which may be ``hat`` itself) the mask is multiplied in
+    place of the copy, and no array is allocated; a dropped mode may then
+    read -0.0.
+    """
+    if out is None:
+        return np.where(grid.dealias_mask, hat, 0.0)
+    return np.multiply(hat, grid.dealias_mask, out=out)
 
 
 def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
@@ -556,7 +565,7 @@ def mode_field(grid: Grid1D, k: int) -> SpectralField:
     return SpectralField(grid, np.exp(1j * xi * grid.x))
 
 
-def random_band_field(
+def random_band_hat(
     grid: Grid1D,
     band: int,
     rng: np.random.Generator | int,
@@ -564,12 +573,14 @@ def random_band_field(
     real: bool = False,
     zero_mean: bool = True,
     band_lo: int = 1,
-) -> SpectralField:
-    """Band-limited field with i.i.d. complex Gaussian coefficients.
+) -> np.ndarray:
+    """Fourier coefficients of a band-limited field with i.i.d. complex Gaussian coefficients.
 
     Coefficients are drawn mode-by-mode for |k| in [band_lo, band] in a
     fixed order, so the same seed yields the same function on any grid
-    that resolves the band (refinement studies rely on this).
+    that resolves the band (refinement studies rely on this).  No
+    transform is taken: a caller that only needs the hats, or transforms
+    many draws at once, skips the per-draw inverse FFT.
     """
     if band >= grid.n // 2:
         raise ValueError(f"band {band} not below the Nyquist index {grid.n // 2}")
@@ -585,4 +596,18 @@ def random_band_field(
         z0 = rng.standard_normal()
         hat[0] = z0
     hat *= grid.n  # unit-scale physical values regardless of n
+    return hat
+
+
+def random_band_field(
+    grid: Grid1D,
+    band: int,
+    rng: np.random.Generator | int,
+    *,
+    real: bool = False,
+    zero_mean: bool = True,
+    band_lo: int = 1,
+) -> SpectralField:
+    """The field of :func:`random_band_hat`'s draw."""
+    hat = random_band_hat(grid, band, rng, real=real, zero_mean=zero_mean, band_lo=band_lo)
     return SpectralField.from_hat(grid, hat)

@@ -21,7 +21,7 @@ from schrobvp.estimates import EstimateReport
 from schrobvp.fieldio import dump_field_binary, load_field
 from schrobvp.picard import BvpProblem, assemble_solution, picard_solve
 from schrobvp.presets import build_datum, load_preset, merge_scenario, preset_names
-from schrobvp.spectral import Grid1D, SpaceTimeField, gaussian_field, project
+from schrobvp.spectral import Grid1D, SpaceTimeField, gaussian_field, project, random_band_hat
 
 SMALL = {
     "preset": "decoupled",
@@ -436,6 +436,60 @@ class TestCoefficientText:
         assert self.run(tmp_path, where, text) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "cannot be evaluated" in err
+
+
+def carrier_pair(n_times, n=256):
+    grid = Grid1D(n, 4 * np.pi)
+    times = np.linspace(0.0, 0.1, n_times)
+
+    def stack(seed):
+        return np.stack([random_band_hat(grid, 40, seed + i) for i in range(n_times)])
+
+    return SpaceTimeField(grid, times, hats=stack(0)), SpaceTimeField(grid, times, hats=stack(1000))
+
+
+def stored_files(run_dir):
+    return {f.name: f.read_bytes() for f in (run_dir / "fields").iterdir()}
+
+
+class TestStoredCarriers:
+    def test_files_match_single_slice_dumps(self, tmp_path):
+        # 257 times: stride 2, 129 slices in three 64-row blocks
+        vp, vm = carrier_pair(257)
+        assert cli._store_carriers(tmp_path, vp, vm) == {"stride": 2, "count": 129}
+        files = stored_files(tmp_path)
+        assert len(files) == 2 * 129 + 1
+        ref = tmp_path / "ref.spf"
+        for j in range(129):
+            for name, carrier in (("vplus", vp), ("vminus", vm)):
+                dump_field_binary(carrier.slice(2 * j), ref)
+                assert files[f"{name}_{j:04d}.spf"] == ref.read_bytes()
+        rows = [f"{j},{t:.17g}" for j, t in enumerate(vp.times[::2])]
+        assert files["times.csv"].decode() == "\n".join(["index,t", *rows]) + "\n"
+
+    def test_rerun_leaves_no_stale_slices(self, tmp_path):
+        cli._store_carriers(tmp_path, *carrier_pair(257))
+        assert cli._store_carriers(tmp_path, *carrier_pair(9)) == {"stride": 1, "count": 9}
+        names = {f"{name}_{j:04d}.spf" for name in ("vplus", "vminus") for j in range(9)}
+        assert set(stored_files(tmp_path)) == names | {"times.csv"}
+        assert [p.name for p in tmp_path.iterdir()] == ["fields"]
+
+    def test_failed_write_keeps_the_old_fields(self, tmp_path, monkeypatch):
+        cli._store_carriers(tmp_path, *carrier_pair(9))
+        before = stored_files(tmp_path)
+        calls = []
+
+        def failing(grid, values):
+            calls.append(1)
+            if len(calls) == 5:
+                raise OSError("disk full")
+            return b"partial"
+
+        monkeypatch.setattr(cli, "field_binary_bytes", failing)
+        with pytest.raises(OSError, match="disk full"):
+            cli._store_carriers(tmp_path, *carrier_pair(17))
+        assert stored_files(tmp_path) == before
+        assert [p.name for p in tmp_path.iterdir()] == ["fields"]
 
 
 class TestCommutatorBenchCommand:

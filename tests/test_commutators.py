@@ -7,8 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schrobvp import spectral
 from schrobvp.commutators import (
     CommutatorTrial,
+    _commutator_hats,
+    _dealiased_samples,
+    _row_norms,
     _stratified_coefficient,
     commutator_apply,
     decomposition_audit,
@@ -24,9 +28,14 @@ from schrobvp.spectral import (
     Grid1D,
     SpectralField,
     derivative,
+    fractional_multiplier,
+    hilbert_multiplier,
     lp_norm,
     mode_field,
+    projection_multiplier,
     random_band_field,
+    random_band_hat,
+    row_blocks,
 )
 
 GRID = Grid1D(1024, 8 * np.pi)
@@ -116,6 +125,59 @@ class TestCommutatorApply:
         scaled = commutator_apply(CommutatorTrial(operator="+", a=s * a, f=f, m=1))
         diff = (scaled - s * base).norm_l2()
         assert diff < 1e-12 * max(1.0, s) * base.norm_l2()
+
+
+class TestKernelBlocks:
+    SYMBOLS = {
+        "P+": lambda g: projection_multiplier(g, "+").symbol,
+        "P-": lambda g: projection_multiplier(g, "-").symbol,
+        "H": lambda g: hilbert_multiplier(g).symbol,
+        "|D|^0.5": lambda g: fractional_multiplier(g, 0.5).symbol,
+    }
+
+    @pytest.mark.parametrize("name", list(SYMBOLS))
+    def test_block_equals_row_by_row_calls(self, name):
+        grid, band, rows = Grid1D(512, 8 * np.pi), 40, 5
+        symbol = self.SYMBOLS[name](grid)
+        a_hat = np.stack([_stratified_coefficient(grid, band, 10 + i) for i in range(rows)])
+        g_hat = np.stack([random_band_hat(grid, band, 20 + i) for i in range(rows)])
+        g_before = g_hat.copy()
+        by_row = np.stack([
+            _commutator_hats(grid, symbol, _dealiased_samples(grid, a_hat[i]), g_hat[i])
+            for i in range(rows)
+        ])
+        a_m = _dealiased_samples(grid, a_hat)
+        assert np.array_equal(_commutator_hats(grid, symbol, a_m, g_hat), by_row)
+        out = np.empty_like(g_hat)
+        work = (np.empty_like(g_hat), np.empty_like(g_hat))
+        assert _commutator_hats(grid, symbol, a_m, g_hat, out, work) is out
+        assert np.array_equal(out, by_row)
+        assert np.array_equal(g_hat, g_before)
+        # one coefficient shared by a block of fields
+        shared = np.stack([_commutator_hats(grid, symbol, a_m[0], g_hat[i]) for i in range(rows)])
+        assert np.array_equal(_commutator_hats(grid, symbol, a_m[0], g_hat), shared)
+
+    def test_row_norms_equal_lp_norm_bit_for_bit(self):
+        grid, exponents = Grid1D(512, 8 * np.pi), [4 / 3, 2.0, 3.0, 4.0]
+        samples = np.stack([random_band_field(grid, 40, seed).values for seed in range(40)])
+        norms = _row_norms(grid, samples, exponents, np.empty(samples.shape))
+        for q in exponents:
+            by_row = [lp_norm(SpectralField(grid, row), q) for row in samples]
+            assert norms[q].tolist() == by_row
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_projection_commutator_is_anti_self_adjoint(self, seed):
+        # a real, so <[P+; a] f, g> = -<f, [P+; a] g>: the adjoint of the
+        # dealiased commutator is one more call of the same kernel
+        grid, band = Grid1D(1024, 8 * np.pi), 64
+        symbol = projection_multiplier(grid, "+").symbol
+        a_m = _dealiased_samples(grid, _stratified_coefficient(grid, band, seed))
+        f_hat = random_band_hat(grid, band, 100 + seed)
+        g_hat = random_band_hat(grid, band, 200 + seed)
+        kf = _commutator_hats(grid, symbol, a_m, f_hat)
+        kg = _commutator_hats(grid, symbol, a_m, g_hat)
+        scale = np.linalg.norm(kf) * np.linalg.norm(g_hat)
+        assert abs(np.vdot(g_hat, kf) + np.vdot(kg, f_hat)) <= 1e-13 * scale
 
 
 class TestEstimateConstant:
@@ -229,11 +291,26 @@ class TestEstimateConstant:
                 assert both.stability_factor == one.stability_factor
                 assert both.skipped == one.skipped
 
+    def test_block_size_never_changes_a_result(self, monkeypatch):
+        grid, pairs = Grid1D(2048, 8 * np.pi), [(0, 1), (1, 1), (0, 2)]
+        kw = dict(p=(4 / 3, 2.0, 4.0), n_trials=11, bandwidth=32, seed=4)
+        base = estimate_constant("+", pairs, grid, **kw)
+        for chunk, blocks in ((1 << 13, 6), (1 << 22, 1)):
+            monkeypatch.setattr(spectral, "CHUNK_BYTES", chunk)
+            assert len(row_blocks(kw["n_trials"], 2 * grid.n)) == blocks
+            other = estimate_constant("+", pairs, grid, **kw)
+            assert set(other) == set(base)
+            for key, est in base.items():
+                assert np.array_equal(other[key].ratios, est.ratios)
+                assert other[key].max_ratio == est.max_ratio
+                assert other[key].stability_factor == est.stability_factor
+
     def test_ensemble_holds_no_trial_stack(self):
         # one (100, 2n) complex stack on the doubled grid would be 3.1 MiB;
-        # trials are processed one at a time, for all three exponents at
-        # once.  A one-trial call first keeps the one-off costs of first
-        # use (lazy imports, FFT plans) out of the peak.
+        # trials are processed a row block at a time (8 rows at n = 1024,
+        # 4 on the doubled grid) through six work arrays, for all three
+        # exponents at once.  A one-trial call first keeps the one-off
+        # costs of first use (lazy imports, FFT plans) out of the peak.
         grid, pairs, p = Grid1D(1024, 8 * np.pi), [(0, 1), (1, 1), (0, 2)], (4 / 3, 2.0, 4.0)
         estimate_constant("+", pairs, grid, p=p, n_trials=1, bandwidth=64)
         tracemalloc.start()

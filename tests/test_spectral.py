@@ -12,6 +12,7 @@ from schrobvp.spectral import (
     SpectralField,
     block_symbol,
     chunk_rows,
+    dealias_hat,
     dealiased_product,
     derivative,
     derivative_multiplier,
@@ -28,6 +29,7 @@ from schrobvp.spectral import (
     project,
     projection_multiplier,
     random_band_field,
+    random_band_hat,
     remove_pi0,
 )
 
@@ -280,6 +282,15 @@ class TestDealiasedProduct:
         h = mode_field(g, 1)
         assert dealiased_product(f, h).norm_l2() < 1e-12
 
+    def test_mask_into_a_buffer_matches_the_copy(self):
+        g = grid256()
+        hat = np.random.default_rng(3).standard_normal((3, 2 * g.n)).view(np.complex128)
+        out = np.empty_like(hat)
+        assert dealias_hat(g, hat, out) is out
+        assert np.array_equal(out, dealias_hat(g, hat))
+        assert dealias_hat(g, hat, hat) is hat
+        assert np.array_equal(hat, out)
+
 
 class TestGenerators:
     def test_band_field_reproducible_across_grids(self):
@@ -325,6 +336,17 @@ class TestGenerators:
         for seed in range(10):
             drawn = random_band_field(grid, band, seed, **kw).hat
             assert np.array_equal(drawn, loop_hat(grid, band, seed, **kw))
+
+    @pytest.mark.parametrize(
+        "kw",
+        [{}, {"real": True}, {"zero_mean": False}, {"band_lo": 5},
+         {"real": True, "zero_mean": False, "band_lo": 3}],
+    )
+    def test_field_draw_is_the_hats_only_draw(self, kw):
+        grid = Grid1D(256, 8 * np.pi)
+        for seed in range(5):
+            hat = random_band_hat(grid, 40, seed, **kw)
+            assert np.array_equal(random_band_field(grid, 40, seed, **kw).hat, hat)
 
 
 class TestHatBackedStack:
