@@ -24,12 +24,14 @@ One sweep is one batched computation.  `coupling_stacks` evaluates the P+
 branch of the coupling source only and takes lambda- = (Z v)_paired -
 lambda+: on that class P+ + P- = I, and on dealiased input the commutator
 terms of the two signs cancel except at the zero mode.  The sources stay
-Fourier coefficients, written straight into one march-ordered (2, N+1, n)
-buffer on the march's own time grid (the only grid the stepper accepts);
-both carriers are then marched together through
-`solve_linear(..., partner=...)`, into the one march-ordered pair buffer
-the solve allocates: each step overwrites the previous sweep's slot once
-the update is measured against it.  A coupled solve therefore holds four
+Fourier coefficients in one march-ordered (2, N+1, n) buffer on the
+march's time grid, measured as written (norm series for the lambda ratio,
+max |hat| for the march's blow-up scale).  Both carriers are then marched
+together through `solve_linear(..., partner=...)` into the solve's one
+march-ordered pair buffer: each step overwrites the previous sweep's slot
+once the update is measured against it, and the march's blow-up
+magnitudes give every slot's norm and wrong-side norm, so no sweep reads
+the pair or its sources again.  A coupled solve therefore holds four
 stacks at its peak, the pair and the frozen sources.
 
 One solve builds one half-step `OperatorTable` and samples one
@@ -69,6 +71,7 @@ from .spectral import (
     chunk_rows,
     dealias_hat,
     hat_norm,
+    power_norm,
     projection_multiplier,
     require_one_sided,
     row_blocks,
@@ -145,9 +148,10 @@ class PicardReport:
     residual_sup: float = 0.0
     band_tail: float = 0.0
     residual_profile: np.ndarray | None = None
-    # the solve's operator table and rate bundle, for the monitors; not serialised
+    # not serialised: the table and rate bundle for the monitors, the final (plus, minus) norm series
     table: OperatorTable | None = field(default=None, repr=False)
     bundle: NormBundle | None = field(default=None, repr=False)
+    carrier_norms: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         out = {
@@ -237,10 +241,38 @@ def _lambda_rows(
     np.subtract(zv, out_p, out=out_m)
 
 
+def _coupling_pass(
+    vp: SpaceTimeField, vm: SpaceTimeField, table: OperatorTable, target: Callable
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both coupling sources a row block at a time into the views ``target(rows)``,
+    and their norm series and max |hat|.  On a uniform constant table the source
+    is diagonal in v, with ``_lambda_rows`` of a unit row as its two symbols."""
+    _require_pair(vp, vm, table)
+    grid = vp.grid
+    norms, peaks = np.empty((2, len(vp.times))), np.zeros(2)
+    if diagonal := table.uniform and table.constant:
+        symbols = np.empty((2, 1, grid.n), dtype=np.complex128)
+        _lambda_rows(grid, np.ones((1, grid.n)), table, slice(0, 1), *symbols)
+    for rows in row_blocks(len(vp.times), grid.n):
+        v_hat = vp.hats[rows] + vm.hats[rows]
+        outs = target(rows)
+        if diagonal:
+            for sym, out in zip(symbols, outs):
+                np.multiply(sym, v_hat, out=out)
+        else:
+            _lambda_rows(grid, v_hat, table, rows, *outs)
+        for i, mag in enumerate(np.abs(out) for out in outs):
+            peaks[i] = max(peaks[i], np.max(mag))
+            norms[i, rows] = power_norm(grid, mag * mag)
+        del mag   # not kept beside the next block's kernel
+    return norms, peaks
+
+
 def coupling_stacks(
     vp: SpaceTimeField, vm: SpaceTimeField, table: OperatorTable
-) -> tuple[SpaceTimeField, SpaceTimeField]:
-    """Both coupling-source stacks on the carriers' time grid.
+) -> tuple[SpaceTimeField, SpaceTimeField, np.ndarray, np.ndarray]:
+    """Both coupling-source stacks on the carriers' time grid, then their norm
+    series (2, slices) and max |hat| (2,), lambda+ first, measured as written.
 
     The hats live in one (2, slices, n) buffer in march order: row 0 is
     lambda- on ascending times (the forward carrier's source), row 1 is
@@ -249,14 +281,11 @@ def coupling_stacks(
     Raises GridMismatchError unless both carriers and the table share one
     grid and the carriers one time grid.
     """
-    _require_pair(vp, vm, table)
     grid, times = vp.grid, vp.times
     hats = np.empty((2, len(times), grid.n), dtype=np.complex128)
     lam_m, lam_p = hats[0], hats[1, ::-1]
-    for rows in row_blocks(len(times), grid.n):
-        v_hat = vp.hats[rows] + vm.hats[rows]
-        _lambda_rows(grid, v_hat, table, rows, lam_p[rows], lam_m[rows])
-    return SpaceTimeField(grid, times, hats=lam_p), SpaceTimeField(grid, times, hats=lam_m)
+    norms, peaks = _coupling_pass(vp, vm, table, lambda rows: (lam_p[rows], lam_m[rows]))
+    return SpaceTimeField(grid, times, hats=lam_p), SpaceTimeField(grid, times, hats=lam_m), norms, peaks
 
 
 def coupling_norms(
@@ -268,15 +297,8 @@ def coupling_norms(
     each block of sources is measured and dropped: no stack is built.  The
     checks and errors are those of ``coupling_stacks``.
     """
-    _require_pair(vp, vm, table)
-    grid, times = vp.grid, vp.times
-    block = np.empty((2, chunk_rows(grid.n), grid.n), dtype=np.complex128)
-    norms = np.empty((2, len(times)))
-    for rows in row_blocks(len(times), grid.n):
-        k = rows.stop - rows.start
-        v_hat = vp.hats[rows] + vm.hats[rows]
-        _lambda_rows(grid, v_hat, table, rows, block[0, :k], block[1, :k])
-        norms[:, rows] = hat_norm(grid, block[:, :k])
+    block = np.empty((2, chunk_rows(vp.grid.n), vp.grid.n), dtype=np.complex128)
+    norms, _ = _coupling_pass(vp, vm, table, lambda rows: block[:, : rows.stop - rows.start])
     return norms[0], norms[1]
 
 
@@ -287,31 +309,6 @@ def _require_pair(vp: SpaceTimeField, vm: SpaceTimeField, table: OperatorTable) 
     if vm.times.shape != vp.times.shape or not np.allclose(vm.times, vp.times):
         raise GridMismatchError("the two carriers must share one time grid")
     table.require(vp.times)
-
-
-def _leakage(vp: SpaceTimeField, vm: SpaceTimeField) -> float:
-    """sup_t of the wrong-side mass: P- on the plus carrier, P+ on the minus."""
-    grid = vp.grid
-    wrong_p = projection_multiplier(grid, "-").symbol
-    wrong_m = projection_multiplier(grid, "+").symbol
-    return float(np.max(vp.norm_series(wrong_p)) + np.max(vm.norm_series(wrong_m)))
-
-
-def _lambda_ratio(
-    lp: SpaceTimeField,
-    lm: SpaceTimeField,
-    v_norm: np.ndarray,
-    bundle: NormBundle,
-    delta: float,
-) -> float:
-    """max_t of |lambda(t)| / (coupling rate x v_norm(t)), ``v_norm`` being the
-    summed norm series of the pair the sources were evaluated on."""
-    lam_norm = np.maximum(lp.norm_series(), lm.norm_series())
-    denom = bundle.coupling_rate * v_norm
-    keep = denom > 1e-14 * max(delta, 1e-300)
-    if not np.any(keep):
-        return 0.0
-    return float(np.max(lam_norm[keep] / denom[keep]))
 
 
 def _check_horizon(p: BvpProblem, bundle: NormBundle) -> None:
@@ -410,15 +407,21 @@ def picard_solve(
     vm = SpaceTimeField(grid, times, hats=pair[0])
     vp = SpaceTimeField(grid, times, hats=pair[1, ::-1])
     update = np.empty(2)
+    measure = np.zeros((2, 2, n_steps + 1))   # per row and slot: norm, wrong-side norm
+    side = np.stack([projection_multiplier(grid, s).symbol.real for s in "+-"])   # P+ of v-, P- of v+
 
     prev_diff = None
     streak = 0
     for m in range(1, m_max + 1):
         # release the previous sweep's sources before the next pair is built
         src_p = src_m = prob_m = prob_p = None
+        peaks = (None, None)
         if m > 1:
-            src_p, src_m = coupling_stacks(vp, vm, table)
-            report.lambda_ratios.append(_lambda_ratio(src_p, src_m, v_norm, bundle, delta))
+            src_p, src_m, lam_norms, peaks = coupling_stacks(vp, vm, table)
+            denom = bundle.coupling_rate * (measure[1, 0, ::-1] + measure[0, 0])   # the pair they read
+            keep = denom > 1e-14 * max(delta, 1e-300)
+            ratios = np.maximum(lam_norms[0], lam_norms[1])[keep] / denom[keep]
+            report.lambda_ratios.append(float(np.max(ratios)) if ratios.size else 0.0)
         prob_m = LinearProblem(
             direction="forward",
             coeffs=p.coeffs,
@@ -427,6 +430,7 @@ def picard_solve(
             datum=p.f,
             horizon=p.horizon,
             zero_mean=True,
+            source_peak=peaks[1],
         )
         prob_p = LinearProblem(
             direction="backward",
@@ -436,23 +440,22 @@ def picard_solve(
             datum=p.g,
             horizon=p.horizon,
             zero_mean=True,
+            source_peak=peaks[0],
         )
-        vm, vp = solve_linear(prob_m, p.stepper_cfg, table, partner=prob_p, out=pair, update=update)
+        vm, vp = solve_linear(prob_m, p.stepper_cfg, table, partner=prob_p, out=pair, update=update,
+                              measure=measure, side=side)
         if solve_hook is not None:
             solve_hook("-", prob_m, vm)
             solve_hook("+", prob_p, vp)
         diff = float(update[1] + update[0])   # plus carrier's sup-norm update + minus carrier's
 
-        # measured once: the next sweep's lambda ratio reads the same pair
-        norms_p, norms_m = vp.norm_series(), vm.norm_series()
-        v_norm = norms_p + norms_m
-        sup_p, sup_m = float(np.max(norms_p)), float(np.max(norms_m))
+        sup_p, sup_m = float(np.max(measure[1, 0])), float(np.max(measure[0, 0]))
         report.iterations = m
         report.sup_norms_plus.append(sup_p)
         report.sup_norms_minus.append(sup_m)
         report.triple_norms.append(sup_p + sup_m)
         report.diff_norms.append(diff)
-        report.leakages.append(_leakage(vp, vm))
+        report.leakages.append(float(np.max(measure[1, 1]) + np.max(measure[0, 1])))
         if sup_p + sup_m > 4.0 * delta * (1 + 1e-9):
             report.confinement_ok = False
         if prev_diff is not None and prev_diff > 0:
@@ -469,6 +472,7 @@ def picard_solve(
             report.converged = True
             break
     src_p = src_m = prob_m = prob_p = None   # nothing reads the last sweep's sources again
+    report.carrier_norms = (measure[1, 0, ::-1], measure[0, 0])
 
     report.boundary_residual_low = _projection_residual(vp, vm, 0, p.f, "-")
     report.boundary_residual_high = _projection_residual(vp, vm, n_steps, p.g, "+")

@@ -469,7 +469,12 @@ def hat_norm(grid: Grid1D, hats: np.ndarray) -> np.ndarray:
     sqrt(dx/n * sum |hat|^2), the one norm convention of every hat-space
     reader; a single row gives a 0-d result.
     """
-    return np.sqrt(grid.dx / grid.n * np.sum(np.abs(hats) ** 2, axis=-1))
+    return power_norm(grid, np.abs(hats) ** 2)
+
+
+def power_norm(grid: Grid1D, power: np.ndarray) -> np.ndarray:
+    """:func:`hat_norm` from the squared magnitudes ``power`` = |hat|^2, bit for bit."""
+    return np.sqrt(grid.dx / grid.n * np.sum(power, axis=-1))
 
 
 # --- space-time stacks ------------------------------------------------------

@@ -32,13 +32,14 @@ Batched march: :func:`solve_linear` advances a stacked (rows, n) state of
 Fourier coefficients, one row per sub-problem; a ``partner`` problem (the
 coupled solver passes the backward carrier next to the forward one) rides
 in the same state, its row reading the mirrored table node 2N - i.  Steps
-go a ``row_blocks`` block at a time into a buffer that is scanned once for
-blow-up (every row of every step against its own datum and source scale;
-the error names the first bad step), measured once against the output
-buffer's previous contents and copied into it.  The coupled solver hands in its pair buffer, so each
-sweep overwrites the previous one.  A source must sit on the march's own
-time grid; its midpoint rows are cubic Lagrange interpolants of the four
-nearest slices, so it costs the scheme no order (it needs 3 steps).
+go a ``row_blocks`` block at a time into a buffer whose magnitudes, taken
+once, are scanned for blow-up (each row against its datum and handed-in
+source scale; the error names the first bad step) and give each slot's
+norm and wrong-side norm, the coupled solver's per-sweep norms; the block
+is measured against the output buffer's previous contents (the coupled
+solver's pair buffer) and copied into it.  A source must sit on the march's
+own time grid; its midpoint rows are cubic Lagrange interpolants of the
+four nearest slices, so it costs the scheme no order (it needs 3 steps).
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .spectral import (
     chunk_rows,
     hat_norm,
     masked_samples,
+    power_norm,
     row_blocks,
 )
 from .weights import WeightProfile
@@ -148,6 +150,7 @@ class LinearProblem:
     datum: SpectralField
     horizon: float
     zero_mean: bool = False
+    source_peak: float | None = None   # max |hat| of the source, its blow-up scale; measured if None
 
     def __post_init__(self) -> None:
         if self.direction not in ("forward", "backward"):
@@ -161,6 +164,9 @@ class LinearProblem:
                 raise GridMismatchError("source and datum grids differ")
             if self.source.times[0] > 1e-12 or self.source.times[-1] < self.horizon - 1e-9:
                 raise ConfigError("source time grid must cover [0, horizon]")
+            if self.source_peak is None:
+                hats = self.source.hats
+                self.source_peak = max(np.max(np.abs(hats[b])) for b in row_blocks(*hats.shape))
 
     @property
     def grid(self) -> Grid1D:
@@ -302,6 +308,8 @@ def solve_linear(
     partner: LinearProblem | None = None,
     out: np.ndarray | None = None,
     update: np.ndarray | None = None,
+    measure: np.ndarray | None = None,
+    side: np.ndarray | None = None,
 ) -> SpaceTimeField | tuple[SpaceTimeField, SpaceTimeField]:
     """Integrate the sub-problem; returns its slices on the ascending time grid.
 
@@ -323,8 +331,10 @@ def solve_linear(
     view it; no source may view it.  ``update``, a float array with one
     entry per row, then receives each row's sup over slots 0..n_steps of
     ``hat_norm(new - old)`` against the buffer's previous contents, each
-    block of slots measured just before it is overwritten.  A buffer or
-    update array of another shape is a ConfigError.
+    block of slots measured just before it is overwritten.  ``measure``, a
+    float (rows, 2, n_steps + 1) array, receives each slot's ``hat_norm`` and
+    that of its ``side`` part (a (rows, n) 0/1 mask) in march order, bit for
+    bit ``norm_series``.  Arrays of another shape are a ConfigError.
     """
     problems = [p] if partner is None else [p, partner]
     if partner is not None and not (
@@ -357,7 +367,9 @@ def solve_linear(
         raise ConfigError(f"march buffer must be complex of shape {shape}, got {out.dtype} {out.shape}")
     if update is not None and update.shape != (len(problems),):
         raise ConfigError(f"update needs one entry per row ({len(problems)}), got shape {update.shape}")
-    hats = _march(problems, cfg, n_steps, table, out, update)
+    if measure is not None and (measure.shape, np.shape(side)) != ((shape[0], 2, shape[1]), shape[::2]):
+        raise ConfigError(f"measure must be {(shape[0], 2, shape[1])} with a {shape[::2]} side mask")
+    hats = _march(problems, cfg, n_steps, table, out, update, measure, side)
     fields = tuple(
         SpaceTimeField(p.grid, times, hats=rows if q.direction == "forward" else rows[::-1])
         for q, rows in zip(problems, hats)
@@ -376,11 +388,11 @@ def _require_march_grid(source_times: np.ndarray, times: np.ndarray) -> None:
         )
 
 
-def _check_state(hats: np.ndarray, first_step: int, scale: np.ndarray) -> None:
-    """Every row of a (rows, steps, n) block finite and below the blow-up cap
-    of its own datum/source scale; an error names the first bad step, the
-    block's slot j being step ``first_step + j``."""
-    peak = np.max(np.abs(hats), axis=-1)   # NaN and inf propagate into the peak
+def _check_state(mag: np.ndarray, first_step: int, scale: np.ndarray) -> None:
+    """Every row of a (rows, steps, n) block of magnitudes |hat| finite and
+    below the blow-up cap of its own datum/source scale; an error names the
+    first bad step, the block's slot j being step ``first_step + j``."""
+    peak = np.max(mag, axis=-1)   # NaN and inf propagate into the peak
     finite = np.all(np.isfinite(peak), axis=0)
     bad = ~finite | np.any(peak > _BLOWUP_FACTOR * scale[:, None], axis=0)
     if np.any(bad):
@@ -432,6 +444,8 @@ def _march(
     table: OperatorTable,
     out: np.ndarray,
     update: np.ndarray | None,
+    measure: np.ndarray | None,
+    side: np.ndarray | None,
 ) -> np.ndarray:
     """Lawson RK4 on a (rows, n) hat-space state, one row per sub-problem.
 
@@ -444,8 +458,9 @@ def _march(
     adds of source views per row.  Every other table takes the RK4 stages
     step by step.  Steps go a ``row_blocks`` block at a time into a buffer
     that first holds each step's source midpoint or forcing; per block, one
-    blow-up scan, one ``hat_norm`` for ``update`` and one copy into ``out``.
-    Without ``update`` the steps go straight into ``out``.  Returns ``out``.
+    ``np.abs`` feeds the blow-up scan (against the datum and ``source_peak``)
+    and ``measure``, then one ``hat_norm`` for ``update`` and one copy into
+    ``out``; without ``update`` the steps go straight in.  Returns ``out``.
     """
     grid = problems[0].grid
     n = grid.n
@@ -511,16 +526,22 @@ def _march(
             C[own, own + 1] += b2
         return A, C
 
+    def scan(hats: np.ndarray, slots: slice) -> None:
+        """One np.abs of the slots ``slots``: the blow-up scan, then, squared, ``measure``."""
+        mag = np.abs(hats)
+        _check_state(mag, slots.start, scale)
+        if measure is not None:
+            measure[:, 0, slots] = power_norm(grid, np.square(mag, out=mag))
+            measure[:, 1, slots] = power_norm(grid, np.multiply(mag, side[:, None], out=mag))
+
     block = chunk_rows(n)
     v_hat = np.stack([q.datum.hat for q in problems]) * keep
-    scale = np.maximum(np.max(np.abs(v_hat), axis=1), 1e-30)
-    for r, hats in enumerate(sources):
-        if hats is not None:
-            scale[r] = max(scale[r], *(np.max(np.abs(hats[b])) for b in row_blocks(*hats.shape)))
+    scale = np.maximum(np.max(np.abs(v_hat), axis=1), [max(q.source_peak or 0.0, 1e-30) for q in problems])
     if update is not None:
         update[:] = hat_norm(grid, v_hat - out[:, 0])
         buffer = np.empty((rows, block, n), dtype=np.complex128)
     out[:, 0] = v_hat
+    scan(out[:, :1], slice(0, 1))
 
     affine_map = table.uniform and table.constant
     if affine_map:
@@ -565,7 +586,7 @@ def _march(
                 f = (nodes[:, j], buf[:, j], nodes[:, j + 1]) if active else (None,) * 3
                 v_hat = rk4(v_hat, *f, E, E2, ops)
                 buf[:, j] = v_hat
-        _check_state(buf, lo + 1, scale)
+        scan(buf, slots)
         if update is not None:   # old - new in place of the old slots, then the new ones
             out[:, slots] -= buf
             np.maximum(update, np.max(hat_norm(grid, out[:, slots]), axis=1), out=update)

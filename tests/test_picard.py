@@ -61,7 +61,7 @@ def lambda_at(vp, vm, coeffs, weight, t):
     ``coupling_stacks`` on a two-slice stack over an explicit table."""
     times = np.array([t, t + 1e-3])
     table = OperatorTable(coeffs, weight, times)
-    lp, lm = coupling_stacks(
+    lp, lm, *_ = coupling_stacks(
         *(SpaceTimeField(f.grid, times, hats=np.stack([f.hat, f.hat])) for f in (vp, vm)), table
     )
     return lp.slice(0), lm.slice(0)
@@ -164,7 +164,7 @@ class TestCouplingIdentity:
         ramp = (1.0 + times)[:, None]
         vp = SpaceTimeField(grid, times, ramp * project(random_band_field(grid, 60, 21), "+").values)
         vm = SpaceTimeField(grid, times, ramp[::-1] * project(random_band_field(grid, 60, 22), "-").values)
-        lam_p, lam_m = coupling_stacks(vp, vm, OperatorTable(BENCH, w, times))
+        lam_p, lam_m, *_ = coupling_stacks(vp, vm, OperatorTable(BENCH, w, times))
         ref_p, ref_m = two_sided_lambda(vp, vm, BENCH, w)
         for got, ref in ((lam_p, ref_p), (lam_m, ref_m)):
             assert np.max(np.abs(got.values - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -237,7 +237,7 @@ class TestUniformTable:
         vp, vm = self._carriers(grid, times)
         table = OperatorTable(coeffs, w, times)
         assert table.uniform
-        lam_p, lam_m = coupling_stacks(vp, vm, table)
+        lam_p, lam_m, *_ = coupling_stacks(vp, vm, table)
         ref_p, ref_m = two_sided_lambda(vp, vm, coeffs, w)
         for got, ref in ((lam_p, ref_p), (lam_m, ref_m)):
             assert np.max(np.abs(got.values - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -254,6 +254,24 @@ class TestUniformTable:
         ffts.uniform = False
         got, ref = pde_residual(total, symbols).norms, pde_residual(total, ffts).norms
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref)
+
+    def test_diagonal_coupling_matches_the_fft_path(self):
+        # a uniform constant table takes the source as two symbols of the summed
+        # hats; both paths hand back their stacks' norm series bit for bit
+        grid = Grid1D(512, 8 * np.pi)
+        w = build_weight(1.0, grid, mode="pure_exponential")
+        times = np.linspace(0.0, 0.5, 5)
+        vp, vm = self._carriers(grid, times)
+        symbols, ffts = (OperatorTable(CONST, w, times) for _ in range(2))
+        assert symbols.uniform and symbols.constant
+        ffts.uniform = False
+        got, ref = coupling_stacks(vp, vm, symbols), coupling_stacks(vp, vm, ffts)
+        for g, r in zip(got[:2], ref[:2]):
+            assert np.max(np.abs(g.hats - r.hats)) <= 1e-13 * np.max(np.abs(r.hats))
+        for lam_p, lam_m, norms, peaks in (got, ref):
+            for lam, series, peak in zip((lam_p, lam_m), norms, peaks):
+                assert np.array_equal(series, lam.norm_series())
+                assert peak == np.max(np.abs(lam.hats))
 
     @staticmethod
     def _calls_inside(monkeypatch, p, targets):
@@ -745,13 +763,18 @@ def blocked_outputs():
                       datum=SpectralField.from_hat(grid, v.hats[i]), zero_mean=True)
         for d, v, i in (("forward", vm, 0), ("backward", vp, -1))
     )
-    buffer, update = np.stack([vm.hats, vp.hats[::-1]]), np.empty(2)
-    solve_linear(fwd, StepperConfig(epsilon=1e-5, n_steps=40), table, partner=bwd, out=buffer, update=update)
+    lp, lm, norms, peaks = coupling_stacks(vp, vm, table)
+    buffer, update, measure = np.stack([vm.hats, vp.hats[::-1]]), np.empty(2), np.empty((2, 2, 41))
+    side = np.stack([projection_multiplier(grid, sign).symbol.real for sign in "+-"])
+    solve_linear(
+        fwd, StepperConfig(epsilon=1e-5, n_steps=40), table, partner=bwd, out=buffer, update=update,
+        measure=measure, side=side,
+    )
     return {
         "from values": [vp.hats, vm.hats],
-        "coupling_stacks": [s.hats for s in coupling_stacks(vp, vm, table)],
+        "coupling_stacks": [lp.hats, lm.hats, norms, peaks],
         "coupling_norms": list(coupling_norms(vp, vm, table)),
-        "march update": [buffer, update],
+        "march update": [buffer, update, measure],
         "pde_residual": [pde_residual(total, table).norms],
         "band_tail": [band_tail(total)],
         "norm_series": [total.norm_series(), total.norm_series(projection_multiplier(grid, "-").symbol)],

@@ -18,6 +18,7 @@ from schrobvp.spectral import (
     gaussian_field,
     hat_norm,
     project,
+    projection_multiplier,
     random_band_field,
 )
 from schrobvp.stepper import (
@@ -685,9 +686,9 @@ class TestSourceMidpoint:
 class TestBatchedMarch:
     # A partner sub-problem rides in the same (2, n) state; each row must
     # equal its own one-row solve up to round-off.
-    def _pair(self, coeffs, zero_mean_partner):
+    def _pair(self, coeffs, zero_mean_partner, mode="truncated"):
         grid = Grid1D(128, 8 * np.pi)
-        w = build_weight(1.0, grid, mode="truncated", margin=5.0)
+        w = build_weight(1.0, grid, mode=mode, margin=5.0)
         horizon = 0.02
         times = np.linspace(0.0, horizon, 33)
         ramp = 1.0 + 20.0 * times[:, None]
@@ -751,6 +752,44 @@ class TestBatchedMarch:
         grid = fwd.grid
         for r in range(2):
             assert update[r] == np.max(hat_norm(grid, buffer[r] - old[r]))
+
+    @pytest.mark.parametrize(
+        "coeffs, mode",
+        [
+            (CoefficientField("1 + 0.1*exp(-t)*sech(x)", "0.05*sech(x)"), "truncated"),
+            (CONST, "pure_exponential"),
+        ],
+        ids=["fft", "affine"],
+    )
+    @pytest.mark.parametrize("unsourced", [False, True], ids=["sourced", "one-unsourced"])
+    def test_measure_is_the_norm_series_bit_for_bit(self, monkeypatch, coeffs, mode, unsourced):
+        # the block's one np.abs gives every slot's norm and its norm on the
+        # side mask (P+ on the forward row, P- on the backward), as the fields'
+        # norm_series read them; blocks of 4 steps, with and without an update
+        monkeypatch.setattr(spectral, "CHUNK_BYTES", 1 << 13)
+        fwd, bwd, cfg, table = self._pair(coeffs, True, mode)
+        assert table.uniform is table.constant is (mode == "pure_exponential")
+        if unsourced:
+            bwd = dataclasses.replace(bwd, source=None)
+        wrong = [projection_multiplier(fwd.grid, sign).symbol for sign in "+-"]
+        side = np.stack([sym.real for sym in wrong])
+        rng = np.random.default_rng(5)
+        for update in (None, np.empty(2)):
+            buffer = rng.standard_normal((2, 33, 128)) + 1j * rng.standard_normal((2, 33, 128))
+            measure = np.empty((2, 2, 33))
+            pair = solve_linear(
+                fwd, cfg, table, partner=bwd, out=buffer, update=update, measure=measure, side=side
+            )
+            for row, field, sym in zip(measure, pair, wrong):
+                ascending = row if field is pair[0] else row[:, ::-1]
+                assert np.array_equal(ascending[0], field.norm_series())
+                assert np.array_equal(ascending[1], field.norm_series(sym))
+
+    def test_measure_needs_its_shape_and_a_side_mask(self):
+        fwd, bwd, cfg, table = self._pair(CONST, True)
+        for measure, side in ((np.zeros((2, 2, 32)), np.zeros((2, 128))), (np.zeros((2, 2, 33)), None)):
+            with pytest.raises(ConfigError, match="measure"):
+                solve_linear(fwd, cfg, table, partner=bwd, measure=measure, side=side)
 
     @pytest.mark.parametrize(
         "buffer, update, match",
