@@ -33,8 +33,7 @@ def main() -> int:
     problem = LinearProblem(direction=args.direction, coeffs=sc.coeffs,
                             weight=sc.weight, source=None, datum=datum,
                             horizon=horizon)
-    cfg = StepperConfig(n_steps=args.n_steps, epsilon_schedule=schedule)
-    rep = epsilon_study(problem, cfg)
+    rep = epsilon_study(problem, StepperConfig(n_steps=args.n_steps), schedule)
 
     print(f"{args.preset} {args.direction}, T={horizon:.6g}, "
           f"{args.n_steps} steps")

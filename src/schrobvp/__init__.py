@@ -26,7 +26,6 @@ from .errors import (
 )
 from .spectral import (
     Grid1D,
-    Multiplier,
     SpaceTimeField,
     SpectralField,
     annulus_bump,
@@ -97,7 +96,6 @@ from .commutators import (
     derivative_identity_residual,
     estimate_constant,
     fractional_commutator,
-    splitting_residual,
     trial_coefficient,
     trial_field,
 )

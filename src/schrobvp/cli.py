@@ -2,7 +2,7 @@
 
 Subcommands
   free-bvp           closed-form two-endpoint solve, constant coefficients
-  linear             one viscous sub-problem (optionally a viscosity sweep)
+  linear             one viscous sub-problem
   picard             the coupled two-endpoint solver on a scenario file
   verify-estimates   re-run the bound monitors on a stored picard run
   commutator-bench   seeded ensembles for the commutator bound constants
@@ -62,7 +62,7 @@ from .free_bvp import FreeBvpData, solve_free, verify_free_estimate
 from .picard import BvpProblem, assemble_solution, coupling_norms, picard_solve
 from .presets import build_datum, load_preset, preset_names, resolve_scenario
 from .spectral import Grid1D, SpaceTimeField, SpectralField, row_blocks
-from .stepper import LinearProblem, OperatorTable, StepperConfig, epsilon_study, solve_linear
+from .stepper import LinearProblem, OperatorTable, StepperConfig, solve_linear
 from .weights import WeightProfile, build_weight
 
 _TOP_KEYS = {
@@ -73,12 +73,12 @@ _GRID_KEYS = {"n", "L"}
 _WEIGHT_KEYS = {"beta", "mode", "margin"}
 _COEFF_KEYS = {"a", "W", "lambda"}
 _DATA_KEYS = {"f", "g"}
-_STEPPER_KEYS = {"epsilon", "dt", "n_steps", "epsilon_schedule"}
+_STEPPER_KEYS = {"epsilon", "dt", "n_steps"}
 # estimates keys with their defaults; bootstrap defaults to lambda > 0
 _ESTIMATE_DEFAULTS = {"energy": True, "smoothing": True, "bootstrap": False,
                       "q": 2.0, "delta": 0.6, "chain_constant": 1.0, "slack": 0.05}
 
-_STORED_SLICE_CAP = 128   # carrier slices kept for verify-estimates, at most
+_STORED_SLICE_CAP = 128   # carrier slices kept for verify-estimates: at most the cap plus one
 _HORIZON_PROBE = (0.25, 10001)   # window and resolution for automatic selection
 # probe nodes per norm_bundle call: sized by the call's overhead, not by memory
 _PROBE_BLOCK = 32
@@ -201,9 +201,6 @@ def build_scenario(raw: dict) -> ScenarioConfig:
         epsilon=typed(stepper_spec.get("epsilon", 1e-3), float, "stepper.epsilon"),
         dt=stepper_spec.get("dt"),
         n_steps=stepper_spec.get("n_steps"),
-        epsilon_schedule=tuple(
-            _number_list(stepper_spec.get("epsilon_schedule", []), "stepper.epsilon_schedule")
-        ),
     )
 
     est_spec = resolved.get("estimates", {})
@@ -307,13 +304,15 @@ def _versions() -> dict:
 
 
 def _storage_stride(n_slices: int) -> int:
-    """Largest stride dividing the step count that keeps at most the cap."""
+    """Smallest stride >= steps / cap that divides the step count.
+
+    The run keeps steps / stride + 1 slices: at most the cap plus one, 129
+    on ``decoupled``.
+    """
     steps = n_slices - 1
     stride = max(1, int(math.ceil(steps / _STORED_SLICE_CAP)))
-    while stride > 1 and steps % stride:
+    while steps % stride:   # ends at stride == steps at the latest
         stride += 1
-        if stride > steps:
-            return steps
     return stride
 
 
@@ -458,7 +457,7 @@ def _parse_times_arg(text: str | None, horizon: float) -> np.ndarray:
     tokens = [t.strip() for t in text.split(",") if t.strip()]
     if not tokens:
         raise ConfigError(f"--times expects a count or a comma list of times, got {text!r}")
-    kind = int if len(tokens) == 1 and "." not in tokens[0] else float
+    kind = int if len(tokens) == 1 and tokens[0].isdigit() else float
     vals = []
     for token in tokens:
         try:
@@ -527,9 +526,6 @@ def cmd_linear(args: argparse.Namespace) -> int:
         sign = "-" if args.direction == "forward" else "+"
         bundle = norm_bundle(sc.coeffs, sc.weight.sup_logderiv, sol.times, sc.grid)
         reports.append(energy_monitor(sol, None, sign, sc.coeffs, sc.weight, bundle))
-    study = None
-    if sc.stepper.epsilon_schedule:
-        study = epsilon_study(problem, sc.stepper)
     elapsed = time.perf_counter() - t0
 
     norms = sol.norm_series()   # measured once: the sup norm is read from it
@@ -542,7 +538,6 @@ def cmd_linear(args: argparse.Namespace) -> int:
         "sup_norm": float(np.max(norms)),
         "datum_norm": datum.norm_l2(),
         "estimates": [r.to_dict() for r in reports],
-        "epsilon_study": None if study is None else asdict(study),
         "timing": {"file": "timings.json"},
         "versions": _versions(),
     }

@@ -150,8 +150,8 @@ class CoefficientField:
     """
 
     def __init__(self, a, W, ellipticity: float = 0.0) -> None:
-        if ellipticity < 0:
-            raise ConfigError(f"ellipticity floor must be >= 0, got {ellipticity}")
+        if not 0.0 <= ellipticity < math.inf:   # NaN fails the comparison too
+            raise ConfigError(f"ellipticity floor lambda must be finite and >= 0, got {ellipticity}")
         a_tree = _parse(a, "dispersive coefficient")
         w_tree = _parse(W, "potential")
         if "I" in _names(a_tree):

@@ -24,11 +24,6 @@ identities behind them on the grid:
   the reconstruction of the whole from the parts.
 * ``fractional_commutator`` measures the half-derivative chain bound
   and verifies its reduction identity.
-
-Grid quirks that differ from the real line are asserted in quotient
-form: products on the torus pick up a zero-mode that the projections
-P+ and P- both drop, so splitting identities hold exactly after
-removing the mean, and are asserted that way.
 """
 
 from __future__ import annotations
@@ -56,7 +51,6 @@ from .spectral import (
     projection_multiplier,
     random_band_field,
     random_band_hat,
-    remove_pi0,
     row_blocks,
 )
 
@@ -66,7 +60,6 @@ __all__ = [
     "DecompositionAudit",
     "FractionalResult",
     "commutator_apply",
-    "splitting_residual",
     "derivative_identity_residual",
     "estimate_constant",
     "decomposition_audit",
@@ -80,8 +73,8 @@ _OPERATORS = ("+", "-", "H")
 
 def _operator_symbol(grid: Grid1D, op: str) -> np.ndarray:
     if op == "H":
-        return hilbert_multiplier(grid).symbol
-    return projection_multiplier(grid, op).symbol
+        return hilbert_multiplier(grid)
+    return projection_multiplier(grid, op)
 
 
 def _dealiased_samples(grid: Grid1D, a_hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -169,30 +162,9 @@ def commutator_apply(trial: CommutatorTrial) -> SpectralField:
     """d^l ( T(a g) - a T(g) ) with g = d^m f, dealiased products."""
     grid = trial.f.grid
     a_m = _dealiased_samples(grid, np.fft.fft(np.asarray(trial.a, dtype=float)))
-    g_hat = derivative_multiplier(grid, trial.m).symbol * trial.f.hat
+    g_hat = derivative_multiplier(grid, trial.m) * trial.f.hat
     comm = _commutator_hats(grid, _operator_symbol(grid, trial.operator), a_m, g_hat)
-    return SpectralField.from_hat(grid, derivative_multiplier(grid, trial.l).symbol * comm)
-
-
-def splitting_residual(a: np.ndarray, f: SpectralField, m: int = 1) -> float:
-    """Residual of the one-sided splitting identity, mean-quotiented.
-
-    On the torus [P+; a]g picks up the product's zero mode, which both
-    one-sided projections annihilate; after removing the mean,
-
-        [P+; a] g  =  P+(a P-g) - P-(a P+g)
-
-    holds exactly, and this returns the L2 norm of the difference.
-    """
-    grid = f.grid
-    trial = CommutatorTrial(operator="+", a=a, f=f, m=m)
-    lhs = remove_pi0(commutator_apply(trial))
-    a_field = SpectralField(grid, np.asarray(a, dtype=float))
-    g = derivative(f, m) if m else f
-    rhs = project(dealiased_product(a_field, project(g, "-")), "+") - project(
-        dealiased_product(a_field, project(g, "+")), "-"
-    )
-    return (lhs - rhs).norm_l2()
+    return SpectralField.from_hat(grid, derivative_multiplier(grid, trial.l) * comm)
 
 
 def derivative_identity_residual(a: np.ndarray, f: SpectralField) -> float:
@@ -203,10 +175,10 @@ def derivative_identity_residual(a: np.ndarray, f: SpectralField) -> float:
     """
     grid = f.grid
     a_field = SpectralField(grid, np.asarray(a, dtype=float))
-    h = hilbert_multiplier(grid).symbol
-    f_prime = derivative_multiplier(grid, 1).symbol * f.hat
+    h = hilbert_multiplier(grid)
+    f_prime = derivative_multiplier(grid, 1) * f.hat
     a_m = _dealiased_samples(grid, a_field.hat)
-    lhs = _commutator_hats(grid, fractional_multiplier(grid, 1.0).symbol, a_m, f.hat)
+    lhs = _commutator_hats(grid, fractional_multiplier(grid, 1.0), a_m, f.hat)
     comm_h = _commutator_hats(grid, h, a_m, f_prime)
     rhs = -comm_h - h * dealiased_product(derivative(a_field, 1), f).hat
     return float(hat_norm(grid, lhs - rhs))
@@ -315,7 +287,7 @@ def _grid_ratios(
     """Trial ratios of every (l, m, q) on one grid, in trial order (see ``estimate_constant``)."""
     symbol = _operator_symbol(g, operator)
     inner, total = sorted({m for _, m in pairs}), sorted({l + m for l, m in pairs})
-    d = {k: derivative_multiplier(g, k).symbol for k in {l for l, _ in pairs} | set(inner) | set(total)}
+    d = {k: derivative_multiplier(g, k) for k in {l for l, _ in pairs} | set(inner) | set(total)}
     ratios = {(l, m, q): [] for l, m in pairs for q in exponents}
     # blocks sized for rows of 2n: each of the six work arrays is half a CHUNK_BYTES block
     blocks = row_blocks(n_trials, 2 * g.n)
@@ -574,7 +546,7 @@ def fractional_commutator(
     a_field = SpectralField(grid, np.asarray(a, dtype=float))
 
     def d(s: float) -> np.ndarray:
-        return fractional_multiplier(grid, s).symbol
+        return fractional_multiplier(grid, s)
 
     a_m = _dealiased_samples(grid, a_field.hat)
     tail = d(1.0 - (alpha + beta_exp)) * f.hat

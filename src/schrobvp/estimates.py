@@ -107,7 +107,7 @@ def _weighted_halfderiv_integral(
     ``side`` is a frequency mask applied together with D^{1/2}.
     """
     grid = v.grid
-    mult = side * fractional_multiplier(grid, 0.5).symbol.real
+    mult = side * fractional_multiplier(grid, 0.5).real
     per_slice = np.empty(len(v.times))
     for rows in row_blocks(len(v.times), grid.n):
         half = np.fft.ifft(mult * v.hats[rows], axis=-1)
@@ -232,8 +232,8 @@ def weighted_smoothing_monitor(
     grid = w.grid
     if beta <= 0:
         raise ValidationError("beta must be positive")
-    sym_p = projection_multiplier(grid, "+").symbol
-    sym_m = projection_multiplier(grid, "-").symbol
+    sym_p = projection_multiplier(grid, "+")
+    sym_m = projection_multiplier(grid, "-")
     _support_check(w, sym_p + sym_m)
 
     ones = np.ones(grid.n)
@@ -337,10 +337,10 @@ def bootstrap_diagnostics(
     grid = w.grid
     times = w.times
     horizon = float(times[-1])
-    half = fractional_multiplier(grid, 0.5).symbol.real
-    hil = hilbert_multiplier(grid).symbol
-    deriv = derivative_multiplier(grid).symbol * (hil != 0)   # d/dx on the paired modes
-    pos = projection_multiplier(grid, "+").symbol.real
+    half = fractional_multiplier(grid, 0.5).real
+    hil = hilbert_multiplier(grid)
+    deriv = derivative_multiplier(grid) * (hil != 0)   # d/dx on the paired modes
+    pos = projection_multiplier(grid, "+").real
     # The negative side keeps the Nyquist mode that P- drops: |D^{1/2} z|^2 on
     # the left counts that mode, so the two sides must cover it too.
     neg = (grid.xi < 0).astype(float)

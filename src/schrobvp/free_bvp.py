@@ -85,14 +85,11 @@ def _free_symbols(grid: Grid1D, beta: float, horizon: float, t: np.ndarray):
     return np.exp(t * lam_f), np.exp(-(horizon - t) * lam_g)
 
 
-def solve_free(data: FreeBvpData, grid: Grid1D | None = None) -> SpaceTimeField:
+def solve_free(data: FreeBvpData) -> SpaceTimeField:
     """Evaluate the closed-form solution at the requested output times."""
-    if grid is not None and grid != data.grid:
-        raise ConfigError("requested grid does not match the data grid")
-    grid = data.grid
-    sym_f, sym_g = _free_symbols(grid, data.beta, data.horizon, data.times)
+    sym_f, sym_g = _free_symbols(data.grid, data.beta, data.horizon, data.times)
     hats = sym_f * data.f.hat[None, :] + sym_g * data.g.hat[None, :]
-    return SpaceTimeField(grid, data.times, hats=hats)
+    return SpaceTimeField(data.grid, data.times, hats=hats)
 
 
 @dataclass(frozen=True)

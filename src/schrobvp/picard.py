@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -154,28 +154,12 @@ class PicardReport:
     carrier_norms: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
-        out = {
-            "delta": self.delta,
-            "horizon": self.horizon,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "sup_norms_plus": list(self.sup_norms_plus),
-            "sup_norms_minus": list(self.sup_norms_minus),
-            "triple_norms": list(self.triple_norms),
-            "diff_norms": list(self.diff_norms),
-            "contraction_factors": list(self.contraction_factors),
-            "lambda_ratios": list(self.lambda_ratios),
-            "leakages": list(self.leakages),
-            "confinement_ok": self.confinement_ok,
-            "boundary_residual_low": self.boundary_residual_low,
-            "boundary_residual_high": self.boundary_residual_high,
-            "final_leakage": self.final_leakage,
-            "residual_sup": self.residual_sup,
-            "band_tail": self.band_tail,
+        """Every serialised field (not ``repr=False``), the profile only when measured."""
+        values = {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
+        return {
+            k: v.tolist() if isinstance(v, np.ndarray) else v
+            for k, v in values.items() if v is not None
         }
-        if self.residual_profile is not None:
-            out["residual_profile"] = [float(r) for r in self.residual_profile]
-        return out
 
 
 def _operator_parts(
@@ -226,7 +210,7 @@ def _lambda_rows(
     signs cancel except at k = 0, which the paired-mode class zeroes anyway.
     """
     mask = grid.dealias_mask.astype(np.float64)
-    sym = projection_multiplier(grid, "+").symbol.real * mask
+    sym = projection_multiplier(grid, "+").real * mask
     zv, lv, sp = _operator_parts(
         grid, v_hat, *table.rows(rows.start, rows.stop), sym, uniform=table.uniform
     )
@@ -408,7 +392,7 @@ def picard_solve(
     vp = SpaceTimeField(grid, times, hats=pair[1, ::-1])
     update = np.empty(2)
     measure = np.zeros((2, 2, n_steps + 1))   # per row and slot: norm, wrong-side norm
-    side = np.stack([projection_multiplier(grid, s).symbol.real for s in "+-"])   # P+ of v-, P- of v+
+    side = np.stack([projection_multiplier(grid, s).real for s in "+-"])   # P+ of v-, P- of v+
 
     prev_diff = None
     streak = 0
@@ -491,7 +475,7 @@ def _projection_residual(
 ) -> float:
     """L^2 distance of P_sign of slice ``i`` of the summed carriers from the datum."""
     grid = vp.grid
-    sym = projection_multiplier(grid, sign).symbol
+    sym = projection_multiplier(grid, sign)
     hat = sym * (vp.hats[i] + vm.hats[i]) - dealias_hat(grid, datum.hat)
     return float(hat_norm(grid, hat))
 

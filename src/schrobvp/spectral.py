@@ -65,7 +65,6 @@ __all__ = [
     "Grid1D",
     "SpectralField",
     "SpaceTimeField",
-    "Multiplier",
     "project",
     "hilbert",
     "fractional",
@@ -220,41 +219,18 @@ class SpectralField:
         return f"SpectralField(n={self.grid.n}, L={self.grid.half_length}, ||f||_2={self.norm_l2():.3e})"
 
 
-class Multiplier:
-    """Diagonal Fourier operator: (M f)^hat(xi_k) = symbol[k] * f^hat(xi_k)."""
-
-    __slots__ = ("grid", "symbol", "label")
-
-    def __init__(self, grid: Grid1D, symbol: np.ndarray, label: str = "") -> None:
-        self.grid = grid
-        self.symbol = _as_complex(symbol, grid.n)
-        self.label = label
-
-    def apply(self, f: SpectralField) -> SpectralField:
-        if f.grid != self.grid:
-            raise GridMismatchError(f"multiplier {self.label!r} applied to a field on a different grid")
-        return SpectralField.from_hat(self.grid, self.symbol * f.hat)
-
-    def compose(self, other: "Multiplier") -> "Multiplier":
-        if other.grid != self.grid:
-            raise GridMismatchError("composing multipliers on different grids")
-        return Multiplier(self.grid, self.symbol * other.symbol, f"{self.label}*{other.label}")
-
-    def __repr__(self) -> str:
-        return f"Multiplier({self.label!r}, n={self.grid.n})"
-
-
 # --- symbol builders -------------------------------------------------------
+# Each returns the complex128 symbol of a diagonal operator: (M f)^hat = symbol * f^hat.
 
-def derivative_multiplier(grid: Grid1D, order: int = 1) -> Multiplier:
-    return Multiplier(grid, (1j * grid.xi) ** order, f"d/dx^{order}")
+def derivative_multiplier(grid: Grid1D, order: int = 1) -> np.ndarray:
+    return (1j * grid.xi) ** order
 
 
 def _nyquist_slot(grid: Grid1D) -> int:
     return grid.n // 2
 
 
-def projection_multiplier(grid: Grid1D, sign: str) -> Multiplier:
+def projection_multiplier(grid: Grid1D, sign: str) -> np.ndarray:
     """Sharp half-line frequency cutoff.  ``sign`` is '+' or '-'.
 
     The zero mode is excluded from both; the unpaired Nyquist mode is
@@ -267,17 +243,17 @@ def projection_multiplier(grid: Grid1D, sign: str) -> Multiplier:
     else:
         mask = grid.xi < 0
         mask[_nyquist_slot(grid)] = False
-    return Multiplier(grid, mask.astype(np.complex128), f"P{sign}")
+    return mask.astype(np.complex128)
 
 
-def hilbert_multiplier(grid: Grid1D) -> Multiplier:
+def hilbert_multiplier(grid: Grid1D) -> np.ndarray:
     """Symbol i*sgn(xi) on paired modes; zero and Nyquist modes are annihilated."""
     sym = 1j * np.sign(grid.xi)
     sym[_nyquist_slot(grid)] = 0.0
-    return Multiplier(grid, sym, "H")
+    return sym
 
 
-def fractional_multiplier(grid: Grid1D, s: float, kind: str = "D") -> Multiplier:
+def fractional_multiplier(grid: Grid1D, s: float, kind: str = "D") -> np.ndarray:
     """|xi|^s (kind 'D') or (1+xi^2)^(s/2) (kind 'J').
 
     For kind 'D' with s < 0 the zero-mode symbol is set to 0; applying the
@@ -290,9 +266,9 @@ def fractional_multiplier(grid: Grid1D, s: float, kind: str = "D") -> Multiplier
         sym[nz] = np.abs(grid.xi[nz]) ** s
         if s == 0:
             sym[~nz] = 1.0
-        return Multiplier(grid, sym, f"|D|^{s}")
+        return sym
     if kind == "J":
-        return Multiplier(grid, (1.0 + grid.xi**2) ** (s / 2.0), f"J^{s}")
+        return ((1.0 + grid.xi**2) ** (s / 2.0)).astype(np.complex128)
     raise ValueError(f"fractional kind must be 'D' or 'J', got {kind!r}")
 
 
@@ -324,7 +300,7 @@ def require_one_sided(f: SpectralField, sign: str, label: str) -> None:
     if abs(hat[0]) > 1e-12 * scale * f.grid.n:
         raise ValidationError(f"{label} must have zero mean")
     wrong = "-" if sign == "+" else "+"
-    leak = float(hat_norm(f.grid, projection_multiplier(f.grid, wrong).symbol * hat))
+    leak = float(hat_norm(f.grid, projection_multiplier(f.grid, wrong) * hat))
     if leak > 1e-12 * scale:
         raise ValidationError(
             f"{label} carries {leak:.3g} of mass on the {wrong} frequency side"
@@ -332,11 +308,11 @@ def require_one_sided(f: SpectralField, sign: str, label: str) -> None:
 
 
 def project(f: SpectralField, sign: str) -> SpectralField:
-    return projection_multiplier(f.grid, sign).apply(f)
+    return SpectralField.from_hat(f.grid, projection_multiplier(f.grid, sign) * f.hat)
 
 
 def hilbert(f: SpectralField) -> SpectralField:
-    return hilbert_multiplier(f.grid).apply(f)
+    return SpectralField.from_hat(f.grid, hilbert_multiplier(f.grid) * f.hat)
 
 
 def fractional(f: SpectralField, s: float, kind: str = "D") -> SpectralField:
@@ -346,11 +322,11 @@ def fractional(f: SpectralField, s: float, kind: str = "D") -> SpectralField:
             raise SingularOperatorError(
                 f"|D|^{s} needs a zero-mean input; relative mean magnitude {abs(f.hat[0]) / scale:.2e}"
             )
-    return fractional_multiplier(f.grid, s, kind).apply(f)
+    return SpectralField.from_hat(f.grid, fractional_multiplier(f.grid, s, kind) * f.hat)
 
 
 def derivative(f: SpectralField, order: int = 1) -> SpectralField:
-    return derivative_multiplier(f.grid, order).apply(f)
+    return SpectralField.from_hat(f.grid, derivative_multiplier(f.grid, order) * f.hat)
 
 
 # --- smooth dyadic family --------------------------------------------------
@@ -408,18 +384,18 @@ def block_symbol(zeta: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"unknown block kind {kind!r}")
 
 
-def lp_block_multiplier(grid: Grid1D, k: int, kind: str = "Q") -> Multiplier:
+def lp_block_multiplier(grid: Grid1D, k: int, kind: str = "Q") -> np.ndarray:
     k_min, k_max = grid.resolvable_block_range()
     if not (k_min <= k <= k_max):
         raise ResolvableRangeError(
             f"block index {k} outside resolvable range [{k_min}, {k_max}] for this grid"
         )
     zeta = grid.xi * 2.0 ** (-k)
-    return Multiplier(grid, block_symbol(zeta, kind).astype(np.complex128), f"{kind}_{k}")
+    return block_symbol(zeta, kind).astype(np.complex128)
 
 
 def lp_block(f: SpectralField, k: int, kind: str = "Q") -> SpectralField:
-    return lp_block_multiplier(f.grid, k, kind).apply(f)
+    return SpectralField.from_hat(f.grid, lp_block_multiplier(f.grid, k, kind) * f.hat)
 
 
 def lp_norm(f: SpectralField, p: float) -> float:
@@ -500,10 +476,10 @@ class SpaceTimeField:
         hats: np.ndarray | None = None,
     ) -> None:
         times = np.asarray(times, dtype=np.float64)
-        if times.ndim != 1 or len(times) < 2:
-            raise ValueError("need at least two time nodes")
-        steps = np.diff(times)
-        if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-14):
+        if times.ndim != 1 or len(times) < 1:
+            raise ValueError("need at least one time node")
+        steps = np.diff(times)   # empty for a single slice, which has no dt
+        if np.any(steps <= 0) or not np.allclose(steps, steps[:1], rtol=1e-9, atol=1e-14):
             raise ValueError("time nodes must be uniformly spaced and increasing")
         if (values is None) == (hats is None):
             raise ValueError("give exactly one of values or hats")

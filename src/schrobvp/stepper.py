@@ -44,7 +44,9 @@ four nearest slices, so it costs the scheme no order (it needs 3 steps).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,7 +54,6 @@ from .coefficients import CoefficientField
 from .errors import ConfigError, GridMismatchError, StabilityError, typed
 from .spectral import (
     Grid1D,
-    Multiplier,
     SpaceTimeField,
     SpectralField,
     chunk_rows,
@@ -82,7 +83,7 @@ def heat_quartic(f: SpectralField, s: float) -> SpectralField:
     """Apply the fourth-order dissipative semigroup symbol e^(-s xi^4)."""
     if s < 0:
         raise ConfigError(f"quartic semigroup time must be >= 0, got {s}")
-    return Multiplier(f.grid, np.exp(-s * f.grid.xi**4), "heat4").apply(f)
+    return SpectralField.from_hat(f.grid, np.exp(-s * f.grid.xi**4) * f.hat)
 
 
 @dataclass
@@ -90,26 +91,25 @@ class StepperConfig:
     """Viscosity and step size for one linear solve.
 
     Exactly one of ``dt``/``n_steps`` may be given; with neither, the
-    horizon is split into 2048 steps.  ``epsilon_schedule`` drives
-    :func:`epsilon_study` only.
+    horizon is split into 2048 steps.
     """
 
     epsilon: float = 1e-3
     dt: float | None = None
     n_steps: int | None = None
-    epsilon_schedule: tuple[float, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
         # scenario files hand these over unchecked: "64", 64.5 and true are errors
         for name, kind in (("n_steps", int), ("dt", float)):
             if getattr(self, name) is not None:
                 typed(getattr(self, name), kind, name)
-        if self.epsilon < 0:
-            raise ConfigError(f"viscosity must be >= 0, got {self.epsilon}")
+        # written so that NaN, which fails every comparison, fails the check
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ConfigError(f"viscosity epsilon must be finite and >= 0, got {self.epsilon}")
         if self.dt is not None and self.n_steps is not None:
             raise ConfigError("give either dt or n_steps, not both")
-        if self.dt is not None and self.dt <= 0:
-            raise ConfigError("dt must be positive")
+        if self.dt is not None and not 0.0 < self.dt < math.inf:
+            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
         if self.n_steps is not None and self.n_steps < 1:
             raise ConfigError("n_steps must be >= 1")
 
@@ -603,9 +603,12 @@ class EpsilonStudyReport:
     order_estimates: tuple[float, ...]
 
 
-def epsilon_study(p: LinearProblem, cfg: StepperConfig) -> EpsilonStudyReport:
-    """Solve along the decreasing viscosity schedule and compare neighbours."""
-    sched = tuple(cfg.epsilon_schedule)
+def epsilon_study(p: LinearProblem, cfg: StepperConfig, schedule: Sequence[float]) -> EpsilonStudyReport:
+    """Solve at each viscosity of the decreasing ``schedule`` and compare neighbours.
+
+    Every solve takes ``cfg``'s step size; its ``epsilon`` is not used.
+    """
+    sched = tuple(schedule)
     if len(sched) < 3:
         raise ConfigError("viscosity schedule needs at least 3 entries")
     if any(e2 >= e1 for e1, e2 in zip(sched, sched[1:])) or any(e <= 0 for e in sched):
@@ -614,8 +617,7 @@ def epsilon_study(p: LinearProblem, cfg: StepperConfig) -> EpsilonStudyReport:
     table = OperatorTable(p.coeffs, p.weight, times, half_steps=True)
     solutions = []
     for eps in sched:
-        sub = StepperConfig(epsilon=eps, dt=cfg.dt, n_steps=cfg.n_steps)
-        solutions.append(solve_linear(p, sub, table))
+        solutions.append(solve_linear(p, replace(cfg, epsilon=eps), table))
     pairs = zip(solutions, solutions[1:])
     diffs = [float(np.max(hat_norm(p.grid, s1.hats - s2.hats))) for s1, s2 in pairs]
     orders = []

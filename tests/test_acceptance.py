@@ -227,8 +227,7 @@ def test_criterion_06_viscosity_machinery(bench):
         source=None, datum=sc.f, horizon=bench["horizon"],
     )
     # 1024 steps: at the preset's 64, eps = 1e-2 exceeds the stiffness cap
-    cfg = StepperConfig(n_steps=1024, epsilon_schedule=(1e-2, 1e-3, 1e-4))
-    study = epsilon_study(problem, cfg)
+    study = epsilon_study(problem, StepperConfig(n_steps=1024), (1e-2, 1e-3, 1e-4))
     orders_ok = all(0.8 <= o <= 1.2 for o in study.order_estimates)
     ok = worst_rel <= 0.01 and study.cauchy and orders_ok
     _line(6, "viscosity-machinery", ok,
@@ -293,13 +292,12 @@ def test_criterion_08_frequency_splitting_structure():
     # sign convention: with hat(H) = i sgn(xi) on the paired modes, the
     # transform equals i (P+ - P-) and D^{1/2} H D^{1/2} = d/dx exactly;
     # the opposite sign would flip the factorization identity instead.
-    h_sym = hilbert_multiplier(grid).symbol
-    split_sym = 1j * (projection_multiplier(grid, "+").symbol
-                      - projection_multiplier(grid, "-").symbol)
+    h_sym = hilbert_multiplier(grid)
+    split_sym = 1j * (projection_multiplier(grid, "+") - projection_multiplier(grid, "-"))
     h_err = float(np.max(np.abs(h_sym - split_sym)))
     half = fractional_multiplier(grid, 0.5, kind="D")
-    fact = half.compose(hilbert_multiplier(grid)).compose(half).symbol
-    dx_sym = derivative_multiplier(grid, 1).symbol.copy()
+    fact = half * hilbert_multiplier(grid) * half
+    dx_sym = derivative_multiplier(grid, 1)
     dx_sym[grid.n // 2] = 0.0        # unpaired mode carries no direction
     fact_err = float(np.max(np.abs(fact - dx_sym))) / max(1.0, float(np.max(np.abs(dx_sym))))
 

@@ -152,6 +152,16 @@ class TestFreeBvpCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: --times") and repr(bad) in err
 
+    def test_a_single_time_without_a_point_is_a_time(self, tmp_path):
+        # a lone token is a count only as an integer literal: "5" in test_end_to_end
+        out = tmp_path / "free"
+        code = cli.main([
+            "free-bvp", "--grid-n", "64", "--T", "0.2", "--times", "1e-3", "--out-dir", str(out),
+        ])
+        assert code == 0
+        assert json.loads((out / "report.json").read_text())["times"] == [1e-3]
+        assert [p.name for p in (out / "dumps").glob("v_*.spf")] == ["v_0000.spf"]
+
     def test_csv_field_format(self, tmp_path):
         out = tmp_path / "free"
         code = cli.main([
@@ -161,6 +171,29 @@ class TestFreeBvpCommand:
         assert code == 0
         dumped = load_field(out / "dumps" / "v_0000.csv")
         assert dumped.grid.n == 256
+
+
+class TestLinearCommand:
+    @pytest.mark.parametrize("direction, sign", [("forward", "-"), ("backward", "+")])
+    def test_report_contract(self, tmp_path, capsys, direction, sign):
+        out = tmp_path / "lin"
+        code = cli.main([
+            "linear", "--scenario", small_scenario_file(tmp_path), "--direction", direction,
+            "--out-dir", str(out),
+        ])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["direction"] == direction
+        assert report["sup_norm"] > 0
+        assert [e["name"] for e in report["estimates"]] == [f"energy[{sign}]"]
+        assert "epsilon_study" not in report
+        assert f"sup norm {report['sup_norm']:.6g}" in capsys.readouterr().out
+
+    def test_viscosity_schedule_is_an_unknown_key(self, tmp_path, capsys):
+        scenario = small_scenario_file(tmp_path, {"stepper": {"epsilon_schedule": [1e-2, 1e-3, 1e-4]}})
+        code = cli.main(["linear", "--scenario", scenario, "--out-dir", str(tmp_path / "lin")])
+        assert code == 1
+        assert "unknown config key 'epsilon_schedule' in stepper" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -298,7 +331,8 @@ class TestErrorsAndExitCodes:
             ({"times": [[0.0]]}, "times"),
             ({"stepper": 5}, "stepper"),
             ({"estimates": 5}, "estimates"),
-            ({"stepper": {"epsilon_schedule": 5}}, "epsilon_schedule"),
+            # NaN fails every comparison, so each range check must reject it by name
+            ({"stepper": {"epsilon": float("nan")}}, "epsilon"),
             ({"tol": [1e-8]}, "tol"),
             ({"override_horizon": "false"}, "override_horizon"),
             ({"override_horizon": 0}, "override_horizon"),
@@ -315,6 +349,8 @@ class TestErrorsAndExitCodes:
             ({"horizon": "0.035"}, "horizon"),
             ({"data": {"f": 5}}, "data.f"),
             ({"out_dir": 5}, "out_dir"),
+            ({"stepper": {"dt": float("nan"), "n_steps": None}}, "dt"),
+            ({"coefficients": {"lambda": float("nan")}}, "lambda"),
         ],
     )
     def test_mistyped_section_exits_1(self, tmp_path, capsys, extra, key):

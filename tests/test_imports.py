@@ -2,8 +2,9 @@
 
 An AST scan of the package modules, the test files and the scripts: a name
 bound by an import statement must appear somewhere else in the module, as a
-bare name or the root of an attribute chain, or be re-exported through
-``__all__``.
+bare name or the root of an attribute chain.  A name in a package module's
+``__all__`` must be defined at the top level of that module, so a stale
+entry left by a deletion is an error, and ``__all__`` re-exports no import.
 The package ``__init__`` is skipped, because its imports are the public API.
 Every import in the package is relative, from the standard library, or a
 dependency listed in ``pyproject.toml``.
@@ -43,20 +44,25 @@ def _imported_names(tree: ast.Module) -> dict[str, int]:
     return names
 
 
-def _used_names(tree: ast.Module) -> set[str]:
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used.update(ast.literal_eval(node.value))
-    return used
-
-
 def unused_imports(source: str) -> list[tuple[str, int]]:
     tree = ast.parse(source)
-    used = _used_names(tree)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted((name, line) for name, line in _imported_names(tree).items() if name not in used)
+
+
+def undefined_exports(source: str) -> list[str]:
+    """Names in ``__all__`` that no top-level def, class or assignment of the module binds."""
+    defined, exported = set(), []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+            defined.update(names)
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+    return [name for name in exported if name not in defined]
 
 
 def test_scan_flags_an_unused_name_and_keeps_used_ones():
@@ -69,12 +75,32 @@ def test_scan_flags_an_unused_name_and_keeps_used_ones():
         "def f(k: Literal['a']):\n"
         "    return np.zeros(3), os.path.sep\n"
     )
-    assert unused_imports(source) == [("Iterable", 2)]
+    # an __all__ entry is not a use: the import behind it is still unused
+    assert unused_imports(source) == [("Iterable", 2), ("exported", 4)]
+
+
+def test_export_scan_flags_stale_and_imported_entries():
+    source = (
+        "from .x import imported\n"
+        "LIMIT: int = 3\n"
+        "Kind = str\n"
+        "__all__ = ['f', 'C', 'LIMIT', 'Kind', 'splitting_residual', 'imported']\n"
+        "def f(): pass\n"
+        "class C: pass\n"
+    )
+    assert undefined_exports(source) == ["splitting_residual", "imported"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src" / "schrobvp").glob("*.py")), ids=lambda p: f"schrobvp/{p.name}"
+)
+def test_every_exported_name_is_defined_in_its_module(path):
+    assert undefined_exports(path.read_text()) == []
 
 
 def _declared_dependencies() -> set[str]:

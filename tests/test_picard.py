@@ -144,7 +144,7 @@ def two_sided_lambda(vp, vm, coeffs, weight):
     q_hv = coeff_product(grid, aqm, hv)
     out = {}
     for sign in ("+", "-"):
-        sym = projection_multiplier(grid, sign).symbol
+        sym = projection_multiplier(grid, sign)
         proj_hv = np.fft.ifft(sym * hv_hat, axis=-1)
         comm_a = sym * a_hv - coeff_product(grid, am, proj_hv)
         comm_q = sym * q_hv - coeff_product(grid, aqm, proj_hv)
@@ -765,7 +765,7 @@ def blocked_outputs():
     )
     lp, lm, norms, peaks = coupling_stacks(vp, vm, table)
     buffer, update, measure = np.stack([vm.hats, vp.hats[::-1]]), np.empty(2), np.empty((2, 2, 41))
-    side = np.stack([projection_multiplier(grid, sign).symbol.real for sign in "+-"])
+    side = np.stack([projection_multiplier(grid, sign).real for sign in "+-"])
     solve_linear(
         fwd, StepperConfig(epsilon=1e-5, n_steps=40), table, partner=bwd, out=buffer, update=update,
         measure=measure, side=side,
@@ -777,7 +777,7 @@ def blocked_outputs():
         "march update": [buffer, update, measure],
         "pde_residual": [pde_residual(total, table).norms],
         "band_tail": [band_tail(total)],
-        "norm_series": [total.norm_series(), total.norm_series(projection_multiplier(grid, "-").symbol)],
+        "norm_series": [total.norm_series(), total.norm_series(projection_multiplier(grid, "-"))],
         "assemble_solution": [assemble_solution(vp, vm, w).w.hats],
         "norm_bundle": [bundle.coupling_rate, bundle.energy_rate],
         "OperatorTable": [table.abar, table.a, table.aq, table.zeroth],

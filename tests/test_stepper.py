@@ -434,8 +434,7 @@ class TestEpsilonStudy:
             datum=f,
             horizon=0.1,
         )
-        cfg = StepperConfig(n_steps=256, epsilon_schedule=(1e-2, 1e-3, 1e-4))
-        report = epsilon_study(p, cfg)
+        report = epsilon_study(p, StepperConfig(n_steps=256), (1e-2, 1e-3, 1e-4))
         assert isinstance(report, EpsilonStudyReport)
         assert report.cauchy
         assert len(report.differences) == 2
@@ -454,8 +453,7 @@ class TestEpsilonStudy:
             datum=zero,
             horizon=0.1,
         )
-        cfg = StepperConfig(n_steps=64, epsilon_schedule=(1e-2, 1e-3, 1e-4))
-        report = epsilon_study(p, cfg)
+        report = epsilon_study(p, StepperConfig(n_steps=64), (1e-2, 1e-3, 1e-4))
         assert all(d == 0.0 for d in report.differences)
         assert report.cauchy
 
@@ -470,9 +468,9 @@ class TestEpsilonStudy:
             horizon=0.1,
         )
         with pytest.raises(ConfigError):
-            epsilon_study(p, StepperConfig(n_steps=32, epsilon_schedule=(1e-2, 1e-3)))
+            epsilon_study(p, StepperConfig(n_steps=32), (1e-2, 1e-3))
         with pytest.raises(ConfigError):
-            epsilon_study(p, StepperConfig(n_steps=32, epsilon_schedule=(1e-4, 1e-3, 1e-2)))
+            epsilon_study(p, StepperConfig(n_steps=32), (1e-4, 1e-3, 1e-2))
 
 
 class TestTemporalOrder:
@@ -771,7 +769,7 @@ class TestBatchedMarch:
         assert table.uniform is table.constant is (mode == "pure_exponential")
         if unsourced:
             bwd = dataclasses.replace(bwd, source=None)
-        wrong = [projection_multiplier(fwd.grid, sign).symbol for sign in "+-"]
+        wrong = [projection_multiplier(fwd.grid, sign) for sign in "+-"]
         side = np.stack([sym.real for sym in wrong])
         rng = np.random.default_rng(5)
         for update in (None, np.empty(2)):
