@@ -27,7 +27,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -78,7 +78,11 @@ _STEPPER_KEYS = {"epsilon", "dt", "n_steps"}
 _ESTIMATE_DEFAULTS = {"energy": True, "smoothing": True, "bootstrap": False,
                       "q": 2.0, "delta": 0.6, "chain_constant": 1.0, "slack": 0.05}
 
-_STORED_SLICE_CAP = 128   # carrier slices kept for verify-estimates: at most the cap plus one
+# carrier slices kept for verify-estimates, uniformly spaced: steps / 128 + 1
+# as a rule, never fewer than 17 when a finer stride allows it, never more than 513
+_STORED_SLICE_CAP = 128
+_STORED_SLICE_FLOOR = 16
+_STORED_SLICE_CEILING = 512
 _HORIZON_PROBE = (0.25, 10001)   # window and resolution for automatic selection
 # probe nodes per norm_bundle call: sized by the call's overhead, not by memory
 _PROBE_BLOCK = 32
@@ -304,15 +308,26 @@ def _versions() -> dict:
 
 
 def _storage_stride(n_slices: int) -> int:
-    """Smallest stride >= steps / cap that divides the step count.
+    """Stride of the stored carrier slices: a divisor of the step count, so they are uniform.
 
-    The run keeps steps / stride + 1 slices: at most the cap plus one, 129
-    on ``decoupled``.
+    The smallest divisor >= steps / 128, which keeps steps / stride + 1 <= 129
+    slices (129 on ``decoupled``, 65 on ``benchmark``).  When that leaves
+    fewer than 17 (a step count with no divisor in [steps / 128, steps), a
+    prime such as 131 or 257), the largest divisor below steps / 128
+    instead, which may keep up to 513; a step count that needs more (1031)
+    is a ConfigError naming n_steps, raised before the solve.
     """
     steps = n_slices - 1
-    stride = max(1, int(math.ceil(steps / _STORED_SLICE_CAP)))
-    while steps % stride:   # ends at stride == steps at the latest
-        stride += 1
+    low = max(1, math.ceil(steps / _STORED_SLICE_CAP))
+    stride = next(s for s in range(low, steps + 1) if steps % s == 0)
+    if steps // stride < _STORED_SLICE_FLOOR and low > 1:
+        stride = next(s for s in range(low - 1, 0, -1) if steps % s == 0)
+        if steps // stride > _STORED_SLICE_CEILING:
+            raise ConfigError(
+                f"n_steps = {steps} has no divisor that keeps between {_STORED_SLICE_FLOOR + 1} and "
+                f"{_STORED_SLICE_CEILING + 1} uniformly spaced slices for verify-estimates; choose a "
+                f"step count with a divisor near n_steps / {_STORED_SLICE_CAP}"
+            )
     return stride
 
 
@@ -477,17 +492,21 @@ def cmd_free_bvp(args: argparse.Namespace) -> int:
     f = build_datum(args.datum_f, grid, "-")
     g = build_datum(args.datum_g, grid, "+")
     times = _parse_times_arg(args.times, args.T)
+    if np.any(np.diff(times) <= 0):
+        raise ConfigError(f"--times must be increasing, got {args.times!r}")
     data = FreeBvpData(f=f, g=g, beta=args.beta, horizon=args.T, times=times)
     t0 = time.perf_counter()
-    sol = solve_free(data)
-    est = verify_free_estimate(sol, data)
+    # the closed form at each requested time on its own, so the times need not be uniform
+    slices = [solve_free(replace(data, times=data.times[j : j + 1])) for j in range(len(times))]
+    est = verify_free_estimate(slices, data)
     elapsed = time.perf_counter() - t0
 
-    write_norms_csv(out / "norms.csv", sol.times, {"norm_v": sol.norm_series()})
+    norms = np.concatenate([v.norm_series() for v in slices])
+    write_norms_csv(out / "norms.csv", data.times, {"norm_v": norms})
     fields_dir = out / "dumps"
     fields_dir.mkdir(parents=True, exist_ok=True)
-    for j in range(len(sol.times)):
-        _dump_field(sol.slice(j), fields_dir / f"v_{j:04d}", args.field_format)
+    for j, v in enumerate(slices):
+        _dump_field(v.slice(0), fields_dir / f"v_{j:04d}", args.field_format)
     report = {
         "config": {
             "beta": args.beta, "T": args.T,
@@ -495,7 +514,7 @@ def cmd_free_bvp(args: argparse.Namespace) -> int:
             "datum_f": args.datum_f, "datum_g": args.datum_g,
         },
         "estimate": asdict(est),
-        "times": [float(t) for t in sol.times],
+        "times": [float(t) for t in data.times],
         "timing": {"file": "timings.json"},
         "versions": _versions(),
     }
@@ -555,6 +574,7 @@ def run_picard_scenario(raw: dict, out_dir: str | None, flag_T: float | None = N
     out = _out_dir(out_dir, sc.out_dir)
     horizon, override, trace = resolve_horizon(sc, flag_T)
     _require_dump_times(sc.times, horizon)
+    _storage_stride(sc.stepper.resolve_steps(horizon) + 1)   # a step count it cannot store fails here
     problem = BvpProblem(
         f=sc.f, g=sc.g, coeffs=sc.coeffs, weight=sc.weight,
         horizon=horizon, stepper_cfg=sc.stepper, override_horizon=override,

@@ -20,6 +20,7 @@ measures that blow-up, which is why the two-endpoint formulation exists.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,8 +101,17 @@ class FreeEstimateReport:
     attained_at: float    # time of the sup
 
 
-def verify_free_estimate(solution: SpaceTimeField, data: FreeBvpData) -> FreeEstimateReport:
-    norms = solution.norm_series()
+def verify_free_estimate(
+    solution: SpaceTimeField | Sequence[SpaceTimeField], data: FreeBvpData
+) -> FreeEstimateReport:
+    """The sup over the solution's times of its L^2 norm, against the data norm.
+
+    ``solution`` is one solve, or several (one per time of a list that is
+    not uniformly spaced).
+    """
+    parts = [solution] if isinstance(solution, SpaceTimeField) else solution
+    times = np.concatenate([part.times for part in parts])
+    norms = np.concatenate([part.norm_series() for part in parts])
     i = int(np.argmax(norms))
     denom = data.data_norm()
     ratio = 0.0 if denom == 0.0 else float(norms[i] / denom)
@@ -109,7 +119,7 @@ def verify_free_estimate(solution: SpaceTimeField, data: FreeBvpData) -> FreeEst
         ratio=ratio,
         sup_norm=float(norms[i]),
         data_norm=denom,
-        attained_at=float(solution.times[i]),
+        attained_at=float(times[i]),
     )
 
 

@@ -76,7 +76,7 @@ from .spectral import (
     require_one_sided,
     row_blocks,
 )
-from .stepper import LinearProblem, OperatorTable, StepperConfig, apply_s, solve_linear
+from .stepper import LinearProblem, MarchPlan, OperatorTable, StepperConfig, apply_s, s_symbols, solve_linear
 from .weights import WeightProfile
 
 __all__ = [
@@ -171,26 +171,30 @@ def _operator_parts(
     sym: np.ndarray | None = None,
     *,
     uniform: bool,
+    symbols: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    work: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ...]:
     """Unmasked hats of (Z v, S v), and of S(sym v) given a real symbol ``sym``.
 
     L = Z + S is the discrete operator on the operator-table rows ``am``,
-    ``aqm``, ``zwm``; ``v_hat`` is dealiased here.  S is the stepper's one
+    ``aqm``, ``zwm``; ``v_hat``, complex, is dealiased in place and then
+    overwritten (the caller hands over a fresh block).  S is the stepper's one
     kernel :func:`~schrobvp.stepper.apply_s`, called once for v and once for
-    sym v.  Z v is one ifft of v and one fft of the product, or on a
-    ``uniform`` table (rows constant in x) the symbol product on the row's
-    value, with no FFT.
+    sym v, with the caller's ``symbols`` and complex (2, ...) ``work``
+    array (both allocated per call when None).  Z v is one ifft of v and
+    one fft of the product, or on a ``uniform`` table (rows constant in x)
+    the symbol product on the row's value, with no FFT.
     """
-    u = v_hat * grid.dealias_mask
+    u = np.multiply(v_hat, grid.dealias_mask, out=v_hat)
     if uniform:
         zv = zwm[:, :1] * u
     else:
         zv = np.fft.fft(zwm * np.fft.ifft(u, axis=-1), axis=-1)
-    sv = apply_s(grid, u, am, aqm, uniform)
+    sv = apply_s(grid, u, am, aqm, uniform, symbols=symbols, work=work)
     if sym is None:
         return zv, sv
-    u *= sym   # u is spent: sym u takes its place, with no block more
-    return zv, sv, apply_s(grid, u, am, aqm, uniform)
+    u *= sym   # u is spent: sym u and then S(sym u) take its place, with no block more
+    return zv, sv, apply_s(grid, u, am, aqm, uniform, symbols=symbols, out=u, work=work)
 
 
 def _lambda_rows(
@@ -200,19 +204,24 @@ def _lambda_rows(
     rows: slice,
     out_p: np.ndarray,
     out_m: np.ndarray,
+    symbols: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    work: np.ndarray | None = None,
 ) -> None:
-    """Coupling-source hats of both signs for the summed carrier hats at the
-    integer nodes ``rows`` of ``table``, written to ``out_p`` and ``out_m``.
+    """Coupling-source hats of both signs for the summed carrier hats
+    ``v_hat`` (complex, overwritten) at the integer nodes ``rows`` of
+    ``table``, written to ``out_p`` and ``out_m``.
 
     Only the P+ branch is evaluated: lambda+ = P+ L v - S(P+ v) and
     lambda- = (Z v)_paired - lambda+.  On dealiased input v_hat has no
     Nyquist mode and v_x no mean mode, so the commutator terms of the two
     signs cancel except at k = 0, which the paired-mode class zeroes anyway.
+    ``symbols`` and ``work`` go to ``_operator_parts``.
     """
     mask = grid.dealias_mask.astype(np.float64)
     sym = projection_multiplier(grid, "+").real * mask
     zv, lv, sp = _operator_parts(
-        grid, v_hat, *table.rows(rows.start, rows.stop), sym, uniform=table.uniform
+        grid, v_hat, *table.rows(rows.start, rows.stop), sym, uniform=table.uniform,
+        symbols=symbols, work=work,
     )
     # the 2/3 mask of every product is folded into sym and mask
     lv += zv
@@ -235,16 +244,18 @@ def _coupling_pass(
     grid = vp.grid
     norms, peaks = np.empty((2, len(vp.times))), np.zeros(2)
     if diagonal := table.uniform and table.constant:
-        symbols = np.empty((2, 1, grid.n), dtype=np.complex128)
-        _lambda_rows(grid, np.ones((1, grid.n)), table, slice(0, 1), *symbols)
+        lambdas = np.empty((2, 1, grid.n), dtype=np.complex128)
+        _lambda_rows(grid, np.ones((1, grid.n), dtype=np.complex128), table, slice(0, 1), *lambdas)
+    else:
+        symbols, work = s_symbols(grid), np.empty((2, chunk_rows(grid.n), grid.n), dtype=np.complex128)
     for rows in row_blocks(len(vp.times), grid.n):
         v_hat = vp.hats[rows] + vm.hats[rows]
         outs = target(rows)
         if diagonal:
-            for sym, out in zip(symbols, outs):
+            for sym, out in zip(lambdas, outs):
                 np.multiply(sym, v_hat, out=out)
         else:
-            _lambda_rows(grid, v_hat, table, rows, *outs)
+            _lambda_rows(grid, v_hat, table, rows, *outs, symbols, work[:, : rows.stop - rows.start])
         for i, mag in enumerate(np.abs(out) for out in outs):
             peaks[i] = max(peaks[i], np.max(mag))
             norms[i, rows] = power_norm(grid, mag * mag)
@@ -318,19 +329,22 @@ def _check_horizon(p: BvpProblem, bundle: NormBundle) -> None:
 # before the first stack is allocated.
 _PEAK_BYTES_CAP = 4 << 30
 # Row blocks live at once beside the stacks, at most: the operator kernel's
-# fields, products and the fresh output of each FFT.
+# fields, products and the fresh output of each FFT, and the work arrays of
+# the march plan, which the sweeps keep through the coupling pass.
 _PEAK_BLOCKS = 16
 
 
 def _peak_bytes(n: int, n_steps: int, time_dependent: bool) -> int:
     """Estimated peak bytes of :func:`picard_solve` on ``n`` nodes and ``n_steps`` steps.
 
-    Four (n_steps + 1, n) complex stacks, the half-step operator table and
-    ``_PEAK_BLOCKS`` row blocks; the model is documented in picard_solve.
+    Four (n_steps + 1, n) complex stacks, the half-step operator table, the
+    march plan's exponentials and ``_PEAK_BLOCKS`` row blocks; the model is
+    documented in picard_solve.
     """
     stack = 16 * n * (n_steps + 1)
     table = OperatorTable.planned_bytes(n, n_steps, constant=not time_dependent, half_steps=True)
-    return 4 * stack + table + _PEAK_BLOCKS * 16 * n * chunk_rows(n)
+    plan = MarchPlan.planned_bytes(n, n_steps, constant=not time_dependent)
+    return 4 * stack + table + plan + _PEAK_BLOCKS * 16 * n * chunk_rows(n)
 
 
 def _require_memory(n: int, n_steps: int, time_dependent: bool) -> None:
@@ -363,7 +377,9 @@ def picard_solve(
     overwrites: a hook that keeps a field past its call keeps a copy
     (``solution.hats.copy()``).  The problem's source is the sweep's own.
     The report carries the solve's operator table and rate bundle
-    (``report.table``, ``report.bundle``) for the monitors to read.
+    (``report.table``, ``report.bundle``) for the monitors to read.  Every
+    sweep marches through one ``MarchPlan``, built beside the table and
+    released with the last sweep's sources, before the residuals.
 
     Memory model: a stack is one (n_steps + 1, n) complex array.  At most
     four are live at once, in the march of a sweep: the pair buffer and
@@ -371,9 +387,12 @@ def picard_solve(
     after measuring the update against the slot it overwrites, so the
     previous pair is never copied; the sources are released before the
     next sweep builds its own, and the last sweep's before the residuals.
-    The operator table and at most ``_PEAK_BLOCKS`` row blocks of
-    ``spectral.CHUNK_BYTES`` come on top; ``_peak_bytes`` sums the three,
-    and a test holds traced runs to it.
+    The operator table, the march plan's exponentials (one 2/3-band row per
+    step, about a third of a stack: ``MarchPlan.planned_bytes``) and at most
+    ``_PEAK_BLOCKS`` row blocks of ``spectral.CHUNK_BYTES`` come on top.
+    The blocks are the coupling kernel's (about 7 on ``benchmark``) beside
+    the plan's work arrays (about 7 there too), which live through the sweeps;
+    ``_peak_bytes`` sums the four terms, and a test holds traced runs to it.
     """
     grid = p.grid
     n_steps = p.stepper_cfg.resolve_steps(p.horizon)
@@ -393,6 +412,10 @@ def picard_solve(
     update = np.empty(2)
     measure = np.zeros((2, 2, n_steps + 1))   # per row and slot: norm, wrong-side norm
     side = np.stack([projection_multiplier(grid, s).real for s in "+-"])   # P+ of v-, P- of v+
+    # every sweep marches the carriers (forward v-, backward v+) through one plan; built
+    # before the pair buffer instead, it left a `decoupled` run's peak resident memory
+    # about 0.3 MiB higher (heap layout, not live memory)
+    plan = MarchPlan(table, p.stepper_cfg, p.horizon, ("forward", "backward"), (True, True))
 
     prev_diff = None
     streak = 0
@@ -427,7 +450,7 @@ def picard_solve(
             source_peak=peaks[0],
         )
         vm, vp = solve_linear(prob_m, p.stepper_cfg, table, partner=prob_p, out=pair, update=update,
-                              measure=measure, side=side)
+                              measure=measure, side=side, plan=plan)
         if solve_hook is not None:
             solve_hook("-", prob_m, vm)
             solve_hook("+", prob_p, vp)
@@ -455,7 +478,7 @@ def picard_solve(
         if diff <= tol * delta:
             report.converged = True
             break
-    src_p = src_m = prob_m = prob_p = None   # nothing reads the last sweep's sources again
+    src_p = src_m = prob_m = prob_p = plan = None   # nothing reads the sources or the plan again
     report.carrier_norms = (measure[1, 0, ::-1], measure[0, 0])
 
     report.boundary_residual_low = _projection_residual(vp, vm, 0, p.f, "-")
@@ -586,6 +609,7 @@ def pde_residual(v: SpaceTimeField, table: OperatorTable) -> ResidualProfile:
     jm2 = 1.0 / (1.0 + grid.xi**2)
     last = len(v.times) - 1
     norms = np.empty(last - 1)
+    symbols, work = s_symbols(grid), np.empty((2, chunk_rows(grid.n), grid.n), dtype=np.complex128)
     for rows in row_blocks(len(norms), grid.n):
         first, stop = rows.start + 1, rows.stop + 1     # interior slices first..stop-1
         start = np.clip(np.arange(first - 2, stop - 2), 0, last - 4)   # stencil first nodes
@@ -596,7 +620,8 @@ def pde_residual(v: SpaceTimeField, table: OperatorTable) -> ResidualProfile:
         for m in range(1, 5):
             dvdt += weights[:, m, None] * hats[start - lo + m]
         zv, r = _operator_parts(
-            grid, hats[first - lo : stop - lo], *table.rows(first, stop), uniform=table.uniform
+            grid, hats[first - lo : stop - lo].copy(), *table.rows(first, stop), uniform=table.uniform,
+            symbols=symbols, work=work[:, : stop - first],
         )
         r += zv
         r *= mask

@@ -40,6 +40,17 @@ is measured against the output buffer's previous contents (the coupled
 solver's pair buffer) and copied into it.  A source must sit on the march's
 own time grid; its midpoint rows are cubic Lagrange interpolants of the
 four nearest slices, so it costs the scheme no order (it needs 3 steps).
+
+What a march derives from the table, the step and the rows is a
+:class:`MarchPlan`: each step's exponential on the 2/3 band (stored once
+for a forward row; a backward row's is its conjugate), S's output symbols
+with the mask and orientation folded in, a constant uniform table's affine
+map, and the work arrays of the stages, the scan, the update and the
+midpoints.  The coupled solver builds one plan beside its table and hands
+it to every sweep, so the sweeps re-derive nothing and allocate no array
+of a row block or more; a call without a plan builds its own.  Every
+product keeps the operand order and the rounding of the arithmetic it
+replaces, so a plan changes no bit of a solve.
 """
 
 from __future__ import annotations
@@ -68,6 +79,8 @@ __all__ = [
     "StepperConfig",
     "LinearProblem",
     "OperatorTable",
+    "MarchPlan",
+    "s_symbols",
     "apply_s",
     "EpsilonStudyReport",
     "heat_quartic",
@@ -260,11 +273,6 @@ class OperatorTable:
                 f"on [{times[0]:g}, {times[-1]:g}]"
             )
 
-    def at(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """abar, masked a and masked a q at the nodes ``k`` (an index array)."""
-        k = np.zeros_like(k) if self.constant else k
-        return self.abar[k], self.a[k], self.aq[k]
-
     def rows(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Masked a, a q and zeroth-order rows at integer nodes lo..hi-1."""
         if self.constant:
@@ -274,8 +282,24 @@ class OperatorTable:
         return self.a[ints], self.aq[ints], self.zeroth[lo:hi]
 
 
+def s_symbols(grid: Grid1D, factor: np.ndarray | float = 1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """i xi and the output symbols i (i xi) and -2i of :func:`apply_s`'s two
+    products, both times ``factor`` (a real scalar, or rows that broadcast
+    against the hats): the ``symbols`` that kernel reads."""
+    ixi = 1j * grid.xi
+    return ixi, factor * (1j * ixi), factor * np.full(grid.n, -2j)
+
+
 def apply_s(
-    grid: Grid1D, u_hat: np.ndarray, a: np.ndarray, aq: np.ndarray, uniform: bool
+    grid: Grid1D,
+    u_hat: np.ndarray,
+    a: np.ndarray,
+    aq: np.ndarray,
+    uniform: bool,
+    *,
+    symbols: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Unmasked hats of S u = i d/dx(a u_x) - 2i a q u_x, the one kernel of S.
 
@@ -284,20 +308,221 @@ def apply_s(
     it.  On a ``uniform`` table each row is constant in x and S is the
     symbol (i (i xi) a - 2i a q)(i xi) on the rows' values, with no FFT.
     Otherwise one batched ifft of u_x and one batched fft of the products
-    [a u_x, a q u_x], written into one (2, ...) buffer.
+    [a u_x, a q u_x], taken in place in the complex (2, ...) array ``work``.
+    ``symbols`` are :func:`s_symbols` (built here when None); a factor
+    folded into them multiplies the result (exactly, for the march's 0 and
+    +-1 factors).  ``out`` (which may be
+    ``u_hat`` itself) receives the result; given ``symbols``, ``out`` and
+    ``work``, the FFT branch allocates nothing.
     """
-    ixi = 1j * grid.xi
+    ixi, sym_a, sym_aq = s_symbols(grid) if symbols is None else symbols
     if uniform:
-        return (1j * ixi * a[..., :1] - 2j * aq[..., :1]) * ixi * u_hat
-    ux = np.fft.ifft(ixi * u_hat, axis=-1)
-    products = np.empty((2,) + ux.shape, dtype=np.complex128)
-    np.multiply(a, ux, out=products[0])
-    np.multiply(aq, ux, out=products[1])
-    products = np.fft.fft(products, axis=-1)
-    products[0] *= 1j * ixi
-    products[1] *= -2j
-    products[0] += products[1]
-    return products[0]
+        return np.multiply((sym_a * a[..., :1] + sym_aq * aq[..., :1]) * ixi, u_hat, out=out)
+    if work is None:
+        work = np.empty((2,) + np.shape(u_hat), dtype=np.complex128)
+    ux = np.fft.ifft(np.multiply(ixi, u_hat, out=work[1]), axis=-1, out=work[1])
+    np.multiply(a, ux, out=work[0])
+    np.multiply(aq, ux, out=work[1])
+    np.fft.fft(work, axis=-1, out=work)
+    np.multiply(work[0], sym_a, out=work[0])
+    np.multiply(work[1], sym_aq, out=work[1])
+    return np.add(work[0], work[1], out=out)
+
+
+class MarchPlan:
+    """What every march of one solve re-derives, built once for all its sweeps.
+
+    A plan serves every :func:`solve_linear` call on its operator table
+    with the same step, viscosity and rows (each row's direction and
+    zero-mean flag); :meth:`require` raises ConfigError for any other.  It
+    holds:
+
+    - ``exponentials``: each step's Lawson exponential E on the
+      non-negative 2/3 band, one row per step (one row on a constant
+      table), for a forward row.  E is even in xi, so :meth:`load` mirrors
+      it onto the band; a backward row's E at step s is the conjugate of
+      the forward row's at step n_steps - 1 - s, so it is not stored;
+    - ``symbols``, the :func:`s_symbols` of S with each row's 2/3 mask,
+      zero-mean cut and orientation (``factor``) folded in;
+    - on a uniform constant table the affine map (A, C) of one step
+      (see ``_march``), built by the first march through the plan;
+    - the work arrays of the stages, of the step's coefficients (E, E^2
+      and the stage rows a - abar, a q, which :meth:`load` copies from the
+      table's slices), of the blow-up scan, the update measure and the
+      source midpoints.  Every march of the solve reuses them, so a march
+      through a plan allocates no array of a row block or more.
+
+    The stage arrays are contiguous (rows, n) rows and the stage rows are
+    complex: a numpy product with a strided or a float operand is about
+    twice as slow and buffers it.  Only the exponentials grow with the step
+    count (:meth:`planned_bytes`).
+    """
+
+    def __init__(
+        self,
+        table: OperatorTable,
+        cfg: StepperConfig,
+        horizon: float,
+        directions: Sequence[str],
+        zero_mean: Sequence[bool],
+    ) -> None:
+        self.grid = grid = table.grid
+        self.table = table
+        self.n_steps = cfg.resolve_steps(horizon)
+        self.dt = horizon / self.n_steps
+        self.epsilon = cfg.epsilon
+        self.rows = (tuple(directions), tuple(zero_mean))
+        self.forward = [d == "forward" for d in directions]
+        rows, n = len(self.forward), grid.n
+        self.keep = np.tile(grid.dealias_mask.astype(np.float64), (rows, 1))
+        self.keep[list(zero_mean), 0] = 0.0
+        # the 2/3 mask, the zero-mean cut and the orientation fold into the
+        # factor that multiplies the remainder and the source rows
+        self.factor = self.keep * np.where(self.forward, 1.0, -1.0)[:, None]
+        ixi, sym_a, sym_aq = s_symbols(grid, self.factor)
+        self.symbols = (np.tile(ixi, (rows, 1)), sym_a, sym_aq)
+
+        # The state is zero outside the 2/3 band, so E is needed only there.
+        self.kmax = kmax = _band_top(n)
+        xi = grid.xi[: kmax + 1]
+        mid = table.abar if table.constant else table.abar[1::2]
+        # the step's scalars as complex numbers, as numpy casts them for complex products
+        self.scalars = tuple(np.complex128(c) for c in (0.5 * self.dt, self.dt, 2.0, self.dt / 6.0))
+        self.exponentials = np.exp(0.5 * self.dt * (-cfg.epsilon * xi**4 - 1j * mid[:, None] * xi**2))
+        self.E = np.zeros((rows, n), dtype=np.complex128)
+        self.E2 = np.empty((rows, n), dtype=np.complex128)
+        self.stage_a, self.stage_aq = np.empty((2, 3, rows, n), dtype=np.complex128)
+        self._a_rows = np.empty((3, n))
+        self.load(0)
+
+        block = chunk_rows(rows * n)   # steps per block of the march (``row_blocks`` of all rows)
+        self.buffer = np.empty((rows, block, n), dtype=np.complex128)
+        # the midpoint product terms, read before a block's steps, and the
+        # magnitudes of its scan and update, read after them, share memory
+        scratch = np.empty(max(rows, 2) * block * n)
+        self.mag = scratch[: rows * block * n].reshape(rows, block, n)
+        self.terms = scratch.view(np.complex128)[: block * n].reshape(block, n)
+        self.state = np.empty((rows, n), dtype=np.complex128)
+        self.affine = table.uniform and table.constant
+        if self.affine:
+            self.A = self.C = None   # built by the first march
+            self.av = np.empty((rows, n), dtype=np.complex128)
+        else:
+            # a step's forcing (f0 and f2 by the parity of their node, then f1), the stages' work
+            self.forcing = np.zeros((3, rows, n), dtype=np.complex128)
+            stages = np.empty((5, rows, n), dtype=np.complex128)
+            self.work = (*stages, np.empty((2, rows, n), dtype=np.complex128))
+
+    @staticmethod
+    def planned_bytes(n: int, n_steps: int, constant: bool) -> int:
+        """Bytes of a plan's exponentials over ``n_steps`` steps on ``n`` nodes, before it is built."""
+        return (1 if constant else n_steps) * (_band_top(n) + 1) * 16
+
+    def require(self, table: OperatorTable, cfg: StepperConfig, horizon: float, problems) -> None:
+        """Raise ConfigError unless this plan was built for this march."""
+        n_steps = cfg.resolve_steps(horizon)
+        rows = (tuple(q.direction for q in problems), tuple(q.zero_mean for q in problems))
+        other = [
+            name
+            for name, same in (
+                ("grid", table.grid == self.grid),
+                ("operator table", table is self.table),
+                ("step", (n_steps, horizon / n_steps) == (self.n_steps, self.dt)),
+                ("viscosity", cfg.epsilon == self.epsilon),
+                ("rows", rows == self.rows),
+            )
+            if not same
+        ]
+        if other:
+            raise ConfigError(f"march plan was built for another {', '.join(other)}")
+
+    def load(self, step: int) -> None:
+        """E, E^2 and the stage rows a - abar, a q of ``step``; every stage
+        splits off the exponential's midpoint mean.  On a constant table
+        every step has those of step 0."""
+        n, kmax, table = self.grid.n, self.kmax, self.table
+        last = self.n_steps - 1
+        for r, forward in enumerate(self.forward):
+            band = self.exponentials[0 if table.constant else step if forward else last - step]
+            # mirrored onto the band; slots outside it stay zero
+            if forward:
+                self.E[r, : kmax + 1] = band
+                self.E[r, n - kmax :] = band[kmax:0:-1]
+            else:
+                np.conjugate(band, out=self.E[r, : kmax + 1])
+                np.conjugate(band[kmax:0:-1], out=self.E[r, n - kmax :])
+            # half-step node i + m is stage m's of a forward row, i + 2 - m of a backward one
+            if table.constant:
+                a, aq, mean = table.a[[0, 0, 0]], table.aq[[0, 0, 0]], table.abar[0]
+            else:
+                i = 2 * (step if forward else last - step)
+                a, aq, mean = table.a[i : i + 3], table.aq[i : i + 3], table.abar[i + 1]
+            order = slice(None) if forward else slice(None, None, -1)
+            self.stage_a[:, r] = np.subtract(a, mean, out=self._a_rows)[order]
+            self.stage_aq[:, r] = aq[order]
+        np.multiply(self.E, self.E, out=self.E2)
+
+    def step(self, v_hat: np.ndarray, forcing: tuple, dest: np.ndarray, work: tuple | None = None) -> None:
+        """One Lawson RK4 step of the loaded coefficients into ``dest``.
+
+        ``forcing`` holds the masked source at the step's start, midpoint
+        and end (or three None).  ``dest`` may be ``v_hat``.  ``work``
+        defaults to the plan's arrays.
+        """
+        E, E2 = self.E, self.E2
+        half, dt, two, sixth = self.scalars
+        ev, e2v, u, k1, k2, s_work = self.work if work is None else work
+        f0, f1, f2 = forcing
+
+        def remainder(x: np.ndarray, stage: int, f: np.ndarray | None, out: np.ndarray) -> np.ndarray:
+            """tau * [i d/dx((a - abar) x_x) - 2i a q x_x + F] of every row, as masked hats."""
+            apply_s(self.grid, x, self.stage_a[stage], self.stage_aq[stage], self.table.uniform,
+                    symbols=self.symbols, out=out, work=s_work)
+            if f is not None:
+                np.add(out, f, out=out)
+            return out
+
+        # E v + dt/2 E k1, E v + dt/2 k2, E^2 v + dt E k3, then
+        # E^2 v + dt/6 (E^2 k1 + 2 E (k2 + k3) + k4), with k3 and k4 written
+        # over their own stage inputs
+        np.multiply(E, v_hat, out=ev)
+        np.multiply(E2, v_hat, out=e2v)
+        remainder(v_hat, 0, f0, k1)
+        np.add(ev, np.multiply(half, np.multiply(E, k1, out=u), out=u), out=u)
+        remainder(u, 1, f1, k2)
+        np.add(ev, np.multiply(half, k2, out=u), out=u)
+        k3 = remainder(u, 1, f1, u)
+        np.add(e2v, np.multiply(dt, np.multiply(E, k3, out=ev), out=ev), out=ev)
+        np.add(k2, k3, out=k2)
+        np.multiply(np.multiply(two, E, out=u), k2, out=k2)
+        np.add(np.multiply(E2, k1, out=k1), k2, out=k1)
+        k4 = remainder(ev, 2, f2, ev)
+        np.add(e2v, np.multiply(sixth, np.add(k1, k4, out=k1), out=k1), out=dest)
+
+    def affine_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """A, (rows, n), and the per-offset source coefficients C[own, m] of
+        each midpoint stencil, (3, 4, rows, n), of a constant table's step;
+        the first call builds them, inside the first march."""
+        if self.A is not None:
+            return self.A, self.C
+        # the four unit inputs (v, f0, f1, f2) side by side on a leading axis
+        shape = (4,) + self.factor.shape
+        steps = np.empty(shape, dtype=np.complex128)
+        v, *f = np.eye(4)[:, :, None, None]
+        self.step(v, f, steps, (*np.empty((5,) + shape, dtype=np.complex128), None))
+        A, *B = steps
+        b0, b1, b2 = (b * self.factor for b in B)
+        C = _MID_WEIGHTS[:, :, None, None] * b1
+        for own in range(3):
+            C[own, own] += b0
+            C[own, own + 1] += b2
+        self.A, self.C = A, C
+        return A, C
+
+
+def _band_top(n: int) -> int:
+    """Largest |k| the 2/3 rule keeps on n nodes (|k| < n / 3)."""
+    return (n - 1) // 3
 
 
 def solve_linear(
@@ -310,6 +535,7 @@ def solve_linear(
     update: np.ndarray | None = None,
     measure: np.ndarray | None = None,
     side: np.ndarray | None = None,
+    plan: MarchPlan | None = None,
 ) -> SpaceTimeField | tuple[SpaceTimeField, SpaceTimeField]:
     """Integrate the sub-problem; returns its slices on the ascending time grid.
 
@@ -317,8 +543,11 @@ def solve_linear(
     returned field always has times[0] = 0, times[-1] = horizon, with the
     datum reproduced at the appropriate end.  ``table`` must be built with
     ``half_steps`` on this march's time grid; without one it is built here.
-    A source must sit on the march's integer nodes, else ConfigError, and
-    needs at least 3 steps, else ConfigError.
+    ``plan``, a :class:`MarchPlan` of ``table``, this step and viscosity and
+    these rows (else ConfigError), is built here when not given; the coupled
+    solver builds one for all its sweeps.  A source must sit on the march's
+    integer nodes, else ConfigError, and needs at least 3 steps, else
+    ConfigError.
 
     ``partner``, a second sub-problem on the same grid, horizon,
     coefficients and weight (either direction), is marched in the same
@@ -369,7 +598,11 @@ def solve_linear(
         raise ConfigError(f"update needs one entry per row ({len(problems)}), got shape {update.shape}")
     if measure is not None and (measure.shape, np.shape(side)) != ((shape[0], 2, shape[1]), shape[::2]):
         raise ConfigError(f"measure must be {(shape[0], 2, shape[1])} with a {shape[::2]} side mask")
-    hats = _march(problems, cfg, n_steps, table, out, update, measure, side)
+    if plan is None:
+        plan = MarchPlan(table, cfg, p.horizon, [q.direction for q in problems], [q.zero_mean for q in problems])
+    else:
+        plan.require(table, cfg, p.horizon, problems)
+    hats = _march(problems, plan, out, update, measure, side)
     fields = tuple(
         SpaceTimeField(p.grid, times, hats=rows if q.direction == "forward" else rows[::-1])
         for q, rows in zip(problems, hats)
@@ -414,7 +647,12 @@ _SOURCE_MIN_STEPS = 3   # the cubic midpoint read needs 4 source nodes
 
 
 def _midpoints(
-    hats: np.ndarray, lo: int, hi: int, out: np.ndarray, weights: np.ndarray = _MID_WEIGHTS
+    hats: np.ndarray,
+    lo: int,
+    hi: int,
+    out: np.ndarray,
+    weights: np.ndarray = _MID_WEIGHTS,
+    work: np.ndarray | None = None,
 ) -> None:
     """Write the source hats halfway between nodes s and s + 1, s = lo..hi-1, to ``out``.
 
@@ -422,26 +660,27 @@ def _midpoints(
     the stencil of step s = lo + j, which keeps Lawson RK4 fourth order for
     a time-dependent source; c = ``weights[own]``, which may be any (3, 4)
     or (3, 4, n) multipliers in place of the Lagrange weights.  Four scaled
-    adds of contiguous views: the product of float weights with the complex
-    slices would go through the threaded BLAS gemv, whose time over one
-    solve varied twentyfold between identical runs.
+    adds of contiguous views, each product formed in ``work`` (at least
+    hi - lo rows; allocated when None): the product of float weights with
+    the complex slices would go through the threaded BLAS gemv, whose time
+    over one solve varied twentyfold between identical runs.
     """
     n_steps = len(hats) - 1
+    if work is None:
+        work = np.empty(out.shape, dtype=np.complex128)
     for own, (a, b) in enumerate(((0, 1), (1, n_steps - 1), (n_steps - 1, n_steps))):
         a, b = max(a, lo), min(b, hi)
         if a < b:
             c = weights[own]
-            dst = out[a - lo : b - lo]
+            dst, term = out[a - lo : b - lo], work[: b - a]
             np.multiply(hats[a - own : b - own], c[0], out=dst)
             for m in range(1, 4):
-                dst += c[m] * hats[a - own + m : b - own + m]
+                dst += np.multiply(c[m], hats[a - own + m : b - own + m], out=term)
 
 
 def _march(
     problems: list[LinearProblem],
-    cfg: StepperConfig,
-    n_steps: int,
-    table: OperatorTable,
+    plan: MarchPlan,
     out: np.ndarray,
     update: np.ndarray | None,
     measure: np.ndarray | None,
@@ -456,142 +695,92 @@ def _march(
     are the same RK4 step run once on unit inputs, and with the midpoint
     weights and source factors folded in, a block's forcing is four scaled
     adds of source views per row.  Every other table takes the RK4 stages
-    step by step.  Steps go a ``row_blocks`` block at a time into a buffer
-    that first holds each step's source midpoint or forcing; per block, one
+    step by step, each step's coefficients loaded into the plan.  Steps go a
+    ``row_blocks`` block (of all rows at once) at a time into a buffer that
+    first holds each step's source midpoint or forcing; per block, one
     ``np.abs`` feeds the blow-up scan (against the datum and ``source_peak``)
     and ``measure``, then one ``hat_norm`` for ``update`` and one copy into
-    ``out``; without ``update`` the steps go straight in.  Returns ``out``.
+    ``out``; without ``update`` the steps go straight in.  Every array the
+    march writes besides ``out`` is the plan's.  Returns ``out``.
     """
-    grid = problems[0].grid
-    n = grid.n
-    rows = len(problems)
-    dt = problems[0].horizon / n_steps
-    forward = np.array([q.direction == "forward" for q in problems])
-    orientation = np.where(forward, 1.0, -1.0)[:, None]
-    first = np.where(forward, 0, 2 * n_steps)
-    stride = np.where(forward, 1, -1)
-
-    keep = np.tile(grid.dealias_mask.astype(np.float64), (rows, 1))
-    keep[[q.zero_mean for q in problems], 0] = 0.0
-    # the 2/3 mask, the zero-mean cut and the orientation fold into the
-    # factor that multiplies the remainder and the source rows
-    factor = keep * orientation
+    grid = plan.grid
+    n_steps, factor = plan.n_steps, plan.factor
     sources = [None if q.source is None else q.source.hats for q in problems]
-    march_hats = [h if fwd or h is None else h[::-1] for h, fwd in zip(sources, forward)]
+    march_hats = [h if fwd or h is None else h[::-1] for h, fwd in zip(sources, plan.forward)]
     active = any(hats is not None for hats in sources)
-
-    # The state is zero outside the 2/3 band, so E is needed only there; it
-    # is even in xi, so it is evaluated on the non-negative band and mirrored
-    # (slot kmax + 1 stays zero for the dropped modes).
-    kmax = int(np.max(grid.k_index[grid.dealias_mask]))
-    xi2 = grid.xi[: kmax + 1] ** 2
-    visc = -cfg.epsilon * grid.xi[: kmax + 1] ** 4
-    mirror = np.minimum(np.abs(grid.k_index), kmax + 1)
-
-    def coefficients(step: int) -> tuple[np.ndarray, ...]:
-        """E, E^2 and the stage rows a - abar, a q of one step; every stage
-        splits off the exponential's midpoint mean."""
-        abar3, a, aq = table.at(first + stride * (2 * step + np.arange(3)[:, None]))
-        abar = abar3[1]
-        band = np.zeros((rows, kmax + 2), dtype=np.complex128)
-        band[:, : kmax + 1] = np.exp(0.5 * dt * (visc - orientation * 1j * abar[:, None] * xi2))
-        E = np.take(band, mirror, axis=-1)
-        return E, E * E, list(zip(a - abar[:, None], aq))
-
-    def remainder(v_hat: np.ndarray, op, f: np.ndarray | None) -> np.ndarray:
-        """tau * [i d/dx((a - abar) v_x) - 2i a q v_x + F] of every row, as masked hats."""
-        out = factor * apply_s(grid, v_hat, *op, table.uniform)
-        if f is not None:
-            out += f
-        return out
-
-    def rk4(v_hat, f0, f1, f2, E, E2, ops):
-        """One Lawson RK4 step, ``ops`` holding each stage's rows."""
-        Ev, E2v = E * v_hat, E2 * v_hat
-        k1 = remainder(v_hat, ops[0], f0)
-        k2 = remainder(Ev + (0.5 * dt) * (E * k1), ops[1], f1)
-        k3 = remainder(Ev + (0.5 * dt) * k2, ops[1], f1)
-        k4 = remainder(E2v + dt * (E * k3), ops[2], f2)
-        return E2v + (dt / 6.0) * (E2 * k1 + 2.0 * E * (k2 + k3) + k4)
-
-    def affine() -> tuple[np.ndarray, np.ndarray]:
-        """A, (rows, n), and the per-offset source coefficients C[own, m] of
-        each midpoint stencil, (3, 4, rows, n), of a constant table's step."""
-        # the four unit inputs (v, f0, f1, f2) side by side on a leading axis
-        A, *B = rk4(*np.eye(4)[:, :, None, None], *coefficients(0))
-        b0, b1, b2 = (b * factor for b in B)
-        C = _MID_WEIGHTS[:, :, None, None] * b1
-        for own in range(3):
-            C[own, own] += b0
-            C[own, own + 1] += b2
-        return A, C
+    if plan.affine:
+        A, C = plan.affine_map()
 
     def scan(hats: np.ndarray, slots: slice) -> None:
         """One np.abs of the slots ``slots``: the blow-up scan, then, squared, ``measure``."""
-        mag = np.abs(hats)
+        mag = np.abs(hats, out=plan.mag[:, : hats.shape[1]])
         _check_state(mag, slots.start, scale)
         if measure is not None:
             measure[:, 0, slots] = power_norm(grid, np.square(mag, out=mag))
             measure[:, 1, slots] = power_norm(grid, np.multiply(mag, side[:, None], out=mag))
 
-    block = chunk_rows(n)
-    v_hat = np.stack([q.datum.hat for q in problems]) * keep
-    scale = np.maximum(np.max(np.abs(v_hat), axis=1), [max(q.source_peak or 0.0, 1e-30) for q in problems])
+    state = plan.state   # the masked datums, then every step in turn
+    for r, q in enumerate(problems):
+        np.multiply(q.datum.hat, plan.keep[r], out=state[r])
+    scale = np.maximum(np.max(np.abs(state), axis=1), [max(q.source_peak or 0.0, 1e-30) for q in problems])
     if update is not None:
-        update[:] = hat_norm(grid, v_hat - out[:, 0])
-        buffer = np.empty((rows, block, n), dtype=np.complex128)
-    out[:, 0] = v_hat
+        out[:, 0] -= state
+        update[:] = power_norm(grid, np.square(np.abs(out[:, 0], out=plan.mag[:, 0]), out=plan.mag[:, 0]))
+    out[:, 0] = state
     scan(out[:, :1], slice(0, 1))
+    if active and not plan.affine:
+        for r, hats in enumerate(march_hats):   # an unsourced row reads zero forcing
+            if hats is None:
+                plan.forcing[:, r] = 0.0
+            else:
+                np.multiply(hats[0], factor[r], out=plan.forcing[0, r])
 
-    affine_map = table.uniform and table.constant
-    if affine_map:
-        A, C = affine()
-        av = np.empty((rows, n), dtype=np.complex128)
-    else:
-        if table.constant:
-            E, E2, ops = coefficients(0)
-        if active:
-            nodes = np.zeros((rows, block + 1, n), dtype=np.complex128)
-
-    for steps in row_blocks(n_steps, n):
+    for steps in row_blocks(n_steps, len(problems) * grid.n):
         lo, hi = steps.start, steps.stop
         slots = slice(lo + 1, hi + 1)
-        buf = out[:, slots] if update is None else buffer[:, : hi - lo]
-        if affine_map:
+        buf = out[:, slots] if update is None else plan.buffer[:, : hi - lo]
+        if plan.affine:
             for r, hats in enumerate(march_hats):
                 if hats is None:
                     buf[r] = 0.0
                 else:
-                    _midpoints(hats, lo, hi, buf[r], C[:, :, r])
+                    _midpoints(hats, lo, hi, buf[r], C[:, :, r], plan.terms)
             for j in range(hi - lo):
-                np.multiply(A, v_hat, out=av)
-                buf[:, j] += av
-                v_hat = buf[:, j]
+                np.add(buf[:, j], np.multiply(A, state, out=plan.av), out=state)
+                buf[:, j] = state
         else:
             # each step's source midpoint waits in the slot its step overwrites; a backward
             # row sums in ascending node order (the reversed view rounds differently)
+            # (its product terms reversed with it, so no view is read against its stride)
             for r, hats in enumerate(sources):
                 if hats is None:   # the buffer holds stale slots; the unsourced row reads zero
                     buf[r] = 0.0
-                    continue
-                np.multiply(march_hats[r][lo : hi + 1], factor[r], out=nodes[r, : hi - lo + 1])
-                if forward[r]:
-                    _midpoints(hats, lo, hi, buf[r])
+                elif plan.forward[r]:
+                    _midpoints(hats, lo, hi, buf[r], work=plan.terms)
                 else:
-                    _midpoints(hats, n_steps - hi, n_steps - lo, buf[r, ::-1])
+                    _midpoints(hats, n_steps - hi, n_steps - lo, buf[r, ::-1], work=plan.terms[::-1])
                 buf[r] *= factor[r]
+            # the state and the forcing step in contiguous rows: f0 and f2 by the
+            # parity of their node, the midpoint copied from its slot
+            forcing = (None,) * 3
             for j, step in enumerate(range(lo, hi)):
-                if not table.constant:
-                    E, E2, ops = coefficients(step)
-                f = (nodes[:, j], buf[:, j], nodes[:, j + 1]) if active else (None,) * 3
-                v_hat = rk4(v_hat, *f, E, E2, ops)
-                buf[:, j] = v_hat
+                if not plan.table.constant:
+                    plan.load(step)
+                if active:
+                    end = plan.forcing[(step + 1) % 2]
+                    for r, hats in enumerate(march_hats):
+                        if hats is not None:
+                            np.multiply(hats[step + 1], factor[r], out=end[r])
+                    plan.forcing[2] = buf[:, j]
+                    forcing = (plan.forcing[step % 2], plan.forcing[2], end)
+                plan.step(state, forcing, state)
+                buf[:, j] = state
         scan(buf, slots)
         if update is not None:   # old - new in place of the old slots, then the new ones
             out[:, slots] -= buf
-            np.maximum(update, np.max(hat_norm(grid, out[:, slots]), axis=1), out=update)
+            mag = np.square(np.abs(out[:, slots], out=plan.mag[:, : hi - lo]), out=plan.mag[:, : hi - lo])
+            np.maximum(update, np.max(power_norm(grid, mag), axis=1), out=update)
             out[:, slots] = buf
-        v_hat = out[:, hi]   # the next block may overwrite the buffer's last slot first
     return out
 
 

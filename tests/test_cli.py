@@ -21,6 +21,7 @@ from schrobvp.estimates import EstimateReport
 from schrobvp.fieldio import dump_field_binary, load_field
 from schrobvp.picard import BvpProblem, assemble_solution, picard_solve
 from schrobvp.presets import build_datum, load_preset, merge_scenario, preset_names
+from schrobvp.free_bvp import FreeBvpData, solve_free
 from schrobvp.spectral import Grid1D, SpaceTimeField, gaussian_field, project, random_band_hat
 
 SMALL = {
@@ -161,6 +162,39 @@ class TestFreeBvpCommand:
         assert code == 0
         assert json.loads((out / "report.json").read_text())["times"] == [1e-3]
         assert [p.name for p in (out / "dumps").glob("v_*.spf")] == ["v_0000.spf"]
+
+    def test_non_uniform_times_are_evaluated_one_at_a_time(self, tmp_path):
+        # each dump is the closed form at its own time: the slice of a uniform solve there
+        out = tmp_path / "free"
+        code = cli.main([
+            "free-bvp", "--grid-n", "256", "--grid-L", "20", "--T", "0.3",
+            "--times", "0.05,0.1,0.2", "--out-dir", str(out),
+        ])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["times"] == [0.05, 0.1, 0.2]
+        grid = Grid1D(256, 20.0)
+        data = FreeBvpData(
+            f=build_datum("gaussian:0,1.5", grid, "-"), g=build_datum("gaussian:1,2", grid, "+"),
+            beta=1.0, horizon=0.3, times=np.array([0.0, 0.05, 0.1, 0.15, 0.2]),
+        )
+        uniform = solve_free(data)
+        ref = tmp_path / "ref.spf"
+        for j, k in enumerate((1, 2, 4)):
+            dump_field_binary(uniform.slice(k), ref)
+            assert (out / "dumps" / f"v_{j:04d}.spf").read_bytes() == ref.read_bytes()
+        assert len(list((out / "dumps").glob("v_*.spf"))) == 3
+        norms = uniform.norm_series()[[1, 2, 4]]
+        assert report["estimate"]["sup_norm"] == np.max(norms)
+        assert report["estimate"]["ratio"] == np.max(norms) / data.data_norm()
+
+    @pytest.mark.parametrize("times", ["0.2,0.1,0.05", "0.1,0.1"])
+    def test_times_that_do_not_increase_exit_1(self, tmp_path, capsys, times):
+        code = cli.main([
+            "free-bvp", "--grid-n", "64", "--T", "0.3", "--times", times, "--out-dir", str(tmp_path / "free"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: --times must be increasing, got {times!r}")
 
     def test_csv_field_format(self, tmp_path):
         out = tmp_path / "free"
@@ -489,6 +523,30 @@ def stored_files(run_dir):
 
 
 class TestStoredCarriers:
+    @pytest.mark.parametrize(
+        "steps, count", [(64, 65), (512, 129), (131, 132), (257, 258), (256, 129), (8, 9)],
+    )
+    def test_stored_slices_are_uniform_and_never_just_the_ends(self, steps, count):
+        # the presets keep 65 and 129 slices; a prime step count keeps every slice
+        stride = cli._storage_stride(steps + 1)
+        assert steps % stride == 0 and steps // stride + 1 == count
+
+    def test_a_step_count_it_cannot_store_fails_before_the_solve(self, tmp_path, capsys, monkeypatch):
+        # 1031 is prime: every slice is 1032, more than 513, and the next divisor keeps the ends only
+        with pytest.raises(ConfigError, match="n_steps = 1031"):
+            cli._storage_stride(1032)
+
+        def no_solve(*args, **kwargs):
+            pytest.fail("the solve ran")
+
+        monkeypatch.setattr(cli, "picard_solve", no_solve)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"preset": "decoupled", "stepper": {"n_steps": 1031}}))
+        out = tmp_path / "out"
+        assert cli.main(["picard", "--scenario", str(scenario), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: n_steps = 1031 has no divisor")
+        assert not (out / "fields").exists()
+
     def test_files_match_single_slice_dumps(self, tmp_path):
         # 257 times: stride 2, 129 slices in three 64-row blocks
         vp, vm = carrier_pair(257)

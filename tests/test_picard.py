@@ -591,6 +591,56 @@ def benchmark_512(n_steps):
     return sc, vp.hats + vm.hats, report
 
 
+class TestSweepPlan:
+    # every sweep of a solve marches through the one MarchPlan picard_solve builds
+    @staticmethod
+    def _benchmark(n, m_max):
+        sc = build_scenario(merge_scenario(load_preset("benchmark"), {"grid": {"n": n}}))
+        p = BvpProblem(
+            f=sc.f, g=sc.g, coeffs=sc.coeffs, weight=sc.weight, horizon=0.015625,
+            stepper_cfg=sc.stepper, override_horizon=True,
+        )
+        return lambda: picard_solve(p, tol=0.0, m_max=m_max)
+
+    def test_plan_changes_no_bit_of_a_solve(self, monkeypatch):
+        # five sweeps through one plan against five marches that each build their own
+        solve = self._benchmark(512, 5)
+        vp, vm, report = solve()
+        plans = []
+
+        def fresh_plan(*args, plan, **kwargs):
+            plans.append(plan)
+            return solve_linear(*args, **kwargs)
+
+        monkeypatch.setattr(picard, "solve_linear", fresh_plan)
+        ref_p, ref_m, ref = solve()
+        assert report.iterations == ref.iterations == 5 and len(set(map(id, plans))) == 1
+        assert np.array_equal(vp.hats, ref_p.hats) and np.array_equal(vm.hats, ref_m.hats)
+        assert report.to_dict() == ref.to_dict()
+
+    def test_a_sweep_allocates_less_than_a_block(self, monkeypatch):
+        # with its plan, a march reuses every work array: the second sweep's
+        # (the first with sources) traced peak stays within one block of what
+        # was live when it started, on the benchmark grid and coefficients
+        solve, peaks = self._benchmark(2048, 2), []
+
+        def traced(*args, **kwargs):
+            live = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = solve_linear(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1] - live)
+            return result
+
+        monkeypatch.setattr(picard, "solve_linear", traced)
+        tracemalloc.start()
+        try:
+            solve()
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 2
+        assert peaks[1] < spectral.CHUNK_BYTES
+
+
 class TestTimeAccuracy:
     def test_coupled_solve_is_fourth_order_in_dt(self):
         # the coupling source is time-dependent, so this fails (order 2)

@@ -27,6 +27,7 @@ from schrobvp.stepper import (
     _MID_LAST,
     EpsilonStudyReport,
     LinearProblem,
+    MarchPlan,
     OperatorTable,
     StepperConfig,
     apply_s,
@@ -848,3 +849,96 @@ class TestBatchedMarch:
         )
         with pytest.raises(ConfigError, match=f"{n_src + 1} times .* march grid of 33 times"):
             solve_linear(p, StepperConfig(epsilon=0.0, n_steps=32))
+
+
+class TestMarchPlan:
+    # One plan serves every sweep of a coupled solve; it must reproduce the
+    # coefficients each march used to derive, and refuse any other march.
+    COEFFS = CoefficientField("1 + 0.1*exp(-t)*sech(x) + 0.2*sin(40*t)", "0.05*sech(x)")
+
+    def _pair(self, grid=None, horizon=0.02, coeffs=None):
+        grid = grid or Grid1D(128, 8 * np.pi)
+        coeffs = coeffs or self.COEFFS
+        w = build_weight(1.0, grid, mode="truncated", margin=5.0)
+        fwd, bwd = (
+            LinearProblem(
+                direction=d, coeffs=coeffs, weight=w, source=None, horizon=horizon, zero_mean=True,
+                datum=project(random_band_field(grid, 20, seed), sign),
+            )
+            for d, seed, sign in (("forward", 7, "-"), ("backward", 8, "+"))
+        )
+        return fwd, bwd, w
+
+    def test_epsilon_study_on_one_table_equals_fresh_solves(self):
+        # the study shares one table across viscosities; a plan cached
+        # without epsilon in its key would march every one with the first
+        fwd, _, _ = self._pair()
+        cfg = StepperConfig(n_steps=32)
+        schedule = (1e-2, 5e-3, 2.5e-3)
+        report = epsilon_study(fwd, cfg, schedule)
+        fresh = [solve_linear(fwd, dataclasses.replace(cfg, epsilon=eps)) for eps in schedule]
+        diffs = tuple(float(np.max(hat_norm(fwd.grid, a.hats - b.hats))) for a, b in zip(fresh, fresh[1:]))
+        assert report.differences == diffs
+
+    @pytest.mark.parametrize("other", ["grid", "dt", "epsilon", "directions", "zero-mean"])
+    def test_plan_for_another_march_is_a_config_error(self, other):
+        fwd, bwd, w = self._pair()
+        cfg = StepperConfig(epsilon=1e-4, n_steps=32)
+        times = np.linspace(0.0, fwd.horizon, 33)
+        table = OperatorTable(self.COEFFS, w, times, half_steps=True)
+        plan = MarchPlan(table, cfg, fwd.horizon, ("forward", "backward"), (True, True))
+        solve_linear(fwd, cfg, table, partner=bwd, plan=plan)   # its own march is accepted
+        if other == "grid":
+            fwd, bwd, w = self._pair(grid=Grid1D(64, 8 * np.pi))
+            table = OperatorTable(self.COEFFS, w, times, half_steps=True)
+            match = "another grid, operator table"
+        elif other == "dt":
+            fwd, bwd = (dataclasses.replace(q, horizon=0.01) for q in (fwd, bwd))
+            table = OperatorTable(self.COEFFS, w, np.linspace(0.0, 0.01, 33), half_steps=True)
+            match = "another operator table, step"
+        elif other == "epsilon":
+            cfg = StepperConfig(epsilon=2e-4, n_steps=32)
+            match = "another viscosity"
+        elif other == "directions":
+            fwd, bwd = bwd, fwd
+            match = "another rows"
+        else:
+            bwd = dataclasses.replace(bwd, zero_mean=False)
+            match = "another rows"
+        with pytest.raises(ConfigError, match=match):
+            solve_linear(fwd, cfg, table, partner=bwd, plan=plan)
+
+    def test_backward_exponential_is_the_conjugate_of_the_mirrored_forward_step(self):
+        # E is stored once per step for a forward row; the backward row's E,
+        # conjugated from the mirrored step, is bit for bit the exponential
+        # of its own midpoint mean with the orientation flipped
+        fwd, bwd, w = self._pair()
+        cfg = StepperConfig(epsilon=1e-4, n_steps=32)
+        times = np.linspace(0.0, fwd.horizon, 33)
+        table = OperatorTable(self.COEFFS, w, times, half_steps=True)
+        plan = MarchPlan(table, cfg, fwd.horizon, ("forward", "backward"), (True, True))
+        grid, dt = fwd.grid, fwd.horizon / 32
+        kmax = int(np.max(grid.k_index[grid.dealias_mask]))
+        assert plan.kmax == kmax and plan.exponentials.shape == (32, kmax + 1)
+        mirror = np.minimum(np.abs(grid.k_index), kmax + 1)
+        xi2, visc = grid.xi[: kmax + 1] ** 2, -cfg.epsilon * grid.xi[: kmax + 1] ** 4
+        orientation = np.array([[1.0], [-1.0]])
+        for step in range(32):
+            plan.load(step)
+            abar = table.abar[[2 * step + 1, 2 * (32 - step) - 1]]
+            band = np.zeros((2, kmax + 2), dtype=np.complex128)
+            band[:, : kmax + 1] = np.exp(0.5 * dt * (visc - orientation * 1j * abar[:, None] * xi2))
+            assert np.array_equal(plan.E, np.take(band, mirror, axis=-1))
+            assert np.array_equal(plan.E[1, : kmax + 1], np.conj(plan.exponentials[31 - step]))
+
+    @pytest.mark.parametrize("constant", [False, True], ids=["time-dependent", "constant"])
+    def test_planned_bytes_are_the_exponentials_bytes(self, constant):
+        # the peak-memory cap of the coupled solve prices the plan before
+        # building it: about a third of a stack on the benchmark grid
+        coeffs = CoefficientField("1 + 0.1*sech(x)", "0") if constant else self.COEFFS
+        fwd, _, w = self._pair(coeffs=coeffs)
+        table = OperatorTable(coeffs, w, np.linspace(0.0, fwd.horizon, 33), half_steps=True)
+        plan = MarchPlan(table, StepperConfig(n_steps=32), fwd.horizon, ("forward",), (True,))
+        assert MarchPlan.planned_bytes(fwd.grid.n, 32, constant) == plan.exponentials.nbytes
+        stack = 16 * 2048 * 65
+        assert MarchPlan.planned_bytes(2048, 64, constant=False) <= stack / 3
