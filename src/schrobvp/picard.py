@@ -27,12 +27,13 @@ terms of the two signs cancel except at the zero mode.  The sources stay
 Fourier coefficients in one march-ordered (2, N+1, n) buffer on the
 march's time grid, measured as written (norm series for the lambda ratio,
 max |hat| for the march's blow-up scale).  Both carriers are then marched
-together through `solve_linear(..., partner=...)` into the solve's one
-march-ordered pair buffer: each step overwrites the previous sweep's slot
-once the update is measured against it, and the march's blow-up
-magnitudes give every slot's norm and wrong-side norm, so no sweep reads
-the pair or its sources again.  A coupled solve therefore holds four
-stacks at its peak, the pair and the frozen sources.
+together through `solve_linear(..., partner=..., plan=...)` into the
+march-ordered pair buffer of the solve's one `stepper.MarchPlan`: each
+step overwrites the previous sweep's slot once the update is measured
+against it, and the march's blow-up magnitudes give every slot's norm and
+wrong-side norm (the plan's `update` and `measure`), so no sweep reads the
+pair or its sources again.  A coupled solve therefore holds four stacks
+at its peak, the pair and the frozen sources.
 
 One solve builds one half-step `OperatorTable` and samples one
 `NormBundle` on its time grid; the report hands both back (unserialised),
@@ -53,7 +54,7 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -378,8 +379,10 @@ def picard_solve(
     (``solution.hats.copy()``).  The problem's source is the sweep's own.
     The report carries the solve's operator table and rate bundle
     (``report.table``, ``report.bundle``) for the monitors to read.  Every
-    sweep marches through one ``MarchPlan``, built beside the table and
-    released with the last sweep's sources, before the residuals.
+    sweep marches through one ``MarchPlan``, built beside the table; the
+    carriers view its pair buffer ``plan.out`` and each sweep reads its
+    ``update`` and ``measure``.  The plan's work arrays are released with
+    the last sweep's sources, before the residuals.
 
     Memory model: a stack is one (n_steps + 1, n) complex array.  At most
     four are live at once, in the march of a sweep: the pair buffer and
@@ -405,52 +408,33 @@ def picard_solve(
     table = OperatorTable(p.coeffs, p.weight, times, half_steps=True)
 
     report = PicardReport(delta=delta, horizon=p.horizon, table=table, bundle=bundle)
-    # the carriers' one buffer, in march order: every sweep overwrites it
-    pair = np.zeros((2, n_steps + 1, grid.n), dtype=np.complex128)
-    vm = SpaceTimeField(grid, times, hats=pair[0])
-    vp = SpaceTimeField(grid, times, hats=pair[1, ::-1])
-    update = np.empty(2)
-    measure = np.zeros((2, 2, n_steps + 1))   # per row and slot: norm, wrong-side norm
-    side = np.stack([projection_multiplier(grid, s).real for s in "+-"])   # P+ of v-, P- of v+
-    # every sweep marches the carriers (forward v-, backward v+) through one plan; built
-    # before the pair buffer instead, it left a `decoupled` run's peak resident memory
-    # about 0.3 MiB higher (heap layout, not live memory)
+    # every sweep marches the carriers (forward v-, backward v+) through one plan into
+    # its one pair buffer, in march order, and measures them there
     plan = MarchPlan(table, p.stepper_cfg, p.horizon, ("forward", "backward"), (True, True))
+    vm = SpaceTimeField(grid, times, hats=plan.out[0])
+    vp = SpaceTimeField(grid, times, hats=plan.out[1, ::-1])
+    update, measure = plan.update, plan.measure   # per row and slot: norm, wrong-side norm
+    unsourced = tuple(
+        LinearProblem(direction=d, coeffs=p.coeffs, weight=p.weight, source=None, datum=datum,
+                      horizon=p.horizon, zero_mean=True)
+        for d, datum in (("forward", p.f), ("backward", p.g))
+    )
 
     prev_diff = None
     streak = 0
     for m in range(1, m_max + 1):
-        # release the previous sweep's sources before the next pair is built
-        src_p = src_m = prob_m = prob_p = None
-        peaks = (None, None)
+        # release the previous sweep's sources before the next ones are built
+        prob_m, prob_p = unsourced
         if m > 1:
             src_p, src_m, lam_norms, peaks = coupling_stacks(vp, vm, table)
             denom = bundle.coupling_rate * (measure[1, 0, ::-1] + measure[0, 0])   # the pair they read
             keep = denom > 1e-14 * max(delta, 1e-300)
             ratios = np.maximum(lam_norms[0], lam_norms[1])[keep] / denom[keep]
             report.lambda_ratios.append(float(np.max(ratios)) if ratios.size else 0.0)
-        prob_m = LinearProblem(
-            direction="forward",
-            coeffs=p.coeffs,
-            weight=p.weight,
-            source=src_m,
-            datum=p.f,
-            horizon=p.horizon,
-            zero_mean=True,
-            source_peak=peaks[1],
-        )
-        prob_p = LinearProblem(
-            direction="backward",
-            coeffs=p.coeffs,
-            weight=p.weight,
-            source=src_p,
-            datum=p.g,
-            horizon=p.horizon,
-            zero_mean=True,
-            source_peak=peaks[0],
-        )
-        vm, vp = solve_linear(prob_m, p.stepper_cfg, table, partner=prob_p, out=pair, update=update,
-                              measure=measure, side=side, plan=plan)
+            prob_m = replace(prob_m, source=src_m, source_peak=peaks[1])
+            prob_p = replace(prob_p, source=src_p, source_peak=peaks[0])
+            src_p = src_m = None   # held by the problems alone, released with them
+        solve_linear(prob_m, p.stepper_cfg, table, partner=prob_p, plan=plan)
         if solve_hook is not None:
             solve_hook("-", prob_m, vm)
             solve_hook("+", prob_p, vp)
@@ -478,7 +462,7 @@ def picard_solve(
         if diff <= tol * delta:
             report.converged = True
             break
-    src_p = src_m = prob_m = prob_p = plan = None   # nothing reads the sources or the plan again
+    prob_m = prob_p = plan = None   # nothing reads the sources or the plan's work arrays again
     report.carrier_norms = (measure[1, 0, ::-1], measure[0, 0])
 
     report.boundary_residual_low = _projection_residual(vp, vm, 0, p.f, "-")

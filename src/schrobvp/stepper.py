@@ -32,25 +32,28 @@ Batched march: :func:`solve_linear` advances a stacked (rows, n) state of
 Fourier coefficients, one row per sub-problem; a ``partner`` problem (the
 coupled solver passes the backward carrier next to the forward one) rides
 in the same state, its row reading the mirrored table node 2N - i.  Steps
-go a ``row_blocks`` block at a time into a buffer whose magnitudes, taken
-once, are scanned for blow-up (each row against its datum and handed-in
-source scale; the error names the first bad step) and give each slot's
-norm and wrong-side norm, the coupled solver's per-sweep norms; the block
-is measured against the output buffer's previous contents (the coupled
-solver's pair buffer) and copied into it.  A source must sit on the march's
-own time grid; its midpoint rows are cubic Lagrange interpolants of the
-four nearest slices, so it costs the scheme no order (it needs 3 steps).
+go a ``row_blocks`` block at a time into a staging buffer whose magnitudes,
+taken once, are scanned for blow-up (each row against its datum and
+handed-in source scale; the error names the first bad step) and give each
+slot's norm and wrong-side norm, the coupled solver's per-sweep norms; the
+block is then measured against the slots of the output it overwrites (the
+update, the previous sweep's pair for the coupled solver) and copied into
+them.  A source must sit on the march's own time grid; its midpoint rows
+are cubic Lagrange interpolants of the four nearest slices, so it costs
+the scheme no order (it needs 3 steps).
 
 What a march derives from the table, the step and the rows is a
-:class:`MarchPlan`: each step's exponential on the 2/3 band (stored once
-for a forward row; a backward row's is its conjugate), S's output symbols
-with the mask and orientation folded in, a constant uniform table's affine
-map, and the work arrays of the stages, the scan, the update and the
-midpoints.  The coupled solver builds one plan beside its table and hands
-it to every sweep, so the sweeps re-derive nothing and allocate no array
-of a row block or more; a call without a plan builds its own.  Every
-product keeps the operand order and the rounding of the arithmetic it
-replaces, so a plan changes no bit of a solve.
+:class:`MarchPlan`, which also owns what the march writes: the output
+buffer, the update and the per-slot measure.  It holds each step's
+exponential on the 2/3 band (stored once for a forward row; a backward
+row's is its conjugate), S's output symbols with the mask and orientation
+folded in, a constant uniform table's affine map, and the work arrays of
+the stages, the scan, the update and the midpoints.  The coupled solver
+builds one plan beside its table and hands it to every sweep, so the
+sweeps re-derive nothing and allocate no array of a row block or more; a
+call without a plan builds its own.  Every product keeps the operand order
+and the rounding of the arithmetic it replaces, so a plan changes no bit
+of a solve.
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ from .spectral import (
     hat_norm,
     masked_samples,
     power_norm,
+    projection_multiplier,
     row_blocks,
 )
 from .weights import WeightProfile
@@ -337,6 +341,14 @@ class MarchPlan:
     zero-mean flag); :meth:`require` raises ConfigError for any other.  It
     holds:
 
+    - what each march writes: ``out``, the (rows, n_steps + 1, n) hats in
+      march order (row r belongs to the r-th problem; a backward row runs
+      in reversed time), zero until the first march, each march
+      overwriting the last; ``update``, each row's sup over the slots of
+      ``hat_norm(new - old)``; and ``measure``, (rows, 2, n_steps + 1),
+      each slot's ``hat_norm`` and that of its wrong-side part (``side``:
+      P+ of a forward row, P- of a backward one), bit for bit
+      ``norm_series``;
     - ``exponentials``: each step's Lawson exponential E on the
       non-negative 2/3 band, one row per step (one row on a constant
       table), for a forward row.  E is even in xi, so :meth:`load` mirrors
@@ -349,13 +361,14 @@ class MarchPlan:
     - the work arrays of the stages, of the step's coefficients (E, E^2
       and the stage rows a - abar, a q, which :meth:`load` copies from the
       table's slices), of the blow-up scan, the update measure and the
-      source midpoints.  Every march of the solve reuses them, so a march
-      through a plan allocates no array of a row block or more.
+      source midpoints, and the ``buffer`` each block of steps is staged
+      in.  Every march of the solve reuses them, so a march through a plan
+      allocates no array of a row block or more.
 
     The stage arrays are contiguous (rows, n) rows and the stage rows are
     complex: a numpy product with a strided or a float operand is about
-    twice as slow and buffers it.  Only the exponentials grow with the step
-    count (:meth:`planned_bytes`).
+    twice as slow and buffers it.  Besides ``out`` and ``measure``, only the
+    exponentials grow with the step count (:meth:`planned_bytes`).
     """
 
     def __init__(
@@ -374,6 +387,13 @@ class MarchPlan:
         self.rows = (tuple(directions), tuple(zero_mean))
         self.forward = [d == "forward" for d in directions]
         rows, n = len(self.forward), grid.n
+        # the output is the plan's first allocation: built after the work arrays
+        # instead, it left a `decoupled` run's peak resident memory about
+        # 0.3 MiB higher (heap layout, not live memory)
+        self.out = np.zeros((rows, self.n_steps + 1, n), dtype=np.complex128)
+        self.update = np.empty(rows)
+        self.measure = np.zeros((rows, 2, self.n_steps + 1))
+        self.side = np.stack([projection_multiplier(grid, "+" if f else "-").real for f in self.forward])
         self.keep = np.tile(grid.dealias_mask.astype(np.float64), (rows, 1))
         self.keep[list(zero_mean), 0] = 0.0
         # the 2/3 mask, the zero-mean cut and the orientation fold into the
@@ -531,10 +551,6 @@ def solve_linear(
     table: OperatorTable | None = None,
     *,
     partner: LinearProblem | None = None,
-    out: np.ndarray | None = None,
-    update: np.ndarray | None = None,
-    measure: np.ndarray | None = None,
-    side: np.ndarray | None = None,
     plan: MarchPlan | None = None,
 ) -> SpaceTimeField | tuple[SpaceTimeField, SpaceTimeField]:
     """Integrate the sub-problem; returns its slices on the ascending time grid.
@@ -545,25 +561,17 @@ def solve_linear(
     ``half_steps`` on this march's time grid; without one it is built here.
     ``plan``, a :class:`MarchPlan` of ``table``, this step and viscosity and
     these rows (else ConfigError), is built here when not given; the coupled
-    solver builds one for all its sweeps.  A source must sit on the march's
-    integer nodes, else ConfigError, and needs at least 3 steps, else
-    ConfigError.
+    solver builds one for all its sweeps.  The march writes the plan's
+    ``out``, ``update`` and ``measure`` (the update of a fresh plan is
+    measured against zero), and the returned fields view ``plan.out``, which
+    the next march through the plan overwrites; no source may view it.  A
+    source must sit on the march's integer nodes, else ConfigError, and
+    needs at least 3 steps, else ConfigError.
 
     ``partner``, a second sub-problem on the same grid, horizon,
     coefficients and weight (either direction), is marched in the same
     batched state; the pair (field of ``p``, field of ``partner``) is then
     returned.  Each row equals its own one-row solve up to round-off.
-
-    ``out``, a complex (rows, n_steps + 1, n) buffer in march order (row r
-    belongs to the r-th problem; a backward row runs in reversed time),
-    receives the steps in place of a fresh buffer, and the returned fields
-    view it; no source may view it.  ``update``, a float array with one
-    entry per row, then receives each row's sup over slots 0..n_steps of
-    ``hat_norm(new - old)`` against the buffer's previous contents, each
-    block of slots measured just before it is overwritten.  ``measure``, a
-    float (rows, 2, n_steps + 1) array, receives each slot's ``hat_norm`` and
-    that of its ``side`` part (a (rows, n) 0/1 mask) in march order, bit for
-    bit ``norm_series``.  Arrays of another shape are a ConfigError.
     """
     problems = [p] if partner is None else [p, partner]
     if partner is not None and not (
@@ -587,25 +595,14 @@ def solve_linear(
     if table is None:
         table = OperatorTable(p.coeffs, p.weight, times, half_steps=True)
     table.require(times, half_steps=True)
-    shape = (len(problems), n_steps + 1, p.grid.n)
-    if out is None:
-        if update is not None:
-            raise ConfigError("an update measure needs the buffer it is measured against")
-        out = np.empty(shape, dtype=np.complex128)
-    elif out.shape != shape or out.dtype != np.complex128:
-        raise ConfigError(f"march buffer must be complex of shape {shape}, got {out.dtype} {out.shape}")
-    if update is not None and update.shape != (len(problems),):
-        raise ConfigError(f"update needs one entry per row ({len(problems)}), got shape {update.shape}")
-    if measure is not None and (measure.shape, np.shape(side)) != ((shape[0], 2, shape[1]), shape[::2]):
-        raise ConfigError(f"measure must be {(shape[0], 2, shape[1])} with a {shape[::2]} side mask")
     if plan is None:
         plan = MarchPlan(table, cfg, p.horizon, [q.direction for q in problems], [q.zero_mean for q in problems])
     else:
         plan.require(table, cfg, p.horizon, problems)
-    hats = _march(problems, plan, out, update, measure, side)
+    _march(problems, plan)
     fields = tuple(
         SpaceTimeField(p.grid, times, hats=rows if q.direction == "forward" else rows[::-1])
-        for q, rows in zip(problems, hats)
+        for q, rows in zip(problems, plan.out)
     )
     return fields[0] if partner is None else fields
 
@@ -678,14 +675,7 @@ def _midpoints(
                 dst += np.multiply(c[m], hats[a - own + m : b - own + m], out=term)
 
 
-def _march(
-    problems: list[LinearProblem],
-    plan: MarchPlan,
-    out: np.ndarray,
-    update: np.ndarray | None,
-    measure: np.ndarray | None,
-    side: np.ndarray | None,
-) -> np.ndarray:
+def _march(problems: list[LinearProblem], plan: MarchPlan) -> None:
     """Lawson RK4 on a (rows, n) hat-space state, one row per sub-problem.
 
     Half-step i of a forward row reads table node i and source slice i/2,
@@ -696,15 +686,16 @@ def _march(
     weights and source factors folded in, a block's forcing is four scaled
     adds of source views per row.  Every other table takes the RK4 stages
     step by step, each step's coefficients loaded into the plan.  Steps go a
-    ``row_blocks`` block (of all rows at once) at a time into a buffer that
-    first holds each step's source midpoint or forcing; per block, one
-    ``np.abs`` feeds the blow-up scan (against the datum and ``source_peak``)
-    and ``measure``, then one ``hat_norm`` for ``update`` and one copy into
-    ``out``; without ``update`` the steps go straight in.  Every array the
-    march writes besides ``out`` is the plan's.  Returns ``out``.
+    ``row_blocks`` block (of all rows at once) at a time into the plan's
+    ``buffer``, which first holds each step's source midpoint or forcing;
+    per block, one ``np.abs`` feeds the blow-up scan (against the datum and
+    ``source_peak``) and ``plan.measure``, then one ``hat_norm`` of the
+    slots it overwrites for ``plan.update`` and one copy into ``plan.out``.
+    Every array the march writes is the plan's.
     """
     grid = plan.grid
     n_steps, factor = plan.n_steps, plan.factor
+    out, update, measure = plan.out, plan.update, plan.measure
     sources = [None if q.source is None else q.source.hats for q in problems]
     march_hats = [h if fwd or h is None else h[::-1] for h, fwd in zip(sources, plan.forward)]
     active = any(hats is not None for hats in sources)
@@ -715,17 +706,15 @@ def _march(
         """One np.abs of the slots ``slots``: the blow-up scan, then, squared, ``measure``."""
         mag = np.abs(hats, out=plan.mag[:, : hats.shape[1]])
         _check_state(mag, slots.start, scale)
-        if measure is not None:
-            measure[:, 0, slots] = power_norm(grid, np.square(mag, out=mag))
-            measure[:, 1, slots] = power_norm(grid, np.multiply(mag, side[:, None], out=mag))
+        measure[:, 0, slots] = power_norm(grid, np.square(mag, out=mag))
+        measure[:, 1, slots] = power_norm(grid, np.multiply(mag, plan.side[:, None], out=mag))
 
     state = plan.state   # the masked datums, then every step in turn
     for r, q in enumerate(problems):
         np.multiply(q.datum.hat, plan.keep[r], out=state[r])
     scale = np.maximum(np.max(np.abs(state), axis=1), [max(q.source_peak or 0.0, 1e-30) for q in problems])
-    if update is not None:
-        out[:, 0] -= state
-        update[:] = power_norm(grid, np.square(np.abs(out[:, 0], out=plan.mag[:, 0]), out=plan.mag[:, 0]))
+    out[:, 0] -= state
+    update[:] = power_norm(grid, np.square(np.abs(out[:, 0], out=plan.mag[:, 0]), out=plan.mag[:, 0]))
     out[:, 0] = state
     scan(out[:, :1], slice(0, 1))
     if active and not plan.affine:
@@ -738,7 +727,7 @@ def _march(
     for steps in row_blocks(n_steps, len(problems) * grid.n):
         lo, hi = steps.start, steps.stop
         slots = slice(lo + 1, hi + 1)
-        buf = out[:, slots] if update is None else plan.buffer[:, : hi - lo]
+        buf = plan.buffer[:, : hi - lo]
         if plan.affine:
             for r, hats in enumerate(march_hats):
                 if hats is None:
@@ -776,12 +765,11 @@ def _march(
                 plan.step(state, forcing, state)
                 buf[:, j] = state
         scan(buf, slots)
-        if update is not None:   # old - new in place of the old slots, then the new ones
-            out[:, slots] -= buf
-            mag = np.square(np.abs(out[:, slots], out=plan.mag[:, : hi - lo]), out=plan.mag[:, : hi - lo])
-            np.maximum(update, np.max(power_norm(grid, mag), axis=1), out=update)
-            out[:, slots] = buf
-    return out
+        # old - new in place of the old slots, then the new ones
+        out[:, slots] -= buf
+        mag = np.square(np.abs(out[:, slots], out=plan.mag[:, : hi - lo]), out=plan.mag[:, : hi - lo])
+        np.maximum(update, np.max(power_norm(grid, mag), axis=1), out=update)
+        out[:, slots] = buf
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from schrobvp.spectral import (
     projection_multiplier,
     random_band_field,
 )
-from schrobvp.stepper import LinearProblem, OperatorTable, StepperConfig, solve_linear
+from schrobvp.stepper import LinearProblem, MarchPlan, OperatorTable, StepperConfig, solve_linear
 from schrobvp.weights import build_weight, unit_weight
 
 CONST = CoefficientField("1", "0")
@@ -603,14 +603,20 @@ class TestSweepPlan:
         return lambda: picard_solve(p, tol=0.0, m_max=m_max)
 
     def test_plan_changes_no_bit_of_a_solve(self, monkeypatch):
-        # five sweeps through one plan against five marches that each build their own
+        # five sweeps through one plan against five marches that each build
+        # their own, starting from the solve's pair and handing back what
+        # the march wrote
         solve = self._benchmark(512, 5)
         vp, vm, report = solve()
         plans = []
 
-        def fresh_plan(*args, plan, **kwargs):
+        def fresh_plan(p, cfg, table, *, plan, **kwargs):
             plans.append(plan)
-            return solve_linear(*args, **kwargs)
+            own = MarchPlan(table, cfg, p.horizon, *plan.rows)
+            own.out[:] = plan.out
+            result = solve_linear(p, cfg, table, plan=own, **kwargs)
+            plan.out[:], plan.update[:], plan.measure[:] = own.out, own.update, own.measure
+            return result
 
         monkeypatch.setattr(picard, "solve_linear", fresh_plan)
         ref_p, ref_m, ref = solve()
@@ -807,24 +813,22 @@ def blocked_outputs():
     total = SpaceTimeField(grid, times, hats=vp.hats + vm.hats)
     bundle = norm_bundle(BENCH, w.sup_logderiv, times, grid)
     table = OperatorTable(BENCH, w, times, half_steps=True)
-    # a pair marched into a buffer holding the carriers, with the update measured
+    # a pair marched into a plan buffer holding the carriers, with the update measured
     fwd, bwd = (
         LinearProblem(direction=d, coeffs=BENCH, weight=w, source=v, horizon=times[-1],
                       datum=SpectralField.from_hat(grid, v.hats[i]), zero_mean=True)
         for d, v, i in (("forward", vm, 0), ("backward", vp, -1))
     )
     lp, lm, norms, peaks = coupling_stacks(vp, vm, table)
-    buffer, update, measure = np.stack([vm.hats, vp.hats[::-1]]), np.empty(2), np.empty((2, 2, 41))
-    side = np.stack([projection_multiplier(grid, sign).real for sign in "+-"])
-    solve_linear(
-        fwd, StepperConfig(epsilon=1e-5, n_steps=40), table, partner=bwd, out=buffer, update=update,
-        measure=measure, side=side,
-    )
+    cfg = StepperConfig(epsilon=1e-5, n_steps=40)
+    plan = MarchPlan(table, cfg, times[-1], ("forward", "backward"), (True, True))
+    plan.out[:] = np.stack([vm.hats, vp.hats[::-1]])
+    solve_linear(fwd, cfg, table, partner=bwd, plan=plan)
     return {
         "from values": [vp.hats, vm.hats],
         "coupling_stacks": [lp.hats, lm.hats, norms, peaks],
         "coupling_norms": list(coupling_norms(vp, vm, table)),
-        "march update": [buffer, update, measure],
+        "march update": [plan.out, plan.update, plan.measure],
         "pde_residual": [pde_residual(total, table).norms],
         "band_tail": [band_tail(total)],
         "norm_series": [total.norm_series(), total.norm_series(projection_multiplier(grid, "-"))],

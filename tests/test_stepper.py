@@ -627,7 +627,7 @@ class TestUniformTable:
 
     @pytest.mark.parametrize("uniform", [True, False], ids=["affine", "fft"])
     def test_update_measures_every_slot_it_overwrites(self, monkeypatch, uniform):
-        # into a prefilled buffer, update is each row's max over slots
+        # into a prefilled plan buffer, update is each row's max over slots
         # 0..N of hat_norm(new - old); the datum slot 0 differs the most.
         # Blocks of 4 steps, so the march flushes 8 of them
         monkeypatch.setattr(spectral, "CHUNK_BYTES", 1 << 13)
@@ -646,12 +646,13 @@ class TestUniformTable:
         table = OperatorTable(CONST, w, times, half_steps=True)
         table.uniform = uniform
         rng = np.random.default_rng(4)
-        buffer = 1e-3 * (rng.standard_normal((2, 33, 128)) + 1j * rng.standard_normal((2, 33, 128)))
+        cfg = StepperConfig(epsilon=1e-4, n_steps=32)
+        plan = MarchPlan(table, cfg, horizon, ("forward", "backward"), (True, True))
+        buffer, update = plan.out, plan.update
+        buffer[:] = 1e-3 * (rng.standard_normal((2, 33, 128)) + 1j * rng.standard_normal((2, 33, 128)))
         buffer[:, 0] *= 1e4
         old = buffer.copy()
-        update = np.empty(2)
-        cfg = StepperConfig(epsilon=1e-4, n_steps=32)
-        pair = solve_linear(fwd, cfg, table, partner=bwd, out=buffer, update=update)
+        pair = solve_linear(fwd, cfg, table, partner=bwd, plan=plan)
         for r in range(2):
             assert update[r] == np.max(hat_norm(grid, buffer[r] - old[r]))
         assert np.all(update == hat_norm(grid, buffer[:, 0] - old[:, 0]))
@@ -716,35 +717,36 @@ class TestBatchedMarch:
     )
     @pytest.mark.parametrize("partner_zero_mean", [True, False])
     def test_pair_matches_one_row_solves(self, monkeypatch, coeffs, constant, partner_zero_mean):
-        # blocks of 4 steps into a prefilled buffer, with and without an
-        # update measure: a row that read stale slots as its forcing (the
-        # unsourced row of a one-sourced pair) would leave its own solve
+        # blocks of 4 steps into a prefilled plan buffer: a row that read
+        # stale slots as its forcing (the unsourced row of a one-sourced
+        # pair) would leave its own solve
         monkeypatch.setattr(spectral, "CHUNK_BYTES", 1 << 13)
         fwd, bwd, cfg, table = self._pair(coeffs, partner_zero_mean)
         assert table.constant is constant
         unsourced = dataclasses.replace(bwd, source=None)
         rng = np.random.default_rng(2)
         for first, second in ((fwd, bwd), (bwd, fwd), (fwd, unsourced), (unsourced, fwd)):
-            for update in (None, np.empty(2)):
-                buffer = rng.standard_normal((2, 33, 128)) + 1j * rng.standard_normal((2, 33, 128))
-                pair = solve_linear(first, cfg, table, partner=second, out=buffer, update=update)
-                for got, problem in zip(pair, (first, second)):
-                    alone = solve_linear(problem, cfg, table)
-                    assert got.times.shape == alone.times.shape
-                    scale = np.max(np.abs(alone.values))
-                    assert np.max(np.abs(got.values - alone.values)) <= 1e-12 * scale
+            plan = MarchPlan(table, cfg, first.horizon, *zip(*((q.direction, q.zero_mean) for q in (first, second))))
+            plan.out[:] = rng.standard_normal((2, 33, 128)) + 1j * rng.standard_normal((2, 33, 128))
+            pair = solve_linear(first, cfg, table, partner=second, plan=plan)
+            for got, problem in zip(pair, (first, second)):
+                alone = solve_linear(problem, cfg, table)
+                assert got.times.shape == alone.times.shape
+                scale = np.max(np.abs(alone.values))
+                assert np.max(np.abs(got.values - alone.values)) <= 1e-12 * scale
 
     def test_march_into_a_buffer_measures_what_it_overwrites(self):
-        # the steps land in the caller's buffer bit for bit, and the update
+        # the steps land in the plan's buffer bit for bit, and the update
         # is each row's sup over slots of hat_norm(new - old)
         coeffs = CoefficientField("1 + 0.1*exp(-t)*sech(x)", "0.05*sech(x)")
         fwd, bwd, cfg, table = self._pair(coeffs, True)
         fresh_m, fresh_p = solve_linear(fwd, cfg, table, partner=bwd)
         rng = np.random.default_rng(3)
-        buffer = rng.standard_normal((2, 33, 128)) + 1j * rng.standard_normal((2, 33, 128))
+        plan = MarchPlan(table, cfg, fwd.horizon, ("forward", "backward"), (True, True))
+        buffer, update = plan.out, plan.update
+        buffer[:] = rng.standard_normal((2, 33, 128)) + 1j * rng.standard_normal((2, 33, 128))
         old = buffer.copy()
-        update = np.empty(2)
-        got_m, got_p = solve_linear(fwd, cfg, table, partner=bwd, out=buffer, update=update)
+        got_m, got_p = solve_linear(fwd, cfg, table, partner=bwd, plan=plan)
         assert got_m.hats.base is buffer and got_p.hats.base is buffer
         assert np.array_equal(got_m.hats, fresh_m.hats)
         assert np.array_equal(got_p.hats, fresh_p.hats)
@@ -763,47 +765,28 @@ class TestBatchedMarch:
     @pytest.mark.parametrize("unsourced", [False, True], ids=["sourced", "one-unsourced"])
     def test_measure_is_the_norm_series_bit_for_bit(self, monkeypatch, coeffs, mode, unsourced):
         # the block's one np.abs gives every slot's norm and its norm on the
-        # side mask (P+ on the forward row, P- on the backward), as the fields'
-        # norm_series read them; blocks of 4 steps, with and without an update
+        # wrong side (P+ on the forward row, P- on the backward), as the
+        # fields' norm_series read them; blocks of 4 steps, into a fresh plan
+        # and into a prefilled one
         monkeypatch.setattr(spectral, "CHUNK_BYTES", 1 << 13)
         fwd, bwd, cfg, table = self._pair(coeffs, True, mode)
         assert table.uniform is table.constant is (mode == "pure_exponential")
         if unsourced:
             bwd = dataclasses.replace(bwd, source=None)
         wrong = [projection_multiplier(fwd.grid, sign) for sign in "+-"]
-        side = np.stack([sym.real for sym in wrong])
         rng = np.random.default_rng(5)
-        for update in (None, np.empty(2)):
-            buffer = rng.standard_normal((2, 33, 128)) + 1j * rng.standard_normal((2, 33, 128))
-            measure = np.empty((2, 2, 33))
-            pair = solve_linear(
-                fwd, cfg, table, partner=bwd, out=buffer, update=update, measure=measure, side=side
-            )
-            for row, field, sym in zip(measure, pair, wrong):
+        for prefill in (False, True):
+            plan = MarchPlan(table, cfg, fwd.horizon, ("forward", "backward"), (True, True))
+            if prefill:
+                plan.out[:] = rng.standard_normal((2, 33, 128)) + 1j * rng.standard_normal((2, 33, 128))
+            pair = solve_linear(fwd, cfg, table, partner=bwd, plan=plan)
+            for row, field, sym in zip(plan.measure, pair, wrong):
                 ascending = row if field is pair[0] else row[:, ::-1]
                 assert np.array_equal(ascending[0], field.norm_series())
                 assert np.array_equal(ascending[1], field.norm_series(sym))
-
-    def test_measure_needs_its_shape_and_a_side_mask(self):
-        fwd, bwd, cfg, table = self._pair(CONST, True)
-        for measure, side in ((np.zeros((2, 2, 32)), np.zeros((2, 128))), (np.zeros((2, 2, 33)), None)):
-            with pytest.raises(ConfigError, match="measure"):
-                solve_linear(fwd, cfg, table, partner=bwd, measure=measure, side=side)
-
-    @pytest.mark.parametrize(
-        "buffer, update, match",
-        [
-            (np.zeros((2, 32, 128), dtype=complex), None, "march buffer"),
-            (np.zeros((2, 33, 128)), None, "march buffer"),
-            (np.zeros((2, 33, 128), dtype=complex), np.zeros(3), "one entry per row"),
-            (None, np.zeros(2), "needs the buffer"),
-        ],
-        ids=["short", "real", "update-shape", "update-alone"],
-    )
-    def test_buffer_of_another_shape_is_rejected(self, buffer, update, match):
-        fwd, bwd, cfg, table = self._pair(CONST, True)
-        with pytest.raises(ConfigError, match=match):
-            solve_linear(fwd, cfg, table, partner=bwd, out=buffer, update=update)
+        # the wrong side follows each row's direction, not its place
+        swapped = MarchPlan(table, cfg, fwd.horizon, ("backward", "forward"), (True, True))
+        assert np.array_equal(swapped.side[::-1], np.stack([sym.real for sym in wrong]))
 
     def test_backward_row_reads_mirrored_coefficients(self):
         # unweighted, real a: the conjugate of a backward solve, read in
