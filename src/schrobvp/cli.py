@@ -42,7 +42,7 @@ from .coefficients import (
     select_horizon,
 )
 from .commutators import estimate_constant
-from .errors import ConfigError, ValidationError, typed
+from .errors import ConfigError, ValidationError, require_horizon, typed
 from .estimates import (
     EstimateReport,
     bootstrap_diagnostics,
@@ -185,8 +185,7 @@ def build_scenario(raw: dict) -> ScenarioConfig:
 
     horizon = _optional(resolved.get("horizon"), float, "horizon")
     if horizon is not None:
-        if horizon <= 0:
-            raise ConfigError(f"horizon must be positive, got {horizon:g}")
+        require_horizon(horizon)
     coeffs = CoefficientField(coeff_spec["a"], coeff_spec["W"], ellipticity=lam)
 
     data_spec = resolved.get("data")
@@ -257,6 +256,7 @@ def resolve_horizon(sc: ScenarioConfig, flag_T: float | None) -> tuple[float, bo
     it; ``picard_solve`` validates them again on its grid over [0, T].
     """
     if flag_T is not None:
+        require_horizon(flag_T)
         return float(flag_T), True, {"source": "override-flag", "horizon": float(flag_T)}
     if sc.horizon is not None:
         return sc.horizon, sc.override_horizon, {"source": "explicit", "horizon": sc.horizon}
@@ -487,6 +487,7 @@ def _parse_times_arg(text: str | None, horizon: float) -> np.ndarray:
 
 
 def cmd_free_bvp(args: argparse.Namespace) -> int:
+    require_horizon(args.T)   # before the output times are spread over it
     out = _out_dir(args.out_dir)
     grid = Grid1D(args.grid_n, args.grid_L)
     f = build_datum(args.datum_f, grid, "-")

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the type check of config values."""
+"""Exception types shared across the package, and the checks of config values."""
 
+import math
 import numbers
 
 
@@ -58,3 +59,9 @@ def typed(value: object, kind: type, key: str):
     if not isinstance(value, abc) or (isinstance(value, bool) and kind is not bool):
         raise ConfigError(f"{key} must be {what}, got {value!r}")
     return kind(value)
+
+
+def require_horizon(horizon: float) -> None:
+    """Raise ConfigError unless ``horizon`` is positive and finite (NaN fails too)."""
+    if not 0.0 < horizon < math.inf:
+        raise ConfigError(f"horizon must be positive and finite, got {horizon:g}")

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, require_horizon
 from .spectral import Grid1D, SpaceTimeField, SpectralField, require_one_sided
 
 __all__ = [
@@ -59,8 +59,7 @@ class FreeBvpData:
             raise ValidationError("endpoint data live on different grids")
         if not (self.beta > 0):
             raise ConfigError(f"decay rate must be positive, got {self.beta}")
-        if not (self.horizon > 0):
-            raise ConfigError(f"horizon must be positive, got {self.horizon}")
+        require_horizon(self.horizon)
         if self.times is None:
             self.times = np.linspace(0.0, self.horizon, 65)
         self.times = np.asarray(self.times, dtype=np.float64)

@@ -64,6 +64,7 @@ from .errors import (
     DivergenceError,
     GridMismatchError,
     HorizonError,
+    require_horizon,
 )
 from .spectral import (
     Grid1D,
@@ -114,8 +115,7 @@ class BvpProblem:
     def __post_init__(self) -> None:
         if self.f.grid != self.g.grid or self.f.grid != self.weight.grid:
             raise GridMismatchError("data and weight must share one grid")
-        if not (self.horizon > 0):
-            raise ConfigError(f"horizon must be positive, got {self.horizon}")
+        require_horizon(self.horizon)
         require_one_sided(self.f, "-", "low-endpoint datum")
         require_one_sided(self.g, "+", "high-endpoint datum")
 

@@ -65,7 +65,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coefficients import CoefficientField
-from .errors import ConfigError, GridMismatchError, StabilityError, typed
+from .errors import ConfigError, GridMismatchError, StabilityError, require_horizon, typed
 from .spectral import (
     Grid1D,
     SpaceTimeField,
@@ -172,8 +172,7 @@ class LinearProblem:
     def __post_init__(self) -> None:
         if self.direction not in ("forward", "backward"):
             raise ConfigError(f"direction must be 'forward' or 'backward', got {self.direction!r}")
-        if not (self.horizon > 0):
-            raise ConfigError(f"horizon must be positive, got {self.horizon}")
+        require_horizon(self.horizon)
         if self.weight.grid != self.datum.grid:
             raise GridMismatchError("weight and datum grids differ")
         if self.source is not None:

@@ -414,6 +414,28 @@ class TestErrorsAndExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "truncated header" in err
 
+    @pytest.mark.parametrize(
+        "argv, scenario",
+        [
+            (["free-bvp", "--grid-n", "64", "--T", "inf"], None),
+            (["picard", "--T", "inf"], {"preset": "decoupled"}),
+            (["linear", "--T", "inf"], {"preset": "decoupled", "stepper": {"epsilon": 0.0}}),
+            (["picard"], {"preset": "decoupled", "horizon": float("inf")}),
+        ],
+        ids=["free-bvp", "picard-flag", "linear-eps0", "scenario-infinity"],
+    )
+    def test_infinite_horizon_exits_1_before_any_file(self, tmp_path, capsys, argv, scenario):
+        # inf passes every `horizon > 0` test; each path must name the horizon instead
+        if scenario is not None:
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps(scenario))   # inf is written as the JSON token Infinity
+            argv = argv + ["--scenario", str(path)]
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: horizon must be positive and finite, got inf")
+        assert not (out / "report.json").exists()
+
     def test_estimate_failure_maps_to_2(self):
         failing = EstimateReport(
             name="energy[-]", lhs=2.0, rhs=1.0, ratio=2.0, constants={}, verdict="fail"
