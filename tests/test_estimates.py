@@ -202,6 +202,25 @@ class TestWeightedSmoothingMonitor:
         with pytest.raises(ValidationError, match="support"):
             weighted_smoothing_monitor(stacked, CONST, 1.0)
 
+    def test_support_check_reads_w_not_w_minus_its_mean(self):
+        # a w with a large mean and no mass near the seam passes; the old
+        # reading, the outer share of (P+ + P-) w = w - mean(w), rejects it.
+        # The same w plus a zero-mean bump centred at 0.95 L fails
+        grid = Grid1D(256, 8 * np.pi)
+        outer = np.abs(grid.x) > 0.9 * grid.half_length
+        w0 = gaussian_field(grid, width=0.15 * grid.half_length).values
+        assert np.sum(np.abs(w0[outer]) ** 2) < 1e-12 * np.sum(np.abs(w0) ** 2)
+        centred = np.abs(w0 - np.mean(w0)) ** 2
+        assert np.sum(centred[outer]) > 2e-2 * np.sum(centred)
+        times = np.array([0.0, 0.1])
+        stacked = SpaceTimeField(grid, times, np.stack([w0, w0]))
+        assert weighted_smoothing_monitor(stacked, CONST, 1.0).verdict == "pass"
+        bump = 0.5 * packet(grid, 3.0, center=0.95 * grid.half_length, width=0.5, sign="+").values
+        assert abs(np.mean(bump)) < 1e-15
+        stacked = SpaceTimeField(grid, times, np.stack([w0 + bump, w0 + bump]))
+        with pytest.raises(ValidationError, match="support"):
+            weighted_smoothing_monitor(stacked, CONST, 1.0)
+
     @pytest.mark.parametrize("edge, over", [(0.1, False), (0.2, True)])
     def test_support_cap_counts_both_sides(self, edge, over):
         # outer-decade packets at both ends, all on the P- side, beside a
