@@ -13,6 +13,8 @@ import importlib
 from pathlib import Path
 
 from schrobvp import cli, picard
+from schrobvp.cli import build_scenario
+from schrobvp.presets import load_preset, merge_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -30,6 +32,28 @@ def test_tracer_installs_on_every_target_and_restores_them(monkeypatch):
         tracer.uninstall()
     for (owner, attr), original in originals.items():
         assert getattr(owner, attr) is original
+
+
+def test_every_sweep_is_one_traced_solve_linear_call(monkeypatch):
+    # the stepper.solve_linear span and the step counter wrap
+    # picard.solve_linear and read its problem and config positionally; a
+    # sweep that marched without that call would zero both per-layer metrics
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    sc = build_scenario(merge_scenario(load_preset("benchmark"), {"grid": {"n": 256}}))
+    p = picard.BvpProblem(
+        f=sc.f, g=sc.g, coeffs=sc.coeffs, weight=sc.weight, horizon=0.015625,
+        stepper_cfg=sc.stepper, override_horizon=True,
+    )
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        _, _, report = picard.picard_solve(p, tol=sc.tol, m_max=sc.m_max)
+    finally:
+        tracer.uninstall()
+    assert report.iterations >= 2
+    assert tracer.span_counts()["stepper.solve_linear"] == report.iterations
+    assert tracer.counts["stepper.steps"] == report.iterations * sc.stepper.n_steps
 
 
 def test_oracle_check_on_a_smoke_decoupled_run(tmp_path, monkeypatch):
