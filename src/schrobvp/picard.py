@@ -190,7 +190,10 @@ def _operator_parts(
     if uniform:
         zv = zwm[:, :1] * u
     else:
-        zv = np.fft.fft(zwm * np.fft.ifft(u, axis=-1), axis=-1)
+        # in place, in one operand order: on a block of 256 KiB or more numpy
+        # would reuse the temporary ifft output and swap the product's operands
+        zv = np.fft.ifft(u, axis=-1)
+        zv = np.fft.fft(np.multiply(zwm, zv, out=zv), axis=-1, out=zv)
     sv = apply_s(grid, u, am, aqm, uniform, symbols=symbols, work=work)
     if sym is None:
         return zv, sv

@@ -802,9 +802,9 @@ class TestInputGrids:
             pde_residual(vp, OperatorTable(BENCH, w, times))
 
 
-def blocked_outputs():
-    """Every blocked kernel's output on a time-dependent problem, as arrays."""
-    grid = Grid1D(256, 20.0)
+def blocked_outputs(n):
+    """Every blocked kernel's output on a time-dependent problem on ``n`` nodes, as arrays."""
+    grid = Grid1D(n, 20.0)
     w = build_weight(1.0, grid, mode="truncated")
     times = np.linspace(0.0, 0.02, 41)
     phase = np.exp(-40j * times)[:, None]
@@ -838,14 +838,18 @@ def blocked_outputs():
     }
 
 
-def test_block_budget_changes_no_result(monkeypatch):
+@pytest.mark.parametrize("n", [256, 512])
+def test_block_budget_changes_no_result(monkeypatch, n):
     # CHUNK_BYTES sets speed and peak memory only: blocks of 2 rows and one
-    # block of every row give the same bits
+    # block of every row give the same bits.  At n = 512 a block of the 41
+    # slices passes 256 KiB, where numpy reuses a temporary operand as the
+    # output of a product (and may swap the operands)
     results = []
     for budget in (1 << 13, 1 << 24):
         monkeypatch.setattr(spectral, "CHUNK_BYTES", budget)
-        results.append(blocked_outputs())
-    assert spectral.chunk_rows(256) > 81   # the half-step table's row count
+        results.append(blocked_outputs(n))
+    assert spectral.chunk_rows(n) > 81   # the half-step table's row count
+    assert n < 512 or 41 * n * 16 > 256 << 10
     small, large = results
     for kernel, arrays in small.items():
         assert all(np.array_equal(a, b) for a, b in zip(arrays, large[kernel], strict=True)), kernel
