@@ -27,13 +27,12 @@ terms of the two signs cancel except at the zero mode.  The sources stay
 Fourier coefficients in one march-ordered (2, N+1, n) buffer on the
 march's time grid, measured as written (norm series for the lambda ratio,
 max |hat| for the march's blow-up scale).  Both carriers are then marched
-together through `solve_linear(..., partner=..., plan=...)` into the
-march-ordered pair buffer of the solve's one `stepper.MarchPlan`: each
-step overwrites the previous sweep's slot once the update is measured
-against it, and the march's blow-up magnitudes give every slot's norm and
-wrong-side norm (the plan's `update` and `measure`), so no sweep reads the
-pair or its sources again.  A coupled solve therefore holds four stacks
-at its peak, the pair and the frozen sources.
+together through `solve_linear(..., partner=..., plan=...)` into the pair
+buffer of the solve's one `stepper.MarchPlan`: each step overwrites the
+previous sweep's slot once the update is measured against it, and the
+march's blow-up magnitudes give every slot's norm and wrong-side norm, so
+no sweep reads the pair or its sources again.  A coupled solve therefore
+holds four stacks at its peak, the pair and the frozen sources.
 
 One solve builds one half-step `OperatorTable` and samples one
 `NormBundle` on its time grid; the report hands both back (unserialised),
@@ -190,8 +189,7 @@ def _operator_parts(
     if uniform:
         zv = zwm[:, :1] * u
     else:
-        # in place, in one operand order: on a block of 256 KiB or more numpy
-        # would reuse the temporary ifft output and swap the product's operands
+        # in place, zwm first: on a temporary of 256 KiB or more numpy swaps the operands
         zv = np.fft.ifft(u, axis=-1)
         zv = np.fft.fft(np.multiply(zwm, zv, out=zv), axis=-1, out=zv)
     sv = apply_s(grid, u, am, aqm, uniform, symbols=symbols, work=work)
@@ -382,10 +380,9 @@ def picard_solve(
     (``solution.hats.copy()``).  The problem's source is the sweep's own.
     The report carries the solve's operator table and rate bundle
     (``report.table``, ``report.bundle``) for the monitors to read.  Every
-    sweep marches through one ``MarchPlan``, built beside the table; the
-    carriers view its pair buffer ``plan.out`` and each sweep reads its
-    ``update`` and ``measure``.  The plan's work arrays are released with
-    the last sweep's sources, before the residuals.
+    sweep marches through one ``MarchPlan``, built beside the table, whose
+    pair buffer ``plan.out`` the carriers view; its work arrays are released
+    with the last sweep's sources, before the residuals.
 
     Memory model: a stack is one (n_steps + 1, n) complex array.  At most
     four are live at once, in the march of a sweep: the pair buffer and

@@ -32,28 +32,26 @@ Batched march: :func:`solve_linear` advances a stacked (rows, n) state of
 Fourier coefficients, one row per sub-problem; a ``partner`` problem (the
 coupled solver passes the backward carrier next to the forward one) rides
 in the same state, its row reading the mirrored table node 2N - i.  Steps
-go a ``row_blocks`` block at a time into a staging buffer whose magnitudes,
-taken once, are scanned for blow-up (each row against its datum and
-handed-in source scale; the error names the first bad step) and give each
-slot's norm and wrong-side norm, the coupled solver's per-sweep norms; the
-block is then measured against the slots of the output it overwrites (the
-update, the previous sweep's pair for the coupled solver) and copied into
-them.  A source must sit on the march's own time grid; its midpoint rows
-are cubic Lagrange interpolants of the four nearest slices, so it costs
-the scheme no order (it needs 3 steps).
+go a ``row_blocks`` block at a time into a buffer whose magnitudes, taken
+once, are scanned for blow-up (each row against its datum and handed-in
+source scale; the error names the first bad step) and give each slot's
+norm and wrong-side norm, the coupled solver's per-sweep norms; the block
+is measured against the output slots it overwrites (the previous sweep's
+pair, for the coupled solver) and copied into them.  A source must sit on
+the march's own time grid; its midpoint rows are cubic Lagrange
+interpolants of the four nearest slices, so it costs the scheme no order
+(it needs 3 steps).
 
-What a march derives from the table, the step and the rows is a
-:class:`MarchPlan`, which also owns what the march writes: the output
-buffer, the update and the per-slot measure.  It holds each step's
-exponential on the 2/3 band (stored once for a forward row; a backward
-row's is its conjugate), S's output symbols with the mask and orientation
-folded in, a constant uniform table's affine map, and the work arrays of
-the stages, the scan, the update and the midpoints.  The coupled solver
-builds one plan beside its table and hands it to every sweep, so the
-sweeps re-derive nothing and allocate no array of a row block or more; a
-call without a plan builds its own.  Every product keeps the operand order
-and the rounding of the arithmetic it replaces, so a plan changes no bit
-of a solve.
+What a march derives from the table, the step and the rows, and what it
+writes, is a :class:`MarchPlan`: each step's exponential on the 2/3 band
+(stored once for a forward row; a backward row's is its conjugate), S's
+output symbols with the mask and orientation folded in, a constant
+uniform table's affine map, the work arrays, and the output, the update
+and the norms.  The coupled solver builds one plan beside its table and
+hands it to every sweep, so the sweeps re-derive nothing and allocate no
+array of a row block or more; a call without a plan builds its own.  Every
+product keeps the operand order and the rounding of the arithmetic it
+replaces, so a plan changes no bit of a solve.
 """
 
 from __future__ import annotations
@@ -340,14 +338,12 @@ class MarchPlan:
     zero-mean flag); :meth:`require` raises ConfigError for any other.  It
     holds:
 
-    - what each march writes: ``out``, the (rows, n_steps + 1, n) hats in
-      march order (row r belongs to the r-th problem; a backward row runs
-      in reversed time), zero until the first march, each march
-      overwriting the last; ``update``, each row's sup over the slots of
-      ``hat_norm(new - old)``; and ``measure``, (rows, 2, n_steps + 1),
-      each slot's ``hat_norm`` and that of its wrong-side part (``side``:
-      P+ of a forward row, P- of a backward one), bit for bit
-      ``norm_series``;
+    - what each march writes over the last: ``out``, the hats in march
+      order (row r is the r-th problem's; a backward row runs in reversed
+      time), zero before the first march; ``update``, each row's sup of
+      ``hat_norm(new - old)`` over the slots; and ``measure``, each slot's
+      ``hat_norm`` and that of its wrong side (``side``: P+ of a forward
+      row, P- of a backward one), bit for bit ``norm_series``;
     - ``exponentials``: each step's Lawson exponential E on the
       non-negative 2/3 band, one row per step (one row on a constant
       table), for a forward row.  E is even in xi, so :meth:`load` mirrors
@@ -701,21 +697,25 @@ def _march(problems: list[LinearProblem], plan: MarchPlan) -> None:
     if plan.affine:
         A, C = plan.affine_map()
 
-    def scan(hats: np.ndarray, slots: slice) -> None:
-        """One np.abs of the slots ``slots``: the blow-up scan, then, squared, ``measure``."""
-        mag = np.abs(hats, out=plan.mag[:, : hats.shape[1]])
+    def write(block: np.ndarray, slots: slice) -> None:
+        """The one write path: one np.abs of ``block``, the new ``slots``, for the
+        blow-up scan and, squared, ``measure``; then the update against the old
+        slots, and the copy."""
+        mag = np.abs(block, out=plan.mag[:, : block.shape[1]])
         _check_state(mag, slots.start, scale)
         measure[:, 0, slots] = power_norm(grid, np.square(mag, out=mag))
         measure[:, 1, slots] = power_norm(grid, np.multiply(mag, plan.side[:, None], out=mag))
+        out[:, slots] -= block   # old - new in place of the old slots, then the new ones
+        np.square(np.abs(out[:, slots], out=mag), out=mag)
+        np.maximum(update, np.max(power_norm(grid, mag), axis=1), out=update)
+        out[:, slots] = block
 
     state = plan.state   # the masked datums, then every step in turn
     for r, q in enumerate(problems):
         np.multiply(q.datum.hat, plan.keep[r], out=state[r])
     scale = np.maximum(np.max(np.abs(state), axis=1), [max(q.source_peak or 0.0, 1e-30) for q in problems])
-    out[:, 0] -= state
-    update[:] = power_norm(grid, np.square(np.abs(out[:, 0], out=plan.mag[:, 0]), out=plan.mag[:, 0]))
-    out[:, 0] = state
-    scan(out[:, :1], slice(0, 1))
+    update[:] = 0.0
+    write(state[:, None], slice(0, 1))
     if active and not plan.affine:
         for r, hats in enumerate(march_hats):   # an unsourced row reads zero forcing
             if hats is None:
@@ -725,7 +725,6 @@ def _march(problems: list[LinearProblem], plan: MarchPlan) -> None:
 
     for steps in row_blocks(n_steps, len(problems) * grid.n):
         lo, hi = steps.start, steps.stop
-        slots = slice(lo + 1, hi + 1)
         buf = plan.buffer[:, : hi - lo]
         if plan.affine:
             for r, hats in enumerate(march_hats):
@@ -763,12 +762,7 @@ def _march(problems: list[LinearProblem], plan: MarchPlan) -> None:
                     forcing = (plan.forcing[step % 2], plan.forcing[2], end)
                 plan.step(state, forcing, state)
                 buf[:, j] = state
-        scan(buf, slots)
-        # old - new in place of the old slots, then the new ones
-        out[:, slots] -= buf
-        mag = np.square(np.abs(out[:, slots], out=plan.mag[:, : hi - lo]), out=plan.mag[:, : hi - lo])
-        np.maximum(update, np.max(power_norm(grid, mag), axis=1), out=update)
-        out[:, slots] = buf
+        write(buf, slice(lo + 1, hi + 1))
 
 
 @dataclass(frozen=True)
