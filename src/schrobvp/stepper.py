@@ -698,9 +698,9 @@ def _march(problems: list[LinearProblem], plan: MarchPlan) -> None:
         A, C = plan.affine_map()
 
     def write(block: np.ndarray, slots: slice) -> None:
-        """The one write path: one np.abs of ``block``, the new ``slots``, for the
-        blow-up scan and, squared, ``measure``; then the update against the old
-        slots, and the copy."""
+        """Write ``block`` over ``slots``, the datum slot and every block of steps
+        alike: one np.abs for the blow-up scan and, squared, ``measure``; then
+        the update against the old slots, and the copy."""
         mag = np.abs(block, out=plan.mag[:, : block.shape[1]])
         _check_state(mag, slots.start, scale)
         measure[:, 0, slots] = power_norm(grid, np.square(mag, out=mag))

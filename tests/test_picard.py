@@ -838,21 +838,21 @@ def blocked_outputs(n):
     }
 
 
-@pytest.mark.parametrize("n", [256, 512])
-def test_block_budget_changes_no_result(monkeypatch, n):
+def test_block_budget_changes_no_result(monkeypatch):
     # CHUNK_BYTES sets speed and peak memory only: blocks of 2 rows and one
     # block of every row give the same bits.  At n = 512 a block of the 41
     # slices passes 256 KiB, where numpy reuses a temporary operand as the
     # output of a product (and may swap the operands)
-    results = []
-    for budget in (1 << 13, 1 << 24):
-        monkeypatch.setattr(spectral, "CHUNK_BYTES", budget)
-        results.append(blocked_outputs(n))
-    assert spectral.chunk_rows(n) > 81   # the half-step table's row count
-    assert n < 512 or 41 * n * 16 > 256 << 10
-    small, large = results
-    for kernel, arrays in small.items():
-        assert all(np.array_equal(a, b) for a, b in zip(arrays, large[kernel], strict=True)), kernel
+    assert 41 * 512 * 16 > 256 << 10
+    for n in (256, 512):
+        results = []
+        for budget in (1 << 13, 1 << 24):
+            monkeypatch.setattr(spectral, "CHUNK_BYTES", budget)
+            results.append(blocked_outputs(n))
+        assert spectral.chunk_rows(n) > 81   # the half-step table's row count
+        small, large = results
+        for kernel, arrays in small.items():
+            assert all(np.array_equal(a, b) for a, b in zip(arrays, large[kernel], strict=True)), (n, kernel)
 
 
 class TestPeakMemory:
