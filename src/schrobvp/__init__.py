@@ -16,6 +16,7 @@ the forward problem) is measured by a monitor rather than assumed.
 from .errors import (
     ConfigError,
     ConstructionError,
+    ConvergenceError,
     DivergenceError,
     GridMismatchError,
     HorizonError,

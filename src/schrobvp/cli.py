@@ -10,7 +10,10 @@ Subcommands
 
 Artifacts are JSON for configs and reports, CSV for time series, and the
 field dump formats for slices; every file is written atomically (temp file
-plus rename), so a failed run never leaves a partial artifact.  Reports are
+plus rename), so a failed run never leaves a partial artifact, and only
+after the run's inputs are checked and its compute is done, so the run
+directory appears with its first file and a rejected or failed run leaves
+none (``_finish``).  Reports are
 deterministic given the same scenario and seed: wall-clock numbers go to a
 separate timings.json that the determinism guarantee excludes.
 
@@ -42,7 +45,7 @@ from .coefficients import (
     select_horizon,
 )
 from .commutators import estimate_constant
-from .errors import ConfigError, ValidationError, require_horizon, typed
+from .errors import ConfigError, ConvergenceError, ValidationError, require_horizon, typed
 from .estimates import (
     EstimateReport,
     bootstrap_diagnostics,
@@ -278,17 +281,35 @@ def resolve_horizon(sc: ScenarioConfig, flag_T: float | None) -> tuple[float, bo
 
 # --- artifact helpers -------------------------------------------------------
 
-def _write_json(path: Path, obj: dict | list) -> None:
-    atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
-
-
 def _out_dir(flag: str | None, scenario_value: str | None = None) -> Path:
+    """The run directory's path; nothing is created here (see ``_finish``)."""
     chosen = flag or scenario_value or os.environ.get("SCHRO_OUT_DIR")
     if not chosen:
         raise ConfigError("no output directory: give --out-dir or set SCHRO_OUT_DIR")
-    path = Path(chosen)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(chosen)
+
+
+def _finish(out: Path, files: dict, timings: dict | None = None, report: str = "report.json") -> None:
+    """Write the rest of a run into ``out``, once its inputs are checked and its compute is done.
+
+    Nothing makes ``out`` before a run's first file (fieldio's writers create
+    the parent), so a rejected or failed run leaves no directory.  ``files``
+    maps names to text or to JSON values; ``report`` comes after the others,
+    with the package versions and, for ``report.json`` with timings, a
+    pointer to ``timings.json``, which is written last.
+    """
+    extra = {"versions": {"schrobvp": __version__, "numpy": np.__version__,
+                          "python": platform.python_version()}}
+    if timings is not None and report == "report.json":
+        extra["timing"] = {"file": "timings.json"}
+    ordered = sorted(files.items(), key=lambda item: item[0] == report)   # the report last
+    if timings is not None:
+        ordered.append(("timings.json", timings))
+    for name, body in ordered:
+        if name == report:
+            body = {**body, **extra}
+        text = body if isinstance(body, str) else json.dumps(body, sort_keys=True, indent=2) + "\n"
+        atomic_write_text(out / name, text)
 
 
 def _dump_field(f: SpectralField, path_base: Path, fmt: str) -> str:
@@ -297,14 +318,6 @@ def _dump_field(f: SpectralField, path_base: Path, fmt: str) -> str:
         return path_base.with_suffix(".csv").name
     dump_field_binary(f, path_base.with_suffix(".spf"))
     return path_base.with_suffix(".spf").name
-
-
-def _versions() -> dict:
-    return {
-        "schrobvp": __version__,
-        "numpy": np.__version__,
-        "python": platform.python_version(),
-    }
 
 
 def _storage_stride(n_slices: int) -> int:
@@ -387,7 +400,6 @@ def _dump_requested_times(
     if not sc.times:
         return []
     dumps_dir = run_dir / "dumps"
-    dumps_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     times = asm.w.times
     for j, t in enumerate(sc.times):
@@ -456,12 +468,11 @@ def _estimates_exit(reports: list[EstimateReport]) -> int:
     return 2 if any(r.verdict == "fail" for r in reports) else 0
 
 
-def _write_estimate_artifacts(out: Path, reports: list[EstimateReport]) -> None:
-    _write_json(out / "estimates.json", [r.to_dict() for r in reports])
+def _estimate_files(reports: list[EstimateReport]) -> dict:
     rows = ["name,lhs,rhs,ratio,verdict"]
     for r in reports:
         rows.append(f"{r.name},{r.lhs:.17g},{r.rhs:.17g},{r.ratio:.17g},{r.verdict}")
-    atomic_write_text(out / "estimates.csv", "\n".join(rows) + "\n")
+    return {"estimates.json": [r.to_dict() for r in reports], "estimates.csv": "\n".join(rows) + "\n"}
 
 
 # --- subcommands ------------------------------------------------------------
@@ -504,10 +515,8 @@ def cmd_free_bvp(args: argparse.Namespace) -> int:
 
     norms = np.concatenate([v.norm_series() for v in slices])
     write_norms_csv(out / "norms.csv", data.times, {"norm_v": norms})
-    fields_dir = out / "dumps"
-    fields_dir.mkdir(parents=True, exist_ok=True)
     for j, v in enumerate(slices):
-        _dump_field(v.slice(0), fields_dir / f"v_{j:04d}", args.field_format)
+        _dump_field(v.slice(0), out / "dumps" / f"v_{j:04d}", args.field_format)
     report = {
         "config": {
             "beta": args.beta, "T": args.T,
@@ -516,11 +525,8 @@ def cmd_free_bvp(args: argparse.Namespace) -> int:
         },
         "estimate": asdict(est),
         "times": [float(t) for t in data.times],
-        "timing": {"file": "timings.json"},
-        "versions": _versions(),
     }
-    _write_json(out / "report.json", report)
-    _write_json(out / "timings.json", {"total_s": elapsed})
+    _finish(out, {"report.json": report}, {"total_s": elapsed})
     ok = est.ratio <= 1.0 + 1e-10
     print(f"free-bvp: sup ratio {est.ratio:.12f} ({'pass' if ok else 'FAIL'}); artifacts in {out}")
     return 0 if ok else 2
@@ -550,7 +556,6 @@ def cmd_linear(args: argparse.Namespace) -> int:
 
     norms = sol.norm_series()   # measured once: the sup norm is read from it
     write_norms_csv(out / "norms.csv", sol.times, {"norm_v": norms})
-    _write_estimate_artifacts(out, reports)
     report = {
         "scenario": sc.raw,
         "direction": args.direction,
@@ -558,11 +563,8 @@ def cmd_linear(args: argparse.Namespace) -> int:
         "sup_norm": float(np.max(norms)),
         "datum_norm": datum.norm_l2(),
         "estimates": [r.to_dict() for r in reports],
-        "timing": {"file": "timings.json"},
-        "versions": _versions(),
     }
-    _write_json(out / "report.json", report)
-    _write_json(out / "timings.json", {"total_s": elapsed})
+    _finish(out, {**_estimate_files(reports), "report.json": report}, {"total_s": elapsed})
     code = _estimates_exit(reports)
     print(f"linear: sup norm {report['sup_norm']:.6g}, exit {code}; artifacts in {out}")
     return code
@@ -570,7 +572,11 @@ def cmd_linear(args: argparse.Namespace) -> int:
 
 def run_picard_scenario(raw: dict, out_dir: str | None, flag_T: float | None = None,
                         field_format: str = "binary") -> int:
-    """One full scenario run: solve, monitor, and write the run directory."""
+    """One full scenario run: solve, monitor, and write the run directory.
+
+    A run whose sweeps reach ``m_max`` raises ConvergenceError and, like every
+    rejected or failed run, writes nothing.
+    """
     sc = build_scenario(raw)
     out = _out_dir(out_dir, sc.out_dir)
     horizon, override, trace = resolve_horizon(sc, flag_T)
@@ -584,7 +590,7 @@ def run_picard_scenario(raw: dict, out_dir: str | None, flag_T: float | None = N
     vp, vm, report = picard_solve(problem, tol=sc.tol, m_max=sc.m_max)
     solve_s = time.perf_counter() - t0
     if not report.converged:
-        raise RuntimeError(
+        raise ConvergenceError(
             f"no convergence in {sc.m_max} sweeps (last update {report.diff_norms[-1]:.3g})"
         )
     asm = assemble_solution(vp, vm, sc.weight)
@@ -603,8 +609,6 @@ def run_picard_scenario(raw: dict, out_dir: str | None, flag_T: float | None = N
     )
     storage = _store_carriers(out, vp, vm)
     dumps = _dump_requested_times(out, sc, asm, field_format)
-    _write_estimate_artifacts(out, monitors)
-    _write_json(out / "scenario.json", sc.raw)
     run_report = {
         "scenario": sc.raw,
         "horizon": trace,
@@ -612,11 +616,11 @@ def run_picard_scenario(raw: dict, out_dir: str | None, flag_T: float | None = N
         "estimates": [r.to_dict() for r in monitors],
         "storage": storage,
         "dumps": dumps,
-        "timing": {"file": "timings.json"},
-        "versions": _versions(),
     }
-    _write_json(out / "report.json", run_report)
-    _write_json(out / "timings.json", {"solve_s": solve_s, "estimates_s": estimate_s})
+    _finish(
+        out, {**_estimate_files(monitors), "scenario.json": sc.raw, "report.json": run_report},
+        {"solve_s": solve_s, "estimates_s": estimate_s},
+    )
     code = _estimates_exit(monitors)
     print(
         f"picard: converged in {report.iterations} sweeps at T={horizon:.6g}, "
@@ -644,7 +648,7 @@ def cmd_verify_estimates(args: argparse.Namespace) -> int:
     table = OperatorTable(sc.coeffs, sc.weight, vp.times)
     bundle = norm_bundle(sc.coeffs, sc.weight.sup_logderiv, vp.times, sc.grid)
     reports = run_monitors(sc, vp, vm, asm.w, table, bundle)
-    _write_estimate_artifacts(out, reports)
+    _finish(out, _estimate_files(reports))
     code = _estimates_exit(reports)
     for r in reports:
         print(f"{r.name}: ratio {r.ratio:.6g} [{r.verdict}]")
@@ -713,18 +717,9 @@ def cmd_commutator_bench(args: argparse.Namespace) -> int:
                 rows.append(f"{args.operator},{l},{m},{p:.17g},{trial},{ratio:.17g}")
             summary.append(est.to_dict())
     elapsed = time.perf_counter() - t0
-    atomic_write_text(out / "bench.csv", "\n".join(rows) + "\n")
-    _write_json(
-        out / "bench-summary.json",
-        {
-            "operator": args.operator,
-            "trials": args.trials,
-            "seed": args.seed,
-            "estimates": summary,
-            "versions": _versions(),
-        },
-    )
-    _write_json(out / "timings.json", {"total_s": elapsed})
+    report = {"operator": args.operator, "trials": args.trials, "seed": args.seed, "estimates": summary}
+    _finish(out, {"bench.csv": "\n".join(rows) + "\n", "bench-summary.json": report},
+            {"total_s": elapsed}, report="bench-summary.json")
     worst = max(e["max_ratio"] for e in summary)
     print(f"commutator-bench: {len(summary)} ensembles, worst ratio {worst:.6g}; artifacts in {out}")
     return 0
@@ -752,18 +747,15 @@ def cmd_mizohata(args: argparse.Namespace) -> int:
     R = args.R if args.R is not None else 0.5 * grid.half_length
     rep = mizohata_index(vals, grid, R)
     write_norms_csv(out / "running.csv", rep.radii, {"running_sup": rep.running_sup})
-    _write_json(
-        out / "report.json",
-        {
-            "b": label,
-            "R": R,
-            "grid": {"n": grid.n, "L": grid.half_length},
-            "sup_value": rep.sup_value,
-            "growth_slope": rep.growth_slope,
-            "verdict": rep.verdict,
-            "versions": _versions(),
-        },
-    )
+    report = {
+        "b": label,
+        "R": R,
+        "grid": {"n": grid.n, "L": grid.half_length},
+        "sup_value": rep.sup_value,
+        "growth_slope": rep.growth_slope,
+        "verdict": rep.verdict,
+    }
+    _finish(out, {"report.json": report})
     print(f"mizohata: verdict {rep.verdict}, sup {rep.sup_value:.6g}, slope {rep.growth_slope:.6g}")
     return 0
 

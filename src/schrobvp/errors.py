@@ -40,6 +40,10 @@ class DivergenceError(RuntimeError):
     """Fixed-point sweeps stopped contracting."""
 
 
+class ConvergenceError(RuntimeError):
+    """Fixed-point sweeps reached their cap without meeting the tolerance."""
+
+
 _KINDS = {
     int: (numbers.Integral, "an integer"),
     float: (numbers.Real, "a real number"),

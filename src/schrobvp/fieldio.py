@@ -116,16 +116,13 @@ def load_field_csv(path: str | Path) -> SpectralField:
 
 
 def field_binary_bytes(grid: Grid1D, values: np.ndarray) -> bytes:
-    """The SPF1 file contents of the samples ``values`` on ``grid``."""
-    interleaved = np.empty(2 * grid.n, dtype="<f8")
-    interleaved[0::2] = values.real
-    interleaved[1::2] = values.imag
-    return (
-        _MAGIC
-        + struct.pack("<Q", grid.n)
-        + struct.pack("<d", grid.half_length)
-        + interleaved.tobytes()
-    )
+    """The SPF1 file contents of the samples ``values`` on ``grid``.
+
+    A little-endian complex128 array already holds (re, im) pairs in order,
+    so its bytes are the payload.
+    """
+    payload = np.asarray(values, dtype="<c16").tobytes()
+    return _MAGIC + struct.pack("<Q", grid.n) + struct.pack("<d", grid.half_length) + payload
 
 
 def dump_field_binary(field: SpectralField, path: str | Path) -> None:

@@ -92,6 +92,8 @@ __all__ = [
 
 _STIFF_EXPONENT_CAP = 50.0
 _BLOWUP_FACTOR = 1e12
+# RK4 keeps |R(iy)| <= 1 exactly for |y| <= 2 sqrt 2 on the imaginary axis
+_RK4_IMAGINARY_REACH = 2.0 * math.sqrt(2.0)
 
 
 def heat_quartic(f: SpectralField, s: float) -> SpectralField:
@@ -146,6 +148,34 @@ class StepperConfig:
             raise ConfigError(
                 f"eps xi_max^4 dt = {stiff:.3g} exceeds the cap {_STIFF_EXPONENT_CAP:g}; shrink dt or eps"
             )
+
+
+def _rk4_gain(z: complex) -> float:
+    """|R(z)| of RK4's stability polynomial R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24."""
+    return abs(1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0)
+
+
+def _require_rk4_stable(table: OperatorTable, horizon: float, n_steps: int) -> None:
+    """Raise ConfigError, naming the least step count that passes, when the
+    explicit remainder leaves RK4's stability region.
+
+    The RK4 stages take i d/dx((a - abar) d/dx), whose band-edge eigenvalue
+    has modulus max|a - abar| xi_max^2 (max over the table's rows, xi_max
+    the 2/3-band edge); RK4's polynomial is evaluated at i dt times it.  The
+    drift's real part 2 a q xi is left out.
+    """
+    xi = table.grid.xi[_band_top(table.grid.n)]
+    spread = np.maximum(table.a.max(axis=1) - table.abar, table.abar - table.a.min(axis=1))
+    reach = horizon * float(np.max(spread)) * xi**2   # dt times the rate, times n_steps
+    gain = _rk4_gain(1j * reach / n_steps)
+    if gain > 1.0:
+        least = math.ceil(reach / _RK4_IMAGINARY_REACH)
+        while _rk4_gain(1j * reach / least) > 1.0:   # round-off at the edge
+            least += 1
+        raise ConfigError(
+            f"n_steps = {n_steps} puts dt max|a - abar| xi_max^2 = {reach / n_steps:.3g} outside "
+            f"RK4's stability region (|R| = {gain:.3g} > 1); use n_steps >= {least}"
+        )
 
 
 @dataclass
@@ -377,6 +407,7 @@ class MarchPlan:
         self.grid = grid = table.grid
         self.table = table
         self.n_steps = cfg.resolve_steps(horizon)
+        _require_rk4_stable(table, horizon, self.n_steps)   # before the first march and allocation
         self.dt = horizon / self.n_steps
         self.epsilon = cfg.epsilon
         self.rows = (tuple(directions), tuple(zero_mean))

@@ -16,7 +16,7 @@ from schrobvp.cli import (
     load_scenario_source,
 )
 from schrobvp.coefficients import norm_bundle, select_horizon
-from schrobvp.errors import ConfigError, HorizonError, ValidationError
+from schrobvp.errors import ConfigError, ConvergenceError, HorizonError, ValidationError
 from schrobvp.estimates import EstimateReport
 from schrobvp.fieldio import dump_field_binary, load_field
 from schrobvp.picard import BvpProblem, assemble_solution, picard_solve
@@ -434,7 +434,53 @@ class TestErrorsAndExitCodes:
         assert cli.main(argv + ["--out-dir", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: horizon must be positive and finite, got inf")
-        assert not (out / "report.json").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["free-bvp", "--grid-n", "64", "--datum-f", "nosuch"], "nosuch"),
+            (["commutator-bench", "--grid-n", "256", "--trials", "2", "--lm", "0,a"], "--lm"),
+            (["mizohata", "--grid-n", "256", "--b", "y"], "y"),
+        ],
+        ids=["free-bvp-datum", "commutator-bench-lm", "mizohata-b"],
+    )
+    def test_rejected_input_leaves_no_directory(self, tmp_path, capsys, argv, needle):
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and needle in err
+        assert not out.exists()
+
+    def test_verify_without_stored_slices_leaves_no_directory(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "scenario.json").write_text(json.dumps(SMALL))
+        out = tmp_path / "new"
+        assert cli.main(["verify-estimates", "--run-dir", str(run), "--out-dir", str(out)]) == 1
+        assert "fields/times.csv missing" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_diverged_run_leaves_no_directory(self, tmp_path, capsys):
+        # at n = 512 and 128 steps the benchmark's sweeps contract at T = 0.5 and not at 0.75
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"preset": "benchmark", "grid": {"n": 512}, "stepper": {"n_steps": 128}}))
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning, match="override"):
+            code = cli.main(["picard", "--scenario", str(scenario), "--T", "0.75", "--out-dir", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: no contraction for 3 consecutive sweeps")
+        assert not out.exists()
+
+    def test_non_converged_run_is_named_and_leaves_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(ConvergenceError, match="no convergence in 1 sweeps"):
+            cli.run_picard_scenario(merge_scenario(load_preset("decoupled"), {"m_max": 1}), str(out))
+        assert not out.exists()
+        scenario = small_scenario_file(tmp_path, {"m_max": 1})
+        assert cli.main(["picard", "--scenario", scenario, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: no convergence in 1 sweeps")
+        assert not out.exists()
 
     def test_estimate_failure_maps_to_2(self):
         failing = EstimateReport(

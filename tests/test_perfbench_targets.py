@@ -56,6 +56,38 @@ def test_every_sweep_is_one_traced_solve_linear_call(monkeypatch):
     assert tracer.counts["stepper.steps"] == report.iterations * sc.stepper.n_steps
 
 
+def test_every_run_file_is_written_in_a_traced_span(tmp_path, monkeypatch):
+    # fieldio.write wraps the writers cli calls by name; the run directory
+    # appears with the first of them, after the solve
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    out = tmp_path / "run"
+    written = []
+
+    def recorded(write):
+        def wrapper(path, *args):
+            open_span = tracer.spans[tracer._open[-1]][0] if tracer._open else None
+            written.append((Path(path).name, open_span, out.exists()))
+            return write(path, *args)
+
+        return wrapper
+
+    for name in ("atomic_write_text", "write_norms_csv"):
+        monkeypatch.setattr(cli, name, recorded(getattr(cli, name)))
+    raw = merge_scenario(load_preset("benchmark"), {"grid": {"n": 256}})
+    try:
+        tracing.install(tracer)
+        assert cli.run_picard_scenario(raw, str(out)) == 0
+    finally:
+        tracer.uninstall()
+    assert written[0] == ("norms.csv", "fieldio.write", False)
+    assert {name for name, span, _ in written if span == "fieldio.write"} == {
+        "norms.csv", "estimates.json", "estimates.csv", "scenario.json", "report.json", "timings.json",
+    }
+    assert [name for name, *_ in written[-2:]] == ["report.json", "timings.json"]
+
+
 def test_oracle_check_on_a_smoke_decoupled_run(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     workloads = importlib.import_module("workloads")

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from schrobvp import spectral
+from schrobvp import spectral, stepper
 from schrobvp.cli import build_scenario
 from schrobvp.coefficients import CoefficientField, norm_bundle
 from schrobvp.errors import ConfigError, GridMismatchError, StabilityError
@@ -33,10 +33,11 @@ from schrobvp.stepper import (
     apply_s,
     epsilon_study,
     _midpoints,
+    _require_rk4_stable,
     heat_quartic,
     solve_linear,
 )
-from schrobvp.presets import load_preset
+from schrobvp.presets import load_preset, merge_scenario
 from schrobvp.weights import build_weight, unit_weight
 
 CONST = CoefficientField("1", "0")
@@ -115,6 +116,41 @@ class TestConfigValidation:
         )
         with pytest.raises(ConfigError, match="cap"):
             solve_linear(p, StepperConfig(epsilon=1.0, n_steps=128))
+
+    @pytest.mark.parametrize("n_steps", [64, 72, 112])
+    def test_rk4_region_on_the_fine_benchmark_grid(self, n_steps):
+        # benchmark at n = 16384 and T = 1/64: 72 steps blow up in the march
+        # and 112 converge; the check reads the table alone
+        sc = build_scenario(merge_scenario(load_preset("benchmark"), {"grid": {"n": 16384}}))
+        times = np.linspace(0.0, 1 / 64, n_steps + 1)
+        table = OperatorTable(sc.coeffs, sc.weight, times, half_steps=True)
+        if n_steps == 112:
+            _require_rk4_stable(table, 1 / 64, n_steps)
+            return
+        with pytest.raises(ConfigError, match=f"n_steps = {n_steps} .*RK4.*use n_steps >= 98$"):
+            _require_rk4_stable(table, 1 / 64, n_steps)
+
+    def test_rk4_region_is_checked_before_the_march(self, monkeypatch):
+        grid = Grid1D(256, 8.0)
+        p = LinearProblem(
+            direction="forward",
+            coeffs=CoefficientField("1 + 0.9*sech(x)", "0"),
+            weight=unit_weight(grid),
+            source=None,
+            datum=gaussian_field(grid),
+            horizon=0.05,
+        )
+        def no_march(*args):
+            pytest.fail("the march ran")
+
+        monkeypatch.setattr(stepper, "_march", no_march)
+        with pytest.raises(ConfigError, match=r"n_steps = 4 .*use n_steps >= \d+$") as err:
+            solve_linear(p, StepperConfig(epsilon=0.0, n_steps=4))
+        least = int(str(err.value).rsplit(" ", 1)[1])
+        with pytest.raises(ConfigError, match=f"n_steps = {least - 1} "):
+            solve_linear(p, StepperConfig(epsilon=0.0, n_steps=least - 1))
+        monkeypatch.undo()
+        assert np.all(np.isfinite(solve_linear(p, StepperConfig(epsilon=0.0, n_steps=least)).hats))
 
     def test_bad_direction(self):
         grid = Grid1D(64, 8.0)
