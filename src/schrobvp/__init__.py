@@ -15,7 +15,6 @@ the forward problem) is measured by a monitor rather than assumed.
 
 from .errors import (
     ConfigError,
-    ConstructionError,
     ConvergenceError,
     DivergenceError,
     GridMismatchError,

@@ -73,7 +73,7 @@ _TOP_KEYS = {
     "horizon", "override_horizon", "tol", "m_max", "times", "out_dir", "seed",
 }
 _GRID_KEYS = {"n", "L"}
-_WEIGHT_KEYS = {"beta", "mode", "margin"}
+_WEIGHT_KEYS = {"beta", "mode"}
 _COEFF_KEYS = {"a", "W", "lambda"}
 _DATA_KEYS = {"f", "g"}
 _STEPPER_KEYS = {"epsilon", "dt", "n_steps"}
@@ -175,7 +175,6 @@ def build_scenario(raw: dict) -> ScenarioConfig:
         typed(weight_spec["beta"], float, "weight.beta"),
         grid,
         mode=typed(weight_spec.get("mode", "truncated"), str, "weight.mode"),
-        margin=_optional(weight_spec.get("margin"), float, "weight.margin"),
     )
 
     coeff_spec = resolved.get("coefficients")

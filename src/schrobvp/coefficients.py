@@ -336,10 +336,8 @@ def mizohata_index(b: SpectralField | np.ndarray, grid: Grid1D, R_max: float) ->
     radii (fitted slope above 0.1 * sup / R_max), which is the signature
     of an unintegrable imaginary drift.
     """
-    if R_max > grid.half_length:
-        raise ValueError(f"R_max {R_max:g} exceeds the half-domain {grid.half_length:g}")
-    if R_max <= 0:
-        raise ValueError("R_max must be positive")
+    if not 0.0 < R_max <= grid.half_length:   # NaN fails too
+        raise ValueError(f"R_max must lie in (0, {grid.half_length:g}], the half-domain; got {R_max:g}")
     vals = b.values if isinstance(b, SpectralField) else np.asarray(b)
     if vals.shape != (grid.n,):
         raise ConfigError("drift field shape does not match the grid")

@@ -16,10 +16,6 @@ class ResolvableRangeError(ValueError):
     """Dyadic block index outside the range the grid can represent."""
 
 
-class ConstructionError(ValueError):
-    """A builder produced an object violating its own contract."""
-
-
 class ConfigError(ValueError):
     """Invalid or inconsistent configuration."""
 
@@ -69,3 +65,16 @@ def require_horizon(horizon: float) -> None:
     """Raise ConfigError unless ``horizon`` is positive and finite (NaN fails too)."""
     if not 0.0 < horizon < math.inf:
         raise ConfigError(f"horizon must be positive and finite, got {horizon:g}")
+
+
+_EXP_ARG_CAP = 690.0  # e^690 stays clear of double overflow
+
+
+def require_decay_rate(beta: float, half_length: float) -> None:
+    """Raise ConfigError naming beta unless 0 < beta < inf and beta^2 and e^(beta L) are finite."""
+    if not 0.0 < beta < math.inf:
+        raise ConfigError(f"beta must be positive and finite, got {beta:g}")
+    if not (beta * half_length <= _EXP_ARG_CAP and beta * beta < math.inf):
+        raise ConfigError(
+            f"beta = {beta:g} overflows beta^2 or e^(beta L) at L = {half_length:g}; reduce beta or L"
+        )

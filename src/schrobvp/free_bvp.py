@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError, require_horizon
+from .errors import ConfigError, ValidationError, require_decay_rate, require_horizon
 from .spectral import Grid1D, SpaceTimeField, SpectralField, require_one_sided
 
 __all__ = [
@@ -57,14 +57,14 @@ class FreeBvpData:
     def __post_init__(self) -> None:
         if self.f.grid != self.g.grid:
             raise ValidationError("endpoint data live on different grids")
-        if not (self.beta > 0):
-            raise ConfigError(f"decay rate must be positive, got {self.beta}")
+        require_decay_rate(self.beta, self.grid.half_length)
         require_horizon(self.horizon)
         if self.times is None:
             self.times = np.linspace(0.0, self.horizon, 65)
         self.times = np.asarray(self.times, dtype=np.float64)
-        if self.times[0] < 0 or self.times[-1] > self.horizon + 1e-12:
-            raise ConfigError("output times must lie in [0, horizon]")
+        inside = (self.times >= 0.0) & (self.times <= self.horizon + 1e-12)   # NaN fails too
+        if not np.all(inside):
+            raise ConfigError(f"output times must lie in [0, {self.horizon:g}], got {self.times[~inside][0]:g}")
         require_one_sided(self.f, "-", "datum f")
         require_one_sided(self.g, "+", "datum g")
 

@@ -515,18 +515,22 @@ class AssembledSolution:
 def assemble_solution(
     v_plus: SpaceTimeField, v_minus: SpaceTimeField, weight: WeightProfile
 ) -> AssembledSolution:
-    """v = sum of carriers; u = v / weight; w = e^(beta x) u on the central window.
+    """v = sum of carriers; u = v / weight; w = e^(beta x) u times a central window.
 
-    The exponential transform is only evaluated on |x| <= L/2: data are
-    supported there, and outside the window a seam-crossing exponential
-    would amplify wrap-around garbage.  The hats of w are formed one block
-    of physical slices at a time; slices of v and u are formed when read.
+    The window 0.5[tanh(x + L/2) - tanh(x - L/2)] is 1 well inside
+    |x| < L/2 and falls off like e^(-2(|x| - L/2)) beyond.  It keeps
+    e^(beta x) u away from the seam, where the exponential would amplify
+    wrap-around content.  It is smooth, so w stays spectrally resolved and
+    its norms converge geometrically under refinement; a sharp cutoff would
+    put a jump into w.  The hats of w are formed one block of physical
+    slices at a time; slices of v and u are formed when read.
     """
     if v_plus.grid != v_minus.grid or v_plus.grid != weight.grid:
         raise GridMismatchError("carriers and weight must share one grid")
     grid = v_plus.grid
     times = v_plus.times
-    window = np.abs(grid.x) <= 0.5 * grid.half_length
+    half = 0.5 * grid.half_length
+    window = 0.5 * (np.tanh(grid.x + half) - np.tanh(grid.x - half))
     w_factor = np.exp(weight.beta * grid.x) / weight.values * window
     w_hats = np.empty((len(times), grid.n), dtype=np.complex128)
     for rows in row_blocks(len(times), grid.n):

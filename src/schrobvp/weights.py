@@ -1,16 +1,19 @@
-"""Exponential spatial weights with a C^4 switch-on region.
+"""Exponential spatial weights, each built from its log-derivative q.
 
-The truncated weight equals 1 on the left half-line and e^(beta x) beyond
-x = 10 beta, joined by exp(beta h(x)) where h is the unique degree-9
-polynomial (in x / (10 beta)) whose values and first four derivatives
-match both flat pieces.  Its logarithmic derivative therefore rises from 0
-to beta across the transition and is available analytically together with
-its first x-derivative, the one the operator's zeroth-order term reads;
-neither is periodic, so nothing here is differentiated spectrally.
+A weight is e^phi with phi' = q.  Each mode gives q and q' in closed
+form; phi is mean(q) x plus the spectral antiderivative of the periodic
+part q - mean(q), shifted so that phi(0) = 0.  The operator reads only q
+and q', so a smooth periodic q keeps the weighted problem spectrally
+accurate across the seam, while e^phi itself need not be periodic.
 
-The pure exponential mode keeps e^(beta x) everywhere.  It jumps across
-the periodic seam and is only safe for data that is compactly supported
-well inside the domain.
+* ``truncated``: q = (beta/2)[tanh((x - 5 beta)/0.5) - tanh((x - (L - 10))/0.5)].
+  It rises from 0 to beta near x = 5 beta and falls back near x = L - 10,
+  so the weight is 1 on the left, e^(beta x) times a constant in the
+  middle, and flat again before the seam, where q is below round-off.
+* ``pure_exponential``: q = beta, so the weight is exactly e^(beta x).  It
+  jumps across the periodic seam and is only safe for data that is
+  compactly supported well inside the domain.
+* ``unit_weight``: q = 0.
 """
 
 from __future__ import annotations
@@ -18,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
-from .errors import ConfigError, ConstructionError
+from .errors import ConfigError, require_decay_rate
 from .spectral import Grid1D
 
 __all__ = [
@@ -29,25 +31,24 @@ __all__ = [
     "unit_weight",
 ]
 
-# Degree-9 switch polynomial on [0, 1]: S(0)=...=S''''(0)=0, S(1)=S'(1)=1,
-# S''(1)=S'''(1)=S''''(1)=0.  The transition exponent is h = 10b * S(x/(10b)).
-_SWITCH = Polynomial([0, 0, 0, 0, 0, 70, -224, 280, -160, 35])
-_SWITCH_D1 = _SWITCH.deriv(1)
-_SWITCH_D2 = _SWITCH.deriv(2)
-
-_EXP_ARG_CAP = 690.0  # stay clear of double overflow in exp
+# the truncated profile: rise centred at 5 beta, fall centred at L - 10,
+# both of width 0.5.  The fall sits 20 widths from the seam, so q(+-L) is
+# below 1e-17 beta; the rise and fall must be 10 widths apart, where tanh
+# is within 1e-4 of its limits, for q to reach its plateau beta.
+_RAMP_WIDTH = 0.5
+_RISE_PER_BETA = 5.0
+_FALL_FROM_EDGE = 10.0
+_RAMP_GAP = 10.0 * _RAMP_WIDTH
 
 
 @dataclass(frozen=True)
 class WeightProfile:
     """Sampled weight, its log-derivative, and the latter's x-derivative.
 
-    ``values`` holds the weight itself; ``logderiv`` its logarithmic
-    derivative; ``logderiv_x`` the x-derivative of the log-derivative
-    (analytic, not spectral).  ``sup_logderiv`` is the measured sup of the
-    log-derivative, which for the truncated mode overshoots the nominal
-    rate (about 1.79 beta); every consumer that needs a rate bound uses
-    this measured value.
+    ``values`` holds the weight e^phi; ``logderiv`` its logarithmic
+    derivative q; ``logderiv_x`` the closed-form x-derivative q' (not
+    spectral).  ``sup_logderiv`` is max q on the grid; every consumer that
+    needs a rate bound uses this value.
     """
 
     grid: Grid1D
@@ -59,89 +60,57 @@ class WeightProfile:
     sup_logderiv: float
 
 
-def _transition_exponent(x: np.ndarray, beta: float) -> tuple[np.ndarray, ...]:
-    """h, the log-derivative and its x-derivative on the full axis, truncated mode."""
-    width = 10.0 * beta
-    tau = np.clip(x / width, 0.0, 1.0)
-    mid = (x > 0.0) & (x < width)
-    right = x >= width
+def _from_logderiv(grid: Grid1D, beta: float, mode: str, q: np.ndarray, q_x: np.ndarray) -> WeightProfile:
+    """The weight e^phi with phi' = q and phi(0) = 0 (x = 0 is node n/2)."""
+    # offset by q[0], so that a constant q has exactly its value as mean
+    # and an exactly zero periodic part: phi is then exactly mean * x
+    mean = q[0] + np.mean(q - q[0])
+    hat = np.fft.fft(q - mean)
+    nonzero = grid.xi != 0.0
+    hat[nonzero] /= 1j * grid.xi[nonzero]
+    hat[grid.n // 2] = 0.0  # the Nyquist mode has no antiderivative on the grid
+    periodic = np.fft.ifft(hat).real
+    phi = mean * grid.x + (periodic - periodic[grid.n // 2])
+    return WeightProfile(
+        grid=grid,
+        beta=beta,
+        mode=mode,
+        values=np.exp(phi),
+        logderiv=q,
+        logderiv_x=q_x,
+        sup_logderiv=float(np.max(q)),
+    )
 
-    h = np.zeros_like(x)
-    h[mid] = width * _SWITCH(tau[mid])
-    h[right] = x[right]
 
-    ld = np.zeros_like(x)  # beta * h'
-    ld[mid] = beta * _SWITCH_D1(tau[mid])
-    ld[right] = beta
-
-    d1 = np.zeros_like(x)
-    d1[mid] = _SWITCH_D2(tau[mid]) / 10.0
-    return h, ld, d1
-
-
-def build_weight(beta: float, grid: Grid1D, mode: str = "truncated", margin: float | None = None) -> WeightProfile:
-    """Construct the weight profile on ``grid``.
-
-    ``margin`` is the clearance required between the end of the transition
-    region and the domain edge in truncated mode (default L/4).
-    """
-    if not (beta > 0.0 and np.isfinite(beta)):
-        raise ConfigError(f"decay rate must be positive and finite, got {beta}")
-    if beta * grid.half_length > _EXP_ARG_CAP:
+def _truncated_logderiv(beta: float, grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
+    """q and q' of the truncated profile; q' = (beta / 2w)[sech^2(rise) - sech^2(fall)]."""
+    L = grid.half_length
+    rise = _RISE_PER_BETA * beta
+    fall = L - _FALL_FROM_EDGE
+    if rise + _RAMP_GAP > fall:
         raise ConfigError(
-            f"beta * L = {beta * grid.half_length:.3g} would overflow the weight; reduce beta or L"
+            f"weight ramps do not fit: beta = {beta:g} needs L >= {rise + _RAMP_GAP + _FALL_FROM_EDGE:g}, "
+            f"got L = {L:g}"
         )
+    t_rise = np.tanh((grid.x - rise) / _RAMP_WIDTH)
+    t_fall = np.tanh((grid.x - fall) / _RAMP_WIDTH)
+    q = 0.5 * beta * (t_rise - t_fall)
+    q_x = (0.5 * beta / _RAMP_WIDTH) * (t_fall**2 - t_rise**2)
+    return q, q_x
+
+
+def build_weight(beta: float, grid: Grid1D, mode: str = "truncated") -> WeightProfile:
+    """Construct the weight profile on ``grid``."""
+    require_decay_rate(beta, grid.half_length)
     if mode == "truncated":
-        if margin is None:
-            margin = grid.half_length / 4.0
-        if 10.0 * beta + margin >= grid.half_length:
-            raise ConfigError(
-                f"transition region [0, {10 * beta:g}] plus margin {margin:g} exceeds the half-domain {grid.half_length:g}"
-            )
-        h, ld, d1 = _transition_exponent(grid.x, beta)
-
-        # strict growth of the exponent across the transition, on grid nodes
-        # and on an oversampled lattice (catches any non-monotone interpolant)
-        inside = (grid.x >= 0.0) & (grid.x <= 10.0 * beta)
-        if np.any(np.diff(h[inside]) <= 0.0):
-            raise ConstructionError("transition exponent is not strictly increasing at grid nodes")
-        tau_fine = np.linspace(0.0, 1.0, 20001)[1:-1]
-        if np.min(_SWITCH_D1(tau_fine)) < -1e-12:
-            raise ConstructionError("switch polynomial has a decreasing segment")
-
-        vals = np.exp(beta * h)
-        sup_ld = float(np.max(_SWITCH_D1(tau_fine))) * beta
-        return WeightProfile(
-            grid=grid,
-            beta=beta,
-            mode=mode,
-            values=vals,
-            logderiv=ld,
-            logderiv_x=d1,
-            sup_logderiv=sup_ld,
-        )
-    if mode == "pure_exponential":
-        return WeightProfile(
-            grid=grid,
-            beta=beta,
-            mode=mode,
-            values=np.exp(beta * grid.x),
-            logderiv=np.full(grid.n, beta),
-            logderiv_x=np.zeros(grid.n),
-            sup_logderiv=beta,
-        )
-    raise ConfigError(f"unknown weight mode {mode!r}")
+        q, q_x = _truncated_logderiv(beta, grid)
+    elif mode == "pure_exponential":
+        q, q_x = np.full(grid.n, beta), np.zeros(grid.n)
+    else:
+        raise ConfigError(f"unknown weight mode {mode!r}")
+    return _from_logderiv(grid, beta, mode, q, q_x)
 
 
 def unit_weight(grid: Grid1D) -> WeightProfile:
     """Trivial weight (identically 1) for unweighted evolution."""
-    return WeightProfile(
-        grid=grid,
-        beta=0.0,
-        mode="unit",
-        values=np.ones(grid.n),
-        logderiv=np.zeros(grid.n),
-        logderiv_x=np.zeros(grid.n),
-        sup_logderiv=0.0,
-    )
-
+    return _from_logderiv(grid, 0.0, "unit", np.zeros(grid.n), np.zeros(grid.n))

@@ -1,4 +1,5 @@
-"""Acceptance suite: the eleven headline properties, one test each.
+"""Acceptance suite: the eleven headline properties, one test each, and the
+benchmark's spatial resolution.
 
 Each test prints a single summary line (visible in verbose/captured output)
 and asserts the stated tolerances.  The expensive coupled runs are shared
@@ -172,6 +173,15 @@ def test_criterion_04_benchmark_contraction(bench):
     assert boundary_ok
     assert leak_ok
     assert time_ok
+
+
+def test_benchmark_is_resolved_to_round_off(bench):
+    # the weight's periodic log-derivative leaves no seam, so the top fifth
+    # of the band holds only round-off and the sweeps meet the endpoint data
+    # to well below tol
+    report = bench["report"]
+    assert report.band_tail < 1e-15
+    assert max(report.boundary_residual_low, report.boundary_residual_high) < 1e-11
 
 
 def test_criterion_05_energy_bounds_per_subsolve(bench):

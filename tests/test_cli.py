@@ -378,7 +378,7 @@ class TestErrorsAndExitCodes:
             ({"seed": True}, "seed"),
             ({"grid": {"n": 128.9}}, "grid.n"),
             ({"grid": {"L": "24"}}, "grid.L"),
-            ({"weight": {"mode": "truncated", "margin": "5"}}, "weight.margin"),
+            ({"weight": {"beta": "1"}}, "weight.beta"),
             ({"weight": {"mode": 1}}, "weight.mode"),
             ({"horizon": "0.035"}, "horizon"),
             ({"data": {"f": 5}}, "data.f"),
@@ -442,8 +442,15 @@ class TestErrorsAndExitCodes:
             (["free-bvp", "--grid-n", "64", "--datum-f", "nosuch"], "nosuch"),
             (["commutator-bench", "--grid-n", "256", "--trials", "2", "--lm", "0,a"], "--lm"),
             (["mizohata", "--grid-n", "256", "--b", "y"], "y"),
+            # NaN and inf pass `> 0` tests, and 1e308 overflowed beta**2 uncaught
+            (["free-bvp", "--grid-n", "64", "--beta", "inf"], "beta"),
+            (["free-bvp", "--grid-n", "64", "--beta", "1e308"], "beta"),
+            (["free-bvp", "--grid-n", "64", "--times", "nan"], "times"),
+            (["free-bvp", "--grid-n", "64", "--times", "0.1,nan"], "times"),
+            (["mizohata", "--grid-n", "256", "--b", "I*sech(x)", "--R", "nan"], "R_max"),
         ],
-        ids=["free-bvp-datum", "commutator-bench-lm", "mizohata-b"],
+        ids=["free-bvp-datum", "commutator-bench-lm", "mizohata-b", "free-bvp-beta-inf",
+             "free-bvp-beta-overflow", "free-bvp-times-nan", "free-bvp-times-list-nan", "mizohata-R-nan"],
     )
     def test_rejected_input_leaves_no_directory(self, tmp_path, capsys, argv, needle):
         out = tmp_path / "out"
@@ -462,12 +469,12 @@ class TestErrorsAndExitCodes:
         assert not out.exists()
 
     def test_diverged_run_leaves_no_directory(self, tmp_path, capsys):
-        # at n = 512 and 128 steps the benchmark's sweeps contract at T = 0.5 and not at 0.75
+        # at n = 512 and 128 steps the benchmark's sweeps contract at T = 0.75 and not at 1.5
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps({"preset": "benchmark", "grid": {"n": 512}, "stepper": {"n_steps": 128}}))
         out = tmp_path / "out"
         with pytest.warns(UserWarning, match="override"):
-            code = cli.main(["picard", "--scenario", str(scenario), "--T", "0.75", "--out-dir", str(out)])
+            code = cli.main(["picard", "--scenario", str(scenario), "--T", "1.5", "--out-dir", str(out)])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: no contraction for 3 consecutive sweeps")
         assert not out.exists()

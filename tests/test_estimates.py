@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from schrobvp.cli import build_scenario, resolve_horizon
 from schrobvp.coefficients import CoefficientField, NormBundle, norm_bundle, select_horizon
 from schrobvp.errors import ConfigError, ValidationError
 from schrobvp.estimates import (
@@ -15,6 +16,7 @@ from schrobvp.estimates import (
 )
 from schrobvp.free_bvp import FreeBvpData, solve_free
 from schrobvp.picard import BvpProblem, assemble_solution, picard_solve
+from schrobvp.presets import load_preset, merge_scenario
 from schrobvp.spectral import (
     Grid1D,
     SpaceTimeField,
@@ -68,8 +70,8 @@ def localized_run():
 
 class TestEnergyMonitor:
     def test_zero_field_passes(self):
-        grid = Grid1D(128, 8.0)
-        w = build_weight(0.5, grid, mode="truncated", margin=2.0)
+        grid = Grid1D(128, 8 * np.pi)
+        w = build_weight(0.5, grid, mode="truncated")
         times = np.linspace(0.0, 0.1, 9)
         v = zero_stf(grid, times)
         rep = energy_monitor(v, None, "-", BENCH, w, rates(BENCH, w, v))
@@ -118,7 +120,7 @@ class TestEnergyMonitor:
 
     def test_negative_integrand_rejected(self):
         grid = Grid1D(256, 8 * np.pi)
-        w = build_weight(1.0, grid, mode="truncated", margin=5.0)
+        w = build_weight(1.0, grid, mode="truncated")
         dipping = CoefficientField("1 - 2*sech(x)", "0")
         times = np.linspace(0.0, 0.05, 5)
         v = SpaceTimeField(
@@ -131,16 +133,16 @@ class TestEnergyMonitor:
 
     @pytest.mark.parametrize("other", [np.linspace(0.0, 0.1, 9), np.linspace(0.0, 0.2, 17)])
     def test_bundle_on_another_time_grid_rejected(self, other):
-        grid = Grid1D(128, 8.0)
-        w = build_weight(0.5, grid, mode="truncated", margin=2.0)
+        grid = Grid1D(128, 8 * np.pi)
+        w = build_weight(0.5, grid, mode="truncated")
         v = zero_stf(grid, np.linspace(0.0, 0.1, 17))
         bundle = norm_bundle(BENCH, w.sup_logderiv, other, grid)
         with pytest.raises(ValidationError, match="time grid"):
             energy_monitor(v, None, "-", BENCH, w, bundle)
 
     def test_source_norms_enter_by_the_trapezoid_on_the_field_times(self):
-        grid = Grid1D(128, 8.0)
-        w = build_weight(0.5, grid, mode="truncated", margin=2.0)
+        grid = Grid1D(128, 8 * np.pi)
+        w = build_weight(0.5, grid, mode="truncated")
         v = zero_stf(grid, np.linspace(0.0, 0.1, 17))
         bundle = rates(BENCH, w, v)
         norms = 1.0 + v.times**2
@@ -191,6 +193,23 @@ class TestWeightedSmoothingMonitor:
             implied.append(rep.constants["implied_c"])
         assert implied[0] < 0.26
         assert abs(implied[1] - implied[0]) < 0.01 * implied[0]
+
+    def test_implied_c_converges_under_refinement_on_benchmark(self):
+        # the periodic weight and the smooth window keep w spectrally
+        # resolved, so criterion 11's constant settles to round-off
+        horizon = None
+        implied = []
+        for n in (1024, 2048, 4096):
+            raw = merge_scenario(load_preset("benchmark"), {"grid": {"n": n}, "horizon": horizon})
+            sc = build_scenario(raw)
+            horizon, _, _ = resolve_horizon(sc, None)
+            vp, vm, _ = picard_solve(BvpProblem(
+                f=sc.f, g=sc.g, coeffs=sc.coeffs, weight=sc.weight, horizon=horizon, stepper_cfg=sc.stepper,
+            ))
+            w = assemble_solution(vp, vm, sc.weight).w
+            implied.append(weighted_smoothing_monitor(w, sc.coeffs, sc.beta).constants["implied_c"])
+        for coarse, fine in zip(implied, implied[1:]):
+            assert abs(fine / coarse - 1.0) < 1e-10, implied
 
     def test_support_window_violation(self):
         grid = Grid1D(256, 8 * np.pi)

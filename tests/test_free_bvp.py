@@ -56,6 +56,13 @@ class TestEndpointRecovery:
         with pytest.raises(ValidationError):
             FreeBvpData(f=full, g=zero, beta=1.0, horizon=1.0)
 
+    @pytest.mark.parametrize("beta, L", [(float("inf"), 8.0), (1e155, 1e-150)])
+    def test_rejects_an_infinite_rate_or_one_whose_square_overflows(self, beta, L):
+        # beta * L is tiny here, but the phase i beta^2 is not finite
+        zero = SpectralField(grid(64, L), np.zeros(64))
+        with pytest.raises(ConfigError, match="beta"):
+            FreeBvpData(f=zero, g=zero, beta=beta, horizon=1.0)
+
     def test_rejects_mean(self):
         g = grid()
         f = project(random_band_field(g, 30, 7), "-")

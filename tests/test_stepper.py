@@ -558,7 +558,7 @@ class TestOperatorTable:
 
     def test_time_independent_coefficients_collapse_to_one_row(self):
         grid = Grid1D(64, 8 * np.pi)
-        w = build_weight(0.5, grid, mode="truncated", margin=5.0)
+        w = build_weight(0.5, grid, mode="truncated")
         times = np.linspace(0.0, 0.1, 33)
         steady = OperatorTable(CoefficientField("1 + 0.1*sech(x)", "0.05*sech(x)"), w, times, half_steps=True)
         assert steady.a.shape == steady.zeroth.shape == (1, grid.n)
@@ -572,7 +572,7 @@ class TestOperatorTable:
     def test_planned_bytes_are_the_built_table_bytes(self, a, half_steps):
         # the peak-memory cap of the coupled solve prices the table before building it
         grid = Grid1D(64, 8 * np.pi)
-        w = build_weight(0.5, grid, mode="truncated", margin=5.0)
+        w = build_weight(0.5, grid, mode="truncated")
         coeffs = CoefficientField(a, "0.05*sech(x)")
         table = OperatorTable(coeffs, w, np.linspace(0.0, 0.1, 33), half_steps=half_steps)
         built = sum(rows.nbytes for rows in (table.abar, table.a, table.aq, table.zeroth))
@@ -724,7 +724,7 @@ class TestBatchedMarch:
     # equal its own one-row solve up to round-off.
     def _pair(self, coeffs, zero_mean_partner, mode="truncated"):
         grid = Grid1D(128, 8 * np.pi)
-        w = build_weight(1.0, grid, mode=mode, margin=5.0)
+        w = build_weight(1.0, grid, mode=mode)
         horizon = 0.02
         times = np.linspace(0.0, horizon, 33)
         ramp = 1.0 + 20.0 * times[:, None]
@@ -878,7 +878,7 @@ class TestMarchPlan:
     def _pair(self, grid=None, horizon=0.02, coeffs=None):
         grid = grid or Grid1D(128, 8 * np.pi)
         coeffs = coeffs or self.COEFFS
-        w = build_weight(1.0, grid, mode="truncated", margin=5.0)
+        w = build_weight(1.0, grid, mode="truncated")
         fwd, bwd = (
             LinearProblem(
                 direction=d, coeffs=coeffs, weight=w, source=None, horizon=horizon, zero_mean=True,
