@@ -68,18 +68,15 @@ from .spectral import Grid1D, SpaceTimeField, SpectralField, row_blocks
 from .stepper import LinearProblem, OperatorTable, StepperConfig, solve_linear
 from .weights import WeightProfile, build_weight
 
-_TOP_KEYS = {
-    "grid", "weight", "coefficients", "data", "stepper", "estimates",
-    "horizon", "override_horizon", "tol", "m_max", "times", "out_dir", "seed",
+_SECTION_KEYS = {
+    "grid": {"n", "L"},
+    "weight": {"beta", "mode"},
+    "coefficients": {"a", "W", "lambda"},
+    "data": {"f", "g"},
+    "stepper": {"epsilon", "n_steps"},
+    "estimates": {"bootstrap"},
 }
-_GRID_KEYS = {"n", "L"}
-_WEIGHT_KEYS = {"beta", "mode"}
-_COEFF_KEYS = {"a", "W", "lambda"}
-_DATA_KEYS = {"f", "g"}
-_STEPPER_KEYS = {"epsilon", "dt", "n_steps"}
-# estimates keys with their defaults; bootstrap defaults to lambda > 0
-_ESTIMATE_DEFAULTS = {"energy": True, "smoothing": True, "bootstrap": False,
-                      "q": 2.0, "delta": 0.6, "chain_constant": 1.0, "slack": 0.05}
+_TOP_KEYS = {*_SECTION_KEYS, "horizon", "tol", "m_max", "times", "out_dir", "seed"}
 
 # carrier slices kept for verify-estimates, uniformly spaced: steps / 128 + 1
 # as a rule, never fewer than 17 when a finer stride allows it, never more than 513
@@ -124,9 +121,8 @@ class ScenarioConfig:
     f: SpectralField
     g: SpectralField
     stepper: StepperConfig
-    estimates: dict
+    bootstrap: bool
     horizon: float | None
-    override_horizon: bool
     tol: float
     m_max: int
     times: list[float] = field(default_factory=list)
@@ -162,7 +158,7 @@ def build_scenario(raw: dict) -> ScenarioConfig:
     grid_spec = resolved.get("grid")
     if not isinstance(grid_spec, dict):
         raise ConfigError("scenario needs a grid section {n, L}")
-    _check_keys(grid_spec, _GRID_KEYS, "grid")
+    _check_keys(grid_spec, _SECTION_KEYS["grid"], "grid")
     if "n" not in grid_spec or "L" not in grid_spec:
         raise ConfigError("grid section needs both n and L")
     grid = Grid1D(typed(grid_spec["n"], int, "grid.n"), typed(grid_spec["L"], float, "grid.L"))
@@ -170,7 +166,7 @@ def build_scenario(raw: dict) -> ScenarioConfig:
     weight_spec = resolved.get("weight")
     if not isinstance(weight_spec, dict) or "beta" not in weight_spec:
         raise ConfigError("scenario needs a weight section {beta, mode}")
-    _check_keys(weight_spec, _WEIGHT_KEYS, "weight")
+    _check_keys(weight_spec, _SECTION_KEYS["weight"], "weight")
     weight = build_weight(
         typed(weight_spec["beta"], float, "weight.beta"),
         grid,
@@ -180,7 +176,7 @@ def build_scenario(raw: dict) -> ScenarioConfig:
     coeff_spec = resolved.get("coefficients")
     if not isinstance(coeff_spec, dict):
         raise ConfigError("scenario needs a coefficients section {a, W, lambda}")
-    _check_keys(coeff_spec, _COEFF_KEYS, "coefficients")
+    _check_keys(coeff_spec, _SECTION_KEYS["coefficients"], "coefficients")
     if "a" not in coeff_spec or "W" not in coeff_spec:
         raise ConfigError("coefficients section needs both a and W")
     lam = typed(coeff_spec.get("lambda", 0.0), float, "coefficients.lambda")
@@ -193,7 +189,7 @@ def build_scenario(raw: dict) -> ScenarioConfig:
     data_spec = resolved.get("data")
     if not isinstance(data_spec, dict):
         raise ConfigError("scenario needs a data section {f, g}")
-    _check_keys(data_spec, _DATA_KEYS, "data")
+    _check_keys(data_spec, _SECTION_KEYS["data"], "data")
     if "f" not in data_spec or "g" not in data_spec:
         raise ConfigError("data section needs both f and g")
     seed = typed(resolved.get("seed", 0), int, "seed")
@@ -201,19 +197,15 @@ def build_scenario(raw: dict) -> ScenarioConfig:
     g = build_datum(typed(data_spec["g"], str, "data.g"), grid, "+", seed=seed + 1)
 
     stepper_spec = resolved.get("stepper", {})
-    _check_keys(stepper_spec, _STEPPER_KEYS, "stepper")
+    _check_keys(stepper_spec, _SECTION_KEYS["stepper"], "stepper")
     stepper = StepperConfig(
         epsilon=typed(stepper_spec.get("epsilon", 1e-3), float, "stepper.epsilon"),
-        dt=stepper_spec.get("dt"),
         n_steps=stepper_spec.get("n_steps"),
     )
 
     est_spec = resolved.get("estimates", {})
-    _check_keys(est_spec, set(_ESTIMATE_DEFAULTS), "estimates")
-    est_spec = {
-        key: typed(est_spec.get(key, default), type(default), f"estimates.{key}")
-        for key, default in {**_ESTIMATE_DEFAULTS, "bootstrap": lam > 0}.items()
-    }
+    _check_keys(est_spec, _SECTION_KEYS["estimates"], "estimates")
+    bootstrap = typed(est_spec.get("bootstrap", lam > 0), bool, "estimates.bootstrap")
 
     tol = typed(resolved.get("tol", 1e-8), float, "tol")
     if not tol > 0:
@@ -232,9 +224,8 @@ def build_scenario(raw: dict) -> ScenarioConfig:
         f=f,
         g=g,
         stepper=stepper,
-        estimates=est_spec,
+        bootstrap=bootstrap,
         horizon=horizon,
-        override_horizon=typed(resolved.get("override_horizon", False), bool, "override_horizon"),
         tol=tol,
         m_max=m_max,
         times=times,
@@ -245,6 +236,9 @@ def build_scenario(raw: dict) -> ScenarioConfig:
 
 def resolve_horizon(sc: ScenarioConfig, flag_T: float | None) -> tuple[float, bool, dict]:
     """Final horizon, override flag, and the selection trace for the report.
+
+    Only ``--T`` (``flag_T``) overrides the admissibility check; a scenario's
+    explicit ``horizon`` must pass it.
 
     Without an explicit horizon, the largest admissible node of the
     ``_HORIZON_PROBE`` grid is selected.  The budget integrals are running
@@ -261,18 +255,17 @@ def resolve_horizon(sc: ScenarioConfig, flag_T: float | None) -> tuple[float, bo
         require_horizon(flag_T)
         return float(flag_T), True, {"source": "override-flag", "horizon": float(flag_T)}
     if sc.horizon is not None:
-        return sc.horizon, sc.override_horizon, {"source": "explicit", "horizon": sc.horizon}
+        return sc.horizon, False, {"source": "explicit", "horizon": sc.horizon}
     window, nodes = _HORIZON_PROBE
     probe = np.linspace(0.0, window, nodes)
     step = _PROBE_BLOCK - 1
-    delta_data = sc.f.norm_l2() + sc.g.norm_l2()
-    K = c = np.empty(0)
+    K, c = np.empty((2, nodes))
     for lo in range(0, nodes - 1, step):
-        block = norm_bundle(sc.coeffs, sc.weight.sup_logderiv, probe[lo:lo + step + 1], sc.grid)
-        K = np.concatenate([K[:lo], block.coupling_rate])
-        c = np.concatenate([c[:lo], block.energy_rate])
-        sel = select_horizon(NormBundle.from_rates(probe[:len(K)], K, c), delta_data=delta_data)
-        if sel.index < len(K) - 1:
+        hi = min(lo + step + 1, nodes)
+        block = norm_bundle(sc.coeffs, sc.weight.sup_logderiv, probe[lo:hi], sc.grid)
+        K[lo:hi], c[lo:hi] = block.coupling_rate, block.energy_rate
+        sel = select_horizon(NormBundle.from_rates(probe[:hi], K[:hi], c[:hi]))
+        if sel.index < hi - 1:
             break
     trace = {"source": "selected", **asdict(sel)}
     return sel.horizon, False, trace
@@ -422,44 +415,21 @@ def run_monitors(
     table: OperatorTable,
     bundle: NormBundle,
 ) -> list[EstimateReport]:
-    """The toggled estimate monitors on one converged pair of carriers, reading
-    the operator table and rate bundle on their times (a solve's report holds both).
+    """The estimate monitors on one converged pair of carriers, reading the
+    operator table and rate bundle on their times (a solve's report holds both):
+    the two energy monitors and weighted smoothing always, the bootstrap
+    diagnostics when the scenario's ``estimates.bootstrap`` is on.
 
     The energy monitors read the coupling sources' norm series only, one
     block at a time: no source stack is built."""
-    cfg = sc.estimates
-    slack = cfg["slack"]
-    reports: list[EstimateReport] = []
-    if cfg["energy"]:
-        lam_p, lam_m = coupling_norms(vp, vm, table)
-        reports.append(
-            energy_monitor(vm, lam_m, "-", sc.coeffs, sc.weight, bundle, slack=slack)
-        )
-        reports.append(
-            energy_monitor(vp, lam_p, "+", sc.coeffs, sc.weight, bundle, slack=slack)
-        )
-    if cfg["smoothing"]:
-        reports.append(
-            weighted_smoothing_monitor(
-                w_stack,
-                sc.coeffs,
-                sc.beta,
-                slack=slack,
-            )
-        )
-    if cfg["bootstrap"]:
-        reports.append(
-            bootstrap_diagnostics(
-                w_stack,
-                sc.coeffs,
-                sc.beta,
-                sc.lam,
-                q=cfg["q"],
-                delta=cfg["delta"],
-                chain_constant=cfg["chain_constant"],
-                slack=slack,
-            )
-        )
+    lam_p, lam_m = coupling_norms(vp, vm, table)
+    reports = [
+        energy_monitor(vm, lam_m, "-", sc.coeffs, sc.weight, bundle),
+        energy_monitor(vp, lam_p, "+", sc.coeffs, sc.weight, bundle),
+        weighted_smoothing_monitor(w_stack, sc.coeffs, sc.beta),
+    ]
+    if sc.bootstrap:
+        reports.append(bootstrap_diagnostics(w_stack, sc.coeffs, sc.beta, sc.lam))
     return reports
 
 
@@ -546,11 +516,9 @@ def cmd_linear(args: argparse.Namespace) -> int:
     )
     t0 = time.perf_counter()
     sol = solve_linear(problem, sc.stepper)
-    reports = []
-    if sc.estimates["energy"]:
-        sign = "-" if args.direction == "forward" else "+"
-        bundle = norm_bundle(sc.coeffs, sc.weight.sup_logderiv, sol.times, sc.grid)
-        reports.append(energy_monitor(sol, None, sign, sc.coeffs, sc.weight, bundle))
+    sign = "-" if args.direction == "forward" else "+"
+    bundle = norm_bundle(sc.coeffs, sc.weight.sup_logderiv, sol.times, sc.grid)
+    reports = [energy_monitor(sol, None, sign, sc.coeffs, sc.weight, bundle)]
     elapsed = time.perf_counter() - t0
 
     norms = sol.norm_series()   # measured once: the sup norm is read from it

@@ -146,7 +146,8 @@ class CoefficientField:
 
     ``ellipticity`` is the required pointwise floor for a (may be 0).  The
     evaluators take a scalar time or a column of times, ``t[:, None]``,
-    which gives one row per time.
+    which gives one row per time.  A result may be a read-only view of
+    the evaluation (a broadcast constant, say): callers copy before writing.
     """
 
     def __init__(self, a, W, ellipticity: float = 0.0) -> None:
@@ -166,19 +167,18 @@ class CoefficientField:
 
     def a_values(self, x: np.ndarray, t) -> np.ndarray:
         arr = _eval(self._a, x, t)
-        scale = max(1.0, np.max(np.abs(arr)))
-        if np.iscomplexobj(arr) and np.max(np.abs(arr.imag)) > 1e-12 * scale:
+        if np.iscomplexobj(arr) and np.max(np.abs(arr.imag)) > 1e-12 * max(1.0, np.max(np.abs(arr))):
             raise ValidationError("dispersive coefficient is not real on the sampled grid")
-        return arr.real.astype(np.float64)
+        return arr.real.astype(np.float64, copy=False)
 
     def a_x(self, x: np.ndarray, t) -> np.ndarray:
-        return _eval(self._a_x, x, t).real.astype(np.float64)
+        return _eval(self._a_x, x, t).real.astype(np.float64, copy=False)
 
     def a_xx(self, x: np.ndarray, t) -> np.ndarray:
-        return _eval(self._a_xx, x, t).real.astype(np.float64)
+        return _eval(self._a_xx, x, t).real.astype(np.float64, copy=False)
 
     def w_values(self, x: np.ndarray, t) -> np.ndarray:
-        return _eval(self._w, x, t).astype(np.complex128)
+        return _eval(self._w, x, t).astype(np.complex128, copy=False)
 
     def __repr__(self) -> str:
         return f"CoefficientField(a={self.a_expr}, W={self.w_expr}, ellipticity={self.ellipticity})"
@@ -220,11 +220,11 @@ def norm_bundle(coeffs: CoefficientField, beta: float, times: np.ndarray, grid: 
     for rows in row_blocks(len(times), grid.n):
         ts = times[rows, None]
         a = coeffs.a_values(grid.x, ts)
-        a1 = coeffs.a_x(grid.x, ts)
-        a2 = coeffs.a_xx(grid.x, ts)
-        w = coeffs.w_values(grid.x, ts)
-        for name, arr in (("a", a), ("a_x", a1), ("a_xx", a2), ("W", w)):
-            bad = ~np.all(np.isfinite(arr), axis=1)
+        mags = [np.abs(a)] + [np.abs(f(grid.x, ts)) for f in (coeffs.a_x, coeffs.a_xx, coeffs.w_values)]
+        sups = [np.max(m, axis=1) for m in mags]
+        # a NaN or an infinite sample makes its row's sup non-finite
+        for name, sup in zip(("a", "a_x", "a_xx", "W"), sups):
+            bad = ~np.isfinite(sup)
             if np.any(bad):
                 raise ValidationError(f"{name} is not finite at t={ts[np.argmax(bad), 0]:g}")
         a_min = np.min(a, axis=1)
@@ -235,12 +235,9 @@ def norm_bundle(coeffs: CoefficientField, beta: float, times: np.ndarray, grid: 
                 f"dispersive coefficient dips to {a_min[i]:.6g} below the floor "
                 f"{coeffs.ellipticity:g} at t={ts[i, 0]:g}"
             )
-        a_sup[rows] = np.max(np.abs(a), axis=1)
-        a1_sup[rows] = np.max(np.abs(a1), axis=1)
-        a2_sup[rows] = np.max(np.abs(a2), axis=1)
-        xa1_sup[rows] = np.max(bracket * np.abs(a1), axis=1)
-        xa2_sup[rows] = np.max(bracket * np.abs(a2), axis=1)
-        w_sup[rows] = np.max(np.abs(w), axis=1)
+        a_sup[rows], a1_sup[rows], a2_sup[rows], w_sup[rows] = sups
+        xa1_sup[rows] = np.max(bracket * mags[1], axis=1)
+        xa2_sup[rows] = np.max(bracket * mags[2], axis=1)
     K = (a2_sup + beta * a1_sup + beta**2 * a_sup) + a_sup + w_sup
     c = a_sup + (1.0 + beta) * xa1_sup + beta * xa2_sup
     return NormBundle.from_rates(times, K, c)
@@ -253,18 +250,17 @@ class HorizonSelection:
     coupling_integral: float      # int_0^T of the coupling rate
     energy_integral: float        # int_0^T of the energy rate
     contraction_product: float    # 3 exp(4 int c) * 2 int K, must be <= 1/2
-    delta_data: float
 
 
-def select_horizon(bundle: NormBundle, delta_data: float = 0.0) -> HorizonSelection:
+def select_horizon(bundle: NormBundle) -> HorizonSelection:
     """Largest grid time satisfying the contraction budget.
 
     The budget is 3 * exp(4 * int_0^T c) * 2 * int_0^T K <= 1/2 together
     with int_0^T K <= 1/8; the first factor is exactly what makes the
     fixed-point iteration close with ratio < 1 and solution bound 4 times
     the data size.  (The literal form exp(4 int c) <= 2/3 can never hold,
-    since int c >= 0, so it is not used.)  ``delta_data`` is echoed into
-    the result for bookkeeping only.
+    since int c >= 0, so it is not used.)  The budget does not read the
+    data: their size delta is the Picard report's.
     """
     if abs(bundle.times[0]) > 1e-15:
         raise ConfigError("horizon selection needs a time grid starting at 0")
@@ -287,7 +283,6 @@ def select_horizon(bundle: NormBundle, delta_data: float = 0.0) -> HorizonSelect
         coupling_integral=float(IK[idx]),
         energy_integral=float(Ic[idx]),
         contraction_product=float(product[idx]),
-        delta_data=float(delta_data),
     )
 
 

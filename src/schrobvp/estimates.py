@@ -7,7 +7,7 @@ coefficients, which the monitors read through the multipliers of
 a(x, t) needs them, one block or one sampled slice at a time, and norms
 and pairings of hats come from Parseval.  Constants that the theory leaves
 implicit are reported as measured values, never assumed; pass verdicts
-use a small configured slack on the ratio.
+allow the ratio a slack of ``_SLACK``.
 
 The three monitors:
 
@@ -45,6 +45,7 @@ from .spectral import (
     lp_norm,
     projection_multiplier,
     row_blocks,
+    same_time_grid,
 )
 from .weights import WeightProfile
 
@@ -54,6 +55,9 @@ __all__ = [
     "weighted_smoothing_monitor",
     "bootstrap_diagnostics",
 ]
+
+_SLACK = 0.05            # a verdict passes with ratio <= 1 + _SLACK
+_CHAIN_CONSTANT = 1.0    # the commutator chain term's constant, in the bootstrap
 
 
 @dataclass
@@ -66,7 +70,7 @@ class EstimateReport:
     ratio: float
     constants: dict = field(default_factory=dict)
     verdict: str = "pass"
-    slack: float = 0.05
+    slack: float = _SLACK
     notes: str = ""
 
     def to_dict(self) -> dict:
@@ -90,10 +94,6 @@ class EstimateReport:
             else:
                 out["constants"][key] = float(val)
         return out
-
-
-def _verdict(ratio: float, slack: float) -> str:
-    return "pass" if ratio <= 1.0 + slack else "fail"
 
 
 def _weighted_halfderiv_integral(
@@ -128,7 +128,6 @@ def energy_monitor(
     coeffs: CoefficientField,
     weight: WeightProfile,
     bundle: NormBundle,
-    slack: float = 0.05,
 ) -> EstimateReport:
     """Sup norm plus twice the root of the weighted smoothing integral,
     against 3 * (endpoint data + integrated source) * exp(4 * int c).
@@ -145,7 +144,7 @@ def energy_monitor(
     """
     if sign not in ("+", "-"):
         raise ValidationError("sign must be '+' or '-'")
-    if bundle.times.shape != v.times.shape or not np.allclose(bundle.times, v.times):
+    if not same_time_grid(bundle.times, v.times):
         raise ValidationError("rate bundle and field must share one time grid")
     grid = v.grid
 
@@ -193,8 +192,7 @@ def energy_monitor(
             "rate_integral": rate_integral,
             "sup_logderiv": weight.sup_logderiv,
         },
-        verdict=_verdict(ratio, slack),
-        slack=slack,
+        verdict="pass" if ratio <= 1.0 + _SLACK else "fail",
     )
 
 
@@ -219,7 +217,6 @@ def weighted_smoothing_monitor(
     w: SpaceTimeField,
     coeffs: CoefficientField,
     beta: float,
-    slack: float = 0.05,
 ) -> EstimateReport:
     """beta * int int a (|D^{1/2}w+|^2 + |D^{1/2}w-|^2) against the
     endpoint quadratic form; the quotient is the implied constant.
@@ -255,7 +252,6 @@ def weighted_smoothing_monitor(
         ratio=implied_c,
         constants={"implied_c": implied_c, "beta": beta},
         verdict=verdict,
-        slack=slack,
         notes="ratio is the measured constant, not a bound check",
     )
 
@@ -305,8 +301,6 @@ def bootstrap_diagnostics(
     lam: float,
     q: float = 2.0,
     delta: float = 0.6,
-    chain_constant: float = 1.0,
-    slack: float = 0.05,
 ) -> EstimateReport:
     """Half-derivative-level diagnostics on the weighted solution.
 
@@ -331,7 +325,6 @@ def bootstrap_diagnostics(
             rhs=0.0,
             ratio=0.0,
             verdict="not-applicable",
-            slack=slack,
             notes="lam = 0: smoothing hypothesis absent, diagnostics skipped",
         )
     grid = w.grid
@@ -357,7 +350,6 @@ def bootstrap_diagnostics(
             ratio=0.0,
             constants={"beta_lam": beta * lam},
             verdict="pass",
-            slack=slack,
             notes="zero field",
         )
 
@@ -442,7 +434,7 @@ def bootstrap_diagnostics(
     mid_val = beta * sum(
         _weighted_halfderiv_integral(z_keep, coeffs, ones, side) for side in (pos, neg)
     )
-    chain_term = chain_constant * grad_sup * total_integral
+    chain_term = _CHAIN_CONSTANT * grad_sup * total_integral
     implied_c0 = mid_val - chain_term
 
     ratio = lhs_abs / mid_val if mid_val > 0 else (0.0 if lhs_abs == 0.0 else np.inf)
@@ -453,10 +445,10 @@ def bootstrap_diagnostics(
         np.max(xw * np.abs(coeffs.a_x(grid.x, hyp_t)), axis=1)
         + np.max(xw * np.abs(coeffs.a_xx(grid.x, hyp_t)), axis=1)
     ))
-    hypothesis_margin = beta * lam - chain_constant * hyp_need
+    hypothesis_margin = beta * lam - _CHAIN_CONSTANT * hyp_need
 
     ok = (
-        ratio <= 1.0 + slack
+        ratio <= 1.0 + _SLACK
         and fact_err <= 1e-12
         and ident_err <= 1e-8
         and np.isfinite(lhs_abs)
@@ -486,5 +478,4 @@ def bootstrap_diagnostics(
             "hypothesis_ok": hypothesis_margin >= 0.0,
         },
         verdict="pass" if ok else "fail",
-        slack=slack,
     )

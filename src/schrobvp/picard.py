@@ -76,6 +76,7 @@ from .spectral import (
     projection_multiplier,
     require_one_sided,
     row_blocks,
+    same_time_grid,
 )
 from .stepper import LinearProblem, MarchPlan, OperatorTable, StepperConfig, apply_s, s_symbols, solve_linear
 from .weights import WeightProfile
@@ -303,7 +304,7 @@ def _require_pair(vp: SpaceTimeField, vm: SpaceTimeField, table: OperatorTable) 
     """The coupling source's input checks: one grid, one time grid, the table on it."""
     if vm.grid != vp.grid or table.grid != vp.grid:
         raise GridMismatchError("carriers and operator table must share one grid")
-    if vm.times.shape != vp.times.shape or not np.allclose(vm.times, vp.times):
+    if not same_time_grid(vm.times, vp.times):
         raise GridMismatchError("the two carriers must share one time grid")
     table.require(vp.times)
 
@@ -324,7 +325,7 @@ def _check_horizon(p: BvpProblem, bundle: NormBundle) -> None:
     if p.override_horizon:
         warnings.warn(msg + "; proceeding on explicit override", stacklevel=3)
     else:
-        raise HorizonError(msg + "; shrink the horizon or set override_horizon=True")
+        raise HorizonError(msg + "; shrink the horizon or override it (--T, or override_horizon=True)")
 
 
 # Cap on the estimated peak memory of one coupled solve (4 GiB), checked

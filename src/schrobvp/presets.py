@@ -42,7 +42,7 @@ _BENCHMARK = {
     },
     "data": {"f": "gaussian:0,1.5", "g": "gaussian:1,2"},
     "stepper": {"epsilon": 1e-7, "n_steps": 64},
-    "estimates": {"energy": True, "smoothing": True, "bootstrap": True},
+    "estimates": {"bootstrap": True},
     "horizon": None,
     "seed": 0,
 }
@@ -53,7 +53,7 @@ _FREE = {
     "coefficients": {"a": "1", "W": "0", "lambda": 1.0},
     "data": {"f": "gaussian:0,1.5", "g": "gaussian:1,2"},
     "stepper": {"epsilon": 1e-6, "n_steps": 512},
-    "estimates": {"energy": True, "smoothing": True, "bootstrap": True},
+    "estimates": {"bootstrap": True},
     "horizon": None,
     "seed": 0,
 }
@@ -64,7 +64,7 @@ _DECOUPLED = {
     "coefficients": {"a": "1", "W": "0", "lambda": 1.0},
     "data": {"f": "gaussian:0,1.5", "g": "gaussian:1,2"},
     "stepper": {"epsilon": 1e-6, "n_steps": 512},
-    "estimates": {"energy": True, "smoothing": True, "bootstrap": False},
+    "estimates": {"bootstrap": False},
     "horizon": 0.035,
     "seed": 0,
 }

@@ -61,6 +61,15 @@ def row_blocks(count: int, n: int) -> list[slice]:
     step = chunk_rows(n)
     return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
+
+def same_time_grid(times: np.ndarray, other: np.ndarray) -> bool:
+    """Whether ``times`` is the grid ``other``: equal length, and every node
+    within 1e-12 max(1, |T|) of its counterpart, T being ``other``'s last time."""
+    return np.shape(times) == np.shape(other) and bool(
+        np.all(np.abs(times - other) <= 1e-12 * max(1.0, abs(other[-1])))
+    )
+
+
 __all__ = [
     "Grid1D",
     "SpectralField",

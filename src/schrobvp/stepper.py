@@ -74,6 +74,7 @@ from .spectral import (
     power_norm,
     projection_multiplier,
     row_blocks,
+    same_time_grid,
 )
 from .weights import WeightProfile
 
@@ -105,48 +106,34 @@ def heat_quartic(f: SpectralField, s: float) -> SpectralField:
 
 @dataclass
 class StepperConfig:
-    """Viscosity and step size for one linear solve.
+    """Viscosity and step count for one linear solve.
 
-    Exactly one of ``dt``/``n_steps`` may be given; with neither, the
-    horizon is split into 2048 steps.
+    ``n_steps`` splits the horizon into that many equal steps; without it,
+    the horizon is split into 2048.
     """
 
     epsilon: float = 1e-3
-    dt: float | None = None
     n_steps: int | None = None
 
     def __post_init__(self) -> None:
         # scenario files hand these over unchecked: "64", 64.5 and true are errors
-        for name, kind in (("n_steps", int), ("dt", float)):
-            if getattr(self, name) is not None:
-                typed(getattr(self, name), kind, name)
+        if self.n_steps is not None:
+            typed(self.n_steps, int, "n_steps")
         # written so that NaN, which fails every comparison, fails the check
         if not 0.0 <= self.epsilon < math.inf:
             raise ConfigError(f"viscosity epsilon must be finite and >= 0, got {self.epsilon}")
-        if self.dt is not None and self.n_steps is not None:
-            raise ConfigError("give either dt or n_steps, not both")
-        if self.dt is not None and not 0.0 < self.dt < math.inf:
-            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
         if self.n_steps is not None and self.n_steps < 1:
             raise ConfigError("n_steps must be >= 1")
 
     def resolve_steps(self, horizon: float) -> int:
-        if self.n_steps is not None:
-            return self.n_steps
-        if self.dt is None:
-            return 2048
-        ratio = horizon / self.dt
-        n = int(round(ratio))
-        if n < 1 or abs(ratio - n) > 1e-9 * max(1.0, ratio):
-            raise ConfigError(f"dt {self.dt:g} does not evenly divide the horizon {horizon:g}")
-        return n
+        return 2048 if self.n_steps is None else self.n_steps
 
     def check_stability(self, grid: Grid1D, horizon: float) -> None:
         dt = horizon / self.resolve_steps(horizon)
         stiff = self.epsilon * grid.xi_max**4 * dt
         if stiff > _STIFF_EXPONENT_CAP:
             raise ConfigError(
-                f"eps xi_max^4 dt = {stiff:.3g} exceeds the cap {_STIFF_EXPONENT_CAP:g}; shrink dt or eps"
+                f"eps xi_max^4 dt = {stiff:.3g} exceeds the cap {_STIFF_EXPONENT_CAP:g}; raise n_steps or shrink eps"
             )
 
 
@@ -291,11 +278,10 @@ class OperatorTable:
     def require(self, times: np.ndarray, half_steps: bool = False) -> None:
         """Raise ConfigError unless the integer nodes are ``times`` (with midpoints if asked)."""
         times = np.asarray(times, dtype=np.float64)
-        tol = 1e-12 * max(1.0, abs(times[-1]))
         ok = (
             (self.stride == 2 or not half_steps)
             and len(self.nodes) == self.stride * (len(times) - 1) + 1
-            and np.allclose(self.nodes[:: self.stride], times, rtol=0.0, atol=tol)
+            and same_time_grid(self.nodes[:: self.stride], times)
         )
         if not ok:
             what = "half-step grid" if half_steps else "time grid"

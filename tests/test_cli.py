@@ -1,9 +1,11 @@
 """End-to-end checks of the scenario runner and its artifact contracts."""
 
 import json
+import re
 import sys
 import warnings
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +116,18 @@ class TestBuildScenario:
         raw = merge_scenario(SMALL, {"coefficients": {"beta": 2.0}})
         with pytest.raises(ConfigError, match="beta"):
             build_scenario(raw)
+
+    def test_readme_key_table_lists_the_accepted_keys(self):
+        # the README's table of scenario keys: one row per section, then the top level
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = text[text.index("| `grid` |"):].split("\n\n", 1)[0]
+        listed = {}
+        for row in table.splitlines():
+            _, section, keys, _ = row.split("|")
+            names = set(re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", keys)))
+            listed[section.strip().strip("`")] = names
+        accepted = {**cli._SECTION_KEYS, "top level": cli._TOP_KEYS - set(cli._SECTION_KEYS)}
+        assert listed == accepted
 
     def test_missing_sections(self):
         with pytest.raises(ConfigError, match="grid"):
@@ -370,10 +384,10 @@ class TestErrorsAndExitCodes:
             ({"tol": [1e-8]}, "tol"),
             ({"override_horizon": "false"}, "override_horizon"),
             ({"override_horizon": 0}, "override_horizon"),
-            ({"estimates": {"energy": "false"}}, "estimates.energy"),
+            ({"estimates": {"bootstrap": "false"}}, "estimates.bootstrap"),
             ({"estimates": {"bootstrap": 1}}, "estimates.bootstrap"),
-            ({"estimates": {"slack": "0.1"}}, "estimates.slack"),
-            ({"estimates": {"q": [2]}}, "estimates.q"),
+            ({"stepper": {"n_steps": "64"}}, "n_steps"),
+            ({"data": {"g": 5}}, "data.g"),
             ({"m_max": 2.5}, "m_max"),
             ({"seed": True}, "seed"),
             ({"grid": {"n": 128.9}}, "grid.n"),
@@ -393,6 +407,29 @@ class TestErrorsAndExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
+
+    @pytest.mark.parametrize(
+        "extra, key",
+        [
+            pytest.param({"estimates": {"energy": True}}, "'energy' in estimates", id="estimates.energy"),
+            pytest.param({"estimates": {"smoothing": True}}, "'smoothing' in estimates", id="estimates.smoothing"),
+            pytest.param({"estimates": {"q": 2.0}}, "'q' in estimates", id="estimates.q"),
+            pytest.param({"estimates": {"delta": 0.6}}, "'delta' in estimates", id="estimates.delta"),
+            pytest.param({"estimates": {"chain_constant": 1.0}}, "'chain_constant' in estimates",
+                         id="estimates.chain_constant"),
+            pytest.param({"estimates": {"slack": 0.05}}, "'slack' in estimates", id="estimates.slack"),
+            pytest.param({"stepper": {"dt": 0.035 / 128, "n_steps": None}}, "'dt' in stepper", id="stepper.dt"),
+            pytest.param({"override_horizon": False}, "'override_horizon' in scenario", id="override_horizon"),
+        ],
+    )
+    def test_removed_key_exits_1(self, tmp_path, capsys, extra, key):
+        # each key only ever took one value, so it is gone; an older scenario.json holding it is rejected
+        scenario = small_scenario_file(tmp_path, extra)
+        out = tmp_path / "out"
+        code = cli.main(["picard", "--scenario", scenario, "--out-dir", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: unknown config key {key}")
+        assert not out.exists()
 
     @pytest.mark.parametrize("extra, key", [({"m_max": 0}, "m_max"), ({"tol": 0}, "tol"),
                                             ({"tol": -1e-8}, "tol")])
@@ -782,7 +819,7 @@ def full_probe(sc):
     """The horizon selection of the whole probe grid, in one norm_bundle call."""
     window, nodes = cli._HORIZON_PROBE
     bundle = norm_bundle(sc.coeffs, sc.weight.sup_logderiv, np.linspace(0.0, window, nodes), sc.grid)
-    return select_horizon(bundle, delta_data=sc.f.norm_l2() + sc.g.norm_l2())
+    return select_horizon(bundle)
 
 
 class TestHorizonProbe:

@@ -213,6 +213,40 @@ class TestNormBundle:
             norm_bundle(c, 1.0, np.array([0.0, 0.0, 1.0]), grid(256))
 
 
+class _StubField:
+    """a = 1, a_x = a_xx = 0, W = 0, but for one non-finite sample of ``bad`` at t = 0.75."""
+
+    ellipticity = 0.0
+
+    def __init__(self, bad, value):
+        self.bad, self.value = bad, value
+
+    def _rows(self, name, x, t, dtype=np.float64):
+        out = np.full(np.broadcast_shapes(x.shape, t.shape), 1.0 if name == "a" else 0.0, dtype=dtype)
+        if name == self.bad:
+            out[t[:, 0] == 0.75, 7] = self.value
+        return out
+
+    def a_values(self, x, t):
+        return self._rows("a", x, t)
+
+    def a_x(self, x, t):
+        return self._rows("a_x", x, t)
+
+    def a_xx(self, x, t):
+        return self._rows("a_xx", x, t)
+
+    def w_values(self, x, t):
+        return self._rows("W", x, t, np.complex128)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["a", "a_x", "a_xx", "W"])
+def test_one_non_finite_sample_names_its_coefficient_and_time(name, value):
+    with pytest.raises(ValidationError, match=rf"^{name} is not finite at t=0\.75$"):
+        norm_bundle(_StubField(name, value), 1.0, np.linspace(0.0, 1.0, 5), grid(64))
+
+
 class TestHorizon:
     def test_constant_coefficient_root(self):
         # K = 2, c = 1: the contraction budget 12 T e^{4T} <= 1/2 binds first;
@@ -220,12 +254,11 @@ class TestHorizon:
         c = CoefficientField("1", "0")
         times = np.linspace(0.0, 0.1, 20001)
         b = norm_bundle(c, 1.0, times, grid(64))
-        sel = select_horizon(b, delta_data=1.0)
+        sel = select_horizon(b)
         assert sel.horizon == pytest.approx(0.0360687, abs=6e-6)
         assert sel.horizon <= 0.0625
         assert sel.contraction_product <= 0.5
         assert sel.coupling_integral <= 0.125
-        assert sel.delta_data == 1.0
 
     def test_zero_coefficients_full_window(self):
         c = CoefficientField("0", "0")

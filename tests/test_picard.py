@@ -777,6 +777,16 @@ class TestInputGrids:
         with pytest.raises(GridMismatchError):
             coupling_stacks(vp, vm, OperatorTable(BENCH, w, vp.times))
 
+    def test_coupling_rejects_carriers_a_relative_5e_6_apart_in_time(self):
+        # np.allclose's default tolerances took these as one grid
+        grid = Grid1D(128, 20.0)
+        w = build_weight(1.0, grid, mode="truncated")
+        times = np.linspace(0.0, 0.03, 9)
+        vp, _ = self._pair(grid, times)
+        _, vm = self._pair(grid, times * (1 + 5e-6))
+        with pytest.raises(GridMismatchError, match="one time grid"):
+            coupling_norms(vp, vm, OperatorTable(BENCH, w, times))
+
     def test_coupling_rejects_carriers_on_other_grids(self):
         times = np.linspace(0.0, 0.1, 5)
         grid = Grid1D(128, 20.0)
@@ -937,7 +947,7 @@ class TestPeakMemory:
         f, g = split_data(grid)
         p = BvpProblem(
             f=f, g=g, coeffs=BENCH, weight=w, horizon=0.01,
-            stepper_cfg=StepperConfig(epsilon=1e-5, dt=0.01 / 64),
+            stepper_cfg=StepperConfig(epsilon=1e-5, n_steps=64),
         )
         estimate = picard._peak_bytes(grid.n, 64, time_dependent=True)
         monkeypatch.setattr(picard, "_PEAK_BYTES_CAP", estimate - 1)

@@ -83,22 +83,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             StepperConfig(epsilon=-1e-3)
 
-    def test_dt_and_steps_conflict(self):
-        with pytest.raises(ConfigError):
-            StepperConfig(dt=1e-3, n_steps=100)
-
-    def test_dt_must_divide_horizon(self):
-        with pytest.raises(ConfigError):
-            StepperConfig(dt=0.3).resolve_steps(1.0)
-
     def test_default_step_count(self):
         assert StepperConfig().resolve_steps(0.5) == 2048
 
     @pytest.mark.parametrize(
         "kwargs, field",
         [({"n_steps": "64"}, "n_steps"), ({"n_steps": 64.5}, "n_steps"),
-         ({"n_steps": True}, "n_steps"), ({"dt": "0.01"}, "dt"), ({"dt": True}, "dt")],
-        ids=["str-steps", "fractional-steps", "bool-steps", "str-dt", "bool-dt"],
+         ({"n_steps": True}, "n_steps")],
+        ids=["str-steps", "fractional-steps", "bool-steps"],
     )
     def test_step_settings_are_type_checked(self, kwargs, field):
         with pytest.raises(ConfigError, match=field):
