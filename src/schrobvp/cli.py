@@ -84,8 +84,8 @@ _STORED_SLICE_CAP = 128
 _STORED_SLICE_FLOOR = 16
 _STORED_SLICE_CEILING = 512
 _HORIZON_PROBE = (0.25, 10001)   # window and resolution for automatic selection
-# probe nodes per norm_bundle call: sized by the call's overhead, not by memory
-_PROBE_BLOCK = 32
+# probe nodes per norm_bundle call: the smallest block past which the probe's time is flat (README)
+_PROBE_BLOCK = 64
 
 
 def _check_keys(d: dict, allowed: set[str], where: str) -> None:
@@ -247,9 +247,10 @@ def resolve_horizon(sc: ScenarioConfig, flag_T: float | None) -> tuple[float, bo
     time (neighbouring blocks share a node) and stops at the first block
     that holds an inadmissible node.  The rates are per-node samples and the
     integrals are taken over the whole stitched prefix, so the selection is
-    the whole probe's, bit for bit.  The coefficients are validated only on
-    the nodes evaluated, the selected horizon and at most one block beyond
-    it; ``picard_solve`` validates them again on its grid over [0, T].
+    the whole probe's, bit for bit.  The blocks share one sample buffer.
+    The coefficients are validated only on the nodes evaluated, the
+    selected horizon and at most one block beyond it; ``picard_solve``
+    validates them again on its grid over [0, T].
     """
     if flag_T is not None:
         require_horizon(flag_T)
@@ -260,9 +261,10 @@ def resolve_horizon(sc: ScenarioConfig, flag_T: float | None) -> tuple[float, bo
     probe = np.linspace(0.0, window, nodes)
     step = _PROBE_BLOCK - 1
     K, c = np.empty((2, nodes))
+    work = np.empty((_PROBE_BLOCK, sc.grid.n))   # every block's samples (see norm_bundle)
     for lo in range(0, nodes - 1, step):
         hi = min(lo + step + 1, nodes)
-        block = norm_bundle(sc.coeffs, sc.weight.sup_logderiv, probe[lo:hi], sc.grid)
+        block = norm_bundle(sc.coeffs, sc.weight.sup_logderiv, probe[lo:hi], sc.grid, work=work)
         K[lo:hi], c[lo:hi] = block.coupling_rate, block.energy_rate
         sel = select_horizon(NormBundle.from_rates(probe[:hi], K[:hi], c[:hi]))
         if sel.index < hi - 1:

@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import ast
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, HorizonError, ValidationError
-from .spectral import Grid1D, SpectralField, row_blocks
+from .spectral import Grid1D, SpectralField
 
 __all__ = [
     "CoefficientField",
@@ -41,10 +42,17 @@ __all__ = [
     "drift_samples",
 ]
 
+# bytes of norm_bundle's sample buffer: 128 rows at n = 2048
+_SAMPLE_BYTES = 1 << 21
 _FUNCTIONS = ("exp", "sin", "cos", "sech", "tanh")
 _OPERATOR_NODES = (ast.BinOp, ast.UnaryOp, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.UAdd, ast.USub)
 _NAMESPACE = {"__builtins__": {}, "exp": np.exp, "sin": np.sin, "cos": np.cos, "tanh": np.tanh,
               "sech": lambda z: 1.0 / np.cosh(z), "log": np.log, "I": 1j}  # log: derivative trees only
+# numpy runs these through the plain operators' ufuncs and scalar-power shortcuts
+_IN_PLACE = {ast.Add: operator.iadd, ast.Sub: operator.isub, ast.Mult: operator.imul,
+             ast.Div: operator.itruediv, ast.Pow: operator.ipow}
+_UFUNCS = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply, ast.Div: np.true_divide,
+           ast.Pow: np.power}
 _RULES = {  # x-derivative templates over the operands u, v and their x-derivatives du, dv
     "exp": "exp(u)*du", "sin": "cos(u)*du", "cos": "-sin(u)*du", "sech": "-sech(u)*tanh(u)*du",
     "tanh": "sech(u)**2*du", "log": "du/u", ast.UAdd: "du", ast.USub: "-du",
@@ -123,22 +131,60 @@ def _diff_x(node: ast.expr | None) -> ast.expr | None:
     return _fill(ast.parse(_RULES[rule], mode="eval").body, parts)
 
 
-def _eval(code, x: np.ndarray, t) -> np.ndarray:
-    """Samples on the broadcast of ``x`` and ``t`` (a column of times gives one row each)."""
+def _steps(node: ast.expr):
+    """``_run``'s plan: a node over x and t as (operator, child plans), else code."""
+    if not {"x", "t"} <= _names(node):
+        return compile(ast.fix_missing_locations(ast.Expression(node)), "<subtree>", "eval")
+    if isinstance(node, ast.BinOp):
+        return type(node.op), _steps(node.left), _steps(node.right)
+    if isinstance(node, ast.UnaryOp):
+        return type(node.op), _steps(node.operand)
+    return node.func.id, _steps(node.args[0])
+
+
+def _run(step, env: dict, out: np.ndarray):
+    """A plan's value; a node over x and t goes into ``out`` by the ufunc (in the
+    operand order, with the scalar-power shortcut) that Python's operator takes."""
+    if not isinstance(step, tuple):
+        return eval(step, _NAMESPACE, env)
+    op, *args = step
+    if op == "sech":   # _NAMESPACE's 1.0 / cosh(z)
+        return np.true_divide(1.0, np.cosh(_run(args[0], env, out), out=out), out=out)
+    if isinstance(op, str):
+        return _NAMESPACE[op](_run(args[0], env, out), out=out)
+    if len(args) == 1:
+        return (np.negative if op is ast.USub else np.positive)(_run(args[0], env, out), out=out)
+    left, right = args
+    if isinstance(left, tuple):   # numpy's own in-place operator, as for a temporary left operand
+        _run(left, env, out)
+        other = np.empty_like(out) if isinstance(right, tuple) else None
+        return _IN_PLACE[op](out, _run(right, env, other))
+    return _UFUNCS[op](_run(left, env, out), _run(right, env, out), out=out)
+
+
+def _eval(fn, x: np.ndarray, t, out: np.ndarray | None = None) -> np.ndarray:
+    """Samples on the broadcast of ``x`` and ``t`` (a column of times gives one row
+    each); a real tree over x and t goes into ``out`` of that shape, if given."""
+    code, steps = fn
     t = np.asarray(t, dtype=np.float64)
+    env = {"x": x, "t": t}   # a checked tree: grammar names only
+    shape = np.broadcast_shapes(np.shape(x), t.shape)
     with np.errstate(all="ignore"):
-        out = eval(code, _NAMESPACE, {"x": x, "t": t})  # a checked tree: grammar names only
-    return np.broadcast_to(out, np.broadcast_shapes(np.shape(x), t.shape))
+        if out is None or not isinstance(steps, tuple) or out.shape != shape:
+            return np.broadcast_to(eval(code, _NAMESPACE, env), shape)
+        return _run(steps, env, out)
 
 
-def _compile(tree: ast.expr | None, text: str, what: str):
-    """Code of a checked tree (None is zero), run once at x = t = 0 to fail early."""
-    code = compile(ast.fix_missing_locations(ast.Expression(tree or ast.Constant(0.0))), what, "eval")
+def _compile(tree: ast.expr | None, text: str, what: str) -> tuple:
+    """(code, plan) of a checked tree (None is zero), run once at x = t = 0 to fail
+    early; the plan is None for complex samples."""
+    tree = tree or ast.Constant(0.0)
+    code = compile(ast.fix_missing_locations(ast.Expression(tree)), what, "eval")
     try:
-        _eval(code, np.zeros(1), 0.0)
+        sample = _eval((code, None), np.zeros(1), 0.0)
     except ArithmeticError as exc:
         raise ConfigError(f"{what} expression {text!r} cannot be evaluated: {exc}") from None
-    return code
+    return code, None if np.iscomplexobj(sample) else _steps(tree)
 
 
 class CoefficientField:
@@ -148,6 +194,9 @@ class CoefficientField:
     evaluators take a scalar time or a column of times, ``t[:, None]``,
     which gives one row per time.  A result may be a read-only view of
     the evaluation (a broadcast constant, say): callers copy before writing.
+    Given ``out`` (float64, the result's shape), a real tree over x and t is
+    computed in it, bit for bit; other trees leave it alone.
+    ``a_time_dependent`` and ``w_time_dependent``: t appears in a, in W.
     """
 
     def __init__(self, a, W, ellipticity: float = 0.0) -> None:
@@ -155,30 +204,31 @@ class CoefficientField:
             raise ConfigError(f"ellipticity floor lambda must be finite and >= 0, got {ellipticity}")
         a_tree = _parse(a, "dispersive coefficient")
         w_tree = _parse(W, "potential")
-        if "I" in _names(a_tree):
-            raise ValidationError("dispersive coefficient must be real-valued")
         self.a_expr, self.w_expr = str(a), str(W)
         self.ellipticity = float(ellipticity)
-        self.time_dependent = "t" in _names(a_tree) | _names(w_tree)
+        self.a_time_dependent = "t" in _names(a_tree)
+        self.w_time_dependent = "t" in _names(w_tree)
+        self.time_dependent = self.a_time_dependent or self.w_time_dependent
         a_x = _diff_x(a_tree)
         self._a, self._a_x, self._a_xx = (_compile(tree, self.a_expr, "dispersive coefficient")
                                           for tree in (a_tree, a_x, _diff_x(a_x)))
+        # I, or a Python power of a negative literal such as (-1)^0.5, makes a complex
+        if self._a[1] is None:
+            raise ValidationError("dispersive coefficient must be real-valued")
         self._w = _compile(w_tree, self.w_expr, "potential")
 
-    def a_values(self, x: np.ndarray, t) -> np.ndarray:
-        arr = _eval(self._a, x, t)
-        if np.iscomplexobj(arr) and np.max(np.abs(arr.imag)) > 1e-12 * max(1.0, np.max(np.abs(arr))):
-            raise ValidationError("dispersive coefficient is not real on the sampled grid")
-        return arr.real.astype(np.float64, copy=False)
+    def a_values(self, x: np.ndarray, t, out: np.ndarray | None = None) -> np.ndarray:
+        return _eval(self._a, x, t, out)
 
-    def a_x(self, x: np.ndarray, t) -> np.ndarray:
-        return _eval(self._a_x, x, t).real.astype(np.float64, copy=False)
+    def a_x(self, x: np.ndarray, t, out: np.ndarray | None = None) -> np.ndarray:
+        return _eval(self._a_x, x, t, out)
 
-    def a_xx(self, x: np.ndarray, t) -> np.ndarray:
-        return _eval(self._a_xx, x, t).real.astype(np.float64, copy=False)
+    def a_xx(self, x: np.ndarray, t, out: np.ndarray | None = None) -> np.ndarray:
+        return _eval(self._a_xx, x, t, out)
 
-    def w_values(self, x: np.ndarray, t) -> np.ndarray:
-        return _eval(self._w, x, t).astype(np.complex128, copy=False)
+    def w_values(self, x: np.ndarray, t, out: np.ndarray | None = None) -> np.ndarray:
+        """Float64 samples of W, or complex128 when its tree makes complex values (I, say)."""
+        return _eval(self._w, x, t, out)
 
     def __repr__(self) -> str:
         return f"CoefficientField(a={self.a_expr}, W={self.w_expr}, ellipticity={self.ellipticity})"
@@ -206,41 +256,73 @@ def _running_trapezoid(times: np.ndarray, samples: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(inc)])
 
 
-def norm_bundle(coeffs: CoefficientField, beta: float, times: np.ndarray, grid: Grid1D) -> NormBundle:
+def norm_bundle(
+    coeffs: CoefficientField, beta: float, times: np.ndarray, grid: Grid1D, *, work: np.ndarray | None = None
+) -> NormBundle:
     """Sample the rate functions on ``times`` x ``grid`` and integrate them.
 
     Also enforces the standing hypotheses: a real with a >= ellipticity
-    everywhere sampled, and every sampled sup norm finite.
+    everywhere sampled, and every sampled sup norm finite.  A rejection
+    names the earliest time that fails, and there the first of a, a_x, a_xx
+    and W that is not finite, else the floor.
+
+    Each evaluator samples a block of rows into one float64 buffer, where
+    the magnitudes are taken: ``work`` (a row per time of a block), which a
+    caller sampling block after block shares between calls, or a fresh one
+    of ``_SAMPLE_BYTES``.  A coefficient without t is sampled once, at
+    times[0].  No block size changes a bit of the result.
     """
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or len(times) < 2 or np.any(np.diff(times) <= 0):
         raise ConfigError("time grid must be strictly increasing with at least two points")
-    bracket = np.sqrt(1.0 + grid.x**2)
-    a_sup, a1_sup, a2_sup, xa1_sup, xa2_sup, w_sup = np.empty((6, len(times)))
-    for rows in row_blocks(len(times), grid.n):
-        ts = times[rows, None]
-        a = coeffs.a_values(grid.x, ts)
-        mags = [np.abs(a)] + [np.abs(f(grid.x, ts)) for f in (coeffs.a_x, coeffs.a_xx, coeffs.w_values)]
-        sups = [np.max(m, axis=1) for m in mags]
-        # a NaN or an infinite sample makes its row's sup non-finite
-        for name, sup in zip(("a", "a_x", "a_xx", "W"), sups):
-            bad = ~np.isfinite(sup)
-            if np.any(bad):
-                raise ValidationError(f"{name} is not finite at t={ts[np.argmax(bad), 0]:g}")
-        a_min = np.min(a, axis=1)
-        low = a_min < coeffs.ellipticity - 1e-12
-        if np.any(low):
-            i = int(np.argmax(low))
-            raise ValidationError(
-                f"dispersive coefficient dips to {a_min[i]:.6g} below the floor "
-                f"{coeffs.ellipticity:g} at t={ts[i, 0]:g}"
-            )
-        a_sup[rows], a1_sup[rows], a2_sup[rows], w_sup[rows] = sups
-        xa1_sup[rows] = np.max(bracket * mags[1], axis=1)
-        xa2_sup[rows] = np.max(bracket * mags[2], axis=1)
+    x, count = grid.x, len(times)
+    moving = [k for k, moves in enumerate((coeffs.a_time_dependent,) * 3 + (coeffs.w_time_dependent,)) if moves]
+    step = min(count, max(1, _SAMPLE_BYTES // (8 * grid.n))) if work is None else len(work)
+    if work is None:
+        work = np.empty((step if moving else 1, grid.n))
+    bracket = np.sqrt(1.0 + x**2)
+    # per time: sup |a|, |a_x|, |a_xx|, |W|, sup <x>|a_x|, <x>|a_xx|, and min a
+    stats = np.empty((7, count))
+    evaluators = (coeffs.a_values, coeffs.a_x, coeffs.a_xx, coeffs.w_values)
+
+    def sample(k: int, rows: slice) -> None:
+        mag = work[: rows.stop - rows.start]
+        vals = evaluators[k](x, times[rows, None], out=mag)
+        if k == 0:
+            np.min(vals, axis=1, out=stats[6, rows])
+        np.abs(vals, out=mag)
+        np.max(mag, axis=1, out=stats[k, rows])
+        if k in (1, 2):   # the bracket weight, in place of the magnitudes
+            np.max(np.multiply(mag, bracket, out=mag), axis=1, out=stats[k + 3, rows])
+
+    for k, own in enumerate(((0, 6), (1, 4), (2, 5), (3,))):
+        if k not in moving:
+            sample(k, slice(0, 1))
+            stats[own, 1:] = stats[own, :1]
+    for lo in range(0, count, step):
+        rows = slice(lo, min(lo + step, count))
+        for k in moving:
+            sample(k, rows)
+        _require_hypotheses(coeffs.ellipticity, times[rows], stats[:, rows])
+    a_sup, a1_sup, a2_sup, w_sup, xa1_sup, xa2_sup, _ = stats
     K = (a2_sup + beta * a1_sup + beta**2 * a_sup) + a_sup + w_sup
     c = a_sup + (1.0 + beta) * xa1_sup + beta * xa2_sup
     return NormBundle.from_rates(times, K, c)
+
+
+def _require_hypotheses(floor: float, times: np.ndarray, stats: np.ndarray) -> None:
+    """Raise ValidationError at the earliest of ``times`` whose sups (a NaN or
+    an infinite sample makes its row's sup non-finite) or min a fail."""
+    bad = np.vstack([~np.isfinite(stats[:4]), stats[6] < floor - 1e-12])
+    if not np.any(bad):
+        return
+    i = int(np.argmax(np.any(bad, axis=0)))
+    k = int(np.argmax(bad[:, i]))
+    if k < 4:
+        raise ValidationError(f"{('a', 'a_x', 'a_xx', 'W')[k]} is not finite at t={times[i]:g}")
+    raise ValidationError(
+        f"dispersive coefficient dips to {stats[6, i]:.6g} below the floor {floor:g} at t={times[i]:g}"
+    )
 
 
 @dataclass(frozen=True)

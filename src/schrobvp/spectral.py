@@ -438,14 +438,22 @@ def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
     return SpectralField.from_hat(f.grid, hat)
 
 
-def masked_samples(grid: Grid1D, samples: np.ndarray) -> np.ndarray:
+def masked_samples(grid: Grid1D, samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Physical samples of a coefficient after the 2/3-rule pre-mask.
 
     Used for gridded coefficients that are not band-limited by
     construction; the returned array can be reused across many products.
+    The round trip runs in place in a complex copy of ``samples``, or in
+    ``out`` (complex128 of their shape, which may be ``samples`` itself),
+    which allocates no array; the dropped modes are exact zeros either way.
     """
-    hat = np.fft.fft(np.asarray(samples, dtype=np.complex128))
-    return np.fft.ifft(dealias_hat(grid, hat))
+    if out is None:
+        out = np.array(samples, dtype=np.complex128)
+    elif samples is not out:
+        out[...] = samples
+    np.fft.fft(out, out=out)
+    np.copyto(out, 0.0, where=~grid.dealias_mask)
+    return np.fft.ifft(out, out=out)
 
 
 def hat_norm(grid: Grid1D, hats: np.ndarray) -> np.ndarray:

@@ -249,18 +249,24 @@ class OperatorTable:
         self.aq = np.empty((len(nodes), grid.n))
         self.zeroth = np.empty(((len(nodes) - 1) // s + 1, grid.n), dtype=np.complex128)
         self.uniform = True
+        work = np.empty((chunk_rows(grid.n), grid.n), dtype=np.complex128)   # a's, a q's round trips
+        iw = None if coeffs.w_time_dependent else 1j * coeffs.w_values(grid.x, nodes[:1, None])
         # the block row count is even, so every block starts on an integer node
         for rows in row_blocks(len(nodes), grid.n):
             ts = nodes[rows, None]
+            z = work[: len(ts)]
             a = coeffs.a_values(grid.x, ts)
             self.abar[rows] = np.mean(a, axis=1)
-            self.a[rows] = masked_samples(grid, a).real
-            self.aq[rows] = masked_samples(grid, a * q).real
+            self.a[rows] = masked_samples(grid, a, out=z).real
+            np.multiply(a, q, out=z.real)
+            z.imag = 0.0
+            self.aq[rows] = masked_samples(grid, z, out=z).real
             a, ts = a[::s], ts[::s]
             ax = coeffs.a_x(grid.x, ts)
-            lump = 1j * ((q**2 - dq) * a - q * ax) + 1j * coeffs.w_values(grid.x, ts)
             ints = slice(rows.start // s, rows.start // s + len(ts))
-            self.zeroth[ints] = masked_samples(grid, lump)
+            lump = np.multiply(1j, (q**2 - dq) * a - q * ax, out=self.zeroth[ints])
+            np.add(lump, 1j * coeffs.w_values(grid.x, ts) if iw is None else iw, out=lump)
+            masked_samples(grid, lump, out=lump)
             self.uniform = self.uniform and all(
                 np.all(np.ptp(block, axis=1) == 0)
                 for block in (self.a[rows], self.aq[rows], self.zeroth[ints])

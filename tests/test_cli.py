@@ -17,7 +17,7 @@ from schrobvp.cli import (
     build_scenario,
     load_scenario_source,
 )
-from schrobvp.coefficients import norm_bundle, select_horizon
+from schrobvp.coefficients import CoefficientField, norm_bundle, select_horizon
 from schrobvp.errors import ConfigError, ConvergenceError, HorizonError, ValidationError
 from schrobvp.estimates import EstimateReport
 from schrobvp.fieldio import dump_field_binary, load_field
@@ -792,9 +792,9 @@ class TestOneBuildPerRun:
             tables.append(args)
             build(self, *args, **kwargs)
 
-        def counting_bundle(coeffs, beta, times, grid):
+        def counting_bundle(coeffs, beta, times, grid, **kwargs):
             bundle_grids.append(np.array(times))
-            return norm_bundle(coeffs, beta, times, grid)
+            return norm_bundle(coeffs, beta, times, grid, **kwargs)
 
         monkeypatch.setattr(stepper.OperatorTable, "__init__", counting_build)
         for name, module in list(sys.modules.items()):
@@ -827,9 +827,9 @@ class TestHorizonProbe:
     def probed_nodes(self, monkeypatch):
         nodes = []
 
-        def counting(coeffs, beta, times, grid):
+        def counting(coeffs, beta, times, grid, **kwargs):
             nodes.append(len(times))
-            return norm_bundle(coeffs, beta, times, grid)
+            return norm_bundle(coeffs, beta, times, grid, **kwargs)
 
         monkeypatch.setattr(cli, "norm_bundle", counting)
         return nodes
@@ -845,7 +845,7 @@ class TestHorizonProbe:
         assert (horizon, override) == (sel.horizon, False)
         # the probe stops in the block that holds the first inadmissible node
         step = cli._PROBE_BLOCK
-        assert len(probed_nodes) >= 20 and set(probed_nodes) == {step}
+        assert len(probed_nodes) == sel.index // (step - 1) + 1 > 1 and set(probed_nodes) == {step}
         assert sum(probed_nodes) - len(probed_nodes) + 1 < sel.index + 1 + step
 
     def test_window_of_admissible_nodes_selects_its_end(self, probed_nodes):
@@ -893,3 +893,42 @@ class TestHorizonProbe:
         assert cli.resolve_horizon(build_scenario(raw), None)[0] == horizon
         with pytest.raises(ValidationError, match="W is not finite"):
             cli.run_picard_scenario(raw, str(tmp_path / "out"))
+
+    @pytest.mark.parametrize(
+        "W", [None, "0.05*sech(x)*exp(-t)", "0.05*I*sech(x)*exp(-t)"],
+        ids=["benchmark", "t-dependent real W", "complex W"],
+    )
+    def test_blockwise_rates_equal_one_whole_prefix_call(self, W, monkeypatch):
+        raw = {"preset": "benchmark"} if W is None else {"preset": "benchmark", "coefficients": {"W": W}}
+        sc = build_scenario(raw)
+        blocks = []
+
+        def recording(coeffs, beta, times, grid, **kwargs):
+            blocks.append(norm_bundle(coeffs, beta, times, grid, **kwargs))
+            return blocks[-1]
+
+        monkeypatch.setattr(cli, "norm_bundle", recording)
+        cli.resolve_horizon(sc, None)
+        assert len(blocks) > 1
+        # neighbouring blocks share a node; the whole call samples the prefix in other row blocks
+        prefix = np.concatenate([blocks[0].times] + [b.times[1:] for b in blocks[1:]])
+        whole = norm_bundle(sc.coeffs, sc.weight.sup_logderiv, prefix, sc.grid)
+        for name in ("coupling_rate", "energy_rate"):
+            rates = [getattr(b, name) for b in blocks]
+            assert all(r[-1] == s[0] for r, s in zip(rates, rates[1:]))
+            assert np.array_equal(np.concatenate([rates[0]] + [r[1:] for r in rates[1:]]), getattr(whole, name))
+
+    def test_one_evaluator_call_per_coefficient_and_probe_block(self, probed_nodes, monkeypatch):
+        # perfbench counts the same four methods
+        sc = build_scenario({"preset": "benchmark"})
+        calls = dict.fromkeys(("a_values", "a_x", "a_xx", "w_values"), 0)
+        for name in calls:
+            def counted(self, x, t, out=None, _name=name, _method=getattr(CoefficientField, name)):
+                calls[_name] += 1
+                return _method(self, x, t, out)
+
+            monkeypatch.setattr(CoefficientField, name, counted)
+        cli.resolve_horizon(sc, None)
+        assert not sc.coeffs.w_time_dependent
+        assert sum(calls.values()) <= 4 * len(probed_nodes)
+        assert calls["w_values"] == len(probed_nodes)

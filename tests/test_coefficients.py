@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from schrobvp import coefficients
 from schrobvp.coefficients import (
     CoefficientField,
     NormBundle,
@@ -64,6 +65,41 @@ class TestParsing:
     def test_complex_dispersive_coefficient_rejected(self):
         with pytest.raises(ValidationError):
             CoefficientField("I*sech(x)", "0")
+
+    @pytest.mark.parametrize("a", ["(-1)^0.5*sech(x)", "1 + (-2)^1.5*0"])
+    def test_complex_literal_power_in_a_rejected(self, a):
+        # Python powers of negative literals are complex, with or without I
+        with pytest.raises(ValidationError, match="must be real-valued"):
+            CoefficientField(a, "0")
+
+    @pytest.mark.parametrize("W, dtype", [("0.05*sech(x)", np.float64), ("0", np.float64),
+                                          ("0.05*I*sech(x)", np.complex128)])
+    def test_potential_is_complex_only_when_its_tree_is(self, W, dtype):
+        c = CoefficientField("1", W)
+        assert c.w_values(np.linspace(-1.0, 1.0, 5), np.array([[0.0], [1.0]])).dtype == dtype
+
+    @pytest.mark.parametrize("a", [
+        "1 + 0.1*exp(-t)*sech(x)",                               # benchmark
+        "(1 + t*x^2)^0.5 - 2/(3 + sin(x*t))",                    # sqrt shortcut; a full divisor
+        "x^2*t + (x*t)^3 - (t + x)^-1 + 2^(x*t)*0.1",             # square, power, reciprocal
+        "-tanh(x - t)^2 + cos(t)*sech(x*t) + (0.5 + t)^x",        # x in an exponent: log in a_x
+        "exp(-t) + sech(x) + (x*t)^1 + (x*t)^0 + +(x - t)",
+    ])
+    def test_samples_computed_in_a_buffer_are_the_fresh_samples_bit_for_bit(self, a):
+        c = CoefficientField(a, f"0.05*({a})*t")
+        x, ts = np.linspace(-4.0, 4.0, 255), np.linspace(0.11, 0.97, 7)[:, None]
+        for f in (c.a_values, c.a_x, c.a_xx, c.w_values):
+            fresh = np.array(f(x, ts))
+            out = np.full(fresh.shape, np.nan)
+            assert f(x, ts, out=out) is out and out.tobytes() == fresh.tobytes()
+
+    def test_a_buffer_is_left_alone_where_it_cannot_hold_the_samples(self):
+        c = CoefficientField("1 + t", "I*sech(x)*t")   # no x in a; complex W
+        x, ts = np.linspace(-4.0, 4.0, 9), np.array([[0.5], [1.0]])
+        out = np.zeros((2, 9))
+        assert np.array_equal(c.a_values(x, ts, out=out), c.a_values(x, ts))
+        assert np.array_equal(c.w_values(x, ts, out=out), c.w_values(x, ts))
+        assert not np.any(out)
 
     def test_analytic_x_derivatives(self):
         c = CoefficientField("sech(x)", "0")
@@ -207,6 +243,40 @@ class TestNormBundle:
         with pytest.raises(ValidationError):
             norm_bundle(c, 1.0, np.linspace(0, 1, 5), grid(512))
 
+    def test_block_size_changes_no_bit(self, monkeypatch):
+        c = CoefficientField("1 + 0.1*sech(x)*exp(-t)", "0.05*I*sech(x)*cos(t)")
+        times, g = np.linspace(0, 1, 51), grid(512)
+        whole = norm_bundle(c, 1.0, times, g)
+        for rows in (1, 3, 64):
+            handed = norm_bundle(c, 1.0, times, g, work=np.empty((rows, g.n)))
+            monkeypatch.setattr(coefficients, "_SAMPLE_BYTES", rows * 8 * g.n)
+            for blocked in (handed, norm_bundle(c, 1.0, times, g)):
+                assert np.array_equal(blocked.coupling_rate, whole.coupling_rate)
+                assert np.array_equal(blocked.energy_rate, whole.energy_rate)
+
+    @pytest.mark.parametrize("a, W, moving", [("1 + 0.1*sech(x)", "0.05*sech(x)", 0),
+                                              ("1 + 0.1*sech(x)", "0.05*sech(x)*exp(-t)", 1),
+                                              ("1 + 0.1*exp(-t)*sech(x)", "0.05*sech(x)", 3)])
+    def test_coefficients_without_t_are_sampled_once(self, a, W, moving, monkeypatch):
+        rows = []
+        for name in ("a_values", "a_x", "a_xx", "w_values"):
+            def counted(self, x, t, out=None, _method=getattr(CoefficientField, name)):
+                rows.append(len(t))
+                return _method(self, x, t, out)
+
+            monkeypatch.setattr(CoefficientField, name, counted)
+        g = grid(256)
+        monkeypatch.setattr(coefficients, "_SAMPLE_BYTES", 8 * 8 * g.n)
+        # blocks of 8, 8 and 4 rows for each evaluator with t, one row for each without
+        norm_bundle(CoefficientField(a, W), 1.0, np.linspace(0, 1, 20), g)
+        assert sorted(rows) == sorted([1] * (4 - moving) + [8, 8, 4] * moving)
+
+    def test_rejection_names_the_earliest_failing_time(self):
+        # a dips below the floor at t = 0.25; W overflows from t = 0.75 on
+        c = CoefficientField("1 - 2*t", "1e-300*exp(exp(40*(t - 0.5)))", ellipticity=0.6)
+        with pytest.raises(ValidationError, match=r"below the floor 0.6 at t=0.25$"):
+            norm_bundle(c, 1.0, np.linspace(0, 1, 5), grid(64))
+
     def test_bad_time_grid(self):
         c = CoefficientField("1", "0")
         with pytest.raises(ConfigError):
@@ -217,6 +287,7 @@ class _StubField:
     """a = 1, a_x = a_xx = 0, W = 0, but for one non-finite sample of ``bad`` at t = 0.75."""
 
     ellipticity = 0.0
+    a_time_dependent = w_time_dependent = True   # so a t = 0.75 sample exists for each
 
     def __init__(self, bad, value):
         self.bad, self.value = bad, value
@@ -227,16 +298,16 @@ class _StubField:
             out[t[:, 0] == 0.75, 7] = self.value
         return out
 
-    def a_values(self, x, t):
+    def a_values(self, x, t, out=None):
         return self._rows("a", x, t)
 
-    def a_x(self, x, t):
+    def a_x(self, x, t, out=None):
         return self._rows("a_x", x, t)
 
-    def a_xx(self, x, t):
+    def a_xx(self, x, t, out=None):
         return self._rows("a_xx", x, t)
 
-    def w_values(self, x, t):
+    def w_values(self, x, t, out=None):
         return self._rows("W", x, t, np.complex128)
 
 

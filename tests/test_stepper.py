@@ -579,6 +579,23 @@ class TestOperatorTable:
         table = OperatorTable(sc.coeffs, sc.weight, np.linspace(0.0, 0.01, 9), half_steps=True)
         assert table.uniform is uniform
 
+    @pytest.mark.parametrize("a", ["1 + 0.1*exp(-t)*sech(x)", "1 + 0.1*sech(x)"], ids=["benchmark", "constant"])
+    def test_rows_are_the_row_by_row_masked_samples(self, a):
+        # the build runs its round trips in place, a row block at a time
+        sc = build_scenario(load_preset("benchmark"))
+        coeffs = CoefficientField(a, sc.coeffs.w_expr)
+        grid, q, dq = sc.grid, sc.weight.logderiv, sc.weight.logderiv_x
+        table = OperatorTable(coeffs, sc.weight, np.linspace(0.0, 0.02, 17), half_steps=True)
+        assert len(table.a) == (1 if table.constant else 33)
+        for k, t in enumerate(table.nodes[: len(table.a)]):
+            a_row = coeffs.a_values(grid.x, t)
+            assert table.abar[k] == np.mean(a_row)
+            assert np.array_equal(table.a[k], spectral.masked_samples(grid, a_row).real)
+            assert np.array_equal(table.aq[k], spectral.masked_samples(grid, a_row * q).real)
+            if k % table.stride == 0:
+                lump = 1j * ((q**2 - dq) * a_row - q * coeffs.a_x(grid.x, t)) + 1j * coeffs.w_values(grid.x, t)
+                assert np.array_equal(table.zeroth[k // table.stride], spectral.masked_samples(grid, lump))
+
     @pytest.mark.parametrize("block_bytes", [1 << 12, 1 << 24], ids=["2-row blocks", "one block"])
     def test_uniform_reads_every_row_block(self, monkeypatch, block_bytes):
         # x-constant rows up to t ~ 0.03 (the tanh is exactly -1 there), x-dependent W after
