@@ -193,6 +193,8 @@ def build_scenario(raw: dict) -> ScenarioConfig:
     if "f" not in data_spec or "g" not in data_spec:
         raise ConfigError("data section needs both f and g")
     seed = typed(resolved.get("seed", 0), int, "seed")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     f = build_datum(typed(data_spec["f"], str, "data.f"), grid, "-", seed=seed)
     g = build_datum(typed(data_spec["g"], str, "data.g"), grid, "+", seed=seed + 1)
 

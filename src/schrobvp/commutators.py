@@ -275,6 +275,22 @@ def _row_norms(
     }
 
 
+def _kernel_grid(g: Grid1D, bandwidth: int) -> Grid1D:
+    """The smallest power-of-two grid above 6 * bandwidth, or ``g`` if not smaller: there no
+    B-band factor, nor the product of two, aliases, and the 2/3 masks keep every product mode."""
+    n = max(16, 1 << (6 * bandwidth).bit_length())
+    return Grid1D(n, g.half_length) if n < g.n else g
+
+
+def _resample_hat(src: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
+    """``scale * src`` at the size of ``out``: modes truncated or zero-padded along the last axis."""
+    h = min(src.shape[-1], out.shape[-1]) // 2
+    np.multiply(src[..., :h], scale, out=out[..., :h])
+    np.multiply(src[..., -h:], scale, out=out[..., -h:])
+    out[..., h:-h] = 0.0
+    return out
+
+
 def _grid_ratios(
     g: Grid1D,
     operator: str,
@@ -285,32 +301,38 @@ def _grid_ratios(
     seed: int,
 ) -> dict[tuple[int, int, float], list[float]]:
     """Trial ratios of every (l, m, q) on one grid, in trial order (see ``estimate_constant``)."""
-    symbol = _operator_symbol(g, operator)
+    kg = _kernel_grid(g, bandwidth)
+    symbol = _operator_symbol(kg, operator)
     inner, total = sorted({m for _, m in pairs}), sorted({l + m for l, m in pairs})
-    d = {k: derivative_multiplier(g, k) for k in {l for l, _ in pairs} | set(inner) | set(total)}
+    d = {k: derivative_multiplier(g, k) for k in {l for l, _ in pairs} | set(total)}
+    dk = {m: derivative_multiplier(kg, m) for m in inner}
     ratios = {(l, m, q): [] for l, m in pairs for q in exponents}
-    # blocks sized for rows of 2n: each of the six work arrays is half a CHUNK_BYTES block
+    # blocks sized for rows of 2n: each full-grid work array is half a CHUNK_BYTES block
     blocks = row_blocks(n_trials, 2 * g.n)
-    stack = np.empty((6, blocks[0].stop, g.n), dtype=np.complex128)
+    stack = np.empty((3, blocks[0].stop, g.n), dtype=np.complex128)
+    kernel_stack = np.empty((5, blocks[0].stop, kg.n), dtype=np.complex128)
     mod_stack = np.empty(stack.shape[1:])
     for block in blocks:
         count = block.stop - block.start
-        # a_m holds the coefficients' hats until they are turned into samples in place
-        f_hat, a_m, scratch, comm, *work = stack[:, :count]
+        f_hat, a_hat, scratch = stack[:, :count]
+        a_m, g_hat, comm, *work = kernel_stack[:, :count]
         mod = mod_stack[:count]
         for j, i in enumerate(range(block.start, block.stop)):
             f_hat[j] = random_band_hat(g, bandwidth, seed + i)
-            a_m[j] = _stratified_coefficient(g, bandwidth, seed + n_trials + i)
+            a_hat[j] = _stratified_coefficient(g, bandwidth, seed + n_trials + i)
         f_norm = _row_norms(g, np.fft.ifft(f_hat, out=scratch), exponents, mod)
         sup_a = {}
         for k in total:
-            samples = np.fft.ifft(np.multiply(d[k], a_m, out=scratch), out=scratch)
+            samples = np.fft.ifft(np.multiply(d[k], a_hat, out=scratch), out=scratch)
             sup_a[k] = np.max(np.abs(samples.real, out=mod), axis=-1)
-        _dealiased_samples(g, a_m, out=a_m)
+        # hats cross grids truncated or zero-padded, scaled exactly by a power of two
+        _dealiased_samples(kg, _resample_hat(a_hat, kg.n / g.n, a_m), out=a_m)
         for m in inner:
-            _commutator_hats(g, symbol, a_m, np.multiply(d[m], f_hat, out=scratch), comm, work)
+            _resample_hat(f_hat, kg.n / g.n, g_hat)
+            _commutator_hats(kg, symbol, a_m, np.multiply(dk[m], g_hat, out=g_hat), comm, work)
             for l in (l for l, m_ in pairs if m_ == m):
-                samples = np.fft.ifft(np.multiply(d[l], comm, out=scratch), out=scratch)
+                _resample_hat(comm, g.n / kg.n, scratch)
+                samples = np.fft.ifft(np.multiply(d[l], scratch, out=scratch), out=scratch)
                 lhs_norm = _row_norms(g, samples, exponents, mod)
                 sup = sup_a[l + m]
                 for q in exponents:
@@ -339,13 +361,17 @@ def estimate_constant(
     kernel.  The result is keyed (l, m, p) whether ``p`` is one exponent
     or several.  Trials run a block of rows at a time (``row_blocks`` for
     rows of twice the grid size: 4 trials at n = 2048, 2 at 4096), through
-    six work arrays allocated once per grid.  Each trial's (a, f) keeps its
+    work arrays allocated once per grid.  Each trial's (a, f) keeps its
     own seeds and is drawn as Fourier coefficients into its block row; the
     block is transformed once per grid and shared by every (l, m) and
     every p: the coefficient samples once, [T; a] d^m f once per distinct
     m, its physical samples once per (l, m), and the L^p norms of all rows
-    for all p from one |samples| array.  Every transform and product works
-    row by row, so the block size never changes a ratio.  Coefficients
+    for all p from one |samples| array.  The coefficient samples and
+    [T; a] d^m f are formed on ``_kernel_grid`` (512 points for a band of
+    64); the norms of f, sup |d^{l+m} a| and the samples of d^l [T; a] d^m f
+    stay on the grid, so the ratios agree with the full-grid kernel to
+    rounding.  Every transform and product works row by row, so the block
+    size never changes a bit.  Coefficients
     are drawn at stratified concentration levels (see
     ``_stratified_coefficient``) and arguments diffusely across the band,
     so the max tracks the actual extremal configurations at any
@@ -366,6 +392,8 @@ def estimate_constant(
         raise ConfigError("exponent p must lie in (1, inf)")
     if n_trials < 1:
         raise ConfigError(f"need at least one trial, got {n_trials}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     if bandwidth < 1:
         raise ConfigError(f"bandwidth must be at least 1, got {bandwidth}")
     if 3 * bandwidth >= grid.n:

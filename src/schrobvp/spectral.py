@@ -409,7 +409,7 @@ def lp_block(f: SpectralField, k: int, kind: str = "Q") -> SpectralField:
 
 def lp_norm(f: SpectralField, p: float) -> float:
     """Quadrature L^p norm (sum |f(x_j)|^p dx)^(1/p); p = inf gives max |f|."""
-    if p != np.inf and p <= 1:
+    if not 1 < p <= np.inf:
         raise ValueError(f"norm exponent must lie in (1, inf], got {p}")
     return f.norm_lp(p)
 

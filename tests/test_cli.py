@@ -117,6 +117,12 @@ class TestBuildScenario:
         with pytest.raises(ConfigError, match="beta"):
             build_scenario(raw)
 
+    def test_negative_seed_named(self):
+        # numpy's own "expected non-negative integer" named neither the key nor the seed
+        raw = {"preset": "decoupled", "seed": -1, "data": {"f": "random:8", "g": "random:8"}}
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            build_scenario(raw)
+
     def test_readme_key_table_lists_the_accepted_keys(self):
         # the README's table of scenario keys: one row per section, then the top level
         text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -478,6 +484,7 @@ class TestErrorsAndExitCodes:
         [
             (["free-bvp", "--grid-n", "64", "--datum-f", "nosuch"], "nosuch"),
             (["commutator-bench", "--grid-n", "256", "--trials", "2", "--lm", "0,a"], "--lm"),
+            (["commutator-bench", "--grid-n", "256", "--trials", "2", "--seed", "-1"], "seed"),
             (["mizohata", "--grid-n", "256", "--b", "y"], "y"),
             # NaN and inf pass `> 0` tests, and 1e308 overflowed beta**2 uncaught
             (["free-bvp", "--grid-n", "64", "--beta", "inf"], "beta"),
@@ -486,7 +493,7 @@ class TestErrorsAndExitCodes:
             (["free-bvp", "--grid-n", "64", "--times", "0.1,nan"], "times"),
             (["mizohata", "--grid-n", "256", "--b", "I*sech(x)", "--R", "nan"], "R_max"),
         ],
-        ids=["free-bvp-datum", "commutator-bench-lm", "mizohata-b", "free-bvp-beta-inf",
+        ids=["free-bvp-datum", "commutator-bench-lm", "commutator-bench-seed", "mizohata-b", "free-bvp-beta-inf",
              "free-bvp-beta-overflow", "free-bvp-times-nan", "free-bvp-times-list-nan", "mizohata-R-nan"],
     )
     def test_rejected_input_leaves_no_directory(self, tmp_path, capsys, argv, needle):

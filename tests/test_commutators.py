@@ -12,6 +12,7 @@ from schrobvp.commutators import (
     CommutatorTrial,
     _commutator_hats,
     _dealiased_samples,
+    _kernel_grid,
     _row_norms,
     _stratified_coefficient,
     commutator_apply,
@@ -27,6 +28,7 @@ from schrobvp.spectral import (
     Grid1D,
     SpectralField,
     derivative,
+    derivative_multiplier,
     fractional_multiplier,
     hilbert_multiplier,
     lp_norm,
@@ -173,6 +175,82 @@ class TestKernelBlocks:
         assert abs(np.vdot(g_hat, kf) + np.vdot(kg, f_hat)) <= 1e-13 * scale
 
 
+def _check_against_hand_normalised_trials(operator, grid, exponents, check_stability, n_trials, band, seed):
+    # each trial by hand: a and f drawn with the ensemble's seeds,
+    # normalised to sup|d^{l+m} a| = 1 and ||f||_p = 1, then one
+    # commutator_apply per (l, m), on the full grid
+    pairs = [(0, 1), (1, 1), (0, 2)]
+
+    def by_hand(g, l, m, p):
+        ratios = []
+        for i in range(n_trials):
+            a_raw = SpectralField.from_hat(g, _stratified_coefficient(g, band, seed + n_trials + i))
+            a = a_raw.values.real / np.max(np.abs(derivative(a_raw, l + m).values.real))
+            f_raw = random_band_field(g, band, seed + i)
+            f = (1.0 / lp_norm(f_raw, p)) * f_raw
+            trial = CommutatorTrial(operator=operator, a=a, f=f, l=l, m=m, p=p)
+            ratios.append(lp_norm(commutator_apply(trial), p))
+        return np.asarray(ratios)
+
+    table = estimate_constant(
+        operator, pairs, grid, p=exponents, n_trials=n_trials, bandwidth=band,
+        seed=seed, check_stability=check_stability,
+    )
+    for l, m in pairs:
+        for p in exponents:
+            est = table[(l, m, p)]
+            expected = by_hand(grid, l, m, p)
+            assert est.skipped == 0
+            np.testing.assert_allclose(est.ratios, expected, rtol=1e-12, atol=0)
+            assert est.max_ratio == pytest.approx(np.max(expected), rel=1e-12)
+            stability = 1.0
+            if check_stability:
+                fine = Grid1D(2 * grid.n, grid.half_length)
+                stability = np.max(by_hand(fine, l, m, p)) / np.max(expected)
+            assert est.stability_factor == pytest.approx(stability, rel=1e-12)
+
+
+def _full_grid_ratios(grid, operator, pairs, exponents, n_trials, band, seed):
+    # one trial at a time, every transform on the grid itself: the ensemble
+    # pipeline as it ran before the kernel grid
+    symbol = hilbert_multiplier(grid) if operator == "H" else projection_multiplier(grid, operator)
+    d = [derivative_multiplier(grid, k) for k in range(4)]
+    ratios = {(l, m, q): [] for l, m in pairs for q in exponents}
+    for i in range(n_trials):
+        f_hat = random_band_hat(grid, band, seed + i)[None]
+        a_hat = _stratified_coefficient(grid, band, seed + n_trials + i)[None]
+        f_norm = _row_norms(grid, np.fft.ifft(f_hat), exponents, np.empty(f_hat.shape))
+        a_m = _dealiased_samples(grid, a_hat.copy())
+        for l, m in pairs:
+            sup = np.max(np.abs(np.fft.ifft(d[l + m] * a_hat).real), axis=-1)
+            comm = _commutator_hats(grid, symbol, a_m, d[m] * f_hat)
+            lhs = _row_norms(grid, np.fft.ifft(d[l] * comm), exponents, np.empty(f_hat.shape))
+            for q in exponents:
+                ratios[(l, m, q)].extend((lhs[q] / (sup * f_norm[q])).tolist())
+    return ratios
+
+
+class TestKernelGrid:
+    @pytest.mark.parametrize(
+        "n, band, size", [(2048, 64, 512), (4096, 64, 512), (2048, 128, 1024), (256, 48, 256), (16, 1, 16)]
+    )
+    def test_smallest_power_of_two_above_six_bands(self, n, band, size):
+        grid = Grid1D(n, 8 * np.pi)
+        kernel = _kernel_grid(grid, band)
+        assert kernel == Grid1D(size, grid.half_length)
+        assert kernel is grid or 6 * band < size < grid.n
+
+    @pytest.mark.parametrize("operator", ["+", "-", "H"])
+    def test_grid_without_a_smaller_kernel_grid_keeps_every_bit(self, operator):
+        grid, pairs, exponents = Grid1D(256, 8 * np.pi), [(0, 1), (1, 1), (0, 2)], (4 / 3, 2.0, 4.0)
+        assert _kernel_grid(grid, 48) is grid
+        table = estimate_constant(operator, pairs, grid, p=exponents, n_trials=10, bandwidth=48,
+                                  seed=2, check_stability=False)
+        expected = _full_grid_ratios(grid, operator, pairs, exponents, 10, 48, 2)
+        for key, ratios in expected.items():
+            assert np.array_equal(table[key].ratios, ratios)
+
+
 class TestEstimateConstant:
     def test_first_order_ensemble_stable(self):
         est = estimate_constant(
@@ -228,44 +306,27 @@ class TestEstimateConstant:
         with pytest.raises(ConfigError):
             estimate_constant("+", [(0, 1)], GRID, **kw)
 
+    def test_negative_seed_named(self):
+        # numpy's own "expected non-negative integer" did not name the seed
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            estimate_constant("+", [(0, 1)], GRID, n_trials=2, bandwidth=16, seed=-1)
+
     @pytest.mark.parametrize("operator", ["+", "-", "H"])
     @pytest.mark.parametrize("p", [4 / 3, 4.0])
     @pytest.mark.parametrize("check_stability", [False, True])
     def test_ratios_match_hand_normalised_trials(self, operator, p, check_stability):
-        # each trial by hand: a and f drawn with the ensemble's seeds,
-        # normalised to sup|d^{l+m} a| = 1 and ||f||_p = 1, then one
-        # commutator_apply per (l, m)
-        grid, n_trials, band, seed = Grid1D(256, 8 * np.pi), 6, 16, 5
-        pairs = [(0, 1), (1, 1), (0, 2)]
-
-        def by_hand(g, l, m):
-            ratios = []
-            for i in range(n_trials):
-                a_raw = SpectralField.from_hat(
-                    g, _stratified_coefficient(g, band, seed + n_trials + i)
-                )
-                a = a_raw.values.real / np.max(np.abs(derivative(a_raw, l + m).values.real))
-                f_raw = random_band_field(g, band, seed + i)
-                f = (1.0 / lp_norm(f_raw, p)) * f_raw
-                trial = CommutatorTrial(operator=operator, a=a, f=f, l=l, m=m, p=p)
-                ratios.append(lp_norm(commutator_apply(trial), p))
-            return np.asarray(ratios)
-
-        table = estimate_constant(
-            operator, pairs, grid, p=p, n_trials=n_trials, bandwidth=band,
-            seed=seed, check_stability=check_stability,
+        _check_against_hand_normalised_trials(
+            operator, Grid1D(256, 8 * np.pi), [p], check_stability, n_trials=6, band=16, seed=5
         )
-        for l, m in pairs:
-            est = table[(l, m, p)]
-            expected = by_hand(grid, l, m)
-            assert est.skipped == 0
-            np.testing.assert_allclose(est.ratios, expected, rtol=1e-12, atol=0)
-            assert est.max_ratio == pytest.approx(np.max(expected), rel=1e-12)
-            stability = 1.0
-            if check_stability:
-                fine = Grid1D(2 * grid.n, grid.half_length)
-                stability = np.max(by_hand(fine, l, m)) / np.max(expected)
-            assert est.stability_factor == pytest.approx(stability, rel=1e-12)
+
+    @pytest.mark.parametrize("operator", ["+", "-", "H"])
+    def test_ratios_match_hand_normalised_trials_at_the_workload_size(self, operator):
+        # the kernel runs on 512 points for both grids; 6 trials span two
+        # row blocks at n = 2048 and three at 4096, so a kernel buffer that
+        # kept one block's modes into the next would show
+        _check_against_hand_normalised_trials(
+            operator, Grid1D(2048, 8 * np.pi), [4 / 3, 2.0, 4.0], True, n_trials=6, band=64, seed=5
+        )
 
     @pytest.mark.parametrize("operator", ["+", "H"])
     def test_exponents_in_one_call_match_one_call_each(self, operator):
@@ -301,7 +362,8 @@ class TestEstimateConstant:
     def test_ensemble_holds_no_trial_stack(self):
         # one (100, 2n) complex stack on the doubled grid would be 3.1 MiB;
         # trials are processed a row block at a time (8 rows at n = 1024,
-        # 4 on the doubled grid) through six work arrays, for all three
+        # 4 on the doubled grid) through three grid-sized work arrays and
+        # five on the 512-point kernel grid, for all three
         # exponents at once.  A one-trial call first keeps the one-off
         # costs of first use (lazy imports, FFT plans) out of the peak.
         grid, pairs, p = Grid1D(1024, 8 * np.pi), [(0, 1), (1, 1), (0, 2)], (4 / 3, 2.0, 4.0)

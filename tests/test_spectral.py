@@ -267,6 +267,14 @@ class TestLpNorm:
         with pytest.raises(ValueError):
             lp_norm(f, 0.5)
 
+    def test_exponent_range_rejects_nan(self):
+        # NaN fails every comparison, so a check written as `p <= 1` let it through
+        f = random_band_field(grid256(), 40, 41)
+        for p in (np.nan, 1.0):
+            with pytest.raises(ValueError, match="norm exponent"):
+                lp_norm(f, p)
+        assert lp_norm(f, np.inf) == np.max(np.abs(f.values))
+
 
 class TestDealiasedProduct:
     def test_low_modes_multiply_exactly(self):
