@@ -11,6 +11,7 @@ the underlying bound is uniform.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -32,6 +33,13 @@ def main() -> int:
     args = ap.parse_args()
 
     grid = Grid1D(args.grid_n, args.grid_L)
+    # the band x2 column reruns the ensemble at twice the bandwidth, which must
+    # also sit below the dealiasing cutoff n/3: check it before any ensemble runs
+    if 6 * args.bandwidth >= grid.n:
+        print(f"error: --bandwidth {args.bandwidth} doubled to {2 * args.bandwidth} does not sit "
+              f"below the dealiasing cutoff n/3 = {grid.n / 3:.1f} of --grid-n {grid.n}",
+              file=sys.stderr)
+        return 1
     lm_pairs = _parse_lm(args.lm)
     exponents = _parse_p_list(args.p)
 

@@ -15,9 +15,10 @@ identities behind them on the grid:
 * ``estimate_constant`` runs seeded ensembles and reports the max ratio
   against the sup norm of d^{l+m} a times the field norm, plus its
   stability under grid refinement (the falsifiable desk-scale content
-  of a uniform bound).  Trials run a block of rows at a time; each
-  trial's pair (a, f) is drawn and transformed once per grid and serves
-  every (l, m) and every p.
+  of a uniform bound).  Trials run a block of rows at a time through one
+  pipeline for both grids: each trial's pair (a, f) is drawn once, its
+  [T; a] kernel runs once per distinct kernel grid, and the result serves
+  both grids, every (l, m) and every p.
 * ``decomposition_audit`` splits a one-sided coefficient product into
   the three dyadic double-sum parts, checks the part that vanishes by
   frequency-support bookkeeping, the two block-support identities, and
@@ -28,6 +29,7 @@ identities behind them on the grid:
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
@@ -231,8 +233,10 @@ def _stratified_coefficient(grid: Grid1D, bandwidth: int, seed: int) -> np.ndarr
     underlying bound is uniform.  Mixing dyadic concentration levels
     (from a single active mode up to the full band) removes that bias.
     The draw depends only on the seed and the band, with modes filled in
-    a fixed order, so the same seed reproduces the same function on any
-    grid that resolves the band.
+    a fixed order, so the same seed places the same hats on any grid that
+    resolves the band.  Unlike ``random_band_hat`` it does not scale them
+    by n, so the physical amplitude scales as 1/n; no ratio sees this, and
+    ``_ensemble_ratios`` relies on it.
     """
     rng = np.random.default_rng(seed)
     levels = [1 << j for j in range(bandwidth.bit_length()) if 1 << j <= bandwidth]
@@ -291,54 +295,79 @@ def _resample_hat(src: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _grid_ratios(
-    g: Grid1D,
+def _flat_view(buf: np.ndarray, *shape: int) -> np.ndarray:
+    """The leading elements of the flat ``buf`` as a contiguous array of ``shape``."""
+    return buf[: math.prod(shape)].reshape(shape)
+
+
+def _ensemble_ratios(
+    grids: list[Grid1D],
     operator: str,
     pairs: list[tuple[int, int]],
     exponents: list[float],
     n_trials: int,
     bandwidth: int,
     seed: int,
-) -> dict[tuple[int, int, float], list[float]]:
-    """Trial ratios of every (l, m, q) on one grid, in trial order (see ``estimate_constant``)."""
-    kg = _kernel_grid(g, bandwidth)
-    symbol = _operator_symbol(kg, operator)
+) -> list[dict[tuple[int, int, float], list[float]]]:
+    """Trial ratios of every (l, m, q) on each of ``grids``, in trial order (see ``estimate_constant``).
+
+    Trials are drawn once on the smallest kernel grid, the kernel runs once per distinct kernel
+    grid, and derivatives are taken there before zero padding.  f's hats scale with n, a's and
+    the kernel's do not, so hats move between grids by exact powers of two: each grid gets the
+    bits of a pipeline of its own.
+    """
+    kernels = [_kernel_grid(g, bandwidth) for g in grids]
+    draw = kernels[0]  # the smallest: grids come in increasing size, and so do their kernel grids
     inner, total = sorted({m for _, m in pairs}), sorted({l + m for l, m in pairs})
-    d = {k: derivative_multiplier(g, k) for k in {l for l, _ in pairs} | set(total)}
-    dk = {m: derivative_multiplier(kg, m) for m in inner}
-    ratios = {(l, m, q): [] for l, m in pairs for q in exponents}
-    # blocks sized for rows of 2n: each full-grid work array is half a CHUNK_BYTES block
-    blocks = row_blocks(n_trials, 2 * g.n)
-    stack = np.empty((3, blocks[0].stop, g.n), dtype=np.complex128)
-    kernel_stack = np.empty((5, blocks[0].stop, kg.n), dtype=np.complex128)
-    mod_stack = np.empty(stack.shape[1:])
+    orders = {l for l, _ in pairs} | set(inner) | set(total)
+    d = {kg: {k: derivative_multiplier(kg, k) for k in orders} for kg in kernels}
+    kernel_steps = [
+        (kg, _operator_symbol(kg, operator), [t for t, other in enumerate(kernels) if other == kg])
+        for kg in dict.fromkeys(kernels)
+    ]
+    ratios = [{(l, m, q): [] for l, m in pairs for q in exponents} for _ in grids]
+    # blocks sized for rows of twice the first grid (4 trials at n = 2048); the flat work
+    # arrays fit the largest grid and are viewed at the size of each
+    blocks = row_blocks(n_trials, 2 * grids[0].n)
+    rows = blocks[0].stop
+    draws = np.empty((3, rows, draw.n), dtype=np.complex128)
+    kernel_buf = np.empty(5 * rows * max(kg.n for kg in kernels), dtype=np.complex128)
+    scratch_buf = np.empty(rows * max(g.n for g in grids), dtype=np.complex128)
+    mod_buf = np.empty(scratch_buf.size)
     for block in blocks:
         count = block.stop - block.start
-        f_hat, a_hat, scratch = stack[:, :count]
-        a_m, g_hat, comm, *work = kernel_stack[:, :count]
-        mod = mod_stack[:count]
+        f_hat, a_hat, a_der = draws[:, :count]
         for j, i in enumerate(range(block.start, block.stop)):
-            f_hat[j] = random_band_hat(g, bandwidth, seed + i)
-            a_hat[j] = _stratified_coefficient(g, bandwidth, seed + n_trials + i)
-        f_norm = _row_norms(g, np.fft.ifft(f_hat, out=scratch), exponents, mod)
-        sup_a = {}
-        for k in total:
-            samples = np.fft.ifft(np.multiply(d[k], a_hat, out=scratch), out=scratch)
-            sup_a[k] = np.max(np.abs(samples.real, out=mod), axis=-1)
-        # hats cross grids truncated or zero-padded, scaled exactly by a power of two
-        _dealiased_samples(kg, _resample_hat(a_hat, kg.n / g.n, a_m), out=a_m)
-        for m in inner:
-            _resample_hat(f_hat, kg.n / g.n, g_hat)
-            _commutator_hats(kg, symbol, a_m, np.multiply(dk[m], g_hat, out=g_hat), comm, work)
-            for l in (l for l, m_ in pairs if m_ == m):
-                _resample_hat(comm, g.n / kg.n, scratch)
-                samples = np.fft.ifft(np.multiply(d[l], scratch, out=scratch), out=scratch)
-                lhs_norm = _row_norms(g, samples, exponents, mod)
-                sup = sup_a[l + m]
-                for q in exponents:
-                    keep = ~(sup < 1e-12) & (f_norm[q] >= 1e-300)
-                    ratio = lhs_norm[q][keep] / (sup[keep] * f_norm[q][keep])
-                    ratios[(l, m, q)].extend(ratio.tolist())
+            f_hat[j] = random_band_hat(draw, bandwidth, seed + i)
+            a_hat[j] = _stratified_coefficient(draw, bandwidth, seed + n_trials + i)
+        f_norm, sup_a = [], []
+        for g in grids:
+            scratch, mod = _flat_view(scratch_buf, count, g.n), _flat_view(mod_buf, count, g.n)
+            samples = np.fft.ifft(_resample_hat(f_hat, g.n / draw.n, scratch), out=scratch)
+            f_norm.append(_row_norms(g, samples, exponents, mod))
+            sup_a.append({})
+            for k in total:
+                _resample_hat(np.multiply(d[draw][k], a_hat, out=a_der), 1.0, scratch)
+                samples = np.fft.ifft(scratch, out=scratch)
+                sup_a[-1][k] = np.max(np.abs(samples.real, out=mod), axis=-1)
+        for kg, symbol, users in kernel_steps:
+            a_m, g_hat, comm, *work = _flat_view(kernel_buf, 5, count, kg.n)
+            _dealiased_samples(kg, _resample_hat(a_hat, 1.0, a_m), out=a_m)
+            for m in inner:
+                _resample_hat(f_hat, kg.n / draw.n, g_hat)
+                _commutator_hats(kg, symbol, a_m, np.multiply(d[kg][m], g_hat, out=g_hat), comm, work)
+                for l in (l for l, m_ in pairs if m_ == m):
+                    np.multiply(d[kg][l], comm, out=g_hat)
+                    for t in users:
+                        g = grids[t]
+                        scratch, mod = _flat_view(scratch_buf, count, g.n), _flat_view(mod_buf, count, g.n)
+                        samples = np.fft.ifft(_resample_hat(g_hat, 1.0, scratch), out=scratch)
+                        lhs_norm = _row_norms(g, samples, exponents, mod)
+                        sup = sup_a[t][l + m]
+                        for q in exponents:
+                            keep = ~(sup < 1e-12) & (f_norm[t][q] >= 1e-300)
+                            ratio = lhs_norm[q][keep] / (sup[keep] * f_norm[t][q][keep])
+                            ratios[t][(l, m, q)].extend(ratio.tolist())
     return ratios
 
 
@@ -359,25 +388,22 @@ def estimate_constant(
     ||d^l [T; a] d^m f||_p / (||d^{l+m} a||_inf ||f||_p); the commutator
     is bilinear in (a, f), so it is divided by the denominator after the
     kernel.  The result is keyed (l, m, p) whether ``p`` is one exponent
-    or several.  Trials run a block of rows at a time (``row_blocks`` for
-    rows of twice the grid size: 4 trials at n = 2048, 2 at 4096), through
-    work arrays allocated once per grid.  Each trial's (a, f) keeps its
-    own seeds and is drawn as Fourier coefficients into its block row; the
-    block is transformed once per grid and shared by every (l, m) and
-    every p: the coefficient samples once, [T; a] d^m f once per distinct
-    m, its physical samples once per (l, m), and the L^p norms of all rows
-    for all p from one |samples| array.  The coefficient samples and
-    [T; a] d^m f are formed on ``_kernel_grid`` (512 points for a band of
-    64); the norms of f, sup |d^{l+m} a| and the samples of d^l [T; a] d^m f
-    stay on the grid, so the ratios agree with the full-grid kernel to
-    rounding.  Every transform and product works row by row, so the block
-    size never changes a bit.  Coefficients
-    are drawn at stratified concentration levels (see
-    ``_stratified_coefficient``) and arguments diffusely across the band,
-    so the max tracks the actual extremal configurations at any
-    bandwidth.  The stability factor reruns the same seeds on a grid with
-    doubled resolution (the random fields reproduce mode-for-mode) and
-    divides the max ratios.
+    or several.  One pipeline serves the grid and, for the stability
+    factor, the doubled grid, a block of trials at a time (``row_blocks``
+    for rows of twice the grid size: 4 trials at n = 2048, on both grids)
+    through work arrays allocated once.  Each trial's (a, f) keeps its own
+    seeds and is drawn once, as Fourier coefficients on ``_kernel_grid``
+    (512 points for a band of 64), where the coefficient samples and
+    [T; a] d^m f are formed once for both grids and every (l, m) and p.
+    The norms of f, sup |d^{l+m} a| and the samples of d^l [T; a] d^m f are
+    taken on each grid, so the ratios agree with the full-grid kernel to
+    rounding.  Every transform works row by row, so the block size never
+    changes a bit.  Coefficients are drawn at stratified concentration
+    levels (see ``_stratified_coefficient``) and arguments diffusely across
+    the band, so the max tracks the actual extremal configurations at any
+    bandwidth.  The stability factor divides the max ratios of the same
+    seeds on the doubled grid by the grid's: the random fields reproduce
+    mode-for-mode on any grid that resolves the band.
 
     Known limit: trial i of base seed s draws f from seed s + i and a
     from seed s + n_trials + i, so base seeds closer than ``n_trials``
@@ -403,9 +429,7 @@ def estimate_constant(
         raise ConfigError("derivative orders must be nonnegative")
 
     grids = [grid, Grid1D(2 * grid.n, grid.half_length)] if check_stability else [grid]
-    per_grid = [
-        _grid_ratios(g, operator, pairs, exponents, n_trials, bandwidth, seed) for g in grids
-    ]
+    per_grid = _ensemble_ratios(grids, operator, pairs, exponents, n_trials, bandwidth, seed)
 
     out = {}
     for (l, m, q), ratios in per_grid[0].items():

@@ -13,6 +13,7 @@ from schrobvp.commutators import (
     _commutator_hats,
     _dealiased_samples,
     _kernel_grid,
+    _resample_hat,
     _row_norms,
     _stratified_coefficient,
     commutator_apply,
@@ -230,6 +231,92 @@ def _full_grid_ratios(grid, operator, pairs, exponents, n_trials, band, seed):
     return ratios
 
 
+def _per_grid_ratios(g, operator, pairs, exponents, n_trials, band, seed):
+    # the ensemble pipeline as it ran one grid at a time: every trial drawn on
+    # the grid itself, its own kernel-grid run, blocks sized for rows of 2 g.n
+    kg = _kernel_grid(g, band)
+    symbol = hilbert_multiplier(kg) if operator == "H" else projection_multiplier(kg, operator)
+    inner, total = sorted({m for _, m in pairs}), sorted({l + m for l, m in pairs})
+    d = {k: derivative_multiplier(g, k) for k in {l for l, _ in pairs} | set(total)}
+    dk = {m: derivative_multiplier(kg, m) for m in inner}
+    ratios = {(l, m, q): [] for l, m in pairs for q in exponents}
+    blocks = row_blocks(n_trials, 2 * g.n)
+    stack = np.empty((3, blocks[0].stop, g.n), dtype=np.complex128)
+    kernel_stack = np.empty((5, blocks[0].stop, kg.n), dtype=np.complex128)
+    mod_stack = np.empty(stack.shape[1:])
+    for block in blocks:
+        count = block.stop - block.start
+        f_hat, a_hat, scratch = stack[:, :count]
+        a_m, g_hat, comm, *work = kernel_stack[:, :count]
+        mod = mod_stack[:count]
+        for j, i in enumerate(range(block.start, block.stop)):
+            f_hat[j] = random_band_hat(g, band, seed + i)
+            a_hat[j] = _stratified_coefficient(g, band, seed + n_trials + i)
+        f_norm = _row_norms(g, np.fft.ifft(f_hat, out=scratch), exponents, mod)
+        sup_a = {}
+        for k in total:
+            samples = np.fft.ifft(np.multiply(d[k], a_hat, out=scratch), out=scratch)
+            sup_a[k] = np.max(np.abs(samples.real, out=mod), axis=-1)
+        _dealiased_samples(kg, _resample_hat(a_hat, kg.n / g.n, a_m), out=a_m)
+        for m in inner:
+            _resample_hat(f_hat, kg.n / g.n, g_hat)
+            _commutator_hats(kg, symbol, a_m, np.multiply(dk[m], g_hat, out=g_hat), comm, work)
+            for l in (l for l, m_ in pairs if m_ == m):
+                _resample_hat(comm, g.n / kg.n, scratch)
+                samples = np.fft.ifft(np.multiply(d[l], scratch, out=scratch), out=scratch)
+                lhs_norm = _row_norms(g, samples, exponents, mod)
+                sup = sup_a[l + m]
+                for q in exponents:
+                    keep = ~(sup < 1e-12) & (f_norm[q] >= 1e-300)
+                    ratio = lhs_norm[q][keep] / (sup[keep] * f_norm[q][keep])
+                    ratios[(l, m, q)].extend(ratio.tolist())
+    return ratios
+
+
+class TestSharedGridPipeline:
+    PAIRS, EXPONENTS = [(0, 1), (1, 1), (0, 2)], (4 / 3, 2.0, 4.0)
+
+    def _check(self, operator, n, band, n_trials, seed):
+        grid = Grid1D(n, 8 * np.pi)
+        table = estimate_constant(operator, self.PAIRS, grid, p=self.EXPONENTS, n_trials=n_trials,
+                                  bandwidth=band, seed=seed, check_stability=True)
+        coarse, fine = (
+            _per_grid_ratios(g, operator, self.PAIRS, self.EXPONENTS, n_trials, band, seed)
+            for g in (grid, Grid1D(2 * n, grid.half_length))
+        )
+        assert set(table) == set(coarse)
+        for key, est in table.items():
+            max_ratio = max(coarse[key], default=0.0)
+            stability = max(fine[key], default=0.0) / max_ratio if max_ratio > 0 else 1.0
+            assert np.array_equal(est.ratios, coarse[key])
+            assert np.array_equal(est.max_ratio, max_ratio)
+            assert np.array_equal(est.stability_factor, stability)
+            assert np.array_equal(est.skipped, n_trials - len(coarse[key]))
+
+    @pytest.mark.parametrize("operator", ["+", "-", "H"])
+    def test_workload_size_matches_per_grid_pipeline(self, operator):
+        # one 512-point kernel grid serves n = 2048 and 4096; 10 trials make
+        # three blocks of 4 rows, so a row carried into the next block would show
+        assert len(row_blocks(10, 2 * 2048)) == 3
+        self._check(operator, 2048, 64, n_trials=10, seed=5)
+
+    @pytest.mark.parametrize("operator", ["+", "-", "H"])
+    def test_kernel_grids_of_different_sizes(self, operator):
+        # n = 256 and 512 are their own kernel grids: the draw on 256 points
+        # is zero-padded into the 512-point kernel
+        band = 48
+        assert [_kernel_grid(Grid1D(n, 8 * np.pi), band).n for n in (256, 512)] == [256, 512]
+        self._check(operator, 256, band, n_trials=9, seed=2)
+
+    @pytest.mark.parametrize("operator", ["+", "-", "H"])
+    def test_one_kernel_grid_that_is_a_grid(self, operator):
+        # n = 512 is its own kernel grid and also serves as the doubled grid's
+        band, grid = 48, Grid1D(512, 8 * np.pi)
+        assert _kernel_grid(grid, band) is grid
+        assert _kernel_grid(Grid1D(1024, 8 * np.pi), band) == grid
+        self._check(operator, 512, band, n_trials=9, seed=2)
+
+
 class TestKernelGrid:
     @pytest.mark.parametrize(
         "n, band, size", [(2048, 64, 512), (4096, 64, 512), (2048, 128, 1024), (256, 48, 256), (16, 1, 16)]
@@ -361,11 +448,13 @@ class TestEstimateConstant:
 
     def test_ensemble_holds_no_trial_stack(self):
         # one (100, 2n) complex stack on the doubled grid would be 3.1 MiB;
-        # trials are processed a row block at a time (8 rows at n = 1024,
-        # 4 on the doubled grid) through three grid-sized work arrays and
-        # five on the 512-point kernel grid, for all three
-        # exponents at once.  A one-trial call first keeps the one-off
-        # costs of first use (lazy imports, FFT plans) out of the peak.
+        # trials are processed a row block at a time (8 rows at n = 1024, on
+        # both grids) through one complex scratch and one real magnitude
+        # buffer of (8, 2048), viewed at (8, 1024) for the grid, plus on the
+        # 512-point kernel grid the (3, 8, 512) draws (f, a, d^k a) and five
+        # (8, 512) kernel arrays, for all three exponents at once.  A
+        # one-trial call first keeps the one-off costs of first use (lazy
+        # imports, FFT plans) out of the peak.
         grid, pairs, p = Grid1D(1024, 8 * np.pi), [(0, 1), (1, 1), (0, 2)], (4 / 3, 2.0, 4.0)
         estimate_constant("+", pairs, grid, p=p, n_trials=1, bandwidth=64)
         tracemalloc.start()

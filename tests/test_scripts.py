@@ -1,4 +1,5 @@
-"""The scripts under scripts/ run end to end at small sizes and exit 0.
+"""The scripts under scripts/ run end to end at small sizes and exit 0, or
+exit 1 with one error line, before any work, on settings they cannot run.
 
 They call `picard_solve`, `assemble_solution`, `run_monitors` and
 `epsilon_study` directly, outside the CLI, so each is run here as a
@@ -37,13 +38,28 @@ def test_commutator_table_has_one_row_per_exponent_and_pair(tmp_path):
     assert keys == [(p, l, m) for p in ("1.33", "2", "4") for l, m in (("0", "1"), ("1", "1"), ("0", "2"))]
 
 
+def test_commutator_table_rejects_a_bandwidth_that_cannot_double(tmp_path):
+    # B = 48 fits n = 256 (3B < n), 2B = 96 does not: the script stops before
+    # the base ensemble instead of failing after it
+    done = launch_script("commutator_ensemble.py", ["--grid-n", "256", "--bandwidth", "48"], tmp_path)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1
+    assert "--bandwidth 48" in done.stderr and "Traceback" not in done.stderr
+
+
 def run_script(script, args, cwd):
     """The script's standard output, after asserting that it exited 0."""
+    done = launch_script(script, args, cwd)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def launch_script(script, args, cwd):
+    """The finished run of ``scripts/<script>`` with the package on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
     )
-    assert done.returncode == 0, done.stderr
-    return done.stdout
