@@ -64,4 +64,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        raise SystemExit(main())
+    except (ValueError, RuntimeError, OSError) as exc:   # the package's named errors, as `schro` reports them
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(1) from None

@@ -10,6 +10,7 @@ the differences with epsilon is the expected signature.
 """
 
 import argparse
+import sys
 
 from schrobvp.cli import build_scenario, resolve_horizon
 from schrobvp.presets import load_preset, preset_names
@@ -47,4 +48,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        raise SystemExit(main())
+    except (ValueError, RuntimeError, OSError) as exc:   # the package's named errors, as `schro` reports them
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(1) from None

@@ -116,7 +116,6 @@ class ScenarioConfig:
     grid: Grid1D
     weight: WeightProfile
     coeffs: CoefficientField
-    lam: float
     beta: float
     f: SpectralField
     g: SpectralField
@@ -221,7 +220,6 @@ def build_scenario(raw: dict) -> ScenarioConfig:
         grid=grid,
         weight=weight,
         coeffs=coeffs,
-        lam=lam,
         beta=weight.beta,
         f=f,
         g=g,
@@ -428,12 +426,12 @@ def run_monitors(
     block at a time: no source stack is built."""
     lam_p, lam_m = coupling_norms(vp, vm, table)
     reports = [
-        energy_monitor(vm, lam_m, "-", sc.coeffs, sc.weight, bundle),
-        energy_monitor(vp, lam_p, "+", sc.coeffs, sc.weight, bundle),
-        weighted_smoothing_monitor(w_stack, sc.coeffs, sc.beta),
+        energy_monitor(vm, lam_m, "-", table, sc.weight, bundle),
+        energy_monitor(vp, lam_p, "+", table, sc.weight, bundle),
+        weighted_smoothing_monitor(w_stack, table, sc.beta),
     ]
     if sc.bootstrap:
-        reports.append(bootstrap_diagnostics(w_stack, sc.coeffs, sc.beta, sc.lam))
+        reports.append(bootstrap_diagnostics(w_stack, sc.coeffs, table, sc.beta))
     return reports
 
 
@@ -519,10 +517,12 @@ def cmd_linear(args: argparse.Namespace) -> int:
         horizon=horizon,
     )
     t0 = time.perf_counter()
-    sol = solve_linear(problem, sc.stepper)
+    times = np.linspace(0.0, horizon, sc.stepper.resolve_steps(horizon) + 1)
+    table = OperatorTable(sc.coeffs, sc.weight, times, half_steps=True)   # the march's and the monitor's
+    sol = solve_linear(problem, sc.stepper, table)
     sign = "-" if args.direction == "forward" else "+"
     bundle = norm_bundle(sc.coeffs, sc.weight.sup_logderiv, sol.times, sc.grid)
-    reports = [energy_monitor(sol, None, sign, sc.coeffs, sc.weight, bundle)]
+    reports = [energy_monitor(sol, None, sign, table, sc.weight, bundle)]
     elapsed = time.perf_counter() - t0
 
     norms = sol.norm_series()   # measured once: the sup norm is read from it

@@ -4,10 +4,10 @@ Each monitor computes both sides of one estimate on stored space-time
 fields and reports the measured ratio.  The fields hold Fourier
 coefficients, which the monitors read through the multipliers of
 :mod:`spectral`; physical values are built only where a product with
-a(x, t) needs them, one block or one sampled slice at a time, and norms
-and pairings of hats come from Parseval.  Constants that the theory leaves
-implicit are reported as measured values, never assumed; pass verdicts
-allow the ratio a slack of ``_SLACK``.
+a(x, t) needs them, one block at a time with a's rows read from the run's
+one `OperatorTable` (a is never evaluated), and norms and pairings of hats
+come from Parseval.  Constants the theory leaves implicit are reported as
+measured values, never assumed; verdicts allow the ratio a slack ``_SLACK``.
 
 The three monitors:
 
@@ -47,6 +47,7 @@ from .spectral import (
     row_blocks,
     same_time_grid,
 )
+from .stepper import OperatorTable
 from .weights import WeightProfile
 
 __all__ = [
@@ -98,34 +99,28 @@ class EstimateReport:
 
 def _weighted_halfderiv_integral(
     v: SpaceTimeField,
-    coeffs: CoefficientField,
-    spatial_factor: np.ndarray,
+    table: OperatorTable,
     side: np.ndarray | float = 1.0,
+    factor: np.ndarray | float = 1.0,
+    first: int = 0,
 ) -> float:
-    """Trapezoid in t of int a(x,t) * factor(x) * |D^{1/2} side v|^2 dx, read in hat blocks.
-
-    ``side`` is a frequency mask applied together with D^{1/2}.
-    """
+    """Trapezoid in t of int a(x,t) * factor(x) * |D^{1/2} side v|^2 dx, read in hat blocks;
+    ``side`` is a frequency mask, and slice k reads a at table node ``first + k``."""
     grid = v.grid
     mult = side * fractional_multiplier(grid, 0.5).real
     per_slice = np.empty(len(v.times))
     for rows in row_blocks(len(v.times), grid.n):
         half = np.fft.ifft(mult * v.hats[rows], axis=-1)
-        aval = coeffs.a_values(grid.x, v.times[rows, None])
-        per_slice[rows] = grid.dx * np.sum(aval * spatial_factor * np.abs(half) ** 2, axis=1)
+        aval = table.rows(first + rows.start, first + rows.stop)[0]
+        per_slice[rows] = grid.dx * np.sum(aval * factor * np.abs(half) ** 2, axis=1)
     return float(np.trapezoid(per_slice, v.times))
-
-
-def _sampled_times(times: np.ndarray) -> np.ndarray:
-    """About eight evenly strided times, as a column for the coefficient evaluators."""
-    return times[:: max(1, len(times) // 8), None]
 
 
 def energy_monitor(
     v: SpaceTimeField,
     source_norms: np.ndarray | None,
     sign: str,
-    coeffs: CoefficientField,
+    table: OperatorTable,
     weight: WeightProfile,
     bundle: NormBundle,
 ) -> EstimateReport:
@@ -138,18 +133,18 @@ def energy_monitor(
     coupled run measures it block by block with ``picard.coupling_norms``,
     so no source stack is built.  ``bundle`` holds the rate c on
     ``v.times``, sampled with the weight's measured sup log-derivative; a
-    coupled run passes the solve's own (``PicardReport.bundle``).  Raises
-    ValidationError when the bundle or the norm series lives on another
-    time grid.
+    coupled run passes the solve's own (``PicardReport.bundle``) and table,
+    whose every a row must give a q >= 0.  Raises ValidationError when the
+    bundle or the norm series is off ``v.times``, ConfigError when the table is.
     """
     if sign not in ("+", "-"):
         raise ValidationError("sign must be '+' or '-'")
     if not same_time_grid(bundle.times, v.times):
         raise ValidationError("rate bundle and field must share one time grid")
-    grid = v.grid
+    table.require(v.times)
 
     factor = weight.logderiv
-    neg = float(np.min(coeffs.a_values(grid.x, _sampled_times(v.times)) * factor))
+    neg = min(float(np.min(table.a[rows] * factor)) for rows in row_blocks(len(table.a), v.grid.n))
     if neg < -1e-12:
         raise ValidationError(
             f"coefficient times log-derivative dips to {neg:.3e}; "
@@ -158,7 +153,7 @@ def energy_monitor(
 
     norms = v.norm_series()
     sup_norm = float(np.max(norms))
-    smoothing = max(0.0, _weighted_halfderiv_integral(v, coeffs, factor))
+    smoothing = max(0.0, _weighted_halfderiv_integral(v, table, factor=factor))
     lhs = sup_norm + 2.0 * np.sqrt(smoothing)
 
     data_norm = norms[0] if sign == "-" else norms[-1]
@@ -215,28 +210,29 @@ def _support_check(w: SpaceTimeField) -> None:
 
 def weighted_smoothing_monitor(
     w: SpaceTimeField,
-    coeffs: CoefficientField,
+    table: OperatorTable,
     beta: float,
 ) -> EstimateReport:
     """beta * int int a (|D^{1/2}w+|^2 + |D^{1/2}w-|^2) against the
     endpoint quadratic form; the quotient is the implied constant.
 
     w+ and w- are the P+ and P- parts of ``w``, formed one block of slices
-    at a time, so the monitor holds no stack beside ``w``.  The monitor has
-    no a-priori constant, so the verdict only checks finiteness; stability
-    of ``implied_c`` under refinement is the caller's cross-run check.
+    at a time, so the monitor holds no stack beside ``w``; a comes from
+    ``table`` on ``w.times`` (else ConfigError).  With no a-priori constant,
+    the verdict only checks finiteness; ``implied_c``'s stability under
+    refinement is the caller's cross-run check.
     """
     grid = w.grid
     if beta <= 0:
         raise ValidationError("beta must be positive")
+    table.require(w.times)
     sym_p = projection_multiplier(grid, "+")
     sym_m = projection_multiplier(grid, "-")
     _support_check(w)
 
-    ones = np.ones(grid.n)
     lhs = beta * (
-        _weighted_halfderiv_integral(w, coeffs, ones, sym_p)
-        + _weighted_halfderiv_integral(w, coeffs, ones, sym_m)
+        _weighted_halfderiv_integral(w, table, sym_p)
+        + _weighted_halfderiv_integral(w, table, sym_m)
     )
     lhs = max(0.0, lhs)
     rhs_form = (
@@ -297,8 +293,8 @@ def _interior_witness(
 def bootstrap_diagnostics(
     w: SpaceTimeField,
     coeffs: CoefficientField,
+    table: OperatorTable,
     beta: float,
-    lam: float,
     q: float = 2.0,
     delta: float = 0.6,
 ) -> EstimateReport:
@@ -314,10 +310,12 @@ def bootstrap_diagnostics(
             <= beta * int int a (|D^{1/2}s+|^2 + |D^{1/2}s-|^2),
 
     reporting the implied data constant after subtracting the measured
-    commutator contribution.  lam <= 0 returns a not-applicable report
-    (that hypothesis belongs to the smoothness half of the theory only).
+    commutator contribution.  lam is ``coeffs.ellipticity``; lam = 0 returns a
+    not-applicable report (a hypothesis of the theory's smoothness half only).
+    a comes from ``table`` on ``w.times`` (else ConfigError), a_x and a_xx from ``coeffs``.
     """
     _check_chain_exponents(q, delta)
+    lam = coeffs.ellipticity
     if lam <= 0.0:
         return EstimateReport(
             name="bootstrap",
@@ -327,6 +325,7 @@ def bootstrap_diagnostics(
             verdict="not-applicable",
             notes="lam = 0: smoothing hypothesis absent, diagnostics skipped",
         )
+    table.require(w.times)
     grid = w.grid
     times = w.times
     horizon = float(times[-1])
@@ -361,7 +360,7 @@ def bootstrap_diagnostics(
         np.max(np.abs(direct - factored)) / max(np.max(np.abs(direct)), 1e-300)
     )
 
-    a_min = float(np.min(coeffs.a_values(grid.x, _sampled_times(times))))
+    a_min = float(np.min(table.a))
     if a_min < lam - 1e-12:
         raise ValidationError(
             f"coefficient dips to {a_min:.6g}, below the assumed floor {lam}"
@@ -378,9 +377,8 @@ def bootstrap_diagnostics(
 
     # pairing checks at three interior slices
     sample_idx = sorted({i0, mid, i1})
-    sample_t = times[sample_idx, None]
-    a_rows = coeffs.a_values(grid.x, sample_t)
-    grad_rows = coeffs.a_x(grid.x, sample_t)
+    a_rows = [table.rows(i, i + 1)[0][0] for i in sample_idx]
+    grad_rows = coeffs.a_x(grid.x, times[sample_idx, None])
     grad_sup = 0.0
     pair_ratio_20 = 0.0
     pair_ratio_21 = 0.0
@@ -427,12 +425,11 @@ def bootstrap_diagnostics(
 
     # absorbed smoothing inequality on the interior interval
     keep = slice(i0, i1 + 1)
-    ones = np.ones(grid.n)
     z_keep = SpaceTimeField(grid, times[keep], hats=z_hats[keep])
     total_integral = float(np.trapezoid(z_keep.norm_series(half) ** 2, times[keep]))
     lhs_abs = beta * lam * total_integral
     mid_val = beta * sum(
-        _weighted_halfderiv_integral(z_keep, coeffs, ones, side) for side in (pos, neg)
+        _weighted_halfderiv_integral(z_keep, table, side, first=i0) for side in (pos, neg)
     )
     chain_term = _CHAIN_CONSTANT * grad_sup * total_integral
     implied_c0 = mid_val - chain_term
@@ -440,7 +437,7 @@ def bootstrap_diagnostics(
     ratio = lhs_abs / mid_val if mid_val > 0 else (0.0 if lhs_abs == 0.0 else np.inf)
 
     xw = np.sqrt(1.0 + grid.x**2)
-    hyp_t = _sampled_times(times)
+    hyp_t = times[:: max(1, len(times) // 8), None]   # about eight evenly strided times
     hyp_need = float(np.max(
         np.max(xw * np.abs(coeffs.a_x(grid.x, hyp_t)), axis=1)
         + np.max(xw * np.abs(coeffs.a_xx(grid.x, hyp_t)), axis=1)

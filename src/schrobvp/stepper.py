@@ -209,10 +209,10 @@ class OperatorTable:
 
     The operator is i d/dx(a d/dx) - 2i a q d/dx + Z, with q the weight's
     log-derivative and Z = i((q^2 - q') a - q a_x) + iW the zeroth-order
-    lump.  The march, the coupling source, the residual monitor and the
-    energy monitors' sources all read their coefficients from the one table
-    a coupled solve builds (``PicardReport.table``) on the weight's
-    ``grid``.  Row k of ``abar`` (spatial mean of a), ``a`` and ``aq``
+    lump.  The march, the coupling source, the residual and the estimate
+    monitors (a's rows, sign and floor, and the sources) all read their
+    coefficients from the one table a run builds (``PicardReport.table``)
+    on the weight's ``grid``.  Row k of ``abar`` (spatial mean of a), ``a`` and ``aq``
     (masked a and a q, stored as float64: the 2/3 mask is symmetric, so
     they are real up to round-off) belongs to ``nodes[k]``;
     ``zeroth`` (masked Z) is kept at the integer nodes ``times`` only.

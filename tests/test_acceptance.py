@@ -43,7 +43,7 @@ from schrobvp.spectral import (
     project,
     projection_multiplier,
 )
-from schrobvp.stepper import LinearProblem, StepperConfig, epsilon_study, heat_quartic
+from schrobvp.stepper import LinearProblem, OperatorTable, StepperConfig, epsilon_study, heat_quartic
 from schrobvp.weights import build_weight
 
 
@@ -189,18 +189,19 @@ def test_criterion_05_energy_bounds_per_subsolve(bench):
     horizon = bench["horizon"]
     worst = 0.0
     count = 0
+    # 1024 steps: at the preset's 64, eps = 1e-2 exceeds the stiffness cap.  Every
+    # sub-solve runs on the solve's time grid, so one bundle and one table serve them all
+    times = np.linspace(0.0, horizon, 1024 + 1)
+    bundle = norm_bundle(sc.coeffs, sc.weight.sup_logderiv, times, sc.grid)
+    table = OperatorTable(sc.coeffs, sc.weight, times)
     for eps in (1e-2, 1e-3, 1e-4):
         reports = []
-        # 1024 steps: at the preset's 64, eps = 1e-2 exceeds the stiffness cap
         cfg = StepperConfig(epsilon=eps, n_steps=1024)
-        # every sub-solve runs on the solve's time grid, so one bundle serves them all
-        times = np.linspace(0.0, horizon, cfg.resolve_steps(horizon) + 1)
-        bundle = norm_bundle(sc.coeffs, sc.weight.sup_logderiv, times, sc.grid)
 
-        def hook(sign, problem, solution, reports=reports, bundle=bundle):
+        def hook(sign, problem, solution, reports=reports):
             source = None if problem.source is None else problem.source.norm_series()
             reports.append(
-                energy_monitor(solution, source, sign, sc.coeffs, sc.weight, bundle)
+                energy_monitor(solution, source, sign, table, sc.weight, bundle)
             )
 
         problem = BvpProblem(
@@ -376,7 +377,7 @@ def test_criterion_11_decay_persistence_and_smoothing(bench, bench_fine):
     decay_ok = bool(np.all(np.isfinite(asm.w_norms)) and np.max(jumps) <= 0.05)
 
     def implied_c(run):
-        rep = weighted_smoothing_monitor(run["asm"].w, run["sc"].coeffs, run["sc"].beta)
+        rep = weighted_smoothing_monitor(run["asm"].w, run["report"].table, run["sc"].beta)
         assert rep.verdict == "pass"
         return rep.ratio
 
@@ -385,7 +386,7 @@ def test_criterion_11_decay_persistence_and_smoothing(bench, bench_fine):
     c_shift = abs(c_fine / c_base - 1.0)
 
     boot = bootstrap_diagnostics(
-        asm.w, bench["sc"].coeffs, bench["sc"].beta, bench["sc"].lam
+        asm.w, bench["sc"].coeffs, bench["report"].table, bench["sc"].beta
     )
     boot_ok = boot.verdict == "pass" and boot.constants["hypothesis_ok"]
 

@@ -788,6 +788,27 @@ class TestPicardMemory:
         assert len(energy) == 2
         assert all(r.verdict == "pass" and r.constants["source_integral"] > 0 for r in energy)
 
+    def test_monitors_read_a_from_the_table(self, monkeypatch):
+        # benchmark coefficients (a varies in x and t) on a small grid: every
+        # monitor, the bootstrap's floor and pairings included, reads a from the
+        # solve's table and evaluates only a_x and a_xx
+        sc = build_scenario(merge_scenario(load_preset("benchmark"), {"grid": {"n": 256, "L": 24.0}}))
+        assert sc.bootstrap and sc.coeffs.a_time_dependent
+        problem = BvpProblem(
+            f=sc.f, g=sc.g, coeffs=sc.coeffs, weight=sc.weight,
+            horizon=cli.resolve_horizon(sc, None)[0], stepper_cfg=sc.stepper,
+        )
+        vp, vm, report = picard_solve(problem, tol=sc.tol, m_max=sc.m_max)
+        asm = assemble_solution(vp, vm, sc.weight)
+
+        def no_samples(self, x, t, out=None):
+            pytest.fail("a monitor evaluated a(x, t)")
+
+        monkeypatch.setattr(CoefficientField, "a_values", no_samples)
+        reports = cli.run_monitors(sc, vp, vm, asm.w, report.table, report.bundle)
+        assert [r.name for r in reports] == ["energy[-]", "energy[+]", "weighted-smoothing", "bootstrap"]
+        assert all(r.verdict == "pass" for r in reports)
+
 
 class TestOneBuildPerRun:
     def test_one_table_and_one_solve_grid_bundle(self, tmp_path, monkeypatch):

@@ -10,6 +10,7 @@ from schrobvp.cli import build_scenario, resolve_horizon
 from schrobvp.coefficients import CoefficientField, NormBundle, norm_bundle, select_horizon
 from schrobvp.errors import ConfigError, ValidationError
 from schrobvp.estimates import (
+    _weighted_halfderiv_integral,
     bootstrap_diagnostics,
     energy_monitor,
     weighted_smoothing_monitor,
@@ -22,11 +23,14 @@ from schrobvp.spectral import (
     SpaceTimeField,
     SpectralField,
     chunk_rows,
+    fractional_multiplier,
     gaussian_field,
     project,
+    projection_multiplier,
     random_band_field,
+    row_blocks,
 )
-from schrobvp.stepper import LinearProblem, StepperConfig, solve_linear
+from schrobvp.stepper import LinearProblem, OperatorTable, StepperConfig, solve_linear
 from schrobvp.weights import build_weight
 
 CONST = CoefficientField("1", "0")
@@ -52,6 +56,41 @@ def rates(coeffs, weight, v):
     return norm_bundle(coeffs, weight.sup_logderiv, v.times, v.grid)
 
 
+def table_on(coeffs, v, weight=None):
+    """The operator table on the field's own times, as a run hands it to the monitors
+    (they read its a rows only, so any weight on the grid serves)."""
+    return OperatorTable(coeffs, weight or build_weight(1.0, v.grid, mode="pure_exponential"), v.times)
+
+
+def with_floor(coeffs, lam):
+    """``coeffs`` with the ellipticity floor ``lam`` the bootstrap assumes."""
+    return CoefficientField(coeffs.a_expr, coeffs.w_expr, ellipticity=lam)
+
+
+def point_sampled_integral(v, coeffs, factor=1.0, side=1.0):
+    """The smoothing integral with a(x, t) sampled at the grid points: the
+    reference the table-read ``_weighted_halfderiv_integral`` is held to."""
+    grid = v.grid
+    mult = side * fractional_multiplier(grid, 0.5).real
+    per_slice = np.empty(len(v.times))
+    for rows in row_blocks(len(v.times), grid.n):
+        half = np.fft.ifft(mult * v.hats[rows], axis=-1)
+        aval = coeffs.a_values(grid.x, v.times[rows, None])
+        per_slice[rows] = grid.dx * np.sum(aval * factor * np.abs(half) ** 2, axis=1)
+    return float(np.trapezoid(per_slice, v.times))
+
+
+# a dips to -0.5 (energy) or 0.5 (bootstrap floor) at times[1] of 17 times on [0, 0.1] alone
+DIP_TIMES = np.linspace(0.0, 0.1, 17)
+DIP = "exp(-((t - 0.00625)/0.0005)^2)"
+
+
+def constant_packet(grid, times):
+    """A one-sided packet held fixed on ``times``."""
+    hats = np.fft.fft(packet(grid, -3.0, sign="-").values)
+    return SpaceTimeField(grid, times, hats=np.tile(hats, (len(times), 1)))
+
+
 @pytest.fixture(scope="module")
 def localized_run():
     grid = Grid1D(512, 20.0)
@@ -74,7 +113,7 @@ class TestEnergyMonitor:
         w = build_weight(0.5, grid, mode="truncated")
         times = np.linspace(0.0, 0.1, 9)
         v = zero_stf(grid, times)
-        rep = energy_monitor(v, None, "-", BENCH, w, rates(BENCH, w, v))
+        rep = energy_monitor(v, None, "-", table_on(BENCH, v, w), w, rates(BENCH, w, v))
         assert rep.lhs == 0.0
         assert rep.verdict == "pass"
 
@@ -89,7 +128,7 @@ class TestEnergyMonitor:
         times = np.linspace(0.0, T, 601)
         sol = solve_free(FreeBvpData(f=f, g=zero_field(grid), beta=beta,
                                      horizon=T, times=times))
-        rep = energy_monitor(sol, None, "-", CONST, w, rates(CONST, w, sol))
+        rep = energy_monitor(sol, None, "-", table_on(CONST, sol, w), w, rates(CONST, w, sol))
 
         f_hat = np.fft.fft(f.values)
         weights_hat = grid.dx / grid.n
@@ -114,7 +153,7 @@ class TestEnergyMonitor:
             datum=f, horizon=0.02, zero_mean=True,
         )
         sol = solve_linear(prob, StepperConfig(epsilon=1e-5, n_steps=128))
-        rep = energy_monitor(sol, None, "-", BENCH, w, rates(BENCH, w, sol))
+        rep = energy_monitor(sol, None, "-", table_on(BENCH, sol, w), w, rates(BENCH, w, sol))
         assert rep.ratio <= 1.0
         assert rep.verdict == "pass"
 
@@ -129,7 +168,31 @@ class TestEnergyMonitor:
         # a dips below the ellipticity floor, so norm_bundle would refuse it
         flat = NormBundle.from_rates(times, np.zeros(5), np.zeros(5))
         with pytest.raises(ValidationError, match="nonneg"):
-            energy_monitor(v, None, "-", dipping, w, flat)
+            energy_monitor(v, None, "-", table_on(dipping, v, w), w, flat)
+
+    def test_dip_between_sampled_times_rejected(self):
+        # every table row is checked, not a stride of the times: a is -0.5 at times[1] only
+        grid = Grid1D(256, 8 * np.pi)
+        w = build_weight(1.0, grid, mode="truncated")
+        dipping = CoefficientField(f"1 - 1.5*{DIP}", "0")
+        v = constant_packet(grid, DIP_TIMES)
+        assert np.min(dipping.a_values(grid.x, DIP_TIMES[::2, None])) > 0.99
+        flat = NormBundle.from_rates(DIP_TIMES, np.zeros(17), np.zeros(17))
+        with pytest.raises(ValidationError, match="nonneg"):
+            energy_monitor(v, None, "-", table_on(dipping, v, w), w, flat)
+
+    @pytest.mark.parametrize("other", [np.linspace(0.0, 0.1, 9), np.linspace(0.0, 0.2, 17)])
+    def test_table_on_another_time_grid_rejected(self, other):
+        grid = Grid1D(128, 8 * np.pi)
+        w = build_weight(0.5, grid, mode="truncated")
+        v = zero_stf(grid, np.linspace(0.0, 0.1, 17))
+        table = OperatorTable(BENCH, w, other)
+        with pytest.raises(ConfigError, match="time grid"):
+            energy_monitor(v, None, "-", table, w, rates(BENCH, w, v))
+        with pytest.raises(ConfigError, match="time grid"):
+            weighted_smoothing_monitor(v, table, 1.0)
+        with pytest.raises(ConfigError, match="time grid"):
+            bootstrap_diagnostics(constant_packet(grid, v.times), with_floor(BENCH, 0.9), table, 1.0)
 
     # the last grid is the field's stretched by a relative 5e-6: another grid, though np.allclose takes it
     @pytest.mark.parametrize("other", [np.linspace(0.0, 0.1, 9), np.linspace(0.0, 0.2, 17),
@@ -140,25 +203,26 @@ class TestEnergyMonitor:
         v = zero_stf(grid, np.linspace(0.0, 0.1, 17))
         bundle = norm_bundle(BENCH, w.sup_logderiv, other, grid)
         with pytest.raises(ValidationError, match="time grid"):
-            energy_monitor(v, None, "-", BENCH, w, bundle)
+            energy_monitor(v, None, "-", table_on(BENCH, v, w), w, bundle)
 
     def test_source_norms_enter_by_the_trapezoid_on_the_field_times(self):
         grid = Grid1D(128, 8 * np.pi)
         w = build_weight(0.5, grid, mode="truncated")
         v = zero_stf(grid, np.linspace(0.0, 0.1, 17))
-        bundle = rates(BENCH, w, v)
+        bundle, table = rates(BENCH, w, v), table_on(BENCH, v, w)
         norms = 1.0 + v.times**2
-        rep = energy_monitor(v, norms, "-", BENCH, w, bundle)
+        rep = energy_monitor(v, norms, "-", table, w, bundle)
         assert rep.constants["source_integral"] == float(np.trapezoid(norms, v.times))
         with pytest.raises(ValidationError, match="17 times"):
-            energy_monitor(v, norms[:9], "-", BENCH, w, bundle)
+            energy_monitor(v, norms[:9], "-", table, w, bundle)
 
 
 class TestWeightedSmoothingMonitor:
     def test_zero_fields(self):
         grid = Grid1D(128, 8.0)
         times = np.linspace(0.0, 0.1, 9)
-        rep = weighted_smoothing_monitor(zero_stf(grid, times), CONST, 1.0)
+        v = zero_stf(grid, times)
+        rep = weighted_smoothing_monitor(v, table_on(CONST, v), 1.0)
         assert rep.lhs == 0.0
         assert rep.verdict == "pass"
 
@@ -179,7 +243,7 @@ class TestWeightedSmoothingMonitor:
                                             horizon=T, times=times))
             # one-sided data: the P+ and P- parts of the sum are the two solves
             w = SpaceTimeField(grid, times, hats=w_plus.hats + w_minus.hats)
-            rep = weighted_smoothing_monitor(w, CONST, beta)
+            rep = weighted_smoothing_monitor(w, table_on(CONST, w), beta)
             data_form = g.norm_l2() ** 2 + f.norm_l2() ** 2
 
             xi = np.abs(grid.xi)
@@ -205,11 +269,11 @@ class TestWeightedSmoothingMonitor:
             raw = merge_scenario(load_preset("benchmark"), {"grid": {"n": n}, "horizon": horizon})
             sc = build_scenario(raw)
             horizon, _, _ = resolve_horizon(sc, None)
-            vp, vm, _ = picard_solve(BvpProblem(
+            vp, vm, report = picard_solve(BvpProblem(
                 f=sc.f, g=sc.g, coeffs=sc.coeffs, weight=sc.weight, horizon=horizon, stepper_cfg=sc.stepper,
             ))
             w = assemble_solution(vp, vm, sc.weight).w
-            implied.append(weighted_smoothing_monitor(w, sc.coeffs, sc.beta).constants["implied_c"])
+            implied.append(weighted_smoothing_monitor(w, report.table, sc.beta).constants["implied_c"])
         for coarse, fine in zip(implied, implied[1:]):
             assert abs(fine / coarse - 1.0) < 1e-10, implied
 
@@ -221,7 +285,7 @@ class TestWeightedSmoothingMonitor:
             grid, times, np.stack([edge.values, edge.values]).astype(complex)
         )
         with pytest.raises(ValidationError, match="support"):
-            weighted_smoothing_monitor(stacked, CONST, 1.0)
+            weighted_smoothing_monitor(stacked, table_on(CONST, stacked), 1.0)
 
     def test_support_check_reads_w_not_w_minus_its_mean(self):
         # a w with a large mean and no mass near the seam passes; the old
@@ -235,12 +299,12 @@ class TestWeightedSmoothingMonitor:
         assert np.sum(centred[outer]) > 2e-2 * np.sum(centred)
         times = np.array([0.0, 0.1])
         stacked = SpaceTimeField(grid, times, np.stack([w0, w0]))
-        assert weighted_smoothing_monitor(stacked, CONST, 1.0).verdict == "pass"
+        assert weighted_smoothing_monitor(stacked, table_on(CONST, stacked), 1.0).verdict == "pass"
         bump = 0.5 * packet(grid, 3.0, center=0.95 * grid.half_length, width=0.5, sign="+").values
         assert abs(np.mean(bump)) < 1e-15
         stacked = SpaceTimeField(grid, times, np.stack([w0 + bump, w0 + bump]))
         with pytest.raises(ValidationError, match="support"):
-            weighted_smoothing_monitor(stacked, CONST, 1.0)
+            weighted_smoothing_monitor(stacked, table_on(CONST, stacked), 1.0)
 
     @pytest.mark.parametrize("edge, over", [(0.1, False), (0.2, True)])
     def test_support_cap_counts_both_sides(self, edge, over):
@@ -261,9 +325,9 @@ class TestWeightedSmoothingMonitor:
         stacked = SpaceTimeField(grid, np.array([0.0, 0.1]), np.stack([w0.values, w0.values]))
         if over:
             with pytest.raises(ValidationError, match="support"):
-                weighted_smoothing_monitor(stacked, CONST, 1.0)
+                weighted_smoothing_monitor(stacked, table_on(CONST, stacked), 1.0)
         else:
-            assert weighted_smoothing_monitor(stacked, CONST, 1.0).verdict == "pass"
+            assert weighted_smoothing_monitor(stacked, table_on(CONST, stacked), 1.0).verdict == "pass"
 
 
 class TestBootstrapDiagnostics:
@@ -272,12 +336,13 @@ class TestBootstrapDiagnostics:
         w = zero_stf(grid, np.linspace(0.0, 0.1, 9))
         for q, delta in ((2.0, 0.4), (1.0, 0.6), (2.0, 1.2)):
             with pytest.raises(ConfigError):
-                bootstrap_diagnostics(w, CONST, 1.0, 0.9, q=q, delta=delta)
+                bootstrap_diagnostics(w, with_floor(CONST, 0.9), table_on(CONST, w), 1.0, q=q, delta=delta)
 
     def test_lambda_zero_not_applicable(self):
         grid = Grid1D(128, 8.0)
         times = np.linspace(0.0, 0.1, 9)
-        rep = bootstrap_diagnostics(zero_stf(grid, times), CONST, 1.0, 0.0)
+        w = zero_stf(grid, times)
+        rep = bootstrap_diagnostics(w, CONST, table_on(CONST, w), 1.0)
         assert rep.verdict == "not-applicable"
 
     def test_constant_coefficient_pairings_vanish(self):
@@ -287,7 +352,7 @@ class TestBootstrapDiagnostics:
         f = packet(grid, -4.0, sign="-")
         sol = solve_free(FreeBvpData(f=f, g=zero_field(grid), beta=1.0,
                                      horizon=T, times=times))
-        rep = bootstrap_diagnostics(sol, CONST, 1.0, 0.95)
+        rep = bootstrap_diagnostics(sol, with_floor(CONST, 0.95), table_on(CONST, sol), 1.0)
         assert rep.verdict == "pass"
         assert rep.constants["pairing_ratio_low"] == 0.0
         assert rep.constants["pairing_ratio_high"] == 0.0
@@ -297,7 +362,7 @@ class TestBootstrapDiagnostics:
     def test_benchmark_run_passes(self, localized_run):
         grid, w, f, g, vp, vm, report = localized_run
         asm = assemble_solution(vp, vm, w)
-        rep = bootstrap_diagnostics(asm.w, BENCH, beta=1.0, lam=0.9)
+        rep = bootstrap_diagnostics(asm.w, with_floor(BENCH, 0.9), report.table, beta=1.0)
         assert rep.verdict == "pass"
         assert rep.ratio <= 0.95
         assert rep.constants["hypothesis_ok"]
@@ -309,7 +374,45 @@ class TestBootstrapDiagnostics:
         grid, w, f, g, vp, vm, report = localized_run
         asm = assemble_solution(vp, vm, w)
         with pytest.raises(ValidationError, match="floor"):
-            bootstrap_diagnostics(asm.w, BENCH, beta=1.0, lam=1.5)
+            bootstrap_diagnostics(asm.w, with_floor(BENCH, 1.5), report.table, beta=1.0)
+
+    def test_floor_dip_between_sampled_times_rejected(self):
+        # a is 0.5 < 0.9 at times[1] only, a time the old strided sampling skipped
+        grid = Grid1D(256, 8 * np.pi)
+        dipping = with_floor(CoefficientField(f"1 - 0.5*{DIP}", "0"), 0.9)
+        w = constant_packet(grid, DIP_TIMES)
+        assert np.min(dipping.a_values(grid.x, DIP_TIMES[::2, None])) > 0.99
+        with pytest.raises(ValidationError, match="floor"):
+            bootstrap_diagnostics(w, dipping, table_on(dipping, w), 1.0)
+
+
+class TestTableReadIntegral:
+    """The smoothing integral reads a from the operator table's 2/3-masked rows,
+    which differ from point samples only by a's band tail."""
+
+    def test_benchmark_coefficients_agree_with_point_samples(self, localized_run):
+        grid, w, f, g, vp, vm, report = localized_run
+        v = assemble_solution(vp, vm, w).w
+        sym_p = projection_multiplier(grid, "+")
+        cases = [(v, {}, {}), (v, {"side": sym_p}, {"side": sym_p}),
+                 (v, {"factor": w.logderiv}, {"factor": w.logderiv})]
+        keep = slice(20, 150)   # an interior interval, as the bootstrap reads
+        inner = SpaceTimeField(grid, v.times[keep], hats=v.hats[keep])
+        cases.append((inner, {"first": 20}, {}))
+        for field, table_kw, point_kw in cases:
+            got = _weighted_halfderiv_integral(field, report.table, **table_kw)
+            want = point_sampled_integral(field, BENCH, **point_kw)
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_constant_coefficient_is_exact(self):
+        grid = Grid1D(256, 8 * np.pi)
+        const = CoefficientField("0.75", "0")
+        v = constant_packet(grid, np.linspace(0.0, 0.1, 33))
+        w = build_weight(1.0, grid, mode="truncated")
+        table = table_on(const, v, w)
+        assert _weighted_halfderiv_integral(v, table) == point_sampled_integral(v, const)
+        assert (_weighted_halfderiv_integral(v, table, factor=w.logderiv)
+                == point_sampled_integral(v, const, factor=w.logderiv))
 
 
 def _same_report(got, want, rel=1e-12):
@@ -333,11 +436,12 @@ class TestStorageForms:
         by_values = SpaceTimeField(grid, w_asm.times, values)
         by_hats = SpaceTimeField(grid, w_asm.times, hats=np.fft.fft(values, axis=1))
 
-        boot = [bootstrap_diagnostics(s, BENCH, beta=1.0, lam=0.9) for s in (by_hats, by_values)]
+        boot = [bootstrap_diagnostics(s, with_floor(BENCH, 0.9), report.table, beta=1.0)
+                for s in (by_hats, by_values)]
         _same_report(*boot)
         assert boot[0].constants["interior_index_low"] == boot[1].constants["interior_index_low"]
         assert boot[0].constants["interior_index_high"] == boot[1].constants["interior_index_high"]
-        smooth = [weighted_smoothing_monitor(s, BENCH, 1.0) for s in (by_hats, by_values)]
+        smooth = [weighted_smoothing_monitor(s, report.table, 1.0) for s in (by_hats, by_values)]
         _same_report(*smooth)
 
     def test_nyquist_content_counts_on_the_negative_side(self):
@@ -347,7 +451,8 @@ class TestStorageForms:
         times = np.linspace(0.0, 0.1, 17)
         hats = np.zeros((len(times), grid.n), dtype=complex)
         hats[:, grid.n // 2] = grid.n * (1.0 + times)
-        rep = bootstrap_diagnostics(SpaceTimeField(grid, times, hats=hats), CONST, 1.0, 0.9)
+        w = SpaceTimeField(grid, times, hats=hats)
+        rep = bootstrap_diagnostics(w, with_floor(CONST, 0.9), table_on(CONST, w), 1.0)
         assert rep.verdict == "pass"
         assert rep.ratio == pytest.approx(0.9, rel=1e-12, abs=0.0)
 
@@ -357,9 +462,10 @@ class TestStorageForms:
         bump = gaussian_field(grid, width=2.0).values * np.exp(2j * grid.x)
         hats = np.fft.fft(bump)[None, :] * (1.0 + times)[:, None]
         w = SpaceTimeField(grid, times, hats=hats)
+        table = table_on(BENCH, w)
         tracemalloc.start()
         try:
-            rep = weighted_smoothing_monitor(w, BENCH, 1.0)
+            rep = weighted_smoothing_monitor(w, table, 1.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -373,7 +479,8 @@ class TestReportSerialization:
         times = np.linspace(0.0, 0.1, 17)
         hats = np.zeros((len(times), grid.n), dtype=complex)
         hats[:, 3] = grid.n * (1.0 + times)
-        rep = bootstrap_diagnostics(SpaceTimeField(grid, times, hats=hats), CONST, 1.0, 0.9)
+        w = SpaceTimeField(grid, times, hats=hats)
+        rep = bootstrap_diagnostics(w, with_floor(CONST, 0.9), table_on(CONST, w), 1.0)
         payload = rep.to_dict()
         json.dumps(payload)
         assert payload["name"] == "bootstrap"

@@ -1,5 +1,6 @@
 """The scripts under scripts/ run end to end at small sizes and exit 0, or
-exit 1 with one error line, before any work, on settings they cannot run.
+exit 1 with one error line, not a traceback, on settings they cannot run:
+before any work, or when the package raises one of its named errors.
 
 They call `picard_solve`, `assemble_solution`, `run_monitors` and
 `epsilon_study` directly, outside the CLI, so each is run here as a
@@ -46,6 +47,26 @@ def test_commutator_table_rejects_a_bandwidth_that_cannot_double(tmp_path):
     assert done.stdout == ""
     assert len(done.stderr.splitlines()) == 1
     assert "--bandwidth 48" in done.stderr and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "script, args, needle",
+    [
+        ("run_benchmark.py", ["--preset", "decoupled", "--n", "7"], "power of two"),
+        ("run_benchmark.py", ["--preset", "benchmark", "--n", "256", "--T", "3"], "no contraction"),
+        ("epsilon_sweep.py", ["--preset", "decoupled", "--epsilons", "1e-3,1e-4"], "at least 3 entries"),
+        ("commutator_ensemble.py", ["--trials", "0", "--grid-n", "256", "--bandwidth", "16"], "at least one trial"),
+    ],
+)
+def test_package_error_is_one_line(script, args, needle, tmp_path):
+    # a ValueError (bad grid), a DivergenceError (horizon too long, after the
+    # override's warning) and ConfigErrors
+    done = launch_script(script, args, tmp_path)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    last = done.stderr.splitlines()[-1]
+    assert last.startswith("error: ") and needle in last, done.stderr
+    assert done.stderr.count("error: ") == 1
 
 
 def run_script(script, args, cwd):
