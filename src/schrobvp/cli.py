@@ -116,7 +116,6 @@ class ScenarioConfig:
     grid: Grid1D
     weight: WeightProfile
     coeffs: CoefficientField
-    beta: float
     f: SpectralField
     g: SpectralField
     stepper: StepperConfig
@@ -127,6 +126,11 @@ class ScenarioConfig:
     times: list[float] = field(default_factory=list)
     out_dir: str | None = None
     seed: int = 0
+
+    @property
+    def beta(self) -> float:
+        """``weight.beta``, for readers outside the package (``perfbench/checks.py``)."""
+        return self.weight.beta
 
 
 def load_scenario_source(source: str) -> dict:
@@ -220,7 +224,6 @@ def build_scenario(raw: dict) -> ScenarioConfig:
         grid=grid,
         weight=weight,
         coeffs=coeffs,
-        beta=weight.beta,
         f=f,
         g=g,
         stepper=stepper,
@@ -428,10 +431,10 @@ def run_monitors(
     reports = [
         energy_monitor(vm, lam_m, "-", table, sc.weight, bundle),
         energy_monitor(vp, lam_p, "+", table, sc.weight, bundle),
-        weighted_smoothing_monitor(w_stack, table, sc.beta),
+        weighted_smoothing_monitor(w_stack, table, sc.weight.beta),
     ]
     if sc.bootstrap:
-        reports.append(bootstrap_diagnostics(w_stack, sc.coeffs, table, sc.beta))
+        reports.append(bootstrap_diagnostics(w_stack, sc.coeffs, table, bundle, sc.weight.beta))
     return reports
 
 
@@ -518,7 +521,7 @@ def cmd_linear(args: argparse.Namespace) -> int:
     )
     t0 = time.perf_counter()
     times = np.linspace(0.0, horizon, sc.stepper.resolve_steps(horizon) + 1)
-    table = OperatorTable(sc.coeffs, sc.weight, times, half_steps=True)   # the march's and the monitor's
+    table = OperatorTable(sc.coeffs, sc.weight, times)   # the march's and the monitor's
     sol = solve_linear(problem, sc.stepper, table)
     sign = "-" if args.direction == "forward" else "+"
     bundle = norm_bundle(sc.coeffs, sc.weight.sup_logderiv, sol.times, sc.grid)
@@ -615,7 +618,7 @@ def cmd_verify_estimates(args: argparse.Namespace) -> int:
     out = _out_dir(args.out_dir or str(run_dir))
     vp, vm = _load_carriers(run_dir, sc.grid)
     asm = assemble_solution(vp, vm, sc.weight)
-    # no solve here: the table and bundle are built over the stored times
+    # no solve here: the table a run builds and its bundle, over the stored times
     table = OperatorTable(sc.coeffs, sc.weight, vp.times)
     bundle = norm_bundle(sc.coeffs, sc.weight.sup_logderiv, vp.times, sc.grid)
     reports = run_monitors(sc, vp, vm, asm.w, table, bundle)
@@ -703,7 +706,7 @@ def _mizohata_field(args: argparse.Namespace, grid: Grid1D) -> tuple[np.ndarray,
         if args.preset != "benchmark-drift":
             raise ConfigError(f"unknown mizohata preset {args.preset!r}; use benchmark-drift")
         bench = build_scenario(load_preset("benchmark"))
-        weight = build_weight(bench.beta, grid, mode="truncated")
+        weight = build_weight(bench.weight.beta, grid, mode="truncated")
         a0 = bench.coeffs.a_values(grid.x, 0.0)
         return -2j * a0 * weight.logderiv, "-2i a(x,0) logderiv(x)"
     if args.b is None:

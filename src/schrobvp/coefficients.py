@@ -236,19 +236,28 @@ class CoefficientField:
 
 @dataclass(frozen=True)
 class NormBundle:
-    """Sup-norm samples and their running time integrals along a time grid."""
+    """Sup-norm samples and their running time integrals along a time grid.
+
+    ``hypothesis_need`` is sup <x>|a_x| + sup <x>|a_xx| on every node, the
+    bound the bootstrap's smoothness hypothesis compares with beta lam;
+    :func:`norm_bundle` records it, a bundle stitched from rates alone
+    (the horizon probe's) has None.
+    """
 
     times: np.ndarray
     coupling_rate: np.ndarray       # K(t): two-derivative budget of a plus the potential
     energy_rate: np.ndarray         # c(t): a plus bracket-weighted first/second derivatives
     coupling_integral: np.ndarray   # running trapezoid of coupling_rate from times[0]
     energy_integral: np.ndarray     # running trapezoid of energy_rate
+    hypothesis_need: np.ndarray | None = None
 
     @classmethod
-    def from_rates(cls, times: np.ndarray, coupling_rate: np.ndarray, energy_rate: np.ndarray) -> NormBundle:
+    def from_rates(cls, times: np.ndarray, coupling_rate: np.ndarray, energy_rate: np.ndarray,
+                   hypothesis_need: np.ndarray | None = None) -> NormBundle:
         """The bundle of rate samples on ``times``, with their running integrals from times[0]."""
         return cls(times, coupling_rate, energy_rate,
-                   _running_trapezoid(times, coupling_rate), _running_trapezoid(times, energy_rate))
+                   _running_trapezoid(times, coupling_rate), _running_trapezoid(times, energy_rate),
+                   hypothesis_need)
 
 
 def _running_trapezoid(times: np.ndarray, samples: np.ndarray) -> np.ndarray:
@@ -259,7 +268,8 @@ def _running_trapezoid(times: np.ndarray, samples: np.ndarray) -> np.ndarray:
 def norm_bundle(
     coeffs: CoefficientField, beta: float, times: np.ndarray, grid: Grid1D, *, work: np.ndarray | None = None
 ) -> NormBundle:
-    """Sample the rate functions on ``times`` x ``grid`` and integrate them.
+    """Sample the rate functions on ``times`` x ``grid`` and integrate them,
+    and keep the bootstrap's ``hypothesis_need`` from the same sups.
 
     Also enforces the standing hypotheses: a real with a >= ellipticity
     everywhere sampled, and every sampled sup norm finite.  A rejection
@@ -307,7 +317,7 @@ def norm_bundle(
     a_sup, a1_sup, a2_sup, w_sup, xa1_sup, xa2_sup, _ = stats
     K = (a2_sup + beta * a1_sup + beta**2 * a_sup) + a_sup + w_sup
     c = a_sup + (1.0 + beta) * xa1_sup + beta * xa2_sup
-    return NormBundle.from_rates(times, K, c)
+    return NormBundle.from_rates(times, K, c, xa1_sup + xa2_sup)
 
 
 def _require_hypotheses(floor: float, times: np.ndarray, stats: np.ndarray) -> None:

@@ -22,7 +22,8 @@ The three monitors:
   quadratic form; reports the implied constant.
 * ``bootstrap_diagnostics``: the half-derivative-of-half-derivative
   level; pairing identities, interior-time witnesses, and the absorbed
-  smoothing inequality that starts the regularity bootstrap.
+  smoothing inequality that starts the regularity bootstrap, with its
+  hypothesis on a's derivatives read from the same `NormBundle`.
 """
 
 from __future__ import annotations
@@ -294,6 +295,7 @@ def bootstrap_diagnostics(
     w: SpaceTimeField,
     coeffs: CoefficientField,
     table: OperatorTable,
+    bundle: NormBundle,
     beta: float,
     q: float = 2.0,
     delta: float = 0.6,
@@ -312,7 +314,10 @@ def bootstrap_diagnostics(
     reporting the implied data constant after subtracting the measured
     commutator contribution.  lam is ``coeffs.ellipticity``; lam = 0 returns a
     not-applicable report (a hypothesis of the theory's smoothness half only).
-    a comes from ``table`` on ``w.times`` (else ConfigError), a_x and a_xx from ``coeffs``.
+    a comes from ``table`` on ``w.times`` (else ConfigError), and the
+    hypothesis's need, sup <x>|a_x| + sup <x>|a_xx| over every time, from
+    ``bundle``, :func:`norm_bundle`'s on ``w.times`` (else ValidationError);
+    ``coeffs`` gives only a_x at the three pairing slices.
     """
     _check_chain_exponents(q, delta)
     lam = coeffs.ellipticity
@@ -326,6 +331,8 @@ def bootstrap_diagnostics(
             notes="lam = 0: smoothing hypothesis absent, diagnostics skipped",
         )
     table.require(w.times)
+    if not same_time_grid(bundle.times, w.times):
+        raise ValidationError("rate bundle and field must share one time grid")
     grid = w.grid
     times = w.times
     horizon = float(times[-1])
@@ -436,12 +443,7 @@ def bootstrap_diagnostics(
 
     ratio = lhs_abs / mid_val if mid_val > 0 else (0.0 if lhs_abs == 0.0 else np.inf)
 
-    xw = np.sqrt(1.0 + grid.x**2)
-    hyp_t = times[:: max(1, len(times) // 8), None]   # about eight evenly strided times
-    hyp_need = float(np.max(
-        np.max(xw * np.abs(coeffs.a_x(grid.x, hyp_t)), axis=1)
-        + np.max(xw * np.abs(coeffs.a_xx(grid.x, hyp_t)), axis=1)
-    ))
+    hyp_need = float(np.max(bundle.hypothesis_need))
     hypothesis_margin = beta * lam - _CHAIN_CONSTANT * hyp_need
 
     ok = (

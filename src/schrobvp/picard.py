@@ -345,7 +345,7 @@ def _peak_bytes(n: int, n_steps: int, time_dependent: bool) -> int:
     documented in picard_solve.
     """
     stack = 16 * n * (n_steps + 1)
-    table = OperatorTable.planned_bytes(n, n_steps, constant=not time_dependent, half_steps=True)
+    table = OperatorTable.planned_bytes(n, n_steps, constant=not time_dependent)
     plan = MarchPlan.planned_bytes(n, n_steps, constant=not time_dependent)
     return 4 * stack + table + plan + _PEAK_BLOCKS * 16 * n * chunk_rows(n)
 
@@ -406,7 +406,7 @@ def picard_solve(
     delta = p.data_norm()
     bundle = norm_bundle(p.coeffs, p.weight.sup_logderiv, times, grid)
     _check_horizon(p, bundle)
-    table = OperatorTable(p.coeffs, p.weight, times, half_steps=True)
+    table = OperatorTable(p.coeffs, p.weight, times)
 
     report = PicardReport(delta=delta, horizon=p.horizon, table=table, bundle=bundle)
     # every sweep marches the carriers (forward v-, backward v+) through one plan into

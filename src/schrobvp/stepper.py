@@ -212,13 +212,13 @@ class OperatorTable:
     lump.  The march, the coupling source, the residual and the estimate
     monitors (a's rows, sign and floor, and the sources) all read their
     coefficients from the one table a run builds (``PicardReport.table``)
-    on the weight's ``grid``.  Row k of ``abar`` (spatial mean of a), ``a`` and ``aq``
+    on the weight's ``grid``.  ``nodes`` are the half steps of ``times``:
+    the integer nodes ``times`` and every midpoint, the grid the IF-RK4
+    stages read.  Row k of ``abar`` (spatial mean of a), ``a`` and ``aq``
     (masked a and a q, stored as float64: the 2/3 mask is symmetric, so
     they are real up to round-off) belongs to ``nodes[k]``;
-    ``zeroth`` (masked Z) is kept at the integer nodes ``times`` only.
-    With ``half_steps`` the a rows also sit at every midpoint, the grid the
-    IF-RK4 stages read.  When neither a nor W depends on t, each array
-    holds one row that serves every node.
+    ``zeroth`` (masked Z) is kept at the integer nodes only.  When neither
+    a nor W depends on t, each array holds one row that serves every node.
 
     ``uniform`` is true when every row of ``a``, ``aq`` and ``zeroth`` is
     constant in x (an exact ``np.ptp == 0`` test, made while the rows are
@@ -229,25 +229,17 @@ class OperatorTable:
     affine map its RK4 step becomes (see ``_march``).
     """
 
-    def __init__(
-        self,
-        coeffs: CoefficientField,
-        weight: WeightProfile,
-        times: np.ndarray,
-        half_steps: bool = False,
-    ) -> None:
+    def __init__(self, coeffs: CoefficientField, weight: WeightProfile, times: np.ndarray) -> None:
         self.grid = grid = weight.grid
         times = np.asarray(times, dtype=np.float64)
-        self.stride = 2 if half_steps else 1
-        self.nodes = np.linspace(times[0], times[-1], self.stride * (len(times) - 1) + 1)
+        self.nodes = np.linspace(times[0], times[-1], 2 * len(times) - 1)
         self.constant = not coeffs.time_dependent
         nodes = self.nodes[:1] if self.constant else self.nodes
-        s = self.stride
         q, dq = weight.logderiv, weight.logderiv_x
         self.abar = np.empty(len(nodes))
         self.a = np.empty((len(nodes), grid.n))
         self.aq = np.empty((len(nodes), grid.n))
-        self.zeroth = np.empty(((len(nodes) - 1) // s + 1, grid.n), dtype=np.complex128)
+        self.zeroth = np.empty(((len(nodes) - 1) // 2 + 1, grid.n), dtype=np.complex128)
         self.uniform = True
         work = np.empty((chunk_rows(grid.n), grid.n), dtype=np.complex128)   # a's, a q's round trips
         iw = None if coeffs.w_time_dependent else 1j * coeffs.w_values(grid.x, nodes[:1, None])
@@ -261,9 +253,9 @@ class OperatorTable:
             np.multiply(a, q, out=z.real)
             z.imag = 0.0
             self.aq[rows] = masked_samples(grid, z, out=z).real
-            a, ts = a[::s], ts[::s]
+            a, ts = a[::2], ts[::2]
             ax = coeffs.a_x(grid.x, ts)
-            ints = slice(rows.start // s, rows.start // s + len(ts))
+            ints = slice(rows.start // 2, rows.start // 2 + len(ts))
             lump = np.multiply(1j, (q**2 - dq) * a - q * ax, out=self.zeroth[ints])
             np.add(lump, 1j * coeffs.w_values(grid.x, ts) if iw is None else iw, out=lump)
             masked_samples(grid, lump, out=lump)
@@ -273,26 +265,17 @@ class OperatorTable:
             )
 
     @staticmethod
-    def planned_bytes(n: int, n_steps: int, constant: bool, half_steps: bool = False) -> int:
+    def planned_bytes(n: int, n_steps: int, constant: bool) -> int:
         """Bytes of the rows of a table over ``n_steps`` steps on ``n`` nodes, before it is built."""
-        if constant:
-            nodes = zeroth = 1
-        else:
-            nodes, zeroth = (2 if half_steps else 1) * n_steps + 1, n_steps + 1
+        nodes, zeroth = (1, 1) if constant else (2 * n_steps + 1, n_steps + 1)
         return nodes * (8 + 16 * n) + zeroth * 16 * n
 
-    def require(self, times: np.ndarray, half_steps: bool = False) -> None:
-        """Raise ConfigError unless the integer nodes are ``times`` (with midpoints if asked)."""
+    def require(self, times: np.ndarray) -> None:
+        """Raise ConfigError unless the table's nodes are the half steps of ``times``."""
         times = np.asarray(times, dtype=np.float64)
-        ok = (
-            (self.stride == 2 or not half_steps)
-            and len(self.nodes) == self.stride * (len(times) - 1) + 1
-            and same_time_grid(self.nodes[:: self.stride], times)
-        )
-        if not ok:
-            what = "half-step grid" if half_steps else "time grid"
+        if not (len(self.nodes) == 2 * len(times) - 1 and same_time_grid(self.nodes[::2], times)):
             raise ConfigError(
-                f"operator table nodes are not the {what} of {len(times)} times "
+                f"operator table nodes are not the half-step grid over the time grid of {len(times)} times "
                 f"on [{times[0]:g}, {times[-1]:g}]"
             )
 
@@ -300,9 +283,7 @@ class OperatorTable:
         """Masked a, a q and zeroth-order rows at integer nodes lo..hi-1."""
         if self.constant:
             return self.a, self.aq, self.zeroth
-        s = self.stride
-        ints = slice(s * lo, s * (hi - 1) + 1, s)
-        return self.a[ints], self.aq[ints], self.zeroth[lo:hi]
+        return self.a[2 * lo : 2 * hi - 1 : 2], self.aq[2 * lo : 2 * hi - 1 : 2], self.zeroth[lo:hi]
 
 
 def s_symbols(grid: Grid1D, factor: np.ndarray | float = 1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -575,8 +556,8 @@ def solve_linear(
 
     Backward problems are solved in reversed time and flipped back, so the
     returned field always has times[0] = 0, times[-1] = horizon, with the
-    datum reproduced at the appropriate end.  ``table`` must be built with
-    ``half_steps`` on this march's time grid; without one it is built here.
+    datum reproduced at the appropriate end.  ``table`` must be built on
+    this march's time grid (else ConfigError); without one it is built here.
     ``plan``, a :class:`MarchPlan` of ``table``, this step and viscosity and
     these rows (else ConfigError), is built here when not given; the coupled
     solver builds one for all its sweeps.  The march writes the plan's
@@ -611,8 +592,8 @@ def solve_linear(
                 )
             _require_march_grid(q.source.times, times)
     if table is None:
-        table = OperatorTable(p.coeffs, p.weight, times, half_steps=True)
-    table.require(times, half_steps=True)
+        table = OperatorTable(p.coeffs, p.weight, times)
+    table.require(times)
     if plan is None:
         plan = MarchPlan(table, cfg, p.horizon, [q.direction for q in problems], [q.zero_mean for q in problems])
     else:
@@ -627,8 +608,7 @@ def solve_linear(
 
 def _require_march_grid(source_times: np.ndarray, times: np.ndarray) -> None:
     """Raise ConfigError unless a source sits on the march's integer nodes ``times``."""
-    tol = 1e-9 * (times[1] - times[0])
-    if len(source_times) != len(times) or not np.allclose(source_times, times, rtol=0.0, atol=tol):
+    if not same_time_grid(source_times, times):
         raise ConfigError(
             f"source time grid of {len(source_times)} times on [{source_times[0]:g}, "
             f"{source_times[-1]:g}] is not the march grid of {len(times)} times on "
@@ -807,7 +787,7 @@ def epsilon_study(p: LinearProblem, cfg: StepperConfig, schedule: Sequence[float
     if any(e2 >= e1 for e1, e2 in zip(sched, sched[1:])) or any(e <= 0 for e in sched):
         raise ConfigError("viscosity schedule must be positive and strictly decreasing")
     times = np.linspace(0.0, p.horizon, cfg.resolve_steps(p.horizon) + 1)
-    table = OperatorTable(p.coeffs, p.weight, times, half_steps=True)
+    table = OperatorTable(p.coeffs, p.weight, times)
     solutions = []
     for eps in sched:
         solutions.append(solve_linear(p, replace(cfg, epsilon=eps), table))

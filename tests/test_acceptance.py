@@ -137,7 +137,7 @@ def test_criterion_03_decoupled_oracle():
     vp, vm, report = picard_solve(problem)
     elapsed = time.perf_counter() - t0
     free = solve_free(
-        FreeBvpData(f=sc.f, g=sc.g, beta=sc.beta, horizon=sc.horizon, times=vp.times)
+        FreeBvpData(f=sc.f, g=sc.g, beta=sc.weight.beta, horizon=sc.horizon, times=vp.times)
     )
     delta = report.delta
     diff = SpaceTimeField(sc.grid, vp.times, vp.values + vm.values - free.values)
@@ -355,7 +355,7 @@ def test_criterion_10_drift_discrimination():
     slope_rel = abs(imag_rep.growth_slope - const) / const
 
     bench_sc = build_scenario(load_preset("benchmark"))
-    weight = build_weight(bench_sc.beta, grid, mode="truncated")
+    weight = build_weight(bench_sc.weight.beta, grid, mode="truncated")
     drift = -2j * bench_sc.coeffs.a_values(grid.x, 0.0) * weight.logderiv
     drift_rep = mizohata_index(drift, grid, R_max=32.0)
 
@@ -377,7 +377,7 @@ def test_criterion_11_decay_persistence_and_smoothing(bench, bench_fine):
     decay_ok = bool(np.all(np.isfinite(asm.w_norms)) and np.max(jumps) <= 0.05)
 
     def implied_c(run):
-        rep = weighted_smoothing_monitor(run["asm"].w, run["report"].table, run["sc"].beta)
+        rep = weighted_smoothing_monitor(run["asm"].w, run["report"].table, run["sc"].weight.beta)
         assert rep.verdict == "pass"
         return rep.ratio
 
@@ -386,7 +386,7 @@ def test_criterion_11_decay_persistence_and_smoothing(bench, bench_fine):
     c_shift = abs(c_fine / c_base - 1.0)
 
     boot = bootstrap_diagnostics(
-        asm.w, bench["sc"].coeffs, bench["report"].table, bench["sc"].beta
+        asm.w, bench["sc"].coeffs, bench["report"].table, bench["report"].bundle, bench["sc"].weight.beta
     )
     boot_ok = boot.verdict == "pass" and boot.constants["hypothesis_ok"]
 

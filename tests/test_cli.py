@@ -307,6 +307,12 @@ class TestPicardCommand:
         reports = json.loads((out / "estimates.json").read_text())
         assert {r["name"] for r in reports} == {"energy[-]", "energy[+]", "weighted-smoothing"}
         assert all(r["verdict"] == "pass" for r in reports)
+        # the run stores every step, so the re-run reads the run's own table and bundle
+        assert json.loads((run_dir / "report.json").read_text())["storage"]["stride"] == 1
+        ran = {r["name"]: r for r in json.loads((run_dir / "estimates.json").read_text())}
+        for r in reports:
+            for key in ("ratio", "lhs", "rhs"):
+                assert r[key] == pytest.approx(ran[r["name"]][key], rel=1e-12, abs=0.0), (r["name"], key)
 
     def test_horizon_override_warns(self, tmp_path):
         scenario = small_scenario_file(tmp_path)

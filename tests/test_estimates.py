@@ -62,6 +62,13 @@ def table_on(coeffs, v, weight=None):
     return OperatorTable(coeffs, weight or build_weight(1.0, v.grid, mode="pure_exponential"), v.times)
 
 
+def bundle_on(coeffs, v):
+    """The rate bundle on the field's own times, as a run hands it to the bootstrap
+    (which reads its hypothesis series only), sampled without ``coeffs``'s floor so
+    that the bootstrap's own floor check is the one a dip meets."""
+    return norm_bundle(with_floor(coeffs, 0.0), 1.0, v.times, v.grid)
+
+
 def with_floor(coeffs, lam):
     """``coeffs`` with the ellipticity floor ``lam`` the bootstrap assumes."""
     return CoefficientField(coeffs.a_expr, coeffs.w_expr, ellipticity=lam)
@@ -192,7 +199,8 @@ class TestEnergyMonitor:
         with pytest.raises(ConfigError, match="time grid"):
             weighted_smoothing_monitor(v, table, 1.0)
         with pytest.raises(ConfigError, match="time grid"):
-            bootstrap_diagnostics(constant_packet(grid, v.times), with_floor(BENCH, 0.9), table, 1.0)
+            bootstrap_diagnostics(constant_packet(grid, v.times), with_floor(BENCH, 0.9), table,
+                                  bundle_on(BENCH, v), 1.0)
 
     # the last grid is the field's stretched by a relative 5e-6: another grid, though np.allclose takes it
     @pytest.mark.parametrize("other", [np.linspace(0.0, 0.1, 9), np.linspace(0.0, 0.2, 17),
@@ -204,6 +212,8 @@ class TestEnergyMonitor:
         bundle = norm_bundle(BENCH, w.sup_logderiv, other, grid)
         with pytest.raises(ValidationError, match="time grid"):
             energy_monitor(v, None, "-", table_on(BENCH, v, w), w, bundle)
+        with pytest.raises(ValidationError, match="time grid"):
+            bootstrap_diagnostics(v, with_floor(BENCH, 0.9), table_on(BENCH, v, w), bundle, 1.0)
 
     def test_source_norms_enter_by_the_trapezoid_on_the_field_times(self):
         grid = Grid1D(128, 8 * np.pi)
@@ -273,7 +283,7 @@ class TestWeightedSmoothingMonitor:
                 f=sc.f, g=sc.g, coeffs=sc.coeffs, weight=sc.weight, horizon=horizon, stepper_cfg=sc.stepper,
             ))
             w = assemble_solution(vp, vm, sc.weight).w
-            implied.append(weighted_smoothing_monitor(w, report.table, sc.beta).constants["implied_c"])
+            implied.append(weighted_smoothing_monitor(w, report.table, sc.weight.beta).constants["implied_c"])
         for coarse, fine in zip(implied, implied[1:]):
             assert abs(fine / coarse - 1.0) < 1e-10, implied
 
@@ -336,13 +346,14 @@ class TestBootstrapDiagnostics:
         w = zero_stf(grid, np.linspace(0.0, 0.1, 9))
         for q, delta in ((2.0, 0.4), (1.0, 0.6), (2.0, 1.2)):
             with pytest.raises(ConfigError):
-                bootstrap_diagnostics(w, with_floor(CONST, 0.9), table_on(CONST, w), 1.0, q=q, delta=delta)
+                bootstrap_diagnostics(w, with_floor(CONST, 0.9), table_on(CONST, w), bundle_on(CONST, w), 1.0,
+                                      q=q, delta=delta)
 
     def test_lambda_zero_not_applicable(self):
         grid = Grid1D(128, 8.0)
         times = np.linspace(0.0, 0.1, 9)
         w = zero_stf(grid, times)
-        rep = bootstrap_diagnostics(w, CONST, table_on(CONST, w), 1.0)
+        rep = bootstrap_diagnostics(w, CONST, table_on(CONST, w), bundle_on(CONST, w), 1.0)
         assert rep.verdict == "not-applicable"
 
     def test_constant_coefficient_pairings_vanish(self):
@@ -352,7 +363,7 @@ class TestBootstrapDiagnostics:
         f = packet(grid, -4.0, sign="-")
         sol = solve_free(FreeBvpData(f=f, g=zero_field(grid), beta=1.0,
                                      horizon=T, times=times))
-        rep = bootstrap_diagnostics(sol, with_floor(CONST, 0.95), table_on(CONST, sol), 1.0)
+        rep = bootstrap_diagnostics(sol, with_floor(CONST, 0.95), table_on(CONST, sol), bundle_on(CONST, sol), 1.0)
         assert rep.verdict == "pass"
         assert rep.constants["pairing_ratio_low"] == 0.0
         assert rep.constants["pairing_ratio_high"] == 0.0
@@ -362,7 +373,7 @@ class TestBootstrapDiagnostics:
     def test_benchmark_run_passes(self, localized_run):
         grid, w, f, g, vp, vm, report = localized_run
         asm = assemble_solution(vp, vm, w)
-        rep = bootstrap_diagnostics(asm.w, with_floor(BENCH, 0.9), report.table, beta=1.0)
+        rep = bootstrap_diagnostics(asm.w, with_floor(BENCH, 0.9), report.table, report.bundle, beta=1.0)
         assert rep.verdict == "pass"
         assert rep.ratio <= 0.95
         assert rep.constants["hypothesis_ok"]
@@ -374,7 +385,7 @@ class TestBootstrapDiagnostics:
         grid, w, f, g, vp, vm, report = localized_run
         asm = assemble_solution(vp, vm, w)
         with pytest.raises(ValidationError, match="floor"):
-            bootstrap_diagnostics(asm.w, with_floor(BENCH, 1.5), report.table, beta=1.0)
+            bootstrap_diagnostics(asm.w, with_floor(BENCH, 1.5), report.table, report.bundle, beta=1.0)
 
     def test_floor_dip_between_sampled_times_rejected(self):
         # a is 0.5 < 0.9 at times[1] only, a time the old strided sampling skipped
@@ -383,7 +394,27 @@ class TestBootstrapDiagnostics:
         w = constant_packet(grid, DIP_TIMES)
         assert np.min(dipping.a_values(grid.x, DIP_TIMES[::2, None])) > 0.99
         with pytest.raises(ValidationError, match="floor"):
-            bootstrap_diagnostics(w, dipping, table_on(dipping, w), 1.0)
+            bootstrap_diagnostics(w, dipping, table_on(dipping, w), bundle_on(dipping, w), 1.0)
+
+    def test_hypothesis_need_reads_every_time_of_the_bundle(self, monkeypatch):
+        # a_x and a_xx spike at times[1] only, a time the old strided sampling skipped
+        grid = Grid1D(256, 8 * np.pi)
+        spiking = with_floor(CoefficientField(f"1 + 0.05*sech(x) + 5*sech(x)*{DIP}", "0"), 0.9)
+        w = constant_packet(grid, DIP_TIMES)
+        table, bundle = table_on(spiking, w), bundle_on(spiking, w)
+        pairing = []   # the bootstrap evaluates a_x at its three pairing slices and nothing else
+
+        def a_x(x, t, out=None):
+            pairing.append(len(t))
+            return CoefficientField.a_x(spiking, x, t, out)
+
+        monkeypatch.setattr(spiking, "a_x", a_x)
+        for name in ("a_values", "a_xx", "w_values"):
+            monkeypatch.setattr(spiking, name, None)
+        rep = bootstrap_diagnostics(w, spiking, table, bundle, 1.0)
+        assert pairing == [3]
+        assert rep.constants["hypothesis_need"] == pytest.approx(8.68, abs=5e-3)
+        assert rep.constants["hypothesis_margin"] < 0.0 and rep.constants["hypothesis_ok"] is False
 
 
 class TestTableReadIntegral:
@@ -436,7 +467,7 @@ class TestStorageForms:
         by_values = SpaceTimeField(grid, w_asm.times, values)
         by_hats = SpaceTimeField(grid, w_asm.times, hats=np.fft.fft(values, axis=1))
 
-        boot = [bootstrap_diagnostics(s, with_floor(BENCH, 0.9), report.table, beta=1.0)
+        boot = [bootstrap_diagnostics(s, with_floor(BENCH, 0.9), report.table, report.bundle, beta=1.0)
                 for s in (by_hats, by_values)]
         _same_report(*boot)
         assert boot[0].constants["interior_index_low"] == boot[1].constants["interior_index_low"]
@@ -452,7 +483,7 @@ class TestStorageForms:
         hats = np.zeros((len(times), grid.n), dtype=complex)
         hats[:, grid.n // 2] = grid.n * (1.0 + times)
         w = SpaceTimeField(grid, times, hats=hats)
-        rep = bootstrap_diagnostics(w, with_floor(CONST, 0.9), table_on(CONST, w), 1.0)
+        rep = bootstrap_diagnostics(w, with_floor(CONST, 0.9), table_on(CONST, w), bundle_on(CONST, w), 1.0)
         assert rep.verdict == "pass"
         assert rep.ratio == pytest.approx(0.9, rel=1e-12, abs=0.0)
 
@@ -480,7 +511,7 @@ class TestReportSerialization:
         hats = np.zeros((len(times), grid.n), dtype=complex)
         hats[:, 3] = grid.n * (1.0 + times)
         w = SpaceTimeField(grid, times, hats=hats)
-        rep = bootstrap_diagnostics(w, with_floor(CONST, 0.9), table_on(CONST, w), 1.0)
+        rep = bootstrap_diagnostics(w, with_floor(CONST, 0.9), table_on(CONST, w), bundle_on(CONST, w), 1.0)
         payload = rep.to_dict()
         json.dumps(payload)
         assert payload["name"] == "bootstrap"

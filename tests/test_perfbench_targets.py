@@ -56,6 +56,26 @@ def test_every_sweep_is_one_traced_solve_linear_call(monkeypatch):
     assert tracer.counts["stepper.steps"] == report.iterations * sc.stepper.n_steps
 
 
+def test_the_solve_bundle_is_counted_in_the_traced_nodes(tmp_path, monkeypatch):
+    # install wraps norm_bundle only on the modules that hold the name (cli
+    # for the horizon probe, picard for the solve's bundle); a solve that
+    # reached it another way would drop out of coefficients.norm_bundle_nodes
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    raw = merge_scenario(load_preset("benchmark"), {"grid": {"n": 256}, "horizon": 0.01,
+                                                    "stepper": {"n_steps": 64}})
+    try:
+        tracing.install(tracer)
+        patched = {(owner, attr) for owner, attr, _ in tracer._patched}
+        assert cli.run_picard_scenario(raw, str(tmp_path / "run")) == 0
+    finally:
+        tracer.uninstall()
+    assert {(cli, "norm_bundle"), (picard, "norm_bundle")} <= patched
+    # an explicit horizon runs no probe: the nodes are the solve grid's
+    assert tracer.counts["coefficients.norm_bundle_nodes"] == 64 + 1
+
+
 def test_every_run_file_is_written_in_a_traced_span(tmp_path, monkeypatch):
     # fieldio.write wraps the writers cli calls by name; the run directory
     # appears with the first of them, after the solve

@@ -821,7 +821,7 @@ def blocked_outputs(n):
     vm = SpaceTimeField(grid, times, np.conj(phase) * project(random_band_field(grid, 30, 72), "-").values)
     total = SpaceTimeField(grid, times, hats=vp.hats + vm.hats)
     bundle = norm_bundle(BENCH, w.sup_logderiv, times, grid)
-    table = OperatorTable(BENCH, w, times, half_steps=True)
+    table = OperatorTable(BENCH, w, times)
     # a pair marched into a plan buffer holding the carriers, with the update measured
     fwd, bwd = (
         LinearProblem(direction=d, coeffs=BENCH, weight=w, source=v, horizon=times[-1],
@@ -885,7 +885,7 @@ class TestPeakMemory:
         stack = 16 * n * (n_steps + 1)
         assert stack >= 4 * spectral.CHUNK_BYTES
         if "coefficients" in raw:
-            probe = OperatorTable(sc.coeffs, sc.weight, np.linspace(0.0, 0.035, 3), half_steps=True)
+            probe = OperatorTable(sc.coeffs, sc.weight, np.linspace(0.0, 0.035, 3))
             assert probe.uniform and not probe.constant
         tracemalloc.start()
         try:

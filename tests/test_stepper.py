@@ -115,7 +115,7 @@ class TestConfigValidation:
         # and 112 converge; the check reads the table alone
         sc = build_scenario(merge_scenario(load_preset("benchmark"), {"grid": {"n": 16384}}))
         times = np.linspace(0.0, 1 / 64, n_steps + 1)
-        table = OperatorTable(sc.coeffs, sc.weight, times, half_steps=True)
+        table = OperatorTable(sc.coeffs, sc.weight, times)
         if n_steps == 112:
             _require_rk4_stable(table, 1 / 64, n_steps)
             return
@@ -440,7 +440,7 @@ class TestInvariants:
         cfg = StepperConfig(epsilon=0.0, n_steps=512)
         messages = []
         for uniform in (True, False):
-            table = OperatorTable(CONST, w, np.linspace(0.0, 0.5, 513), half_steps=True)
+            table = OperatorTable(CONST, w, np.linspace(0.0, 0.5, 513))
             assert table.uniform
             table.uniform = uniform
             with pytest.raises(StabilityError, match="step") as err:
@@ -542,9 +542,10 @@ class TestOperatorTable:
             datum=gaussian_field(grid),
             horizon=0.1,
         )
-        no_midpoints = OperatorTable(CONST, p.weight, np.linspace(0.0, 0.1, 33))
-        coarser = OperatorTable(CONST, p.weight, np.linspace(0.0, 0.1, 17), half_steps=True)
-        for table in (no_midpoints, coarser):
+        # the coarser table's nodes are the march's integer nodes, without the midpoints
+        finer = OperatorTable(CONST, p.weight, np.linspace(0.0, 0.1, 65))
+        coarser = OperatorTable(CONST, p.weight, np.linspace(0.0, 0.1, 17))
+        for table in (finer, coarser):
             with pytest.raises(ConfigError, match="half-step"):
                 solve_linear(p, StepperConfig(n_steps=32), table)
 
@@ -552,23 +553,22 @@ class TestOperatorTable:
         grid = Grid1D(64, 8 * np.pi)
         w = build_weight(0.5, grid, mode="truncated")
         times = np.linspace(0.0, 0.1, 33)
-        steady = OperatorTable(CoefficientField("1 + 0.1*sech(x)", "0.05*sech(x)"), w, times, half_steps=True)
+        steady = OperatorTable(CoefficientField("1 + 0.1*sech(x)", "0.05*sech(x)"), w, times)
         assert steady.a.shape == steady.zeroth.shape == (1, grid.n)
-        moving = OperatorTable(CoefficientField("1 + 0.1*exp(-t)*sech(x)", "0"), w, times, half_steps=True)
+        moving = OperatorTable(CoefficientField("1 + 0.1*exp(-t)*sech(x)", "0"), w, times)
         assert moving.a.shape == (65, grid.n) and moving.zeroth.shape == (33, grid.n)
         a, aq, zeroth = moving.rows(3, 7)
         assert np.array_equal(a, moving.a[6:13:2]) and np.array_equal(zeroth, moving.zeroth[3:7])
 
-    @pytest.mark.parametrize("half_steps", [False, True])
     @pytest.mark.parametrize("a", ["1 + 0.1*sech(x)", "1 + 0.1*exp(-t)*sech(x)"])
-    def test_planned_bytes_are_the_built_table_bytes(self, a, half_steps):
+    def test_planned_bytes_are_the_built_table_bytes(self, a):
         # the peak-memory cap of the coupled solve prices the table before building it
         grid = Grid1D(64, 8 * np.pi)
         w = build_weight(0.5, grid, mode="truncated")
         coeffs = CoefficientField(a, "0.05*sech(x)")
-        table = OperatorTable(coeffs, w, np.linspace(0.0, 0.1, 33), half_steps=half_steps)
+        table = OperatorTable(coeffs, w, np.linspace(0.0, 0.1, 33))
         built = sum(rows.nbytes for rows in (table.abar, table.a, table.aq, table.zeroth))
-        planned = OperatorTable.planned_bytes(grid.n, 32, not coeffs.time_dependent, half_steps)
+        planned = OperatorTable.planned_bytes(grid.n, 32, not coeffs.time_dependent)
         assert planned == built
 
 
@@ -576,7 +576,7 @@ class TestOperatorTable:
     def test_uniform_only_when_every_row_is_constant_in_x(self, preset, uniform):
         # free: a is constant in x, but the truncated weight's q is not
         sc = build_scenario(load_preset(preset))
-        table = OperatorTable(sc.coeffs, sc.weight, np.linspace(0.0, 0.01, 9), half_steps=True)
+        table = OperatorTable(sc.coeffs, sc.weight, np.linspace(0.0, 0.01, 9))
         assert table.uniform is uniform
 
     @pytest.mark.parametrize("a", ["1 + 0.1*exp(-t)*sech(x)", "1 + 0.1*sech(x)"], ids=["benchmark", "constant"])
@@ -585,16 +585,16 @@ class TestOperatorTable:
         sc = build_scenario(load_preset("benchmark"))
         coeffs = CoefficientField(a, sc.coeffs.w_expr)
         grid, q, dq = sc.grid, sc.weight.logderiv, sc.weight.logderiv_x
-        table = OperatorTable(coeffs, sc.weight, np.linspace(0.0, 0.02, 17), half_steps=True)
+        table = OperatorTable(coeffs, sc.weight, np.linspace(0.0, 0.02, 17))
         assert len(table.a) == (1 if table.constant else 33)
         for k, t in enumerate(table.nodes[: len(table.a)]):
             a_row = coeffs.a_values(grid.x, t)
             assert table.abar[k] == np.mean(a_row)
             assert np.array_equal(table.a[k], spectral.masked_samples(grid, a_row).real)
             assert np.array_equal(table.aq[k], spectral.masked_samples(grid, a_row * q).real)
-            if k % table.stride == 0:
+            if k % 2 == 0:   # Z sits at the integer nodes only
                 lump = 1j * ((q**2 - dq) * a_row - q * coeffs.a_x(grid.x, t)) + 1j * coeffs.w_values(grid.x, t)
-                assert np.array_equal(table.zeroth[k // table.stride], spectral.masked_samples(grid, lump))
+                assert np.array_equal(table.zeroth[k // 2], spectral.masked_samples(grid, lump))
 
     @pytest.mark.parametrize("block_bytes", [1 << 12, 1 << 24], ids=["2-row blocks", "one block"])
     def test_uniform_reads_every_row_block(self, monkeypatch, block_bytes):
@@ -605,8 +605,8 @@ class TestOperatorTable:
         times = np.linspace(0.0, 0.1, 33)
         late = CoefficientField("1 + 0.5*t", "(1 + tanh(1000*(t - 0.05)))*sech(x)")
         flat = CoefficientField("1 + 0.5*t", "0.3 + t")
-        assert OperatorTable(late, w, times, half_steps=True).uniform is False
-        assert OperatorTable(flat, w, times, half_steps=True).uniform is True
+        assert OperatorTable(late, w, times).uniform is False
+        assert OperatorTable(flat, w, times).uniform is True
 
 
 class TestApplyS:
@@ -620,7 +620,7 @@ class TestApplyS:
     def test_symbol_branch_matches_the_fft_branch(self, coeffs):
         grid = Grid1D(128, 8 * np.pi)
         w = build_weight(1.0, grid, mode="pure_exponential")
-        table = OperatorTable(coeffs, w, np.linspace(0.0, 0.5, 9), half_steps=True)
+        table = OperatorTable(coeffs, w, np.linspace(0.0, 0.5, 9))
         assert table.uniform
         rng = np.random.default_rng(9)
         u = (rng.standard_normal((9, grid.n)) + 1j * rng.standard_normal((9, grid.n))) * grid.dealias_mask
@@ -661,8 +661,8 @@ class TestUniformTable:
             for d, src, seed, sign in (("forward", sources[0], 7, "-"), ("backward", sources[1], 8, "+"))
         )
         cfg = StepperConfig(epsilon=1e-4, n_steps=32)
-        symbols = OperatorTable(coeffs, w, times, half_steps=True)
-        ffts = OperatorTable(coeffs, w, times, half_steps=True)
+        symbols = OperatorTable(coeffs, w, times)
+        ffts = OperatorTable(coeffs, w, times)
         assert symbols.uniform
         ffts.uniform = False
         got = solve_linear(fwd, cfg, symbols, partner=bwd)
@@ -688,7 +688,7 @@ class TestUniformTable:
             )
             for d, source, seed, sign in (("forward", src, 7, "-"), ("backward", None, 8, "+"))
         )
-        table = OperatorTable(CONST, w, times, half_steps=True)
+        table = OperatorTable(CONST, w, times)
         table.uniform = uniform
         rng = np.random.default_rng(4)
         cfg = StepperConfig(epsilon=1e-4, n_steps=32)
@@ -750,7 +750,7 @@ class TestBatchedMarch:
             datum=project(random_band_field(grid, 20, 8), "+"), **common,
         )
         cfg = StepperConfig(epsilon=1e-4, n_steps=32)
-        return fwd, bwd, cfg, OperatorTable(coeffs, w, times, half_steps=True)
+        return fwd, bwd, cfg, OperatorTable(coeffs, w, times)
 
     @pytest.mark.parametrize(
         "coeffs, constant",
@@ -878,6 +878,20 @@ class TestBatchedMarch:
         with pytest.raises(ConfigError, match=f"{n_src + 1} times .* march grid of 33 times"):
             solve_linear(p, StepperConfig(epsilon=0.0, n_steps=32))
 
+    @pytest.mark.parametrize("shift, same", [(3e-12, False), (5e-13, True)])
+    def test_march_and_table_share_one_time_grid_rule(self, shift, same):
+        # node 4 of nine moved: the march's source check and the table's agree
+        times = np.linspace(0.0, 0.05, 9)
+        moved = times.copy()
+        moved[4] += shift
+        table = OperatorTable(CONST, unit_weight(Grid1D(16, np.pi)), times)
+        for check in (lambda: stepper._require_march_grid(moved, times), lambda: table.require(moved)):
+            if same:
+                check()
+            else:
+                with pytest.raises(ConfigError, match="grid"):
+                    check()
+
 
 class TestMarchPlan:
     # One plan serves every sweep of a coupled solve; it must reproduce the
@@ -913,16 +927,16 @@ class TestMarchPlan:
         fwd, bwd, w = self._pair()
         cfg = StepperConfig(epsilon=1e-4, n_steps=32)
         times = np.linspace(0.0, fwd.horizon, 33)
-        table = OperatorTable(self.COEFFS, w, times, half_steps=True)
+        table = OperatorTable(self.COEFFS, w, times)
         plan = MarchPlan(table, cfg, fwd.horizon, ("forward", "backward"), (True, True))
         solve_linear(fwd, cfg, table, partner=bwd, plan=plan)   # its own march is accepted
         if other == "grid":
             fwd, bwd, w = self._pair(grid=Grid1D(64, 8 * np.pi))
-            table = OperatorTable(self.COEFFS, w, times, half_steps=True)
+            table = OperatorTable(self.COEFFS, w, times)
             match = "another grid, operator table"
         elif other == "dt":
             fwd, bwd = (dataclasses.replace(q, horizon=0.01) for q in (fwd, bwd))
-            table = OperatorTable(self.COEFFS, w, np.linspace(0.0, 0.01, 33), half_steps=True)
+            table = OperatorTable(self.COEFFS, w, np.linspace(0.0, 0.01, 33))
             match = "another operator table, step"
         elif other == "epsilon":
             cfg = StepperConfig(epsilon=2e-4, n_steps=32)
@@ -943,7 +957,7 @@ class TestMarchPlan:
         fwd, bwd, w = self._pair()
         cfg = StepperConfig(epsilon=1e-4, n_steps=32)
         times = np.linspace(0.0, fwd.horizon, 33)
-        table = OperatorTable(self.COEFFS, w, times, half_steps=True)
+        table = OperatorTable(self.COEFFS, w, times)
         plan = MarchPlan(table, cfg, fwd.horizon, ("forward", "backward"), (True, True))
         grid, dt = fwd.grid, fwd.horizon / 32
         kmax = int(np.max(grid.k_index[grid.dealias_mask]))
@@ -965,7 +979,7 @@ class TestMarchPlan:
         # building it: about a third of a stack on the benchmark grid
         coeffs = CoefficientField("1 + 0.1*sech(x)", "0") if constant else self.COEFFS
         fwd, _, w = self._pair(coeffs=coeffs)
-        table = OperatorTable(coeffs, w, np.linspace(0.0, fwd.horizon, 33), half_steps=True)
+        table = OperatorTable(coeffs, w, np.linspace(0.0, fwd.horizon, 33))
         plan = MarchPlan(table, StepperConfig(n_steps=32), fwd.horizon, ("forward",), (True,))
         assert MarchPlan.planned_bytes(fwd.grid.n, 32, constant) == plan.exponentials.nbytes
         stack = 16 * 2048 * 65
