@@ -421,7 +421,8 @@ def run_monitors(
     bundle: NormBundle,
 ) -> list[EstimateReport]:
     """The estimate monitors on one converged pair of carriers, reading the
-    operator table and rate bundle on their times (a solve's report holds both):
+    operator table (which carries the coefficients and weight) and rate bundle
+    on their times (a solve's report holds both):
     the two energy monitors and weighted smoothing always, the bootstrap
     diagnostics when the scenario's ``estimates.bootstrap`` is on.
 
@@ -429,12 +430,12 @@ def run_monitors(
     block at a time: no source stack is built."""
     lam_p, lam_m = coupling_norms(vp, vm, table)
     reports = [
-        energy_monitor(vm, lam_m, "-", table, sc.weight, bundle),
-        energy_monitor(vp, lam_p, "+", table, sc.weight, bundle),
-        weighted_smoothing_monitor(w_stack, table, sc.weight.beta),
+        energy_monitor(vm, lam_m, "-", table, bundle),
+        energy_monitor(vp, lam_p, "+", table, bundle),
+        weighted_smoothing_monitor(w_stack, table),
     ]
     if sc.bootstrap:
-        reports.append(bootstrap_diagnostics(w_stack, sc.coeffs, table, bundle, sc.weight.beta))
+        reports.append(bootstrap_diagnostics(w_stack, table, bundle))
     return reports
 
 
@@ -525,7 +526,7 @@ def cmd_linear(args: argparse.Namespace) -> int:
     sol = solve_linear(problem, sc.stepper, table)
     sign = "-" if args.direction == "forward" else "+"
     bundle = norm_bundle(sc.coeffs, sc.weight.sup_logderiv, sol.times, sc.grid)
-    reports = [energy_monitor(sol, None, sign, table, sc.weight, bundle)]
+    reports = [energy_monitor(sol, None, sign, table, bundle)]
     elapsed = time.perf_counter() - t0
 
     norms = sol.norm_series()   # measured once: the sup norm is read from it

@@ -5,8 +5,10 @@ fields and reports the measured ratio.  The fields hold Fourier
 coefficients, which the monitors read through the multipliers of
 :mod:`spectral`; physical values are built only where a product with
 a(x, t) needs them, one block at a time with a's rows read from the run's
-one `OperatorTable` (a is never evaluated), and norms and pairings of hats
-come from Parseval.  Constants the theory leaves implicit are reported as
+one `OperatorTable` (a is never evaluated).  The table is the monitors'
+one source of the operator: the weight (q, its sup and beta) and the
+coefficient field (the floor lambda and a_x) come from it too.  Norms
+and pairings of hats come from Parseval.  Constants the theory leaves implicit are reported as
 measured values, never assumed; verdicts allow the ratio a slack ``_SLACK``.
 
 The three monitors:
@@ -32,8 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import CoefficientField, NormBundle
-from .errors import ConfigError, ValidationError
+from .coefficients import NormBundle
+from .errors import ValidationError
 from .spectral import (
     Grid1D,
     SpaceTimeField,
@@ -49,7 +51,6 @@ from .spectral import (
     same_time_grid,
 )
 from .stepper import OperatorTable
-from .weights import WeightProfile
 
 __all__ = [
     "EstimateReport",
@@ -60,6 +61,7 @@ __all__ = [
 
 _SLACK = 0.05            # a verdict passes with ratio <= 1 + _SLACK
 _CHAIN_CONSTANT = 1.0    # the commutator chain term's constant, in the bootstrap
+_CHAIN_Q, _CHAIN_DELTA = 2.0, 0.6   # its norm ||J^delta a_x||_q: delta > 1/q and delta > 1 - 1/q
 
 
 @dataclass
@@ -72,7 +74,6 @@ class EstimateReport:
     ratio: float
     constants: dict = field(default_factory=dict)
     verdict: str = "pass"
-    slack: float = _SLACK
     notes: str = ""
 
     def to_dict(self) -> dict:
@@ -82,7 +83,7 @@ class EstimateReport:
             "rhs": float(self.rhs),
             "ratio": float(self.ratio),
             "verdict": self.verdict,
-            "slack": float(self.slack),
+            "slack": _SLACK,
             "notes": self.notes,
             "constants": {},
         }
@@ -118,12 +119,7 @@ def _weighted_halfderiv_integral(
 
 
 def energy_monitor(
-    v: SpaceTimeField,
-    source_norms: np.ndarray | None,
-    sign: str,
-    table: OperatorTable,
-    weight: WeightProfile,
-    bundle: NormBundle,
+    v: SpaceTimeField, source_norms: np.ndarray | None, sign: str, table: OperatorTable, bundle: NormBundle
 ) -> EstimateReport:
     """Sup norm plus twice the root of the weighted smoothing integral,
     against 3 * (endpoint data + integrated source) * exp(4 * int c).
@@ -135,8 +131,9 @@ def energy_monitor(
     so no source stack is built.  ``bundle`` holds the rate c on
     ``v.times``, sampled with the weight's measured sup log-derivative; a
     coupled run passes the solve's own (``PicardReport.bundle``) and table,
-    whose every a row must give a q >= 0.  Raises ValidationError when the
-    bundle or the norm series is off ``v.times``, ConfigError when the table is.
+    whose every a row must give a q >= 0 with q its weight's log-derivative.
+    Raises ValidationError when the bundle or the norm series is off
+    ``v.times``, ConfigError when the table is.
     """
     if sign not in ("+", "-"):
         raise ValidationError("sign must be '+' or '-'")
@@ -144,6 +141,7 @@ def energy_monitor(
         raise ValidationError("rate bundle and field must share one time grid")
     table.require(v.times)
 
+    weight = table.weight
     factor = weight.logderiv
     neg = min(float(np.min(table.a[rows] * factor)) for rows in row_blocks(len(table.a), v.grid.n))
     if neg < -1e-12:
@@ -209,21 +207,19 @@ def _support_check(w: SpaceTimeField) -> None:
         )
 
 
-def weighted_smoothing_monitor(
-    w: SpaceTimeField,
-    table: OperatorTable,
-    beta: float,
-) -> EstimateReport:
+def weighted_smoothing_monitor(w: SpaceTimeField, table: OperatorTable) -> EstimateReport:
     """beta * int int a (|D^{1/2}w+|^2 + |D^{1/2}w-|^2) against the
     endpoint quadratic form; the quotient is the implied constant.
 
     w+ and w- are the P+ and P- parts of ``w``, formed one block of slices
     at a time, so the monitor holds no stack beside ``w``; a comes from
-    ``table`` on ``w.times`` (else ConfigError).  With no a-priori constant,
-    the verdict only checks finiteness; ``implied_c``'s stability under
-    refinement is the caller's cross-run check.
+    ``table`` on ``w.times`` (else ConfigError), and beta from its weight.
+    With no a-priori constant, the verdict only checks finiteness;
+    ``implied_c``'s stability under refinement is the caller's cross-run
+    check.
     """
     grid = w.grid
+    beta = table.weight.beta
     if beta <= 0:
         raise ValidationError("beta must be positive")
     table.require(w.times)
@@ -253,17 +249,6 @@ def weighted_smoothing_monitor(
     )
 
 
-def _check_chain_exponents(q: float, delta: float) -> None:
-    if not (1.0 < q < np.inf):
-        raise ConfigError("q must lie in (1, inf)")
-    if not (0.0 < delta < 1.0):
-        raise ConfigError("delta must lie in (0, 1)")
-    if delta <= 1.0 / q or delta <= 1.0 - 1.0 / q:
-        raise ConfigError(
-            f"(q, delta) = ({q}, {delta}) violates delta > 1/q and delta > 1 - 1/q"
-        )
-
-
 def _hat_pairing(grid: Grid1D, f_hat: np.ndarray, g_hat: np.ndarray) -> float:
     """|sum f conj(g) dx| of two slices given by their hats (Parseval)."""
     return abs(grid.dx / grid.n * np.sum(f_hat * np.conj(g_hat)))
@@ -291,15 +276,7 @@ def _interior_witness(
     return int(best), float(z_norms[best])
 
 
-def bootstrap_diagnostics(
-    w: SpaceTimeField,
-    coeffs: CoefficientField,
-    table: OperatorTable,
-    bundle: NormBundle,
-    beta: float,
-    q: float = 2.0,
-    delta: float = 0.6,
-) -> EstimateReport:
+def bootstrap_diagnostics(w: SpaceTimeField, table: OperatorTable, bundle: NormBundle) -> EstimateReport:
     """Half-derivative-level diagnostics on the weighted solution.
 
     Computes s = D^{1/2}w, verifies the derivative factorization
@@ -312,14 +289,16 @@ def bootstrap_diagnostics(
             <= beta * int int a (|D^{1/2}s+|^2 + |D^{1/2}s-|^2),
 
     reporting the implied data constant after subtracting the measured
-    commutator contribution.  lam is ``coeffs.ellipticity``; lam = 0 returns a
-    not-applicable report (a hypothesis of the theory's smoothness half only).
-    a comes from ``table`` on ``w.times`` (else ConfigError), and the
-    hypothesis's need, sup <x>|a_x| + sup <x>|a_xx| over every time, from
-    ``bundle``, :func:`norm_bundle`'s on ``w.times`` (else ValidationError);
-    ``coeffs`` gives only a_x at the three pairing slices.
+    commutator contribution.  Everything but the field comes from ``table``
+    and ``bundle``: lam is the floor of the table's ``coeffs``, and lam = 0
+    returns a not-applicable report (a hypothesis of the theory's smoothness
+    half only); beta is its weight's.  a comes from ``table`` on ``w.times``
+    (else ConfigError), and the hypothesis's need, sup <x>|a_x| +
+    sup <x>|a_xx| over every time, from ``bundle``, :func:`norm_bundle`'s on
+    ``w.times`` (else ValidationError); ``table.coeffs`` is evaluated only
+    for a_x at the three pairing slices.
     """
-    _check_chain_exponents(q, delta)
+    coeffs, beta = table.coeffs, table.weight.beta
     lam = coeffs.ellipticity
     if lam <= 0.0:
         return EstimateReport(
@@ -391,7 +370,7 @@ def bootstrap_diagnostics(
     pair_ratio_21 = 0.0
     ident_err = fact_err
     for i, a_here, grad in zip(sample_idx, a_rows, grad_rows):
-        grad_q = lp_norm(fractional(SpectralField(grid, grad), delta, kind="J"), q)
+        grad_q = lp_norm(fractional(SpectralField(grid, grad), _CHAIN_DELTA, kind="J"), _CHAIN_Q)
         grad_sup = max(grad_sup, grad_q)
 
         z_hat = z_hats[i]

@@ -42,10 +42,10 @@ measures one block at a time.
 
 Every space-time field stores Fourier coefficients only, so norms are
 Parseval sums (`spectral.hat_norm`), and physical values exist only inside
-`_operator_parts`, the operator L = Z + S of the coupling source and the
-residual monitor, whose S is `stepper.apply_s`, the kernel the march
-steps with (and not even there on a `uniform` table, whose rows are
-constant in x and act as Fourier symbols), and one block at a time in
+`OperatorTable.apply`, the operator L = Z + S that the coupling source and
+the residual monitor read from the solve's table, whose S is the kernel
+the march steps with (and not even there on a `uniform` table, whose rows
+are constant in x and act as Fourier symbols), and one block at a time in
 `assemble_solution`, which stores only the weighted transform w.
 """
 
@@ -78,7 +78,7 @@ from .spectral import (
     row_blocks,
     same_time_grid,
 )
-from .stepper import LinearProblem, MarchPlan, OperatorTable, StepperConfig, apply_s, s_symbols, solve_linear
+from .stepper import LinearProblem, MarchPlan, OperatorTable, StepperConfig, s_symbols, solve_linear
 from .weights import WeightProfile
 
 __all__ = [
@@ -163,52 +163,9 @@ class PicardReport:
         }
 
 
-def _operator_parts(
-    grid: Grid1D,
-    v_hat: np.ndarray,
-    am: np.ndarray,
-    aqm: np.ndarray,
-    zwm: np.ndarray,
-    sym: np.ndarray | None = None,
-    *,
-    uniform: bool,
-    symbols: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-    work: np.ndarray | None = None,
-) -> tuple[np.ndarray, ...]:
-    """Unmasked hats of (Z v, S v), and of S(sym v) given a real symbol ``sym``.
-
-    L = Z + S is the discrete operator on the operator-table rows ``am``,
-    ``aqm``, ``zwm``; ``v_hat``, complex, is dealiased in place and then
-    overwritten (the caller hands over a fresh block).  S is the stepper's one
-    kernel :func:`~schrobvp.stepper.apply_s`, called once for v and once for
-    sym v, with the caller's ``symbols`` and complex (2, ...) ``work``
-    array (both allocated per call when None).  Z v is one ifft of v and
-    one fft of the product, or on a ``uniform`` table (rows constant in x)
-    the symbol product on the row's value, with no FFT.
-    """
-    u = np.multiply(v_hat, grid.dealias_mask, out=v_hat)
-    if uniform:
-        zv = zwm[:, :1] * u
-    else:
-        # in place, zwm first: on a temporary of 256 KiB or more numpy swaps the operands
-        zv = np.fft.ifft(u, axis=-1)
-        zv = np.fft.fft(np.multiply(zwm, zv, out=zv), axis=-1, out=zv)
-    sv = apply_s(grid, u, am, aqm, uniform, symbols=symbols, work=work)
-    if sym is None:
-        return zv, sv
-    u *= sym   # u is spent: sym u and then S(sym u) take its place, with no block more
-    return zv, sv, apply_s(grid, u, am, aqm, uniform, symbols=symbols, out=u, work=work)
-
-
 def _lambda_rows(
-    grid: Grid1D,
-    v_hat: np.ndarray,
-    table: OperatorTable,
-    rows: slice,
-    out_p: np.ndarray,
-    out_m: np.ndarray,
-    symbols: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-    work: np.ndarray | None = None,
+    v_hat: np.ndarray, table: OperatorTable, rows: slice, out_p: np.ndarray, out_m: np.ndarray,
+    mask: np.ndarray, sym: np.ndarray, symbols: tuple | None = None, work: np.ndarray | None = None,
 ) -> None:
     """Coupling-source hats of both signs for the summed carrier hats
     ``v_hat`` (complex, overwritten) at the integer nodes ``rows`` of
@@ -218,14 +175,10 @@ def _lambda_rows(
     lambda- = (Z v)_paired - lambda+.  On dealiased input v_hat has no
     Nyquist mode and v_x no mean mode, so the commutator terms of the two
     signs cancel except at k = 0, which the paired-mode class zeroes anyway.
-    ``symbols`` and ``work`` go to ``_operator_parts``.
+    ``mask`` is the 2/3 mask as floats and ``sym`` the masked P+ symbol;
+    ``symbols`` and ``work`` go to ``OperatorTable.apply``.
     """
-    mask = grid.dealias_mask.astype(np.float64)
-    sym = projection_multiplier(grid, "+").real * mask
-    zv, lv, sp = _operator_parts(
-        grid, v_hat, *table.rows(rows.start, rows.stop), sym, uniform=table.uniform,
-        symbols=symbols, work=work,
-    )
+    zv, lv, sp = table.apply(v_hat, rows.start, rows.stop, sym, symbols=symbols, work=work)
     # the 2/3 mask of every product is folded into sym and mask
     lv += zv
     np.multiply(sym, lv, out=out_p)
@@ -241,24 +194,26 @@ def _coupling_pass(
     vp: SpaceTimeField, vm: SpaceTimeField, table: OperatorTable, target: Callable
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both coupling sources a row block at a time into the views ``target(rows)``,
-    and their norm series and max |hat|.  On a uniform constant table the source
-    is diagonal in v, with ``_lambda_rows`` of a unit row as its two symbols."""
+    and their norm series and max |hat|.  On a diagonal table the source is
+    diagonal in v, with ``_lambda_rows`` of a unit row as its two symbols."""
     _require_pair(vp, vm, table)
     grid = vp.grid
     norms, peaks = np.empty((2, len(vp.times))), np.zeros(2)
-    if diagonal := table.uniform and table.constant:
+    mask = grid.dealias_mask.astype(np.float64)
+    sym = projection_multiplier(grid, "+").real * mask
+    if diagonal := table.diagonal:
         lambdas = np.empty((2, 1, grid.n), dtype=np.complex128)
-        _lambda_rows(grid, np.ones((1, grid.n), dtype=np.complex128), table, slice(0, 1), *lambdas)
+        _lambda_rows(np.ones((1, grid.n), dtype=np.complex128), table, slice(0, 1), *lambdas, mask, sym)
     else:
         symbols, work = s_symbols(grid), np.empty((2, chunk_rows(grid.n), grid.n), dtype=np.complex128)
     for rows in row_blocks(len(vp.times), grid.n):
         v_hat = vp.hats[rows] + vm.hats[rows]
         outs = target(rows)
         if diagonal:
-            for sym, out in zip(lambdas, outs):
-                np.multiply(sym, v_hat, out=out)
+            for lam, out in zip(lambdas, outs):
+                np.multiply(lam, v_hat, out=out)
         else:
-            _lambda_rows(grid, v_hat, table, rows, *outs, symbols, work[:, : rows.stop - rows.start])
+            _lambda_rows(v_hat, table, rows, *outs, mask, sym, symbols, work[:, : rows.stop - rows.start])
         for i, mag in enumerate(np.abs(out) for out in outs):
             peaks[i] = max(peaks[i], np.max(mag))
             norms[i, rows] = power_norm(grid, mag * mag)
@@ -337,24 +292,25 @@ _PEAK_BYTES_CAP = 4 << 30
 _PEAK_BLOCKS = 16
 
 
-def _peak_bytes(n: int, n_steps: int, time_dependent: bool) -> int:
-    """Estimated peak bytes of :func:`picard_solve` on ``n`` nodes and ``n_steps`` steps.
+def _peak_bytes(grid: Grid1D, n_steps: int, time_dependent: bool) -> int:
+    """Estimated peak bytes of :func:`picard_solve` on ``grid`` and ``n_steps`` steps.
 
     Four (n_steps + 1, n) complex stacks, the half-step operator table, the
     march plan's exponentials and ``_PEAK_BLOCKS`` row blocks; the model is
     documented in picard_solve.
     """
+    n = grid.n
     stack = 16 * n * (n_steps + 1)
     table = OperatorTable.planned_bytes(n, n_steps, constant=not time_dependent)
-    plan = MarchPlan.planned_bytes(n, n_steps, constant=not time_dependent)
+    plan = MarchPlan.planned_bytes(grid, n_steps, constant=not time_dependent)
     return 4 * stack + table + plan + _PEAK_BLOCKS * 16 * n * chunk_rows(n)
 
 
-def _require_memory(n: int, n_steps: int, time_dependent: bool) -> None:
-    estimate = _peak_bytes(n, n_steps, time_dependent)
+def _require_memory(grid: Grid1D, n_steps: int, time_dependent: bool) -> None:
+    estimate = _peak_bytes(grid, n_steps, time_dependent)
     if estimate > _PEAK_BYTES_CAP:
         raise ConfigError(
-            f"a solve on n = {n} nodes and {n_steps} steps needs about "
+            f"a solve on n = {grid.n} nodes and {n_steps} steps needs about "
             f"{estimate / 2**20:.0f} MiB at its peak, above the cap of "
             f"{_PEAK_BYTES_CAP / 2**20:.0f} MiB; use fewer nodes or steps"
         )
@@ -401,7 +357,7 @@ def picard_solve(
     grid = p.grid
     n_steps = p.stepper_cfg.resolve_steps(p.horizon)
     _require_residual_slices(n_steps + 1)
-    _require_memory(grid.n, n_steps, p.coeffs.time_dependent)
+    _require_memory(grid, n_steps, p.coeffs.time_dependent)
     times = np.linspace(0.0, p.horizon, n_steps + 1)
     delta = p.data_norm()
     bundle = norm_bundle(p.coeffs, p.weight.sup_logderiv, times, grid)
@@ -411,7 +367,7 @@ def picard_solve(
     report = PicardReport(delta=delta, horizon=p.horizon, table=table, bundle=bundle)
     # every sweep marches the carriers (forward v-, backward v+) through one plan into
     # its one pair buffer, in march order, and measures them there
-    plan = MarchPlan(table, p.stepper_cfg, p.horizon, ("forward", "backward"), (True, True))
+    plan = MarchPlan(table, p.stepper_cfg, ("forward", "backward"), (True, True))
     vm = SpaceTimeField(grid, times, hats=plan.out[0])
     vp = SpaceTimeField(grid, times, hats=plan.out[1, ::-1])
     update, measure = plan.update, plan.measure   # per row and slot: norm, wrong-side norm
@@ -608,10 +564,8 @@ def pde_residual(v: SpaceTimeField, table: OperatorTable) -> ResidualProfile:
         dvdt = weights[:, 0, None] * hats[start - lo]
         for m in range(1, 5):
             dvdt += weights[:, m, None] * hats[start - lo + m]
-        zv, r = _operator_parts(
-            grid, hats[first - lo : stop - lo].copy(), *table.rows(first, stop), uniform=table.uniform,
-            symbols=symbols, work=work[:, : stop - first],
-        )
+        zv, r = table.apply(hats[first - lo : stop - lo].copy(), first, stop, symbols=symbols,
+                            work=work[:, : stop - first])
         r += zv
         r *= mask
         r[:, 0] = 0.0
@@ -631,7 +585,7 @@ def band_tail(v: SpaceTimeField) -> float:
     """
     grid = v.grid
     k = np.abs(grid.k_index)
-    top = grid.dealias_mask & (k > 0.8 * np.max(k[grid.dealias_mask]))
+    top = grid.dealias_mask & (k > 0.8 * grid.band_top)
     worst = 0.0
     for rows in row_blocks(len(v.times), grid.n):
         power = np.abs(v.hats[rows]) ** 2

@@ -118,11 +118,13 @@ class Grid1D:
         Angular frequencies pi*k/L in FFT layout (k = 0..n/2-1, -n/2..-1).
     k_index : ndarray of int
         The signed integer mode index k for each slot.
+    band_top : int
+        The largest |k| the 2/3 rule keeps, (n - 1) // 3: the band's edge.
     dealias_mask : ndarray of bool
-        True on the modes kept by the 2/3 rule (|k| < n/3).
+        True on the modes kept by the 2/3 rule (|k| < n/3, so |k| <= band_top).
     """
 
-    __slots__ = ("n", "half_length", "dx", "x", "xi", "k_index", "dealias_mask")
+    __slots__ = ("n", "half_length", "dx", "x", "xi", "k_index", "band_top", "dealias_mask")
 
     def __init__(self, n: int, half_length: float) -> None:
         n = int(n)
@@ -136,6 +138,7 @@ class Grid1D:
         self.x = -self.half_length + self.dx * np.arange(n)
         self.k_index = np.rint(np.fft.fftfreq(n) * n).astype(np.int64)
         self.xi = (np.pi / self.half_length) * self.k_index
+        self.band_top = (n - 1) // 3
         self.dealias_mask = np.abs(self.k_index) < (n / 3.0)
 
     @property
@@ -196,13 +199,6 @@ class SpectralField:
 
     def norm_l2(self) -> float:
         return float(np.sqrt(self.grid.dx * np.sum(np.abs(self.values) ** 2)))
-
-    def norm_lp(self, p: float) -> float:
-        if p == np.inf:
-            return float(np.max(np.abs(self.values)))
-        if p <= 0:
-            raise ValueError(f"norm exponent must be positive, got {p}")
-        return float((self.grid.dx * np.sum(np.abs(self.values) ** p)) ** (1.0 / p))
 
     def mean(self) -> complex:
         return complex(np.mean(self.values))
@@ -411,7 +407,9 @@ def lp_norm(f: SpectralField, p: float) -> float:
     """Quadrature L^p norm (sum |f(x_j)|^p dx)^(1/p); p = inf gives max |f|."""
     if not 1 < p <= np.inf:
         raise ValueError(f"norm exponent must lie in (1, inf], got {p}")
-    return f.norm_lp(p)
+    if p == np.inf:
+        return float(np.max(np.abs(f.values)))
+    return float((f.grid.dx * np.sum(np.abs(f.values) ** p)) ** (1.0 / p))
 
 
 # --- dealiased products ----------------------------------------------------

@@ -19,12 +19,14 @@ classical RK4 stages at their own times t_s.  Every stage splits off the
 same midpoint abar as the exponential, so the split is consistent and the
 scheme keeps fourth order for time-dependent a.  Coefficients come from
 one :class:`OperatorTable` of 2/3-rule masked rows, which the coupled
-solver builds once and shares with the coupling source and the monitors,
-and S u = i d/dx(a u_x) - 2i a q u_x has one kernel, :func:`apply_s`,
-which the march, the coupling source and the residual monitor all call.
+solver builds once and shares with the coupling source and the monitors.
+The table holds the coefficients and weight it was built from and applies
+L = Z + S (:meth:`OperatorTable.apply`), and S u = i d/dx(a u_x) -
+2i a q u_x has one kernel, :func:`apply_s`, which the march and the table
+(for the coupling source and the residual monitor) call.
 On a ``uniform`` table (rows constant in x, as for a = 1, W = 0 under the
 pure-exponential weight) S is a Fourier symbol, so when the table is also
-constant in time a step is exactly the diagonal affine map v <- A v +
+constant in time (``diagonal``) a step is exactly the affine map v <- A v +
 B0 F(t_n) + B1 F(t_n+1/2) + B2 F(t_n+1): A and the B's are the same step
 run once on unit inputs, and the march makes no FFT.
 
@@ -45,8 +47,8 @@ interpolants of the four nearest slices, so it costs the scheme no order
 What a march derives from the table, the step and the rows, and what it
 writes, is a :class:`MarchPlan`: each step's exponential on the 2/3 band
 (stored once for a forward row; a backward row's is its conjugate), S's
-output symbols with the mask and orientation folded in, a constant
-uniform table's affine map, the work arrays, and the output, the update
+output symbols with the mask and orientation folded in, a diagonal
+table's affine map, the work arrays, and the output, the update
 and the norms.  The coupled solver builds one plan beside its table and
 hands it to every sweep, so the sweeps re-derive nothing and allocate no
 array of a row block or more; a call without a plan builds its own.  Every
@@ -142,18 +144,19 @@ def _rk4_gain(z: complex) -> float:
     return abs(1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0)
 
 
-def _require_rk4_stable(table: OperatorTable, horizon: float, n_steps: int) -> None:
+def _require_rk4_stable(table: OperatorTable, n_steps: int) -> None:
     """Raise ConfigError, naming the least step count that passes, when the
     explicit remainder leaves RK4's stability region.
 
     The RK4 stages take i d/dx((a - abar) d/dx), whose band-edge eigenvalue
     has modulus max|a - abar| xi_max^2 (max over the table's rows, xi_max
-    the 2/3-band edge); RK4's polynomial is evaluated at i dt times it.  The
-    drift's real part 2 a q xi is left out.
+    the 2/3-band edge); RK4's polynomial is evaluated at i dt times it, with
+    dt the table's last node over ``n_steps``.  The drift's real part
+    2 a q xi is left out.
     """
-    xi = table.grid.xi[_band_top(table.grid.n)]
+    xi = table.grid.xi[table.grid.band_top]
     spread = np.maximum(table.a.max(axis=1) - table.abar, table.abar - table.a.min(axis=1))
-    reach = horizon * float(np.max(spread)) * xi**2   # dt times the rate, times n_steps
+    reach = table.nodes[-1] * float(np.max(spread)) * xi**2   # dt times the rate, times n_steps
     gain = _rk4_gain(1j * reach / n_steps)
     if gain > 1.0:
         least = math.ceil(reach / _RK4_IMAGINARY_REACH)
@@ -193,8 +196,6 @@ class LinearProblem:
         if self.source is not None:
             if self.source.grid != self.datum.grid:
                 raise GridMismatchError("source and datum grids differ")
-            if self.source.times[0] > 1e-12 or self.source.times[-1] < self.horizon - 1e-9:
-                raise ConfigError("source time grid must cover [0, horizon]")
             if self.source_peak is None:
                 hats = self.source.hats
                 self.source_peak = max(np.max(np.abs(hats[b])) for b in row_blocks(*hats.shape))
@@ -205,16 +206,16 @@ class LinearProblem:
 
 
 class OperatorTable:
-    """Masked coefficient rows of the discrete operator, built once per solve.
+    """The discrete operator L = Z + S of one solve: its inputs and masked rows, built once.
 
-    The operator is i d/dx(a d/dx) - 2i a q d/dx + Z, with q the weight's
-    log-derivative and Z = i((q^2 - q') a - q a_x) + iW the zeroth-order
-    lump.  The march, the coupling source, the residual and the estimate
-    monitors (a's rows, sign and floor, and the sources) all read their
-    coefficients from the one table a run builds (``PicardReport.table``)
-    on the weight's ``grid``.  ``nodes`` are the half steps of ``times``:
-    the integer nodes ``times`` and every midpoint, the grid the IF-RK4
-    stages read.  Row k of ``abar`` (spatial mean of a), ``a`` and ``aq``
+    S = i d/dx(a d/dx) - 2i a q d/dx, with q the weight's log-derivative,
+    and Z = i((q^2 - q') a - q a_x) + iW is the zeroth-order lump.  The
+    table keeps the ``coeffs`` and ``weight`` it was built from and
+    :meth:`apply` applies L.  The march, the coupling source, the residual
+    and the estimate monitors read the operator from the one table a run
+    builds (``PicardReport.table``) on the weight's ``grid``.  ``nodes``
+    are the half steps of ``times``: the integer nodes ``times`` and every
+    midpoint, the grid the IF-RK4 stages read.  Row k of ``abar`` (spatial mean of a), ``a`` and ``aq``
     (masked a and a q, stored as float64: the 2/3 mask is symmetric, so
     they are real up to round-off) belongs to ``nodes[k]``;
     ``zeroth`` (masked Z) is kept at the integer nodes only.  When neither
@@ -224,12 +225,15 @@ class OperatorTable:
     constant in x (an exact ``np.ptp == 0`` test, made while the rows are
     built and stopped at the first row block that varies).  Every product
     with a row is then a Fourier multiple of the row's value: :func:`apply_s`
-    and the zeroth-order product apply it as a symbol instead of an ifft/fft
-    round trip, and on a constant table the march steps by the diagonal
-    affine map its RK4 step becomes (see ``_march``).
+    and :meth:`apply`'s Z product apply it as a symbol instead of an
+    ifft/fft round trip.  A table that is also ``constant`` is ``diagonal``:
+    L is one symbol, so the march steps by the affine map its RK4 step
+    becomes (see ``_march``) and the coupling source is two symbols of the
+    summed hats.  A uniform table that depends on t takes symbol stages.
     """
 
     def __init__(self, coeffs: CoefficientField, weight: WeightProfile, times: np.ndarray) -> None:
+        self.coeffs, self.weight = coeffs, weight
         self.grid = grid = weight.grid
         times = np.asarray(times, dtype=np.float64)
         self.nodes = np.linspace(times[0], times[-1], 2 * len(times) - 1)
@@ -279,11 +283,44 @@ class OperatorTable:
                 f"on [{times[0]:g}, {times[-1]:g}]"
             )
 
+    @property
+    def diagonal(self) -> bool:
+        """Rows constant in x and in t: L is one Fourier symbol."""
+        return self.uniform and self.constant
+
     def rows(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Masked a, a q and zeroth-order rows at integer nodes lo..hi-1."""
         if self.constant:
             return self.a, self.aq, self.zeroth
         return self.a[2 * lo : 2 * hi - 1 : 2], self.aq[2 * lo : 2 * hi - 1 : 2], self.zeroth[lo:hi]
+
+    def apply(
+        self, v_hat: np.ndarray, lo: int, hi: int, sym: np.ndarray | None = None, *,
+        symbols: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None, work: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, ...]:
+        """Unmasked hats of (Z v, S v), and of S(sym v) given a real symbol ``sym``,
+        on the rows at integer nodes lo..hi-1.
+
+        ``v_hat``, complex, is dealiased in place and then overwritten (the
+        caller hands over a fresh block).  S is :func:`apply_s`, called once
+        for v and once for sym v, with the caller's ``symbols`` and complex
+        (2, ...) ``work`` array (both allocated per call when None).  Z v is
+        one ifft of v and one fft of the product, or on a ``uniform`` table
+        the symbol product on the row's value, with no FFT.
+        """
+        a, aq, zeroth = self.rows(lo, hi)
+        u = np.multiply(v_hat, self.grid.dealias_mask, out=v_hat)
+        if self.uniform:
+            zv = zeroth[:, :1] * u
+        else:
+            # in place, zeroth first: on a temporary of 256 KiB or more numpy swaps the operands
+            zv = np.fft.ifft(u, axis=-1)
+            zv = np.fft.fft(np.multiply(zeroth, zv, out=zv), axis=-1, out=zv)
+        sv = apply_s(self.grid, u, a, aq, self.uniform, symbols=symbols, work=work)
+        if sym is None:
+            return zv, sv
+        u *= sym   # u is spent: sym u and then S(sym u) take its place, with no block more
+        return zv, sv, apply_s(self.grid, u, a, aq, self.uniform, symbols=symbols, out=u, work=work)
 
 
 def s_symbols(grid: Grid1D, factor: np.ndarray | float = 1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -337,8 +374,9 @@ class MarchPlan:
     """What every march of one solve re-derives, built once for all its sweeps.
 
     A plan serves every :func:`solve_linear` call on its operator table
-    with the same step, viscosity and rows (each row's direction and
-    zero-mean flag); :meth:`require` raises ConfigError for any other.  It
+    with the same viscosity and rows (each row's direction and zero-mean
+    flag); :meth:`require` raises ConfigError for any other.  The step is
+    the table's: its nodes are the half steps of the march's time grid.  It
     holds:
 
     - what each march writes over the last: ``out``, the hats in march
@@ -354,7 +392,7 @@ class MarchPlan:
       the forward row's at step n_steps - 1 - s, so it is not stored;
     - ``symbols``, the :func:`s_symbols` of S with each row's 2/3 mask,
       zero-mean cut and orientation (``factor``) folded in;
-    - on a uniform constant table the affine map (A, C) of one step
+    - on a ``diagonal`` table the affine map (A, C) of one step
       (see ``_march``), built by the first march through the plan;
     - the work arrays of the stages, of the step's coefficients (E, E^2
       and the stage rows a - abar, a q, which :meth:`load` copies from the
@@ -370,18 +408,13 @@ class MarchPlan:
     """
 
     def __init__(
-        self,
-        table: OperatorTable,
-        cfg: StepperConfig,
-        horizon: float,
-        directions: Sequence[str],
-        zero_mean: Sequence[bool],
+        self, table: OperatorTable, cfg: StepperConfig, directions: Sequence[str], zero_mean: Sequence[bool]
     ) -> None:
         self.grid = grid = table.grid
         self.table = table
-        self.n_steps = cfg.resolve_steps(horizon)
-        _require_rk4_stable(table, horizon, self.n_steps)   # before the first march and allocation
-        self.dt = horizon / self.n_steps
+        self.n_steps = (len(table.nodes) - 1) // 2
+        _require_rk4_stable(table, self.n_steps)   # before the first march and allocation
+        self.dt = table.nodes[-1] / self.n_steps
         self.epsilon = cfg.epsilon
         self.rows = (tuple(directions), tuple(zero_mean))
         self.forward = [d == "forward" for d in directions]
@@ -402,7 +435,7 @@ class MarchPlan:
         self.symbols = (np.tile(ixi, (rows, 1)), sym_a, sym_aq)
 
         # The state is zero outside the 2/3 band, so E is needed only there.
-        self.kmax = kmax = _band_top(n)
+        self.kmax = kmax = grid.band_top
         xi = grid.xi[: kmax + 1]
         mid = table.abar if table.constant else table.abar[1::2]
         # the step's scalars as complex numbers, as numpy casts them for complex products
@@ -422,8 +455,7 @@ class MarchPlan:
         self.mag = scratch[: rows * block * n].reshape(rows, block, n)
         self.terms = scratch.view(np.complex128)[: block * n].reshape(block, n)
         self.state = np.empty((rows, n), dtype=np.complex128)
-        self.affine = table.uniform and table.constant
-        if self.affine:
+        if table.diagonal:
             self.A = self.C = None   # built by the first march
             self.av = np.empty((rows, n), dtype=np.complex128)
         else:
@@ -433,20 +465,18 @@ class MarchPlan:
             self.work = (*stages, np.empty((2, rows, n), dtype=np.complex128))
 
     @staticmethod
-    def planned_bytes(n: int, n_steps: int, constant: bool) -> int:
-        """Bytes of a plan's exponentials over ``n_steps`` steps on ``n`` nodes, before it is built."""
-        return (1 if constant else n_steps) * (_band_top(n) + 1) * 16
+    def planned_bytes(grid: Grid1D, n_steps: int, constant: bool) -> int:
+        """Bytes of a plan's exponentials over ``n_steps`` steps on ``grid``, before it is built."""
+        return (1 if constant else n_steps) * (grid.band_top + 1) * 16
 
-    def require(self, table: OperatorTable, cfg: StepperConfig, horizon: float, problems) -> None:
+    def require(self, table: OperatorTable, cfg: StepperConfig, problems) -> None:
         """Raise ConfigError unless this plan was built for this march."""
-        n_steps = cfg.resolve_steps(horizon)
         rows = (tuple(q.direction for q in problems), tuple(q.zero_mean for q in problems))
         other = [
             name
             for name, same in (
                 ("grid", table.grid == self.grid),
                 ("operator table", table is self.table),
-                ("step", (n_steps, horizon / n_steps) == (self.n_steps, self.dt)),
                 ("viscosity", cfg.epsilon == self.epsilon),
                 ("rows", rows == self.rows),
             )
@@ -539,11 +569,6 @@ class MarchPlan:
         return A, C
 
 
-def _band_top(n: int) -> int:
-    """Largest |k| the 2/3 rule keeps on n nodes (|k| < n / 3)."""
-    return (n - 1) // 3
-
-
 def solve_linear(
     p: LinearProblem,
     cfg: StepperConfig,
@@ -556,10 +581,11 @@ def solve_linear(
 
     Backward problems are solved in reversed time and flipped back, so the
     returned field always has times[0] = 0, times[-1] = horizon, with the
-    datum reproduced at the appropriate end.  ``table`` must be built on
-    this march's time grid (else ConfigError); without one it is built here.
-    ``plan``, a :class:`MarchPlan` of ``table``, this step and viscosity and
-    these rows (else ConfigError), is built here when not given; the coupled
+    datum reproduced at the appropriate end.  ``table`` must be built from
+    the problem's own ``coeffs`` and ``weight`` (the same objects) on this
+    march's time grid (else ConfigError); without one it is built here.
+    ``plan``, a :class:`MarchPlan` of ``table``, this viscosity and these
+    rows (else ConfigError), is built here when not given; the coupled
     solver builds one for all its sweeps.  The march writes the plan's
     ``out``, ``update`` and ``measure`` (the update of a fresh plan is
     measured against zero), and the returned fields view ``plan.out``, which
@@ -593,11 +619,13 @@ def solve_linear(
             _require_march_grid(q.source.times, times)
     if table is None:
         table = OperatorTable(p.coeffs, p.weight, times)
+    elif table.coeffs is not p.coeffs or table.weight is not p.weight:
+        raise ConfigError("operator table was built from another coefficient field or weight")
     table.require(times)
     if plan is None:
-        plan = MarchPlan(table, cfg, p.horizon, [q.direction for q in problems], [q.zero_mean for q in problems])
+        plan = MarchPlan(table, cfg, [q.direction for q in problems], [q.zero_mean for q in problems])
     else:
-        plan.require(table, cfg, p.horizon, problems)
+        plan.require(table, cfg, problems)
     _march(problems, plan)
     fields = tuple(
         SpaceTimeField(p.grid, times, hats=rows if q.direction == "forward" else rows[::-1])
@@ -678,8 +706,8 @@ def _march(problems: list[LinearProblem], plan: MarchPlan) -> None:
 
     Half-step i of a forward row reads table node i and source slice i/2,
     of a backward row node 2 n_steps - i and slice n_steps - i/2; every
-    stage applies S by :func:`apply_s`.  On a ``uniform`` table without time
-    dependence the step is the affine map v <- A v + forcing: A and the B's
+    stage applies S by :func:`apply_s`.  On a ``diagonal`` table the step is
+    the affine map v <- A v + forcing: A and the B's
     are the same RK4 step run once on unit inputs, and with the midpoint
     weights and source factors folded in, a block's forcing is four scaled
     adds of source views per row.  Every other table takes the RK4 stages
@@ -697,7 +725,8 @@ def _march(problems: list[LinearProblem], plan: MarchPlan) -> None:
     sources = [None if q.source is None else q.source.hats for q in problems]
     march_hats = [h if fwd or h is None else h[::-1] for h, fwd in zip(sources, plan.forward)]
     active = any(hats is not None for hats in sources)
-    if plan.affine:
+    affine = plan.table.diagonal
+    if affine:
         A, C = plan.affine_map()
 
     def write(block: np.ndarray, slots: slice) -> None:
@@ -719,7 +748,7 @@ def _march(problems: list[LinearProblem], plan: MarchPlan) -> None:
     scale = np.maximum(np.max(np.abs(state), axis=1), [max(q.source_peak or 0.0, 1e-30) for q in problems])
     update[:] = 0.0
     write(state[:, None], slice(0, 1))
-    if active and not plan.affine:
+    if active and not affine:
         for r, hats in enumerate(march_hats):   # an unsourced row reads zero forcing
             if hats is None:
                 plan.forcing[:, r] = 0.0
@@ -729,7 +758,7 @@ def _march(problems: list[LinearProblem], plan: MarchPlan) -> None:
     for steps in row_blocks(n_steps, len(problems) * grid.n):
         lo, hi = steps.start, steps.stop
         buf = plan.buffer[:, : hi - lo]
-        if plan.affine:
+        if affine:
             for r, hats in enumerate(march_hats):
                 if hats is None:
                     buf[r] = 0.0

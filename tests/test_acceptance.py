@@ -201,7 +201,7 @@ def test_criterion_05_energy_bounds_per_subsolve(bench):
         def hook(sign, problem, solution, reports=reports):
             source = None if problem.source is None else problem.source.norm_series()
             reports.append(
-                energy_monitor(solution, source, sign, table, sc.weight, bundle)
+                energy_monitor(solution, source, sign, table, bundle)
             )
 
         problem = BvpProblem(
@@ -377,7 +377,7 @@ def test_criterion_11_decay_persistence_and_smoothing(bench, bench_fine):
     decay_ok = bool(np.all(np.isfinite(asm.w_norms)) and np.max(jumps) <= 0.05)
 
     def implied_c(run):
-        rep = weighted_smoothing_monitor(run["asm"].w, run["report"].table, run["sc"].weight.beta)
+        rep = weighted_smoothing_monitor(run["asm"].w, run["report"].table)
         assert rep.verdict == "pass"
         return rep.ratio
 
@@ -385,9 +385,7 @@ def test_criterion_11_decay_persistence_and_smoothing(bench, bench_fine):
     c_fine = implied_c(bench_fine)
     c_shift = abs(c_fine / c_base - 1.0)
 
-    boot = bootstrap_diagnostics(
-        asm.w, bench["sc"].coeffs, bench["report"].table, bench["report"].bundle, bench["sc"].weight.beta
-    )
+    boot = bootstrap_diagnostics(asm.w, bench["report"].table, bench["report"].bundle)
     boot_ok = boot.verdict == "pass" and boot.constants["hypothesis_ok"]
 
     ok = decay_ok and c_shift <= 0.10 and boot_ok

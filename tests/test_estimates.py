@@ -57,8 +57,8 @@ def rates(coeffs, weight, v):
 
 
 def table_on(coeffs, v, weight=None):
-    """The operator table on the field's own times, as a run hands it to the monitors
-    (they read its a rows only, so any weight on the grid serves)."""
+    """The operator table on the field's own times, as a run hands it to the monitors;
+    the weight, whose q and beta they read, is the pure exponential with beta = 1 by default."""
     return OperatorTable(coeffs, weight or build_weight(1.0, v.grid, mode="pure_exponential"), v.times)
 
 
@@ -103,11 +103,12 @@ def localized_run():
     grid = Grid1D(512, 20.0)
     w = build_weight(1.0, grid, mode="truncated")
     probe = np.linspace(0.0, 0.1, 4001)
-    sel = select_horizon(norm_bundle(BENCH, w.sup_logderiv, probe, grid))
+    coeffs = with_floor(BENCH, 0.9)   # the floor the bootstrap reads from the run's table
+    sel = select_horizon(norm_bundle(coeffs, w.sup_logderiv, probe, grid))
     f = packet(grid, -3.0, width=1.5, sign="-")
     g = packet(grid, 3.0, center=1.0, width=2.0, sign="+")
     p = BvpProblem(
-        f=f, g=g, coeffs=BENCH, weight=w, horizon=sel.horizon,
+        f=f, g=g, coeffs=coeffs, weight=w, horizon=sel.horizon,
         stepper_cfg=StepperConfig(epsilon=1e-5, n_steps=192),
     )
     vp, vm, report = picard_solve(p)
@@ -120,7 +121,7 @@ class TestEnergyMonitor:
         w = build_weight(0.5, grid, mode="truncated")
         times = np.linspace(0.0, 0.1, 9)
         v = zero_stf(grid, times)
-        rep = energy_monitor(v, None, "-", table_on(BENCH, v, w), w, rates(BENCH, w, v))
+        rep = energy_monitor(v, None, "-", table_on(BENCH, v, w), rates(BENCH, w, v))
         assert rep.lhs == 0.0
         assert rep.verdict == "pass"
 
@@ -135,7 +136,7 @@ class TestEnergyMonitor:
         times = np.linspace(0.0, T, 601)
         sol = solve_free(FreeBvpData(f=f, g=zero_field(grid), beta=beta,
                                      horizon=T, times=times))
-        rep = energy_monitor(sol, None, "-", table_on(CONST, sol, w), w, rates(CONST, w, sol))
+        rep = energy_monitor(sol, None, "-", table_on(CONST, sol, w), rates(CONST, w, sol))
 
         f_hat = np.fft.fft(f.values)
         weights_hat = grid.dx / grid.n
@@ -160,7 +161,7 @@ class TestEnergyMonitor:
             datum=f, horizon=0.02, zero_mean=True,
         )
         sol = solve_linear(prob, StepperConfig(epsilon=1e-5, n_steps=128))
-        rep = energy_monitor(sol, None, "-", table_on(BENCH, sol, w), w, rates(BENCH, w, sol))
+        rep = energy_monitor(sol, None, "-", table_on(BENCH, sol, w), rates(BENCH, w, sol))
         assert rep.ratio <= 1.0
         assert rep.verdict == "pass"
 
@@ -175,7 +176,7 @@ class TestEnergyMonitor:
         # a dips below the ellipticity floor, so norm_bundle would refuse it
         flat = NormBundle.from_rates(times, np.zeros(5), np.zeros(5))
         with pytest.raises(ValidationError, match="nonneg"):
-            energy_monitor(v, None, "-", table_on(dipping, v, w), w, flat)
+            energy_monitor(v, None, "-", table_on(dipping, v, w), flat)
 
     def test_dip_between_sampled_times_rejected(self):
         # every table row is checked, not a stride of the times: a is -0.5 at times[1] only
@@ -186,21 +187,20 @@ class TestEnergyMonitor:
         assert np.min(dipping.a_values(grid.x, DIP_TIMES[::2, None])) > 0.99
         flat = NormBundle.from_rates(DIP_TIMES, np.zeros(17), np.zeros(17))
         with pytest.raises(ValidationError, match="nonneg"):
-            energy_monitor(v, None, "-", table_on(dipping, v, w), w, flat)
+            energy_monitor(v, None, "-", table_on(dipping, v, w), flat)
 
     @pytest.mark.parametrize("other", [np.linspace(0.0, 0.1, 9), np.linspace(0.0, 0.2, 17)])
     def test_table_on_another_time_grid_rejected(self, other):
         grid = Grid1D(128, 8 * np.pi)
         w = build_weight(0.5, grid, mode="truncated")
         v = zero_stf(grid, np.linspace(0.0, 0.1, 17))
-        table = OperatorTable(BENCH, w, other)
+        table = OperatorTable(with_floor(BENCH, 0.9), w, other)
         with pytest.raises(ConfigError, match="time grid"):
-            energy_monitor(v, None, "-", table, w, rates(BENCH, w, v))
+            energy_monitor(v, None, "-", table, rates(BENCH, w, v))
         with pytest.raises(ConfigError, match="time grid"):
-            weighted_smoothing_monitor(v, table, 1.0)
+            weighted_smoothing_monitor(v, table)
         with pytest.raises(ConfigError, match="time grid"):
-            bootstrap_diagnostics(constant_packet(grid, v.times), with_floor(BENCH, 0.9), table,
-                                  bundle_on(BENCH, v), 1.0)
+            bootstrap_diagnostics(constant_packet(grid, v.times), table, bundle_on(BENCH, v))
 
     # the last grid is the field's stretched by a relative 5e-6: another grid, though np.allclose takes it
     @pytest.mark.parametrize("other", [np.linspace(0.0, 0.1, 9), np.linspace(0.0, 0.2, 17),
@@ -211,9 +211,9 @@ class TestEnergyMonitor:
         v = zero_stf(grid, np.linspace(0.0, 0.1, 17))
         bundle = norm_bundle(BENCH, w.sup_logderiv, other, grid)
         with pytest.raises(ValidationError, match="time grid"):
-            energy_monitor(v, None, "-", table_on(BENCH, v, w), w, bundle)
+            energy_monitor(v, None, "-", table_on(BENCH, v, w), bundle)
         with pytest.raises(ValidationError, match="time grid"):
-            bootstrap_diagnostics(v, with_floor(BENCH, 0.9), table_on(BENCH, v, w), bundle, 1.0)
+            bootstrap_diagnostics(v, table_on(with_floor(BENCH, 0.9), v, w), bundle)
 
     def test_source_norms_enter_by_the_trapezoid_on_the_field_times(self):
         grid = Grid1D(128, 8 * np.pi)
@@ -221,10 +221,10 @@ class TestEnergyMonitor:
         v = zero_stf(grid, np.linspace(0.0, 0.1, 17))
         bundle, table = rates(BENCH, w, v), table_on(BENCH, v, w)
         norms = 1.0 + v.times**2
-        rep = energy_monitor(v, norms, "-", table, w, bundle)
+        rep = energy_monitor(v, norms, "-", table, bundle)
         assert rep.constants["source_integral"] == float(np.trapezoid(norms, v.times))
         with pytest.raises(ValidationError, match="17 times"):
-            energy_monitor(v, norms[:9], "-", table, w, bundle)
+            energy_monitor(v, norms[:9], "-", table, bundle)
 
 
 class TestWeightedSmoothingMonitor:
@@ -232,7 +232,7 @@ class TestWeightedSmoothingMonitor:
         grid = Grid1D(128, 8.0)
         times = np.linspace(0.0, 0.1, 9)
         v = zero_stf(grid, times)
-        rep = weighted_smoothing_monitor(v, table_on(CONST, v), 1.0)
+        rep = weighted_smoothing_monitor(v, table_on(CONST, v))
         assert rep.lhs == 0.0
         assert rep.verdict == "pass"
 
@@ -253,7 +253,8 @@ class TestWeightedSmoothingMonitor:
                                             horizon=T, times=times))
             # one-sided data: the P+ and P- parts of the sum are the two solves
             w = SpaceTimeField(grid, times, hats=w_plus.hats + w_minus.hats)
-            rep = weighted_smoothing_monitor(w, table_on(CONST, w), beta)
+            weight = build_weight(beta, grid, mode="pure_exponential")
+            rep = weighted_smoothing_monitor(w, table_on(CONST, w, weight))
             data_form = g.norm_l2() ** 2 + f.norm_l2() ** 2
 
             xi = np.abs(grid.xi)
@@ -283,7 +284,7 @@ class TestWeightedSmoothingMonitor:
                 f=sc.f, g=sc.g, coeffs=sc.coeffs, weight=sc.weight, horizon=horizon, stepper_cfg=sc.stepper,
             ))
             w = assemble_solution(vp, vm, sc.weight).w
-            implied.append(weighted_smoothing_monitor(w, report.table, sc.weight.beta).constants["implied_c"])
+            implied.append(weighted_smoothing_monitor(w, report.table).constants["implied_c"])
         for coarse, fine in zip(implied, implied[1:]):
             assert abs(fine / coarse - 1.0) < 1e-10, implied
 
@@ -295,7 +296,7 @@ class TestWeightedSmoothingMonitor:
             grid, times, np.stack([edge.values, edge.values]).astype(complex)
         )
         with pytest.raises(ValidationError, match="support"):
-            weighted_smoothing_monitor(stacked, table_on(CONST, stacked), 1.0)
+            weighted_smoothing_monitor(stacked, table_on(CONST, stacked))
 
     def test_support_check_reads_w_not_w_minus_its_mean(self):
         # a w with a large mean and no mass near the seam passes; the old
@@ -309,12 +310,12 @@ class TestWeightedSmoothingMonitor:
         assert np.sum(centred[outer]) > 2e-2 * np.sum(centred)
         times = np.array([0.0, 0.1])
         stacked = SpaceTimeField(grid, times, np.stack([w0, w0]))
-        assert weighted_smoothing_monitor(stacked, table_on(CONST, stacked), 1.0).verdict == "pass"
+        assert weighted_smoothing_monitor(stacked, table_on(CONST, stacked)).verdict == "pass"
         bump = 0.5 * packet(grid, 3.0, center=0.95 * grid.half_length, width=0.5, sign="+").values
         assert abs(np.mean(bump)) < 1e-15
         stacked = SpaceTimeField(grid, times, np.stack([w0 + bump, w0 + bump]))
         with pytest.raises(ValidationError, match="support"):
-            weighted_smoothing_monitor(stacked, table_on(CONST, stacked), 1.0)
+            weighted_smoothing_monitor(stacked, table_on(CONST, stacked))
 
     @pytest.mark.parametrize("edge, over", [(0.1, False), (0.2, True)])
     def test_support_cap_counts_both_sides(self, edge, over):
@@ -335,25 +336,17 @@ class TestWeightedSmoothingMonitor:
         stacked = SpaceTimeField(grid, np.array([0.0, 0.1]), np.stack([w0.values, w0.values]))
         if over:
             with pytest.raises(ValidationError, match="support"):
-                weighted_smoothing_monitor(stacked, table_on(CONST, stacked), 1.0)
+                weighted_smoothing_monitor(stacked, table_on(CONST, stacked))
         else:
-            assert weighted_smoothing_monitor(stacked, table_on(CONST, stacked), 1.0).verdict == "pass"
+            assert weighted_smoothing_monitor(stacked, table_on(CONST, stacked)).verdict == "pass"
 
 
 class TestBootstrapDiagnostics:
-    def test_exponent_constraints(self):
-        grid = Grid1D(128, 8.0)
-        w = zero_stf(grid, np.linspace(0.0, 0.1, 9))
-        for q, delta in ((2.0, 0.4), (1.0, 0.6), (2.0, 1.2)):
-            with pytest.raises(ConfigError):
-                bootstrap_diagnostics(w, with_floor(CONST, 0.9), table_on(CONST, w), bundle_on(CONST, w), 1.0,
-                                      q=q, delta=delta)
-
     def test_lambda_zero_not_applicable(self):
         grid = Grid1D(128, 8.0)
         times = np.linspace(0.0, 0.1, 9)
         w = zero_stf(grid, times)
-        rep = bootstrap_diagnostics(w, CONST, table_on(CONST, w), bundle_on(CONST, w), 1.0)
+        rep = bootstrap_diagnostics(w, table_on(CONST, w), bundle_on(CONST, w))
         assert rep.verdict == "not-applicable"
 
     def test_constant_coefficient_pairings_vanish(self):
@@ -363,7 +356,7 @@ class TestBootstrapDiagnostics:
         f = packet(grid, -4.0, sign="-")
         sol = solve_free(FreeBvpData(f=f, g=zero_field(grid), beta=1.0,
                                      horizon=T, times=times))
-        rep = bootstrap_diagnostics(sol, with_floor(CONST, 0.95), table_on(CONST, sol), bundle_on(CONST, sol), 1.0)
+        rep = bootstrap_diagnostics(sol, table_on(with_floor(CONST, 0.95), sol), bundle_on(CONST, sol))
         assert rep.verdict == "pass"
         assert rep.constants["pairing_ratio_low"] == 0.0
         assert rep.constants["pairing_ratio_high"] == 0.0
@@ -373,7 +366,7 @@ class TestBootstrapDiagnostics:
     def test_benchmark_run_passes(self, localized_run):
         grid, w, f, g, vp, vm, report = localized_run
         asm = assemble_solution(vp, vm, w)
-        rep = bootstrap_diagnostics(asm.w, with_floor(BENCH, 0.9), report.table, report.bundle, beta=1.0)
+        rep = bootstrap_diagnostics(asm.w, report.table, report.bundle)
         assert rep.verdict == "pass"
         assert rep.ratio <= 0.95
         assert rep.constants["hypothesis_ok"]
@@ -385,7 +378,7 @@ class TestBootstrapDiagnostics:
         grid, w, f, g, vp, vm, report = localized_run
         asm = assemble_solution(vp, vm, w)
         with pytest.raises(ValidationError, match="floor"):
-            bootstrap_diagnostics(asm.w, with_floor(BENCH, 1.5), report.table, report.bundle, beta=1.0)
+            bootstrap_diagnostics(asm.w, table_on(with_floor(BENCH, 1.5), asm.w, w), report.bundle)
 
     def test_floor_dip_between_sampled_times_rejected(self):
         # a is 0.5 < 0.9 at times[1] only, a time the old strided sampling skipped
@@ -394,7 +387,7 @@ class TestBootstrapDiagnostics:
         w = constant_packet(grid, DIP_TIMES)
         assert np.min(dipping.a_values(grid.x, DIP_TIMES[::2, None])) > 0.99
         with pytest.raises(ValidationError, match="floor"):
-            bootstrap_diagnostics(w, dipping, table_on(dipping, w), bundle_on(dipping, w), 1.0)
+            bootstrap_diagnostics(w, table_on(dipping, w), bundle_on(dipping, w))
 
     def test_hypothesis_need_reads_every_time_of_the_bundle(self, monkeypatch):
         # a_x and a_xx spike at times[1] only, a time the old strided sampling skipped
@@ -411,7 +404,7 @@ class TestBootstrapDiagnostics:
         monkeypatch.setattr(spiking, "a_x", a_x)
         for name in ("a_values", "a_xx", "w_values"):
             monkeypatch.setattr(spiking, name, None)
-        rep = bootstrap_diagnostics(w, spiking, table, bundle, 1.0)
+        rep = bootstrap_diagnostics(w, table, bundle)
         assert pairing == [3]
         assert rep.constants["hypothesis_need"] == pytest.approx(8.68, abs=5e-3)
         assert rep.constants["hypothesis_margin"] < 0.0 and rep.constants["hypothesis_ok"] is False
@@ -467,12 +460,12 @@ class TestStorageForms:
         by_values = SpaceTimeField(grid, w_asm.times, values)
         by_hats = SpaceTimeField(grid, w_asm.times, hats=np.fft.fft(values, axis=1))
 
-        boot = [bootstrap_diagnostics(s, with_floor(BENCH, 0.9), report.table, report.bundle, beta=1.0)
+        boot = [bootstrap_diagnostics(s, report.table, report.bundle)
                 for s in (by_hats, by_values)]
         _same_report(*boot)
         assert boot[0].constants["interior_index_low"] == boot[1].constants["interior_index_low"]
         assert boot[0].constants["interior_index_high"] == boot[1].constants["interior_index_high"]
-        smooth = [weighted_smoothing_monitor(s, report.table, 1.0) for s in (by_hats, by_values)]
+        smooth = [weighted_smoothing_monitor(s, report.table) for s in (by_hats, by_values)]
         _same_report(*smooth)
 
     def test_nyquist_content_counts_on_the_negative_side(self):
@@ -483,7 +476,7 @@ class TestStorageForms:
         hats = np.zeros((len(times), grid.n), dtype=complex)
         hats[:, grid.n // 2] = grid.n * (1.0 + times)
         w = SpaceTimeField(grid, times, hats=hats)
-        rep = bootstrap_diagnostics(w, with_floor(CONST, 0.9), table_on(CONST, w), bundle_on(CONST, w), 1.0)
+        rep = bootstrap_diagnostics(w, table_on(with_floor(CONST, 0.9), w), bundle_on(CONST, w))
         assert rep.verdict == "pass"
         assert rep.ratio == pytest.approx(0.9, rel=1e-12, abs=0.0)
 
@@ -496,7 +489,7 @@ class TestStorageForms:
         table = table_on(BENCH, w)
         tracemalloc.start()
         try:
-            rep = weighted_smoothing_monitor(w, table, 1.0)
+            rep = weighted_smoothing_monitor(w, table)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -511,7 +504,7 @@ class TestReportSerialization:
         hats = np.zeros((len(times), grid.n), dtype=complex)
         hats[:, 3] = grid.n * (1.0 + times)
         w = SpaceTimeField(grid, times, hats=hats)
-        rep = bootstrap_diagnostics(w, with_floor(CONST, 0.9), table_on(CONST, w), bundle_on(CONST, w), 1.0)
+        rep = bootstrap_diagnostics(w, table_on(with_floor(CONST, 0.9), w), bundle_on(CONST, w))
         payload = rep.to_dict()
         json.dumps(payload)
         assert payload["name"] == "bootstrap"

@@ -8,6 +8,11 @@ entry left by a deletion is an error, and ``__all__`` re-exports no import.
 The package ``__init__`` is skipped, because its imports are the public API.
 Every import in the package is relative, from the standard library, or a
 dependency listed in ``pyproject.toml``.
+
+The reachability census: every top-level def or class of the package is
+reached from the command line (``cli.main`` and every ``cmd_*``), from the
+package's module-level code, or from a name the scripts, the benchmark
+harness or the acceptance tests use, except the few named in ``UNREACHED``.
 """
 
 import ast
@@ -101,6 +106,84 @@ def test_no_unused_imports(path):
 )
 def test_every_exported_name_is_defined_in_its_module(path):
     assert undefined_exports(path.read_text()) == []
+
+
+def _referenced_names(node: ast.AST) -> set[str]:
+    """Every bare name and attribute name under ``node``."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+    return names
+
+
+def unreached_defs(package: dict[str, str], roots: set[str]) -> set[str]:
+    """Top-level defs and classes of the ``package`` sources (module name -> source)
+    that no chain of name references reaches from ``roots`` or from module-level code.
+
+    Names are matched by spelling alone, so a def is reached when any reached body
+    uses its name; a reached class reaches everything its methods use.
+    """
+    defs, reached = {}, set()
+    for source in package.values():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append(node)
+            else:
+                roots = roots | _referenced_names(node)
+    todo = [name for name in roots if name in defs]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(ref for node in defs[name] for ref in _referenced_names(node) if ref in defs)
+    return set(defs) - reached
+
+
+# kept without a pipeline caller, each for its unit tests
+UNREACHED = {
+    "hilbert": "the spectral identities H^2 = -(I - Pi0) and the L^2 isometry off Pi0",
+    "pi0": "the mean projection of those identities",
+    "remove_pi0": "the mean-free part of those identities",
+    "unit_weight": "the q = 0 weight of the unweighted unit tests",
+}
+
+
+def _census_roots() -> set[str]:
+    cli = ast.parse((ROOT / "src" / "schrobvp" / "cli.py").read_text())
+    roots = {"main"} | {
+        node.name for node in cli.body if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")
+    }
+    for path in [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
+                 ROOT / "tests" / "test_acceptance.py"]:
+        roots |= _referenced_names(ast.parse(path.read_text()))
+    return roots
+
+
+def _package_sources() -> dict[str, str]:
+    return {p.stem: p.read_text() for p in sorted((ROOT / "src" / "schrobvp").glob("*.py"))}
+
+
+def test_census_flags_a_def_no_root_reaches():
+    package = {
+        "m": (
+            "LIMIT = helper()\n"
+            "def helper(): return 1\n"
+            "def main(): return Kind().run()\n"
+            "class Kind:\n"
+            "    def run(self): return chained()\n"
+            "def chained(): return 2\n"
+            "def orphan(): return chained()\n"
+        )
+    }
+    assert unreached_defs(package, {"main"}) == {"orphan"}
+    assert unreached_defs(package, set()) == {"main", "Kind", "chained", "orphan"}
+
+
+def test_every_package_def_is_reached_but_the_named_few():
+    assert unreached_defs(_package_sources(), _census_roots()) == set(UNREACHED)
 
 
 def _declared_dependencies() -> set[str]:

@@ -331,8 +331,9 @@ class TestUniformTable:
     @pytest.mark.parametrize("problem", ["_decoupled", "_benchmark"], ids=["decoupled", "benchmark"])
     def test_every_kernel_applies_s_through_the_one_function(self, monkeypatch, problem):
         # the march, the coupling source and the residual all reach S
-        # through stepper.apply_s, on the symbol path and on the FFT path
-        targets = [(stepper, "apply_s"), (picard, "apply_s")]
+        # through stepper.apply_s (the latter two by OperatorTable.apply),
+        # on the symbol path and on the FFT path
+        targets = [(stepper, "apply_s")]
         calls = self._calls_inside(monkeypatch, getattr(self, problem)(), targets)
         assert all(count > 0 for count in calls.values()), calls
 
@@ -610,7 +611,7 @@ class TestSweepPlan:
 
         def fresh_plan(p, cfg, table, *, plan, **kwargs):
             plans.append(plan)
-            own = MarchPlan(table, cfg, p.horizon, *plan.rows)
+            own = MarchPlan(table, cfg, *plan.rows)
             own.out[:] = plan.out
             result = solve_linear(p, cfg, table, plan=own, **kwargs)
             plan.out[:], plan.update[:], plan.measure[:] = own.out, own.update, own.measure
@@ -830,7 +831,7 @@ def blocked_outputs(n):
     )
     lp, lm, norms, peaks = coupling_stacks(vp, vm, table)
     cfg = StepperConfig(epsilon=1e-5, n_steps=40)
-    plan = MarchPlan(table, cfg, times[-1], ("forward", "backward"), (True, True))
+    plan = MarchPlan(table, cfg, ("forward", "backward"), (True, True))
     plan.out[:] = np.stack([vm.hats, vp.hats[::-1]])
     solve_linear(fwd, cfg, table, partner=bwd, plan=plan)
     return {
@@ -893,7 +894,7 @@ class TestPeakMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 4 * stack < peak <= picard._peak_bytes(n, n_steps, sc.coeffs.time_dependent)
+        assert 4 * stack < peak <= picard._peak_bytes(sc.grid, n_steps, sc.coeffs.time_dependent)
 
     def test_residual_runs_beside_the_final_pair_only(self, monkeypatch):
         # by the time the residual runs, the last sweep's sources are released
@@ -949,7 +950,7 @@ class TestPeakMemory:
             f=f, g=g, coeffs=BENCH, weight=w, horizon=0.01,
             stepper_cfg=StepperConfig(epsilon=1e-5, n_steps=64),
         )
-        estimate = picard._peak_bytes(grid.n, 64, time_dependent=True)
+        estimate = picard._peak_bytes(grid, 64, time_dependent=True)
         monkeypatch.setattr(picard, "_PEAK_BYTES_CAP", estimate - 1)
         tracemalloc.start()
         try:

@@ -66,6 +66,12 @@ class TestGrid:
         assert kept.max() == 85  # largest integer < 256/3
         assert not g.dealias_mask[86]
 
+    def test_band_top_is_the_largest_kept_mode(self):
+        # the one 2/3 band edge: the march's band, its RK4 check and band_tail read it
+        for m in range(4, 18):
+            g = Grid1D(2**m, 1.0)
+            assert g.band_top == np.max(np.abs(g.k_index[g.dealias_mask]))
+
 
 class TestFieldNorms:
     def test_parseval(self):
@@ -77,8 +83,7 @@ class TestFieldNorms:
         g = grid256()
         f = SpectralField(g, np.full(g.n, 2.0 + 0j))
         assert f.norm_l2() == pytest.approx(2.0 * np.sqrt(2 * g.half_length), rel=1e-12)
-        assert f.norm_lp(np.inf) == pytest.approx(2.0)
-        assert f.norm_lp(1) == pytest.approx(2.0 * 2 * g.half_length, rel=1e-12)
+        assert lp_norm(f, np.inf) == pytest.approx(2.0)
 
     def test_grid_mismatch(self):
         f = gaussian_field(grid256())
@@ -465,4 +470,4 @@ def test_fractional_compose(seed, s):
     f = random_band_field(grid256(), 40, seed)
     twice = fractional(fractional(f, s / 2), s / 2)
     once = fractional(f, s)
-    assert np.max(np.abs(twice.values - once.values)) < 1e-10 * max(once.norm_lp(np.inf), 1.0)
+    assert np.max(np.abs(twice.values - once.values)) < 1e-10 * max(lp_norm(once, np.inf), 1.0)

@@ -117,10 +117,10 @@ class TestConfigValidation:
         times = np.linspace(0.0, 1 / 64, n_steps + 1)
         table = OperatorTable(sc.coeffs, sc.weight, times)
         if n_steps == 112:
-            _require_rk4_stable(table, 1 / 64, n_steps)
+            _require_rk4_stable(table, n_steps)
             return
         with pytest.raises(ConfigError, match=f"n_steps = {n_steps} .*RK4.*use n_steps >= 98$"):
-            _require_rk4_stable(table, 1 / 64, n_steps)
+            _require_rk4_stable(table, n_steps)
 
     def test_rk4_region_is_checked_before_the_march(self, monkeypatch):
         grid = Grid1D(256, 8.0)
@@ -169,18 +169,20 @@ class TestConfigValidation:
             )
 
     def test_source_must_cover_horizon(self):
+        # the march's time-grid rule is the one check of a source's times
         grid = Grid1D(64, 8.0)
         times = np.linspace(0.0, 0.05, 9)
         src = SpaceTimeField(grid, times, np.zeros((9, grid.n), dtype=complex))
-        with pytest.raises(ConfigError, match="cover"):
-            LinearProblem(
-                direction="forward",
-                coeffs=CONST,
-                weight=unit_weight(grid),
-                source=src,
-                datum=gaussian_field(grid),
-                horizon=0.1,
-            )
+        p = LinearProblem(
+            direction="forward",
+            coeffs=CONST,
+            weight=unit_weight(grid),
+            source=src,
+            datum=gaussian_field(grid),
+            horizon=0.1,
+        )
+        with pytest.raises(ConfigError, match=r"on \[0, 0.05\] is not the march grid of 9 times on \[0, 0.1\]"):
+            solve_linear(p, StepperConfig(n_steps=8))
 
 
 class TestConstantCoefficientExactness:
@@ -692,7 +694,7 @@ class TestUniformTable:
         table.uniform = uniform
         rng = np.random.default_rng(4)
         cfg = StepperConfig(epsilon=1e-4, n_steps=32)
-        plan = MarchPlan(table, cfg, horizon, ("forward", "backward"), (True, True))
+        plan = MarchPlan(table, cfg, ("forward", "backward"), (True, True))
         buffer, update = plan.out, plan.update
         buffer[:] = 1e-3 * (rng.standard_normal((2, 33, 128)) + 1j * rng.standard_normal((2, 33, 128)))
         buffer[:, 0] *= 1e4
@@ -771,7 +773,7 @@ class TestBatchedMarch:
         unsourced = dataclasses.replace(bwd, source=None)
         rng = np.random.default_rng(2)
         for first, second in ((fwd, bwd), (bwd, fwd), (fwd, unsourced), (unsourced, fwd)):
-            plan = MarchPlan(table, cfg, first.horizon, *zip(*((q.direction, q.zero_mean) for q in (first, second))))
+            plan = MarchPlan(table, cfg, *zip(*((q.direction, q.zero_mean) for q in (first, second))))
             plan.out[:] = rng.standard_normal((2, 33, 128)) + 1j * rng.standard_normal((2, 33, 128))
             pair = solve_linear(first, cfg, table, partner=second, plan=plan)
             for got, problem in zip(pair, (first, second)):
@@ -787,7 +789,7 @@ class TestBatchedMarch:
         fwd, bwd, cfg, table = self._pair(coeffs, True)
         fresh_m, fresh_p = solve_linear(fwd, cfg, table, partner=bwd)
         rng = np.random.default_rng(3)
-        plan = MarchPlan(table, cfg, fwd.horizon, ("forward", "backward"), (True, True))
+        plan = MarchPlan(table, cfg, ("forward", "backward"), (True, True))
         buffer, update = plan.out, plan.update
         buffer[:] = rng.standard_normal((2, 33, 128)) + 1j * rng.standard_normal((2, 33, 128))
         old = buffer.copy()
@@ -821,7 +823,7 @@ class TestBatchedMarch:
         wrong = [projection_multiplier(fwd.grid, sign) for sign in "+-"]
         rng = np.random.default_rng(5)
         for prefill in (False, True):
-            plan = MarchPlan(table, cfg, fwd.horizon, ("forward", "backward"), (True, True))
+            plan = MarchPlan(table, cfg, ("forward", "backward"), (True, True))
             if prefill:
                 plan.out[:] = rng.standard_normal((2, 33, 128)) + 1j * rng.standard_normal((2, 33, 128))
             pair = solve_linear(fwd, cfg, table, partner=bwd, plan=plan)
@@ -830,7 +832,7 @@ class TestBatchedMarch:
                 assert np.array_equal(ascending[0], field.norm_series())
                 assert np.array_equal(ascending[1], field.norm_series(sym))
         # the wrong side follows each row's direction, not its place
-        swapped = MarchPlan(table, cfg, fwd.horizon, ("backward", "forward"), (True, True))
+        swapped = MarchPlan(table, cfg, ("backward", "forward"), (True, True))
         assert np.array_equal(swapped.side[::-1], np.stack([sym.real for sym in wrong]))
 
     def test_backward_row_reads_mirrored_coefficients(self):
@@ -928,7 +930,7 @@ class TestMarchPlan:
         cfg = StepperConfig(epsilon=1e-4, n_steps=32)
         times = np.linspace(0.0, fwd.horizon, 33)
         table = OperatorTable(self.COEFFS, w, times)
-        plan = MarchPlan(table, cfg, fwd.horizon, ("forward", "backward"), (True, True))
+        plan = MarchPlan(table, cfg, ("forward", "backward"), (True, True))
         solve_linear(fwd, cfg, table, partner=bwd, plan=plan)   # its own march is accepted
         if other == "grid":
             fwd, bwd, w = self._pair(grid=Grid1D(64, 8 * np.pi))
@@ -937,7 +939,7 @@ class TestMarchPlan:
         elif other == "dt":
             fwd, bwd = (dataclasses.replace(q, horizon=0.01) for q in (fwd, bwd))
             table = OperatorTable(self.COEFFS, w, np.linspace(0.0, 0.01, 33))
-            match = "another operator table, step"
+            match = "another operator table$"
         elif other == "epsilon":
             cfg = StepperConfig(epsilon=2e-4, n_steps=32)
             match = "another viscosity"
@@ -950,6 +952,20 @@ class TestMarchPlan:
         with pytest.raises(ConfigError, match=match):
             solve_linear(fwd, cfg, table, partner=bwd, plan=plan)
 
+    @pytest.mark.parametrize("other", ["coefficients", "weight"])
+    def test_table_built_from_another_operator_is_a_config_error(self, other):
+        # equal expressions and an equal weight are still other objects: the
+        # table's inputs are checked by identity, as a partner's are
+        fwd, _, w = self._pair()
+        coeffs, weight = self.COEFFS, w
+        if other == "coefficients":
+            coeffs = CoefficientField(coeffs.a_expr, coeffs.w_expr)
+        else:
+            weight = build_weight(1.0, fwd.grid, mode="truncated")
+        table = OperatorTable(coeffs, weight, np.linspace(0.0, fwd.horizon, 33))
+        with pytest.raises(ConfigError, match="table was built from another coefficient field or weight"):
+            solve_linear(fwd, StepperConfig(epsilon=1e-4, n_steps=32), table)
+
     def test_backward_exponential_is_the_conjugate_of_the_mirrored_forward_step(self):
         # E is stored once per step for a forward row; the backward row's E,
         # conjugated from the mirrored step, is bit for bit the exponential
@@ -958,7 +974,7 @@ class TestMarchPlan:
         cfg = StepperConfig(epsilon=1e-4, n_steps=32)
         times = np.linspace(0.0, fwd.horizon, 33)
         table = OperatorTable(self.COEFFS, w, times)
-        plan = MarchPlan(table, cfg, fwd.horizon, ("forward", "backward"), (True, True))
+        plan = MarchPlan(table, cfg, ("forward", "backward"), (True, True))
         grid, dt = fwd.grid, fwd.horizon / 32
         kmax = int(np.max(grid.k_index[grid.dealias_mask]))
         assert plan.kmax == kmax and plan.exponentials.shape == (32, kmax + 1)
@@ -980,7 +996,7 @@ class TestMarchPlan:
         coeffs = CoefficientField("1 + 0.1*sech(x)", "0") if constant else self.COEFFS
         fwd, _, w = self._pair(coeffs=coeffs)
         table = OperatorTable(coeffs, w, np.linspace(0.0, fwd.horizon, 33))
-        plan = MarchPlan(table, StepperConfig(n_steps=32), fwd.horizon, ("forward",), (True,))
-        assert MarchPlan.planned_bytes(fwd.grid.n, 32, constant) == plan.exponentials.nbytes
+        plan = MarchPlan(table, StepperConfig(n_steps=32), ("forward",), (True,))
+        assert MarchPlan.planned_bytes(fwd.grid, 32, constant) == plan.exponentials.nbytes
         stack = 16 * 2048 * 65
-        assert MarchPlan.planned_bytes(2048, 64, constant=False) <= stack / 3
+        assert MarchPlan.planned_bytes(Grid1D(2048, 20.0), 64, constant=False) <= stack / 3
