@@ -14,7 +14,7 @@ import sys
 
 from schrobvp.cli import build_scenario, resolve_horizon
 from schrobvp.presets import load_preset, preset_names
-from schrobvp.stepper import LinearProblem, StepperConfig, epsilon_study
+from schrobvp.stepper import LinearProblem, OperatorTable, StepperConfig, epsilon_study
 
 
 def main() -> int:
@@ -31,10 +31,10 @@ def main() -> int:
 
     schedule = tuple(float(tok) for tok in args.epsilons.split(","))
     datum = sc.f if args.direction == "forward" else sc.g
-    problem = LinearProblem(direction=args.direction, coeffs=sc.coeffs,
-                            weight=sc.weight, source=None, datum=datum,
-                            horizon=horizon)
-    rep = epsilon_study(problem, StepperConfig(n_steps=args.n_steps), schedule)
+    cfg = StepperConfig(n_steps=args.n_steps)
+    table = OperatorTable(sc.coeffs, sc.weight, cfg.time_grid(horizon))
+    problem = LinearProblem(direction=args.direction, table=table, source=None, datum=datum)
+    rep = epsilon_study(problem, cfg, schedule)
 
     print(f"{args.preset} {args.direction}, T={horizon:.6g}, "
           f"{args.n_steps} steps")

@@ -24,6 +24,7 @@ bound, 1 on any error (bad config, divergence, I/O).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -77,6 +78,12 @@ _SECTION_KEYS = {
     "estimates": {"bootstrap"},
 }
 _TOP_KEYS = {*_SECTION_KEYS, "horizon", "tol", "m_max", "times", "out_dir", "seed"}
+# a setting a scenario leaves out takes the library's own default, written there once
+_DEFAULTS = {key: inspect.signature(call).parameters[name].default for key, call, name in (
+    ("weight.mode", build_weight, "mode"), ("coefficients.lambda", CoefficientField, "ellipticity"),
+    ("stepper.epsilon", StepperConfig, "epsilon"),
+    ("tol", picard_solve, "tol"), ("m_max", picard_solve, "m_max"),
+)}
 
 # carrier slices kept for verify-estimates, uniformly spaced: steps / 128 + 1
 # as a rule, never fewer than 17 when a finer stride allows it, never more than 513
@@ -173,7 +180,7 @@ def build_scenario(raw: dict) -> ScenarioConfig:
     weight = build_weight(
         typed(weight_spec["beta"], float, "weight.beta"),
         grid,
-        mode=typed(weight_spec.get("mode", "truncated"), str, "weight.mode"),
+        mode=typed(weight_spec.get("mode", _DEFAULTS["weight.mode"]), str, "weight.mode"),
     )
 
     coeff_spec = resolved.get("coefficients")
@@ -182,7 +189,7 @@ def build_scenario(raw: dict) -> ScenarioConfig:
     _check_keys(coeff_spec, _SECTION_KEYS["coefficients"], "coefficients")
     if "a" not in coeff_spec or "W" not in coeff_spec:
         raise ConfigError("coefficients section needs both a and W")
-    lam = typed(coeff_spec.get("lambda", 0.0), float, "coefficients.lambda")
+    lam = typed(coeff_spec.get("lambda", _DEFAULTS["coefficients.lambda"]), float, "coefficients.lambda")
 
     horizon = _optional(resolved.get("horizon"), float, "horizon")
     if horizon is not None:
@@ -204,7 +211,7 @@ def build_scenario(raw: dict) -> ScenarioConfig:
     stepper_spec = resolved.get("stepper", {})
     _check_keys(stepper_spec, _SECTION_KEYS["stepper"], "stepper")
     stepper = StepperConfig(
-        epsilon=typed(stepper_spec.get("epsilon", 1e-3), float, "stepper.epsilon"),
+        epsilon=typed(stepper_spec.get("epsilon", _DEFAULTS["stepper.epsilon"]), float, "stepper.epsilon"),
         n_steps=stepper_spec.get("n_steps"),
     )
 
@@ -212,10 +219,10 @@ def build_scenario(raw: dict) -> ScenarioConfig:
     _check_keys(est_spec, _SECTION_KEYS["estimates"], "estimates")
     bootstrap = typed(est_spec.get("bootstrap", lam > 0), bool, "estimates.bootstrap")
 
-    tol = typed(resolved.get("tol", 1e-8), float, "tol")
+    tol = typed(resolved.get("tol", _DEFAULTS["tol"]), float, "tol")
     if not tol > 0:
         raise ConfigError(f"tol must be positive, got {tol:g}")
-    m_max = typed(resolved.get("m_max", 50), int, "m_max")
+    m_max = typed(resolved.get("m_max", _DEFAULTS["m_max"]), int, "m_max")
     if m_max < 1:
         raise ConfigError(f"m_max must be at least 1, got {m_max}")
     times = _number_list(resolved.get("times", []), "times")
@@ -512,18 +519,11 @@ def cmd_linear(args: argparse.Namespace) -> int:
     out = _out_dir(args.out_dir, sc.out_dir)
     horizon, _, trace = resolve_horizon(sc, args.T)
     datum = sc.f if args.direction == "forward" else sc.g
-    problem = LinearProblem(
-        direction=args.direction,
-        coeffs=sc.coeffs,
-        weight=sc.weight,
-        source=None,
-        datum=datum,
-        horizon=horizon,
-    )
     t0 = time.perf_counter()
-    times = np.linspace(0.0, horizon, sc.stepper.resolve_steps(horizon) + 1)
-    table = OperatorTable(sc.coeffs, sc.weight, times)   # the march's and the monitor's
-    sol = solve_linear(problem, sc.stepper, table)
+    # the march's and the monitor's operator
+    table = OperatorTable(sc.coeffs, sc.weight, sc.stepper.time_grid(horizon))
+    problem = LinearProblem(direction=args.direction, table=table, source=None, datum=datum)
+    sol = solve_linear(problem, sc.stepper)
     sign = "-" if args.direction == "forward" else "+"
     bundle = norm_bundle(sc.coeffs, sc.weight.sup_logderiv, sol.times, sc.grid)
     reports = [energy_monitor(sol, None, sign, table, bundle)]
@@ -556,7 +556,7 @@ def run_picard_scenario(raw: dict, out_dir: str | None, flag_T: float | None = N
     out = _out_dir(out_dir, sc.out_dir)
     horizon, override, trace = resolve_horizon(sc, flag_T)
     _require_dump_times(sc.times, horizon)
-    _storage_stride(sc.stepper.resolve_steps(horizon) + 1)   # a step count it cannot store fails here
+    _storage_stride(len(sc.stepper.time_grid(horizon)))   # a step count it cannot store fails here
     problem = BvpProblem(
         f=sc.f, g=sc.g, coeffs=sc.coeffs, weight=sc.weight,
         horizon=horizon, stepper_cfg=sc.stepper, override_horizon=override,

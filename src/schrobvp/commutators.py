@@ -129,8 +129,7 @@ class CommutatorTrial:
     """One evaluation of d^l [T; a] d^m f.
 
     ``operator`` is "+", "-" (one-sided projections) or "H" (Hilbert
-    transform); ``a`` holds real coefficient samples on the grid of
-    ``f``; ``p`` is the Lebesgue exponent used for the trial norms.
+    transform); ``a`` holds real coefficient samples on the grid of ``f``.
     """
 
     operator: str
@@ -138,15 +137,12 @@ class CommutatorTrial:
     f: SpectralField
     l: int = 0
     m: int = 0
-    p: float = 2.0
 
     def __post_init__(self) -> None:
         if self.operator not in _OPERATORS:
             raise ConfigError(f"operator must be one of {_OPERATORS}")
         if self.l < 0 or self.m < 0:
             raise ConfigError("derivative orders must be nonnegative")
-        if not (1.0 < self.p):
-            raise ConfigError("exponent p must exceed 1")
         a = np.asarray(self.a)
         if a.shape != (self.f.grid.n,):
             raise ValidationError("coefficient samples do not match the grid")

@@ -290,14 +290,17 @@ def bootstrap_diagnostics(w: SpaceTimeField, table: OperatorTable, bundle: NormB
 
     reporting the implied data constant after subtracting the measured
     commutator contribution.  Everything but the field comes from ``table``
-    and ``bundle``: lam is the floor of the table's ``coeffs``, and lam = 0
-    returns a not-applicable report (a hypothesis of the theory's smoothness
-    half only); beta is its weight's.  a comes from ``table`` on ``w.times``
-    (else ConfigError), and the hypothesis's need, sup <x>|a_x| +
-    sup <x>|a_xx| over every time, from ``bundle``, :func:`norm_bundle`'s on
-    ``w.times`` (else ValidationError); ``table.coeffs`` is evaluated only
-    for a_x at the three pairing slices.
+    and ``bundle``, which must sit on ``w.times`` (else ConfigError and
+    ValidationError), checked first, whatever lam: lam is the floor of the
+    table's ``coeffs``, and lam = 0 returns a not-applicable report (a
+    hypothesis of the theory's smoothness half only); beta is its weight's.
+    a comes from ``table``, and the hypothesis's need, sup <x>|a_x| +
+    sup <x>|a_xx| over every time, from ``bundle``, :func:`norm_bundle`'s;
+    ``table.coeffs`` is evaluated only for a_x at the three pairing slices.
     """
+    table.require(w.times)
+    if not same_time_grid(bundle.times, w.times):
+        raise ValidationError("rate bundle and field must share one time grid")
     coeffs, beta = table.coeffs, table.weight.beta
     lam = coeffs.ellipticity
     if lam <= 0.0:
@@ -309,9 +312,6 @@ def bootstrap_diagnostics(w: SpaceTimeField, table: OperatorTable, bundle: NormB
             verdict="not-applicable",
             notes="lam = 0: smoothing hypothesis absent, diagnostics skipped",
         )
-    table.require(w.times)
-    if not same_time_grid(bundle.times, w.times):
-        raise ValidationError("rate bundle and field must share one time grid")
     grid = w.grid
     times = w.times
     horizon = float(times[-1])

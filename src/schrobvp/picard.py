@@ -44,8 +44,8 @@ Every space-time field stores Fourier coefficients only, so norms are
 Parseval sums (`spectral.hat_norm`), and physical values exist only inside
 `OperatorTable.apply`, the operator L = Z + S that the coupling source and
 the residual monitor read from the solve's table, whose S is the kernel
-the march steps with (and not even there on a `uniform` table, whose rows
-are constant in x and act as Fourier symbols), and one block at a time in
+the march steps with (and not even there on a `diagonal` table, whose one
+row is constant in x and acts as a Fourier symbol), and one block at a time in
 `assemble_solution`, which stores only the weighted transform w.
 """
 
@@ -358,7 +358,7 @@ def picard_solve(
     n_steps = p.stepper_cfg.resolve_steps(p.horizon)
     _require_residual_slices(n_steps + 1)
     _require_memory(grid, n_steps, p.coeffs.time_dependent)
-    times = np.linspace(0.0, p.horizon, n_steps + 1)
+    times = p.stepper_cfg.time_grid(p.horizon)
     delta = p.data_norm()
     bundle = norm_bundle(p.coeffs, p.weight.sup_logderiv, times, grid)
     _check_horizon(p, bundle)
@@ -372,8 +372,7 @@ def picard_solve(
     vp = SpaceTimeField(grid, times, hats=plan.out[1, ::-1])
     update, measure = plan.update, plan.measure   # per row and slot: norm, wrong-side norm
     unsourced = tuple(
-        LinearProblem(direction=d, coeffs=p.coeffs, weight=p.weight, source=None, datum=datum,
-                      horizon=p.horizon, zero_mean=True)
+        LinearProblem(direction=d, table=table, source=None, datum=datum, zero_mean=True)
         for d, datum in (("forward", p.f), ("backward", p.g))
     )
 
@@ -391,7 +390,7 @@ def picard_solve(
             prob_m = replace(prob_m, source=src_m, source_peak=peaks[1])
             prob_p = replace(prob_p, source=src_p, source_peak=peaks[0])
             src_p = src_m = None   # held by the problems alone, released with them
-        solve_linear(prob_m, p.stepper_cfg, table, partner=prob_p, plan=plan)
+        solve_linear(prob_m, p.stepper_cfg, partner=prob_p, plan=plan)
         if solve_hook is not None:
             solve_hook("-", prob_m, vm)
             solve_hook("+", prob_p, vp)

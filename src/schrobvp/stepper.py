@@ -20,15 +20,16 @@ same midpoint abar as the exponential, so the split is consistent and the
 scheme keeps fourth order for time-dependent a.  Coefficients come from
 one :class:`OperatorTable` of 2/3-rule masked rows, which the coupled
 solver builds once and shares with the coupling source and the monitors.
-The table holds the coefficients and weight it was built from and applies
-L = Z + S (:meth:`OperatorTable.apply`), and S u = i d/dx(a u_x) -
+The table holds the coefficients, weight and time grid it was built on and
+applies L = Z + S (:meth:`OperatorTable.apply`), and S u = i d/dx(a u_x) -
 2i a q u_x has one kernel, :func:`apply_s`, which the march and the table
-(for the coupling source and the residual monitor) call.
-On a ``uniform`` table (rows constant in x, as for a = 1, W = 0 under the
-pure-exponential weight) S is a Fourier symbol, so when the table is also
-constant in time (``diagonal``) a step is exactly the affine map v <- A v +
-B0 F(t_n) + B1 F(t_n+1/2) + B2 F(t_n+1): A and the B's are the same step
-run once on unit inputs, and the march makes no FFT.
+(for the coupling source and the residual monitor) call.  A
+:class:`LinearProblem` names the table it marches on: the march's operator,
+horizon and time grid are the table's.  On a ``diagonal`` table (one row,
+constant in x, as for a = 1, W = 0 under the pure-exponential weight) L is
+a Fourier symbol and a step is exactly the affine map
+v <- A v + B0 F(t_n) + B1 F(t_n+1/2) + B2 F(t_n+1): A and the B's are the
+same step run once on unit inputs, and the march makes no FFT.
 
 Batched march: :func:`solve_linear` advances a stacked (rows, n) state of
 Fourier coefficients, one row per sub-problem; a ``partner`` problem (the
@@ -65,7 +66,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coefficients import CoefficientField
-from .errors import ConfigError, GridMismatchError, StabilityError, require_horizon, typed
+from .errors import ConfigError, GridMismatchError, StabilityError, typed
 from .spectral import (
     Grid1D,
     SpaceTimeField,
@@ -130,13 +131,9 @@ class StepperConfig:
     def resolve_steps(self, horizon: float) -> int:
         return 2048 if self.n_steps is None else self.n_steps
 
-    def check_stability(self, grid: Grid1D, horizon: float) -> None:
-        dt = horizon / self.resolve_steps(horizon)
-        stiff = self.epsilon * grid.xi_max**4 * dt
-        if stiff > _STIFF_EXPONENT_CAP:
-            raise ConfigError(
-                f"eps xi_max^4 dt = {stiff:.3g} exceeds the cap {_STIFF_EXPONENT_CAP:g}; raise n_steps or shrink eps"
-            )
+    def time_grid(self, horizon: float) -> np.ndarray:
+        """The march's integer nodes on [0, horizon]: ``resolve_steps`` equal steps."""
+        return np.linspace(0.0, horizon, self.resolve_steps(horizon) + 1)
 
 
 def _rk4_gain(z: complex) -> float:
@@ -144,19 +141,26 @@ def _rk4_gain(z: complex) -> float:
     return abs(1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0)
 
 
-def _require_rk4_stable(table: OperatorTable, n_steps: int) -> None:
-    """Raise ConfigError, naming the least step count that passes, when the
-    explicit remainder leaves RK4's stability region.
+def _require_stable_step(table: OperatorTable, n_steps: int, epsilon: float) -> None:
+    """Raise ConfigError when ``n_steps`` steps over the table's horizon are
+    too long for viscosity ``epsilon`` or for RK4.
 
-    The RK4 stages take i d/dx((a - abar) d/dx), whose band-edge eigenvalue
-    has modulus max|a - abar| xi_max^2 (max over the table's rows, xi_max
-    the 2/3-band edge); RK4's polynomial is evaluated at i dt times it, with
-    dt the table's last node over ``n_steps``.  The drift's real part
-    2 a q xi is left out.
+    The viscosity's exponent eps xi_max^4 dt (xi_max the grid's largest
+    |xi|) is capped at ``_STIFF_EXPONENT_CAP``.  The RK4 stages take
+    i d/dx((a - abar) d/dx), whose band-edge eigenvalue has modulus
+    max|a - abar| xi_max^2 (max over the table's rows, xi_max the 2/3-band
+    edge); RK4's polynomial is evaluated at i dt times it, and an error
+    names the least step count that passes.  The drift's real part
+    2 a q xi is left out.  dt is the table's horizon over ``n_steps``.
     """
+    stiff = epsilon * table.grid.xi_max**4 * (table.times[-1] / n_steps)
+    if stiff > _STIFF_EXPONENT_CAP:
+        raise ConfigError(
+            f"eps xi_max^4 dt = {stiff:.3g} exceeds the cap {_STIFF_EXPONENT_CAP:g}; raise n_steps or shrink eps"
+        )
     xi = table.grid.xi[table.grid.band_top]
     spread = np.maximum(table.a.max(axis=1) - table.abar, table.abar - table.a.min(axis=1))
-    reach = table.nodes[-1] * float(np.max(spread)) * xi**2   # dt times the rate, times n_steps
+    reach = table.times[-1] * float(np.max(spread)) * xi**2   # dt times the rate, times n_steps
     gain = _rk4_gain(1j * reach / n_steps)
     if gain > 1.0:
         least = math.ceil(reach / _RK4_IMAGINARY_REACH)
@@ -170,29 +174,30 @@ def _require_rk4_stable(table: OperatorTable, n_steps: int) -> None:
 
 @dataclass
 class LinearProblem:
-    """One uncoupled sub-problem: direction, coefficients, weight, source, datum.
+    """One uncoupled sub-problem: direction, operator table, source, datum.
 
-    ``zero_mean`` restricts the evolution to the paired-mode class: the mean
-    mode of the datum, the source, and every remainder evaluation is
-    annihilated.  The coupled solver uses this class throughout, since the
-    half-line frequency projections resolve the identity only there.
+    The ``table`` is the operator the problem marches on, and its time grid,
+    equal steps from t = 0 (else ConfigError), is the march's: ``horizon``
+    is its last time.  ``zero_mean`` restricts
+    the evolution to the paired-mode class: the mean mode of the datum, the
+    source, and every remainder evaluation is annihilated.  The coupled
+    solver uses this class throughout, since the half-line frequency
+    projections resolve the identity only there.
     """
 
     direction: str
-    coeffs: CoefficientField
-    weight: WeightProfile
+    table: OperatorTable
     source: SpaceTimeField | None
     datum: SpectralField
-    horizon: float
     zero_mean: bool = False
     source_peak: float | None = None   # max |hat| of the source, its blow-up scale; measured if None
 
     def __post_init__(self) -> None:
         if self.direction not in ("forward", "backward"):
             raise ConfigError(f"direction must be 'forward' or 'backward', got {self.direction!r}")
-        require_horizon(self.horizon)
-        if self.weight.grid != self.datum.grid:
-            raise GridMismatchError("weight and datum grids differ")
+        if self.table.grid != self.datum.grid:
+            raise GridMismatchError("operator table and datum grids differ")
+        self.table.require(np.linspace(0.0, self.horizon, len(self.table.times)))   # equal steps from t = 0
         if self.source is not None:
             if self.source.grid != self.datum.grid:
                 raise GridMismatchError("source and datum grids differ")
@@ -204,13 +209,17 @@ class LinearProblem:
     def grid(self) -> Grid1D:
         return self.datum.grid
 
+    @property
+    def horizon(self) -> float:
+        return self.table.times[-1]
+
 
 class OperatorTable:
     """The discrete operator L = Z + S of one solve: its inputs and masked rows, built once.
 
     S = i d/dx(a d/dx) - 2i a q d/dx, with q the weight's log-derivative,
     and Z = i((q^2 - q') a - q a_x) + iW is the zeroth-order lump.  The
-    table keeps the ``coeffs`` and ``weight`` it was built from and
+    table keeps the ``coeffs``, ``weight`` and ``times`` it was built on and
     :meth:`apply` applies L.  The march, the coupling source, the residual
     and the estimate monitors read the operator from the one table a run
     builds (``PicardReport.table``) on the weight's ``grid``.  ``nodes``
@@ -221,21 +230,19 @@ class OperatorTable:
     ``zeroth`` (masked Z) is kept at the integer nodes only.  When neither
     a nor W depends on t, each array holds one row that serves every node.
 
-    ``uniform`` is true when every row of ``a``, ``aq`` and ``zeroth`` is
-    constant in x (an exact ``np.ptp == 0`` test, made while the rows are
-    built and stopped at the first row block that varies).  Every product
-    with a row is then a Fourier multiple of the row's value: :func:`apply_s`
-    and :meth:`apply`'s Z product apply it as a symbol instead of an
-    ifft/fft round trip.  A table that is also ``constant`` is ``diagonal``:
-    L is one symbol, so the march steps by the affine map its RK4 step
-    becomes (see ``_march``) and the coupling source is two symbols of the
-    summed hats.  A uniform table that depends on t takes symbol stages.
+    ``diagonal`` is true when the table is ``constant`` and its one row of
+    ``a``, ``aq`` and ``zeroth`` is constant in x (an exact ``np.ptp == 0``
+    test).  L is then one Fourier symbol: :func:`apply_s` and :meth:`apply`'s
+    Z product apply the row's value as a symbol instead of an ifft/fft round
+    trip, the march steps by the affine map its RK4 step becomes (see
+    ``_march``) and the coupling source is two symbols of the summed hats.
+    Every table that depends on t takes the FFT stages.
     """
 
     def __init__(self, coeffs: CoefficientField, weight: WeightProfile, times: np.ndarray) -> None:
         self.coeffs, self.weight = coeffs, weight
         self.grid = grid = weight.grid
-        times = np.asarray(times, dtype=np.float64)
+        self.times = times = np.asarray(times, dtype=np.float64)
         self.nodes = np.linspace(times[0], times[-1], 2 * len(times) - 1)
         self.constant = not coeffs.time_dependent
         nodes = self.nodes[:1] if self.constant else self.nodes
@@ -244,7 +251,6 @@ class OperatorTable:
         self.a = np.empty((len(nodes), grid.n))
         self.aq = np.empty((len(nodes), grid.n))
         self.zeroth = np.empty(((len(nodes) - 1) // 2 + 1, grid.n), dtype=np.complex128)
-        self.uniform = True
         work = np.empty((chunk_rows(grid.n), grid.n), dtype=np.complex128)   # a's, a q's round trips
         iw = None if coeffs.w_time_dependent else 1j * coeffs.w_values(grid.x, nodes[:1, None])
         # the block row count is even, so every block starts on an integer node
@@ -263,10 +269,7 @@ class OperatorTable:
             lump = np.multiply(1j, (q**2 - dq) * a - q * ax, out=self.zeroth[ints])
             np.add(lump, 1j * coeffs.w_values(grid.x, ts) if iw is None else iw, out=lump)
             masked_samples(grid, lump, out=lump)
-            self.uniform = self.uniform and all(
-                np.all(np.ptp(block, axis=1) == 0)
-                for block in (self.a[rows], self.aq[rows], self.zeroth[ints])
-            )
+        self.diagonal = self.constant and all(np.ptp(rows) == 0 for rows in (self.a, self.aq, self.zeroth))
 
     @staticmethod
     def planned_bytes(n: int, n_steps: int, constant: bool) -> int:
@@ -275,18 +278,12 @@ class OperatorTable:
         return nodes * (8 + 16 * n) + zeroth * 16 * n
 
     def require(self, times: np.ndarray) -> None:
-        """Raise ConfigError unless the table's nodes are the half steps of ``times``."""
-        times = np.asarray(times, dtype=np.float64)
-        if not (len(self.nodes) == 2 * len(times) - 1 and same_time_grid(self.nodes[::2], times)):
+        """Raise ConfigError unless the table was built on the time grid ``times``."""
+        if not same_time_grid(self.times, times):
             raise ConfigError(
-                f"operator table nodes are not the half-step grid over the time grid of {len(times)} times "
+                f"operator table was built on another time grid than the {len(times)} times "
                 f"on [{times[0]:g}, {times[-1]:g}]"
             )
-
-    @property
-    def diagonal(self) -> bool:
-        """Rows constant in x and in t: L is one Fourier symbol."""
-        return self.uniform and self.constant
 
     def rows(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Masked a, a q and zeroth-order rows at integer nodes lo..hi-1."""
@@ -305,22 +302,22 @@ class OperatorTable:
         caller hands over a fresh block).  S is :func:`apply_s`, called once
         for v and once for sym v, with the caller's ``symbols`` and complex
         (2, ...) ``work`` array (both allocated per call when None).  Z v is
-        one ifft of v and one fft of the product, or on a ``uniform`` table
+        one ifft of v and one fft of the product, or on a ``diagonal`` table
         the symbol product on the row's value, with no FFT.
         """
         a, aq, zeroth = self.rows(lo, hi)
         u = np.multiply(v_hat, self.grid.dealias_mask, out=v_hat)
-        if self.uniform:
+        if self.diagonal:
             zv = zeroth[:, :1] * u
         else:
             # in place, zeroth first: on a temporary of 256 KiB or more numpy swaps the operands
             zv = np.fft.ifft(u, axis=-1)
             zv = np.fft.fft(np.multiply(zeroth, zv, out=zv), axis=-1, out=zv)
-        sv = apply_s(self.grid, u, a, aq, self.uniform, symbols=symbols, work=work)
+        sv = apply_s(self.grid, u, a, aq, self.diagonal, symbols=symbols, work=work)
         if sym is None:
             return zv, sv
         u *= sym   # u is spent: sym u and then S(sym u) take its place, with no block more
-        return zv, sv, apply_s(self.grid, u, a, aq, self.uniform, symbols=symbols, out=u, work=work)
+        return zv, sv, apply_s(self.grid, u, a, aq, self.diagonal, symbols=symbols, out=u, work=work)
 
 
 def s_symbols(grid: Grid1D, factor: np.ndarray | float = 1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -336,7 +333,7 @@ def apply_s(
     u_hat: np.ndarray,
     a: np.ndarray,
     aq: np.ndarray,
-    uniform: bool,
+    diagonal: bool,
     *,
     symbols: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     out: np.ndarray | None = None,
@@ -346,8 +343,8 @@ def apply_s(
 
     ``u_hat`` holds dealiased hats, (..., n); ``a`` and ``aq`` are
     operator-table rows (the march passes a - abar) that broadcast against
-    it.  On a ``uniform`` table each row is constant in x and S is the
-    symbol (i (i xi) a - 2i a q)(i xi) on the rows' values, with no FFT.
+    it.  On a ``diagonal`` table the row is constant in x and S is the
+    symbol (i (i xi) a - 2i a q)(i xi) on the row's values, with no FFT.
     Otherwise one batched ifft of u_x and one batched fft of the products
     [a u_x, a q u_x], taken in place in the complex (2, ...) array ``work``.
     ``symbols`` are :func:`s_symbols` (built here when None); a factor
@@ -357,7 +354,7 @@ def apply_s(
     ``work``, the FFT branch allocates nothing.
     """
     ixi, sym_a, sym_aq = s_symbols(grid) if symbols is None else symbols
-    if uniform:
+    if diagonal:
         return np.multiply((sym_a * a[..., :1] + sym_aq * aq[..., :1]) * ixi, u_hat, out=out)
     if work is None:
         work = np.empty((2,) + np.shape(u_hat), dtype=np.complex128)
@@ -376,8 +373,8 @@ class MarchPlan:
     A plan serves every :func:`solve_linear` call on its operator table
     with the same viscosity and rows (each row's direction and zero-mean
     flag); :meth:`require` raises ConfigError for any other.  The step is
-    the table's: its nodes are the half steps of the march's time grid.  It
-    holds:
+    the table's: the march's time grid is the table's ``times``, and the
+    step is checked once, here (``_require_stable_step``).  It holds:
 
     - what each march writes over the last: ``out``, the hats in march
       order (row r is the r-th problem's; a backward row runs in reversed
@@ -412,9 +409,9 @@ class MarchPlan:
     ) -> None:
         self.grid = grid = table.grid
         self.table = table
-        self.n_steps = (len(table.nodes) - 1) // 2
-        _require_rk4_stable(table, self.n_steps)   # before the first march and allocation
-        self.dt = table.nodes[-1] / self.n_steps
+        self.n_steps = len(table.times) - 1
+        _require_stable_step(table, self.n_steps, cfg.epsilon)   # before the first march and allocation
+        self.dt = table.times[-1] / self.n_steps
         self.epsilon = cfg.epsilon
         self.rows = (tuple(directions), tuple(zero_mean))
         self.forward = [d == "forward" for d in directions]
@@ -475,7 +472,6 @@ class MarchPlan:
         other = [
             name
             for name, same in (
-                ("grid", table.grid == self.grid),
                 ("operator table", table is self.table),
                 ("viscosity", cfg.epsilon == self.epsilon),
                 ("rows", rows == self.rows),
@@ -525,7 +521,7 @@ class MarchPlan:
 
         def remainder(x: np.ndarray, stage: int, f: np.ndarray | None, out: np.ndarray) -> np.ndarray:
             """tau * [i d/dx((a - abar) x_x) - 2i a q x_x + F] of every row, as masked hats."""
-            apply_s(self.grid, x, self.stage_a[stage], self.stage_aq[stage], self.table.uniform,
+            apply_s(self.grid, x, self.stage_a[stage], self.stage_aq[stage], self.table.diagonal,
                     symbols=self.symbols, out=out, work=s_work)
             if f is not None:
                 np.add(out, f, out=out)
@@ -572,43 +568,37 @@ class MarchPlan:
 def solve_linear(
     p: LinearProblem,
     cfg: StepperConfig,
-    table: OperatorTable | None = None,
     *,
     partner: LinearProblem | None = None,
     plan: MarchPlan | None = None,
 ) -> SpaceTimeField | tuple[SpaceTimeField, SpaceTimeField]:
-    """Integrate the sub-problem; returns its slices on the ascending time grid.
+    """Integrate the sub-problem on its operator table; returns its slices on
+    the table's ascending time grid.
 
     Backward problems are solved in reversed time and flipped back, so the
     returned field always has times[0] = 0, times[-1] = horizon, with the
-    datum reproduced at the appropriate end.  ``table`` must be built from
-    the problem's own ``coeffs`` and ``weight`` (the same objects) on this
-    march's time grid (else ConfigError); without one it is built here.
-    ``plan``, a :class:`MarchPlan` of ``table``, this viscosity and these
-    rows (else ConfigError), is built here when not given; the coupled
-    solver builds one for all its sweeps.  The march writes the plan's
-    ``out``, ``update`` and ``measure`` (the update of a fresh plan is
-    measured against zero), and the returned fields view ``plan.out``, which
-    the next march through the plan overwrites; no source may view it.  A
-    source must sit on the march's integer nodes, else ConfigError, and
-    needs at least 3 steps, else ConfigError.
+    datum reproduced at the appropriate end.  ``cfg`` must resolve to the
+    table's step count, else ConfigError.  ``plan``, a :class:`MarchPlan` of
+    ``p.table``, this viscosity and these rows (else ConfigError), is built
+    here when not given; the coupled solver builds one for all its sweeps.
+    The march writes the plan's ``out``, ``update`` and ``measure`` (the
+    update of a fresh plan is measured against zero), and the returned
+    fields view ``plan.out``, which the next march through the plan
+    overwrites; no source may view it.  A source must sit on the table's
+    times and needs at least 3 steps, else ConfigError.
 
-    ``partner``, a second sub-problem on the same grid, horizon,
-    coefficients and weight (either direction), is marched in the same
+    ``partner``, a second sub-problem on the same operator table, by
+    identity (either direction; else ConfigError), is marched in the same
     batched state; the pair (field of ``p``, field of ``partner``) is then
     returned.  Each row equals its own one-row solve up to round-off.
     """
     problems = [p] if partner is None else [p, partner]
-    if partner is not None and not (
-        partner.grid == p.grid
-        and partner.horizon == p.horizon
-        and partner.coeffs is p.coeffs
-        and partner.weight is p.weight
-    ):
-        raise ConfigError("a partner sub-problem must share grid, horizon, coefficients and weight")
-    cfg.check_stability(p.grid, p.horizon)
-    n_steps = cfg.resolve_steps(p.horizon)
-    times = np.linspace(0.0, p.horizon, n_steps + 1)
+    table = p.table
+    if partner is not None and partner.table is not table:
+        raise ConfigError("a partner sub-problem must march on the same operator table")
+    n_steps, steps = len(table.times) - 1, cfg.resolve_steps(p.horizon)
+    if steps != n_steps:
+        raise ConfigError(f"the stepper takes {steps} steps, the operator table has {n_steps}")
     for q in problems:
         if q.source is not None:
             if n_steps < _SOURCE_MIN_STEPS:
@@ -616,19 +606,14 @@ def solve_linear(
                     f"a march with a source needs at least {_SOURCE_MIN_STEPS} steps "
                     f"(4 nodes for the cubic midpoint reads), got {n_steps}"
                 )
-            _require_march_grid(q.source.times, times)
-    if table is None:
-        table = OperatorTable(p.coeffs, p.weight, times)
-    elif table.coeffs is not p.coeffs or table.weight is not p.weight:
-        raise ConfigError("operator table was built from another coefficient field or weight")
-    table.require(times)
+            _require_march_grid(q.source.times, table.times)
     if plan is None:
         plan = MarchPlan(table, cfg, [q.direction for q in problems], [q.zero_mean for q in problems])
     else:
         plan.require(table, cfg, problems)
     _march(problems, plan)
     fields = tuple(
-        SpaceTimeField(p.grid, times, hats=rows if q.direction == "forward" else rows[::-1])
+        SpaceTimeField(p.grid, table.times, hats=rows if q.direction == "forward" else rows[::-1])
         for q, rows in zip(problems, plan.out)
     )
     return fields[0] if partner is None else fields
@@ -808,18 +793,17 @@ class EpsilonStudyReport:
 def epsilon_study(p: LinearProblem, cfg: StepperConfig, schedule: Sequence[float]) -> EpsilonStudyReport:
     """Solve at each viscosity of the decreasing ``schedule`` and compare neighbours.
 
-    Every solve takes ``cfg``'s step size; its ``epsilon`` is not used.
+    Every solve marches on the problem's table with ``cfg``'s step count;
+    its ``epsilon`` is not used.
     """
     sched = tuple(schedule)
     if len(sched) < 3:
         raise ConfigError("viscosity schedule needs at least 3 entries")
     if any(e2 >= e1 for e1, e2 in zip(sched, sched[1:])) or any(e <= 0 for e in sched):
         raise ConfigError("viscosity schedule must be positive and strictly decreasing")
-    times = np.linspace(0.0, p.horizon, cfg.resolve_steps(p.horizon) + 1)
-    table = OperatorTable(p.coeffs, p.weight, times)
     solutions = []
     for eps in sched:
-        solutions.append(solve_linear(p, replace(cfg, epsilon=eps), table))
+        solutions.append(solve_linear(p, replace(cfg, epsilon=eps)))
     pairs = zip(solutions, solutions[1:])
     diffs = [float(np.max(hat_norm(p.grid, s1.hats - s2.hats))) for s1, s2 in pairs]
     orders = []

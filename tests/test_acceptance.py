@@ -233,12 +233,11 @@ def test_criterion_06_viscosity_machinery(bench):
         worst_rel = max(worst_rel, abs(measured - predicted) / predicted)
 
     sc = bench["sc"]
-    problem = LinearProblem(
-        direction="forward", coeffs=sc.coeffs, weight=sc.weight,
-        source=None, datum=sc.f, horizon=bench["horizon"],
-    )
     # 1024 steps: at the preset's 64, eps = 1e-2 exceeds the stiffness cap
-    study = epsilon_study(problem, StepperConfig(n_steps=1024), (1e-2, 1e-3, 1e-4))
+    cfg = StepperConfig(n_steps=1024)
+    table = OperatorTable(sc.coeffs, sc.weight, cfg.time_grid(bench["horizon"]))
+    problem = LinearProblem(direction="forward", table=table, source=None, datum=sc.f)
+    study = epsilon_study(problem, cfg, (1e-2, 1e-3, 1e-4))
     orders_ok = all(0.8 <= o <= 1.2 for o in study.order_estimates)
     ok = worst_rel <= 0.01 and study.cauchy and orders_ok
     _line(6, "viscosity-machinery", ok,

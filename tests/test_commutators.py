@@ -60,11 +60,6 @@ class TestTrialValidation:
         with pytest.raises(ConfigError):
             CommutatorTrial(operator="+", a=a, f=f, l=-1)
 
-    def test_endpoint_exponent(self):
-        a, f = sample_pair()
-        with pytest.raises(ConfigError):
-            CommutatorTrial(operator="+", a=a, f=f, p=1.0)
-
     def test_out_of_band_field(self):
         a, _ = sample_pair()
         spiky = SpectralField.from_hat(
@@ -189,7 +184,7 @@ def _check_against_hand_normalised_trials(operator, grid, exponents, check_stabi
             a = a_raw.values.real / np.max(np.abs(derivative(a_raw, l + m).values.real))
             f_raw = random_band_field(g, band, seed + i)
             f = (1.0 / lp_norm(f_raw, p)) * f_raw
-            trial = CommutatorTrial(operator=operator, a=a, f=f, l=l, m=m, p=p)
+            trial = CommutatorTrial(operator=operator, a=a, f=f, l=l, m=m)
             ratios.append(lp_norm(commutator_apply(trial), p))
         return np.asarray(ratios)
 

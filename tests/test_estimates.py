@@ -156,12 +156,11 @@ class TestEnergyMonitor:
         grid = Grid1D(512, 20.0)
         w = build_weight(1.0, grid, mode="truncated")
         f = packet(grid, -3.0, sign="-")
-        prob = LinearProblem(
-            direction="forward", coeffs=BENCH, weight=w, source=None,
-            datum=f, horizon=0.02, zero_mean=True,
-        )
-        sol = solve_linear(prob, StepperConfig(epsilon=1e-5, n_steps=128))
-        rep = energy_monitor(sol, None, "-", table_on(BENCH, sol, w), rates(BENCH, w, sol))
+        cfg = StepperConfig(epsilon=1e-5, n_steps=128)
+        table = OperatorTable(BENCH, w, cfg.time_grid(0.02))
+        prob = LinearProblem(direction="forward", table=table, source=None, datum=f, zero_mean=True)
+        sol = solve_linear(prob, cfg)
+        rep = energy_monitor(sol, None, "-", table, rates(BENCH, w, sol))
         assert rep.ratio <= 1.0
         assert rep.verdict == "pass"
 
@@ -194,7 +193,7 @@ class TestEnergyMonitor:
         grid = Grid1D(128, 8 * np.pi)
         w = build_weight(0.5, grid, mode="truncated")
         v = zero_stf(grid, np.linspace(0.0, 0.1, 17))
-        table = OperatorTable(with_floor(BENCH, 0.9), w, other)
+        table = OperatorTable(BENCH, w, other)
         with pytest.raises(ConfigError, match="time grid"):
             energy_monitor(v, None, "-", table, rates(BENCH, w, v))
         with pytest.raises(ConfigError, match="time grid"):
@@ -348,6 +347,19 @@ class TestBootstrapDiagnostics:
         w = zero_stf(grid, times)
         rep = bootstrap_diagnostics(w, table_on(CONST, w), bundle_on(CONST, w))
         assert rep.verdict == "not-applicable"
+
+    def test_lambda_zero_still_checks_both_time_grids(self):
+        # lam = 0 skips the diagnostics, not the checks the other monitors make:
+        # a table, then a bundle, on another time grid is rejected
+        grid = Grid1D(128, 8 * np.pi)
+        w = build_weight(0.5, grid, mode="truncated")
+        v = constant_packet(grid, np.linspace(0.0, 0.1, 17))
+        other = np.linspace(0.0, 0.1, 9)
+        assert BENCH.ellipticity == 0.0
+        with pytest.raises(ConfigError, match="time grid"):
+            bootstrap_diagnostics(v, OperatorTable(BENCH, w, other), bundle_on(BENCH, v))
+        with pytest.raises(ValidationError, match="time grid"):
+            bootstrap_diagnostics(v, table_on(BENCH, v, w), norm_bundle(BENCH, w.sup_logderiv, other, grid))
 
     def test_constant_coefficient_pairings_vanish(self):
         grid = Grid1D(256, 8 * np.pi)

@@ -217,11 +217,10 @@ class TestCouplingIdentity:
             assert diff == plus + minus
 
 
-class TestUniformTable:
+class TestDiagonalTable:
     # decoupled coefficients (a = 1, W = 0, pure-exponential weight) give a
-    # table of x-constant rows, which the operator kernel applies as symbols;
-    # the second coefficient pair gives x-constant rows that change with t
-    FLAT = [CONST, CoefficientField("1 + 0.5*t + 0.2*sin(40*t)", "0.3 + t")]
+    # diagonal table, one x-constant row that the operator kernel applies as
+    # a symbol; with ``diagonal`` cleared the same table takes the FFT path
 
     def _carriers(self, grid, times):
         ramp = (1.0 + times)[:, None]
@@ -229,42 +228,40 @@ class TestUniformTable:
         vm = SpaceTimeField(grid, times, ramp[::-1] * project(random_band_field(grid, 60, 22), "-").values)
         return vp, vm
 
-    @pytest.mark.parametrize("coeffs", FLAT, ids=["decoupled", "time-dependent"])
-    def test_coupling_matches_the_two_sided_formula(self, coeffs):
+    def test_coupling_matches_the_two_sided_formula(self):
         grid = Grid1D(512, 8 * np.pi)
         w = build_weight(1.0, grid, mode="pure_exponential")
         times = np.linspace(0.0, 0.5, 5)
         vp, vm = self._carriers(grid, times)
-        table = OperatorTable(coeffs, w, times)
-        assert table.uniform
+        table = OperatorTable(CONST, w, times)
+        assert table.diagonal
         lam_p, lam_m, *_ = coupling_stacks(vp, vm, table)
-        ref_p, ref_m = two_sided_lambda(vp, vm, coeffs, w)
+        ref_p, ref_m = two_sided_lambda(vp, vm, CONST, w)
         for got, ref in ((lam_p, ref_p), (lam_m, ref_m)):
             assert np.max(np.abs(got.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("coeffs", FLAT, ids=["decoupled", "time-dependent"])
-    def test_residual_matches_the_fft_path(self, coeffs):
+    def test_residual_matches_the_fft_path(self):
         grid = Grid1D(256, 8 * np.pi)
         w = build_weight(1.0, grid, mode="pure_exponential")
         times = np.linspace(0.0, 0.02, 17)
         vp, vm = self._carriers(grid, times)
         total = SpaceTimeField(grid, times, hats=vp.hats + vm.hats)
-        symbols, ffts = (OperatorTable(coeffs, w, times) for _ in range(2))
-        assert symbols.uniform
-        ffts.uniform = False
+        symbols, ffts = (OperatorTable(CONST, w, times) for _ in range(2))
+        assert symbols.diagonal
+        ffts.diagonal = False
         got, ref = pde_residual(total, symbols).norms, pde_residual(total, ffts).norms
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref)
 
     def test_diagonal_coupling_matches_the_fft_path(self):
-        # a uniform constant table takes the source as two symbols of the summed
-        # hats; both paths hand back their stacks' norm series bit for bit
+        # a diagonal table takes the source as two symbols of the summed hats;
+        # both paths hand back their stacks' norm series bit for bit
         grid = Grid1D(512, 8 * np.pi)
         w = build_weight(1.0, grid, mode="pure_exponential")
         times = np.linspace(0.0, 0.5, 5)
         vp, vm = self._carriers(grid, times)
         symbols, ffts = (OperatorTable(CONST, w, times) for _ in range(2))
-        assert symbols.uniform and symbols.constant
-        ffts.uniform = False
+        assert symbols.diagonal
+        ffts.diagonal = False
         got, ref = coupling_stacks(vp, vm, symbols), coupling_stacks(vp, vm, ffts)
         for g, r in zip(got[:2], ref[:2]):
             assert np.max(np.abs(g.hats - r.hats)) <= 1e-13 * np.max(np.abs(r.hats))
@@ -609,11 +606,11 @@ class TestSweepPlan:
         vp, vm, report = solve()
         plans = []
 
-        def fresh_plan(p, cfg, table, *, plan, **kwargs):
+        def fresh_plan(p, cfg, *, plan, **kwargs):
             plans.append(plan)
-            own = MarchPlan(table, cfg, *plan.rows)
+            own = MarchPlan(p.table, cfg, *plan.rows)
             own.out[:] = plan.out
-            result = solve_linear(p, cfg, table, plan=own, **kwargs)
+            result = solve_linear(p, cfg, plan=own, **kwargs)
             plan.out[:], plan.update[:], plan.measure[:] = own.out, own.update, own.measure
             return result
 
@@ -825,15 +822,15 @@ def blocked_outputs(n):
     table = OperatorTable(BENCH, w, times)
     # a pair marched into a plan buffer holding the carriers, with the update measured
     fwd, bwd = (
-        LinearProblem(direction=d, coeffs=BENCH, weight=w, source=v, horizon=times[-1],
-                      datum=SpectralField.from_hat(grid, v.hats[i]), zero_mean=True)
+        LinearProblem(direction=d, table=table, source=v, datum=SpectralField.from_hat(grid, v.hats[i]),
+                      zero_mean=True)
         for d, v, i in (("forward", vm, 0), ("backward", vp, -1))
     )
     lp, lm, norms, peaks = coupling_stacks(vp, vm, table)
     cfg = StepperConfig(epsilon=1e-5, n_steps=40)
     plan = MarchPlan(table, cfg, ("forward", "backward"), (True, True))
     plan.out[:] = np.stack([vm.hats, vp.hats[::-1]])
-    solve_linear(fwd, cfg, table, partner=bwd, plan=plan)
+    solve_linear(fwd, cfg, partner=bwd, plan=plan)
     return {
         "from values": [vp.hats, vm.hats],
         "coupling_stacks": [lp.hats, lm.hats, norms, peaks],
@@ -868,26 +865,14 @@ def test_block_budget_changes_no_result(monkeypatch):
 class TestPeakMemory:
     # decoupled: its stack is 16 block budgets, so one stack kept alive past
     # its last read crosses the bound; benchmark: its time-dependent
-    # coefficients make the half-step table about three stacks; decoupled
-    # with a = 1 + t/2: a uniform table that depends on time, whose march
-    # must not build per-block step maps beside the stacks
-    @pytest.mark.parametrize(
-        "raw",
-        [
-            {"preset": "decoupled"},
-            {"preset": "benchmark"},
-            {"preset": "decoupled", "coefficients": {"a": "1 + 0.5*t"}},
-        ],
-        ids=["decoupled", "benchmark", "time-dependent-uniform"],
-    )
+    # coefficients make the half-step table about three stacks
+    @pytest.mark.parametrize("raw", [{"preset": "decoupled"}, {"preset": "benchmark"}],
+                             ids=["decoupled", "benchmark"])
     def test_traced_run_stays_within_the_four_stack_model(self, tmp_path, raw):
         sc = build_scenario(raw)
         n, n_steps = sc.grid.n, sc.stepper.n_steps
         stack = 16 * n * (n_steps + 1)
         assert stack >= 4 * spectral.CHUNK_BYTES
-        if "coefficients" in raw:
-            probe = OperatorTable(sc.coeffs, sc.weight, np.linspace(0.0, 0.035, 3))
-            assert probe.uniform and not probe.constant
         tracemalloc.start()
         try:
             run_picard_scenario(raw, str(tmp_path))

@@ -33,14 +33,19 @@ from schrobvp.stepper import (
     apply_s,
     epsilon_study,
     _midpoints,
-    _require_rk4_stable,
+    _require_stable_step,
     heat_quartic,
     solve_linear,
 )
-from schrobvp.presets import load_preset, merge_scenario
+from schrobvp.presets import load_preset, merge_scenario, preset_names
 from schrobvp.weights import build_weight, unit_weight
 
 CONST = CoefficientField("1", "0")
+
+
+def table_for(cfg, coeffs, weight, horizon):
+    """The operator table a march of ``cfg``'s steps over [0, horizon] runs on."""
+    return OperatorTable(coeffs, weight, cfg.time_grid(horizon))
 
 
 def impulse(grid):
@@ -96,18 +101,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=field):
             StepperConfig(**kwargs)
 
+    def test_time_grid_is_the_resolved_steps(self):
+        assert np.array_equal(StepperConfig(n_steps=8).time_grid(0.5), np.linspace(0.0, 0.5, 9))
+        assert len(StepperConfig().time_grid(0.5)) == 2049
+
     def test_stiffness_cap(self):
         grid = Grid1D(512, 8 * np.pi)
+        cfg = StepperConfig(epsilon=1.0, n_steps=128)
         p = LinearProblem(
             direction="forward",
-            coeffs=CONST,
-            weight=unit_weight(grid),
+            table=table_for(cfg, CONST, unit_weight(grid), 0.0128),
             source=None,
             datum=gaussian_field(grid),
-            horizon=0.0128,
         )
         with pytest.raises(ConfigError, match="cap"):
-            solve_linear(p, StepperConfig(epsilon=1.0, n_steps=128))
+            solve_linear(p, cfg)
 
     @pytest.mark.parametrize("n_steps", [64, 72, 112])
     def test_rk4_region_on_the_fine_benchmark_grid(self, n_steps):
@@ -117,43 +125,40 @@ class TestConfigValidation:
         times = np.linspace(0.0, 1 / 64, n_steps + 1)
         table = OperatorTable(sc.coeffs, sc.weight, times)
         if n_steps == 112:
-            _require_rk4_stable(table, n_steps)
+            _require_stable_step(table, n_steps, sc.stepper.epsilon)
             return
         with pytest.raises(ConfigError, match=f"n_steps = {n_steps} .*RK4.*use n_steps >= 98$"):
-            _require_rk4_stable(table, n_steps)
+            _require_stable_step(table, n_steps, sc.stepper.epsilon)
 
     def test_rk4_region_is_checked_before_the_march(self, monkeypatch):
         grid = Grid1D(256, 8.0)
-        p = LinearProblem(
-            direction="forward",
-            coeffs=CoefficientField("1 + 0.9*sech(x)", "0"),
-            weight=unit_weight(grid),
-            source=None,
-            datum=gaussian_field(grid),
-            horizon=0.05,
-        )
+        coeffs = CoefficientField("1 + 0.9*sech(x)", "0")
+
+        def solve(n_steps):
+            cfg = StepperConfig(epsilon=0.0, n_steps=n_steps)
+            table = table_for(cfg, coeffs, unit_weight(grid), 0.05)
+            return solve_linear(LinearProblem("forward", table, None, gaussian_field(grid)), cfg)
+
         def no_march(*args):
             pytest.fail("the march ran")
 
         monkeypatch.setattr(stepper, "_march", no_march)
         with pytest.raises(ConfigError, match=r"n_steps = 4 .*use n_steps >= \d+$") as err:
-            solve_linear(p, StepperConfig(epsilon=0.0, n_steps=4))
+            solve(4)
         least = int(str(err.value).rsplit(" ", 1)[1])
         with pytest.raises(ConfigError, match=f"n_steps = {least - 1} "):
-            solve_linear(p, StepperConfig(epsilon=0.0, n_steps=least - 1))
+            solve(least - 1)
         monkeypatch.undo()
-        assert np.all(np.isfinite(solve_linear(p, StepperConfig(epsilon=0.0, n_steps=least)).hats))
+        assert np.all(np.isfinite(solve(least).hats))
 
     def test_bad_direction(self):
         grid = Grid1D(64, 8.0)
         with pytest.raises(ConfigError):
             LinearProblem(
                 direction="sideways",
-                coeffs=CONST,
-                weight=unit_weight(grid),
+                table=OperatorTable(CONST, unit_weight(grid), np.linspace(0.0, 0.1, 3)),
                 source=None,
                 datum=gaussian_field(grid),
-                horizon=0.1,
             )
 
     def test_grid_mismatch(self):
@@ -161,11 +166,9 @@ class TestConfigValidation:
         with pytest.raises(GridMismatchError):
             LinearProblem(
                 direction="forward",
-                coeffs=CONST,
-                weight=unit_weight(g1),
+                table=OperatorTable(CONST, unit_weight(g1), np.linspace(0.0, 0.1, 3)),
                 source=None,
                 datum=gaussian_field(g2),
-                horizon=0.1,
             )
 
     def test_source_must_cover_horizon(self):
@@ -173,16 +176,15 @@ class TestConfigValidation:
         grid = Grid1D(64, 8.0)
         times = np.linspace(0.0, 0.05, 9)
         src = SpaceTimeField(grid, times, np.zeros((9, grid.n), dtype=complex))
+        cfg = StepperConfig(n_steps=8)
         p = LinearProblem(
             direction="forward",
-            coeffs=CONST,
-            weight=unit_weight(grid),
+            table=table_for(cfg, CONST, unit_weight(grid), 0.1),
             source=src,
             datum=gaussian_field(grid),
-            horizon=0.1,
         )
         with pytest.raises(ConfigError, match=r"on \[0, 0.05\] is not the march grid of 9 times on \[0, 0.1\]"):
-            solve_linear(p, StepperConfig(n_steps=8))
+            solve_linear(p, cfg)
 
 
 class TestConstantCoefficientExactness:
@@ -192,15 +194,14 @@ class TestConstantCoefficientExactness:
         grid = Grid1D(256, 8 * np.pi)
         f = random_band_field(grid, 40, 11)
         T = 0.1
+        cfg = StepperConfig(epsilon=0.0, n_steps=256)
         p = LinearProblem(
             direction="forward",
-            coeffs=CONST,
-            weight=unit_weight(grid),
+            table=table_for(cfg, CONST, unit_weight(grid), T),
             source=None,
             datum=f,
-            horizon=T,
         )
-        sol = solve_linear(p, StepperConfig(epsilon=0.0, n_steps=256))
+        sol = solve_linear(p, cfg)
         exact = np.fft.ifft(np.exp(-1j * grid.xi**2 * T) * f.hat)
         err = np.max(np.abs(sol.values[-1] - exact))
         assert err < 1e-12 * np.max(np.abs(f.values))
@@ -218,15 +219,14 @@ class TestConstantCoefficientExactness:
         f = project(gaussian_field(grid, width=1.5), "-")
         times = np.linspace(0.0, T, 9)
         free = solve_free(FreeBvpData(f=f, g=0.0 * f, beta=beta, horizon=T, times=times))
+        cfg = StepperConfig(epsilon=1e-6, n_steps=1024)
         p = LinearProblem(
             direction="forward",
-            coeffs=CONST,
-            weight=build_weight(beta, grid, mode="pure_exponential"),
+            table=table_for(cfg, CONST, build_weight(beta, grid, mode="pure_exponential"), T),
             source=None,
             datum=f,
-            horizon=T,
         )
-        sol = solve_linear(p, StepperConfig(epsilon=1e-6, n_steps=1024))
+        sol = solve_linear(p, cfg)
         i_mid = len(sol.times) // 2
         t_mid = sol.times[i_mid]
         assert abs(t_mid - T / 2) < 1e-12
@@ -242,23 +242,11 @@ class TestConstantCoefficientExactness:
         beta = 0.5
         T = 0.25
         f = project(gaussian_field(grid, width=1.5), "-")
-        w = build_weight(beta, grid, mode="pure_exponential")
-        fwd = solve_linear(
-            LinearProblem(
-                direction="forward", coeffs=CONST, weight=w, source=None, datum=f, horizon=T
-            ),
-            StepperConfig(epsilon=0.0, n_steps=512),
-        )
+        cfg = StepperConfig(epsilon=0.0, n_steps=512)
+        table = table_for(cfg, CONST, build_weight(beta, grid, mode="pure_exponential"), T)
+        fwd = solve_linear(LinearProblem(direction="forward", table=table, source=None, datum=f), cfg)
         back = solve_linear(
-            LinearProblem(
-                direction="backward",
-                coeffs=CONST,
-                weight=w,
-                source=None,
-                datum=fwd.slice(-1),
-                horizon=T,
-            ),
-            StepperConfig(epsilon=0.0, n_steps=512),
+            LinearProblem(direction="backward", table=table, source=None, datum=fwd.slice(-1)), cfg
         )
         rel = np.sqrt(
             np.sum(np.abs(back.values[0] - fwd.values[0]) ** 2)
@@ -283,15 +271,14 @@ class TestManufacturedSource:
         grid = Grid1D(64, np.pi)
         k, T = 2.0, 0.25
         src = self._setup(grid, T, k, 512)
+        cfg = StepperConfig(epsilon=0.0, n_steps=512)
         p = LinearProblem(
             direction="forward",
-            coeffs=CONST,
-            weight=unit_weight(grid),
+            table=table_for(cfg, CONST, unit_weight(grid), T),
             source=src,
             datum=SpectralField(grid, self._exact(grid, 0.0, k)),
-            horizon=T,
         )
-        sol = solve_linear(p, StepperConfig(epsilon=0.0, n_steps=512))
+        sol = solve_linear(p, cfg)
         err = np.max(np.abs(sol.values[-1] - self._exact(grid, T, k)))
         assert err < 1e-6
 
@@ -299,15 +286,14 @@ class TestManufacturedSource:
         grid = Grid1D(64, np.pi)
         k, T = 2.0, 0.25
         src = self._setup(grid, T, k, 512)
+        cfg = StepperConfig(epsilon=0.0, n_steps=512)
         p = LinearProblem(
             direction="backward",
-            coeffs=CONST,
-            weight=unit_weight(grid),
+            table=table_for(cfg, CONST, unit_weight(grid), T),
             source=src,
             datum=SpectralField(grid, self._exact(grid, T, k)),
-            horizon=T,
         )
-        sol = solve_linear(p, StepperConfig(epsilon=0.0, n_steps=512))
+        sol = solve_linear(p, cfg)
         err = np.max(np.abs(sol.values[0] - self._exact(grid, 0.0, k)))
         assert err < 1e-6
 
@@ -316,15 +302,14 @@ class TestManufacturedSource:
         grid = Grid1D(64, np.pi)
         k, T = 2.0, 0.25
         start, end = (0.0, T) if direction == "forward" else (T, 0.0)
+        cfg = StepperConfig(epsilon=0.0, n_steps=n_steps)
         p = LinearProblem(
             direction=direction,
-            coeffs=CONST,
-            weight=unit_weight(grid),
+            table=table_for(cfg, CONST, unit_weight(grid), T),
             source=self._setup(grid, T, k, n_steps),
             datum=SpectralField(grid, self._exact(grid, start, k)),
-            horizon=T,
         )
-        sol = solve_linear(p, StepperConfig(epsilon=0.0, n_steps=n_steps))
+        sol = solve_linear(p, cfg)
         far = -1 if direction == "forward" else 0
         return np.max(np.abs(sol.values[far] - self._exact(grid, end, k)))
 
@@ -340,46 +325,39 @@ class TestManufacturedSource:
 
     def test_too_few_steps_for_the_source_raise(self):
         grid = Grid1D(64, np.pi)
+        cfg = StepperConfig(epsilon=0.0, n_steps=2)
         p = LinearProblem(
             direction="forward",
-            coeffs=CONST,
-            weight=unit_weight(grid),
+            table=table_for(cfg, CONST, unit_weight(grid), 0.25),
             source=self._setup(grid, 0.25, 2.0, 2),
             datum=SpectralField(grid, self._exact(grid, 0.0, 2.0)),
-            horizon=0.25,
         )
         with pytest.raises(ConfigError, match="at least 3 steps"):
-            solve_linear(p, StepperConfig(epsilon=0.0, n_steps=2))
+            solve_linear(p, cfg)
 
 
 class TestInvariants:
     def test_viscosity_decay_is_monotone(self):
         grid = Grid1D(256, 8 * np.pi)
         f = random_band_field(grid, 60, 5)
+        cfg = StepperConfig(epsilon=1e-2, n_steps=256)
         p = LinearProblem(
             direction="forward",
-            coeffs=CONST,
-            weight=unit_weight(grid),
+            table=table_for(cfg, CONST, unit_weight(grid), 0.05),
             source=None,
             datum=f,
-            horizon=0.05,
         )
-        sol = solve_linear(p, StepperConfig(epsilon=1e-2, n_steps=256))
+        sol = solve_linear(p, cfg)
         norms = sol.norm_series()
         assert np.all(np.diff(norms) < 0)
 
     def test_backward_datum_lands_at_final_slice(self):
         grid = Grid1D(256, 8 * np.pi)
         g = project(gaussian_field(grid, width=2.0), "+")
-        p = LinearProblem(
-            direction="backward",
-            coeffs=CoefficientField("1 + 0.1*sech(x)", "0"),
-            weight=build_weight(1.0, grid, mode="pure_exponential"),
-            source=None,
-            datum=g,
-            horizon=0.05,
-        )
-        sol = solve_linear(p, StepperConfig(epsilon=1e-4, n_steps=128))
+        cfg = StepperConfig(epsilon=1e-4, n_steps=128)
+        coeffs, w = CoefficientField("1 + 0.1*sech(x)", "0"), build_weight(1.0, grid, mode="pure_exponential")
+        p = LinearProblem(direction="backward", table=table_for(cfg, coeffs, w, 0.05), source=None, datum=g)
+        sol = solve_linear(p, cfg)
         assert np.allclose(sol.values[-1], g.values, atol=1e-12 * np.max(np.abs(g.values)))
         # positive frequencies under this drift decay toward earlier times
         assert sol.norm_series()[0] < sol.norm_series()[-1]
@@ -392,17 +370,17 @@ class TestInvariants:
         w = build_weight(1.0, grid, mode="truncated")
         T = 0.05
         n_steps = 256
-        times = np.linspace(0.0, T, n_steps + 1)
+        cfg = StepperConfig(epsilon=1e-3, n_steps=n_steps)
+        table = table_for(cfg, coeffs, w, T)
+        times = table.times
         f_amp = 0.05
         src_slice = f_amp * np.exp(-(grid.x**2) / 8.0)
         src = SpaceTimeField(
             grid, times, np.repeat(src_slice[None, :], n_steps + 1, axis=0).astype(complex)
         )
         datum = project(gaussian_field(grid, width=1.5), "-")
-        p = LinearProblem(
-            direction="forward", coeffs=coeffs, weight=w, source=src, datum=datum, horizon=T
-        )
-        sol = solve_linear(p, StepperConfig(epsilon=1e-3, n_steps=n_steps))
+        p = LinearProblem(direction="forward", table=table, source=src, datum=datum)
+        sol = solve_linear(p, cfg)
         bundle = norm_bundle(coeffs, w.sup_logderiv, times, grid)
         norms = sol.norm_series()
         e = norms**2
@@ -419,34 +397,30 @@ class TestInvariants:
         # carry high modes, where the growth rate 2*beta*xi is largest.
         grid = Grid1D(256, 8 * np.pi)
         f = project(random_band_field(grid, 80, 13, band_lo=40), "+")
+        cfg = StepperConfig(epsilon=0.0, n_steps=512)
         p = LinearProblem(
             direction="forward",
-            coeffs=CONST,
-            weight=build_weight(4.0, grid, mode="pure_exponential"),
+            table=table_for(cfg, CONST, build_weight(4.0, grid, mode="pure_exponential"), 0.5),
             source=None,
             datum=f,
-            horizon=0.5,
         )
         with pytest.raises(StabilityError, match="step"):
-            solve_linear(p, StepperConfig(epsilon=0.0, n_steps=512))
+            solve_linear(p, cfg)
 
     def test_blowup_inside_a_block_names_the_same_step_on_both_paths(self):
         # the blow-up scan runs once per block of steps and must still name
         # the first bad step: the affine path and the FFT path agree on it
         grid = Grid1D(256, 8 * np.pi)
         w = build_weight(4.0, grid, mode="pure_exponential")
-        p = LinearProblem(
-            direction="forward", coeffs=CONST, weight=w, source=None, horizon=0.5,
-            datum=project(random_band_field(grid, 80, 13, band_lo=40), "+"),
-        )
+        datum = project(random_band_field(grid, 80, 13, band_lo=40), "+")
         cfg = StepperConfig(epsilon=0.0, n_steps=512)
         messages = []
-        for uniform in (True, False):
-            table = OperatorTable(CONST, w, np.linspace(0.0, 0.5, 513))
-            assert table.uniform
-            table.uniform = uniform
+        for diagonal in (True, False):
+            table = table_for(cfg, CONST, w, 0.5)
+            assert table.diagonal
+            table.diagonal = diagonal
             with pytest.raises(StabilityError, match="step") as err:
-                solve_linear(p, cfg, table)
+                solve_linear(LinearProblem("forward", table, None, datum), cfg)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
         step = int(messages[0].rsplit(" ", 1)[1])
@@ -457,15 +431,10 @@ class TestEpsilonStudy:
     def test_first_order_in_viscosity(self):
         grid = Grid1D(256, 8 * np.pi)
         f = random_band_field(grid, 15, 21, band_lo=5)
-        p = LinearProblem(
-            direction="forward",
-            coeffs=CONST,
-            weight=unit_weight(grid),
-            source=None,
-            datum=f,
-            horizon=0.1,
-        )
-        report = epsilon_study(p, StepperConfig(n_steps=256), (1e-2, 1e-3, 1e-4))
+        cfg = StepperConfig(n_steps=256)
+        table = table_for(cfg, CONST, unit_weight(grid), 0.1)
+        p = LinearProblem(direction="forward", table=table, source=None, datum=f)
+        report = epsilon_study(p, cfg, (1e-2, 1e-3, 1e-4))
         assert isinstance(report, EpsilonStudyReport)
         assert report.cauchy
         assert len(report.differences) == 2
@@ -476,32 +445,22 @@ class TestEpsilonStudy:
     def test_zero_datum_gives_zero_differences(self):
         grid = Grid1D(128, 8.0)
         zero = SpectralField(grid, np.zeros(grid.n, dtype=complex))
-        p = LinearProblem(
-            direction="forward",
-            coeffs=CONST,
-            weight=unit_weight(grid),
-            source=None,
-            datum=zero,
-            horizon=0.1,
-        )
-        report = epsilon_study(p, StepperConfig(n_steps=64), (1e-2, 1e-3, 1e-4))
+        cfg = StepperConfig(n_steps=64)
+        table = table_for(cfg, CONST, unit_weight(grid), 0.1)
+        p = LinearProblem(direction="forward", table=table, source=None, datum=zero)
+        report = epsilon_study(p, cfg, (1e-2, 1e-3, 1e-4))
         assert all(d == 0.0 for d in report.differences)
         assert report.cauchy
 
     def test_schedule_validation(self):
         grid = Grid1D(64, 8.0)
-        p = LinearProblem(
-            direction="forward",
-            coeffs=CONST,
-            weight=unit_weight(grid),
-            source=None,
-            datum=gaussian_field(grid),
-            horizon=0.1,
-        )
+        cfg = StepperConfig(n_steps=32)
+        table = table_for(cfg, CONST, unit_weight(grid), 0.1)
+        p = LinearProblem(direction="forward", table=table, source=None, datum=gaussian_field(grid))
         with pytest.raises(ConfigError):
-            epsilon_study(p, StepperConfig(n_steps=32), (1e-2, 1e-3))
+            epsilon_study(p, cfg, (1e-2, 1e-3))
         with pytest.raises(ConfigError):
-            epsilon_study(p, StepperConfig(n_steps=32), (1e-4, 1e-3, 1e-2))
+            epsilon_study(p, cfg, (1e-4, 1e-3, 1e-2))
 
 
 class TestTemporalOrder:
@@ -516,40 +475,43 @@ class TestTemporalOrder:
             "1 + 0.1*exp(-30*t)*sech(x) + 0.2*sin(40*t)", "0.05*sech(x)"
         )
         sign = "-" if direction == "forward" else "+"
-        p = LinearProblem(
-            direction=direction,
-            coeffs=coeffs,
-            weight=build_weight(1.0, grid, mode="truncated"),
-            source=None,
-            datum=project(gaussian_field(grid, width=1.5), sign),
-            horizon=0.015625,
-        )
-        ref = solve_linear(p, StepperConfig(epsilon=1e-7, n_steps=1024))
+        w = build_weight(1.0, grid, mode="truncated")
+        datum = project(gaussian_field(grid, width=1.5), sign)
+
+        def solve(n_steps):
+            cfg = StepperConfig(epsilon=1e-7, n_steps=n_steps)
+            table = table_for(cfg, coeffs, w, 0.015625)
+            return solve_linear(LinearProblem(direction, table, None, datum), cfg)
+
+        ref = solve(1024)
         errs = []
         for n in (8, 16):
-            sol = solve_linear(p, StepperConfig(epsilon=1e-7, n_steps=n))
+            sol = solve(n)
             delta = sol.values - ref.values[:: 1024 // n]
             errs.append(np.max(np.sqrt(grid.dx * np.sum(np.abs(delta) ** 2, axis=1))))
         assert np.log2(errs[0] / errs[1]) >= 3.7
 
 
 class TestOperatorTable:
-    def test_passed_table_must_sit_on_the_half_step_grid(self):
+    @pytest.mark.parametrize("n_table", [64, 16], ids=["finer", "coarser"])
+    def test_stepper_must_take_the_tables_steps(self, n_table):
+        # the march's time grid is the table's, and so is the horizon
         grid = Grid1D(64, 8.0)
-        p = LinearProblem(
-            direction="forward",
-            coeffs=CONST,
-            weight=unit_weight(grid),
-            source=None,
-            datum=gaussian_field(grid),
-            horizon=0.1,
-        )
-        # the coarser table's nodes are the march's integer nodes, without the midpoints
-        finer = OperatorTable(CONST, p.weight, np.linspace(0.0, 0.1, 65))
-        coarser = OperatorTable(CONST, p.weight, np.linspace(0.0, 0.1, 17))
-        for table in (finer, coarser):
-            with pytest.raises(ConfigError, match="half-step"):
-                solve_linear(p, StepperConfig(n_steps=32), table)
+        table = OperatorTable(CONST, unit_weight(grid), np.linspace(0.0, 0.1, n_table + 1))
+        p = LinearProblem(direction="forward", table=table, source=None, datum=gaussian_field(grid))
+        assert p.horizon == 0.1
+        assert np.array_equal(solve_linear(p, StepperConfig(n_steps=n_table)).times, table.times)
+        for cfg in (StepperConfig(n_steps=32), StepperConfig()):
+            with pytest.raises(ConfigError, match=f"the operator table has {n_table}$"):
+                solve_linear(p, cfg)
+
+    def test_problem_table_must_step_equally_from_zero(self):
+        # a march runs on [0, horizon]; a table on [0.1, 0.2] would be marched with dt = 0.2 / N
+        grid = Grid1D(64, 8.0)
+        for times in (np.linspace(0.1, 0.2, 33), np.linspace(0.0, 0.2, 33) ** 2 / 0.2):
+            table = OperatorTable(CONST, unit_weight(grid), times)
+            with pytest.raises(ConfigError, match="time grid"):
+                LinearProblem(direction="forward", table=table, source=None, datum=gaussian_field(grid))
 
     def test_time_independent_coefficients_collapse_to_one_row(self):
         grid = Grid1D(64, 8 * np.pi)
@@ -574,12 +536,31 @@ class TestOperatorTable:
         assert planned == built
 
 
-    @pytest.mark.parametrize("preset, uniform", [("decoupled", True), ("benchmark", False), ("free", False)])
-    def test_uniform_only_when_every_row_is_constant_in_x(self, preset, uniform):
-        # free: a is constant in x, but the truncated weight's q is not
+    @pytest.mark.parametrize(
+        "raw, diagonal",
+        [
+            ({"preset": "decoupled"}, True),
+            ({"preset": "benchmark"}, False),
+            ({"preset": "free"}, False),
+            ({"preset": "decoupled", "coefficients": {"a": "1 + 0.5*t", "W": "0.3 + t"}}, False),
+        ],
+        ids=["decoupled", "benchmark", "free", "x-constant-in-time"],
+    )
+    def test_diagonal_only_when_constant_in_x_and_t(self, raw, diagonal):
+        # free: a is constant in x, but the truncated weight's q is not; rows
+        # constant in x that change with t take the FFT stages like any other
+        sc = build_scenario(raw)
+        table = OperatorTable(sc.coeffs, sc.weight, np.linspace(0.0, 0.01, 9))
+        assert table.diagonal is diagonal
+
+    @pytest.mark.parametrize("preset", preset_names())
+    def test_every_preset_table_is_diagonal_or_varies_in_x(self, preset):
+        # a table constant in x that depends on t has no symbol path of its
+        # own; a preset that builds one is a reason to give it one again
         sc = build_scenario(load_preset(preset))
         table = OperatorTable(sc.coeffs, sc.weight, np.linspace(0.0, 0.01, 9))
-        assert table.uniform is uniform
+        varies = any(np.any(np.ptp(rows, axis=1) != 0) for rows in (table.a, table.aq, table.zeroth))
+        assert table.diagonal or varies
 
     @pytest.mark.parametrize("a", ["1 + 0.1*exp(-t)*sech(x)", "1 + 0.1*sech(x)"], ids=["benchmark", "constant"])
     def test_rows_are_the_row_by_row_masked_samples(self, a):
@@ -598,52 +579,30 @@ class TestOperatorTable:
                 lump = 1j * ((q**2 - dq) * a_row - q * coeffs.a_x(grid.x, t)) + 1j * coeffs.w_values(grid.x, t)
                 assert np.array_equal(table.zeroth[k // 2], spectral.masked_samples(grid, lump))
 
-    @pytest.mark.parametrize("block_bytes", [1 << 12, 1 << 24], ids=["2-row blocks", "one block"])
-    def test_uniform_reads_every_row_block(self, monkeypatch, block_bytes):
-        # x-constant rows up to t ~ 0.03 (the tanh is exactly -1 there), x-dependent W after
-        monkeypatch.setattr(spectral, "CHUNK_BYTES", block_bytes)
-        grid = Grid1D(64, 8 * np.pi)
-        w = build_weight(1.0, grid, mode="pure_exponential")
-        times = np.linspace(0.0, 0.1, 33)
-        late = CoefficientField("1 + 0.5*t", "(1 + tanh(1000*(t - 0.05)))*sech(x)")
-        flat = CoefficientField("1 + 0.5*t", "0.3 + t")
-        assert OperatorTable(late, w, times).uniform is False
-        assert OperatorTable(flat, w, times).uniform is True
 
 
 class TestApplyS:
-    # the one kernel of S: on x-constant rows the symbol branch and the
+    # the one kernel of S: on a diagonal table the symbol branch and the
     # ifft/fft branch apply the same operator
-    @pytest.mark.parametrize(
-        "coeffs",
-        [CONST, CoefficientField("1 + 0.5*t + 0.2*sin(40*t)", "0.3 + t")],
-        ids=["constant-table", "time-dependent"],
-    )
-    def test_symbol_branch_matches_the_fft_branch(self, coeffs):
+    def test_symbol_branch_matches_the_fft_branch(self):
         grid = Grid1D(128, 8 * np.pi)
         w = build_weight(1.0, grid, mode="pure_exponential")
-        table = OperatorTable(coeffs, w, np.linspace(0.0, 0.5, 9))
-        assert table.uniform
+        table = OperatorTable(CONST, w, np.linspace(0.0, 0.5, 9))
+        assert table.diagonal
         rng = np.random.default_rng(9)
         u = (rng.standard_normal((9, grid.n)) + 1j * rng.standard_normal((9, grid.n))) * grid.dealias_mask
         a, aq, _ = table.rows(0, 9)
-        got, ref = (apply_s(grid, u, a, aq, uniform) for uniform in (True, False))
+        got, ref = (apply_s(grid, u, a, aq, diagonal) for diagonal in (True, False))
         assert got.shape == ref.shape == u.shape
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-class TestUniformTable:
-    # On a uniform constant table the march steps by the diagonal affine
-    # map, and on a time-dependent uniform table it takes symbol stages;
-    # with ``uniform`` cleared the same table takes the FFT stages, so both
-    # cases compare two paths.
-    @pytest.mark.parametrize(
-        "coeffs",
-        [CONST, CoefficientField("1 + 0.5*t + 0.2*sin(40*t)", "0.3 + t")],
-        ids=["constant-table", "time-dependent"],
-    )
+class TestDiagonalTable:
+    # On a diagonal table the march steps by the affine map; with
+    # ``diagonal`` cleared the same table takes the FFT stages, so the two
+    # paths are compared.
     @pytest.mark.parametrize("with_source", [False, True], ids=["no-source", "source"])
-    def test_symbol_march_matches_the_fft_march(self, coeffs, with_source):
+    def test_symbol_march_matches_the_fft_march(self, with_source):
         grid = Grid1D(128, 8 * np.pi)
         w = build_weight(1.0, grid, mode="pure_exponential")
         horizon = 0.02
@@ -655,25 +614,28 @@ class TestUniformTable:
                 SpaceTimeField(grid, times, ramp * project(random_band_field(grid, 20, seed), sign).values)
                 for seed, sign in ((5, "-"), (6, "+"))
             )
-        fwd, bwd = (
-            LinearProblem(
-                direction=d, coeffs=coeffs, weight=w, source=src, horizon=horizon, zero_mean=True,
-                datum=project(random_band_field(grid, 20, seed), sign),
-            )
-            for d, src, seed, sign in (("forward", sources[0], 7, "-"), ("backward", sources[1], 8, "+"))
-        )
         cfg = StepperConfig(epsilon=1e-4, n_steps=32)
-        symbols = OperatorTable(coeffs, w, times)
-        ffts = OperatorTable(coeffs, w, times)
-        assert symbols.uniform
-        ffts.uniform = False
-        got = solve_linear(fwd, cfg, symbols, partner=bwd)
-        ref = solve_linear(fwd, cfg, ffts, partner=bwd)
+        symbols = OperatorTable(CONST, w, times)
+        ffts = OperatorTable(CONST, w, times)
+        assert symbols.diagonal
+        ffts.diagonal = False
+
+        def pair(table):
+            fwd, bwd = (
+                LinearProblem(
+                    direction=d, table=table, source=src, zero_mean=True,
+                    datum=project(random_band_field(grid, 20, seed), sign),
+                )
+                for d, src, seed, sign in (("forward", sources[0], 7, "-"), ("backward", sources[1], 8, "+"))
+            )
+            return solve_linear(fwd, cfg, partner=bwd)
+
+        got, ref = pair(symbols), pair(ffts)
         for g, r in zip(got, ref):
             assert np.max(np.abs(g.hats - r.hats)) <= 1e-13 * np.max(np.abs(r.hats))
 
-    @pytest.mark.parametrize("uniform", [True, False], ids=["affine", "fft"])
-    def test_update_measures_every_slot_it_overwrites(self, monkeypatch, uniform):
+    @pytest.mark.parametrize("diagonal", [True, False], ids=["affine", "fft"])
+    def test_update_measures_every_slot_it_overwrites(self, monkeypatch, diagonal):
         # into a prefilled plan buffer, update is each row's max over slots
         # 0..N of hat_norm(new - old); the datum slot 0 differs the most.
         # Blocks of 4 steps, so the march flushes 8 of them
@@ -683,15 +645,15 @@ class TestUniformTable:
         horizon = 0.02
         times = np.linspace(0.0, horizon, 33)
         src = SpaceTimeField(grid, times, (1.0 + 20.0 * times)[:, None] * random_band_field(grid, 20, 5).values)
+        table = OperatorTable(CONST, w, times)
+        table.diagonal = diagonal
         fwd, bwd = (
             LinearProblem(
-                direction=d, coeffs=CONST, weight=w, source=source, horizon=horizon, zero_mean=True,
+                direction=d, table=table, source=source, zero_mean=True,
                 datum=project(random_band_field(grid, 20, seed), sign),
             )
             for d, source, seed, sign in (("forward", src, 7, "-"), ("backward", None, 8, "+"))
         )
-        table = OperatorTable(CONST, w, times)
-        table.uniform = uniform
         rng = np.random.default_rng(4)
         cfg = StepperConfig(epsilon=1e-4, n_steps=32)
         plan = MarchPlan(table, cfg, ("forward", "backward"), (True, True))
@@ -699,13 +661,13 @@ class TestUniformTable:
         buffer[:] = 1e-3 * (rng.standard_normal((2, 33, 128)) + 1j * rng.standard_normal((2, 33, 128)))
         buffer[:, 0] *= 1e4
         old = buffer.copy()
-        pair = solve_linear(fwd, cfg, table, partner=bwd, plan=plan)
+        pair = solve_linear(fwd, cfg, partner=bwd, plan=plan)
         for r in range(2):
             assert update[r] == np.max(hat_norm(grid, buffer[r] - old[r]))
         assert np.all(update == hat_norm(grid, buffer[:, 0] - old[:, 0]))
         # the unsourced backward row reads zero forcing, not the stale slots
         for got, problem in zip(pair, (fwd, bwd)):
-            alone = solve_linear(problem, cfg, table)
+            alone = solve_linear(problem, cfg)
             assert np.max(np.abs(got.hats - alone.hats)) <= 1e-12 * np.max(np.abs(alone.hats))
 
 
@@ -742,17 +704,17 @@ class TestBatchedMarch:
         src_m = SpaceTimeField(grid, times, ramp * random_band_field(grid, 20, 5).values)
         wave = np.cos(50.0 * times)[:, None]
         src_p = SpaceTimeField(grid, times, wave * random_band_field(grid, 20, 6).values)
-        common = dict(coeffs=coeffs, weight=w, horizon=horizon)
+        table = OperatorTable(coeffs, w, times)
         fwd = LinearProblem(
-            direction="forward", source=src_m, zero_mean=True,
-            datum=project(random_band_field(grid, 20, 7), "-"), **common,
+            direction="forward", table=table, source=src_m, zero_mean=True,
+            datum=project(random_band_field(grid, 20, 7), "-"),
         )
         bwd = LinearProblem(
-            direction="backward", source=src_p, zero_mean=zero_mean_partner,
-            datum=project(random_band_field(grid, 20, 8), "+"), **common,
+            direction="backward", table=table, source=src_p, zero_mean=zero_mean_partner,
+            datum=project(random_band_field(grid, 20, 8), "+"),
         )
         cfg = StepperConfig(epsilon=1e-4, n_steps=32)
-        return fwd, bwd, cfg, OperatorTable(coeffs, w, times)
+        return fwd, bwd, cfg, table
 
     @pytest.mark.parametrize(
         "coeffs, constant",
@@ -775,9 +737,9 @@ class TestBatchedMarch:
         for first, second in ((fwd, bwd), (bwd, fwd), (fwd, unsourced), (unsourced, fwd)):
             plan = MarchPlan(table, cfg, *zip(*((q.direction, q.zero_mean) for q in (first, second))))
             plan.out[:] = rng.standard_normal((2, 33, 128)) + 1j * rng.standard_normal((2, 33, 128))
-            pair = solve_linear(first, cfg, table, partner=second, plan=plan)
+            pair = solve_linear(first, cfg, partner=second, plan=plan)
             for got, problem in zip(pair, (first, second)):
-                alone = solve_linear(problem, cfg, table)
+                alone = solve_linear(problem, cfg)
                 assert got.times.shape == alone.times.shape
                 scale = np.max(np.abs(alone.values))
                 assert np.max(np.abs(got.values - alone.values)) <= 1e-12 * scale
@@ -787,13 +749,13 @@ class TestBatchedMarch:
         # is each row's sup over slots of hat_norm(new - old)
         coeffs = CoefficientField("1 + 0.1*exp(-t)*sech(x)", "0.05*sech(x)")
         fwd, bwd, cfg, table = self._pair(coeffs, True)
-        fresh_m, fresh_p = solve_linear(fwd, cfg, table, partner=bwd)
+        fresh_m, fresh_p = solve_linear(fwd, cfg, partner=bwd)
         rng = np.random.default_rng(3)
         plan = MarchPlan(table, cfg, ("forward", "backward"), (True, True))
         buffer, update = plan.out, plan.update
         buffer[:] = rng.standard_normal((2, 33, 128)) + 1j * rng.standard_normal((2, 33, 128))
         old = buffer.copy()
-        got_m, got_p = solve_linear(fwd, cfg, table, partner=bwd, plan=plan)
+        got_m, got_p = solve_linear(fwd, cfg, partner=bwd, plan=plan)
         assert got_m.hats.base is buffer and got_p.hats.base is buffer
         assert np.array_equal(got_m.hats, fresh_m.hats)
         assert np.array_equal(got_p.hats, fresh_p.hats)
@@ -817,7 +779,7 @@ class TestBatchedMarch:
         # and into a prefilled one
         monkeypatch.setattr(spectral, "CHUNK_BYTES", 1 << 13)
         fwd, bwd, cfg, table = self._pair(coeffs, True, mode)
-        assert table.uniform is table.constant is (mode == "pure_exponential")
+        assert table.diagonal is table.constant is (mode == "pure_exponential")
         if unsourced:
             bwd = dataclasses.replace(bwd, source=None)
         wrong = [projection_multiplier(fwd.grid, sign) for sign in "+-"]
@@ -826,7 +788,7 @@ class TestBatchedMarch:
             plan = MarchPlan(table, cfg, ("forward", "backward"), (True, True))
             if prefill:
                 plan.out[:] = rng.standard_normal((2, 33, 128)) + 1j * rng.standard_normal((2, 33, 128))
-            pair = solve_linear(fwd, cfg, table, partner=bwd, plan=plan)
+            pair = solve_linear(fwd, cfg, partner=bwd, plan=plan)
             for row, field, sym in zip(plan.measure, pair, wrong):
                 ascending = row if field is pair[0] else row[:, ::-1]
                 assert np.array_equal(ascending[0], field.norm_series())
@@ -844,27 +806,27 @@ class TestBatchedMarch:
         coeffs = CoefficientField(a.format(t="t"), "0")
         reversed_coeffs = CoefficientField(a.format(t=f"({T} - t)"), "0")
         g = project(random_band_field(grid, 20, 8), "+")
-        common = dict(weight=unit_weight(grid), source=None, horizon=T)
-        bwd = LinearProblem(direction="backward", coeffs=coeffs, datum=g, **common)
-        partner = LinearProblem(direction="forward", coeffs=coeffs, datum=g, **common)
-        fwd = LinearProblem(
-            direction="forward", coeffs=reversed_coeffs,
-            datum=SpectralField(grid, np.conj(g.values)), **common,
-        )
         cfg = StepperConfig(epsilon=1e-4, n_steps=32)
+        table = table_for(cfg, coeffs, unit_weight(grid), T)
+        bwd = LinearProblem(direction="backward", table=table, source=None, datum=g)
+        partner = LinearProblem(direction="forward", table=table, source=None, datum=g)
+        fwd = LinearProblem(
+            direction="forward", table=table_for(cfg, reversed_coeffs, unit_weight(grid), T), source=None,
+            datum=SpectralField(grid, np.conj(g.values)),
+        )
         back, _ = solve_linear(bwd, cfg, partner=partner)
         ref = solve_linear(fwd, cfg)
         diff = np.conj(back.values[::-1]) - ref.values
         assert np.max(np.abs(diff)) <= 1e-12 * np.max(np.abs(ref.values))
 
-    def test_partner_must_share_the_operator(self):
+    @pytest.mark.parametrize("stretch", [1.0, 2.0], ids=["equal-table", "longer-horizon"])
+    def test_partner_must_share_the_operator(self, stretch):
+        # one table, by identity: a table built again on the same inputs is another
         fwd, bwd, cfg, table = self._pair(CONST, True)
-        other = LinearProblem(
-            direction="backward", coeffs=CONST, weight=bwd.weight, source=None,
-            datum=bwd.datum, horizon=2 * bwd.horizon,
-        )
-        with pytest.raises(ConfigError, match="partner"):
-            solve_linear(fwd, cfg, table, partner=other)
+        other = OperatorTable(CONST, table.weight, stretch * table.times)
+        partner = dataclasses.replace(bwd, table=other, source=None)
+        with pytest.raises(ConfigError, match="partner sub-problem must march on the same operator table"):
+            solve_linear(fwd, cfg, partner=partner)
 
     @pytest.mark.parametrize("n_src", [4, 64], ids=["coarser", "half-step"])
     def test_source_off_the_march_grid_is_rejected(self, n_src):
@@ -873,12 +835,13 @@ class TestBatchedMarch:
         grid = Grid1D(64, np.pi)
         ts = np.linspace(0.0, 0.25, n_src + 1)
         src = SpaceTimeField(grid, ts, np.ones((n_src + 1, grid.n), dtype=complex))
+        cfg = StepperConfig(epsilon=0.0, n_steps=32)
         p = LinearProblem(
-            direction="forward", coeffs=CONST, weight=unit_weight(grid), source=src,
-            datum=SpectralField(grid, np.zeros(grid.n, dtype=complex)), horizon=0.25,
+            direction="forward", table=table_for(cfg, CONST, unit_weight(grid), 0.25), source=src,
+            datum=SpectralField(grid, np.zeros(grid.n, dtype=complex)),
         )
         with pytest.raises(ConfigError, match=f"{n_src + 1} times .* march grid of 33 times"):
-            solve_linear(p, StepperConfig(epsilon=0.0, n_steps=32))
+            solve_linear(p, cfg)
 
     @pytest.mark.parametrize("shift, same", [(3e-12, False), (5e-13, True)])
     def test_march_and_table_share_one_time_grid_rule(self, shift, same):
@@ -904,14 +867,15 @@ class TestMarchPlan:
         grid = grid or Grid1D(128, 8 * np.pi)
         coeffs = coeffs or self.COEFFS
         w = build_weight(1.0, grid, mode="truncated")
+        table = OperatorTable(coeffs, w, np.linspace(0.0, horizon, 33))
         fwd, bwd = (
             LinearProblem(
-                direction=d, coeffs=coeffs, weight=w, source=None, horizon=horizon, zero_mean=True,
+                direction=d, table=table, source=None, zero_mean=True,
                 datum=project(random_band_field(grid, 20, seed), sign),
             )
             for d, seed, sign in (("forward", 7, "-"), ("backward", 8, "+"))
         )
-        return fwd, bwd, w
+        return fwd, bwd, table
 
     def test_epsilon_study_on_one_table_equals_fresh_solves(self):
         # the study shares one table across viscosities; a plan cached
@@ -926,19 +890,15 @@ class TestMarchPlan:
 
     @pytest.mark.parametrize("other", ["grid", "dt", "epsilon", "directions", "zero-mean"])
     def test_plan_for_another_march_is_a_config_error(self, other):
-        fwd, bwd, w = self._pair()
+        fwd, bwd, table = self._pair()
         cfg = StepperConfig(epsilon=1e-4, n_steps=32)
-        times = np.linspace(0.0, fwd.horizon, 33)
-        table = OperatorTable(self.COEFFS, w, times)
         plan = MarchPlan(table, cfg, ("forward", "backward"), (True, True))
-        solve_linear(fwd, cfg, table, partner=bwd, plan=plan)   # its own march is accepted
+        solve_linear(fwd, cfg, partner=bwd, plan=plan)   # its own march is accepted
         if other == "grid":
-            fwd, bwd, w = self._pair(grid=Grid1D(64, 8 * np.pi))
-            table = OperatorTable(self.COEFFS, w, times)
-            match = "another grid, operator table"
+            fwd, bwd, _ = self._pair(grid=Grid1D(64, 8 * np.pi))
+            match = "another operator table$"
         elif other == "dt":
-            fwd, bwd = (dataclasses.replace(q, horizon=0.01) for q in (fwd, bwd))
-            table = OperatorTable(self.COEFFS, w, np.linspace(0.0, 0.01, 33))
+            fwd, bwd, _ = self._pair(horizon=0.01)
             match = "another operator table$"
         elif other == "epsilon":
             cfg = StepperConfig(epsilon=2e-4, n_steps=32)
@@ -950,30 +910,14 @@ class TestMarchPlan:
             bwd = dataclasses.replace(bwd, zero_mean=False)
             match = "another rows"
         with pytest.raises(ConfigError, match=match):
-            solve_linear(fwd, cfg, table, partner=bwd, plan=plan)
-
-    @pytest.mark.parametrize("other", ["coefficients", "weight"])
-    def test_table_built_from_another_operator_is_a_config_error(self, other):
-        # equal expressions and an equal weight are still other objects: the
-        # table's inputs are checked by identity, as a partner's are
-        fwd, _, w = self._pair()
-        coeffs, weight = self.COEFFS, w
-        if other == "coefficients":
-            coeffs = CoefficientField(coeffs.a_expr, coeffs.w_expr)
-        else:
-            weight = build_weight(1.0, fwd.grid, mode="truncated")
-        table = OperatorTable(coeffs, weight, np.linspace(0.0, fwd.horizon, 33))
-        with pytest.raises(ConfigError, match="table was built from another coefficient field or weight"):
-            solve_linear(fwd, StepperConfig(epsilon=1e-4, n_steps=32), table)
+            solve_linear(fwd, cfg, partner=bwd, plan=plan)
 
     def test_backward_exponential_is_the_conjugate_of_the_mirrored_forward_step(self):
         # E is stored once per step for a forward row; the backward row's E,
         # conjugated from the mirrored step, is bit for bit the exponential
         # of its own midpoint mean with the orientation flipped
-        fwd, bwd, w = self._pair()
+        fwd, bwd, table = self._pair()
         cfg = StepperConfig(epsilon=1e-4, n_steps=32)
-        times = np.linspace(0.0, fwd.horizon, 33)
-        table = OperatorTable(self.COEFFS, w, times)
         plan = MarchPlan(table, cfg, ("forward", "backward"), (True, True))
         grid, dt = fwd.grid, fwd.horizon / 32
         kmax = int(np.max(grid.k_index[grid.dealias_mask]))
@@ -994,8 +938,7 @@ class TestMarchPlan:
         # the peak-memory cap of the coupled solve prices the plan before
         # building it: about a third of a stack on the benchmark grid
         coeffs = CoefficientField("1 + 0.1*sech(x)", "0") if constant else self.COEFFS
-        fwd, _, w = self._pair(coeffs=coeffs)
-        table = OperatorTable(coeffs, w, np.linspace(0.0, fwd.horizon, 33))
+        fwd, _, table = self._pair(coeffs=coeffs)
         plan = MarchPlan(table, StepperConfig(n_steps=32), ("forward",), (True,))
         assert MarchPlan.planned_bytes(fwd.grid, 32, constant) == plan.exponentials.nbytes
         stack = 16 * 2048 * 65
