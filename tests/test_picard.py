@@ -220,7 +220,10 @@ class TestCouplingIdentity:
 class TestDiagonalTable:
     # decoupled coefficients (a = 1, W = 0, pure-exponential weight) give a
     # diagonal table, one x-constant row that the operator kernel applies as
-    # a symbol; with ``diagonal`` cleared the same table takes the FFT path
+    # a symbol; with ``diagonal`` cleared the same table takes the FFT path;
+    # the second coefficient pair is constant in x but changes with t, so its
+    # table is not diagonal and takes the FFT path
+    FLAT = [CONST, CoefficientField("1 + 0.5*t + 0.2*sin(40*t)", "0.3 + t")]
 
     def _carriers(self, grid, times):
         ramp = (1.0 + times)[:, None]
@@ -228,15 +231,16 @@ class TestDiagonalTable:
         vm = SpaceTimeField(grid, times, ramp[::-1] * project(random_band_field(grid, 60, 22), "-").values)
         return vp, vm
 
-    def test_coupling_matches_the_two_sided_formula(self):
+    @pytest.mark.parametrize("coeffs", FLAT, ids=["decoupled", "time-dependent"])
+    def test_coupling_matches_the_two_sided_formula(self, coeffs):
         grid = Grid1D(512, 8 * np.pi)
         w = build_weight(1.0, grid, mode="pure_exponential")
         times = np.linspace(0.0, 0.5, 5)
         vp, vm = self._carriers(grid, times)
-        table = OperatorTable(CONST, w, times)
-        assert table.diagonal
+        table = OperatorTable(coeffs, w, times)
+        assert table.diagonal == (coeffs is CONST)
         lam_p, lam_m, *_ = coupling_stacks(vp, vm, table)
-        ref_p, ref_m = two_sided_lambda(vp, vm, CONST, w)
+        ref_p, ref_m = two_sided_lambda(vp, vm, coeffs, w)
         for got, ref in ((lam_p, ref_p), (lam_m, ref_m)):
             assert np.max(np.abs(got.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -865,14 +869,26 @@ def test_block_budget_changes_no_result(monkeypatch):
 class TestPeakMemory:
     # decoupled: its stack is 16 block budgets, so one stack kept alive past
     # its last read crosses the bound; benchmark: its time-dependent
-    # coefficients make the half-step table about three stacks
-    @pytest.mark.parametrize("raw", [{"preset": "decoupled"}, {"preset": "benchmark"}],
-                             ids=["decoupled", "benchmark"])
+    # coefficients make the half-step table about three stacks; decoupled
+    # with a = 1 + t/2: a table constant in x that depends on time, which is
+    # not diagonal and so takes the FFT stages and a per-node table
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"preset": "decoupled"},
+            {"preset": "benchmark"},
+            {"preset": "decoupled", "coefficients": {"a": "1 + 0.5*t"}},
+        ],
+        ids=["decoupled", "benchmark", "time-dependent-uniform"],
+    )
     def test_traced_run_stays_within_the_four_stack_model(self, tmp_path, raw):
         sc = build_scenario(raw)
         n, n_steps = sc.grid.n, sc.stepper.n_steps
         stack = 16 * n * (n_steps + 1)
         assert stack >= 4 * spectral.CHUNK_BYTES
+        if "coefficients" in raw:
+            probe = OperatorTable(sc.coeffs, sc.weight, np.linspace(0.0, 0.035, 3))
+            assert sc.coeffs.time_dependent and not probe.diagonal
         tracemalloc.start()
         try:
             run_picard_scenario(raw, str(tmp_path))
