@@ -20,19 +20,21 @@ data, coupling outputs, and the evolution itself are kept in that class.
 The assembled sum then satisfies the projected equation exactly at the
 fixed point, which is what `pde_residual` measures.
 
-One sweep is one batched computation.  `coupling_stacks` evaluates the P+
+One sweep (`_sweep`, the affine map v -> K v + b that `picard_solve` loops
+over) is one batched computation.  `coupling_stacks` evaluates the P+
 branch of the coupling source only and takes lambda- = (Z v)_paired -
 lambda+: on that class P+ + P- = I, and on dealiased input the commutator
 terms of the two signs cancel except at the zero mode.  The sources stay
-Fourier coefficients in one march-ordered (2, N+1, n) buffer on the
-march's time grid, measured as written (norm series for the lambda ratio,
-max |hat| for the march's blow-up scale).  Both carriers are then marched
-together through `solve_linear(..., partner=..., plan=...)` into the pair
-buffer of the solve's one `stepper.MarchPlan`: each step overwrites the
-previous sweep's slot once the update is measured against it, and the
-march's blow-up magnitudes give every slot's norm and wrong-side norm, so
-no sweep reads the pair or its sources again.  A coupled solve therefore
-holds four stacks at its peak, the pair and the frozen sources.
+Fourier coefficients in one march-ordered (2, N+1, n) buffer on the march's
+time grid, measured as written (norm series for the lambda ratio, max |hat|
+for the march's blow-up scale).  Both carriers are then marched together
+through `solve_linear(..., partner=..., plan=...)` into the pair buffer of
+the solve's one `stepper.MarchPlan`, whose `fields()` are the carriers:
+each step overwrites the previous sweep's slot once the update is measured
+against it, and the march's blow-up magnitudes give every slot's norm and
+wrong-side norm, so no sweep reads the pair or its sources again.  The
+sources live inside their sweep, so a coupled solve holds four stacks at
+its peak, the pair and the frozen sources.
 
 One solve builds one half-step `OperatorTable` and samples one
 `NormBundle` on its time grid; the report hands both back (unserialised),
@@ -265,12 +267,10 @@ def _require_pair(vp: SpaceTimeField, vm: SpaceTimeField, table: OperatorTable) 
 
 
 def _check_horizon(p: BvpProblem, bundle: NormBundle) -> None:
-    limit = 0.0
     try:
-        sel = select_horizon(bundle)
-        limit = sel.horizon
+        limit = select_horizon(bundle).horizon
     except HorizonError:
-        pass
+        limit = 0.0
     if p.horizon <= limit * (1 + 1e-12):
         return
     msg = (
@@ -316,37 +316,43 @@ def _require_memory(grid: Grid1D, n_steps: int, time_dependent: bool) -> None:
         )
 
 
+def _sweep(plan: MarchPlan, cfg: StepperConfig, unsourced: tuple, coupled: bool) -> np.ndarray | None:
+    """One frozen-source sweep v -> K v + b in the plan's pair buffer: when ``coupled``,
+    the coupling sources of the pair it holds, frozen into the ``unsourced`` (minus,
+    plus) problems, then one ``solve_linear`` of both.  Returns the sources' norm
+    series (lambda+, lambda-), or None; the sources live in this call alone."""
+    prob_m, prob_p = unsourced
+    lam_norms = None
+    if coupled:
+        vm, vp = plan.fields()
+        src_p, src_m, lam_norms, peaks = coupling_stacks(vp, vm, plan.table)
+        prob_m = replace(prob_m, source=src_m, source_peak=peaks[1])
+        prob_p = replace(prob_p, source=src_p, source_peak=peaks[0])
+    solve_linear(prob_m, cfg, partner=prob_p, plan=plan)
+    return lam_norms
+
+
 def picard_solve(
-    p: BvpProblem,
-    tol: float = 1e-8,
-    m_max: int = 50,
-    solve_hook: Callable[[str, LinearProblem, SpaceTimeField], None] | None = None,
+    p: BvpProblem, tol: float = 1e-8, m_max: int = 50
 ) -> tuple[SpaceTimeField, SpaceTimeField, PicardReport]:
-    """Frozen-source sweeps from the zero pair until the update stalls below tol.
+    """Frozen-source sweeps (``_sweep``) from the zero pair until the update stalls below tol.
 
     Returns (plus carrier, minus carrier, report).  Raises ConfigError
     before the first sweep when the time grid is too coarse for the
     residual monitor (fewer than 4 steps) or when the memory model below
     puts the peak above ``_PEAK_BYTES_CAP``, DivergenceError after
     three consecutive non-contracting sweeps; stepper errors propagate.
-    ``solve_hook``, when given, observes every linear sub-solve as
-    ``(sign, problem, solution)`` right after it finishes, so bound monitors
-    can audit the sweep internals without the solver storing them all.
-    The solution views the solve's one pair buffer, which the next sweep
-    overwrites: a hook that keeps a field past its call keeps a copy
-    (``solution.hats.copy()``).  The problem's source is the sweep's own.
     The report carries the solve's operator table and rate bundle
     (``report.table``, ``report.bundle``) for the monitors to read.  Every
-    sweep marches through one ``MarchPlan``, built beside the table, whose
-    pair buffer ``plan.out`` the carriers view; its work arrays are released
-    with the last sweep's sources, before the residuals.
+    sweep marches through one ``MarchPlan``, built beside the table; the
+    carriers are its ``fields()``, and its work arrays are released after
+    the last sweep, before the residuals.
 
     Memory model: a stack is one (n_steps + 1, n) complex array.  At most
     four are live at once, in the march of a sweep: the pair buffer and
     the frozen sources.  The march writes each step into the pair buffer
     after measuring the update against the slot it overwrites, so the
-    previous pair is never copied; the sources are released before the
-    next sweep builds its own, and the last sweep's before the residuals.
+    previous pair is never copied; the sources live inside their sweep.
     The operator table, the march plan's exponentials (one 2/3-band row per
     step, about a third of a stack: ``MarchPlan.planned_bytes``) and at most
     ``_PEAK_BLOCKS`` row blocks of ``spectral.CHUNK_BYTES`` come on top.
@@ -368,8 +374,6 @@ def picard_solve(
     # every sweep marches the carriers (forward v-, backward v+) through one plan into
     # its one pair buffer, in march order, and measures them there
     plan = MarchPlan(table, p.stepper_cfg, ("forward", "backward"), (True, True))
-    vm = SpaceTimeField(grid, times, hats=plan.out[0])
-    vp = SpaceTimeField(grid, times, hats=plan.out[1, ::-1])
     update, measure = plan.update, plan.measure   # per row and slot: norm, wrong-side norm
     unsourced = tuple(
         LinearProblem(direction=d, table=table, source=None, datum=datum, zero_mean=True)
@@ -379,21 +383,12 @@ def picard_solve(
     prev_diff = None
     streak = 0
     for m in range(1, m_max + 1):
-        # release the previous sweep's sources before the next ones are built
-        prob_m, prob_p = unsourced
-        if m > 1:
-            src_p, src_m, lam_norms, peaks = coupling_stacks(vp, vm, table)
-            denom = bundle.coupling_rate * (measure[1, 0, ::-1] + measure[0, 0])   # the pair they read
+        denom = bundle.coupling_rate * (measure[1, 0, ::-1] + measure[0, 0])   # the pair the sources read
+        lam_norms = _sweep(plan, p.stepper_cfg, unsourced, coupled=m > 1)
+        if lam_norms is not None:
             keep = denom > 1e-14 * max(delta, 1e-300)
             ratios = np.maximum(lam_norms[0], lam_norms[1])[keep] / denom[keep]
             report.lambda_ratios.append(float(np.max(ratios)) if ratios.size else 0.0)
-            prob_m = replace(prob_m, source=src_m, source_peak=peaks[1])
-            prob_p = replace(prob_p, source=src_p, source_peak=peaks[0])
-            src_p = src_m = None   # held by the problems alone, released with them
-        solve_linear(prob_m, p.stepper_cfg, partner=prob_p, plan=plan)
-        if solve_hook is not None:
-            solve_hook("-", prob_m, vm)
-            solve_hook("+", prob_p, vp)
         diff = float(update[1] + update[0])   # plus carrier's sup-norm update + minus carrier's
 
         sup_p, sup_m = float(np.max(measure[1, 0])), float(np.max(measure[0, 0]))
@@ -418,7 +413,8 @@ def picard_solve(
         if diff <= tol * delta:
             report.converged = True
             break
-    prob_m = prob_p = plan = None   # nothing reads the sources or the plan's work arrays again
+    vm, vp = plan.fields()
+    plan = None   # nothing reads the plan's work arrays again
     report.carrier_norms = (measure[1, 0, ::-1], measure[0, 0])
 
     report.boundary_residual_low = _projection_residual(vp, vm, 0, p.f, "-")

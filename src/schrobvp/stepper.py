@@ -129,6 +129,7 @@ class StepperConfig:
             raise ConfigError("n_steps must be >= 1")
 
     def resolve_steps(self, horizon: float) -> int:
+        """The step count.  ``horizon`` is unused; it stays for callers outside the package."""
         return 2048 if self.n_steps is None else self.n_steps
 
     def time_grid(self, horizon: float) -> np.ndarray:
@@ -378,10 +379,11 @@ class MarchPlan:
 
     - what each march writes over the last: ``out``, the hats in march
       order (row r is the r-th problem's; a backward row runs in reversed
-      time), zero before the first march; ``update``, each row's sup of
-      ``hat_norm(new - old)`` over the slots; and ``measure``, each slot's
-      ``hat_norm`` and that of its wrong side (``side``: P+ of a forward
-      row, P- of a backward one), bit for bit ``norm_series``;
+      time; :meth:`fields` views them in time order), zero before the first
+      march; ``update``, each row's sup of ``hat_norm(new - old)`` over the
+      slots; and ``measure``, each slot's ``hat_norm`` and that of its wrong
+      side (``side``: P+ of a forward row, P- of a backward one), bit for
+      bit ``norm_series``;
     - ``exponentials``: each step's Lawson exponential E on the
       non-negative 2/3 band, one row per step (one row on a constant
       table), for a forward row.  E is even in xi, so :meth:`load` mirrors
@@ -460,6 +462,12 @@ class MarchPlan:
             self.forcing = np.zeros((3, rows, n), dtype=np.complex128)
             stages = np.empty((5, rows, n), dtype=np.complex128)
             self.work = (*stages, np.empty((2, rows, n), dtype=np.complex128))
+
+    def fields(self) -> tuple[SpaceTimeField, ...]:
+        """Each row of ``out`` as a view on the table's ascending times, reversed
+        for a backward row: the one place march order becomes time order."""
+        return tuple(SpaceTimeField(self.grid, self.table.times, hats=rows if forward else rows[::-1])
+                     for forward, rows in zip(self.forward, self.out))
 
     @staticmethod
     def planned_bytes(grid: Grid1D, n_steps: int, constant: bool) -> int:
@@ -582,10 +590,10 @@ def solve_linear(
     ``p.table``, this viscosity and these rows (else ConfigError), is built
     here when not given; the coupled solver builds one for all its sweeps.
     The march writes the plan's ``out``, ``update`` and ``measure`` (the
-    update of a fresh plan is measured against zero), and the returned
-    fields view ``plan.out``, which the next march through the plan
-    overwrites; no source may view it.  A source must sit on the table's
-    times and needs at least 3 steps, else ConfigError.
+    update of a fresh plan is measured against zero) and returns
+    ``plan.fields()``, views of ``plan.out``, which the next march through
+    the plan overwrites; no source may view it.  A source must sit on the
+    table's times and needs at least 3 steps, else ConfigError.
 
     ``partner``, a second sub-problem on the same operator table, by
     identity (either direction; else ConfigError), is marched in the same
@@ -612,11 +620,7 @@ def solve_linear(
     else:
         plan.require(table, cfg, problems)
     _march(problems, plan)
-    fields = tuple(
-        SpaceTimeField(p.grid, table.times, hats=rows if q.direction == "forward" else rows[::-1])
-        for q, rows in zip(problems, plan.out)
-    )
-    return fields[0] if partner is None else fields
+    return plan.fields()[0] if partner is None else plan.fields()
 
 
 def _require_march_grid(source_times: np.ndarray, times: np.ndarray) -> None:

@@ -576,6 +576,26 @@ class TestMizohataCommand:
         assert report["verdict"] == "bounded"
         assert report["sup_value"] == pytest.approx(np.pi, rel=0.02)
 
+    def test_benchmark_drift_preset_diverges_with_slope_two(self, tmp_path):
+        # the benchmark's weighted drift -2i a q: q -> beta = 1 on the plateau
+        # and a -> 1 away from the origin, so the running sup grows like 2 R
+        out = tmp_path / "m"
+        assert cli.main(["mizohata", "--preset", "benchmark-drift", "--grid-n", "512",
+                         "--out-dir", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["verdict"] == "diverging"
+        assert report["growth_slope"] == pytest.approx(2.0, rel=0.05)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--preset", "nope"], "error: unknown mizohata preset 'nope'; use benchmark-drift"),
+        (["--preset", "benchmark-drift", "--b", "x"], "error: give either --preset or --b, not both"),
+        ([], "error: mizohata needs --b EXPR or --preset NAME"),
+    ], ids=["unknown-preset", "preset-and-b", "neither"])
+    def test_usage_error_is_an_error_line_and_leaves_no_directory(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "m"
+        assert cli.main(["mizohata", *argv, "--grid-n", "256", "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.strip() == message
+        assert not out.exists()
 
     @pytest.mark.parametrize("expr", ["y", "foo(x)", "t*x", "1/x"])
     def test_bad_expression_is_an_error_line(self, tmp_path, capsys, expr):

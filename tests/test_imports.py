@@ -219,3 +219,15 @@ def test_cli_builds_the_benchmark_without_sympy():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_declared_numpy_floor_has_what_the_package_calls():
+    # np.trapezoid (estimates) and the out= argument of np.fft.fft/ifft
+    # (stepper, spectral, commutators) arrived in numpy 2.0
+    import tomllib
+
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    floors = [m.group(1) for dep in deps if (m := re.fullmatch(r"numpy\s*>=\s*([\d.]+)", dep.strip()))]
+    assert len(floors) == 1, deps
+    assert tuple(int(part) for part in floors[0].split(".")) >= (2, 0)

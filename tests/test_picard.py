@@ -171,7 +171,7 @@ class TestCouplingIdentity:
             err = np.sqrt(np.sum(np.abs(got.values - ref) ** 2, axis=1))
             assert np.all(err <= 1e-12 * np.sqrt(np.sum(np.abs(ref) ** 2, axis=1)))
 
-    def test_sweeps_see_both_carriers_and_the_physical_sources(self):
+    def test_sweeps_see_both_carriers_and_the_physical_sources(self, monkeypatch):
         grid = Grid1D(256, 20.0)
         w = build_weight(1.0, grid, mode="truncated")
         f, g = split_data(grid, seed=41, band=24)
@@ -181,11 +181,15 @@ class TestCouplingIdentity:
         )
         calls = []
 
-        def hook(sign, problem, solution):
-            # the next sweep overwrites the solution's buffer: keep a copy
-            calls.append((sign, problem, SpaceTimeField(grid, solution.times, hats=solution.hats.copy())))
+        def observed(*args, **kwargs):
+            # every sub-solve pair; the next sweep overwrites the pair's buffer: keep copies
+            pair = solve_linear(*args, **kwargs)
+            for sign, problem, solution in zip("-+", (args[0], kwargs["partner"]), pair):
+                calls.append((sign, problem, SpaceTimeField(grid, solution.times, hats=solution.hats.copy())))
+            return pair
 
-        _, _, report = picard_solve(p, solve_hook=hook)
+        monkeypatch.setattr(picard, "solve_linear", observed)
+        _, _, report = picard_solve(p)
         assert report.iterations >= 3
         assert [sign for sign, _, _ in calls] == ["-", "+"] * report.iterations
         assert calls[0][1].source is None and calls[1][1].source is None
@@ -197,7 +201,7 @@ class TestCouplingIdentity:
             for source, ref in ((prob_p.source, ref_p), (prob_m.source, ref_m)):
                 assert np.max(np.abs(source.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_update_is_the_norm_of_the_copied_carriers_difference(self):
+    def test_update_is_the_norm_of_the_copied_carriers_difference(self, monkeypatch):
         # the march measures each slot against what it overwrites; the
         # recorded update equals the sup-norm difference of successive copies
         grid = Grid1D(256, 20.0)
@@ -208,7 +212,15 @@ class TestCouplingIdentity:
             stepper_cfg=StepperConfig(epsilon=1e-5, n_steps=32),
         )
         copies = {sign: [np.zeros((33, grid.n), dtype=complex)] for sign in "+-"}   # the zero start
-        _, _, report = picard_solve(p, solve_hook=lambda sign, _, v: copies[sign].append(v.hats.copy()))
+
+        def observed(*args, **kwargs):
+            pair = solve_linear(*args, **kwargs)
+            for sign, v in zip("-+", pair):
+                copies[sign].append(v.hats.copy())
+            return pair
+
+        monkeypatch.setattr(picard, "solve_linear", observed)
+        _, _, report = picard_solve(p)
         assert report.iterations >= 3
         for m, diff in enumerate(report.diff_norms, start=1):
             plus, minus = (
@@ -645,6 +657,35 @@ class TestSweepPlan:
             tracemalloc.stop()
         assert len(peaks) == 2
         assert peaks[1] < spectral.CHUNK_BYTES
+
+    def test_a_sweep_is_an_affine_map_of_the_pair(self, monkeypatch):
+        # _sweep(v) = K v + b: run on the pairs 0, v and 2v written into the
+        # solve's own plan, w(2v) - w(0) = 2 (w(v) - w(0)); the uncoupled
+        # first sweep from the zero pair is w(0)
+        seen = []
+
+        def observed(*args, **kwargs):
+            seen.append((args[0], kwargs["partner"], args[1], kwargs["plan"]))
+            return solve_linear(*args, **kwargs)
+
+        monkeypatch.setattr(picard, "solve_linear", observed)
+        self._benchmark(256, 2)()
+        prob_m, prob_p, cfg, plan = seen[0]
+        assert prob_m.source is None and prob_p.source is None   # the first sweep's problems
+        v = [carrier.hats.copy() for carrier in plan.fields()]
+
+        def sweep(scale, coupled=True):
+            for carrier, hats in zip(plan.fields(), v):
+                carrier.hats[:] = scale * hats
+            norms = picard._sweep(plan, cfg, (prob_m, prob_p), coupled)
+            assert (norms is None) == (not coupled)
+            return plan.out.copy()
+
+        w0, w1, w2 = sweep(0.0), sweep(1.0), sweep(2.0)
+        step = 2.0 * (w1 - w0)
+        assert np.max(np.abs(step)) > 0.0
+        assert np.max(np.abs(w2 - w0 - step)) <= 1e-12 * np.max(np.abs(step))
+        assert np.max(np.abs(sweep(0.0, coupled=False) - w0)) <= 1e-14 * np.max(np.abs(w0))
 
 
 class TestTimeAccuracy:

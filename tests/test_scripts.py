@@ -4,7 +4,8 @@ before any work, or when the package raises one of its named errors.
 
 They call `picard_solve`, `assemble_solution`, `run_monitors` and
 `epsilon_study` directly, outside the CLI, so each is run here as a
-subprocess with the package on PYTHONPATH.
+subprocess with the package on PYTHONPATH; so is the README's library
+example.
 """
 
 import os
@@ -67,6 +68,20 @@ def test_package_error_is_one_line(script, args, needle, tmp_path):
     last = done.stderr.splitlines()[-1]
     assert last.startswith("error: ") and needle in last, done.stderr
     assert done.stderr.count("error: ") == 1
+
+
+def test_readme_library_example_runs(tmp_path):
+    # the README's one python example, as a reader would paste it: it calls
+    # the public API, so a changed signature fails here
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.S | re.M)
+    assert len(blocks) == 1
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", blocks[0]], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    factors = [float(x) for x in re.match(r"\[(.*?)\]", done.stdout).group(1).split(",")]
+    assert factors and all(0.0 < rho < 0.5 for rho in factors), done.stdout
 
 
 def run_script(script, args, cwd):
