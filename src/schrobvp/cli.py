@@ -522,10 +522,11 @@ def cmd_linear(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     # the march's and the monitor's operator
     table = OperatorTable(sc.coeffs, sc.weight, sc.stepper.time_grid(horizon))
+    # sampled before the march: it checks a >= lambda and finiteness at every time
+    bundle = norm_bundle(sc.coeffs, sc.weight.sup_logderiv, table.times, sc.grid)
     problem = LinearProblem(direction=args.direction, table=table, source=None, datum=datum)
     sol = solve_linear(problem, sc.stepper)
     sign = "-" if args.direction == "forward" else "+"
-    bundle = norm_bundle(sc.coeffs, sc.weight.sup_logderiv, sol.times, sc.grid)
     reports = [energy_monitor(sol, None, sign, table, bundle)]
     elapsed = time.perf_counter() - t0
 

@@ -25,13 +25,14 @@ over) is one batched computation.  `coupling_stacks` evaluates the P+
 branch of the coupling source only and takes lambda- = (Z v)_paired -
 lambda+: on that class P+ + P- = I, and on dealiased input the commutator
 terms of the two signs cancel except at the zero mode.  The sources stay
-Fourier coefficients in one march-ordered (2, N+1, n) buffer on the march's
+Fourier coefficients in one (2, N+1, n) buffer on the march's ascending
 time grid, measured as written (norm series for the lambda ratio, max |hat|
 for the march's blow-up scale).  Both carriers are then marched together
 through `solve_linear(..., partner=..., plan=...)` into the pair buffer of
-the solve's one `stepper.MarchPlan`, whose `fields()` are the carriers:
-each step overwrites the previous sweep's slot once the update is measured
-against it, and the march's blow-up magnitudes give every slot's norm and
+the solve's one `stepper.MarchPlan`, whose `fields()` are the carriers
+and `norms()` their norm series, on ascending times: each step
+overwrites the previous sweep's slot once the update is measured against
+it, and the march's blow-up magnitudes give every slot's norm and
 wrong-side norm, so no sweep reads the pair or its sources again.  The
 sources live inside their sweep, so a coupled solve holds four stacks at
 its peak, the pair and the frozen sources.
@@ -229,18 +230,16 @@ def coupling_stacks(
     """Both coupling-source stacks on the carriers' time grid, then their norm
     series (2, slices) and max |hat| (2,), lambda+ first, measured as written.
 
-    The hats live in one (2, slices, n) buffer in march order: row 0 is
-    lambda- on ascending times (the forward carrier's source), row 1 is
-    lambda+ on descending times (the backward carrier's).  ``table`` must
-    have the carriers' times as its integer nodes, else ConfigError.
+    The hats live in one (2, slices, n) buffer on the carriers' ascending
+    times, lambda+ first.  ``table`` must have the carriers' times as its
+    integer nodes, else ConfigError.
     Raises GridMismatchError unless both carriers and the table share one
     grid and the carriers one time grid.
     """
     grid, times = vp.grid, vp.times
     hats = np.empty((2, len(times), grid.n), dtype=np.complex128)
-    lam_m, lam_p = hats[0], hats[1, ::-1]
-    norms, peaks = _coupling_pass(vp, vm, table, lambda rows: (lam_p[rows], lam_m[rows]))
-    return SpaceTimeField(grid, times, hats=lam_p), SpaceTimeField(grid, times, hats=lam_m), norms, peaks
+    norms, peaks = _coupling_pass(vp, vm, table, lambda rows: hats[:, rows])
+    return SpaceTimeField(grid, times, hats=hats[0]), SpaceTimeField(grid, times, hats=hats[1]), norms, peaks
 
 
 def coupling_norms(
@@ -372,9 +371,10 @@ def picard_solve(
 
     report = PicardReport(delta=delta, horizon=p.horizon, table=table, bundle=bundle)
     # every sweep marches the carriers (forward v-, backward v+) through one plan into
-    # its one pair buffer, in march order, and measures them there
+    # its one pair buffer and measures them there
     plan = MarchPlan(table, p.stepper_cfg, ("forward", "backward"), (True, True))
     update, measure = plan.update, plan.measure   # per row and slot: norm, wrong-side norm
+    norm_m, norm_p = plan.norms()   # views of measure on ascending times
     unsourced = tuple(
         LinearProblem(direction=d, table=table, source=None, datum=datum, zero_mean=True)
         for d, datum in (("forward", p.f), ("backward", p.g))
@@ -383,7 +383,7 @@ def picard_solve(
     prev_diff = None
     streak = 0
     for m in range(1, m_max + 1):
-        denom = bundle.coupling_rate * (measure[1, 0, ::-1] + measure[0, 0])   # the pair the sources read
+        denom = bundle.coupling_rate * (norm_p + norm_m)   # the pair the sources read
         lam_norms = _sweep(plan, p.stepper_cfg, unsourced, coupled=m > 1)
         if lam_norms is not None:
             keep = denom > 1e-14 * max(delta, 1e-300)
@@ -391,7 +391,7 @@ def picard_solve(
             report.lambda_ratios.append(float(np.max(ratios)) if ratios.size else 0.0)
         diff = float(update[1] + update[0])   # plus carrier's sup-norm update + minus carrier's
 
-        sup_p, sup_m = float(np.max(measure[1, 0])), float(np.max(measure[0, 0]))
+        sup_p, sup_m = float(np.max(norm_p)), float(np.max(norm_m))
         report.iterations = m
         report.sup_norms_plus.append(sup_p)
         report.sup_norms_minus.append(sup_m)
@@ -415,7 +415,7 @@ def picard_solve(
             break
     vm, vp = plan.fields()
     plan = None   # nothing reads the plan's work arrays again
-    report.carrier_norms = (measure[1, 0, ::-1], measure[0, 0])
+    report.carrier_norms = (norm_p, norm_m)
 
     report.boundary_residual_low = _projection_residual(vp, vm, 0, p.f, "-")
     report.boundary_residual_high = _projection_residual(vp, vm, n_steps, p.g, "+")

@@ -34,9 +34,9 @@ same step run once on unit inputs, and the march makes no FFT.
 Batched march: :func:`solve_linear` advances a stacked (rows, n) state of
 Fourier coefficients, one row per sub-problem; a ``partner`` problem (the
 coupled solver passes the backward carrier next to the forward one) rides
-in the same state, its row reading the mirrored table node 2N - i.  Steps
-go a ``row_blocks`` block at a time into a buffer whose magnitudes, taken
-once, are scanned for blow-up (each row against its datum and handed-in
+in the same state, each row in its own march order (:class:`MarchPlan`).
+Steps go a ``row_blocks`` block at a time into a buffer whose magnitudes,
+taken once, are scanned for blow-up (each row against its datum and handed-in
 source scale; the error names the first bad step) and give each slot's
 norm and wrong-side norm, the coupled solver's per-sweep norms; the block
 is measured against the output slots it overwrites (the previous sweep's
@@ -375,12 +375,18 @@ class MarchPlan:
     with the same viscosity and rows (each row's direction and zero-mean
     flag); :meth:`require` raises ConfigError for any other.  The step is
     the table's: the march's time grid is the table's ``times``, and the
-    step is checked once, here (``_require_stable_step``).  It holds:
+    step is checked once, here (``_require_stable_step``).
+
+    March order is the plan's alone: a backward row marches in the reversed
+    variable s = horizon - t, so its slot i is time node n_steps - i and its
+    half step i reads table node 2 n_steps - i.  Each row's output, norms
+    and source are written and read in march order; :meth:`flip` turns a
+    backward row's stack between the orders, and :meth:`fields` and
+    :meth:`norms` hand the rows back on ascending times.  The plan holds:
 
     - what each march writes over the last: ``out``, the hats in march
-      order (row r is the r-th problem's; a backward row runs in reversed
-      time; :meth:`fields` views them in time order), zero before the first
-      march; ``update``, each row's sup of ``hat_norm(new - old)`` over the
+      order (row r is the r-th problem's), zero before the first march;
+      ``update``, each row's sup of ``hat_norm(new - old)`` over the
       slots; and ``measure``, each slot's ``hat_norm`` and that of its wrong
       side (``side``: P+ of a forward row, P- of a backward one), bit for
       bit ``norm_series``;
@@ -458,16 +464,24 @@ class MarchPlan:
             self.A = self.C = None   # built by the first march
             self.av = np.empty((rows, n), dtype=np.complex128)
         else:
-            # a step's forcing (f0 and f2 by the parity of their node, then f1), the stages' work
+            # a step's forcing (f0, f1, f2), the stages' work
             self.forcing = np.zeros((3, rows, n), dtype=np.complex128)
             stages = np.empty((5, rows, n), dtype=np.complex128)
             self.work = (*stages, np.empty((2, rows, n), dtype=np.complex128))
 
+    def flip(self, stacks: Sequence) -> list:
+        """Each row's stack (or None) of ``stacks`` with a backward row's reversed:
+        time order to march order and back, the one place either becomes the other."""
+        return [rows if forward or rows is None else rows[::-1] for forward, rows in zip(self.forward, stacks)]
+
     def fields(self) -> tuple[SpaceTimeField, ...]:
-        """Each row of ``out`` as a view on the table's ascending times, reversed
-        for a backward row: the one place march order becomes time order."""
-        return tuple(SpaceTimeField(self.grid, self.table.times, hats=rows if forward else rows[::-1])
-                     for forward, rows in zip(self.forward, self.out))
+        """Each row of ``out`` as a view on the table's ascending times."""
+        return tuple(SpaceTimeField(self.grid, self.table.times, hats=rows) for rows in self.flip(self.out))
+
+    def norms(self) -> tuple[np.ndarray, ...]:
+        """Each row's per-slot norm series (``measure``) as a view on the table's
+        ascending times: bit for bit the ``norm_series()`` of :meth:`fields`."""
+        return tuple(self.flip(self.measure[:, 0]))
 
     @staticmethod
     def planned_bytes(grid: Grid1D, n_steps: int, constant: bool) -> int:
@@ -693,16 +707,16 @@ def _midpoints(
 def _march(problems: list[LinearProblem], plan: MarchPlan) -> None:
     """Lawson RK4 on a (rows, n) hat-space state, one row per sub-problem.
 
-    Half-step i of a forward row reads table node i and source slice i/2,
-    of a backward row node 2 n_steps - i and slice n_steps - i/2; every
-    stage applies S by :func:`apply_s`.  On a ``diagonal`` table the step is
-    the affine map v <- A v + forcing: A and the B's
-    are the same RK4 step run once on unit inputs, and with the midpoint
-    weights and source factors folded in, a block's forcing is four scaled
-    adds of source views per row.  Every other table takes the RK4 stages
-    step by step, each step's coefficients loaded into the plan.  Steps go a
-    ``row_blocks`` block (of all rows at once) at a time into the plan's
-    ``buffer``, which first holds each step's source midpoint or forcing;
+    Every row steps, stores and reads its source in march order (see
+    :class:`MarchPlan`); every stage applies S by :func:`apply_s`.  On a
+    ``diagonal`` table the step is the affine map v <- A v + forcing: A and
+    the B's are the same RK4 step run once on unit inputs, and with the
+    midpoint weights and source factors folded in, a block's forcing is
+    four scaled adds of source views per row.  Every other table takes the
+    RK4 stages step by step, each step's coefficients loaded into the plan,
+    and reads each step's source at its start and end from the source rows.
+    Steps go a ``row_blocks`` block (of all rows at once) at a time into the
+    plan's ``buffer``, which first holds each step's source midpoint or forcing;
     per block, one ``np.abs`` feeds the blow-up scan (against the datum and
     ``source_peak``) and ``plan.measure``, then one ``hat_norm`` of the
     slots it overwrites for ``plan.update`` and one copy into ``plan.out``.
@@ -711,8 +725,7 @@ def _march(problems: list[LinearProblem], plan: MarchPlan) -> None:
     grid = plan.grid
     n_steps, factor = plan.n_steps, plan.factor
     out, update, measure = plan.out, plan.update, plan.measure
-    sources = [None if q.source is None else q.source.hats for q in problems]
-    march_hats = [h if fwd or h is None else h[::-1] for h, fwd in zip(sources, plan.forward)]
+    sources = plan.flip([None if q.source is None else q.source.hats for q in problems])
     active = any(hats is not None for hats in sources)
     affine = plan.table.diagonal
     if affine:
@@ -737,50 +750,38 @@ def _march(problems: list[LinearProblem], plan: MarchPlan) -> None:
     scale = np.maximum(np.max(np.abs(state), axis=1), [max(q.source_peak or 0.0, 1e-30) for q in problems])
     update[:] = 0.0
     write(state[:, None], slice(0, 1))
-    if active and not affine:
-        for r, hats in enumerate(march_hats):   # an unsourced row reads zero forcing
-            if hats is None:
-                plan.forcing[:, r] = 0.0
-            else:
-                np.multiply(hats[0], factor[r], out=plan.forcing[0, r])
 
     for steps in row_blocks(n_steps, len(problems) * grid.n):
         lo, hi = steps.start, steps.stop
         buf = plan.buffer[:, : hi - lo]
+        # each step's source midpoint, or on a diagonal table its whole forcing,
+        # waits in the slot its step overwrites
+        for r, hats in enumerate(sources):
+            if hats is None:   # the buffer holds stale slots; the unsourced row reads zero
+                buf[r] = 0.0
+            elif affine:
+                _midpoints(hats, lo, hi, buf[r], C[:, :, r], plan.terms)
+            else:
+                _midpoints(hats, lo, hi, buf[r], work=plan.terms)
+                buf[r] *= factor[r]
         if affine:
-            for r, hats in enumerate(march_hats):
-                if hats is None:
-                    buf[r] = 0.0
-                else:
-                    _midpoints(hats, lo, hi, buf[r], C[:, :, r], plan.terms)
             for j in range(hi - lo):
                 np.add(buf[:, j], np.multiply(A, state, out=plan.av), out=state)
                 buf[:, j] = state
         else:
-            # each step's source midpoint waits in the slot its step overwrites; a backward
-            # row sums in ascending node order (the reversed view rounds differently)
-            # (its product terms reversed with it, so no view is read against its stride)
-            for r, hats in enumerate(sources):
-                if hats is None:   # the buffer holds stale slots; the unsourced row reads zero
-                    buf[r] = 0.0
-                elif plan.forward[r]:
-                    _midpoints(hats, lo, hi, buf[r], work=plan.terms)
-                else:
-                    _midpoints(hats, n_steps - hi, n_steps - lo, buf[r, ::-1], work=plan.terms[::-1])
-                buf[r] *= factor[r]
-            # the state and the forcing step in contiguous rows: f0 and f2 by the
-            # parity of their node, the midpoint copied from its slot
-            forcing = (None,) * 3
+            # the state and the forcing step in contiguous rows, the midpoint copied from its slot
+            forcing = plan.forcing if active else (None,) * 3
             for j, step in enumerate(range(lo, hi)):
                 if not plan.table.constant:
                     plan.load(step)
                 if active:
-                    end = plan.forcing[(step + 1) % 2]
-                    for r, hats in enumerate(march_hats):
-                        if hats is not None:
-                            np.multiply(hats[step + 1], factor[r], out=end[r])
-                    plan.forcing[2] = buf[:, j]
-                    forcing = (plan.forcing[step % 2], plan.forcing[2], end)
+                    for r, hats in enumerate(sources):
+                        if hats is None:   # an unsourced row reads zero forcing
+                            forcing[0, r] = forcing[2, r] = 0.0
+                        else:
+                            np.multiply(hats[step], factor[r], out=forcing[0, r])
+                            np.multiply(hats[step + 1], factor[r], out=forcing[2, r])
+                    forcing[1] = buf[:, j]
                 plan.step(state, forcing, state)
                 buf[:, j] = state
         write(buf, slice(lo + 1, hi + 1))

@@ -243,6 +243,24 @@ class TestLinearCommand:
         assert "epsilon_study" not in report
         assert f"sup norm {report['sup_norm']:.6g}" in capsys.readouterr().out
 
+    def test_coefficient_below_the_floor_is_rejected_before_the_march(self, tmp_path, capsys, monkeypatch):
+        # with --T no horizon probe runs, so the bundle's a >= lambda check is
+        # the first to see the coefficients; it must come before any march
+        marches = []
+
+        def counting(*args, **kwargs):
+            marches.append(args)
+            return stepper.solve_linear(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_linear", counting)
+        scenario = small_scenario_file(tmp_path, {"coefficients": {"a": "1 - 0.5*sech(x)", "lambda": 0.9}})
+        out = tmp_path / "lin"
+        code = cli.main(["linear", "--scenario", scenario, "--T", "0.01", "--out-dir", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: dispersive coefficient dips to 0.5 below the floor 0.9 at t=0\n"
+        assert not out.exists()
+        assert marches == []
+
     def test_viscosity_schedule_is_an_unknown_key(self, tmp_path, capsys):
         scenario = small_scenario_file(tmp_path, {"stepper": {"epsilon_schedule": [1e-2, 1e-3, 1e-4]}})
         code = cli.main(["linear", "--scenario", scenario, "--out-dir", str(tmp_path / "lin")])

@@ -165,6 +165,8 @@ class TestCouplingIdentity:
         vp = SpaceTimeField(grid, times, ramp * project(random_band_field(grid, 60, 21), "+").values)
         vm = SpaceTimeField(grid, times, ramp[::-1] * project(random_band_field(grid, 60, 22), "-").values)
         lam_p, lam_m, *_ = coupling_stacks(vp, vm, OperatorTable(BENCH, w, times))
+        # both stacks hold ascending times: neither is a reversed view
+        assert lam_p.hats.strides[0] > 0 and lam_m.hats.strides[0] > 0
         ref_p, ref_m = two_sided_lambda(vp, vm, BENCH, w)
         for got, ref in ((lam_p, ref_p), (lam_m, ref_m)):
             assert np.max(np.abs(got.values - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -460,6 +462,9 @@ class TestPicardSolve:
         assert all(r >= 0.0 for r in report.contraction_factors)
         assert len(report.lambda_ratios) == report.iterations - 1
         assert max(report.lambda_ratios) < 1.5
+        # the report's norm series are the carriers', bit for bit
+        for norms, carrier in zip(report.carrier_norms, (vp, vm)):
+            assert np.array_equal(norms, carrier.norm_series())
 
     def test_divergence_error_past_the_horizon(self):
         # far past the admissible horizon, a strong variable potential feeds

@@ -5,16 +5,20 @@ before any work, or when the package raises one of its named errors.
 They call `picard_solve`, `assemble_solution`, `run_monitors` and
 `epsilon_study` directly, outside the CLI, so each is run here as a
 subprocess with the package on PYTHONPATH; so is the README's library
-example.
+example, and `compare_runs.py` on two run directories the CLI writes.
 """
 
+import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from schrobvp import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -82,6 +86,54 @@ def test_readme_library_example_runs(tmp_path):
     assert done.returncode == 0, done.stderr
     factors = [float(x) for x in re.match(r"\[(.*?)\]", done.stdout).group(1).split(",")]
     assert factors and all(0.0 < rho < 0.5 for rho in factors), done.stdout
+
+
+@pytest.fixture(scope="module")
+def two_runs(tmp_path_factory):
+    """Two run directories of one small `decoupled` scenario."""
+    tmp = tmp_path_factory.mktemp("runs")
+    scenario = tmp / "scenario.json"
+    scenario.write_text(json.dumps({"preset": "decoupled", "grid": {"n": 128}, "stepper": {"n_steps": 32}}))
+    for name in "ab":
+        assert cli.main(["picard", "--scenario", str(scenario), "--out-dir", str(tmp / name)]) == 0
+    return tmp / "a", tmp / "b"
+
+
+def test_compare_runs_pairs_every_file_but_the_timings(two_runs, tmp_path):
+    a, b = two_runs
+    lines = run_script("compare_runs.py", [str(a), str(b)], tmp_path).splitlines()
+    files = sorted(p.relative_to(a).as_posix() for p in a.rglob("*") if p.is_file())
+    assert "timings.json" in files and "fields/vplus_0000.spf" in files
+    assert lines == [f"{name}: identical" for name in files if name != "timings.json"]
+
+
+def test_compare_runs_reports_a_perturbed_number(two_runs, tmp_path):
+    a, b = two_runs
+    c = tmp_path / "c"
+    shutil.copytree(b, c)
+    rows = (c / "norms.csv").read_text().splitlines()
+    cells = rows[3].split(",")
+    value = float(cells[1])
+    cells[1] = f"{value * (1 + 1e-9):.17g}"
+    rows[3] = ",".join(cells)
+    (c / "norms.csv").write_text("\n".join(rows) + "\n")
+    lines = run_script("compare_runs.py", [str(a), str(c)], tmp_path).splitlines()
+    changed = [line for line in lines if not line.endswith(": identical")]
+    assert len(changed) == 1
+    abs_diff, rel_diff = re.match(r"norms\.csv: max abs diff (\S+), max rel diff (\S+) over", changed[0]).groups()
+    assert float(abs_diff) == pytest.approx(1e-9 * value, rel=1e-2)
+    assert float(rel_diff) == pytest.approx(1e-9, rel=1e-2)
+
+
+def test_compare_runs_names_a_missing_file(two_runs, tmp_path):
+    a, b = two_runs
+    c = tmp_path / "c"
+    shutil.copytree(b, c)
+    (c / "fields" / "vminus_0007.spf").unlink()
+    done = launch_script("compare_runs.py", [str(a), str(c)], tmp_path)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == f"error: fields/vminus_0007.spf is in {a} only\n"
 
 
 def run_script(script, args, cwd):

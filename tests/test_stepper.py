@@ -297,15 +297,19 @@ class TestManufacturedSource:
         err = np.max(np.abs(sol.values[0] - self._exact(grid, 0.0, k)))
         assert err < 1e-6
 
-    def _error(self, direction, n_steps):
-        """Max error at the far end of one solve with the source on the march grid."""
+    def _error(self, direction, n_steps, diagonal):
+        """Max error at the far end of one solve with the source on the march grid,
+        by the affine map (``diagonal``) or, with it cleared, the FFT stages."""
         grid = Grid1D(64, np.pi)
         k, T = 2.0, 0.25
         start, end = (0.0, T) if direction == "forward" else (T, 0.0)
         cfg = StepperConfig(epsilon=0.0, n_steps=n_steps)
+        table = table_for(cfg, CONST, unit_weight(grid), T)
+        assert table.diagonal
+        table.diagonal = diagonal
         p = LinearProblem(
             direction=direction,
-            table=table_for(cfg, CONST, unit_weight(grid), T),
+            table=table,
             source=self._setup(grid, T, k, n_steps),
             datum=SpectralField(grid, self._exact(grid, start, k)),
         )
@@ -313,12 +317,14 @@ class TestManufacturedSource:
         far = -1 if direction == "forward" else 0
         return np.max(np.abs(sol.values[far] - self._exact(grid, end, k)))
 
+    @pytest.mark.parametrize("diagonal", [True, False], ids=["affine", "fft"])
     @pytest.mark.parametrize("direction", ["forward", "backward"])
-    def test_fourth_order_in_dt(self, direction):
+    def test_fourth_order_in_dt(self, direction, diagonal):
         # the integrating factor carries exp(-i k^2 t) exactly, so all the
         # error is in the midpoint source reads: order 2 for a two-point
-        # average, order 4 for the cubic interpolant
-        errs = [self._error(direction, n) for n in (32, 64)]
+        # average, order 4 for the cubic interpolant; the FFT stages read
+        # each step's source at its start, midpoint and end themselves
+        errs = [self._error(direction, n, diagonal) for n in (32, 64)]
         order = np.log2(errs[0] / errs[1])
         assert errs[1] > 1e-12
         assert order >= 3.7
@@ -679,7 +685,7 @@ class TestSourceMidpoint:
     def test_scaled_adds_match_the_weight_product(self, j, reversed_view):
         rng = np.random.default_rng(j)
         stack = rng.standard_normal((9, 256)) + 1j * rng.standard_normal((9, 256))
-        # a backward carrier's source is a reversed view of the march buffer
+        # a backward row reads its source, stored on ascending times, as a reversed view
         hats = stack[::-1] if reversed_view else stack
         # the block of steps j..j+2 (cut at the last step 7) crosses from the
         # first-step stencil into the interior one, or from it into the last
@@ -793,6 +799,8 @@ class TestBatchedMarch:
                 ascending = row if field is pair[0] else row[:, ::-1]
                 assert np.array_equal(ascending[0], field.norm_series())
                 assert np.array_equal(ascending[1], field.norm_series(sym))
+            for norms, field in zip(plan.norms(), plan.fields()):
+                assert np.array_equal(norms, field.norm_series())
         # the wrong side follows each row's direction, not its place
         swapped = MarchPlan(table, cfg, ("backward", "forward"), (True, True))
         assert np.array_equal(swapped.side[::-1], np.stack([sym.real for sym in wrong]))
